@@ -53,7 +53,6 @@ class RunConfig:
     r3: float = 0.5
     grid_n: int = 1600
     y_max: float | None = None
-    quad_tol: float = 1e-11
     newton_tol: float = 1e-12
     picard_tol: float = 1e-10
     iterate_tol: float = 1e-8
@@ -72,7 +71,7 @@ class RunConfig:
             raise ValueError("eps_list must be strictly decreasing")
         if self.regime == "beta" and not (3.0 / 28.0 < self.beta < 0.125):
             raise ValueError("beta regime needs beta in (3/28, 1/8)")
-        for name in ("quad_tol", "newton_tol", "picard_tol", "iterate_tol"):
+        for name in ("newton_tol", "picard_tol", "iterate_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.fmt not in ("csv", "json"):
@@ -331,8 +330,8 @@ def _read_config_file(path):
 
 _CFG_TYPES = {
     "regime": str, "amplitude": float, "beta": float, "theta": float,
-    "r3": float, "grid_n": int, "y_max": float, "quad_tol": float,
-    "newton_tol": float, "picard_tol": float, "iterate_tol": float,
+    "r3": float, "grid_n": int, "y_max": float, "newton_tol": float,
+    "picard_tol": float, "iterate_tol": float,
     "full_os": lambda s: s.lower() in ("1", "true", "yes"),
     "init_samples": int, "out": str, "fmt": str, "jobs": int,
 }

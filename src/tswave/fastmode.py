@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class ExpFastHierarchy:
     Level 0 is e^{-varpi Y}; level k solves the next second-order problem with
     the previous level's transport terms as source, via the same
     double-integral kernels as the magnetic solver.  Psi levels are tail
-    integrals of the Phi levels.
+    integrals of the Phi levels, formed on first use.
     """
 
     def __init__(self, params, grid=None, n_terms=None, profile=DEFAULT_PROFILE):
@@ -157,9 +157,12 @@ class ExpFastHierarchy:
             self.d2phi_levels.append(d2phi_k)
             self.rhs_levels.append(rhs)
             self.dphi0_at0.append(1j * n * inner[0])
-        self.psi_levels = [tail_trapezoid(p, self.grid) for p in self.phi_levels]
+
+    @cached_property
+    def psi_levels(self):
         # tail of level 0 is exact: int_Y^inf e^{-varpi X} dX
-        self.psi_levels[0] = np.exp(-varpi * self.grid) / varpi
+        return ([np.exp(-self.varpi * self.grid) / self.varpi]
+                + [tail_trapezoid(p, self.grid) for p in self.phi_levels[1:]])
 
     def sum_arrays(self, which, order):
         if which == "Phi":

@@ -11,13 +11,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import ztbtrs
 
 from .errors import (
     DerivativeBreakdown,
     NonConvergence,
     NonResolvable,
+    TswaveError,
     ZeroOnContour,
 )
 
@@ -384,12 +387,15 @@ def l2_norm(vals, weights, point_weight=None, noise_floor=0.0):
     ``noise_floor`` masks entries below ``noise_floor * max|vals|`` before the
     weight is applied; solver output at far-field nodes is roundoff, and an
     exponentially growing weight would otherwise amplify it into the norm.
+    The weight multiplies nonzero entries only, so a zero value contributes
+    zero even where the weight is infinite.
     """
     v = np.abs(np.asarray(vals))
     if noise_floor > 0.0 and v.size:
         v = np.where(v > noise_floor * v.max(), v, 0.0)
     if point_weight is not None:
-        v = v * point_weight
+        live = v > 0.0
+        v[live] *= np.asarray(point_weight)[live]
     return math.sqrt(float(np.sum(weights * v * v)))
 
 
@@ -437,37 +443,69 @@ def _exp_kernel_coeffs(x):
     return np.where(small, a_ser, a_dir), np.where(small, b_ser, b_dir)
 
 
+@lru_cache(maxsize=4)
+def _exp_kernel(grid_key, xi):
+    """Per-(grid, xi) data of the exp-kernel recurrences, keyed on the grid's
+    bytes so equal grids share one entry and a grid changed in place misses.
+
+    Returns ``(h, ah, bh, upper, lower)``: the spacings, the scaled kernel
+    coefficients, and the LAPACK band storage (kd = 1, unit diagonal) of the
+    bidiagonal systems with -e^{-xi h} beside the diagonal, above it for the
+    backward recurrence and below it for the forward one.  All arrays are
+    read-only.
+    """
+    grid = np.frombuffer(grid_key, dtype=float)
+    h = np.diff(grid)
+    x = xi * h
+    ah, bh = _exp_kernel_coeffs(x)
+    off = -np.exp(-x)
+    upper = np.ones((2, grid.size), dtype=complex, order="F")
+    upper[0, 1:] = off
+    lower = np.ones((2, grid.size), dtype=complex, order="F")
+    lower[1, :-1] = off
+    for arr in (h, ah, bh, upper, lower):
+        arr.flags.writeable = False
+    return h, ah, bh, upper, lower
+
+
+def _kernel_for(grid, xi):
+    return _exp_kernel(np.asarray(grid, dtype=float).tobytes(), complex(xi))
+
+
+def _unit_bidiagonal_solve(band, rhs, uplo):
+    out, info = ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=1)
+    if info != 0:
+        raise TswaveError(f"banded exp-kernel solve failed: ztbtrs info = {info}")
+    return out
+
+
 def backward_exp_integral(vals, grid, xi, tail_rate=0.0):
     """I(Y_i) = int_{Y_i}^inf e^{xi (Y_i - Y'')} vals(Y'') dY'' for Re xi > 0.
 
     Piecewise-linear integrand with the exponential kernel handled exactly;
-    the recursion runs backward so every factor decays.
+    the recurrence I_i = e^{-xi h_i} I_{i+1} + local_i runs backward so every
+    factor decays, and is solved as one upper unit-bidiagonal system.
     """
     vals = np.asarray(vals, dtype=complex)
-    h = np.diff(grid)
-    x = xi * h
-    ah, bh = _exp_kernel_coeffs(x)
+    h, ah, bh, upper, _ = _kernel_for(grid, xi)
     # int_0^h e^{-xi s}(v_i + (v_{i+1}-v_i) s/h) ds = h*(v_i ah) + h*(v_{i+1}-v_i) bh
-    local = h * (vals[:-1] * ah + (vals[1:] - vals[:-1]) * bh)
-    decay = np.exp(-x)
-    out = np.zeros_like(vals)
-    out[-1] = vals[-1] / (xi + tail_rate)
-    for i in range(len(grid) - 2, -1, -1):
-        out[i] = decay[i] * out[i + 1] + local[i]
-    return out
+    rhs = np.empty(vals.shape, dtype=complex)
+    rhs[:-1] = h * (vals[:-1] * ah + (vals[1:] - vals[:-1]) * bh)
+    rhs[-1] = vals[-1] / (xi + tail_rate)
+    return _unit_bidiagonal_solve(upper, rhs, "U")
 
 
 def forward_exp_integral(vals, grid, xi):
-    """u(Y_i) = int_0^{Y_i} e^{-xi (Y_i - Y')} vals(Y') dY' for Re xi > 0."""
+    """u(Y_i) = int_0^{Y_i} e^{-xi (Y_i - Y')} vals(Y') dY' for Re xi > 0.
+
+    The recurrence u_i = e^{-xi h_{i-1}} u_{i-1} + local_{i-1} from u_0 = 0 is
+    solved as one lower unit-bidiagonal system.
+    """
     vals = np.asarray(vals, dtype=complex)
-    h = np.diff(grid)
-    x = xi * h
-    ah, bh = _exp_kernel_coeffs(x)
+    h, ah, bh, _, lower = _kernel_for(grid, xi)
     # int_0^h e^{-xi(h-s)} (v_i + (v_{i+1}-v_i) s/h) ds  with sigma = h-s:
     #   = v_{i+1} * h*ah - (v_{i+1}-v_i) * h*bh
-    local = h * (vals[1:] * ah - (vals[1:] - vals[:-1]) * bh)
-    decay = np.exp(-x)
-    out = np.zeros_like(vals)
-    for i in range(1, len(grid)):
-        out[i] = decay[i - 1] * out[i - 1] + local[i - 1]
-    return out
+    rhs = np.empty(vals.shape, dtype=complex)
+    rhs[0] = 0.0
+    rhs[1:] = h * (vals[1:] * ah - (vals[1:] - vals[:-1]) * bh)
+    return _unit_bidiagonal_solve(lower, rhs, "L")

@@ -250,9 +250,9 @@ def os_d_solve(q1, q2, params, bvp, profile=DEFAULT_PROFILE):
     return _wrap_pair(bvp, params, profile, phi, omega, psi, q2v)
 
 
-def os_s_solve(h1, h2, params, bvp, divergence_form=False, profile=DEFAULT_PROFILE):
-    """Divergence-splitting solve; ``divergence_form`` only documents that the
-    first source is d_Y g1 or i alpha g1 (the discrete solve is identical)."""
+def os_s_solve(h1, h2, params, bvp, profile=DEFAULT_PROFILE):
+    """Divergence-splitting solve; the first source may be d_Y g1 or
+    i alpha g1, the discrete solve is the same."""
     h1v, h2v = _sample_sources(h1, h2, bvp)
     fact = _Factorized(params, bvp, profile, "os_s")
     xi, omega, theta = fact.solve(bvp, h1v, h2v)
@@ -268,6 +268,13 @@ def _sample_sources(q1, q2, bvp):
         return np.asarray(q, dtype=complex)
 
     return vals(q1), vals(q2)
+
+
+def _inv_sqrt_curvature(d2us):
+    """|U_s''|^{-1/2}, infinite where U_s'' underflows (past Y ~ 745);
+    ``l2_norm`` skips the weight at zero values, so those nodes add zero."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(np.abs(d2us))
 
 
 class OSIteration:
@@ -287,8 +294,7 @@ class OSIteration:
         self.fact_s = _Factorized(params, bvp, profile, "os_s")
         self.a_xi, self.a_theta = self.blocks.magnetic_coupling()
         self.transport = self.blocks.shear_transport()
-        w = np.abs(self.d2us_weight())
-        self.w_inv_sqrt = 1.0 / np.sqrt(w)
+        self.w_inv_sqrt = _inv_sqrt_curvature(self.d2us_weight())
 
     def d2us_weight(self):
         return self.blocks.d2us
@@ -424,21 +430,14 @@ def error_norms(arrays, bvp, profile=DEFAULT_PROFILE):
     where U_s'' underflows still makes the norm infinite.
     """
     wts = bvp.weights
-    curvature = np.abs(profile.eval("U", 2, bvp.grid))
-
-    def weighted_l2(vals):
-        v = np.abs(vals)
-        live = v > 0.0
-        v[live] *= 1.0 / np.sqrt(curvature[live])
-        return l2_norm(v, wts)
-
+    w_inv_sqrt = _inv_sqrt_curvature(profile.eval("U", 2, bvp.grid))
     return {
         "e1s_l2": l2_norm(arrays["e1s"], wts),
         "e2s_l2": l2_norm(arrays["e2s"], wts),
-        "e3s_l2w": weighted_l2(arrays["e3s"]),
+        "e3s_l2w": l2_norm(arrays["e3s"], wts, w_inv_sqrt),
         "e1f_l2": l2_norm(arrays["e1f"], wts),
         "e2f_l2": l2_norm(arrays["e2f"], wts),
-        "e3f_l2w": weighted_l2(arrays["e3f"]),
+        "e3f_l2w": l2_norm(arrays["e3f"], wts, w_inv_sqrt),
         "ff_l2": l2_norm(arrays["ff"], wts),
     }
 

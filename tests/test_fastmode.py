@@ -97,6 +97,12 @@ class TestExpHierarchy:
         assert np.max(np.abs(hier.psi_levels[0][:200]
                              - np.exp(-p.varpi * Y) / p.varpi)) < 1e-12
 
+    def test_psi_levels_formed_on_first_use(self, beta_params):
+        hier = fastmode.ExpFastHierarchy(beta_params, n_terms=2)
+        assert "psi_levels" not in vars(hier)
+        psi = hier.psi_levels
+        assert len(psi) == 3 and hier.psi_levels is psi
+
     def test_higher_levels_vanish_at_wall(self, beta_params):
         hier = fastmode.ExpFastHierarchy(beta_params, n_terms=3)
         for k in (1, 2, 3):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tswave import numerics
 from tswave.errors import (DerivativeBreakdown, NonConvergence, ZeroOnContour)
 from tswave.numerics import (
     Circle, Ray, RootTrace, Segment, backward_exp_integral, boundary_slope,
     cumulative_trapezoid, diff_matrix, forward_exp_integral, graded_grid,
-    newton_root, quad_segment, tail_trapezoid, trap_weights, winding_number,
+    l2_norm, newton_root, quad_segment, tail_trapezoid, trap_weights,
+    winding_number,
 )
 
 
@@ -162,6 +164,128 @@ class TestGridsAndCalculus:
         back2 = backward_exp_integral(np.exp(-2.0 * g2), g2, xi, tail_rate=2.0)
         err2 = np.max(np.abs(back2 - np.exp(-2.0 * g2) / (xi + 2.0)))
         assert np.max(np.abs(back - np.exp(-2.0 * g) / (xi + 2.0))) / err2 > 3.0
+
+
+def _reference_backward(vals, grid, xi, tail_rate=0.0):
+    """The backward exp-kernel recurrence as a sequential loop."""
+    vals = np.asarray(vals, dtype=complex)
+    h = np.diff(grid)
+    ah, bh = numerics._exp_kernel_coeffs(xi * h)
+    local = h * (vals[:-1] * ah + (vals[1:] - vals[:-1]) * bh)
+    decay = np.exp(-xi * h)
+    out = np.zeros_like(vals)
+    out[-1] = vals[-1] / (xi + tail_rate)
+    for i in range(len(grid) - 2, -1, -1):
+        out[i] = decay[i] * out[i + 1] + local[i]
+    return out
+
+
+def _reference_forward(vals, grid, xi):
+    """The forward exp-kernel recurrence as a sequential loop."""
+    vals = np.asarray(vals, dtype=complex)
+    h = np.diff(grid)
+    ah, bh = numerics._exp_kernel_coeffs(xi * h)
+    local = h * (vals[1:] * ah - (vals[1:] - vals[:-1]) * bh)
+    decay = np.exp(-xi * h)
+    out = np.zeros_like(vals)
+    for i in range(1, len(grid)):
+        out[i] = decay[i - 1] * out[i - 1] + local[i - 1]
+    return out
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestExpKernelOracle:
+    """Banded solves of the exp-kernel recurrences against the sequential loop."""
+
+    # graded grids on which xi*h spans both coefficient branches: the series
+    # (|xi h| < 1e-2) near the wall and e^{-xi h} == 0 in the far field
+    CASES = [((400, 2000.0, 1e-4), 40.0 + 25.0j),
+             ((300, 3e4, 1e-3), 0.9 + 0.5j),
+             ((1500, 25.0, 0.5), 0.7 + 0.4j)]
+
+    @staticmethod
+    def _data(spec, seed=0):
+        grid = graded_grid(spec[0], spec[1], cluster_scale=spec[2])
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        return grid, vals
+
+    @pytest.mark.parametrize("spec,xi", CASES)
+    @pytest.mark.parametrize("tail_rate", [0.0, 0.8])
+    def test_matches_sequential_loop(self, spec, xi, tail_rate):
+        grid, vals = self._data(spec)
+        back = backward_exp_integral(vals, grid, xi, tail_rate=tail_rate)
+        assert _max_rel(back, _reference_backward(vals, grid, xi, tail_rate)) <= 1e-13
+        fwd = forward_exp_integral(vals, grid, xi)
+        assert _max_rel(fwd, _reference_forward(vals, grid, xi)) <= 1e-13
+
+    def test_cases_cover_both_coefficient_branches(self):
+        x = np.concatenate([xi * np.diff(graded_grid(spec[0], spec[1], cluster_scale=spec[2]))
+                            for spec, xi in self.CASES])
+        assert np.any(np.abs(x) < 1e-2)
+        assert np.any(np.exp(-x) == 0.0)
+
+    def test_list_and_strided_inputs(self):
+        spec, xi = self.CASES[0]
+        grid, vals = self._data(spec, seed=1)
+        ref_b = _reference_backward(vals, grid, xi, 0.8)
+        ref_f = _reference_forward(vals, grid, xi)
+        strided = np.repeat(grid, 2)[::2]
+        assert not strided.flags.c_contiguous
+        for g, v in ((grid.tolist(), vals.tolist()), (strided, np.repeat(vals, 2)[::2])):
+            assert _max_rel(backward_exp_integral(v, g, xi, tail_rate=0.8), ref_b) <= 1e-13
+            assert _max_rel(forward_exp_integral(v, g, xi), ref_f) <= 1e-13
+
+    def test_equal_grids_share_results(self):
+        spec, xi = self.CASES[1]
+        grid, vals = self._data(spec, seed=2)
+        twin = grid.copy()
+        assert twin is not grid
+        assert np.array_equal(backward_exp_integral(vals, grid, xi),
+                              backward_exp_integral(vals, twin, xi))
+        assert np.array_equal(forward_exp_integral(vals, grid, xi),
+                              forward_exp_integral(vals, twin, xi))
+
+    def test_grid_changed_in_place_recomputes(self):
+        spec, xi = self.CASES[2]
+        grid, vals = self._data(spec, seed=3)
+        backward_exp_integral(vals, grid, xi)
+        forward_exp_integral(vals, grid, xi)
+        grid *= 1.5
+        assert _max_rel(backward_exp_integral(vals, grid, xi),
+                        _reference_backward(vals, grid, xi)) <= 1e-13
+        assert _max_rel(forward_exp_integral(vals, grid, xi),
+                        _reference_forward(vals, grid, xi)) <= 1e-13
+
+    def test_cached_arrays_are_read_only(self):
+        spec, xi = self.CASES[2]
+        grid, vals = self._data(spec)
+        backward_exp_integral(vals, grid, xi)
+        cached = numerics._exp_kernel(grid.tobytes(), complex(xi))
+        for arr in cached:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+class TestL2Norm:
+    def test_zero_values_against_infinite_weight(self):
+        wts = np.ones(3)
+        weight = np.array([2.0, np.inf, np.inf])
+        assert l2_norm(np.array([1.0, 0.0, 0.0]), wts, weight) == pytest.approx(2.0)
+        # entries masked by the noise floor also skip the weight
+        assert l2_norm(np.array([1.0, 1e-20, 0.0]), wts, weight,
+                       noise_floor=1e-13) == pytest.approx(2.0)
+
+    def test_weight_applies_to_nonzero_entries(self):
+        v = np.array([3.0, -4.0j, 0.0])
+        wts = np.array([0.5, 0.25, 1.0])
+        weight = np.array([2.0, 3.0, 5.0])
+        expect = math.sqrt(0.5 * 36.0 + 0.25 * 144.0)
+        assert l2_norm(v, wts, weight) == pytest.approx(expect, rel=1e-15)
 
 
 def test_segment_and_circle_validation():
