@@ -18,7 +18,7 @@ import numpy as np
 
 from . import airy, dispersion, fastmode, osresolvent
 from .errors import TswaveError, WindingNotOne, ZeroOnContour
-from .numerics import winding_samples
+from .numerics import winding_samples  # noqa: F401  (perfbench/layers.py wraps it)
 from .params import SpectralParams
 from .profile import DEFAULT_PROFILE, StructureConstants, check_structure
 
@@ -84,12 +84,43 @@ class RunConfig:
                                           theta=self.theta)
 
 
+# -- regime map: the eighth regime certifies in the variable c_hat, the beta
+# regime in the wave speed c itself --
+
 def _certify(cfg, params0):
     if cfg.regime == "eighth":
         return dispersion.certify_eighth(params0, tol=cfg.newton_tol,
                                          init_samples=cfg.init_samples)
     return dispersion.certify_beta(params0, r3=cfg.r3, tol=cfg.newton_tol,
                                    init_samples=cfg.init_samples)
+
+
+def _disk(cfg, params0):
+    """Certification disk in the regime's variable."""
+    if cfg.regime == "eighth":
+        return dispersion.disk_eighth(params0)
+    return dispersion.disk_beta(params0, cfg.r3)
+
+
+def _to_c(cfg, params0, w):
+    """Wave speed c of a value w of the regime's variable."""
+    return params0.chat_to_c(w) if cfg.regime == "eighth" else w
+
+
+def _center_c(cfg, params0):
+    """Wave speed c at the certification disk center."""
+    center = (dispersion.center_eighth(params0) if cfg.regime == "eighth"
+              else dispersion.center_beta(params0))
+    return _to_c(cfg, params0, center)
+
+
+def _write(text, out):
+    """Write a report to the file ``out``, or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def sweep_row(cfg, eps):
@@ -103,8 +134,7 @@ def sweep_row(cfg, eps):
             report = _certify(cfg, params0)
             row["winding"] = report.winding
             row["min_gamma0_boundary"] = report.boundary_min_abs
-            c_app = (params0.chat_to_c(report.c_root)
-                     if report.variable == "c_hat" else report.c_root)
+            c_app = _to_c(cfg, params0, report.c_root)
             if not report.certified:
                 row["status"] = "newton-left-disk"
         except WindingNotOne as exc:
@@ -118,9 +148,7 @@ def sweep_row(cfg, eps):
             row["re_c_app"], row["im_c_app"] = c_app.real, c_app.imag
         # audit norms at the disk center so the footer regressions compare
         # the same reference point across rows
-        center = (dispersion.center_eighth(params0) if cfg.regime == "eighth"
-                  else dispersion.center_beta(params0))
-        c_audit = params0.chat_to_c(center) if cfg.regime == "eighth" else center
+        c_audit = _center_c(cfg, params0)
 
         bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
         arrays, gamma0_val, _ = osresolvent.assemble_error_terms(
@@ -147,38 +175,34 @@ def sweep_row(cfg, eps):
 
 
 def full_os_certification(cfg, params0, bvp, c_center):
-    """Boundary gap max over the certification circle, exact winding, and the
-    Newton root of the exact dispersion function."""
-    disk = (dispersion.disk_eighth(params0) if cfg.regime == "eighth"
-            else dispersion.disk_beta(params0, cfg.r3))
+    """Certify the exact dispersion function Gamma on the disk of Gamma0 with
+    the same winding count and Newton refinement.
 
-    def gamma_of_variable(w):
-        c = params0.chat_to_c(w) if cfg.regime == "eighth" else w
-        return osresolvent.remainder_and_gamma(
-            c, params0, bvp, tol=cfg.iterate_tol, picard_tol=cfg.picard_tol)
-
+    Returns ``(gap_max, c_exact, winding)``: the maximal |Gamma - Gamma0|
+    over the winding boundary samples, the exact root as a wave speed (None
+    unless Newton converges inside the disk), and the exact winding (-1 when
+    Gamma vanishes on the boundary).  ``c_center`` is not used; the disk
+    comes from the regime map.
+    """
     gaps = []
 
     def g_exact(w):
-        gamma, diag = gamma_of_variable(w)
+        gamma, diag = osresolvent.remainder_and_gamma(
+            _to_c(cfg, params0, w), params0, bvp, tol=cfg.iterate_tol,
+            picard_tol=cfg.picard_tol)
         gaps.append(diag["gap"])
         return gamma
 
     try:
-        winding, _, _ = winding_samples(g_exact, disk, cfg.init_samples)
+        report = dispersion.find_root_certified(
+            g_exact, _disk(cfg, params0), tol=max(cfg.newton_tol, 1e-11),
+            init_samples=cfg.init_samples, max_iter=30)
+    except WindingNotOne as exc:
+        report = exc.report
     except ZeroOnContour:
         return (max(gaps) if gaps else math.nan), None, -1
-    gap_max = max(gaps)
-    c_exact = None
-    if winding == 1:
-        from .numerics import newton_root
-
-        root, trace = newton_root(lambda w: gamma_of_variable(w)[0],
-                                  disk.center, tol=max(cfg.newton_tol, 1e-11),
-                                  max_iter=30)
-        if trace.converged:
-            c_exact = params0.chat_to_c(root) if cfg.regime == "eighth" else root
-    return gap_max, c_exact, winding
+    c_exact = _to_c(cfg, params0, report.c_root) if report.certified else None
+    return max(gaps[:report.samples]), c_exact, report.winding
 
 
 def _regressions(rows):
@@ -198,7 +222,8 @@ def _regressions(rows):
 
 
 def run_sweep(cfg):
-    """Execute the sweep; returns (rows, footer) and writes the report file."""
+    """Execute the sweep; returns (rows, footer, text) and writes the report
+    to ``cfg.out`` when it is set."""
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_row_worker, [(cfg, e) for e in cfg.eps_list]))
@@ -207,8 +232,7 @@ def run_sweep(cfg):
     footer = _regressions(rows)
     text = render_report(rows, footer, cfg.fmt)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        _write(text, cfg.out)
     return rows, footer, text
 
 
@@ -287,8 +311,7 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(text, out)
     return rows, energies, text
 
 
@@ -374,7 +397,7 @@ def cmd_sweep(args):
     cfg = build_config(args)
     rows, footer, text = run_sweep(cfg)
     if not cfg.out:
-        sys.stdout.write(text)
+        _write(text, None)
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 
 
@@ -404,11 +427,7 @@ def cmd_root(args):
             ok = False
         results.append(entry)
     text = json.dumps(results, indent=2, sort_keys=True, default=_fmt) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, cfg.out)
     return 0 if ok else 1
 
 
@@ -417,9 +436,7 @@ def cmd_audit(args):
     entries = []
     for eps in cfg.eps_list:
         params0 = cfg.params(eps)
-        center = (dispersion.center_eighth(params0) if cfg.regime == "eighth"
-                  else dispersion.center_beta(params0))
-        c = params0.chat_to_c(center) if cfg.regime == "eighth" else center
+        c = _center_c(cfg, params0)
         bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
         arrays, gamma0_val, _ = osresolvent.assemble_error_terms(
             c, params0, bvp, picard_tol=cfg.picard_tol)
@@ -431,11 +448,7 @@ def cmd_audit(args):
             entry["tau1_measured"] = fastmode.measure_tau1(params0.with_c(c))
         entries.append(entry)
     text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, cfg.out)
     return 0
 
 
@@ -455,11 +468,7 @@ def cmd_airy_table(args):
                                        _fmt(val.value.real), _fmt(val.value.imag),
                                        val.branch.value]))
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -468,22 +477,16 @@ def cmd_export_mode(args):
     eps = cfg.eps_list[0]
     params0 = cfg.params(eps)
     try:
-        report = _certify(cfg, params0)
-        c = (params0.chat_to_c(report.c_root) if report.variable == "c_hat"
-             else report.c_root)
+        c = _to_c(cfg, params0, _certify(cfg, params0).c_root)
     except WindingNotOne as exc:
         sys.stderr.write(f"certification failed ({exc}); exporting at the "
                          f"disk center\n")
-        center = (dispersion.center_eighth(params0) if cfg.regime == "eighth"
-                  else dispersion.center_beta(params0))
-        c = params0.chat_to_c(center) if cfg.regime == "eighth" else center
+        c = _center_c(cfg, params0)
     t_list = [float(s) for s in args.t_list.split(",")]
     bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
     _, _, text = export_mode(c, params0, t_list, args.nx, args.ny,
-                             out=cfg.out, full_os=cfg.full_os, bvp=bvp,
-                             fmt=cfg.fmt)
-    if not cfg.out:
-        sys.stdout.write(text)
+                             full_os=cfg.full_os, bvp=bvp, fmt=cfg.fmt)
+    _write(text, cfg.out)
     return 0
 
 
@@ -494,18 +497,12 @@ def cmd_validate(args):
             "rows": []}
     for eps in cfg.eps_list:
         params0 = cfg.params(eps)
-        center = (dispersion.center_eighth(params0) if cfg.regime == "eighth"
-                  else dispersion.center_beta(params0))
-        c = params0.chat_to_c(center) if cfg.regime == "eighth" else center
+        c = _center_c(cfg, params0)
         p = params0.with_c(c)
         info["rows"].append({"eps": eps, "alpha": p.alpha, "n": p.n,
                              "warnings": p.guard_warnings()})
     text = json.dumps(info, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, cfg.out)
     return 0 if report.ok else 1
 
 

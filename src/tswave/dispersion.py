@@ -23,7 +23,6 @@ from .profile import DEFAULT_PROFILE
 __all__ = [
     "DispersionReport",
     "gamma0",
-    "gamma0_hat",
     "gamma_ref_hat",
     "center_eighth",
     "disk_eighth",
@@ -41,6 +40,7 @@ __all__ = [
 class DispersionReport:
     c_root: complex | None
     winding: int
+    samples: int                # boundary points evaluated by the winding count
     boundary_min_abs: float
     reference_gap_max: float
     newton: RootTrace | None
@@ -75,12 +75,6 @@ def gamma0(c, params, profile=DEFAULT_PROFILE):
     z0 = p.z0
     ratio = airy.ai_k(1, z0) / airy.ai_k(2, z0)
     return dphi0 - phi0 * ratio / p.delta
-
-
-def gamma0_hat(h, params, profile=DEFAULT_PROFILE):
-    """Zoomed dispersion function of h = c_hat / eps^{1/8}."""
-    chat = params.eps ** 0.125 * h
-    return gamma0(params.chat_to_c(chat), params, profile)
 
 
 def gamma_ref_hat(h, params):
@@ -122,8 +116,10 @@ def gamma_ref_beta(c, params):
 def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
                         newton_from=None, max_iter=60):
     """Winding count on the disk boundary; on winding one, Newton refinement
-    from the center.  The report carries the boundary modulus floor and, when
-    a reference map is supplied, the maximal boundary gap |g - g_ref|.
+    from the center.  The report carries the number of boundary samples (the
+    first ``samples`` evaluations of ``g``), the boundary modulus floor and,
+    when a reference map is supplied, the maximal boundary gap |g - g_ref|.
+    The root counts as certified only when Newton converges inside the disk.
 
     Raises WindingNotOne when the count differs from one (the report is
     attached to the exception for diagnostics) and propagates ZeroOnContour.
@@ -136,6 +132,7 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
         gap_max = float(np.max(np.abs(vals - ref_vals)))
     if winding != 1:
         report = DispersionReport(c_root=None, winding=winding,
+                                  samples=thetas.size,
                                   boundary_min_abs=boundary_min,
                                   reference_gap_max=gap_max, newton=None, disk=disk)
         err = WindingNotOne(winding)
@@ -145,7 +142,7 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
     root, trace = newton_root(g, start, tol=tol, max_iter=max_iter)
     if not disk.contains(root, slack=1e-9):
         trace.converged = False
-    return DispersionReport(c_root=root, winding=winding,
+    return DispersionReport(c_root=root, winding=winding, samples=thetas.size,
                             boundary_min_abs=boundary_min,
                             reference_gap_max=gap_max, newton=trace, disk=disk)
 

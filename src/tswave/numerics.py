@@ -432,15 +432,15 @@ def _exp_kernel_coeffs(x):
     """
     x = np.asarray(x, dtype=complex)
     small = np.abs(x) < 1e-2
-    xs = np.where(small, x, 0.0)
+    a, b = np.empty_like(x), np.empty_like(x)
+    xs, xd = x[small], x[~small]
+    a[small] = 1.0 - xs / 2.0 + xs**2 / 6.0 - xs**3 / 24.0 + xs**4 / 120.0
+    b[small] = 0.5 - xs / 3.0 + xs**2 / 8.0 - xs**3 / 30.0 + xs**4 / 144.0
     # A/h = (1 - e^{-x})/x ; B/h^2 = (1 - e^{-x}(1+x))/x^2
-    a_ser = 1.0 - xs / 2.0 + xs**2 / 6.0 - xs**3 / 24.0 + xs**4 / 120.0
-    b_ser = 0.5 - xs / 3.0 + xs**2 / 8.0 - xs**3 / 30.0 + xs**4 / 144.0
-    xb = np.where(small, 1.0, x)
-    ex = np.exp(-np.where(small, 0.0, x))
-    a_dir = (1.0 - ex) / xb
-    b_dir = (1.0 - ex * (1.0 + np.where(small, 0.0, x))) / xb**2
-    return np.where(small, a_ser, a_dir), np.where(small, b_ser, b_dir)
+    ex = np.exp(-xd)
+    a[~small] = (1.0 - ex) / xd
+    b[~small] = (1.0 - ex * (1.0 + xd)) / xd**2
+    return a, b
 
 
 @lru_cache(maxsize=4)

@@ -294,10 +294,7 @@ class OSIteration:
         self.fact_s = _Factorized(params, bvp, profile, "os_s")
         self.a_xi, self.a_theta = self.blocks.magnetic_coupling()
         self.transport = self.blocks.shear_transport()
-        self.w_inv_sqrt = _inv_sqrt_curvature(self.d2us_weight())
-
-    def d2us_weight(self):
-        return self.blocks.d2us
+        self.w_inv_sqrt = _inv_sqrt_curvature(self.blocks.d2us)
 
     def _e_norm(self, phi, omega, psi, q2=None):
         """Weighted vorticity + velocity + magnetic norm of one step."""
@@ -442,36 +439,41 @@ def error_norms(arrays, bvp, profile=DEFAULT_PROFILE):
     }
 
 
-def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE, tol=1e-8,
-                        picard_tol=1e-10, n_terms=None):
-    """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
-    two remainder solves, plus diagnostics.
+def _solve_remainders(c, params, bvp, profile, tol, picard_tol, n_terms):
+    """Error terms at c and the two remainder solves.
 
     The first remainder absorbs the strongly decaying error pair, the second
     the divergence-form errors (entered through the divergence splitting).
+    Returns ``(gamma0, modes, remainders)``: the approximate dispersion
+    value, the participating modes of ``assemble_error_terms``, and for each
+    remainder its grid arrays (phi, psi) plus its alternation trace.
     """
     p = params.with_c(c)
-    grid = bvp.grid
-    arrays, gamma0_val, _ = assemble_error_terms(c, params, bvp, profile,
-                                                 picard_tol, n_terms)
-
+    arrays, gamma0_val, modes = assemble_error_terms(c, params, bvp, profile,
+                                                     picard_tol, n_terms)
     it = OSIteration(p, bvp, profile)
-    phi_r1, _, _, trace1 = it.iterate(arrays["e3s"] + arrays["e3f"],
-                                      arrays["ff"], tol=tol, entry="d")
+    phi1, _, psi1, trace1 = it.iterate(arrays["e3s"] + arrays["e3f"],
+                                       arrays["ff"], tol=tol, entry="d")
     div_source = (bvp.d1 @ (arrays["e1s"] + arrays["e1f"])
                   + 1j * p.alpha * (arrays["e2s"] + arrays["e2f"]))
-    phi_r2, _, _, trace2 = it.iterate(div_source, None, tol=tol, entry="s")
+    phi2, _, psi2, trace2 = it.iterate(div_source, None, tol=tol, entry="s")
+    return gamma0_val, modes, ((phi1, psi1, trace1), (phi2, psi2, trace2))
 
-    slope1 = boundary_slope(grid, phi_r1)
-    slope2 = boundary_slope(grid, phi_r2)
+
+def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE, tol=1e-8,
+                        picard_tol=1e-10, n_terms=None):
+    """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
+    two remainder solves, plus diagnostics."""
+    gamma0_val, _, remainders = _solve_remainders(c, params, bvp, profile, tol,
+                                                  picard_tol, n_terms)
+    slope1, slope2 = (boundary_slope(bvp.grid, phi) for phi, _, _ in remainders)
     gamma = gamma0_val - slope1 - slope2
     diag = {
         "gamma0": gamma0_val,
         "gamma": gamma,
         "remainder_slopes": (slope1, slope2),
         "gap": abs(gamma - gamma0_val),
-        "traces": (trace1, trace2),
-        "error_norms": error_norms(arrays, bvp, profile),
+        "traces": tuple(trace for _, _, trace in remainders),
     }
     return gamma, diag
 
@@ -486,20 +488,19 @@ def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE, tol=1e-8,
     """
     p = params.with_c(c)
     grid = bvp.grid
-    arrays, _, modes = assemble_error_terms(c, params, bvp, profile,
-                                            picard_tol, n_terms)
+    if full_os:
+        _, modes, remainders = _solve_remainders(c, params, bvp, profile, tol,
+                                                 picard_tol, n_terms)
+    else:
+        _, _, modes = assemble_error_terms(c, params, bvp, profile, picard_tol,
+                                           n_terms)
     phi0 = modes["phi0"]
     phi_arrays = [modes["slow"].eval(k, grid) - phi0 * modes["phi_f"].eval(k, grid)
                   for k in range(2)]
     psi_arrays = [modes["psi_s"].eval(k, grid) - phi0 * modes["psi_f"].eval(k, grid)
                   for k in range(2)]
     if full_os:
-        it = OSIteration(p, bvp, profile)
-        r1_phi, _, r1_psi, _ = it.iterate(arrays["e3s"] + arrays["e3f"],
-                                          arrays["ff"], tol=tol, entry="d")
-        div_source = (bvp.d1 @ (arrays["e1s"] + arrays["e1f"])
-                      + 1j * p.alpha * (arrays["e2s"] + arrays["e2f"]))
-        r2_phi, _, r2_psi, _ = it.iterate(div_source, None, tol=tol, entry="s")
+        (r1_phi, r1_psi, _), (r2_phi, r2_psi, _) = remainders
         phi_arrays[0] = phi_arrays[0] - r1_phi - r2_phi
         phi_arrays[1] = phi_arrays[1] - bvp.d1 @ (r1_phi + r2_phi)
         psi_arrays[0] = psi_arrays[0] - r1_psi - r2_psi

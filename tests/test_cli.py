@@ -213,6 +213,28 @@ class TestExportMode:
         assert d1 < 0.05 * wavenumber * scale
 
 
+def test_full_os_reports_exact_root_only_inside_disk(monkeypatch):
+    # A = 3, eps = 1e-15: Gamma winds once on the Gamma0 disk, but Newton from
+    # the center converges 2.22 radii outside it, so no exact root is certified
+    results = []
+    certify = cli.full_os_certification
+
+    def recorded(*args):
+        results.append(certify(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "full_os_certification", recorded)
+    cfg = cli.RunConfig(amplitude=3.0, eps_list=[1e-15], grid_n=400, full_os=True)
+    row = cli.sweep_row(cfg, 1e-15)
+    gap_max, c_exact, winding = results[0]
+    assert winding == 1 and c_exact is None
+    for col in ("re_c_exact", "im_c_exact", "growth_rate"):
+        assert math.isnan(row[col])
+    # the maximum over the winding boundary samples only, not Newton's points
+    assert row["gamma_gap_max"] == gap_max == pytest.approx(3.5271260754499196,
+                                                           rel=1e-12)
+
+
 def test_cli_error_exit(capsys):
     rc = cli.main(["sweep", "--A", "2", "--eps-list", "1e-8,1e-6"])
     assert rc == 2

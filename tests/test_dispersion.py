@@ -6,7 +6,7 @@ import pytest
 
 from tswave import dispersion
 from tswave.errors import WindingNotOne
-from tswave.numerics import Circle, newton_root
+from tswave.numerics import Circle, newton_root, winding_samples
 from tswave.params import SpectralParams
 
 
@@ -68,6 +68,33 @@ class TestCertifiedRootFinding:
                 lambda h: dispersion.gamma_ref_hat(h, p), disk)
         assert err.value.winding == 0
         assert err.value.report.boundary_min_abs > 0.0
+
+    def test_report_counts_winding_samples(self):
+        # a scalar-only map, so every boundary point is one call; the root sits
+        # near the boundary of the first disk, which forces refinement there
+        p = SpectralParams.eighth(4.0, 1e-10)
+        calls = []
+
+        def g(h):
+            h = complex(h)
+            calls.append(h)
+            return dispersion.gamma_ref_hat(h, p)
+
+        for disk in (Circle(h_star(4.0) + 0.9 * 0.125, 0.125),
+                     Circle(h_star(4.0) + 1.0, 0.125)):
+            _, thetas, _ = winding_samples(g, disk, 16)
+            calls.clear()
+            try:
+                rep = dispersion.find_root_certified(g, disk, init_samples=16)
+            except WindingNotOne as exc:
+                rep = exc.report
+                assert len(calls) == rep.samples
+            else:
+                assert rep.certified and rep.samples > 17
+                assert len(calls) > rep.samples        # Newton's evaluations
+            assert rep.samples == thetas.size
+            # refinement adds points out of angular order
+            assert set(calls[:rep.samples]) == set(disk.point(thetas))
 
 
 class TestEighthRegime:
