@@ -131,13 +131,12 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
         ref_vals = np.array([g_ref(disk.point(t)) for t in thetas])
         gap_max = float(np.max(np.abs(vals - ref_vals)))
     if winding != 1:
-        report = DispersionReport(c_root=None, winding=winding,
-                                  samples=thetas.size,
-                                  boundary_min_abs=boundary_min,
-                                  reference_gap_max=gap_max, newton=None, disk=disk)
-        err = WindingNotOne(winding)
-        err.report = report
-        raise err
+        # raised unbound: a local name for the exception would tie it to this
+        # frame through its traceback, keeping g and its captures alive
+        raise WindingNotOne(winding, report=DispersionReport(
+            c_root=None, winding=winding, samples=thetas.size,
+            boundary_min_abs=boundary_min, reference_gap_max=gap_max,
+            newton=None, disk=disk))
     start = disk.center if newton_from is None else newton_from
     root, trace = newton_root(g, start, tol=tol, max_iter=max_iter)
     if not disk.contains(root, slack=1e-9):

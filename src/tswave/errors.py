@@ -48,6 +48,7 @@ class SingularSystem(TswaveError):
 class WindingNotOne(TswaveError):
     """Boundary winding count differs from one; certification of a unique simple zero fails."""
 
-    def __init__(self, winding, message=None):
+    def __init__(self, winding, message=None, report=None):
         self.winding = winding
+        self.report = report
         super().__init__(message or f"winding number {winding} != 1")

@@ -23,7 +23,7 @@ from .numerics import (
     graded_grid,
     tail_trapezoid,
 )
-from .params import ModeFunction, mode_from_grid
+from .params import ModeFunction, memoize_on_grid, mode_from_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = [
@@ -69,12 +69,14 @@ def _ai_ratio(k, z, z0):
     return airy._ai_any(k, z) / airy.ai_k(2, z0)
 
 
-def airy_fast(which, order, Y, params):
+def airy_fast(which, order, Y, params, primitives=None):
     """Airy fast mode (eps^{1/8} regime): Phi = Ai(2, z+z0)/Ai(2, z0) in the
     sub-layer variable, Psi = delta * (-Ai(3, z+z0))/Ai(2, z0).
 
     Orders 0..2 are the public surface; 3..4 exist for the fourth-order
     residual checks and stay on the Airy chain (no finite differences).
+    ``primitives(k)``, when given, supplies Ai(k, z+z0)/Ai(2, z0) on these Y
+    (``fast_mode_pair`` passes its per-grid memo).
     """
     if not params.is_eighth:
         raise RegimeMismatch("airy_fast is the eps^{1/8}-regime fast mode")
@@ -83,27 +85,42 @@ def airy_fast(which, order, Y, params):
     maxo = 4 if which == "Phi" else 2
     if order < 0 or order > maxo:
         raise UnsupportedOrder(f"{which} order {order}")
-    Yarr = np.asarray(Y, dtype=float)
     delta = params.delta
-    z0 = params.z0
-    z = Yarr / delta + z0
+    if primitives is None:
+        z0 = params.z0
+        z = np.asarray(Y, dtype=float) / delta + z0
+
+        def primitives(k):
+            return _ai_ratio(k, z, z0)
+
     if which == "Phi":
-        return delta ** (-order) * _ai_ratio(2 - order, z, z0)
-    return -delta ** (1 - order) * _ai_ratio(3 - order, z, z0)
+        return delta ** (-order) * primitives(2 - order)
+    return -delta ** (1 - order) * primitives(3 - order)
 
 
 def fast_mode_pair(params):
-    """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime."""
-    scales = SublayerScales.from_params(params)
-    tau = 0.5 * params.n ** (1.0 / 3.0)  # conservative envelope e^{-tau Y}
+    """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime.
 
-    phi = ModeFunction(max_order=4,
-                       evaluator=lambda o, Y: airy_fast("Phi", o, Y, params),
-                       decay_rate=tau)
-    psi = ModeFunction(max_order=2,
-                       evaluator=lambda o, Y: airy_fast("Psi", o, Y, params),
-                       decay_rate=tau)
-    return phi, psi
+    Phi order o and Psi order o + 1 share the primitive Ai(2 - o, z + z0);
+    each primitive is evaluated once per grid, and every value still comes
+    from ``airy_fast``, the one evaluator of the fast mode.
+    """
+    if not params.is_eighth:
+        raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
+    SublayerScales.from_params(params)
+    tau = 0.5 * params.n ** (1.0 / 3.0)  # conservative envelope e^{-tau Y}
+    delta = params.delta
+    z0 = params.z0
+    ratio = memoize_on_grid(lambda k, Y: _ai_ratio(k, Y / delta + z0, z0))
+
+    def mode(which, max_order):
+        return ModeFunction(
+            max_order=max_order,
+            evaluator=lambda o, Y: airy_fast(which, o, Y, params,
+                                             lambda k: ratio(k, Y)),
+            decay_rate=tau)
+
+    return mode("Phi", 4), mode("Psi", 2)
 
 
 def default_hierarchy_terms(params):

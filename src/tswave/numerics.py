@@ -290,7 +290,10 @@ def newton_root(g, c0, tol=1e-12, max_iter=40):
     err = NonConvergence(f"Newton did not reach |g| <= {tol:.1e} in {max_iter} steps "
                          f"(final |g| = {abs(gc):.3e})")
     err.trace = trace
-    raise err
+    try:
+        raise err
+    finally:
+        del err     # break the exception -> traceback -> frame cycle that keeps g alive
 
 
 def graded_grid(n_nodes, y_max, cluster_scale, points_per_scale=6.0):
@@ -332,43 +335,28 @@ def diff_matrix(grid, order):
     from scipy import sparse
 
     n = grid.size
-    rows, cols, data = [], [], []
     hm = np.diff(grid)
-
-    def put(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        data.append(v)
-
-    for i in range(1, n - 1):
-        a, b = hm[i - 1], hm[i]
-        if order == 1:
-            put(i, i - 1, -b / (a * (a + b)))
-            put(i, i, (b - a) / (a * b))
-            put(i, i + 1, a / (b * (a + b)))
-        else:
-            put(i, i - 1, 2.0 / (a * (a + b)))
-            put(i, i, -2.0 / (a * b))
-            put(i, i + 1, 2.0 / (b * (a + b)))
-    # one-sided closures at the ends
+    # interior rows i = 1..n-2 with spacings a = h_{i-1}, b = h_i
+    a, b = hm[:-1], hm[1:]
     if order == 1:
-        a, b = hm[0], hm[1]
-        put(0, 0, -(2 * a + b) / (a * (a + b)))
-        put(0, 1, (a + b) / (a * b))
-        put(0, 2, -a / (b * (a + b)))
-        a, b = hm[-1], hm[-2]
-        put(n - 1, n - 1, (2 * a + b) / (a * (a + b)))
-        put(n - 1, n - 2, -(a + b) / (a * b))
-        put(n - 1, n - 3, a / (b * (a + b)))
+        stencil = [-b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))]
     else:
-        a, b = hm[0], hm[1]
-        put(0, 0, 2.0 / (a * (a + b)))
-        put(0, 1, -2.0 / (a * b))
-        put(0, 2, 2.0 / (b * (a + b)))
-        a, b = hm[-1], hm[-2]
-        put(n - 1, n - 1, 2.0 / (a * (a + b)))
-        put(n - 1, n - 2, -2.0 / (a * b))
-        put(n - 1, n - 3, 2.0 / (b * (a + b)))
+        stencil = [2.0 / (a * (a + b)), -2.0 / (a * b), 2.0 / (b * (a + b))]
+    # one-sided closures at the ends, from the end node inward
+    a0, b0, a1, b1 = hm[0], hm[1], hm[-1], hm[-2]
+    if order == 1:
+        first = [-(2 * a0 + b0) / (a0 * (a0 + b0)), (a0 + b0) / (a0 * b0),
+                 -a0 / (b0 * (a0 + b0))]
+        last = [(2 * a1 + b1) / (a1 * (a1 + b1)), -(a1 + b1) / (a1 * b1),
+                a1 / (b1 * (a1 + b1))]
+    else:
+        first = [2.0 / (a0 * (a0 + b0)), -2.0 / (a0 * b0), 2.0 / (b0 * (a0 + b0))]
+        last = [2.0 / (a1 * (a1 + b1)), -2.0 / (a1 * b1), 2.0 / (b1 * (a1 + b1))]
+    inner = np.arange(1, n - 1)
+    rows = np.concatenate([np.repeat(inner, 3), [0, 0, 0], [n - 1] * 3])
+    cols = np.concatenate([(inner[:, None] + np.arange(-1, 2)).ravel(),
+                           [0, 1, 2], [n - 1, n - 2, n - 3]])
+    data = np.concatenate([np.column_stack(stencil).ravel(), first, last])
     return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 

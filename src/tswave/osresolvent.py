@@ -13,7 +13,9 @@ approximate dispersion function to the exact one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -81,96 +83,167 @@ def build_bvp(params, n_nodes=1600, y_max=None, boundary="navier"):
                        cluster_scale=scale)
 
 
-class _Blocks:
-    """Profile and coupling arrays shared by the assembled variants."""
+class _Affine(NamedTuple):
+    """Operator A(c) = a0 + c * a1, both parts on one CSC pattern."""
 
-    def __init__(self, params, bvp, profile):
-        Y = bvp.grid
-        self.us = profile.eval("U", 0, Y)
-        self.dus = profile.eval("U", 1, Y)
-        self.d2us = profile.eval("U", 2, Y)
-        self.hs = profile.eval("H", 0, Y)
-        self.dhs = profile.eval("H", 1, Y)
-        self.d2hs = profile.eval("H", 2, Y)
-        self.params = params
-        self.bvp = bvp
+    a0: sparse.csc_matrix
+    a1: sparse.csc_matrix
 
-    def magnetic_coupling(self):
-        """(A_xi, A_theta): first-slot action of the expanded divergence terms
-        d_Y R1 + i alpha R2 on (Phi, Psi)."""
-        p = self.params
-        bvp = self.bvp
-        a, n, se, c = p.alpha, p.n, p.sqrt_eps, p.c
-        eye = sparse.identity(bvp.n, format="csr", dtype=complex)
-        dia = sparse.diags
-        a_xi = ((a / n) * dia(self.dhs) @ eye
-                + (a / n) * dia(self.hs) @ bvp.d1
-                - (1j * a**2 / n) * eye)
-        a_theta = (-se * dia(self.hs) @ bvp.d2
-                   + se * dia(self.d2hs) @ eye
-                   - (a / n) * dia(self.dus) @ eye
-                   - (a / n) * dia(self.us - c) @ bvp.d1
-                   + a**2 * se * dia(self.hs) @ eye)
-        return a_xi.tocsr(), a_theta.tocsr()
-
-    def shear_transport(self):
-        """U_s' d_Y + U_s'' : the divergence-splitting leftover on Phi."""
-        return (sparse.diags(self.dus) @ self.bvp.d1
-                + sparse.diags(self.d2us)).tocsr()
+    def at(self, c):
+        return sparse.csc_matrix((self.a0.data + c * self.a1.data, self.a0.indices,
+                                  self.a0.indptr), shape=self.a0.shape)
 
 
-def _assemble(params, bvp, profile, variant):
-    """3N x 3N system for the requested splitting ('os_d', 'os_s', 'full')."""
-    p = params
-    blocks = _Blocks(p, bvp, profile)
-    N = bvp.n
-    a, n, se, c, chat = p.alpha, p.n, p.sqrt_eps, p.c, p.c_hat
-    eye = sparse.identity(N, format="csr", dtype=complex)
+def _affine(m0, m1):
+    """``_Affine`` of two sparse matrices on the union of their patterns."""
+    pattern = (abs(m0) + abs(m1)).tocsc()     # sums of moduli never cancel
+    coo = pattern.tocoo()
+    parts = []
+    for m in (m0, m1):
+        vals = np.asarray(sparse.csr_matrix(m)[coo.row, coo.col], dtype=complex).ravel()
+        part = sparse.csc_matrix((vals, pattern.indices, pattern.indptr),
+                                 shape=pattern.shape)
+        for arr in (part.data, part.indices, part.indptr):
+            arr.flags.writeable = False
+        parts.append(part)
+    return _Affine(*parts)
+
+
+@dataclass(frozen=True)
+class _GridState:
+    """Profile arrays and c-free operators of one (grid, params, profile)."""
+
+    us: np.ndarray
+    dus: np.ndarray
+    d2us: np.ndarray
+    hs: np.ndarray
+    dhs: np.ndarray
+    d2hs: np.ndarray
+    d1: sparse.csr_matrix
+    d2: sparse.csr_matrix
+    a_xi: sparse.csr_matrix      # first-slot magnetic coupling on Phi
+    a_theta: _Affine             # first-slot magnetic coupling on Psi
+    transport: sparse.csr_matrix
+    w_inv_sqrt: np.ndarray
+
+
+def _state_key(params, bvp, profile):
+    """Cache key of the per-grid state: grid bytes, params without c, profile."""
+    return bvp.grid.tobytes(), replace(params, c=None), profile
+
+
+@lru_cache(maxsize=2)
+def _grid_state(grid_key, params, profile):
+    """Per-(grid, params, profile) arrays shared by every wave speed, keyed on
+    the grid's bytes so equal grids share one entry and a grid changed in
+    place misses; ``params`` carries no wave speed.  The difference matrices
+    are rebuilt from the grid as in ``build_bvp``, so no entry refers back to
+    a ``DiscreteBVP``.  The magnetic couplings are the first-slot action of the
+    expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi); the shear
+    transport U_s' d_Y + U_s'' is the divergence-splitting leftover on Phi.
+    All arrays are read-only.
+    """
+    grid = np.frombuffer(grid_key, dtype=float)
+    us, dus, d2us = (profile.eval("U", k, grid) for k in range(3))
+    hs, dhs, d2hs = (profile.eval("H", k, grid) for k in range(3))
+    d1, d2 = diff_matrix(grid, 1), diff_matrix(grid, 2)
+    a, n, se = params.alpha, params.n, params.sqrt_eps
+    eye = sparse.identity(grid.size, format="csr", dtype=complex)
     dia = sparse.diags
-    d1, d2 = bvp.d1, bvp.d2
+    a_xi = ((a / n) * dia(dhs) @ eye
+            + (a / n) * dia(hs) @ d1
+            - (1j * a**2 / n) * eye).tocsr()
+    # -(a/n) (U_s - c) d_Y splits into its c-free part and c (a/n) d_Y
+    a_theta = _affine(-se * dia(hs) @ d2
+                      + se * dia(d2hs) @ eye
+                      - (a / n) * dia(dus) @ eye
+                      - (a / n) * dia(us) @ d1
+                      + a**2 * se * dia(hs) @ eye,
+                      (a / n) * d1)
+    transport = (dia(dus) @ d1 + dia(d2us)).tocsr()
+    state = _GridState(us=us, dus=dus, d2us=d2us, hs=hs, dhs=dhs, d2hs=d2hs,
+                       d1=d1, d2=d2, a_xi=a_xi, a_theta=a_theta,
+                       transport=transport, w_inv_sqrt=_inv_sqrt_curvature(d2us))
+    for arr in (us, dus, d2us, hs, dhs, d2hs, state.w_inv_sqrt):
+        arr.flags.writeable = False
+    for m in (d1, d2, a_xi, transport):
+        for arr in (m.data, m.indices, m.indptr):
+            arr.flags.writeable = False
+    return state
+
+
+def _grid_state_for(params, bvp, profile):
+    return _grid_state(*_state_key(params, bvp, profile))
+
+
+@lru_cache(maxsize=2)
+def _affine_operator(grid_key, boundary, params, profile, variant):
+    """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1.
+
+    The wave speed enters through the (U_s - c_hat) diagonal of the omega
+    block, the i alpha (U_s - c) diagonal of the magnetic block and, in the
+    'os_s' and 'full' variants, the (alpha/n) c d_Y part of the Psi coupling.
+    """
+    st = _grid_state(grid_key, params, profile)
+    N = st.us.size
+    a, n = params.alpha, params.n
+    eye = sparse.identity(N, format="csr", dtype=complex)
+    zero = sparse.csr_matrix((N, N), dtype=complex)
+    dia = sparse.diags
+    lap = st.d2 - a**2 * eye
 
     interior = np.ones(N)
     interior[0] = interior[-1] = 0.0
     keep = dia(interior)
 
-    def with_bc(op_phi, op_omega, op_psi, bc_rows):
-        """Zero the two boundary rows of each operator, then add BC entries."""
-        row = [keep @ op_phi, keep @ op_omega, keep @ op_psi]
+    def with_bc(ops, bc_rows):
+        """(c-free, c-coefficient) block rows: the two boundary rows of each
+        operator zeroed, then the BC entries added to the c-free part."""
+        row0 = [keep @ op0 for op0, _ in ops]
+        row1 = [keep @ op1 for _, op1 in ops]
         for col, i, vec in bc_rows:
             bc = sparse.csr_matrix((vec, (np.full(len(vec), i), np.arange(len(vec)))),
                                    shape=(N, N))
-            row[col] = row[col] + bc
-        return row
+            row0[col] = row0[col] + bc
+        return row0, row1
 
     # Block A: omega definition with Phi boundary rows
-    rowA = with_bc(d2 - a**2 * eye, -eye, sparse.csr_matrix((N, N), dtype=complex),
+    rowA = with_bc([(lap, zero), (-eye, zero), (zero, zero)],
                    [(0, 0, [1.0]), (0, N - 1, _unit_at(N, N - 1))])
 
-    # Block B: governing equation in omega
-    gov_phi = -dia(blocks.d2us) @ eye
-    gov_omega = (1j / n) * (d2 - a**2 * eye) + dia(blocks.us - chat)
-    gov_psi = sparse.csr_matrix((N, N), dtype=complex)
+    # Block B: governing equation in omega; U_s - c_hat = (U_s - i/n) - c
+    gov_phi = -dia(st.d2us) @ eye
+    gov_psi = (zero, zero)
     if variant in ("os_s", "full"):
-        a_xi, a_theta = blocks.magnetic_coupling()
-        gov_phi = gov_phi + a_xi
-        gov_psi = gov_psi + a_theta
+        gov_phi = gov_phi + st.a_xi
+        gov_psi = st.a_theta
     if variant == "os_s":
-        gov_phi = gov_phi + blocks.shear_transport()
-    if bvp.boundary == "navier":
+        gov_phi = gov_phi + st.transport
+    if boundary == "navier":
         bc0 = (1, 0, [1.0])                  # omega(0) = 0
     else:
-        slope_row = np.asarray(d1[0].todense()).ravel()[:3]
+        slope_row = np.asarray(st.d1[0].todense()).ravel()[:3]
         bc0 = (0, 0, list(slope_row))        # dY Phi(0) = 0 (one-sided)
-    rowB = with_bc(gov_phi, gov_omega, gov_psi,
+    rowB = with_bc([(gov_phi, zero), ((1j / n) * lap + dia(st.us - 1j / n), -eye),
+                    gov_psi],
                    [bc0, (1, N - 1, _unit_at(N, N - 1))])
 
     # Block C: magnetic equation with Psi boundary rows
-    mag_phi = -1j * a * dia(blocks.hs) @ eye - d1
-    mag_psi = -(d2 - a**2 * eye) + 1j * a * dia(blocks.us - c)
-    rowC = with_bc(mag_phi, sparse.csr_matrix((N, N), dtype=complex), mag_psi,
+    rowC = with_bc([(-1j * a * dia(st.hs) @ eye - st.d1, zero), (zero, zero),
+                    (-lap + 1j * a * dia(st.us), -1j * a * eye)],
                    [(2, 0, [1.0]), (2, N - 1, _unit_at(N, N - 1))])
 
-    return sparse.bmat([rowA, rowB, rowC], format="csc")
+    blocks = [rowA, rowB, rowC]
+    return _affine(sparse.bmat([r[0] for r in blocks], format="csc"),
+                   sparse.bmat([r[1] for r in blocks], format="csc"))
+
+
+def _assemble(params, bvp, profile, variant):
+    """3N x 3N system at the wave speed of ``params`` for the requested
+    splitting ('os_d', 'os_s', 'full')."""
+    params._need_c()
+    gridkey, p0, prof = _state_key(params, bvp, profile)
+    return _affine_operator(gridkey, bvp.boundary, p0, prof, variant).at(params.c)
 
 
 def _unit_at(n, i):
@@ -231,12 +304,12 @@ class _Factorized:
 def _wrap_pair(bvp, params, profile, phi, omega, psi, q2):
     """(Phi, Psi) as ModeFunctions with equation-consistent second derivatives."""
     a, c = params.alpha, params.c
-    blocks = _Blocks(params, bvp, profile)
+    st = _grid_state_for(params, bvp, profile)
     dphi = bvp.d1 @ phi
     d2phi = omega + a**2 * phi
     dpsi = bvp.d1 @ psi
-    d2psi = (a**2 * psi + 1j * a * (blocks.us - c) * psi
-             - 1j * a * blocks.hs * phi - dphi - np.asarray(q2, dtype=complex))
+    d2psi = (a**2 * psi + 1j * a * (st.us - c) * psi
+             - 1j * a * st.hs * phi - dphi - np.asarray(q2, dtype=complex))
     f = mode_from_grid(bvp.grid, [phi, dphi, d2phi], decay_rate=params.alpha)
     g = mode_from_grid(bvp.grid, [psi, dpsi, d2psi], decay_rate=params.alpha)
     return f, g
@@ -281,20 +354,20 @@ class OSIteration:
     """Alternating solves of the two splittings at fixed wave speed.
 
     Factorizations are done once per instance and reused across the
-    alternation steps and both remainder problems.
+    alternation steps and both remainder problems.  Everything that does not
+    depend on c (operators as A0 + c A1, profile and coupling arrays) comes
+    from the per-grid state, so an instance costs two sparse LUs and their
+    condition estimates.
     """
 
     def __init__(self, params, bvp, profile=DEFAULT_PROFILE):
         params._need_c()
         self.params = params
         self.bvp = bvp
-        self.profile = profile
-        self.blocks = _Blocks(params, bvp, profile)
+        self.grid_state = _grid_state_for(params, bvp, profile)
         self.fact_d = _Factorized(params, bvp, profile, "os_d")
         self.fact_s = _Factorized(params, bvp, profile, "os_s")
-        self.a_xi, self.a_theta = self.blocks.magnetic_coupling()
-        self.transport = self.blocks.shear_transport()
-        self.w_inv_sqrt = _inv_sqrt_curvature(self.blocks.d2us)
+        self.a_theta = self.grid_state.a_theta.at(params.c)
 
     def _e_norm(self, phi, omega, psi, q2=None):
         """Weighted vorticity + velocity + magnetic norm of one step."""
@@ -304,10 +377,11 @@ class OSIteration:
         wts = bvp.weights
         dphi = bvp.d1 @ phi
         dpsi = bvp.d1 @ psi
-        d2psi_m_a2 = (1j * a * (self.blocks.us - p.c) * psi
-                      - 1j * a * self.blocks.hs * phi - dphi
+        st = self.grid_state
+        d2psi_m_a2 = (1j * a * (st.us - p.c) * psi
+                      - 1j * a * st.hs * phi - dphi
                       - (np.zeros_like(phi) if q2 is None else q2))
-        return (l2_norm(omega, wts, self.w_inv_sqrt, noise_floor=_NOISE_FLOOR)
+        return (l2_norm(omega, wts, st.w_inv_sqrt, noise_floor=_NOISE_FLOOR)
                 + math.hypot(l2_norm(dphi, wts), a * l2_norm(phi, wts))
                 + l2_norm(d2psi_m_a2, wts)
                 + math.sqrt(a) * math.hypot(l2_norm(dpsi, wts), a * l2_norm(psi, wts))
@@ -324,7 +398,7 @@ class OSIteration:
             trace.f_norms.append(self._e_norm(xi0, wxi0, th0, q2=f2v))
             for t, v in zip(total, (xi0, wxi0, th0)):
                 t += v
-            f1v = self.transport @ xi0
+            f1v = self.grid_state.transport @ xi0
             f2v = np.zeros_like(f2v)
         elif entry != "d":
             raise ValueError("entry must be 'd' or 's'")
@@ -339,10 +413,10 @@ class OSIteration:
         rising = 0
         zeros = np.zeros(self.bvp.n, dtype=complex)
         for _ in range(max_steps):
-            h1 = -(self.a_xi @ phi + self.a_theta @ psi)
+            h1 = -(self.grid_state.a_xi @ phi + self.a_theta @ psi)
             xi, wxi, theta = self.fact_s.solve(self.bvp, h1, zeros)
             trace.f_norms.append(self._e_norm(xi, wxi, theta))
-            q1 = self.transport @ xi
+            q1 = self.grid_state.transport @ xi
             phi, omega, psi = self.fact_d.solve(self.bvp, q1, zeros)
             ek = self._e_norm(phi, omega, psi)
             trace.e_norms.append(ek)
@@ -404,11 +478,9 @@ def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE,
     psi_s = magnetic.build_psi_app_s(p, slow_mode, psi_f.eval(0, 0.0), phi0,
                                      grid=grid, profile=profile, tol=picard_tol)
 
-    arrays = {
-        "e1s": slowmode.slow_errors(1, grid, p, psi_s, profile),
-        "e2s": slowmode.slow_errors(2, grid, p, psi_s, profile),
-        "e3s": slowmode.slow_errors(3, grid, p, psi_s, profile),
-    }
+    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s, profile,
+                                             phi_mode=slow_mode)
+              for k in (1, 2, 3)}
     for key, g in zip(("e1f", "e2f", "e3f", "ff"), groups):
         arrays[key] = fastmode.fast_errors(g, grid, p, phi0, phi_f, psi_f,
                                            phi_last=phi_last, profile=profile)

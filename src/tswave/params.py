@@ -12,13 +12,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import RegimeMismatch, UnsupportedOrder
 
-__all__ = ["SpectralParams", "ModeFunction", "GUARDS", "BETA_EIGHTH"]
+__all__ = ["SpectralParams", "ModeFunction", "GUARDS", "BETA_EIGHTH", "memoize_on_grid"]
 
 BETA_EIGHTH = 0.125
 BETA_FLOOR = 3.0 / 28.0
@@ -165,6 +166,24 @@ class ModeFunction:
         """max_Y e^{eta Y} |f(Y)| on the grid (finite iff the decay claim holds)."""
         vals = self.eval(0, grid)
         return float(np.max(np.exp(self.decay_rate * np.asarray(grid)) * np.abs(vals)))
+
+
+def memoize_on_grid(evaluator):
+    """``evaluator(k, Y)`` computed once per (k, values of Y) among the eight
+    most recent, keyed on the bytes of Y; results are read-only."""
+
+    @lru_cache(maxsize=8)
+    def cached(k, shape, y_bytes):
+        Y = np.frombuffer(y_bytes, dtype=float).reshape(shape)
+        out = np.asarray(evaluator(k, Y), dtype=complex)
+        out.flags.writeable = False
+        return out
+
+    def lookup(k, Y):
+        Y = np.asarray(Y, dtype=float)
+        return cached(k, Y.shape, Y.tobytes())
+
+    return lookup
 
 
 def mode_from_grid(grid, vals_by_order, decay_rate=0.0):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder
 from .numerics import Ray, Segment, quad_segment
-from .params import ModeFunction
+from .params import ModeFunction, memoize_on_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = [
@@ -190,9 +190,11 @@ def phi_app_s(order, Y, params, profile=DEFAULT_PROFILE, method="auto"):
 
 
 def phi_app_s_mode(params, profile=DEFAULT_PROFILE, method="auto"):
+    """The slow mode as a ModeFunction; each (order, Y) is evaluated once."""
     return ModeFunction(
         max_order=3,
-        evaluator=lambda order, Y: phi_app_s(order, Y, params, profile, method),
+        evaluator=memoize_on_grid(
+            lambda order, Y: phi_app_s(order, Y, params, profile, method)),
         decay_rate=params.alpha,
     )
 

@@ -235,6 +235,18 @@ def test_full_os_reports_exact_root_only_inside_disk(monkeypatch):
                                                            rel=1e-12)
 
 
+def test_full_os_rows_independent_of_row_order():
+    # Gamma's per-grid state is cached across rows; a row must not depend on
+    # which rows ran before it, nor on whether its own state was cached
+    osresolvent._grid_state.cache_clear()
+    osresolvent._affine_operator.cache_clear()
+    cfg = cli.RunConfig(amplitude=2.0, eps_list=[1e-11, 1e-12], grid_n=400,
+                        full_os=True)
+    _, _, text = cli.run_sweep(cfg)
+    rows = [cli.sweep_row(cfg, eps) for eps in reversed(cfg.eps_list)][::-1]
+    assert cli.render_report(rows, cli._regressions(rows), "csv") == text
+
+
 def test_cli_error_exit(capsys):
     rc = cli.main(["sweep", "--A", "2", "--eps-list", "1e-8,1e-6"])
     assert rc == 2

@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -68,6 +70,31 @@ class TestCertifiedRootFinding:
                 lambda h: dispersion.gamma_ref_hat(h, p), disk)
         assert err.value.winding == 0
         assert err.value.report.boundary_min_abs > 0.0
+
+    def test_winding_not_one_releases_the_function(self):
+        # the caught error keeps its report, but once it goes out of scope
+        # nothing of the evaluation (here: g's capture) may stay alive until
+        # the next cyclic collection
+        class Payload:
+            pass
+
+        def run():
+            payload = Payload()
+
+            def g(h):
+                return h - 10.0 + 0.0 * len([payload])
+
+            try:
+                dispersion.find_root_certified(g, Circle(0.0, 1.0))
+            except WindingNotOne as exc:
+                assert exc.report.winding == 0 and exc.report.samples == 65
+            return weakref.ref(payload)
+
+        gc.disable()
+        try:
+            assert run()() is None
+        finally:
+            gc.enable()
 
     def test_report_counts_winding_samples(self):
         # a scalar-only map, so every boundary point is one call; the root sits

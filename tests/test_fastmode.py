@@ -196,3 +196,37 @@ class TestFastErrors:
         with pytest.raises(ValueError):
             fastmode.fast_errors("bogus", np.array([0.1]), eighth_params, 1.0,
                                  phi_f, psi_f)
+
+
+class TestFastModePair:
+    def test_one_airy_evaluation_per_primitive_and_grid(self, eighth_params,
+                                                        monkeypatch):
+        # the four error groups read Phi orders 0..2 and Psi orders 0..1, which
+        # are the primitives k = 0..3; each is evaluated once per grid
+        p = eighth_params
+        calls = []
+        ai_any = airy._ai_any
+
+        def counted(k, z):
+            calls.append((k, np.size(z)))
+            return ai_any(k, z)
+
+        monkeypatch.setattr(airy, "_ai_any", counted)
+        phi_f, psi_f = fastmode.fast_mode_pair(p)
+        grids = [np.linspace(0.0, 2.0, 33), np.linspace(0.0, 3.0, 40)]
+        for Y in grids + grids:
+            for group in ("E1f", "E2f", "E3f", "Ff"):
+                fastmode.fast_errors(group, Y, p, 0.7 - 0.1j, phi_f, psi_f)
+        on_grids = sorted(call for call in calls if call[1] > 1)
+        assert on_grids == sorted((k, Y.size) for k in range(4) for Y in grids)
+
+        monkeypatch.setattr(airy, "_ai_any", ai_any)
+        for Y in grids:
+            for which, mode, top in (("Phi", phi_f, 4), ("Psi", psi_f, 2)):
+                for order in range(top + 1):
+                    assert np.array_equal(mode.eval(order, Y),
+                                          fastmode.airy_fast(which, order, Y, p))
+
+    def test_regime_check(self, beta_params):
+        with pytest.raises(RegimeMismatch):
+            fastmode.fast_mode_pair(beta_params)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,51 @@ from tswave.numerics import (
     l2_norm, newton_root, quad_segment, tail_trapezoid, trap_weights,
     winding_number,
 )
+
+
+def _diff_matrix_loop(grid, order):
+    """Node-by-node construction of ``diff_matrix``: the oracle for the
+    vectorised one, which must reproduce its arrays exactly."""
+    from scipy import sparse
+
+    n = grid.size
+    rows, cols, data = [], [], []
+    hm = np.diff(grid)
+
+    def put(i, j, v):
+        rows.append(i)
+        cols.append(j)
+        data.append(v)
+
+    for i in range(1, n - 1):
+        a, b = hm[i - 1], hm[i]
+        if order == 1:
+            put(i, i - 1, -b / (a * (a + b)))
+            put(i, i, (b - a) / (a * b))
+            put(i, i + 1, a / (b * (a + b)))
+        else:
+            put(i, i - 1, 2.0 / (a * (a + b)))
+            put(i, i, -2.0 / (a * b))
+            put(i, i + 1, 2.0 / (b * (a + b)))
+    if order == 1:
+        a, b = hm[0], hm[1]
+        put(0, 0, -(2 * a + b) / (a * (a + b)))
+        put(0, 1, (a + b) / (a * b))
+        put(0, 2, -a / (b * (a + b)))
+        a, b = hm[-1], hm[-2]
+        put(n - 1, n - 1, (2 * a + b) / (a * (a + b)))
+        put(n - 1, n - 2, -(a + b) / (a * b))
+        put(n - 1, n - 3, a / (b * (a + b)))
+    else:
+        a, b = hm[0], hm[1]
+        put(0, 0, 2.0 / (a * (a + b)))
+        put(0, 1, -2.0 / (a * b))
+        put(0, 2, 2.0 / (b * (a + b)))
+        a, b = hm[-1], hm[-2]
+        put(n - 1, n - 1, 2.0 / (a * (a + b)))
+        put(n - 1, n - 2, -2.0 / (a * b))
+        put(n - 1, n - 3, 2.0 / (b * (a + b)))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 class TestQuadSegment:
@@ -115,6 +162,32 @@ class TestNewton:
         with pytest.raises(NonConvergence):
             newton_root(lambda c: c * c - 2.0, 1.0, tol=1e-300, max_iter=2)
 
+    def test_nonconvergence_releases_the_function(self):
+        # the raised error carries the trace; it must not tie Newton's frame,
+        # and with it g and whatever g captures, into a reference cycle
+        class Payload:
+            pass
+
+        def run():
+            payload = Payload()
+
+            def g(c):
+                return c * c - 2.0 + 0.0 * len([payload])
+
+            try:
+                newton_root(g, 1.0, tol=1e-300, max_iter=2)
+            except NonConvergence as exc:
+                assert len(exc.trace.iterates) == 3
+            else:
+                raise AssertionError("Newton converged to tol = 1e-300")
+            return weakref.ref(payload)
+
+        gc.disable()
+        try:
+            assert run()() is None
+        finally:
+            gc.enable()
+
 
 class TestGridsAndCalculus:
     def test_graded_grid_shape(self):
@@ -136,6 +209,17 @@ class TestGridsAndCalculus:
                          np.max(np.abs(diff_matrix(g, 2) @ f + np.sin(g))[1:-1])))
         assert errs[0][0] / errs[1][0] > 3.0
         assert errs[0][1] / errs[1][1] > 3.0
+
+    @pytest.mark.parametrize("n,y_max,cluster", [
+        (16, 1.0, 1.0), (300, 40.0, 0.01), (1600, 900.0, 1e-4)])
+    def test_diff_matrix_matches_loop_oracle(self, n, y_max, cluster):
+        g = graded_grid(n, y_max, cluster_scale=cluster)
+        for order in (1, 2):
+            ref = _diff_matrix_loop(g, order)
+            out = diff_matrix(g, order)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(out, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_boundary_slope(self):
         g = graded_grid(400, 5.0, cluster_scale=0.05)

@@ -1,11 +1,15 @@
+import gc
 import math
+import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 
-from tswave import dispersion, osresolvent
+from tswave import dispersion, osresolvent, slowmode
 from tswave.numerics import l2_norm
 from tswave.params import SpectralParams
 from tswave.profile import DEFAULT_PROFILE
@@ -93,15 +97,14 @@ class TestDirectSolves:
         m_d = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "os_d")
         m_s = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "os_s")
         m_f = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "full")
-        blocks = osresolvent._Blocks(p, bvp, DEFAULT_PROFILE)
+        state = osresolvent._grid_state_for(p, bvp, DEFAULT_PROFILE)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(3 * bvp.n) + 1j * rng.standard_normal(3 * bvp.n)
         N = bvp.n
         interior = np.ones(N)
         interior[0] = interior[-1] = 0.0
-        a_xi, a_theta = blocks.magnetic_coupling()
-        l_d = interior * (a_xi @ x[:N] + a_theta @ x[2 * N:])
-        l_s = interior * (blocks.shear_transport() @ x[:N])
+        l_d = interior * (state.a_xi @ x[:N] + state.a_theta.at(p.c) @ x[2 * N:])
+        l_s = interior * (state.transport @ x[:N])
         lhs = m_d @ x
         lhs[N:2 * N] += l_d
         rhs = m_s @ x
@@ -355,3 +358,205 @@ class TestErrorNorms:
         for key in ("e3s_l2w", "e3f_l2w"):
             assert math.isfinite(norms[1000.0][key])
             assert norms[1000.0][key] == pytest.approx(norms[None][key], rel=1e-3)
+
+
+class _PerCBlocks:
+    """Profile and coupling arrays rebuilt at every wave speed, as before the
+    per-grid state: the reference for the affine assembly."""
+
+    def __init__(self, params, bvp, profile):
+        Y = bvp.grid
+        self.us = profile.eval("U", 0, Y)
+        self.dus = profile.eval("U", 1, Y)
+        self.d2us = profile.eval("U", 2, Y)
+        self.hs = profile.eval("H", 0, Y)
+        self.dhs = profile.eval("H", 1, Y)
+        self.d2hs = profile.eval("H", 2, Y)
+        self.params = params
+        self.bvp = bvp
+
+    def magnetic_coupling(self):
+        p = self.params
+        bvp = self.bvp
+        a, n, se, c = p.alpha, p.n, p.sqrt_eps, p.c
+        eye = sparse.identity(bvp.n, format="csr", dtype=complex)
+        dia = sparse.diags
+        a_xi = ((a / n) * dia(self.dhs) @ eye
+                + (a / n) * dia(self.hs) @ bvp.d1
+                - (1j * a**2 / n) * eye)
+        a_theta = (-se * dia(self.hs) @ bvp.d2
+                   + se * dia(self.d2hs) @ eye
+                   - (a / n) * dia(self.dus) @ eye
+                   - (a / n) * dia(self.us - c) @ bvp.d1
+                   + a**2 * se * dia(self.hs) @ eye)
+        return a_xi.tocsr(), a_theta.tocsr()
+
+    def shear_transport(self):
+        return (sparse.diags(self.dus) @ self.bvp.d1
+                + sparse.diags(self.d2us)).tocsr()
+
+
+def _per_c_assemble(params, bvp, profile, variant):
+    """The per-c assembly of the 3N x 3N system, kept as the reference."""
+    p = params
+    blocks = _PerCBlocks(p, bvp, profile)
+    N = bvp.n
+    a, n, c, chat = p.alpha, p.n, p.c, p.c_hat
+    eye = sparse.identity(N, format="csr", dtype=complex)
+    zero = sparse.csr_matrix((N, N), dtype=complex)
+    dia = sparse.diags
+    d1, d2 = bvp.d1, bvp.d2
+    interior = np.ones(N)
+    interior[0] = interior[-1] = 0.0
+    keep = dia(interior)
+    unit_last = [0.0] * (N - 1) + [1.0]
+
+    def with_bc(op_phi, op_omega, op_psi, bc_rows):
+        row = [keep @ op_phi, keep @ op_omega, keep @ op_psi]
+        for col, i, vec in bc_rows:
+            bc = sparse.csr_matrix((vec, (np.full(len(vec), i), np.arange(len(vec)))),
+                                   shape=(N, N))
+            row[col] = row[col] + bc
+        return row
+
+    rowA = with_bc(d2 - a**2 * eye, -eye, zero, [(0, 0, [1.0]), (0, N - 1, unit_last)])
+    gov_phi = -dia(blocks.d2us) @ eye
+    gov_omega = (1j / n) * (d2 - a**2 * eye) + dia(blocks.us - chat)
+    gov_psi = zero
+    if variant in ("os_s", "full"):
+        a_xi, a_theta = blocks.magnetic_coupling()
+        gov_phi = gov_phi + a_xi
+        gov_psi = gov_psi + a_theta
+    if variant == "os_s":
+        gov_phi = gov_phi + blocks.shear_transport()
+    if bvp.boundary == "navier":
+        bc0 = (1, 0, [1.0])
+    else:
+        bc0 = (0, 0, list(np.asarray(d1[0].todense()).ravel()[:3]))
+    rowB = with_bc(gov_phi, gov_omega, gov_psi, [bc0, (1, N - 1, unit_last)])
+    mag_phi = -1j * a * dia(blocks.hs) @ eye - d1
+    mag_psi = -(d2 - a**2 * eye) + 1j * a * dia(blocks.us - c)
+    rowC = with_bc(mag_phi, zero, mag_psi, [(2, 0, [1.0]), (2, N - 1, unit_last)])
+    return sparse.bmat([rowA, rowB, rowC], format="csc")
+
+
+def _clear_grid_caches():
+    osresolvent._grid_state.cache_clear()
+    osresolvent._affine_operator.cache_clear()
+
+
+class TestPerGridState:
+    """Gamma(c) is evaluated from per-(grid, params, profile) state: the
+    operators as A0 + c A1 and the c-free profile and coupling arrays."""
+
+    def test_gamma_independent_of_evaluation_order(self):
+        # two parameter sets on the same two grids share the caches; any
+        # order of the evaluations, including ones that evict entries, gives
+        # the same bits
+        bvps = [osresolvent.build_bvp(SpectralParams.eighth(2.0, 1e-12), n_nodes=n)
+                for n in (300, 360)]
+        cases = []
+        for A in (2.0, 2.5):
+            p0 = SpectralParams.eighth(A, 1e-12)
+            disk = dispersion.disk_eighth(p0)
+            for bvp in bvps:
+                for th in (0.7, 1.6, 2.5):
+                    cases.append((p0.chat_to_c(disk.point(th)), p0, bvp))
+
+        def run(order):
+            _clear_grid_caches()
+            return {i: osresolvent.remainder_and_gamma(*cases[i])[0] for i in order}
+
+        in_order = run(range(len(cases)))
+        shuffled = list(range(len(cases)))
+        random.Random(3).shuffle(shuffled)
+        # interleave: each c visits all four (grid, params) pairs in turn
+        interleaved = [i + 3 * j for i in range(3) for j in range(4)]
+        for order in (shuffled, interleaved):
+            assert run(order) == in_order
+
+    def test_operators_match_per_c_assembly(self):
+        for boundary in ("navier", "noslip"):
+            p = basin_params()
+            bvp = osresolvent.build_bvp(p, n_nodes=250, boundary=boundary)
+            for variant in ("os_d", "os_s", "full"):
+                m = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, variant)
+                ref = _per_c_assemble(p, bvp, DEFAULT_PROFILE, variant)
+                assert np.array_equal(m.indptr, ref.indptr)
+                assert np.array_equal(m.indices, ref.indices)
+                assert np.max(np.abs(m.data - ref.data) / np.abs(ref.data)) <= 1e-14
+        state = osresolvent._grid_state_for(p, bvp, DEFAULT_PROFILE)
+        a_xi, a_theta = _PerCBlocks(p, bvp, DEFAULT_PROFILE).magnetic_coupling()
+        assert abs(state.a_xi - a_xi).max() == 0.0
+        assert abs(state.a_theta.at(p.c) - a_theta).max() <= 1e-15 * abs(a_theta).max()
+
+    def test_gamma_matches_per_c_assembly(self, monkeypatch):
+        # the reference rebuilds every operator at each c.  The two differ by
+        # rounding in the c-dependent entries, which the solves amplify: a
+        # one-ulp change of c moves the reference Gamma by up to 7e-13 at
+        # A = 2, eps = 1e-12, N = 1600, so the comparison sits on the upper
+        # arc of an outer-range disk, where the solves are well conditioned
+        p0 = SpectralParams.eighth(2.0, 1e-10)
+        bvp = osresolvent.build_bvp(p0, n_nodes=400)
+        disk = dispersion.disk_eighth(p0)
+        cs = [p0.chat_to_c(disk.point(th))
+              for th in np.linspace(0.15 * math.pi, 0.85 * math.pi, 4)]
+        gammas = [osresolvent.remainder_and_gamma(c, p0, bvp)[0] for c in cs]
+
+        init = osresolvent.OSIteration.__init__
+
+        def per_c_init(self, params, bvp, profile=DEFAULT_PROFILE):
+            init(self, params, bvp, profile)
+            self.a_theta = _PerCBlocks(params, bvp, profile).magnetic_coupling()[1]
+
+        monkeypatch.setattr(osresolvent, "_assemble", _per_c_assemble)
+        monkeypatch.setattr(osresolvent.OSIteration, "__init__", per_c_init)
+        for c, gamma in zip(cs, gammas):
+            ref = osresolvent.remainder_and_gamma(c, p0, bvp)[0]
+            assert abs(gamma - ref) <= 1e-12 * abs(ref)
+
+    def test_cached_arrays_are_read_only(self):
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p, n_nodes=200)
+        state = osresolvent._grid_state_for(p, bvp, DEFAULT_PROFILE)
+        arrays = [state.us, state.dus, state.d2us, state.hs, state.dhs, state.d2hs,
+                  state.w_inv_sqrt]
+        for m in (state.d1, state.d2, state.a_xi, state.transport, *state.a_theta):
+            arrays += [m.data, m.indices, m.indptr]
+        key = osresolvent._state_key(p, bvp, DEFAULT_PROFILE)
+        op = osresolvent._affine_operator(key[0], bvp.boundary, *key[1:], "os_s")
+        for m in op:
+            arrays += [m.data, m.indices, m.indptr]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # an operator at one c is the caller's own
+        m = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "os_s")
+        m.data[0] = m.data[0]
+
+    def test_caches_keep_no_grid_alive(self):
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p, n_nodes=200)
+        osresolvent.remainder_and_gamma(p.c, p, bvp)
+        ref = weakref.ref(bvp)
+        gc.disable()
+        try:
+            del bvp
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_slow_mode_evaluated_once_per_order(self, monkeypatch):
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p, n_nodes=300)
+        calls = []
+        phi_app_s = slowmode.phi_app_s
+
+        def counted(order, Y, *args):
+            calls.append((order, np.size(Y)))
+            return phi_app_s(order, Y, *args)
+
+        monkeypatch.setattr(slowmode, "phi_app_s", counted)
+        osresolvent.assemble_error_terms(p.c, p, bvp)
+        assert sorted(calls) == [(k, bvp.n) for k in (0, 1, 3)]
