@@ -263,7 +263,8 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
 
     The x lattice covers one wavelength (endpoint excluded) so the discrete
     energy inherits the exact exponential time dependence; fields are
-    normalized to unit energy at the first time.
+    normalized to unit energy at the first time.  ``rows`` is the
+    (len(t_list)*nx*ny, 8) float array of the written columns.
     """
     p = params.with_c(c)
     if bvp is None:
@@ -276,13 +277,10 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     y_span = y_span if y_span is not None else 40.0 * se
     ys = np.linspace(0.0, y_span, ny)
     Y = ys / se
-    prof = {
-        "u": phi.eval(1, Y),
-        "v": -1j * alpha * phi.eval(0, Y),
-        "hx": psi.eval(1, Y),
-        "hy": -1j * alpha * psi.eval(0, Y),
-    }
-    rows = []
+    prof = np.stack([phi.eval(1, Y), -1j * alpha * phi.eval(0, Y),
+                     psi.eval(1, Y), -1j * alpha * psi.eval(0, Y)])
+    block = np.empty((len(t_list), nx, ny, 8))      # t, x, y, u, v, hx, hy, energy_t
+    block[..., 1], block[..., 2] = xs[:, None], ys
     energies = []
     dx = lx / nx
     dy = ys[1] - ys[0] if ny > 1 else 1.0
@@ -290,26 +288,31 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     for it_, t in enumerate(t_list):
         tau = t / se
         carrier = np.exp(1j * alpha * (xs[:, None] / se - p.c * tau))
-        fields = {k: np.real(carrier * prof[k][None, :]) for k in prof}
-        energy = float(sum(np.sum(f**2) for f in fields.values()) * dx * dy)
+        fields = np.real(carrier * prof[:, None, :])
+        energy = float(sum(np.sum(f**2) for f in fields) * dx * dy)
         if it_ == 0:
             scale = 1.0 / math.sqrt(energy) if energy > 0.0 else 1.0
         energy *= scale**2
         energies.append(energy)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                rows.append((t, x, y, scale * fields["u"][i, j],
-                             scale * fields["v"][i, j], scale * fields["hx"][i, j],
-                             scale * fields["hy"][i, j], energy))
+        block[it_, ..., 3:7] = np.moveaxis(fields, 0, -1)
+    block[..., 3:7] *= scale
+    block[..., [0, 7]] = np.column_stack([t_list, energies])[:, None, None]
+    rows = block.reshape(-1, 8)
+    # t, x, y and energy_t take few values: format each once and let "%.17g"
+    # (equal to _fmt) fill in u, v, hx and hy
     header = "t,x,y,u,v,hx,hy,energy_t"
+    y_cells = [_fmt(y) for y in ys]
+    xy_cells = [f"{sx},{sy}" for sx in map(_fmt, xs) for sy in y_cells]
+    lines = [header]
+    for it_, t in enumerate(t_list if xy_cells else ()):    # ny = 0: header only
+        t_cell, e_cell = _fmt(t), _fmt(energies[it_])
+        template = "\n".join(f"{t_cell},{xy},%.17g,%.17g,%.17g,%.17g,{e_cell}"
+                             for xy in xy_cells)
+        lines.append(template % tuple(block[it_, ..., 3:7].ravel().tolist()))
+    text = "\n".join(lines) + "\n"
     if fmt == "json":
-        text = json.dumps({"columns": header.split(","),
-                           "rows": [[_fmt(v) for v in row] for row in rows]},
-                          indent=None) + "\n"
-    else:
-        lines = [header]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        cells = [line.split(",") for line in text.split("\n")[1:-1]]
+        text = json.dumps({"columns": header.split(","), "rows": cells}) + "\n"
     if out:
         _write(text, out)
     return rows, energies, text

@@ -30,7 +30,6 @@ __all__ = [
     "Circle",
     "RootTrace",
     "quad_segment",
-    "winding_number",
     "winding_samples",
     "newton_root",
     "graded_grid",
@@ -244,12 +243,6 @@ def winding_samples(g, circle, init_samples=64, max_samples=65536):
     if abs(turns - winding) > 1e-6:
         raise NonResolvable(f"winding sum {turns} is not an integer")
     return winding, thetas, vals
-
-
-def winding_number(g, circle, init_samples=64, max_samples=65536):
-    """Total argument increment of ``g`` around ``circle`` divided by 2*pi."""
-    winding, _, _ = winding_samples(g, circle, init_samples, max_samples)
-    return winding
 
 
 def newton_root(g, c0, tol=1e-12, max_iter=40):

@@ -283,17 +283,16 @@ def _estimate_condition(matrix, lu):
 
 
 class _Factorized:
-    def __init__(self, params, bvp, profile, variant, check_condition=True):
+    def __init__(self, params, bvp, profile, variant):
         self.matrix = _assemble(params, bvp, profile, variant)
         try:
             self.lu = splu(self.matrix)
         except RuntimeError as exc:
             raise SingularSystem(f"{variant} factorization failed: {exc}") from exc
-        if check_condition:
-            cond = _estimate_condition(self.matrix, self.lu)
-            if cond > _COND_LIMIT:
-                raise SingularSystem(
-                    f"{variant} condition estimate {cond:.2e} exceeds {_COND_LIMIT:.0e}")
+        cond = _estimate_condition(self.matrix, self.lu)
+        if cond > _COND_LIMIT:
+            raise SingularSystem(
+                f"{variant} condition estimate {cond:.2e} exceeds {_COND_LIMIT:.0e}")
 
     def solve(self, bvp, q1, q2):
         x = self.lu.solve(_rhs(bvp, q1, q2))

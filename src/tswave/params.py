@@ -187,21 +187,24 @@ def memoize_on_grid(evaluator):
 
 
 def mode_from_grid(grid, vals_by_order, decay_rate=0.0):
-    """ModeFunction backed by cubic interpolation of per-order grid samples."""
+    """ModeFunction backed by cubic interpolation of per-order grid samples;
+    each order is fitted on first use, from read-only copies of the samples."""
     from scipy.interpolate import CubicSpline
 
-    splines = []
-    for vals in vals_by_order:
-        v = np.asarray(vals)
-        splines.append((CubicSpline(grid, v.real), CubicSpline(grid, v.imag)))
-
+    grid, samples = np.array(grid), [np.array(v) for v in vals_by_order]
+    for a in (grid, *samples):
+        a.flags.writeable = False
+    splines = {}
     ymax = grid[-1]
 
     def evaluator(order, Y):
+        if order not in splines:
+            v = samples[order]
+            splines[order] = (CubicSpline(grid, v.real), CubicSpline(grid, v.imag))
         re, im = splines[order]
         out = re(Y) + 1j * im(Y)
         # grid functions decay; suppress cubic extrapolation past the far field
         return np.where(np.asarray(Y) <= ymax, out, 0.0)
 
-    return ModeFunction(max_order=len(vals_by_order) - 1, evaluator=evaluator,
+    return ModeFunction(max_order=len(samples) - 1, evaluator=evaluator,
                         decay_rate=decay_rate)

@@ -251,3 +251,50 @@ def test_cli_error_exit(capsys):
     rc = cli.main(["sweep", "--A", "2", "--eps-list", "1e-8,1e-6"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def _export_oracle(t_list, rows, fmt):
+    """The per-value writer: every cell through cli._fmt, t as given."""
+    per_t = len(rows) // len(t_list)
+    cells = [[cli._fmt(t_list[k // per_t])] + [cli._fmt(v) for v in row[1:]]
+             for k, row in enumerate(rows)]
+    header = "t,x,y,u,v,hx,hy,energy_t"
+    if fmt == "json":
+        return json.dumps({"columns": header.split(","), "rows": cells},
+                          indent=None) + "\n"
+    return "\n".join([header] + [",".join(r) for r in cells]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def export_point():
+    p0 = SpectralParams.eighth(2.0, 1e-8)
+    c = p0.chat_to_c(dispersion.center_eighth(p0))
+    return p0, c, osresolvent.build_bvp(p0, n_nodes=400)
+
+
+class TestExportWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("t_list, nx, ny", [
+        ([0.0, 2.5e-4, 1e-3], 6, 9),     # float times
+        ([0, 1], 4, 5),                  # int times
+        ([0.0, 1e-3], 5, 1),             # one y
+        ([0.0, 1e-3], 1, 7),             # one x
+    ])
+    def test_text_matches_per_value_writer(self, export_point, t_list, nx, ny,
+                                           fmt):
+        p0, c, bvp = export_point
+        rows, energies, text = cli.export_mode(c, p0, t_list, nx, ny, bvp=bvp,
+                                               fmt=fmt)
+        assert rows.shape == (len(t_list) * nx * ny, 8)
+        lattice = rows.reshape(len(t_list), nx, ny, 8)
+        assert np.array_equal(lattice[:, 0, 0, 0], np.array(t_list, dtype=float))
+        assert np.array_equal(lattice[:, 0, 0, 7], energies)
+        assert np.all(np.isfinite(rows))
+        assert text == _export_oracle(t_list, rows, fmt)
+
+    def test_fmt_is_percent_17g(self):
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.8e308]
+        for x in values.tolist() + specials:
+            assert cli._fmt(x) == "%.17g" % x
