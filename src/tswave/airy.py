@@ -112,14 +112,12 @@ def _series(k, z, tol=1e-18, max_terms=420):
         # termwise derivative of the Ai series
         tf = c1 * z**2 / 2.0          # m = 1 term of the f-part
         tg = -c2 * np.ones_like(z)    # m = 0 term of the g-part
-        acc = tf + tg
-        for m in range(2, max_terms):
-            tf = tf * z3 / ((3 * m - 1) * (3 * m - 3))
-            tg = tg * z3 / ((3 * m - 3) * (3 * m - 5))
-            acc = acc + tf + tg
-            if m > 8 and np.all(np.abs(tf) + np.abs(tg) <= tol * np.abs(acc)):
-                return acc
-        return acc
+
+        def step(m, tf, tg, z3):
+            return (tf * z3 / ((3 * m - 1) * (3 * m - 3)),
+                    tg * z3 / ((3 * m - 3) * (3 * m - 5)))
+
+        return _sum_terms(tf + tg, tf, tg, z3, 2, step, tol, max_terms)
     if not 0 <= k <= 3:
         raise UnsupportedOrder(f"series order k = {k}")
     acc = np.zeros_like(z)
@@ -132,14 +130,39 @@ def _series(k, z, tol=1e-18, max_terms=420):
     kfact = math.factorial(k)
     tf = c1 * z**k / kfact
     tg = -c2 * z ** (k + 1) / math.factorial(k + 1)
-    acc = acc + tf + tg
-    for m in range(1, max_terms):
-        tf = tf * (3 * m - 2) * z3 / ((3 * m + k - 2) * (3 * m + k - 1) * (3 * m + k))
-        tg = tg * (3 * m - 1) * z3 / ((3 * m + k - 1) * (3 * m + k) * (3 * m + k + 1))
+
+    def step(m, tf, tg, z3):
+        return (tf * (3 * m - 2) * z3 / ((3 * m + k - 2) * (3 * m + k - 1) * (3 * m + k)),
+                tg * (3 * m - 1) * z3 / ((3 * m + k - 1) * (3 * m + k) * (3 * m + k + 1)))
+
+    return _sum_terms(acc + tf + tg, tf, tg, z3, 1, step, tol, max_terms)
+
+
+def _sum_terms(acc, tf, tg, z3, m_start, step, tol, max_terms):
+    """``acc`` plus the series terms m = m_start, m_start + 1, ... of the f-
+    and g-parts, each pair made from the last by ``step(m, tf, tg, z3)``.
+
+    A point leaves the working set after the first term past m = 8 whose
+    modulus is below ``tol`` relative to its sum: it takes the terms it
+    would take alone, so its value does not depend on the other points.
+    """
+    shape = acc.shape
+    acc, tf, tg, z3 = (np.ravel(a) for a in (acc, tf, tg, z3))
+    out = np.empty_like(acc)
+    live = np.arange(acc.size)
+    for m in range(m_start, max_terms):
+        tf, tg = step(m, tf, tg, z3)
         acc = acc + tf + tg
-        if m > 8 and np.all(np.abs(tf) + np.abs(tg) <= tol * np.abs(acc)):
-            return acc
-    return acc
+        if m > 8:
+            done = np.abs(tf) + np.abs(tg) <= tol * np.abs(acc)
+            if done.any():
+                out[live[done]] = acc[done]
+                keep = ~done
+                live, acc, tf, tg, z3 = live[keep], acc[keep], tf[keep], tg[keep], z3[keep]
+                if not live.size:
+                    break
+    out[live] = acc
+    return out.reshape(shape)
 
 
 def _asymptotic(k, z):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import airy, dispersion, fastmode, osresolvent
-from .errors import TswaveError, WindingNotOne, ZeroOnContour
+from .errors import GrowthOverflow, TswaveError, WindingNotOne, ZeroOnContour
 from .numerics import winding_samples  # noqa: F401  (perfbench/layers.py wraps it)
 from .params import SpectralParams
 from .profile import DEFAULT_PROFILE, StructureConstants, check_structure
@@ -30,6 +30,12 @@ SWEEP_COLUMNS = [
     "gamma_gap_max", "e1s_l2", "e2s_l2", "e3s_l2w", "e1f_l2", "e2f_l2",
     "e3f_l2w", "ff_l2", "status",
 ]
+
+# bound on |alpha Im c t / sqrt(eps)| at an export time: the mode's energy
+# then stays within e^{+-177} (about 1e+-77) of its value at t = 0, which
+# leaves the carrier, the squared fields, the lattice sums and the
+# normalisation to the first time far inside the range of a double
+_GROWTH_LIMIT = math.log(sys.float_info.max) / 8.0
 
 
 def _fmt(x):
@@ -265,8 +271,18 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     energy inherits the exact exponential time dependence; fields are
     normalized to unit energy at the first time.  ``rows`` is the
     (len(t_list)*nx*ny, 8) float array of the written columns.
+
+    Raises ValueError for an empty lattice, and GrowthOverflow for a time
+    at which |alpha Im c t / sqrt(eps)| exceeds ``_GROWTH_LIMIT``.
     """
+    if nx < 1 or ny < 1:
+        raise ValueError(f"export lattice needs nx >= 1 and ny >= 1, got nx = {nx}, "
+                         f"ny = {ny}")
     p = params.with_c(c)
+    rate = p.alpha * p.c.imag / p.sqrt_eps
+    for t in t_list:
+        if abs(rate * t) > _GROWTH_LIMIT:
+            raise GrowthOverflow(t, rate * t, _GROWTH_LIMIT)
     if bvp is None:
         bvp = osresolvent.build_bvp(p)
     phi, psi = osresolvent.build_mode(c, params, bvp, full_os=full_os)
@@ -304,7 +320,7 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     y_cells = [_fmt(y) for y in ys]
     xy_cells = [f"{sx},{sy}" for sx in map(_fmt, xs) for sy in y_cells]
     lines = [header]
-    for it_, t in enumerate(t_list if xy_cells else ()):    # ny = 0: header only
+    for it_, t in enumerate(t_list):
         t_cell, e_cell = _fmt(t), _fmt(energies[it_])
         template = "\n".join(f"{t_cell},{xy},%.17g,%.17g,%.17g,%.17g,{e_cell}"
                              for xy in xy_cells)

@@ -69,12 +69,22 @@ def disk_eighth(params):
 
 
 def gamma0(c, params, profile=DEFAULT_PROFILE):
-    """Boundary slope of the approximate mode at wave speed c (eps^{1/8} regime)."""
-    p = params.with_c(c)
-    phi0, dphi0 = slowmode.boundary_values(p, profile)
-    z0 = p.z0
+    """Boundary slope of the approximate mode at wave speed c (eps^{1/8} regime).
+
+    ``c`` is a scalar or an array: all points share one call of each Airy
+    primitive.  A scalar comes back as ``complex``, equal to that entry of
+    an array call.  Points with Im c_hat <= 0 raise the ValueError of
+    ``SpectralParams`` for the lowest of them.
+    """
+    scalar = np.ndim(c) == 0
+    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    params.with_c(c[np.argmin(c.imag)])     # the Im c_hat > 0 check, on the lowest point
+    chat = c + 1j / params.n
+    phi0, dphi0 = slowmode.boundary_values(params, profile, c_hat=chat)
+    z0 = params.z0_at(chat)
     ratio = airy.ai_k(1, z0) / airy.ai_k(2, z0)
-    return dphi0 - phi0 * ratio / p.delta
+    out = dphi0 - phi0 * ratio / params.delta
+    return complex(out[0]) if scalar else out
 
 
 def gamma_ref_hat(h, params):

@@ -45,6 +45,18 @@ class SingularSystem(TswaveError):
     """Discrete resolvent factorization is numerically singular (spectral parameter outside the resolvent set)."""
 
 
+class GrowthOverflow(TswaveError):
+    """An export time at which the mode's amplitude e^{alpha Im c t / sqrt(eps)}
+    grows or decays beyond what the export keeps finite."""
+
+    def __init__(self, t, exponent, limit):
+        self.t = t
+        self.exponent = exponent
+        super().__init__(f"export time t = {t!r}: alpha Im c t / sqrt(eps) = {exponent:.6g} "
+                         f"lies outside +-{limit:.6g}; the energy would change by more "
+                         f"than e^{2.0 * limit:.4g} from t = 0")
+
+
 class WindingNotOne(TswaveError):
     """Boundary winding count differs from one; certification of a unique simple zero fails."""
 

@@ -248,8 +248,10 @@ def winding_samples(g, circle, init_samples=64, max_samples=65536):
 def newton_root(g, c0, tol=1e-12, max_iter=40):
     """Damped complex Newton iteration with central-difference derivative.
 
-    The derivative step is ``1e-7 * max(|c|, 1)``; a step is halved until the
-    residual decreases (up to 50 halvings).  Returns ``(root, RootTrace)``.
+    The derivative step is ``1e-7 * max(|c|, 1)``, and the two difference
+    points go to ``g`` as one array (one point at a time when ``g`` takes
+    scalars only).  A step is halved until the residual decreases (up to 50
+    halvings).  Returns ``(root, RootTrace)``.
     """
     trace = RootTrace()
     c = complex(c0)
@@ -261,7 +263,8 @@ def newton_root(g, c0, tol=1e-12, max_iter=40):
             trace.converged = True
             return c, trace
         h = 1e-7 * max(abs(c), 1.0)
-        gp = (complex(g(c + h)) - complex(g(c - h))) / (2.0 * h)
+        g_plus, g_minus = _eval_vectorized(g, np.array([c + h, c - h]))
+        gp = (complex(g_plus) - complex(g_minus)) / (2.0 * h)
         if abs(gp) < 1e-280 or not np.isfinite(gp):
             raise DerivativeBreakdown(f"difference quotient {gp} at c = {c}")
         step = -gc / gp

@@ -106,7 +106,11 @@ class SpectralParams:
     @property
     def z0(self):
         """Scaled critical-layer offset e^{-5i pi/6} n^{1/3} c_hat."""
-        return cmath.exp(-5j * math.pi / 6.0) * self.n ** (1.0 / 3.0) * self.c_hat
+        return self.z0_at(self.c_hat)
+
+    def z0_at(self, c_hat):
+        """The offset z0 of a given c_hat, a scalar or an array."""
+        return cmath.exp(-5j * math.pi / 6.0) * self.n ** (1.0 / 3.0) * c_hat
 
     @property
     def varpi(self):

@@ -199,15 +199,26 @@ def phi_app_s_mode(params, profile=DEFAULT_PROFILE, method="auto"):
     )
 
 
-def boundary_values(params, profile=DEFAULT_PROFILE, method="auto"):
-    """(Phi_app^s(0), dY Phi_app^s(0)) from the closed boundary formulas."""
-    chat = params.c_hat
+def boundary_values(params, profile=DEFAULT_PROFILE, method="auto", c_hat=None):
+    """(Phi_app^s(0), dY Phi_app^s(0)) from the closed boundary formulas.
+
+    ``c_hat`` replaces ``params.c_hat`` by an array of shifted wave speeds,
+    and the two values come back as arrays.  A scalar call runs the same
+    array arithmetic on one point, so it equals that entry of an array call.
+    """
+    scalar = c_hat is None
+    chat = np.atleast_1d(np.asarray(params.c_hat if scalar else c_hat, dtype=complex))
     a = params.alpha
-    j0 = complex(np.atleast_1d(inv_square_integral(0.0, params, profile, method))[0])
+    if method == "auto" and hasattr(profile, "inv_square_integral"):
+        j0 = profile.inv_square_integral(0.0, chat)
+    else:
+        j0 = np.array([_j_quad(0.0, ch, profile) for ch in chat], dtype=complex)
     psi02_0 = -chat * j0
     dpsi02_0 = j0 - 1.0 / chat
     phi0 = -chat - a * psi02_0 * (1.0 - 2.0 * chat)
     dphi0 = 1.0 + a * chat + a * (1.0 - 2.0 * chat) * (a * psi02_0 - dpsi02_0)
+    if scalar:
+        return complex(phi0[0]), complex(dphi0[0])
     return phi0, dphi0
 
 

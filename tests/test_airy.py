@@ -149,6 +149,17 @@ class TestInvariants:
         d2 = 2.0 * np.mean(samples * ring[None, :] ** -2, axis=1) / rad**2
         assert np.all(np.abs(d2 - z * vals) <= 1e-8 * (1.0 + np.abs(z * vals)))
 
+    def test_series_value_independent_of_other_points(self):
+        # Ai(3, z) = -1291.7 + 0.09i here: terms far below the stopping
+        # tolerance still move the imaginary part if the series runs on for
+        # a larger |z| in the same array
+        z = -4.798228652387986 - 5.096522786591397j
+        pair = airy.ai_k(3, np.array([z, 7.9j]))
+        assert pair[0] == airy.ai_k(3, z)
+        assert pair[1] == airy.ai_k(3, 7.9j)
+        for k in (-1, 0, 1, 2):
+            assert airy._series(k, np.array([z, 7.9j]))[0] == airy._series(k, np.array([z]))[0]
+
 
 def test_ai_value_branch_labels():
     assert airy.ai_value(0, 1.0).branch is airy.AiryBranch.SERIES

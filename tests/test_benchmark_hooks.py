@@ -14,3 +14,22 @@ def test_benchmark_hooks_install():
     proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_winding_counter_counts_points_of_a_vectorised_map():
+    # certify_eighth hands the winding count one array per round; the
+    # counter must still add up points, not calls
+    code = ("import layers, spans, workloads\n"
+            "lib = workloads.load_library()\n"
+            "from tswave.params import SpectralParams\n"
+            "rec = spans.Recorder()\n"
+            "layers.install(rec, lib)\n"
+            "rec.enabled = True\n"
+            "report = lib.dispersion.certify_eighth(SpectralParams.eighth(2.0, 1e-12))\n"
+            "print(rec.counts['dispersion.winding_evals'], report.samples)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    evals, samples = map(int, proc.stdout.split())
+    assert samples > 64
+    assert evals == samples

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tswave import cli, dispersion, osresolvent
+from tswave.errors import GrowthOverflow
 from tswave.params import SpectralParams
 
 
@@ -253,6 +254,29 @@ def test_cli_error_exit(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lattice", [["--nx", "0"], ["--ny", "0"], ["--nx", "-3"]])
+def test_export_empty_lattice_is_an_error(capsys, lattice):
+    rc = cli.main(["export-mode", "--A", "2", "--eps", "1e-12", "--grid-n", "400",
+                   *lattice])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: export lattice needs nx >= 1 and ny >= 1")
+
+
+def test_export_refuses_overflowing_time(capsys):
+    # alpha Im c / sqrt(eps) is about 817 here: at t = 1 the carrier
+    # e^{817} overflows, and this export used to write inf and nan cells
+    rc = cli.main(["export-mode", "--A", "2", "--eps", "1e-13", "--t-list", "0,1",
+                   "--nx", "2", "--ny", "2", "--grid-n", "400"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    p0 = SpectralParams.eighth(2.0, 1e-13)
+    c = p0.chat_to_c(dispersion.certify_eighth(p0).c_root)
+    exponent = p0.alpha * c.imag / p0.sqrt_eps
+    assert err.startswith("error: export time t = 1.0: alpha Im c t / sqrt(eps) = "
+                          f"{exponent:.6g} ")
+
+
 def _export_oracle(t_list, rows, fmt):
     """The per-value writer: every cell through cli._fmt, t as given."""
     per_t = len(rows) // len(t_list)
@@ -291,6 +315,21 @@ class TestExportWriter:
         assert np.array_equal(lattice[:, 0, 0, 7], energies)
         assert np.all(np.isfinite(rows))
         assert text == _export_oracle(t_list, rows, fmt)
+
+    def test_growth_bound_on_export_times(self, export_point):
+        p0, c, bvp = export_point
+        rate = p0.alpha * c.imag / p0.sqrt_eps
+        limit = math.log(np.finfo(float).max) / 8.0
+        inside = [-0.99 * limit / rate, 0.0, 0.99 * limit / rate]
+        rows, energies, _ = cli.export_mode(c, p0, inside, 3, 4, bvp=bvp)
+        assert np.all(np.isfinite(rows))
+        assert energies[2] / energies[0] == pytest.approx(
+            math.exp(4.0 * 0.99 * limit), rel=1e-9)
+        for t in (1.01 * limit / rate, -1.01 * limit / rate):
+            with pytest.raises(GrowthOverflow) as err:
+                cli.export_mode(c, p0, [0.0, t], 3, 4, bvp=bvp)
+            assert err.value.t == t
+            assert err.value.exponent == pytest.approx(rate * t, rel=1e-12)
 
     def test_fmt_is_percent_17g(self):
         rng = np.random.default_rng(7)

@@ -6,10 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
-from tswave import dispersion
+from tswave import airy, dispersion, numerics
 from tswave.errors import WindingNotOne
 from tswave.numerics import Circle, newton_root, winding_samples
 from tswave.params import SpectralParams
+from tswave.profile import DEFAULT_PROFILE
 
 
 def h_star(A):
@@ -169,6 +170,104 @@ class TestEighthRegime:
             c = p0.chat_to_c(dispersion.center_eighth(p0))
             vals.append(abs(dispersion.gamma0(c, p0)))
         assert vals[0] > vals[1] > vals[2]
+
+
+def gamma0_scalar_oracle(c, params):
+    """Gamma0 one point at a time in Python complex arithmetic, through
+    ``with_c`` and ``params.z0``: the boundary closed forms written out
+    separately from ``slowmode.boundary_values``."""
+    p = params.with_c(c)
+    chat, a = p.c_hat, p.alpha
+    j0 = complex(DEFAULT_PROFILE.inv_square_integral(0.0, chat))
+    psi02_0 = -chat * j0
+    dpsi02_0 = j0 - 1.0 / chat
+    phi0 = -chat - a * psi02_0 * (1.0 - 2.0 * chat)
+    dphi0 = 1.0 + a * chat + a * (1.0 - 2.0 * chat) * (a * psi02_0 - dpsi02_0)
+    ratio = airy.ai_k(1, p.z0) / airy.ai_k(2, p.z0)
+    return dphi0 - phi0 * ratio / p.delta
+
+
+def boundary_speeds(params0, n_points=16):
+    """Wave speeds c on the certification circle, at the half-step phases of
+    the winding count (the A = 2 circle touches Im c_hat = 0)."""
+    disk = dispersion.disk_eighth(params0)
+    thetas = math.pi / n_points + np.linspace(0.0, 2.0 * math.pi, n_points,
+                                              endpoint=False)
+    return params0.chat_to_c(np.append(disk.point(thetas), disk.center))
+
+
+class TestGamma0OnArrays:
+    @pytest.mark.parametrize("A", [2.0, 3.0, 4.0])
+    def test_matches_scalar_oracle(self, A):
+        # cancellation in dPhi0 - Phi0 * ratio / delta costs a few ulps
+        worst = 0.0
+        for eps in (1e-8, 1e-12, 1e-16, 1e-20, 1e-24, 1e-28):
+            p0 = SpectralParams.eighth(A, eps)
+            c = boundary_speeds(p0)
+            vals = dispersion.gamma0(c, p0)
+            oracle = np.array([gamma0_scalar_oracle(x, p0) for x in c])
+            worst = max(worst, float(np.max(np.abs(vals - oracle) / np.abs(oracle))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("A, eps", [(2.0, 1e-12), (3.0, 1e-20), (4.0, 1e-28)])
+    def test_array_equals_pointwise_calls_bit_for_bit(self, A, eps):
+        p0 = SpectralParams.eighth(A, eps)
+        c = boundary_speeds(p0, 64)
+        vals = dispersion.gamma0(c, p0)
+        single = [dispersion.gamma0(x, p0) for x in c]
+        assert all(type(v) is complex for v in single)
+        assert vals.shape == c.shape
+        assert vals.tolist() == single
+
+    def test_point_below_the_axis_raises_as_alone(self):
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        c = boundary_speeds(p0)
+        c[3] = c[3].real - 2j / p0.n            # Im c_hat = -1/n
+        with pytest.raises(ValueError) as alone:
+            dispersion.gamma0(c[3], p0)
+        with pytest.raises(ValueError) as in_array:
+            dispersion.gamma0(c, p0)
+        assert str(in_array.value) == str(alone.value)
+        assert "Im c_hat must be positive" in str(alone.value)
+        # the winding count's fallback then meets the same error pointwise
+        with pytest.raises(ValueError) as fallback:
+            numerics._eval_vectorized(lambda w: dispersion.gamma0(w, p0), c)
+        assert str(fallback.value) == str(alone.value)
+
+    def test_certify_evaluates_gamma0_once_per_winding_round(self, monkeypatch):
+        # a spy on gamma0 and on the winding count's evaluator: a silent
+        # fallback to one call per point would show up as scalar calls
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        gamma0, eval_vectorized = dispersion.gamma0, numerics._eval_vectorized
+        in_winding, rounds, calls = [False], [], []
+
+        def gamma0_spy(c, params, profile=DEFAULT_PROFILE):
+            out = gamma0(c, params, profile)
+            calls.append((in_winding[0], np.shape(c)))
+            return out
+
+        def rounds_spy(f, z):
+            rounds.append(np.size(z))
+            return eval_vectorized(f, z)
+
+        def winding_spy(*args, **kwargs):
+            in_winding[0] = True
+            try:
+                return winding_samples(*args, **kwargs)
+            finally:
+                in_winding[0] = False
+
+        monkeypatch.setattr(dispersion, "gamma0", gamma0_spy)
+        monkeypatch.setattr(dispersion, "winding_samples", winding_spy)
+        monkeypatch.setattr(numerics, "_eval_vectorized", rounds_spy)
+        rep = dispersion.certify_eighth(p0)
+        assert rep.certified
+        winding_shapes = [shape for inside, shape in calls if inside]
+        assert winding_shapes == [(n,) for n in rounds[:len(winding_shapes)]]
+        assert sum(n for (n,) in winding_shapes) == rep.samples
+        # Newton: scalar steps, and the two difference points as one array
+        newton_shapes = [shape for inside, shape in calls if not inside]
+        assert set(newton_shapes) == {(), (2,)}
 
 
 class TestBetaRegime:

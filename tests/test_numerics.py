@@ -156,6 +156,32 @@ class TestNewton:
         assert trace.converged
         assert abs((root - 0.5j) * (root + 2.0)) <= 1e-13
 
+    def test_difference_points_go_as_one_array(self):
+        shapes = []
+
+        def g(c):
+            shapes.append(np.shape(c))
+            return c * c - 2.0
+
+        root, trace = newton_root(g, 1.0)
+        assert trace.converged
+        assert shapes.count((2,)) == len(trace.iterates) - 1
+        assert set(shapes) == {(), (2,)}
+
+    def test_scalar_only_map_converges(self):
+        # complex() of an array raises TypeError: every point goes alone
+        def g(c):
+            c = complex(c)
+            return (c - 0.5j) * (c + 2.0)
+
+        root, trace = newton_root(g, 0.2 + 0.3j, tol=1e-13)
+        assert trace.converged
+        assert root == pytest.approx(0.5j, abs=1e-12)
+        vec_root, vec_trace = newton_root(lambda c: (c - 0.5j) * (c + 2.0),
+                                          0.2 + 0.3j, tol=1e-13)
+        assert len(trace.iterates) == len(vec_trace.iterates)
+        assert root == pytest.approx(vec_root, abs=1e-14)
+
     def test_derivative_breakdown(self):
         with pytest.raises(DerivativeBreakdown):
             newton_root(lambda c: 1.0 + 0.0 * c, 0.0)
