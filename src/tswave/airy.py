@@ -40,7 +40,6 @@ AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)  # Ai'(0)
 class AiryBranch(Enum):
     SERIES = "series"
     ASYMPTOTIC = "asymptotic"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)

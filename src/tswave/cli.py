@@ -60,8 +60,6 @@ class RunConfig:
     grid_n: int = 1600
     y_max: float | None = None
     newton_tol: float = 1e-12
-    picard_tol: float = 1e-10
-    iterate_tol: float = 1e-8
     full_os: bool = False
     init_samples: int = 64
     out: str | None = None
@@ -77,9 +75,8 @@ class RunConfig:
             raise ValueError("eps_list must be strictly decreasing")
         if self.regime == "beta" and not (3.0 / 28.0 < self.beta < 0.125):
             raise ValueError("beta regime needs beta in (3/28, 1/8)")
-        for name in ("newton_tol", "picard_tol", "iterate_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.newton_tol <= 0.0:
+            raise ValueError("newton_tol must be positive")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -157,8 +154,7 @@ def sweep_row(cfg, eps):
         c_audit = _center_c(cfg, params0)
 
         bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
-        arrays, gamma0_val, _ = osresolvent.assemble_error_terms(
-            c_audit, params0, bvp, picard_tol=cfg.picard_tol)
+        arrays, gamma0_val, _ = osresolvent.assemble_error_terms(c_audit, params0, bvp)
         row.update(osresolvent.error_norms(arrays, bvp))
 
         c_rate = c_app
@@ -193,9 +189,8 @@ def full_os_certification(cfg, params0, bvp, c_center):
     gaps = []
 
     def g_exact(w):
-        gamma, diag = osresolvent.remainder_and_gamma(
-            _to_c(cfg, params0, w), params0, bvp, tol=cfg.iterate_tol,
-            picard_tol=cfg.picard_tol)
+        gamma, diag = osresolvent.remainder_and_gamma(_to_c(cfg, params0, w),
+                                                      params0, bvp)
         gaps.append(diag["gap"])
         return gamma
 
@@ -373,7 +368,6 @@ def _read_config_file(path):
 _CFG_TYPES = {
     "regime": str, "amplitude": float, "beta": float, "theta": float,
     "r3": float, "grid_n": int, "y_max": float, "newton_tol": float,
-    "picard_tol": float, "iterate_tol": float,
     "full_os": lambda s: s.lower() in ("1", "true", "yes"),
     "init_samples": int, "out": str, "fmt": str, "jobs": int,
 }
@@ -457,8 +451,7 @@ def cmd_audit(args):
         params0 = cfg.params(eps)
         c = _center_c(cfg, params0)
         bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
-        arrays, gamma0_val, _ = osresolvent.assemble_error_terms(
-            c, params0, bvp, picard_tol=cfg.picard_tol)
+        arrays, gamma0_val, _ = osresolvent.assemble_error_terms(c, params0, bvp)
         entry = {"eps": eps, "alpha": params0.alpha,
                  "gamma0_center": [gamma0_val.real, gamma0_val.imag],
                  "warnings": params0.with_c(c).guard_warnings()}

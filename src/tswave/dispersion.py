@@ -108,11 +108,11 @@ def disk_beta(params, r3=0.5):
                   radius=r3 * params.alpha ** (1.0 + params.nu0))
 
 
-def gamma0_beta(c, params, n_terms=None, grid=None, profile=DEFAULT_PROFILE):
+def gamma0_beta(c, params, profile=DEFAULT_PROFILE):
     """Boundary slope of the approximate mode built on the exponential hierarchy."""
     p = params.with_c(c)
     phi0, dphi0 = slowmode.boundary_values(p, profile)
-    hier = fastmode.ExpFastHierarchy(p, grid=grid, n_terms=n_terms, profile=profile)
+    hier = fastmode.ExpFastHierarchy(p, profile=profile)
     return dphi0 - phi0 * (-p.varpi + hier.boundary_slope_sum())
 
 
@@ -124,7 +124,7 @@ def gamma_ref_beta(c, params):
 # -- certification --
 
 def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
-                        newton_from=None, max_iter=60):
+                        max_iter=60):
     """Winding count on the disk boundary; on winding one, Newton refinement
     from the center.  The report carries the number of boundary samples (the
     first ``samples`` evaluations of ``g``), the boundary modulus floor and,
@@ -147,8 +147,7 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
             c_root=None, winding=winding, samples=thetas.size,
             boundary_min_abs=boundary_min, reference_gap_max=gap_max,
             newton=None, disk=disk))
-    start = disk.center if newton_from is None else newton_from
-    root, trace = newton_root(g, start, tol=tol, max_iter=max_iter)
+    root, trace = newton_root(g, disk.center, tol=tol, max_iter=max_iter)
     if not disk.contains(root, slack=1e-9):
         trace.converged = False
     return DispersionReport(c_root=root, winding=winding, samples=thetas.size,
@@ -176,13 +175,13 @@ def certify_eighth(params, tol=1e-12, init_samples=64, profile=DEFAULT_PROFILE):
     return report
 
 
-def certify_beta(params, r3=0.5, n_terms=None, tol=1e-10, init_samples=64,
-                 grid=None, profile=DEFAULT_PROFILE):
+def certify_beta(params, r3=0.5, tol=1e-10, init_samples=64,
+                 profile=DEFAULT_PROFILE):
     """Certify the beta-regime approximate eigenvalue in the c disk."""
     disk = disk_beta(params, r3)
 
     def g(c):
-        return gamma0_beta(c, params, n_terms=n_terms, grid=grid, profile=profile)
+        return gamma0_beta(c, params, profile=profile)
 
     def g_ref(c):
         return gamma_ref_beta(c, params)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "airy_fast",
     "fast_mode_pair",
     "ExpFastHierarchy",
-    "exp_fast",
     "default_hierarchy_terms",
     "fast_errors",
     "measure_tau1",
@@ -160,7 +159,6 @@ class ExpFastHierarchy:
         self.dphi_levels = [dphi]
         self.d2phi_levels = [varpi**2 * phi]
         self.rhs_levels = [np.zeros_like(phi)]
-        self.dphi0_at0 = [-varpi]
         for _ in range(1, self.n_terms + 1):
             prev = self.phi_levels[-1]
             anti = -tail_trapezoid(dus * prev, self.grid)
@@ -173,7 +171,6 @@ class ExpFastHierarchy:
             self.dphi_levels.append(dphi_k)
             self.d2phi_levels.append(d2phi_k)
             self.rhs_levels.append(rhs)
-            self.dphi0_at0.append(1j * n * inner[0])
 
     @cached_property
     def psi_levels(self):
@@ -193,7 +190,7 @@ class ExpFastHierarchy:
 
     def boundary_slope_sum(self):
         """sum_{k>=1} dY Phi_k^f(0), the hierarchy part of the dispersion slope."""
-        return sum(self.dphi0_at0[1:])
+        return sum(d[0] for d in self.dphi_levels[1:])
 
     def level_mode(self, k):
         return mode_from_grid(self.grid,
@@ -207,29 +204,6 @@ class ExpFastHierarchy:
         else:
             arrays = [self.sum_arrays("Psi", o) for o in range(3)]
         return mode_from_grid(self.grid, arrays, decay_rate=0.2 * self.varpi.real)
-
-
-@lru_cache(maxsize=32)
-def _cached_hierarchy(params, n_terms):
-    return ExpFastHierarchy(params, n_terms=n_terms)
-
-
-def exp_fast(which, order, Y, params, n_terms=None):
-    """Exponential fast mode (beta regime): summed hierarchy value at Y.
-
-    The default term count satisfies the closing condition N nu0 > 1 + nu0;
-    explicit lower counts (down to the bare exponential at N = 0) are allowed
-    for diagnostics.
-    """
-    if params.is_eighth:
-        raise RegimeMismatch("exp_fast applies to beta < 1/8")
-    if which not in ("Phi", "Psi"):
-        raise ValueError("which must be 'Phi' or 'Psi'")
-    if order < 0 or order > 2:
-        raise UnsupportedOrder(f"order {order}")
-    n_terms = default_hierarchy_terms(params) if n_terms is None else n_terms
-    hier = _cached_hierarchy(params, n_terms)
-    return hier.mode(which).eval(order, Y)
 
 
 def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonContraction, NonConvergence
 from .numerics import backward_exp_integral, forward_exp_integral, graded_grid
-from .params import ModeFunction, mode_from_grid
+from .params import ModeFunction, SpectralParams, mode_from_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = ["MagneticProblem", "MagneticTrace", "solve_magnetic",
@@ -140,7 +140,7 @@ def equation_residual(mode, prob, Y, step=1e-3, profile=DEFAULT_PROFILE):
 
 
 def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None,
-                    profile=DEFAULT_PROFILE, tol=1e-10):
+                    profile=DEFAULT_PROFILE):
     """Magnetic slow mode: solve the magnetic equation with boundary value
     Phi_app^s(0) Psi_app^f(0) and source i alpha H_s Phi_app^s + dY Phi_app^s.
 
@@ -160,5 +160,5 @@ def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None,
                           decay_rate=min(params.alpha, 1.0))
     prob = MagneticProblem(params=params, phi_b=complex(slow_at_0 * fast_psi_at_0),
                            f=f_mode)
-    mode, _ = solve_magnetic(prob, tol=tol, grid=grid, profile=profile)
+    mode, _ = solve_magnetic(prob, grid=grid, profile=profile)
     return mode

@@ -125,12 +125,14 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 
 def _eval_vectorized(f, z):
-    """Evaluate ``f`` on an ndarray of complex points, tolerating scalar-only callables."""
+    """Evaluate ``f`` on an ndarray of complex points, tolerating scalar-only
+    callables.  A result with one value per point is taken in any shape, so a
+    scalar-only ``f`` that returns a scalar for one point is called once."""
     z = np.asarray(z, dtype=complex)
     try:
         vals = np.asarray(f(z), dtype=complex)
-        if vals.shape == z.shape:
-            return vals
+        if vals.size == z.size:
+            return vals.reshape(z.shape)
     except (TypeError, ValueError):
         pass
     return np.array([f(zi) for zi in z.ravel()], dtype=complex).reshape(z.shape)

@@ -24,22 +24,20 @@ from scipy.sparse.linalg import splu
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem
 from .numerics import boundary_slope, diff_matrix, graded_grid, l2_norm, trap_weights
-from .params import ModeFunction, mode_from_grid
+from .params import mode_from_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = [
     "DiscreteBVP",
     "IterationTrace",
     "build_bvp",
-    "os_d_solve",
-    "os_s_solve",
-    "os_iterate",
     "OSIteration",
     "remainder_and_gamma",
 ]
 
 _COND_LIMIT = 1e12
 _NOISE_FLOOR = 1e-13
+_ALTERNATION_TOL = 1e-8     # relative step norm that ends each remainder solve
 
 
 @dataclass
@@ -59,7 +57,6 @@ class DiscreteBVP:
 @dataclass
 class IterationTrace:
     e_norms: list = field(default_factory=list)
-    f_norms: list = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -300,43 +297,10 @@ class _Factorized:
         return x[:N], x[N:2 * N], x[2 * N:]
 
 
-def _wrap_pair(bvp, params, profile, phi, omega, psi, q2):
-    """(Phi, Psi) as ModeFunctions with equation-consistent second derivatives."""
-    a, c = params.alpha, params.c
-    st = _grid_state_for(params, bvp, profile)
-    dphi = bvp.d1 @ phi
-    d2phi = omega + a**2 * phi
-    dpsi = bvp.d1 @ psi
-    d2psi = (a**2 * psi + 1j * a * (st.us - c) * psi
-             - 1j * a * st.hs * phi - dphi - np.asarray(q2, dtype=complex))
-    f = mode_from_grid(bvp.grid, [phi, dphi, d2phi], decay_rate=params.alpha)
-    g = mode_from_grid(bvp.grid, [psi, dpsi, d2psi], decay_rate=params.alpha)
-    return f, g
-
-
-def os_d_solve(q1, q2, params, bvp, profile=DEFAULT_PROFILE):
-    """Diffusion-splitting solve; returns (Phi, Psi) as ModeFunctions."""
-    q1v, q2v = _sample_sources(q1, q2, bvp)
-    fact = _Factorized(params, bvp, profile, "os_d")
-    phi, omega, psi = fact.solve(bvp, q1v, q2v)
-    return _wrap_pair(bvp, params, profile, phi, omega, psi, q2v)
-
-
-def os_s_solve(h1, h2, params, bvp, profile=DEFAULT_PROFILE):
-    """Divergence-splitting solve; the first source may be d_Y g1 or
-    i alpha g1, the discrete solve is the same."""
-    h1v, h2v = _sample_sources(h1, h2, bvp)
-    fact = _Factorized(params, bvp, profile, "os_s")
-    xi, omega, theta = fact.solve(bvp, h1v, h2v)
-    return _wrap_pair(bvp, params, profile, xi, omega, theta, h2v)
-
-
 def _sample_sources(q1, q2, bvp):
     def vals(q):
         if q is None:
             return np.zeros(bvp.n, dtype=complex)
-        if isinstance(q, ModeFunction):
-            return q.eval(0, bvp.grid)
         return np.asarray(q, dtype=complex)
 
     return vals(q1), vals(q2)
@@ -394,7 +358,6 @@ class OSIteration:
         total = [np.zeros(self.bvp.n, dtype=complex) for _ in range(3)]
         if entry == "s":
             xi0, wxi0, th0 = self.fact_s.solve(self.bvp, f1v, f2v)
-            trace.f_norms.append(self._e_norm(xi0, wxi0, th0, q2=f2v))
             for t, v in zip(total, (xi0, wxi0, th0)):
                 t += v
             f1v = self.grid_state.transport @ xi0
@@ -414,7 +377,6 @@ class OSIteration:
         for _ in range(max_steps):
             h1 = -(self.grid_state.a_xi @ phi + self.a_theta @ psi)
             xi, wxi, theta = self.fact_s.solve(self.bvp, h1, zeros)
-            trace.f_norms.append(self._e_norm(xi, wxi, theta))
             q1 = self.grid_state.transport @ xi
             phi, omega, psi = self.fact_d.solve(self.bvp, q1, zeros)
             ek = self._e_norm(phi, omega, psi)
@@ -435,23 +397,7 @@ class OSIteration:
             f"alternation did not reach {tol:.1e} relative in {max_steps} steps")
 
 
-def os_iterate(f1, f2, params, bvp, tol=1e-8, entry="d", profile=DEFAULT_PROFILE):
-    """Full resolvent solve by alternation.
-
-    ``entry='d'`` starts on the diffusion splitting (strongly decaying first
-    source); ``entry='s'`` applies the divergence-splitting pre-step first,
-    for sources of the form d_Y g1 or i alpha g1.
-    Returns (Phi, Psi, IterationTrace) with grid-backed ModeFunctions.
-    """
-    it = OSIteration(params, bvp, profile)
-    phi, omega, psi, trace = it.iterate(f1, f2, tol=tol, entry=entry)
-    fmode, gmode = _wrap_pair(bvp, params, profile, phi, omega, psi,
-                              _sample_sources(None, f2, bvp)[1])
-    return fmode, gmode, trace
-
-
-def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE,
-                         picard_tol=1e-10, n_terms=None):
+def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE):
     """All approximate-mode error arrays on the grid, plus the approximate
     dispersion value and the participating modes."""
     p = params.with_c(c)
@@ -466,8 +412,7 @@ def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE,
         gamma0_val = dispersion.gamma0(p.c, p, profile)
         groups = ("E1f", "E2f", "E3f", "Ff")
     else:
-        hier = fastmode.ExpFastHierarchy(p, grid=grid, n_terms=n_terms,
-                                         profile=profile)
+        hier = fastmode.ExpFastHierarchy(p, grid=grid, profile=profile)
         phi_f = hier.mode("Phi")
         psi_f = hier.mode("Psi")
         phi_last = hier.level_mode(hier.n_terms)
@@ -475,7 +420,7 @@ def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE,
         groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
     psi_s = magnetic.build_psi_app_s(p, slow_mode, psi_f.eval(0, 0.0), phi0,
-                                     grid=grid, profile=profile, tol=picard_tol)
+                                     grid=grid, profile=profile)
 
     arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s, profile,
                                              phi_mode=slow_mode)
@@ -510,7 +455,7 @@ def error_norms(arrays, bvp, profile=DEFAULT_PROFILE):
     }
 
 
-def _solve_remainders(c, params, bvp, profile, tol, picard_tol, n_terms):
+def _solve_remainders(c, params, bvp, profile):
     """Error terms at c and the two remainder solves.
 
     The first remainder absorbs the strongly decaying error pair, the second
@@ -520,23 +465,22 @@ def _solve_remainders(c, params, bvp, profile, tol, picard_tol, n_terms):
     remainder its grid arrays (phi, psi) plus its alternation trace.
     """
     p = params.with_c(c)
-    arrays, gamma0_val, modes = assemble_error_terms(c, params, bvp, profile,
-                                                     picard_tol, n_terms)
+    arrays, gamma0_val, modes = assemble_error_terms(c, params, bvp, profile)
     it = OSIteration(p, bvp, profile)
     phi1, _, psi1, trace1 = it.iterate(arrays["e3s"] + arrays["e3f"],
-                                       arrays["ff"], tol=tol, entry="d")
+                                       arrays["ff"], tol=_ALTERNATION_TOL,
+                                       entry="d")
     div_source = (bvp.d1 @ (arrays["e1s"] + arrays["e1f"])
                   + 1j * p.alpha * (arrays["e2s"] + arrays["e2f"]))
-    phi2, _, psi2, trace2 = it.iterate(div_source, None, tol=tol, entry="s")
+    phi2, _, psi2, trace2 = it.iterate(div_source, None, tol=_ALTERNATION_TOL,
+                                       entry="s")
     return gamma0_val, modes, ((phi1, psi1, trace1), (phi2, psi2, trace2))
 
 
-def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE, tol=1e-8,
-                        picard_tol=1e-10, n_terms=None):
+def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE):
     """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
     two remainder solves, plus diagnostics."""
-    gamma0_val, _, remainders = _solve_remainders(c, params, bvp, profile, tol,
-                                                  picard_tol, n_terms)
+    gamma0_val, _, remainders = _solve_remainders(c, params, bvp, profile)
     slope1, slope2 = (boundary_slope(bvp.grid, phi) for phi, _, _ in remainders)
     gamma = gamma0_val - slope1 - slope2
     diag = {
@@ -549,8 +493,7 @@ def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE, tol=1e-8,
     return gamma, diag
 
 
-def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE, tol=1e-8,
-               picard_tol=1e-10, n_terms=None):
+def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE):
     """Combined mode (Phi, Psi) at wave speed c as grid-backed ModeFunctions.
 
     Without ``full_os`` this is the approximate growing mode (zero stream
@@ -560,11 +503,9 @@ def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE, tol=1e-8,
     p = params.with_c(c)
     grid = bvp.grid
     if full_os:
-        _, modes, remainders = _solve_remainders(c, params, bvp, profile, tol,
-                                                 picard_tol, n_terms)
+        _, modes, remainders = _solve_remainders(c, params, bvp, profile)
     else:
-        _, _, modes = assemble_error_terms(c, params, bvp, profile, picard_tol,
-                                           n_terms)
+        _, _, modes = assemble_error_terms(c, params, bvp, profile)
     phi0 = modes["phi0"]
     phi_arrays = [modes["slow"].eval(k, grid) - phi0 * modes["phi_f"].eval(k, grid)
                   for k in range(2)]

@@ -166,11 +166,6 @@ class ModeFunction:
     def __call__(self, Y):
         return self.eval(0, Y)
 
-    def envelope_excess(self, grid):
-        """max_Y e^{eta Y} |f(Y)| on the grid (finite iff the decay claim holds)."""
-        vals = self.eval(0, grid)
-        return float(np.max(np.exp(self.decay_rate * np.asarray(grid)) * np.abs(vals)))
-
 
 def memoize_on_grid(evaluator):
     """``evaluator(k, Y)`` computed once per (k, values of Y) among the eight

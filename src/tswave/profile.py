@@ -20,7 +20,6 @@ __all__ = [
     "HartmannProfile",
     "StructureConstants",
     "StructureReport",
-    "eval_profile",
     "check_structure",
     "DEFAULT_PROFILE",
 ]
@@ -126,13 +125,6 @@ class HartmannProfile(Profile):
         w = (1.0 - e) - c_hat
         f1 = self._inv_square_primitive(1.0, c_hat)
         return (big_g(Y, e) - big_g(0.0, 1.0)) - f1 * (w**2 - c_hat**2) / 2.0
-
-
-def eval_profile(which, order, Y, profile=None):
-    """Profile evaluation with validated field/order (module-level convenience)."""
-    profile = profile or DEFAULT_PROFILE
-    out = profile.eval(which, order, Y)
-    return float(out) if np.isscalar(Y) else out
 
 
 def check_structure(profile, consts=StructureConstants(), y_max=40.0, n=2001):

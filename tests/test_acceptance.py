@@ -255,21 +255,22 @@ def test_criterion_5_error_norm_slopes():
 # -- criterion 6: discrete solver convergence and iteration contraction ------
 
 def test_criterion_6_os_solvers():
-    from tests.test_osresolvent import os_d_sources, os_s_sources
+    from tests.test_osresolvent import (os_d_solve, os_d_sources, os_s_solve,
+                                        os_s_sources)
 
     start = time.time()
     p_ref = SpectralParams.eighth(2.0, 1e-12)
     p_ref = p_ref.with_c(p_ref.chat_to_c(dispersion.center_eighth(p_ref)))
     ratios = {}
-    for name, solver, sources in (("os_d", osresolvent.os_d_solve, os_d_sources),
-                                  ("os_s", osresolvent.os_s_solve, os_s_sources)):
+    for name, solver, sources in (("os_d", os_d_solve, os_d_sources),
+                                  ("os_s", os_s_solve, os_s_sources)):
         errs = []
         for n_nodes in (400, 800):
             bvp = osresolvent.build_bvp(p_ref, n_nodes=n_nodes)
             q1, q2, phi_exact, rho_exact = sources(p_ref, bvp.grid)
             phi, rho = solver(q1, q2, p_ref, bvp)
-            errs.append(max(np.max(np.abs(phi.eval(0, bvp.grid) - phi_exact)),
-                            np.max(np.abs(rho.eval(0, bvp.grid) - rho_exact))))
+            errs.append(max(np.max(np.abs(phi - phi_exact)),
+                            np.max(np.abs(rho - rho_exact))))
         ratios[name] = errs[0] / errs[1]
     conv_ok = all(r >= 3.5 for r in ratios.values())
 

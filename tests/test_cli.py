@@ -30,7 +30,7 @@ class TestRunConfig:
 
     def test_tolerances_positive(self):
         with pytest.raises(ValueError):
-            cli.RunConfig(eps_list=[1e-10], picard_tol=0.0)
+            cli.RunConfig(eps_list=[1e-10], newton_tol=0.0)
 
     def test_params_builder(self):
         cfg = cli.RunConfig(regime="beta", amplitude=1.0, beta=0.115,
@@ -52,9 +52,10 @@ class TestConfigFile:
         assert cfg.eps_list == [1e-8, 1e-10]
         assert cfg.grid_n == 800
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["bogus=1", "picard_tol=1e-10", "iterate_tol=1e-8"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "run.cfg"
-        path.write_text("bogus=1\n")
+        path.write_text(line + "\n")
         args = type("Args", (), {"config": str(path)})()
         with pytest.raises(ValueError):
             cli.build_config(args)

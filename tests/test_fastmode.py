@@ -134,17 +134,16 @@ class TestExpHierarchy:
 
     def test_exp_fast_wrapper(self, beta_params):
         p = beta_params
-        val = fastmode.exp_fast("Phi", 0, 0.0, p)
+        val = fastmode.ExpFastHierarchy(p).mode("Phi").eval(0, 0.0)
         # sum over levels: level 0 contributes 1, the rest vanish at the wall
         assert val == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(RegimeMismatch):
-            fastmode.exp_fast("Phi", 0, 0.0, SpectralParams.eighth(2.0, 1e-10,
-                                                                   c=0.1 + 0.01j))
+            fastmode.ExpFastHierarchy(SpectralParams.eighth(2.0, 1e-10, c=0.1 + 0.01j))
 
     def test_exp_fast_bare_exponential(self, beta_params):
         p = beta_params
         Y = np.linspace(0.0, 0.2, 9)
-        vals = fastmode.exp_fast("Phi", 0, Y, p, n_terms=0)
+        vals = fastmode.ExpFastHierarchy(p, n_terms=0).mode("Phi").eval(0, Y)
         assert np.max(np.abs(vals - np.exp(-p.varpi * Y))) < 1e-10
 
     def test_linkage(self, beta_params):

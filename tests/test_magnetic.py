@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -20,6 +21,12 @@ def exp_source(rate=0.5):
     return ModeFunction(max_order=0,
                         evaluator=lambda o, Y: np.exp(-rate * Y) * (1.0 + 0.0j),
                         decay_rate=rate)
+
+
+def test_problem_type_hints_resolve():
+    hints = typing.get_type_hints(MagneticProblem)
+    assert hints["params"] is SpectralParams
+    assert hints["f"] is ModeFunction
 
 
 class TestSolve:

@@ -138,6 +138,22 @@ class TestWinding:
         with pytest.raises(ValueError):
             winding_samples(lambda c: c, Circle(0.0, 1.0), init_samples=8)
 
+    def test_scalar_only_map_evaluated_once_per_sample(self):
+        # .item() takes one point only: the initial round goes point by
+        # point, a one-point refinement round as a (1,) array whose scalar
+        # result must be kept, not computed again
+        calls = []
+
+        def g(z):
+            val = complex(np.asarray(z).item()) - 0.93
+            calls.append(val)
+            return val
+
+        winding, thetas, _ = winding_samples(g, Circle(0.0, 1.0), init_samples=16)
+        assert winding == 1
+        assert thetas.size == 18
+        assert len(calls) == thetas.size
+
 
 class TestNewton:
     def test_affine_one_step(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tswave.errors import RegimeMismatch, UnsupportedOrder
+from tswave.numerics import sup_exp_norm
 from tswave.params import ModeFunction, SpectralParams, mode_from_grid
 
 
@@ -76,7 +77,7 @@ class TestModeFunction:
         f = ModeFunction(max_order=0, evaluator=lambda o, Y: np.exp(-0.5 * Y),
                          decay_rate=0.5)
         grid = np.linspace(0.0, 30.0, 200)
-        assert f.envelope_excess(grid) == pytest.approx(1.0)
+        assert sup_exp_norm(f.eval(0, grid), grid, f.decay_rate) == pytest.approx(1.0)
 
     def test_mode_from_grid_clamps_tail(self):
         grid = np.linspace(0.0, 10.0, 300)

@@ -5,16 +5,16 @@ import pytest
 
 from tswave.errors import StructureViolation, UnsupportedOrder
 from tswave.profile import (DEFAULT_PROFILE, HartmannProfile, StructureConstants,
-                            check_structure, eval_profile)
+                            check_structure)
 
 
 class TestEval:
     def test_wall_values(self):
-        assert eval_profile("U", 0, 0.0) == 0.0
-        assert eval_profile("U", 1, 0.0) == 1.0
+        assert DEFAULT_PROFILE.eval("U", 0, 0.0) == 0.0
+        assert DEFAULT_PROFILE.eval("U", 1, 0.0) == 1.0
 
     def test_second_derivative_at_log2(self):
-        assert eval_profile("U", 2, math.log(2.0)) == pytest.approx(-0.5)
+        assert DEFAULT_PROFILE.eval("U", 2, math.log(2.0)) == pytest.approx(-0.5)
 
     def test_h_field(self):
         p = HartmannProfile(h_inf=1.5)
@@ -23,23 +23,24 @@ class TestEval:
                            p.eval("U", 1, np.array([0.3, 1.0])))
 
     def test_far_field(self):
-        assert eval_profile("U", 0, 40.0) == pytest.approx(1.0, abs=1e-15)
+        assert DEFAULT_PROFILE.eval("U", 0, 40.0) == pytest.approx(1.0, abs=1e-15)
         assert DEFAULT_PROFILE.eval("H", 0, 40.0) == pytest.approx(
             DEFAULT_PROFILE.h_inf, abs=1e-15)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrder):
-            eval_profile("U", 4, 1.0)
+            DEFAULT_PROFILE.eval("U", 4, 1.0)
         with pytest.raises(UnsupportedOrder):
-            eval_profile("H", 3, 1.0)
+            DEFAULT_PROFILE.eval("H", 3, 1.0)
 
     def test_derivative_consistency(self):
         Y = np.linspace(0.1, 8.0, 30)
         h = 1e-6
         for which, kmax in (("U", 2), ("H", 1)):
             for k in range(kmax + 1):
-                fd = (eval_profile(which, k, Y + h) - eval_profile(which, k, Y - h)) / (2 * h)
-                assert np.max(np.abs(fd - eval_profile(which, k + 1, Y))) < 1e-8
+                fd = (DEFAULT_PROFILE.eval(which, k, Y + h)
+                      - DEFAULT_PROFILE.eval(which, k, Y - h)) / (2 * h)
+                assert np.max(np.abs(fd - DEFAULT_PROFILE.eval(which, k + 1, Y))) < 1e-8
 
     def test_wake_exact_in_tail(self):
         assert DEFAULT_PROFILE.wake(45.0) == pytest.approx(math.exp(-45.0), rel=1e-12)
