@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,7 +104,12 @@ def ai_contour(k, z, rel_tol=1e-12):
 
 
 def _series(k, z, tol=1e-18, max_terms=420):
-    """Maclaurin evaluation of Ai(k, z) for k in {-1, 0, 1, 2, 3} (entire)."""
+    """Maclaurin evaluation of Ai(k, z) for k in {-1, 0, 1, 2, 3} (entire).
+
+    ``k`` may be a tuple of orders in 0..3: all of them run in one loop and
+    come back stacked on a leading axis, each value equal to its
+    single-order evaluation.
+    """
     z = np.asarray(z, dtype=complex)
     c1, c2 = AI_ZERO, -AIP_ZERO
     z3 = z**3
@@ -117,50 +123,79 @@ def _series(k, z, tol=1e-18, max_terms=420):
                     tg * z3 / ((3 * m - 3) * (3 * m - 5)))
 
         return _sum_terms(tf + tg, tf, tg, z3, 2, step, tol, max_terms)
-    if not 0 <= k <= 3:
+    orders = k if isinstance(k, tuple) else (k,)
+    if not all(0 <= kk <= 3 for kk in orders):
         raise UnsupportedOrder(f"series order k = {k}")
-    acc = np.zeros_like(z)
-    if k > 0:
-        consts = primitive_constants()
+    consts = primitive_constants()
+    starts = []
+    for kk in orders:
+        acc = np.zeros_like(z)
         fact = 1.0
-        for j in range(k):
-            acc = acc + consts[k - j] * z**j / fact
+        for j in range(kk):
+            acc = acc + consts[kk - j] * z**j / fact
             fact *= (j + 1)
-    kfact = math.factorial(k)
-    tf = c1 * z**k / kfact
-    tg = -c2 * z ** (k + 1) / math.factorial(k + 1)
+        tf = c1 * z**kk / math.factorial(kk)
+        tg = -c2 * z ** (kk + 1) / math.factorial(kk + 1)
+        starts.append((acc + tf + tg, tf, tg))
+    acc, tf, tg = (np.stack(a) for a in zip(*starts))
+    den_f, den_g = _denominators(orders, max_terms)
 
     def step(m, tf, tg, z3):
-        return (tf * (3 * m - 2) * z3 / ((3 * m + k - 2) * (3 * m + k - 1) * (3 * m + k)),
-                tg * (3 * m - 1) * z3 / ((3 * m + k - 1) * (3 * m + k) * (3 * m + k + 1)))
+        return tf * (3 * m - 2) * z3 / den_f[m], tg * (3 * m - 1) * z3 / den_g[m]
 
-    return _sum_terms(acc + tf + tg, tf, tg, z3, 1, step, tol, max_terms)
+    out = _sum_terms(acc, tf, tg, z3, 1, step, tol, max_terms)
+    return out if isinstance(k, tuple) else out[0]
+
+
+@lru_cache(maxsize=16)
+def _denominators(orders, max_terms):
+    """The integer denominators of the f- and g-part steps of every m as
+    complex columns (m, order, 1), so each row divides exactly as a single
+    order divides by its integer; read-only."""
+    j = 3 * np.arange(max_terms).reshape(-1, 1, 1) + np.reshape(orders, (-1, 1))
+    den_f = (j * (j - 1) * (j - 2)).astype(complex)
+    den_g = ((j + 1) * j * (j - 1)).astype(complex)
+    for arr in (den_f, den_g):
+        arr.flags.writeable = False
+    return den_f, den_g
 
 
 def _sum_terms(acc, tf, tg, z3, m_start, step, tol, max_terms):
     """``acc`` plus the series terms m = m_start, m_start + 1, ... of the f-
     and g-parts, each pair made from the last by ``step(m, tf, tg, z3)``.
 
-    A point leaves the working set after the first term past m = 8 whose
-    modulus is below ``tol`` relative to its sum: it takes the terms it
-    would take alone, so its value does not depend on the other points.
+    ``acc``, ``tf`` and ``tg`` are either shaped like ``z3`` or carry a
+    leading axis of orders.  An element is done after the first term past
+    m = 8 whose modulus is below ``tol`` relative to its sum: it takes the
+    terms it would take alone, so its value depends on no other element.  A
+    point leaves the working set once all its orders are done.
     """
     shape = acc.shape
-    acc, tf, tg, z3 = (np.ravel(a) for a in (acc, tf, tg, z3))
+    rows = acc.shape[0] if acc.ndim > z3.ndim else 1
+    acc, tf, tg = (np.reshape(a, (rows, -1)) for a in (acc, tf, tg))
+    # z3 repeated per order: numpy's complex multiply can round differently
+    # when an operand is broadcast, and each row must round as one order does
+    z3 = np.tile(np.ravel(z3), (rows, 1))
     out = np.empty_like(acc)
-    live = np.arange(acc.size)
+    open_ = np.ones(acc.shape, dtype=bool)
+    live = np.arange(acc.shape[1])
     for m in range(m_start, max_terms):
         tf, tg = step(m, tf, tg, z3)
         acc = acc + tf + tg
         if m > 8:
-            done = np.abs(tf) + np.abs(tg) <= tol * np.abs(acc)
+            done = open_ & (np.abs(tf) + np.abs(tg) <= tol * np.abs(acc))
             if done.any():
-                out[live[done]] = acc[done]
-                keep = ~done
-                live, acc, tf, tg, z3 = live[keep], acc[keep], tf[keep], tg[keep], z3[keep]
-                if not live.size:
-                    break
-    out[live] = acc
+                r, c = np.nonzero(done)
+                out[r, live[c]] = acc[r, c]
+                open_ &= ~done
+                keep = open_.any(axis=0)
+                if not keep.all():
+                    live = live[keep]
+                    acc, tf, tg, z3, open_ = (a[:, keep] for a in (acc, tf, tg, z3, open_))
+                    if not live.size:
+                        break
+    r, c = np.nonzero(open_)
+    out[r, live[c]] = acc[r, c]
     return out.reshape(shape)
 
 
@@ -173,30 +208,37 @@ def _asymptotic(k, z):
 
 
 def _ai_any(k, z):
-    """Branch-dispatched Ai(k, z) for k in {-2, ..., 3}; no sector check."""
+    """Branch-dispatched Ai(k, z) for k in {-2, ..., 3}, or a tuple of orders
+    in 0..3 stacked on a leading axis; no sector check."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
+    orders = k if isinstance(k, tuple) else (k,)
+    out = np.empty((len(orders),) + z.shape, dtype=complex)
     big = np.abs(z) >= M_THRESHOLD
     if np.any(big):
-        out[big] = _asymptotic(k, z[big])
+        out[:, big] = [_asymptotic(kk, z[big]) for kk in orders]
     if np.any(~big):
         zs = z[~big]
-        out[~big] = zs * _series(0, zs) if k == -2 else _series(k, zs)
-    return out
+        out[:, ~big] = zs * _series(0, zs) if k == -2 else _series(k, zs)
+    return out if isinstance(k, tuple) else out[0]
 
 
 def ai_k(k, z):
     """Ai(z) for k = 0, or the k-th primitive Ai(k, z) for k = 1..3.
 
-    Series branch below |z| = M_THRESHOLD, leading asymptotic term above.
-    Raises SectorViolation outside |arg z| <= 5pi/6.
+    ``k`` may be a tuple of orders: the values come back stacked on a
+    leading axis, from one series evaluation.  Series branch below
+    |z| = M_THRESHOLD, leading asymptotic term above.  Raises
+    SectorViolation outside |arg z| <= 5pi/6.
     """
-    if k not in (0, 1, 2, 3):
+    orders = k if isinstance(k, tuple) else (k,)
+    if not all(kk in (0, 1, 2, 3) for kk in orders):
         raise UnsupportedOrder(f"k = {k} not in 0..3")
     _check_sector(z)
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     out = _ai_any(k, np.atleast_1d(np.asarray(z, dtype=complex)))
-    return complex(out[0]) if scalar else out
+    if not scalar:
+        return out
+    return out[:, 0] if isinstance(k, tuple) else complex(out[0])
 
 
 def ai_asymptotic(k, z):

@@ -71,8 +71,8 @@ def disk_eighth(params):
 def gamma0(c, params, profile=DEFAULT_PROFILE):
     """Boundary slope of the approximate mode at wave speed c (eps^{1/8} regime).
 
-    ``c`` is a scalar or an array: all points share one call of each Airy
-    primitive.  A scalar comes back as ``complex``, equal to that entry of
+    ``c`` is a scalar or an array: all points share one Airy evaluation of
+    both primitives.  A scalar comes back as ``complex``, equal to that entry of
     an array call.  Points with Im c_hat <= 0 raise the ValueError of
     ``SpectralParams`` for the lowest of them.
     """
@@ -82,8 +82,8 @@ def gamma0(c, params, profile=DEFAULT_PROFILE):
     chat = c + 1j / params.n
     phi0, dphi0 = slowmode.boundary_values(params, profile, c_hat=chat)
     z0 = params.z0_at(chat)
-    ratio = airy.ai_k(1, z0) / airy.ai_k(2, z0)
-    out = dphi0 - phi0 * ratio / params.delta
+    ai1, ai2 = airy.ai_k((1, 2), z0)
+    out = dphi0 - phi0 * (ai1 / ai2) / params.delta
     return complex(out[0]) if scalar else out
 
 

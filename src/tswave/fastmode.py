@@ -64,8 +64,7 @@ class SublayerScales:
         return cls(delta=delta, z0=z0, varpi=varpi)
 
 
-def _ai_ratio(k, z, z0):
-    return airy._ai_any(k, z) / airy.ai_k(2, z0)
+_BLOCK = (0, 1, 2, 3)     # the primitives read by the error terms
 
 
 def airy_fast(which, order, Y, params, primitives=None):
@@ -90,7 +89,7 @@ def airy_fast(which, order, Y, params, primitives=None):
         z = np.asarray(Y, dtype=float) / delta + z0
 
         def primitives(k):
-            return _ai_ratio(k, z, z0)
+            return airy._ai_any(k, z) / airy.ai_k(2, z0)
 
     if which == "Phi":
         return delta ** (-order) * primitives(2 - order)
@@ -100,9 +99,11 @@ def airy_fast(which, order, Y, params, primitives=None):
 def fast_mode_pair(params):
     """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime.
 
-    Phi order o and Psi order o + 1 share the primitive Ai(2 - o, z + z0);
-    each primitive is evaluated once per grid, and every value still comes
-    from ``airy_fast``, the one evaluator of the fast mode.
+    Phi order o and Psi order o + 1 share the primitive Ai(2 - o, z + z0).
+    The denominator Ai(2, z0) is evaluated once, the primitives k = 0..3 as
+    one block per grid on the first read inside ``airy_fast``, the one
+    evaluator of the fast mode; the orders k < 0 of Phi's third and fourth
+    derivatives are evaluated once per grid each.
     """
     if not params.is_eighth:
         raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
@@ -110,13 +111,17 @@ def fast_mode_pair(params):
     tau = 0.5 * params.n ** (1.0 / 3.0)  # conservative envelope e^{-tau Y}
     delta = params.delta
     z0 = params.z0
-    ratio = memoize_on_grid(lambda k, Y: _ai_ratio(k, Y / delta + z0, z0))
+    den = airy.ai_k(2, z0)
+    ratio = memoize_on_grid(lambda k, Y: airy._ai_any(k, Y / delta + z0) / den)
+
+    def primitives(k, Y):
+        return ratio(_BLOCK, Y)[k] if k in _BLOCK else ratio(k, Y)
 
     def mode(which, max_order):
         return ModeFunction(
             max_order=max_order,
             evaluator=lambda o, Y: airy_fast(which, o, Y, params,
-                                             lambda k: ratio(k, Y)),
+                                             lambda k: primitives(k, Y)),
             decay_rate=tau)
 
     return mode("Phi", 4), mode("Psi", 2)

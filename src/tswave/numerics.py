@@ -311,6 +311,8 @@ def graded_grid(n_nodes, y_max, cluster_scale, points_per_scale=6.0):
     lo, hi = 1e-9, 60.0
     for _ in range(200):
         gamma = 0.5 * (lo + hi)
+        if gamma in (lo, hi):
+            break       # lo and hi are adjacent floats: no step changes gamma
         if gamma / math.sinh(gamma) > ratio:
             lo = gamma
         else:

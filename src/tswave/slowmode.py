@@ -13,6 +13,7 @@ serves as the independent oracle.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,11 +49,43 @@ def inv_square_integral(Y, params, profile=DEFAULT_PROFILE, method="auto"):
     """
     chat = params.c_hat
     if method == "auto" and hasattr(profile, "inv_square_integral"):
-        return profile.inv_square_integral(Y, chat)
+        return _closed_forms_at(Y, chat, profile)[0]
     scalar = np.isscalar(Y)
     out = np.array([_j_quad(float(y), chat, profile) for y in np.atleast_1d(Y)],
                    dtype=complex)
     return complex(out[0]) if scalar else out
+
+
+def _closed_forms_at(Y, chat, profile):
+    """(J, K, L) of a closed-form profile at these Y, from ``_closed_forms``;
+    a scalar Y gives scalars."""
+    Yarr = np.asarray(Y, dtype=float)
+    out = _closed_forms(Yarr.tobytes(), Yarr.shape, complex(chat), profile)
+    return out if Yarr.ndim else tuple(None if v is None else v[()] for v in out)
+
+
+@lru_cache(maxsize=4)
+def _closed_forms(y_key, shape, chat, profile):
+    """J(Y), K(Y) and L(Y) of one (grid, c_hat, profile) from the profile's
+    closed-form primitives (None where the profile has none), keyed on the
+    grid's bytes so equal grids share one entry and a grid changed in place
+    misses; the arrays are read-only.
+    """
+    Y = np.frombuffer(y_key, dtype=float).reshape(shape)
+    J = K = L = None
+    if hasattr(profile, "inv_square_integral"):
+        J = np.asarray(profile.inv_square_integral(Y, chat))
+    if hasattr(profile, "corrector_integral"):
+        K = np.asarray(profile.corrector_integral(Y, chat))
+        w = profile.eval("U", 0, Y) - chat
+        b = profile.u_inf - chat
+        # b^2 - w^2 written through the wake; the direct difference bottoms
+        # out at one ulp once U_s saturates, which exponential weights amplify
+        L = np.asarray(profile.wake(Y) * (b + w) / 2.0)
+    for arr in (J, K, L):
+        if arr is not None:
+            arr.flags.writeable = False
+    return J, K, L
 
 
 def _j_quad(Y, chat, profile):
@@ -119,12 +152,7 @@ def corrector_integrals(Y, params, profile=DEFAULT_PROFILE, method="auto"):
     chat = params.c_hat
     Yarr = np.atleast_1d(np.asarray(Y, dtype=float))
     if method == "auto" and hasattr(profile, "corrector_integral"):
-        K = profile.corrector_integral(Yarr, chat)
-        w = profile.eval("U", 0, Yarr) - chat
-        b = profile.u_inf - chat
-        # b^2 - w^2 written through the wake; the direct difference bottoms
-        # out at one ulp once U_s saturates, which exponential weights amplify
-        L = profile.wake(Yarr) * (b + w) / 2.0
+        _, K, L = _closed_forms_at(Yarr, chat, profile)
     else:
         def k_int(y):
             if y == 0.0:

@@ -161,6 +161,89 @@ class TestInvariants:
             assert airy._series(k, np.array([z, 7.9j]))[0] == airy._series(k, np.array([z]))[0]
 
 
+def series_one_order(k, z, tol=1e-18, max_terms=420):
+    """Per-order Maclaurin oracle for k in 0..3: the series of ``airy._series``
+    run on one order at a time.  Returns the values and, per point, the m of
+    the last term taken."""
+    z = np.asarray(z, dtype=complex)
+    c1, c2 = airy.AI_ZERO, -airy.AIP_ZERO
+    z3 = z**3
+    acc = np.zeros_like(z)
+    consts = airy.primitive_constants()
+    fact = 1.0
+    for j in range(k):
+        acc = acc + consts[k - j] * z**j / fact
+        fact *= (j + 1)
+    tf = c1 * z**k / math.factorial(k)
+    tg = -c2 * z ** (k + 1) / math.factorial(k + 1)
+    acc = acc + tf + tg
+    out, stop = np.empty_like(acc), np.full(acc.shape, max_terms - 1)
+    live = np.arange(acc.size)
+    for m in range(1, max_terms):
+        tf = tf * (3 * m - 2) * z3 / ((3 * m + k - 2) * (3 * m + k - 1) * (3 * m + k))
+        tg = tg * (3 * m - 1) * z3 / ((3 * m + k - 1) * (3 * m + k) * (3 * m + k + 1))
+        acc = acc + tf + tg
+        if m > 8:
+            done = np.abs(tf) + np.abs(tg) <= tol * np.abs(acc)
+            out[live[done]], stop[live[done]] = acc[done], m
+            keep = ~done
+            live, acc, tf, tg, z3 = live[keep], acc[keep], tf[keep], tg[keep], z3[keep]
+            if not live.size:
+                break
+    out[live] = acc
+    return out, stop
+
+
+class TestStackedOrders:
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(11)
+        z = 8.0 * np.sqrt(rng.random(600)) * np.exp(2j * math.pi * rng.random(600))
+        seam = np.nextafter(airy.M_THRESHOLD, 0.0) * np.exp(
+            1j * np.linspace(-airy.SECTOR, airy.SECTOR, 41))
+        return np.concatenate([z, seam, [0.0, 1e-3, -2.5, 3.0 + 4.0j]])
+
+    def test_stacked_series_equals_each_order_bit_for_bit(self):
+        z = self.points()
+        block = airy._series((0, 1, 2, 3), z)
+        assert block.shape == (4, z.size)
+        for k in range(4):
+            ref, stop = series_one_order(k, z)
+            assert np.unique(stop).size > 5      # points stop at different m
+            assert np.array_equal(block[k].view(float), ref.view(float))
+            assert np.array_equal(airy._series(k, z).view(float), ref.view(float))
+        for orders in ((1, 2), (3, 0), (2,)):
+            sub = airy._series(orders, z)
+            for row, k in zip(sub, orders):
+                assert np.array_equal(row.view(float), block[k].view(float))
+        # alone, a point takes the same terms in the same arithmetic
+        for i in range(0, z.size, 23):
+            one = airy._series((0, 1, 2, 3), z[i:i + 1])
+            assert np.array_equal(one.view(float), block[:, i:i + 1].view(float))
+            for k in range(4):
+                one = airy._series(k, z[i:i + 1])
+                assert np.array_equal(one.view(float), block[k, i:i + 1].view(float))
+
+    def test_stacked_ai_k_equals_single_orders(self):
+        z = self.points()
+        z = np.concatenate([z[np.abs(np.angle(z)) <= airy.SECTOR],
+                            10.0 * np.exp(1j * np.linspace(-2.5, 2.5, 9))])
+        block = airy.ai_k((0, 1, 2, 3), z)
+        for k in range(4):
+            assert np.array_equal(block[k].view(float), airy.ai_k(k, z).view(float))
+        pair = airy.ai_k((1, 2), complex(z[3]))
+        assert pair.shape == (2,)
+        assert pair[1] == airy.ai_k(2, complex(z[3]))
+
+    def test_stacked_ai_k_checks_sector_and_orders(self):
+        with pytest.raises(SectorViolation):
+            airy.ai_k((1, 2), np.array([1.0, -1.0 + 0.1j]))
+        with pytest.raises(SectorViolation):
+            airy.ai_k((0, 1, 2, 3), -1.0)
+        with pytest.raises(UnsupportedOrder):
+            airy.ai_k((1, 4), 1.0)
+
+
 def test_ai_value_branch_labels():
     assert airy.ai_value(0, 1.0).branch is airy.AiryBranch.SERIES
     assert airy.ai_value(0, 9.0).branch is airy.AiryBranch.ASYMPTOTIC

@@ -240,6 +240,31 @@ class TestGridsAndCalculus:
         assert np.all(np.diff(g) > 0.0)
         assert g[1] - g[0] == pytest.approx(0.05 / 6.0, rel=0.2)
 
+    def test_graded_grid_matches_full_bisection(self):
+        # the bisection stops once its midpoint rounds onto an end; the full
+        # 200 steps would give the same grid
+        def full_bisection(n, y_max, cluster):
+            ratio = cluster / 6.0 * (n - 1) / y_max
+            s = np.linspace(0.0, 1.0, n)
+            if ratio >= 1.0:
+                return y_max * s
+            lo, hi = 1e-9, 60.0
+            for _ in range(200):
+                gamma = 0.5 * (lo + hi)
+                if gamma / math.sinh(gamma) > ratio:
+                    lo = gamma
+                else:
+                    hi = gamma
+            gamma = 0.5 * (lo + hi)
+            return y_max * np.sinh(gamma * s) / math.sinh(gamma)
+
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(16, 2000))
+            y_max, cluster = 10.0 ** rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(-6.0, 1.0)
+            assert np.array_equal(graded_grid(n, y_max, cluster_scale=cluster),
+                                  full_bisection(n, y_max, cluster))
+
     def test_trap_weights_total(self):
         g = graded_grid(150, 10.0, cluster_scale=1.0)
         assert trap_weights(g).sum() == pytest.approx(10.0)

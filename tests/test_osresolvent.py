@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 from tswave import dispersion, osresolvent, slowmode
 from tswave.numerics import l2_norm
 from tswave.params import SpectralParams
-from tswave.profile import DEFAULT_PROFILE
+from tswave.profile import DEFAULT_PROFILE, HartmannProfile
 
 
 def basin_params(eps=1e-12, A=2.0):
@@ -78,6 +79,25 @@ def os_s_solve(q1, q2, params, bvp):
     """(phi, psi) grid arrays of the divergence-splitting solve of the alternation."""
     phi, _, psi = osresolvent.OSIteration(params, bvp).fact_s.solve(bvp, q1, q2)
     return phi, psi
+
+
+def noslip_operator(params, n_nodes):
+    """The no-slip 'full' system A0 + c A1 on an n_nodes grid."""
+    bvp = osresolvent.build_bvp(params, n_nodes=n_nodes, boundary="noslip")
+    grid_key, p0, profile = osresolvent._state_key(params, bvp, DEFAULT_PROFILE)
+    return osresolvent._affine_operator(grid_key, "noslip", p0, profile, "full")
+
+
+def noslip_eigenvalue_near(params, n_nodes, sigma):
+    """Eigenvalue c of the no-slip system nearest sigma, by shift-invert
+    ARPACK: an eigenvalue mu of A(sigma)^{-1} A1 is c = sigma - 1/mu."""
+    op = noslip_operator(params, n_nodes)
+    lu = splu(op.at(sigma))
+    shifted = LinearOperator(op.a1.shape, matvec=lambda x: lu.solve(op.a1 @ x),
+                             dtype=complex)
+    mu = eigs(shifted, k=1, which="LM", v0=np.ones(op.a1.shape[0], dtype=complex),
+              return_eigenvectors=False)
+    return sigma - 1.0 / mu[0]
 
 
 class TestDirectSolves:
@@ -311,21 +331,25 @@ class TestRemainderAndGamma:
         assert abs(d2) <= 2e-2 * scale
 
     def test_dense_noslip_eigenvalue_matches_certified_root(self):
-        # independent oracle: a dense generalized eigensolve of the no-slip
-        # discretization has an unstable eigenvalue at the certified location
+        # independent oracle: the no-slip discretization has an unstable
+        # eigenvalue at the certified location
         p0 = SpectralParams.eighth(2.0, 1e-12)
         rep = dispersion.certify_eighth(p0)
         c_app = p0.chat_to_c(rep.c_root)
-        bvp = osresolvent.build_bvp(p0, n_nodes=420, boundary="noslip")
-        shift = p0.with_c(1e-4j)
-        a0 = osresolvent._assemble(shift, bvp, DEFAULT_PROFILE, "full").toarray()
-        a1 = osresolvent._assemble(p0.with_c(1.0 + 1e-4j), bvp, DEFAULT_PROFILE,
-                                   "full").toarray() - a0
-        vals = sla.eig(a0, -a1, right=False)
-        vals = 1e-4j + vals[np.isfinite(vals)]
-        nearest = vals[np.argmin(np.abs(vals - c_app))]
+        nearest = noslip_eigenvalue_near(p0, 420, c_app)
         assert abs(nearest - c_app) < 0.05 * abs(c_app)
         assert nearest.imag > 0.0
+
+    def test_sparse_eigen_oracle_matches_dense_eig(self):
+        # the shift-invert oracle against a dense generalized eigensolve of
+        # A0 x = -c A1 x on a small grid
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        c_app = p0.chat_to_c(dispersion.certify_eighth(p0).c_root)
+        op = noslip_operator(p0, 200)
+        vals = sla.eig(op.a0.toarray(), -op.a1.toarray(), right=False)
+        vals = vals[np.isfinite(vals)]
+        dense = vals[np.argmin(np.abs(vals - c_app))]
+        assert abs(noslip_eigenvalue_near(p0, 200, c_app) - dense) <= 1e-8 * abs(dense)
 
 
 class TestMeasuredResolventScalings:
@@ -456,6 +480,7 @@ def _per_c_assemble(params, bvp, profile, variant):
 def _clear_grid_caches():
     osresolvent._grid_state.cache_clear()
     osresolvent._affine_operator.cache_clear()
+    slowmode._closed_forms.cache_clear()
 
 
 class TestPerGridState:
@@ -573,3 +598,33 @@ class TestPerGridState:
         monkeypatch.setattr(slowmode, "phi_app_s", counted)
         osresolvent.assemble_error_terms(p.c, p, bvp)
         assert sorted(calls) == [(k, bvp.n) for k in (0, 1, 3)]
+
+    def test_error_terms_evaluate_closed_forms_once_and_fit_no_spline(self, monkeypatch):
+        # J and the corrector integral K are evaluated once on the grid, and
+        # every grid-backed mode is read at its own nodes, from its samples
+        from scipy import interpolate
+
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p, n_nodes=1600)
+        _clear_grid_caches()
+        calls = []
+        for name in ("inv_square_integral", "corrector_integral"):
+            method = getattr(HartmannProfile, name)
+
+            def counted(self, Y, chat, method=method, name=name):
+                if np.size(Y) > 1:
+                    calls.append(name)
+                return method(self, Y, chat)
+
+            monkeypatch.setattr(HartmannProfile, name, counted)
+        fits = []
+        spline = interpolate.CubicSpline
+
+        def counted_fit(x, y):
+            fits.append(1)
+            return spline(x, y)
+
+        monkeypatch.setattr(interpolate, "CubicSpline", counted_fit)
+        osresolvent.assemble_error_terms(p.c, p, bvp)
+        assert sorted(calls) == ["corrector_integral", "inv_square_integral"]
+        assert fits == []

@@ -6,6 +6,7 @@ import pytest
 from tswave import slowmode
 from tswave.numerics import Segment, quad_segment
 from tswave.params import SpectralParams
+from tswave.profile import DEFAULT_PROFILE
 
 P12 = SpectralParams.eighth(2.0, 1e-12)
 CENTER12 = (2.0 + np.exp(1j * math.pi / 4.0) / 2.0) * 1e-12 ** 0.125
@@ -191,6 +192,33 @@ class TestSlowMode:
         lhs = slowmode.rayleigh_apply(mode, Y, p)
         rhs = slowmode.rayleigh_residual_form(Y, p)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-8
+
+
+class TestClosedFormCache:
+    def test_cached_mode_equals_fresh_evaluation(self, monkeypatch):
+        # J, K and L are cached per (grid, c_hat, profile); the slow mode and
+        # its error terms read the cache, and equal a fresh evaluation
+        p = params_at()
+        Y = 40.0 * np.linspace(0.0, 1.0, 400) ** 3
+        mode = slowmode.phi_app_s_mode(p)
+        cached = [mode.eval(k, Y) for k in range(4)]
+        combo = slowmode.damped_corrector_combo(Y, p)
+        J, K, L = slowmode._closed_forms(Y.tobytes(), Y.shape, p.c_hat, DEFAULT_PROFILE)
+        for arr in (J, K, L):
+            assert not arr.flags.writeable
+        monkeypatch.setattr(slowmode, "_closed_forms", slowmode._closed_forms.__wrapped__)
+        for k in range(4):
+            assert np.array_equal(cached[k], slowmode.phi_app_s(k, Y, p))
+        assert np.array_equal(combo, slowmode.damped_corrector_combo(Y, p))
+
+    def test_quadrature_oracle_stays_uncached(self):
+        p = params_at()
+        Y = np.array([0.3, 2.0])
+        before = slowmode._closed_forms.cache_info()
+        quad = slowmode.inv_square_integral(Y, p, method="quadrature")
+        slowmode.corrector_integrals(Y, p, method="quadrature")
+        assert slowmode._closed_forms.cache_info() == before
+        assert np.allclose(quad, slowmode.inv_square_integral(Y, p), rtol=1e-9)
 
 
 @pytest.fixture(scope="module")
