@@ -52,9 +52,11 @@ class AiryValue:
 
 
 def _check_sector(z):
-    args = np.abs(np.angle(np.atleast_1d(z)))
+    z = np.atleast_1d(z)
+    # z = 0 lies in every sector, whatever the signs of its zero parts
+    args = np.where(z == 0, 0.0, np.abs(np.angle(z)))
     if np.any(args > SECTOR + 1e-12):
-        worst = np.atleast_1d(z).ravel()[int(np.argmax(args))]
+        worst = z.ravel()[int(np.argmax(args))]
         raise SectorViolation(f"|arg z| = {np.max(args):.6f} > 5pi/6 at z = {worst}")
 
 
@@ -200,11 +202,16 @@ def _sum_terms(acc, tf, tg, z3, m_start, step, tol, max_terms):
 
 
 def _asymptotic(k, z):
-    """Leading term (-1)^k/(2 sqrt(pi)) z^{-(1+2k)/4} e^{-(2/3) z^{3/2}}, principal branches."""
+    """Leading term (-1)^k/(2 sqrt(pi)) z^{-(1+2k)/4} e^{-(2/3) z^{3/2}}, principal
+    branches.  A tuple ``k`` stacks its orders on a leading axis; they share
+    log z and z^{3/2}."""
     z = np.asarray(z, dtype=complex)
     lz = np.log(z)
-    expo = -(1.0 + 2.0 * k) / 4.0 * lz - (2.0 / 3.0) * np.exp(1.5 * lz)
-    return (-1.0) ** k / (2.0 * math.sqrt(math.pi)) * np.exp(expo)
+    zeta = (2.0 / 3.0) * np.exp(1.5 * lz)
+    out = np.stack([(-1.0) ** kk / (2.0 * math.sqrt(math.pi))
+                    * np.exp(-(1.0 + 2.0 * kk) / 4.0 * lz - zeta)
+                    for kk in (k if isinstance(k, tuple) else (k,))])
+    return out if isinstance(k, tuple) else out[0]
 
 
 def _ai_any(k, z):
@@ -215,7 +222,7 @@ def _ai_any(k, z):
     out = np.empty((len(orders),) + z.shape, dtype=complex)
     big = np.abs(z) >= M_THRESHOLD
     if np.any(big):
-        out[:, big] = [_asymptotic(kk, z[big]) for kk in orders]
+        out[:, big] = _asymptotic(orders, z[big])
     if np.any(~big):
         zs = z[~big]
         out[:, ~big] = zs * _series(0, zs) if k == -2 else _series(k, zs)

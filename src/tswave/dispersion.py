@@ -23,10 +23,12 @@ from .profile import DEFAULT_PROFILE
 __all__ = [
     "DispersionReport",
     "gamma0",
+    "gamma0_and_fast_pair",
     "gamma_ref_hat",
     "center_eighth",
     "disk_eighth",
     "gamma0_beta",
+    "gamma0_of_hierarchy",
     "gamma_ref_beta",
     "center_beta",
     "disk_beta",
@@ -80,11 +82,28 @@ def gamma0(c, params, profile=DEFAULT_PROFILE):
     c = np.atleast_1d(np.asarray(c, dtype=complex))
     params.with_c(c[np.argmin(c.imag)])     # the Im c_hat > 0 check, on the lowest point
     chat = c + 1j / params.n
-    phi0, dphi0 = slowmode.boundary_values(params, profile, c_hat=chat)
-    z0 = params.z0_at(chat)
-    ai1, ai2 = airy.ai_k((1, 2), z0)
-    out = dphi0 - phi0 * (ai1 / ai2) / params.delta
+    out = _gamma0(chat, *airy.ai_k((1, 2), params.z0_at(chat)), params, profile)
     return complex(out[0]) if scalar else out
+
+
+def _gamma0(chat, ai1, ai2, params, profile):
+    """Gamma0 at the points ``chat`` from Ai(1, z0) and Ai(2, z0) there."""
+    phi0, dphi0 = slowmode.boundary_values(params, profile, c_hat=chat)
+    return dphi0 - phi0 * (ai1 / ai2) / params.delta
+
+
+def gamma0_and_fast_pair(params, profile=DEFAULT_PROFILE):
+    """``gamma0`` at the wave speed of ``params`` together with its
+    ``fastmode.fast_mode_pair``, from one Airy evaluation at the wall.
+
+    The evaluation holds two offsets: Gamma0's, formed in array arithmetic as
+    in ``gamma0``, and the pair's ``params.z0``, formed in scalar arithmetic,
+    which can round one ulp away from it.
+    """
+    chat = np.atleast_1d(params.c) + 1j / params.n
+    ai1, ai2 = airy.ai_k((1, 2), np.append(params.z0_at(chat), params.z0))
+    pair = fastmode.fast_mode_pair(params, den=ai2[1])
+    return complex(_gamma0(chat, ai1[:1], ai2[:1], params, profile)[0]), pair
 
 
 def gamma_ref_hat(h, params):
@@ -112,8 +131,13 @@ def gamma0_beta(c, params, profile=DEFAULT_PROFILE):
     """Boundary slope of the approximate mode built on the exponential hierarchy."""
     p = params.with_c(c)
     phi0, dphi0 = slowmode.boundary_values(p, profile)
-    hier = fastmode.ExpFastHierarchy(p, profile=profile)
-    return dphi0 - phi0 * (-p.varpi + hier.boundary_slope_sum())
+    return gamma0_of_hierarchy(phi0, dphi0, fastmode.ExpFastHierarchy(p, profile=profile))
+
+
+def gamma0_of_hierarchy(phi0, dphi0, hier):
+    """Boundary slope of the approximate mode from the slow mode's wall values
+    and an exponential fast hierarchy (beta regime)."""
+    return dphi0 - phi0 * (-hier.varpi + hier.boundary_slope_sum())
 
 
 def gamma_ref_beta(c, params):

@@ -28,6 +28,7 @@ from .profile import DEFAULT_PROFILE
 
 __all__ = [
     "SublayerScales",
+    "airy_ratios",
     "airy_fast",
     "fast_mode_pair",
     "ExpFastHierarchy",
@@ -67,14 +68,33 @@ class SublayerScales:
 _BLOCK = (0, 1, 2, 3)     # the primitives read by the error terms
 
 
+def airy_ratios(params, den=None):
+    """Ai(k, Y/delta + z0)/Ai(2, z0) of the eps^{1/8} fast mode as
+    ``ratio(k, Y)``, k in -2..3.
+
+    The orders 0..3 are evaluated as one block per grid, each k < 0 once per
+    grid.  ``den`` is Ai(2, z0) when the caller has evaluated it already.
+    """
+    delta = params.delta
+    z0 = params.z0
+    if den is None:
+        den = airy.ai_k(2, z0)
+    memo = memoize_on_grid(lambda k, Y: airy._ai_any(k, Y / delta + z0) / den)
+
+    def ratio(k, Y):
+        return memo(_BLOCK, Y)[k] if k in _BLOCK else memo(k, Y)
+
+    return ratio
+
+
 def airy_fast(which, order, Y, params, primitives=None):
     """Airy fast mode (eps^{1/8} regime): Phi = Ai(2, z+z0)/Ai(2, z0) in the
     sub-layer variable, Psi = delta * (-Ai(3, z+z0))/Ai(2, z0).
 
     Orders 0..2 are the public surface; 3..4 exist for the fourth-order
     residual checks and stay on the Airy chain (no finite differences).
-    ``primitives(k)``, when given, supplies Ai(k, z+z0)/Ai(2, z0) on these Y
-    (``fast_mode_pair`` passes its per-grid memo).
+    ``primitives`` is the ``airy_ratios`` of ``params``; ``fast_mode_pair``
+    passes its own, which keeps each grid's primitives across calls.
     """
     if not params.is_eighth:
         raise RegimeMismatch("airy_fast is the eps^{1/8}-regime fast mode")
@@ -85,43 +105,29 @@ def airy_fast(which, order, Y, params, primitives=None):
         raise UnsupportedOrder(f"{which} order {order}")
     delta = params.delta
     if primitives is None:
-        z0 = params.z0
-        z = np.asarray(Y, dtype=float) / delta + z0
-
-        def primitives(k):
-            return airy._ai_any(k, z) / airy.ai_k(2, z0)
-
+        primitives = airy_ratios(params)
     if which == "Phi":
-        return delta ** (-order) * primitives(2 - order)
-    return -delta ** (1 - order) * primitives(3 - order)
+        return delta ** (-order) * primitives(2 - order, Y)
+    return -delta ** (1 - order) * primitives(3 - order, Y)
 
 
-def fast_mode_pair(params):
+def fast_mode_pair(params, den=None):
     """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime.
 
-    Phi order o and Psi order o + 1 share the primitive Ai(2 - o, z + z0).
-    The denominator Ai(2, z0) is evaluated once, the primitives k = 0..3 as
-    one block per grid on the first read inside ``airy_fast``, the one
-    evaluator of the fast mode; the orders k < 0 of Phi's third and fourth
-    derivatives are evaluated once per grid each.
+    Phi order o and Psi order o + 1 share the primitive Ai(2 - o, z + z0);
+    both read one ``airy_ratios``, so each grid's primitives are evaluated
+    once.  ``den`` is passed on to it.
     """
     if not params.is_eighth:
         raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
     SublayerScales.from_params(params)
     tau = 0.5 * params.n ** (1.0 / 3.0)  # conservative envelope e^{-tau Y}
-    delta = params.delta
-    z0 = params.z0
-    den = airy.ai_k(2, z0)
-    ratio = memoize_on_grid(lambda k, Y: airy._ai_any(k, Y / delta + z0) / den)
-
-    def primitives(k, Y):
-        return ratio(_BLOCK, Y)[k] if k in _BLOCK else ratio(k, Y)
+    ratio = airy_ratios(params, den)
 
     def mode(which, max_order):
         return ModeFunction(
             max_order=max_order,
-            evaluator=lambda o, Y: airy_fast(which, o, Y, params,
-                                             lambda k: primitives(k, Y)),
+            evaluator=lambda o, Y: airy_fast(which, o, Y, params, ratio),
             decay_rate=tau)
 
     return mode("Phi", 4), mode("Psi", 2)
@@ -149,9 +155,7 @@ class ExpFastHierarchy:
         self.n_terms = default_hierarchy_terms(params) if n_terms is None else n_terms
         varpi = params.varpi
         if grid is None:
-            scale = 1.0 / varpi.real
-            y_max = max(40.0, 8.0 / params.alpha)
-            grid = graded_grid(2000, y_max, cluster_scale=scale)
+            grid = graded_grid(2000, params.far_field, cluster_scale=1.0 / varpi.real)
         self.grid = np.asarray(grid, dtype=float)
         self.varpi = varpi
 

@@ -62,9 +62,8 @@ class MagneticProblem:
         return -root if root.real < 0.0 else root
 
 
-def default_magnetic_grid(params, n_nodes=1200, y_max=None):
-    y_max = y_max or max(40.0, 8.0 / params.alpha)
-    return graded_grid(n_nodes, y_max, cluster_scale=1.0)
+def default_magnetic_grid(params, n_nodes=1200):
+    return graded_grid(n_nodes, params.far_field, cluster_scale=1.0)
 
 
 def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None,

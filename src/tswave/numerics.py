@@ -35,7 +35,6 @@ __all__ = [
     "graded_grid",
     "trap_weights",
     "diff_matrix",
-    "boundary_slope",
     "l2_norm",
     "sup_exp_norm",
     "cumulative_trapezoid",
@@ -358,15 +357,6 @@ def diff_matrix(grid, order):
                            [0, 1, 2], [n - 1, n - 2, n - 3]])
     data = np.concatenate([np.column_stack(stencil).ravel(), first, last])
     return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
-def boundary_slope(grid, vals):
-    """Second-order one-sided first derivative at the first grid node."""
-    a = grid[1] - grid[0]
-    b = grid[2] - grid[1]
-    return (-(2 * a + b) / (a * (a + b)) * vals[0]
-            + (a + b) / (a * b) * vals[1]
-            - a / (b * (a + b)) * vals[2])
 
 
 def l2_norm(vals, weights, point_weight=None, noise_floor=0.0):

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import splu
 
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem
-from .numerics import boundary_slope, diff_matrix, graded_grid, l2_norm, trap_weights
+from .numerics import diff_matrix, graded_grid, l2_norm, trap_weights
 from .params import mode_from_grid
 from .profile import DEFAULT_PROFILE
 
@@ -69,7 +69,7 @@ def build_bvp(params, n_nodes=1600, y_max=None, boundary="navier"):
     if boundary not in ("navier", "noslip"):
         raise ValueError("boundary must be 'navier' or 'noslip'")
     if y_max is None:
-        y_max = max(40.0, 8.0 / params.alpha)
+        y_max = params.far_field
     if params.is_eighth:
         scale = params.n ** (-1.0 / 3.0)
     else:
@@ -195,18 +195,18 @@ def _affine_operator(grid_key, boundary, params, profile, variant):
 
     def with_bc(ops, bc_rows):
         """(c-free, c-coefficient) block rows: the two boundary rows of each
-        operator zeroed, then the BC entries added to the c-free part."""
+        operator zeroed, then the BC entries (block, row, columns, values)
+        added to the c-free part."""
         row0 = [keep @ op0 for op0, _ in ops]
         row1 = [keep @ op1 for _, op1 in ops]
-        for col, i, vec in bc_rows:
-            bc = sparse.csr_matrix((vec, (np.full(len(vec), i), np.arange(len(vec)))),
-                                   shape=(N, N))
+        for col, i, cols, vals in bc_rows:
+            bc = sparse.csr_matrix((vals, (np.full(len(cols), i), cols)), shape=(N, N))
             row0[col] = row0[col] + bc
         return row0, row1
 
     # Block A: omega definition with Phi boundary rows
     rowA = with_bc([(lap, zero), (-eye, zero), (zero, zero)],
-                   [(0, 0, [1.0]), (0, N - 1, _unit_at(N, N - 1))])
+                   [(0, 0, [0], [1.0]), (0, N - 1, [N - 1], [1.0])])
 
     # Block B: governing equation in omega; U_s - c_hat = (U_s - i/n) - c
     gov_phi = -dia(st.d2us) @ eye
@@ -217,18 +217,18 @@ def _affine_operator(grid_key, boundary, params, profile, variant):
     if variant == "os_s":
         gov_phi = gov_phi + st.transport
     if boundary == "navier":
-        bc0 = (1, 0, [1.0])                  # omega(0) = 0
+        bc0 = (1, 0, [0], [1.0])                       # omega(0) = 0
     else:
-        slope_row = np.asarray(st.d1[0].todense()).ravel()[:3]
-        bc0 = (0, 0, list(slope_row))        # dY Phi(0) = 0 (one-sided)
+        wall = st.d1[0]
+        bc0 = (0, 0, wall.indices, wall.data)         # dY Phi(0) = 0 (one-sided)
     rowB = with_bc([(gov_phi, zero), ((1j / n) * lap + dia(st.us - 1j / n), -eye),
                     gov_psi],
-                   [bc0, (1, N - 1, _unit_at(N, N - 1))])
+                   [bc0, (1, N - 1, [N - 1], [1.0])])
 
     # Block C: magnetic equation with Psi boundary rows
     rowC = with_bc([(-1j * a * dia(st.hs) @ eye - st.d1, zero), (zero, zero),
                     (-lap + 1j * a * dia(st.us), -1j * a * eye)],
-                   [(2, 0, [1.0]), (2, N - 1, _unit_at(N, N - 1))])
+                   [(2, 0, [0], [1.0]), (2, N - 1, [N - 1], [1.0])])
 
     blocks = [rowA, rowB, rowC]
     return _affine(sparse.bmat([r[0] for r in blocks], format="csc"),
@@ -241,12 +241,6 @@ def _assemble(params, bvp, profile, variant):
     params._need_c()
     gridkey, p0, prof = _state_key(params, bvp, profile)
     return _affine_operator(gridkey, bvp.boundary, p0, prof, variant).at(params.c)
-
-
-def _unit_at(n, i):
-    vec = [0.0] * n
-    vec[i] = 1.0
-    return vec
 
 
 def _rhs(bvp, q1, q2):
@@ -407,19 +401,19 @@ def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE):
     phi0, dphi0 = slowmode.boundary_values(p, profile)
 
     if p.is_eighth:
-        phi_f, psi_f = fastmode.fast_mode_pair(p)
+        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(p, profile)
         phi_last = None
-        gamma0_val = dispersion.gamma0(p.c, p, profile)
         groups = ("E1f", "E2f", "E3f", "Ff")
     else:
         hier = fastmode.ExpFastHierarchy(p, grid=grid, profile=profile)
         phi_f = hier.mode("Phi")
         psi_f = hier.mode("Psi")
         phi_last = hier.level_mode(hier.n_terms)
-        gamma0_val = dphi0 - phi0 * (-p.varpi + hier.boundary_slope_sum())
+        gamma0_val = dispersion.gamma0_of_hierarchy(phi0, dphi0, hier)
         groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
-    psi_s = magnetic.build_psi_app_s(p, slow_mode, psi_f.eval(0, 0.0), phi0,
+    # grid[0] = 0: the wall value from the grid samples the error terms read
+    psi_s = magnetic.build_psi_app_s(p, slow_mode, psi_f.eval(0, grid)[0], phi0,
                                      grid=grid, profile=profile)
 
     arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s, profile,
@@ -481,7 +475,8 @@ def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE):
     """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
     two remainder solves, plus diagnostics."""
     gamma0_val, _, remainders = _solve_remainders(c, params, bvp, profile)
-    slope1, slope2 = (boundary_slope(bvp.grid, phi) for phi, _, _ in remainders)
+    # the one-sided wall slope is the first row of d1
+    slope1, slope2 = ((bvp.d1[0] @ phi)[0] for phi, _, _ in remainders)
     gamma = gamma0_val - slope1 - slope2
     diag = {
         "gamma0": gamma0_val,

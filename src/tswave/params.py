@@ -86,6 +86,11 @@ class SpectralParams:
         return self.alpha / self.sqrt_eps
 
     @property
+    def far_field(self):
+        """Default far end of the sub-layer and magnetic grids, max(40, 8/alpha)."""
+        return max(40.0, 8.0 / self.alpha)
+
+    @property
     def is_eighth(self):
         return self.beta == BETA_EIGHTH
 

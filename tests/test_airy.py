@@ -80,6 +80,15 @@ class TestSector:
         with pytest.raises(SectorViolation):
             airy.ai_asymptotic(1, 20.0 * np.exp(1j * (5.0 * math.pi / 6.0 + 0.01)))
 
+    def test_zero_is_inside_with_any_signed_zero_parts(self):
+        # np.angle gives pi at -0.0 + 0j, yet z = 0 lies in every sector
+        for z in (complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)):
+            assert airy.ai_k(0, z) == airy.ai_k(0, 0.0)
+            assert np.array_equal(airy.ai_k((0, 3), np.array([z, 1.0])),
+                                  airy.ai_k((0, 3), np.array([0.0, 1.0])))
+        with pytest.raises(SectorViolation):
+            airy.ai_k(0, np.array([complex(-0.0, 0.0), -1.0 + 0.1j]))
+
     def test_near_edge_allowed(self):
         # certification contours at large amplitude approach the edge to
         # within ~1e-2 radians; evaluation must remain available there
@@ -194,6 +203,14 @@ def series_one_order(k, z, tol=1e-18, max_terms=420):
     return out, stop
 
 
+def asymptotic_one_order(k, z):
+    """The leading asymptotic term of one order, each order on its own."""
+    z = np.asarray(z, dtype=complex)
+    lz = np.log(z)
+    expo = -(1.0 + 2.0 * k) / 4.0 * lz - (2.0 / 3.0) * np.exp(1.5 * lz)
+    return (-1.0) ** k / (2.0 * math.sqrt(math.pi)) * np.exp(expo)
+
+
 class TestStackedOrders:
     @staticmethod
     def points():
@@ -223,6 +240,18 @@ class TestStackedOrders:
             for k in range(4):
                 one = airy._series(k, z[i:i + 1])
                 assert np.array_equal(one.view(float), block[k, i:i + 1].view(float))
+
+    def test_stacked_asymptotic_equals_each_order_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        z = rng.uniform(8.0, 30.0, 300) * np.exp(1j * rng.uniform(-airy.SECTOR, airy.SECTOR, 300))
+        block = airy._asymptotic((0, 1, 2, 3), z)
+        for k in range(4):
+            ref = asymptotic_one_order(k, z)
+            assert np.array_equal(block[k].view(float), ref.view(float))
+            assert np.array_equal(airy._asymptotic(k, z).view(float), ref.view(float))
+        for k in (-2, -1):
+            assert np.array_equal(airy._ai_any(k, z).view(float),
+                                  asymptotic_one_order(k, z).view(float))
 
     def test_stacked_ai_k_equals_single_orders(self):
         z = self.points()

@@ -154,7 +154,7 @@ def solution():
     slow = slowmode.phi_app_s_mode(p)
     phi0, _ = slowmode.boundary_values(p)
     _, psi_f = fastmode.fast_mode_pair(p)
-    grid = graded_grid(1400, max(40.0, 8.0 / p.alpha),
+    grid = graded_grid(1400, p.far_field,
                        cluster_scale=p.n ** (-1.0 / 3.0))
     psi_s = build_psi_app_s(p, slow, psi_f.eval(0, 0.0), phi0, grid=grid)
     return p, grid, slow, phi0, psi_f, psi_s
@@ -191,7 +191,7 @@ class TestPsiAppS:
             slow = slowmode.phi_app_s_mode(p)
             phi0, _ = slowmode.boundary_values(p)
             _, psi_f = fastmode.fast_mode_pair(p)
-            grid = graded_grid(1200, max(40.0, 8.0 / p.alpha),
+            grid = graded_grid(1200, p.far_field,
                                cluster_scale=p.n ** (-1.0 / 3.0))
             psi_s = build_psi_app_s(p, slow, psi_f.eval(0, 0.0), phi0, grid=grid)
             sup_by_eps[eps] = sup_exp_norm(psi_s.eval(0, grid), grid, p.alpha) * p.alpha

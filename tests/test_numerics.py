@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tswave import numerics
 from tswave.errors import (DerivativeBreakdown, NonConvergence, ZeroOnContour)
 from tswave.numerics import (
-    Circle, Ray, RootTrace, Segment, backward_exp_integral, boundary_slope,
+    Circle, Ray, RootTrace, Segment, backward_exp_integral,
     cumulative_trapezoid, diff_matrix, forward_exp_integral, graded_grid,
     l2_norm, newton_root, quad_segment, tail_trapezoid, trap_weights,
     winding_samples,
@@ -290,10 +290,11 @@ class TestGridsAndCalculus:
                 a, b = getattr(out, name), getattr(ref, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
-    def test_boundary_slope(self):
+    def test_diff_matrix_wall_row_slope(self):
+        # the first row of d1 is the one-sided wall slope the resolvent reads
         g = graded_grid(400, 5.0, cluster_scale=0.05)
         f = np.exp(-2.0 * g) * np.cos(g)
-        assert boundary_slope(g, f) == pytest.approx(-2.0, abs=2e-4)
+        assert (diff_matrix(g, 1)[0] @ f)[0] == pytest.approx(-2.0, abs=2e-4)
 
     def test_cumulative_and_tail(self):
         g = np.linspace(0.0, 30.0, 4000)

@@ -10,7 +10,7 @@ import scipy.linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigs, splu
 
-from tswave import dispersion, osresolvent, slowmode
+from tswave import airy, dispersion, fastmode, osresolvent, slowmode
 from tswave.numerics import l2_norm
 from tswave.params import SpectralParams
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile
@@ -446,17 +446,16 @@ def _per_c_assemble(params, bvp, profile, variant):
     interior = np.ones(N)
     interior[0] = interior[-1] = 0.0
     keep = dia(interior)
-    unit_last = [0.0] * (N - 1) + [1.0]
+    last = ([N - 1], [1.0])
 
     def with_bc(op_phi, op_omega, op_psi, bc_rows):
         row = [keep @ op_phi, keep @ op_omega, keep @ op_psi]
-        for col, i, vec in bc_rows:
-            bc = sparse.csr_matrix((vec, (np.full(len(vec), i), np.arange(len(vec)))),
-                                   shape=(N, N))
+        for col, i, cols, vals in bc_rows:
+            bc = sparse.csr_matrix((vals, (np.full(len(cols), i), cols)), shape=(N, N))
             row[col] = row[col] + bc
         return row
 
-    rowA = with_bc(d2 - a**2 * eye, -eye, zero, [(0, 0, [1.0]), (0, N - 1, unit_last)])
+    rowA = with_bc(d2 - a**2 * eye, -eye, zero, [(0, 0, [0], [1.0]), (0, N - 1, *last)])
     gov_phi = -dia(blocks.d2us) @ eye
     gov_omega = (1j / n) * (d2 - a**2 * eye) + dia(blocks.us - chat)
     gov_psi = zero
@@ -467,13 +466,13 @@ def _per_c_assemble(params, bvp, profile, variant):
     if variant == "os_s":
         gov_phi = gov_phi + blocks.shear_transport()
     if bvp.boundary == "navier":
-        bc0 = (1, 0, [1.0])
+        bc0 = (1, 0, [0], [1.0])
     else:
-        bc0 = (0, 0, list(np.asarray(d1[0].todense()).ravel()[:3]))
-    rowB = with_bc(gov_phi, gov_omega, gov_psi, [bc0, (1, N - 1, unit_last)])
+        bc0 = (0, 0, d1[0].indices, d1[0].data)
+    rowB = with_bc(gov_phi, gov_omega, gov_psi, [bc0, (1, N - 1, *last)])
     mag_phi = -1j * a * dia(blocks.hs) @ eye - d1
     mag_psi = -(d2 - a**2 * eye) + 1j * a * dia(blocks.us - c)
-    rowC = with_bc(mag_phi, zero, mag_psi, [(2, 0, [1.0]), (2, N - 1, unit_last)])
+    rowC = with_bc(mag_phi, zero, mag_psi, [(2, 0, [0], [1.0]), (2, N - 1, *last)])
     return sparse.bmat([rowA, rowB, rowC], format="csc")
 
 
@@ -628,3 +627,56 @@ class TestPerGridState:
         osresolvent.assemble_error_terms(p.c, p, bvp)
         assert sorted(calls) == ["corrector_integral", "inv_square_integral"]
         assert fits == []
+
+    def test_beta_error_terms_fit_no_spline(self, monkeypatch):
+        # the hierarchy's wall value is read from its grid samples, where the
+        # spline through them would return the same bits
+        from scipy import interpolate
+
+        p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
+        p = p0.with_c(dispersion.center_beta(p0))
+        bvp = osresolvent.build_bvp(p, n_nodes=400)
+        psi_f = fastmode.ExpFastHierarchy(p, grid=bvp.grid).mode("Psi")
+        assert psi_f.eval(0, bvp.grid)[0] == psi_f.eval(0, 0.0)
+        fits = []
+        spline = interpolate.CubicSpline
+
+        def counted_fit(x, y):
+            fits.append(1)
+            return spline(x, y)
+
+        monkeypatch.setattr(interpolate, "CubicSpline", counted_fit)
+        osresolvent.assemble_error_terms(p.c, p, bvp)
+        assert fits == []
+
+    @pytest.mark.parametrize("A, eps, t", [(2.0, 1e-12, 2.0), (3.0, 1e-15, 0.5),
+                                           (4.0, 1e-24, 1.0)])
+    def test_error_terms_evaluate_airy_once_at_the_wall(self, A, eps, t, monkeypatch):
+        # Gamma0's Ai(1, z0) and Ai(2, z0), the fast pair's denominator and
+        # Psi_f(0) come from one Airy evaluation at the wall, the error terms
+        # from one block on the grid; every value is the one of the separate
+        # evaluations, bit for bit.  At the first two wave speeds Gamma0's
+        # array-formed z0 can differ from params.z0 in its last bit.
+        p0 = SpectralParams.eighth(A, eps)
+        disk = dispersion.disk_eighth(p0)
+        p = p0.with_c(p0.chat_to_c(disk.center + 0.5 * disk.radius * np.exp(1j * t)))
+        bvp = osresolvent.build_bvp(p, n_nodes=400)
+        calls = []
+        ai_any = airy._ai_any
+
+        def counted(k, z):
+            calls.append((k, np.size(z)))
+            return ai_any(k, z)
+
+        monkeypatch.setattr(airy, "_ai_any", counted)
+        _, gamma0_val, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
+        assert calls == [((1, 2), 2), ((0, 1, 2, 3), bvp.n)]
+
+        monkeypatch.setattr(airy, "_ai_any", ai_any)
+        assert gamma0_val == dispersion.gamma0(p.c, p)
+        phi_f, psi_f = fastmode.fast_mode_pair(p)
+        for name, ref in (("phi_f", phi_f), ("psi_f", psi_f)):
+            for order in range(3):
+                assert np.array_equal(modes[name].eval(order, bvp.grid),
+                                      ref.eval(order, bvp.grid))
+        assert modes["psi_f"].eval(0, bvp.grid)[0] == psi_f.eval(0, 0.0)

@@ -57,6 +57,20 @@ class TestSpectralParams:
         assert p.delta ** 3 == pytest.approx(-1j / p.n)
         assert p.z0 == pytest.approx(-p.c_hat / p.delta)
 
+    def test_far_field_ends_every_default_grid(self):
+        from tswave import dispersion, fastmode, magnetic, osresolvent
+        assert SpectralParams.eighth(2.0, 1e-4).far_field == 40.0
+        p = SpectralParams.eighth(2.0, 1e-12)
+        assert p.far_field == 8.0 / p.alpha
+        pb = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
+        pb = pb.with_c(dispersion.center_beta(pb))
+        # np.sinh and math.sinh of the grid map's end may differ by an ulp
+        ends = [(osresolvent.build_bvp(p, n_nodes=200).grid[-1], p.far_field),
+                (magnetic.default_magnetic_grid(p)[-1], p.far_field),
+                (fastmode.ExpFastHierarchy(pb, n_terms=1).grid[-1], pb.far_field)]
+        for end, far in ends:
+            assert end == pytest.approx(far, rel=1e-15)
+
     def test_guard_warnings(self):
         p = SpectralParams.eighth(4.0, 1e-8).with_c(0.4 + 0.02j)
         warnings = p.guard_warnings()
