@@ -1,9 +1,8 @@
 """The Airy function Ai and its first three primitives on the sector |arg z| <= 5pi/6.
 
 Evaluation strategy: Maclaurin series below ``M_THRESHOLD``, leading
-asymptotic term at or above it.  The primitive values at z = 0 are computed
-once by quadrature over the defining complex contour (two rays at arg
-+-2pi/3 joined by the unit-circle arc through -1) and cached.
+asymptotic term at or above it.  The primitive values at z = 0 that start the
+series are closed forms (DLMF 9.10).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SectorViolation, UnsupportedOrder
-from .numerics import Ray, Segment, quad_segment
 
 __all__ = [
     "M_THRESHOLD",
@@ -27,7 +25,6 @@ __all__ = [
     "AiryValue",
     "ai_k",
     "ai_asymptotic",
-    "ai_contour",
     "primitive_constants",
 ]
 
@@ -60,49 +57,10 @@ def _check_sector(z):
         raise SectorViolation(f"|arg z| = {np.max(args):.6f} > 5pi/6 at z = {worst}")
 
 
-_AIK0 = None
-
-
-def primitive_constants(rel_tol=1e-12):
-    """Cached primitive values Ai(k, 0), k = 0..3, from the contour integral."""
-    global _AIK0
-    if _AIK0 is None:
-        _AIK0 = {0: AI_ZERO}
-        for k in (1, 2, 3):
-            _AIK0[k] = ai_contour(k, 0.0, rel_tol=rel_tol)
-    return _AIK0
-
-
-def ai_contour(k, z, rel_tol=1e-12):
-    """Ai(k, z) by quadrature over the defining contour; test oracle and
-    source of the z = 0 primitive constants.
-
-    Accurate wherever the integrand's peak does not dwarf the result, i.e. at
-    moderate |z| and in directions where Ai(k, z) is not exponentially small.
-    """
-    z = complex(z)
-
-    def integrand(t):
-        t = np.asarray(t, dtype=complex)
-        return t ** (-k) * np.exp(z * t - t**3 / 3.0)
-
-    up = np.exp(2j * math.pi / 3.0)
-    dn = np.exp(-2j * math.pi / 3.0)
-    leg_in = quad_segment(integrand, Ray(dn, dn), rel_tol=rel_tol)
-
-    def arc(theta):
-        theta = np.asarray(theta, dtype=complex)
-        t = np.exp(1j * theta)
-        return integrand(t) * 1j * t
-
-    # theta runs from -2pi/3 down through -pi to -4pi/3 (= +2pi/3)
-    leg_arc = -quad_segment(arc, Segment(-4.0 * math.pi / 3.0, -2.0 * math.pi / 3.0),
-                            rel_tol=rel_tol)
-    leg_out = quad_segment(integrand, Ray(up, up), rel_tol=rel_tol)
-    # the ray quadratures already carry the complex measure; the inbound leg is
-    # traversed toward the unit circle, hence the sign flip
-    total = -leg_in + leg_arc + leg_out
-    return total / (2j * math.pi)
+def primitive_constants():
+    """Ai(k, 0) for k = 0..3: (-1)^k 3^{-(k+2)/3} / Gamma((k+2)/3), the Mellin
+    transform of Ai (DLMF 9.10), written through Ai(0) and Ai'(0)."""
+    return {0: AI_ZERO, 1: -1.0 / 3.0, 2: -AIP_ZERO, 3: -AI_ZERO / 2.0}
 
 
 def _series(k, z, tol=1e-18, max_terms=420):
