@@ -8,6 +8,10 @@ magnetic coupling in divergence form, and a divergence-form one whose
 leftover decays like the background shear.  Alternating their solves yields
 the exact resolvent; the boundary slope of the remainder corrects the
 approximate dispersion function to the exact one.
+
+Every block couples only nodes i - 1, i, i + 1, so with the unknowns
+interleaved node by node as (Phi_i, omega_i, Psi_i) each 3N x 3N system is
+banded; it is stored and factored in LAPACK band form (zgbtrf / zgbtrs).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem
@@ -173,9 +177,9 @@ def _grid_state_for(params, bvp, profile):
     return _grid_state(*_state_key(params, bvp, profile))
 
 
-@lru_cache(maxsize=2)
-def _affine_operator(grid_key, boundary, params, profile, variant):
-    """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1.
+def _block_operator(grid_key, boundary, params, profile, variant):
+    """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1,
+    with the unknowns in block order (Phi, omega, Psi).
 
     The wave speed enters through the (U_s - c_hat) diagonal of the omega
     block, the i alpha (U_s - c) diagonal of the magnetic block and, in the
@@ -235,12 +239,55 @@ def _affine_operator(grid_key, boundary, params, profile, variant):
                    sparse.bmat([r[1] for r in blocks], format="csc"))
 
 
-def _assemble(params, bvp, profile, variant):
-    """3N x 3N system at the wave speed of ``params`` for the requested
-    splitting ('os_d', 'os_s', 'full')."""
+def _to_band(matrix):
+    """(band, kl, ku) of a block-order 3N x 3N sparse matrix in node order.
+
+    ``band`` is LAPACK band storage: 2 kl + ku + 1 rows in Fortran order,
+    entry (r, j) at row kl + ku + r - j, the first kl rows left zero for the
+    LU's fill-in.  The bandwidths are those of the stored pattern.
+    """
+    N = matrix.shape[0] // 3
+    coo = matrix.tocoo()
+    # block-order index b N + i is node-order index 3 i + b
+    rows, cols = (3 * (k % N) + k // N for k in (coo.row, coo.col))
+    offset = rows - cols
+    kl, ku = int(offset.max()), int(-offset.min())
+    band = np.zeros((2 * kl + ku + 1, 3 * N), dtype=complex, order="F")
+    band[kl + ku + offset, cols] = coo.data
+    return band, kl, ku
+
+
+class _Banded(NamedTuple):
+    """Operator A(c) = band0 + c * band1 in the band storage of ``_to_band``."""
+
+    band0: np.ndarray
+    band1: np.ndarray
+    kl: int
+    ku: int
+
+    def at(self, c):
+        band = self.band1 * c
+        band += self.band0
+        return band
+
+
+@lru_cache(maxsize=2)
+def _affine_operator(grid_key, boundary, params, profile, variant):
+    """``_block_operator`` in read-only band storage, the one form kept."""
+    op = _block_operator(grid_key, boundary, params, profile, variant)
+    band0, kl, ku = _to_band(op.a0)
+    band1 = _to_band(op.a1)[0]        # a1 shares a0's pattern, so its kl, ku
+    band0.flags.writeable = band1.flags.writeable = False
+    return _Banded(band0, band1, kl, ku)
+
+
+def _band_at(params, bvp, profile, variant):
+    """(band, kl, ku) of the requested splitting ('os_d', 'os_s', 'full') at
+    the wave speed of ``params``."""
     params._need_c()
     gridkey, p0, prof = _state_key(params, bvp, profile)
-    return _affine_operator(gridkey, bvp.boundary, p0, prof, variant).at(params.c)
+    op = _affine_operator(gridkey, bvp.boundary, p0, prof, variant)
+    return op.at(params.c), op.kl, op.ku
 
 
 def _rhs(bvp, q1, q2):
@@ -253,10 +300,33 @@ def _rhs(bvp, q1, q2):
     return rhs
 
 
-def _estimate_condition(matrix, lu):
+class _BandLU(NamedTuple):
+    """LAPACK banded LU factors (zgbtrf) of one system and its 1-norm."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    kl: int
+    ku: int
+    norm1: float
+
+    def solve(self, b, trans=0):
+        """x with A x = b (``trans=0``) or A^H x = b (``trans=2``)."""
+        return zgbtrs(self.lu, self.kl, self.ku, b, self.piv, trans=trans)[0]
+
+
+def splu(band, kl, ku):
+    """Banded LU factors of ``band`` (overwritten); the one factorization
+    entry point, whose calls perfbench counts."""
+    norm1 = float(np.max(np.abs(band[kl:]).sum(axis=0)))     # before zgbtrf
+    lu, piv, info = zgbtrf(band, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise RuntimeError(f"factor is exactly singular (zgbtrf info = {info})")
+    return _BandLU(lu, piv, kl, ku, norm1)
+
+
+def _estimate_condition(lu):
     """Hager-style 1-norm condition estimate from the factorization."""
-    n = matrix.shape[0]
-    anorm = float(np.max(np.abs(matrix).sum(axis=0)))
+    n = lu.lu.shape[1]
     x = np.full(n, 1.0 / n, dtype=complex)
     est = 0.0
     for _ in range(6):
@@ -264,31 +334,30 @@ def _estimate_condition(matrix, lu):
         est = float(np.sum(np.abs(y)))
         ay = np.abs(y)
         xi = np.divide(y, ay, out=np.ones_like(y), where=ay > 1e-280)
-        z = lu.solve(xi, trans="H")
+        z = lu.solve(xi, trans=2)
         j = int(np.argmax(np.abs(z)))
         if np.abs(z[j]) <= np.real(np.vdot(x, z)) + 1e-300:
             break
         x = np.zeros(n, dtype=complex)
         x[j] = 1.0
-    return anorm * est
+    return lu.norm1 * est
 
 
 class _Factorized:
     def __init__(self, params, bvp, profile, variant):
-        self.matrix = _assemble(params, bvp, profile, variant)
         try:
-            self.lu = splu(self.matrix)
+            self.lu = splu(*_band_at(params, bvp, profile, variant))
         except RuntimeError as exc:
             raise SingularSystem(f"{variant} factorization failed: {exc}") from exc
-        cond = _estimate_condition(self.matrix, self.lu)
+        cond = _estimate_condition(self.lu)
         if cond > _COND_LIMIT:
             raise SingularSystem(
                 f"{variant} condition estimate {cond:.2e} exceeds {_COND_LIMIT:.0e}")
 
     def solve(self, bvp, q1, q2):
-        x = self.lu.solve(_rhs(bvp, q1, q2))
         N = bvp.n
-        return x[:N], x[N:2 * N], x[2 * N:]
+        x = self.lu.solve(_rhs(bvp, q1, q2).reshape(3, N).T.ravel())
+        return tuple(np.ascontiguousarray(x.reshape(N, 3).T))
 
 
 def _sample_sources(q1, q2, bvp):
@@ -313,7 +382,7 @@ class OSIteration:
     Factorizations are done once per instance and reused across the
     alternation steps and both remainder problems.  Everything that does not
     depend on c (operators as A0 + c A1, profile and coupling arrays) comes
-    from the per-grid state, so an instance costs two sparse LUs and their
+    from the per-grid state, so an instance costs two banded LUs and their
     condition estimates.
     """
 

@@ -11,6 +11,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 from tswave import airy, dispersion, fastmode, osresolvent, slowmode
+from tswave.errors import SingularSystem
 from tswave.numerics import l2_norm
 from tswave.params import SpectralParams
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile
@@ -81,11 +82,21 @@ def os_s_solve(q1, q2, params, bvp):
     return phi, psi
 
 
+def block_operator(params, bvp, variant):
+    """Sparse block-order system A0 + c A1 of one splitting on bvp's grid."""
+    grid_key, p0, profile = osresolvent._state_key(params, bvp, DEFAULT_PROFILE)
+    return osresolvent._block_operator(grid_key, bvp.boundary, p0, profile, variant)
+
+
+def assemble(params, bvp, variant):
+    """Sparse block-order system of one splitting at the wave speed of params."""
+    return block_operator(params, bvp, variant).at(params.c)
+
+
 def noslip_operator(params, n_nodes):
     """The no-slip 'full' system A0 + c A1 on an n_nodes grid."""
     bvp = osresolvent.build_bvp(params, n_nodes=n_nodes, boundary="noslip")
-    grid_key, p0, profile = osresolvent._state_key(params, bvp, DEFAULT_PROFILE)
-    return osresolvent._affine_operator(grid_key, "noslip", p0, profile, "full")
+    return block_operator(params, bvp, "full")
 
 
 def noslip_eigenvalue_near(params, n_nodes, sigma):
@@ -127,9 +138,9 @@ class TestDirectSolves:
     def test_splitting_consistency_is_exact(self):
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=250)
-        m_d = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "os_d")
-        m_s = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "os_s")
-        m_f = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "full")
+        m_d = assemble(p, bvp, "os_d")
+        m_s = assemble(p, bvp, "os_s")
+        m_f = assemble(p, bvp, "full")
         state = osresolvent._grid_state_for(p, bvp, DEFAULT_PROFILE)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(3 * bvp.n) + 1j * rng.standard_normal(3 * bvp.n)
@@ -159,7 +170,7 @@ class TestDirectSolves:
         dus = DEFAULT_PROFILE.eval("U", 1, g)
         d2us = DEFAULT_PROFILE.eval("U", 2, g)
         full1 = h1 - dus * phi[1] - d2us * phi[0]
-        m_f = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "full")
+        m_f = assemble(p, bvp, "full")
         omega = phi[2] - p.alpha**2 * phi[0]
         x = np.concatenate([phi[0], omega, rho[0]])
         out = m_f @ x
@@ -170,14 +181,11 @@ class TestDirectSolves:
         assert np.max(np.abs(out[2 * N:][i] - h2[i])) <= 1e-3 * np.max(np.abs(h2))
 
     def test_singular_detector_on_near_singular_matrix(self):
-        from scipy import sparse
-        n = 200
+        n = 201
         diag = np.ones(n, dtype=complex)
         diag[n // 2] = 1e-14
-        m = sparse.diags(diag).tocsc()
-        from scipy.sparse.linalg import splu
-        lu = splu(m)
-        cond = osresolvent._estimate_condition(m, lu)
+        band, kl, ku = osresolvent._to_band(sparse.diags(diag).tocsc())
+        cond = osresolvent._estimate_condition(osresolvent.splu(band, kl, ku))
         assert cond > 1e12
 
     def test_navier_slip_spectrum_avoids_upper_half_plane(self):
@@ -188,14 +196,128 @@ class TestDirectSolves:
         # mechanism itself is unit-tested on a near-singular matrix above)
         p0 = SpectralParams.eighth(2.0, 1e-10)
         bvp = osresolvent.build_bvp(p0, n_nodes=80, y_max=30.0)
-        a0 = osresolvent._assemble(p0.with_c(1e-4j), bvp, DEFAULT_PROFILE,
-                                   "os_d").toarray()
-        a1 = osresolvent._assemble(p0.with_c(1.0 + 1e-4j), bvp, DEFAULT_PROFILE,
-                                   "os_d").toarray() - a0
+        a0 = assemble(p0.with_c(1e-4j), bvp, "os_d").toarray()
+        a1 = assemble(p0.with_c(1.0 + 1e-4j), bvp, "os_d").toarray() - a0
         vals = sla.eig(a0, -a1, right=False)
         vals = 1e-4j + vals[np.isfinite(vals)]
         im_chat = vals.imag + 1.0 / p0.n
         assert np.all(im_chat <= 1e-10)
+
+
+def node_order(v, n_nodes):
+    """Block-order vector (Phi, omega, Psi) in node-interleaved order."""
+    return v.reshape(3, n_nodes).T.ravel()
+
+
+def block_order(v, n_nodes):
+    return v.reshape(n_nodes, 3).T.ravel()
+
+
+def band_solve(params, bvp, variant, rhs):
+    """Block-order solution of one splitting by the module's banded LU."""
+    band, kl, ku = osresolvent._band_at(params, bvp, DEFAULT_PROFILE, variant)
+    lu = osresolvent.splu(band, kl, ku)
+    return block_order(lu.solve(node_order(rhs, bvp.n)), bvp.n)
+
+
+def random_rhs(bvp, seed):
+    """Random sources in the shape every solve sees: zero Phi-definition and
+    boundary rows."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (rng.standard_normal(bvp.n) + 1j * rng.standard_normal(bvp.n)
+              for _ in range(2))
+    return osresolvent._rhs(bvp, q1, q2)
+
+
+def superlu_condition(matrix, lu):
+    """Hager-style 1-norm condition estimate on SuperLU factors of the
+    block-order matrix: the oracle of the banded estimate."""
+    n = matrix.shape[0]
+    anorm = float(np.max(np.abs(matrix).sum(axis=0)))
+    x = np.full(n, 1.0 / n, dtype=complex)
+    est = 0.0
+    for _ in range(6):
+        y = lu.solve(x)
+        est = float(np.sum(np.abs(y)))
+        ay = np.abs(y)
+        xi = np.divide(y, ay, out=np.ones_like(y), where=ay > 1e-280)
+        z = lu.solve(xi, trans="H")
+        j = int(np.argmax(np.abs(z)))
+        if np.abs(z[j]) <= np.real(np.vdot(x, z)) + 1e-300:
+            break
+        x = np.zeros(n, dtype=complex)
+        x[j] = 1.0
+    return anorm * est
+
+
+class TestBandedFactorization:
+    """The node-order banded LU against SuperLU on the block-order matrix."""
+
+    @pytest.mark.parametrize("boundary", ["navier", "noslip"])
+    @pytest.mark.parametrize("variant", ["os_d", "os_s", "full"])
+    def test_band_storage_rebuilds_the_operator(self, boundary, variant):
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        bvp = osresolvent.build_bvp(p0, n_nodes=60, boundary=boundary)
+        n = 3 * bvp.n
+        op = block_operator(p0, bvp, variant)
+        block_of_node = node_order(np.arange(n), bvp.n)
+        disk = dispersion.disk_eighth(p0)
+        for th in (0.4, 2.0, 4.5):
+            c = p0.chat_to_c(disk.point(th))
+            band, kl, ku = osresolvent._band_at(p0.with_c(c), bvp, DEFAULT_PROFILE,
+                                                variant)
+            assert band.shape == (2 * kl + ku + 1, n) and band.flags.f_contiguous
+            assert not band[:kl].any()
+            dense = np.zeros((n, n), dtype=complex)
+            for j in range(n):
+                for i in range(max(0, j - ku), min(n, j + kl + 1)):
+                    dense[i, j] = band[kl + ku + i - j, j]
+            expected = op.at(c).toarray()[np.ix_(block_of_node, block_of_node)]
+            assert np.array_equal(dense, expected)
+
+    @pytest.mark.parametrize("boundary", ["navier", "noslip"])
+    def test_solves_match_superlu(self, boundary):
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p, boundary=boundary)
+        rhs = random_rhs(bvp, seed=1)
+        for variant in ("os_d", "os_s", "full"):
+            m = assemble(p, bvp, variant)
+            x = band_solve(p, bvp, variant, rhs)
+            ref = splu(m).solve(rhs)
+            resid = m @ x - rhs
+            assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
+            assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+            # normwise backward error, free of the operator's scale
+            anorm = np.max(np.abs(m).sum(axis=0))
+            assert np.linalg.norm(resid, 1) <= 1e-15 * (
+                anorm * np.linalg.norm(x, 1) + np.linalg.norm(rhs, 1))
+
+    @pytest.mark.parametrize("boundary", ["navier", "noslip"])
+    def test_ill_conditioned_residual_near_superlu(self, boundary):
+        p = basin_params(eps=1e-20, A=4.0)
+        bvp = osresolvent.build_bvp(p, boundary=boundary)
+        rhs = random_rhs(bvp, seed=2)
+        for variant in ("os_d", "os_s", "full"):
+            m = assemble(p, bvp, variant)
+            resid = np.linalg.norm(m @ band_solve(p, bvp, variant, rhs) - rhs)
+            resid_superlu = np.linalg.norm(m @ splu(m).solve(rhs) - rhs)
+            assert resid <= 4.0 * resid_superlu
+
+    @pytest.mark.parametrize("A,eps", [(2.0, 1e-12), (4.0, 1e-20), (4.0, 1e-24)])
+    def test_condition_estimate_matches_superlu_oracle(self, A, eps):
+        p = basin_params(eps=eps, A=A)
+        bvp = osresolvent.build_bvp(p)
+        for variant in ("os_d", "os_s"):
+            band, kl, ku = osresolvent._band_at(p, bvp, DEFAULT_PROFILE, variant)
+            cond = osresolvent._estimate_condition(osresolvent.splu(band, kl, ku))
+            m = assemble(p, bvp, variant)
+            ref = superlu_condition(m, splu(m))
+            assert ref / 2.0 <= cond <= 2.0 * ref
+
+    def test_guard_refuses_amplitude_four_at_eps_1e24(self):
+        p = basin_params(eps=1e-24, A=4.0)
+        with pytest.raises(SingularSystem, match="condition estimate"):
+            osresolvent.OSIteration(p, osresolvent.build_bvp(p))
 
 
 class TestIteration:
@@ -217,7 +339,7 @@ class TestIteration:
         it = osresolvent.OSIteration(p, bvp)
         phi, omega, psi, trace = it.iterate(f1, f2, tol=1e-10, entry="d")
         assert trace.converged
-        m_f = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "full")
+        m_f = assemble(p, bvp, "full")
         rhs = osresolvent._rhs(bvp, f1, f2)
         resid = m_f @ np.concatenate([phi, omega, psi]) - rhs
         scale = 1.0 + max(np.max(np.abs(f1)), np.max(np.abs(f2)))
@@ -225,14 +347,13 @@ class TestIteration:
 
     def test_divergence_entry_matches_direct_solve(self):
         # independent oracle: one factorization of the full operator
-        from scipy.sparse.linalg import splu
         p = basin_params(eps=1e-10)
         bvp = osresolvent.build_bvp(p, n_nodes=900)
         g = bvp.grid
         f1 = bvp.d1 @ (np.exp(-g) * (0.5 - 0.2j))
         it = osresolvent.OSIteration(p, bvp)
         phi, omega, psi, trace = it.iterate(f1, None, tol=1e-10, entry="s")
-        m_f = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "full").tocsc()
+        m_f = assemble(p, bvp, "full")
         x = splu(m_f).solve(osresolvent._rhs(bvp, f1, np.zeros_like(f1)))
         direct_phi = x[:bvp.n]
         assert np.max(np.abs(phi - direct_phi)) <= 1e-7 * np.max(np.abs(direct_phi))
@@ -517,7 +638,7 @@ class TestPerGridState:
             p = basin_params()
             bvp = osresolvent.build_bvp(p, n_nodes=250, boundary=boundary)
             for variant in ("os_d", "os_s", "full"):
-                m = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, variant)
+                m = assemble(p, bvp, variant)
                 ref = _per_c_assemble(p, bvp, DEFAULT_PROFILE, variant)
                 assert np.array_equal(m.indptr, ref.indptr)
                 assert np.array_equal(m.indices, ref.indices)
@@ -546,7 +667,8 @@ class TestPerGridState:
             init(self, params, bvp, profile)
             self.a_theta = _PerCBlocks(params, bvp, profile).magnetic_coupling()[1]
 
-        monkeypatch.setattr(osresolvent, "_assemble", _per_c_assemble)
+        monkeypatch.setattr(osresolvent, "_band_at", lambda *args: osresolvent._to_band(
+            _per_c_assemble(*args)))
         monkeypatch.setattr(osresolvent.OSIteration, "__init__", per_c_init)
         for c, gamma in zip(cs, gammas):
             ref = osresolvent.remainder_and_gamma(c, p0, bvp)[0]
@@ -562,15 +684,14 @@ class TestPerGridState:
             arrays += [m.data, m.indices, m.indptr]
         key = osresolvent._state_key(p, bvp, DEFAULT_PROFILE)
         op = osresolvent._affine_operator(key[0], bvp.boundary, *key[1:], "os_s")
-        for m in op:
-            arrays += [m.data, m.indices, m.indptr]
+        arrays += [op.band0, op.band1]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
         # an operator at one c is the caller's own
-        m = osresolvent._assemble(p, bvp, DEFAULT_PROFILE, "os_s")
-        m.data[0] = m.data[0]
+        band = osresolvent._band_at(p, bvp, DEFAULT_PROFILE, "os_s")[0]
+        band[0, 0] = band[0, 0]
 
     def test_caches_keep_no_grid_alive(self):
         p = basin_params()
