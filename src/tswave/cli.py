@@ -11,12 +11,14 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import airy, dispersion, fastmode, osresolvent
+# osresolvent (scipy.sparse and LAPACK) is imported inside the functions that
+# call it, through the module object, so that `root`, `airy-table` and
+# `validate` start without scipy
+from . import airy, dispersion, fastmode
 from .errors import GrowthOverflow, TswaveError, WindingNotOne, ZeroOnContour
 from .numerics import winding_samples  # noqa: F401  (perfbench/layers.py wraps it)
 from .params import SpectralParams
@@ -128,6 +130,8 @@ def _write(text, out):
 
 def sweep_row(cfg, eps):
     """One sweep row; failures are recorded in the status field, never raised."""
+    from . import osresolvent
+
     params0 = cfg.params(eps)
     row = {k: math.nan for k in SWEEP_COLUMNS}
     row.update(eps=eps, alpha=params0.alpha, n=params0.n, status="ok", winding=0)
@@ -186,6 +190,8 @@ def full_os_certification(cfg, params0, bvp, c_center):
     Gamma vanishes on the boundary).  ``c_center`` is not used; the disk
     comes from the regime map.
     """
+    from . import osresolvent
+
     gaps = []
 
     def g_exact(w):
@@ -226,6 +232,8 @@ def run_sweep(cfg):
     """Execute the sweep; returns (rows, footer, text) and writes the report
     to ``cfg.out`` when it is set."""
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_row_worker, [(cfg, e) for e in cfg.eps_list]))
     else:
@@ -270,6 +278,8 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     Raises ValueError for an empty lattice, and GrowthOverflow for a time
     at which |alpha Im c t / sqrt(eps)| exceeds ``_GROWTH_LIMIT``.
     """
+    from . import osresolvent
+
     if nx < 1 or ny < 1:
         raise ValueError(f"export lattice needs nx >= 1 and ny >= 1, got nx = {nx}, "
                          f"ny = {ny}")
@@ -445,6 +455,8 @@ def cmd_root(args):
 
 
 def cmd_audit(args):
+    from . import osresolvent
+
     cfg = build_config(args)
     entries = []
     for eps in cfg.eps_list:
@@ -485,6 +497,8 @@ def cmd_airy_table(args):
 
 
 def cmd_export_mode(args):
+    from . import osresolvent
+
     cfg = build_config(args)
     eps = cfg.eps_list[0]
     params0 = cfg.params(eps)

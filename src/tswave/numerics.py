@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import ztbtrs
 
 from .errors import (
     DerivativeBreakdown,
@@ -450,8 +449,17 @@ def _kernel_for(grid, xi):
     return _exp_kernel(np.asarray(grid, dtype=float).tobytes(), complex(xi))
 
 
+# LAPACK's ztbtrs, bound by the first band solve so that importing this module
+# loads no scipy; an import inside every call would add about 1.8 us (x86_64,
+# Python 3.11) to each of the thousands of solves of a beta-regime row
+_ztbtrs = None
+
+
 def _unit_bidiagonal_solve(band, rhs, uplo):
-    out, info = ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=1)
+    global _ztbtrs
+    if _ztbtrs is None:
+        from scipy.linalg.lapack import ztbtrs as _ztbtrs
+    out, info = _ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=1)
     if info != 0:
         raise TswaveError(f"banded exp-kernel solve failed: ztbtrs info = {info}")
     return out

@@ -193,9 +193,8 @@ def memoize_on_grid(evaluator):
 def mode_from_grid(grid, vals_by_order, decay_rate=0.0):
     """ModeFunction backed by cubic interpolation of per-order grid samples,
     held as read-only copies.  At the grid itself (same shape and bytes) an
-    order is its samples; elsewhere each order is fitted on first use."""
-    from scipy.interpolate import CubicSpline
-
+    order is its samples; elsewhere each order is fitted on first use, which
+    is also where scipy.interpolate is first imported."""
     grid, samples = np.array(grid), [np.array(v) for v in vals_by_order]
     for a in (grid, *samples):
         a.flags.writeable = False
@@ -207,6 +206,8 @@ def mode_from_grid(grid, vals_by_order, decay_rate=0.0):
         if Y.shape == grid.shape and Y.tobytes() == grid_key:
             return samples[order]
         if order not in splines:
+            from scipy.interpolate import CubicSpline
+
             v = samples[order]
             splines[order] = (CubicSpline(grid, v.real), CubicSpline(grid, v.imag))
         re, im = splines[order]

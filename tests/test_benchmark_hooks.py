@@ -33,3 +33,24 @@ def test_winding_counter_counts_points_of_a_vectorised_map():
     evals, samples = map(int, proc.stdout.split())
     assert samples > 64
     assert evals == samples
+
+
+def test_full_os_row_reaches_wrapped_resolvent():
+    # cli imports osresolvent inside its functions; it must still call the
+    # module's attributes, which the layer wrappers replace, so that the
+    # per-layer Gamma and factorization counts see the full-OS row
+    code = ("import layers, spans, workloads\n"
+            "lib = workloads.load_library()\n"
+            "rec = spans.Recorder()\n"
+            "layers.install(rec, lib)\n"
+            "rec.enabled = True\n"
+            "cfg = lib.cli.RunConfig(eps_list=[1e-12], full_os=True, grid_n=200)\n"
+            "lib.cli.run_sweep(cfg)\n"
+            "print(rec.counts['osresolvent.gamma_evals'],\n"
+            "      rec.counts['osresolvent.factorizations'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    gamma_evals, factorizations = map(int, proc.stdout.split())
+    assert gamma_evals > 0
+    assert factorizations == 2 * gamma_evals

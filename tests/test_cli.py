@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,54 @@ class TestOtherCommands:
         assert rc == 0
         assert out[0] == "k,re_z,im_z,re_ai,im_ai,branch"
         assert any(line.endswith("series") for line in out[1:])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter and return the words it prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestColdImports:
+    """scipy and the worker pool are imported by the first call that needs
+    them, so cold commands that never use them start without them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["root", "--A", "2", "--eps", "1e-12"],
+        ["airy-table", "--k", "0,1", "--re", "0:4:3", "--im", "0:1:2"],
+        ["validate", "--A", "2", "--eps", "1e-12"],
+    ])
+    def test_command_loads_no_scipy(self, argv, tmp_path):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        loaded = _run_fresh(
+            "import sys\n"
+            "from tswave import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(*[m for m in sys.modules if m == 'scipy'\n"
+            "        or m.startswith('scipy.') or m == 'concurrent.futures.process'])\n")
+        assert loaded == []
+
+    def test_splines_load_interpolate_only_off_grid(self):
+        # a plain sweep row evaluates every grid mode on its own grid; the
+        # off-grid evaluation shows that the check can see the import
+        loaded = _run_fresh(
+            "import sys\n"
+            "import numpy as np\n"
+            "from tswave import cli\n"
+            "from tswave.params import mode_from_grid\n"
+            "cli.run_sweep(cli.RunConfig(eps_list=[1e-8]))\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            "grid = np.linspace(0.0, 1.0, 5)\n"
+            "mode_from_grid(grid, [grid ** 2]).eval(0, 0.3)\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+        assert loaded == ["False", "True"]
 
 
 @pytest.fixture(scope="module")

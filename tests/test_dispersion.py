@@ -163,6 +163,16 @@ class TestEighthRegime:
             dispersion.certify_eighth(SpectralParams.eighth(2.0, 1e-10))
         assert err.value.winding == 0
 
+    def test_certified_newton_path_may_leave_the_disk(self):
+        # the first step lands 1.07 radii out and the next ones come back to
+        # a root at 0.96 radii: stopping Newton at the first iterate outside
+        # the disk would refuse this certified root
+        rep = dispersion.certify_eighth(SpectralParams.eighth(2.0, 1e-24))
+        assert rep.certified
+        excursion = max(abs(z - rep.disk.center) for z in rep.newton.iterates)
+        assert excursion / rep.disk.radius > 1.0
+        assert rep.disk.contains(rep.c_root)
+
     def test_gamma0_center_value_shrinks_deep(self):
         vals = []
         for eps in (1e-24, 1e-26, 1e-28):
