@@ -8,6 +8,8 @@ footers are derived from the written values.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -89,34 +91,11 @@ class RunConfig:
                                           theta=self.theta)
 
 
-# -- regime map: the eighth regime certifies in the variable c_hat, the beta
-# regime in the wave speed c itself --
-
 def _certify(cfg, params0):
-    if cfg.regime == "eighth":
-        return dispersion.certify_eighth(params0, tol=cfg.newton_tol,
-                                         init_samples=cfg.init_samples)
-    return dispersion.certify_beta(params0, r3=cfg.r3, tol=cfg.newton_tol,
-                                   init_samples=cfg.init_samples)
-
-
-def _disk(cfg, params0):
-    """Certification disk in the regime's variable."""
-    if cfg.regime == "eighth":
-        return dispersion.disk_eighth(params0)
-    return dispersion.disk_beta(params0, cfg.r3)
-
-
-def _to_c(cfg, params0, w):
-    """Wave speed c of a value w of the regime's variable."""
-    return params0.chat_to_c(w) if cfg.regime == "eighth" else w
-
-
-def _center_c(cfg, params0):
-    """Wave speed c at the certification disk center."""
-    center = (dispersion.center_eighth(params0) if cfg.regime == "eighth"
-              else dispersion.center_beta(params0))
-    return _to_c(cfg, params0, center)
+    """``dispersion.certify`` with the config's r3, Newton tolerance and
+    initial winding samples."""
+    return dispersion.certify(params0, r3=cfg.r3, tol=cfg.newton_tol,
+                              init_samples=cfg.init_samples)
 
 
 def _write(text, out):
@@ -141,7 +120,7 @@ def sweep_row(cfg, eps):
             report = _certify(cfg, params0)
             row["winding"] = report.winding
             row["min_gamma0_boundary"] = report.boundary_min_abs
-            c_app = _to_c(cfg, params0, report.c_root)
+            c_app = report.c
             if not report.certified:
                 row["status"] = "newton-left-disk"
         except WindingNotOne as exc:
@@ -155,7 +134,7 @@ def sweep_row(cfg, eps):
             row["re_c_app"], row["im_c_app"] = c_app.real, c_app.imag
         # audit norms at the disk center so the footer regressions compare
         # the same reference point across rows
-        c_audit = _center_c(cfg, params0)
+        c_audit = dispersion.center_c(params0)
 
         bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
         arrays, gamma0_val, _ = osresolvent.assemble_error_terms(c_audit, params0, bvp)
@@ -187,28 +166,28 @@ def full_os_certification(cfg, params0, bvp, c_center):
     Returns ``(gap_max, c_exact, winding)``: the maximal |Gamma - Gamma0|
     over the winding boundary samples, the exact root as a wave speed (None
     unless Newton converges inside the disk), and the exact winding (-1 when
-    Gamma vanishes on the boundary).  ``c_center`` is not used; the disk
-    comes from the regime map.
+    Gamma vanishes on the boundary).  ``c_center`` is not used:
+    ``dispersion.certify`` draws Gamma0's disk.
     """
     from . import osresolvent
 
     gaps = []
 
-    def g_exact(w):
-        gamma, diag = osresolvent.remainder_and_gamma(_to_c(cfg, params0, w),
-                                                      params0, bvp)
+    def g_exact(c):
+        gamma, diag = osresolvent.remainder_and_gamma(c, params0, bvp)
         gaps.append(diag["gap"])
         return gamma
 
     try:
-        report = dispersion.find_root_certified(
-            g_exact, _disk(cfg, params0), tol=max(cfg.newton_tol, 1e-11),
-            init_samples=cfg.init_samples, max_iter=30)
+        report = dispersion.certify(params0, r3=cfg.r3,
+                                    tol=max(cfg.newton_tol, 1e-11),
+                                    init_samples=cfg.init_samples, g=g_exact,
+                                    max_iter=30)
     except WindingNotOne as exc:
         report = exc.report
     except ZeroOnContour:
         return (max(gaps) if gaps else math.nan), None, -1
-    c_exact = _to_c(cfg, params0, report.c_root) if report.certified else None
+    c_exact = report.c if report.certified else None
     return max(gaps[:report.samples]), c_exact, report.winding
 
 
@@ -257,12 +236,14 @@ def render_report(rows, footer, fmt):
                              for k in SWEEP_COLUMNS} for r in rows],
                    "regressions": footer}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_fmt(r[k]) for k in SWEEP_COLUMNS))
+    # minimal quoting: only a cell with a comma (an error message) is quoted
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([_fmt(r[k]) for k in SWEEP_COLUMNS] for r in rows)
     for key in sorted(footer):
-        lines.append(f"# {key},{_fmt(footer[key])}")
-    return "\n".join(lines) + "\n"
+        buf.write(f"# {key},{_fmt(footer[key])}\n")
+    return buf.getvalue()
 
 
 def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
@@ -448,6 +429,9 @@ def cmd_root(args):
                 entry["winding"] = exc.winding
                 entry["min_gamma0_boundary"] = exc.report.boundary_min_abs
             ok = False
+        except (TswaveError, ValueError) as exc:
+            entry.update(certified=False, error=f"{type(exc).__name__}: {exc}")
+            ok = False
         results.append(entry)
     text = json.dumps(results, indent=2, sort_keys=True, default=_fmt) + "\n"
     _write(text, cfg.out)
@@ -461,14 +445,14 @@ def cmd_audit(args):
     entries = []
     for eps in cfg.eps_list:
         params0 = cfg.params(eps)
-        c = _center_c(cfg, params0)
+        c = dispersion.center_c(params0)
         bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
         arrays, gamma0_val, _ = osresolvent.assemble_error_terms(c, params0, bvp)
         entry = {"eps": eps, "alpha": params0.alpha,
                  "gamma0_center": [gamma0_val.real, gamma0_val.imag],
                  "warnings": params0.with_c(c).guard_warnings()}
         entry.update(osresolvent.error_norms(arrays, bvp))
-        if cfg.regime == "eighth":
+        if params0.is_eighth:
             entry["tau1_measured"] = fastmode.measure_tau1(params0.with_c(c))
         entries.append(entry)
     text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
@@ -503,11 +487,11 @@ def cmd_export_mode(args):
     eps = cfg.eps_list[0]
     params0 = cfg.params(eps)
     try:
-        c = _to_c(cfg, params0, _certify(cfg, params0).c_root)
+        c = _certify(cfg, params0).c
     except WindingNotOne as exc:
         sys.stderr.write(f"certification failed ({exc}); exporting at the "
                          f"disk center\n")
-        c = _center_c(cfg, params0)
+        c = dispersion.center_c(params0)
     t_list = [float(s) for s in args.t_list.split(",")]
     bvp = osresolvent.build_bvp(params0, n_nodes=cfg.grid_n, y_max=cfg.y_max)
     _, _, text = export_mode(c, params0, t_list, args.nx, args.ny,
@@ -523,8 +507,7 @@ def cmd_validate(args):
             "rows": []}
     for eps in cfg.eps_list:
         params0 = cfg.params(eps)
-        c = _center_c(cfg, params0)
-        p = params0.with_c(c)
+        p = params0.with_c(dispersion.center_c(params0))
         info["rows"].append({"eps": eps, "alpha": p.alpha, "n": p.n,
                              "warnings": p.guard_warnings()})
     text = json.dumps(info, indent=2, sort_keys=True) + "\n"

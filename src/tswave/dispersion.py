@@ -33,21 +33,23 @@ __all__ = [
     "center_beta",
     "disk_beta",
     "find_root_certified",
+    "certify",
+    "center_c",
     "certify_eighth",
-    "certify_beta",
 ]
 
 
 @dataclass
 class DispersionReport:
-    c_root: complex | None
+    c_root: complex | None      # the root in the disk's variable
     winding: int
     samples: int                # boundary points evaluated by the winding count
     boundary_min_abs: float
     reference_gap_max: float
     newton: RootTrace | None
     disk: Circle
-    variable: str = "c"
+    variable: str = "c"         # the disk's variable: 'c' or 'c_hat'
+    c: complex | None = None    # the root as a wave speed (set by ``certify``)
 
     @property
     def certified(self):
@@ -148,7 +150,7 @@ def gamma_ref_beta(c, params):
 # -- certification --
 
 def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
-                        max_iter=60):
+                        max_iter=60, variable="c"):
     """Winding count on the disk boundary; on winding one, Newton refinement
     from the center.  The report carries the number of boundary samples (the
     first ``samples`` evaluations of ``g``), the boundary modulus floor and,
@@ -170,47 +172,51 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
         raise WindingNotOne(winding, report=DispersionReport(
             c_root=None, winding=winding, samples=thetas.size,
             boundary_min_abs=boundary_min, reference_gap_max=gap_max,
-            newton=None, disk=disk))
+            newton=None, disk=disk, variable=variable))
     root, trace = newton_root(g, disk.center, tol=tol, max_iter=max_iter)
     if not disk.contains(root, slack=1e-9):
         trace.converged = False
     return DispersionReport(c_root=root, winding=winding, samples=thetas.size,
                             boundary_min_abs=boundary_min,
-                            reference_gap_max=gap_max, newton=trace, disk=disk)
+                            reference_gap_max=gap_max, newton=trace, disk=disk,
+                            variable=variable)
 
 
-def certify_eighth(params, tol=1e-12, init_samples=64, profile=DEFAULT_PROFILE):
-    """Certify the approximate eigenvalue in the c_hat disk.
+def certify(params, r3=0.5, tol=1e-12, init_samples=64, g=None, max_iter=60):
+    """Certify the leading eigenvalue of either regime on its disk: Gamma0 of
+    the regime by default (with the gap to its reference map), or ``g``, any
+    dispersion function of the wave speed c such as the exact Gamma.
 
-    The report's root is a c_hat value (``variable == 'c_hat'``); convert with
-    ``params.chat_to_c``.
+    The eps^{1/8} regime counts and refines in c_hat = c + i/n on
+    ``disk_eighth``, the beta regime in c itself on ``disk_beta(params, r3)``;
+    the report's ``variable`` names the one used and ``c`` holds the root as
+    a wave speed.
     """
-    disk = disk_eighth(params)
-
-    def g(chat):
-        return gamma0(params.chat_to_c(chat), params, profile)
-
-    def g_ref(chat):
-        return gamma_ref_hat(chat / params.eps ** 0.125, params)
-
-    report = find_root_certified(g, disk, tol=tol, init_samples=init_samples,
-                                 g_ref=g_ref)
-    report.variable = "c_hat"
+    if params.is_eighth:
+        disk, variable, to_c = disk_eighth(params), "c_hat", params.chat_to_c
+        g0, g_ref = gamma0, lambda w: gamma_ref_hat(w / params.eps ** 0.125, params)
+    else:
+        disk, variable, to_c = disk_beta(params, r3), "c", lambda w: w
+        g0, g_ref = gamma0_beta, lambda w: gamma_ref_beta(w, params)
+    if g is None:
+        def g(c):
+            return g0(c, params)
+    else:
+        g_ref = None
+    report = find_root_certified(lambda w: g(to_c(w)), disk, tol=tol,
+                                 init_samples=init_samples, g_ref=g_ref,
+                                 max_iter=max_iter, variable=variable)
+    report.c = to_c(report.c_root)
     return report
 
 
-def certify_beta(params, r3=0.5, tol=1e-10, init_samples=64,
-                 profile=DEFAULT_PROFILE):
-    """Certify the beta-regime approximate eigenvalue in the c disk."""
-    disk = disk_beta(params, r3)
+def center_c(params):
+    """Wave speed c at the center of the certification disk."""
+    if params.is_eighth:
+        return params.chat_to_c(center_eighth(params))
+    return center_beta(params)
 
-    def g(c):
-        return gamma0_beta(c, params, profile=profile)
 
-    def g_ref(c):
-        return gamma_ref_beta(c, params)
-
-    report = find_root_certified(g, disk, tol=tol, init_samples=init_samples,
-                                 g_ref=g_ref)
-    report.variable = "c"
-    return report
+def certify_eighth(params, tol=1e-12, init_samples=64):
+    """``certify`` in the eps^{1/8} regime: the report's root is a c_hat value."""
+    return certify(params, tol=tol, init_samples=init_samples)

@@ -121,14 +121,12 @@ def fast_mode_pair(params, den=None):
     if not params.is_eighth:
         raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
     SublayerScales.from_params(params)
-    tau = 0.5 * params.n ** (1.0 / 3.0)  # conservative envelope e^{-tau Y}
     ratio = airy_ratios(params, den)
 
     def mode(which, max_order):
         return ModeFunction(
             max_order=max_order,
-            evaluator=lambda o, Y: airy_fast(which, o, Y, params, ratio),
-            decay_rate=tau)
+            evaluator=lambda o, Y: airy_fast(which, o, Y, params, ratio))
 
     return mode("Phi", 4), mode("Psi", 2)
 
@@ -204,15 +202,14 @@ class ExpFastHierarchy:
     def level_mode(self, k):
         return mode_from_grid(self.grid,
                               [self.phi_levels[k], self.dphi_levels[k],
-                               self.d2phi_levels[k]],
-                              decay_rate=0.2 * self.varpi.real)
+                               self.d2phi_levels[k]])
 
     def mode(self, which):
         if which == "Phi":
             arrays = [self.sum_arrays("Phi", o) for o in range(3)]
         else:
             arrays = [self.sum_arrays("Psi", o) for o in range(3)]
-        return mode_from_grid(self.grid, arrays, decay_rate=0.2 * self.varpi.real)
+        return mode_from_grid(self.grid, arrays)
 
 
 def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,

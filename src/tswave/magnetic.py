@@ -119,9 +119,7 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None,
     dphi = -xi * lift - xi * phi_t + inner_final
     us = profile.eval("U", 0, grid)
     d2phi = alpha**2 * phi + 1j * alpha * (us - p.c) * phi - f_vals
-    mode = mode_from_grid(grid, [phi, dphi, d2phi],
-                          decay_rate=min(xi.real, prob.eta))
-    return mode, trace
+    return mode_from_grid(grid, [phi, dphi, d2phi]), trace
 
 
 def equation_residual(mode, prob, Y, step=1e-3, profile=DEFAULT_PROFILE):

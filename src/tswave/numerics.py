@@ -120,6 +120,7 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+_MAX_WINDING_SAMPLES = 65536  # boundary samples before NonResolvable
 
 
 def _eval_vectorized(f, z):
@@ -205,7 +206,7 @@ def _quad_ray(f, ray, rel_tol, max_intervals):
     raise NonConvergence("ray integrand does not decay; truncation never engaged")
 
 
-def winding_samples(g, circle, init_samples=64, max_samples=65536):
+def winding_samples(g, circle, init_samples=64):
     """Winding number plus the boundary samples used to certify it.
 
     Returns ``(winding, thetas, values)``.  Samples are inserted adaptively
@@ -231,7 +232,7 @@ def winding_samples(g, circle, init_samples=64, max_samples=65536):
         bad = np.flatnonzero(np.abs(dphi) >= math.pi / 2.0)
         if bad.size == 0:
             break
-        if thetas.size + bad.size > max_samples:
+        if thetas.size + bad.size > _MAX_WINDING_SAMPLES:
             raise NonResolvable(
                 f"argument continuation not resolved with {thetas.size} samples")
         mids = (thetas[bad] + thetas[bad + 1]) / 2.0

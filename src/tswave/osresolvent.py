@@ -42,6 +42,7 @@ __all__ = [
 _COND_LIMIT = 1e12
 _NOISE_FLOOR = 1e-13
 _ALTERNATION_TOL = 1e-8     # relative step norm that ends each remainder solve
+_MAX_ALTERNATIONS = 40      # alternation steps before NonConvergence
 
 
 @dataclass
@@ -413,7 +414,7 @@ class OSIteration:
                 + math.sqrt(a) * math.hypot(l2_norm(dpsi, wts), a * l2_norm(psi, wts))
                 + a * l2_norm(psi, wts))
 
-    def iterate(self, f1, f2, tol=1e-8, max_steps=40, entry="d"):
+    def iterate(self, f1, f2, tol=1e-8, entry="d"):
         """Solve the full system by alternation; returns grid arrays
         (phi, omega, psi) of the summed solution plus the trace."""
         f1v, f2v = _sample_sources(f1, f2, self.bvp)
@@ -437,7 +438,7 @@ class OSIteration:
             return tuple(total) + (trace,)
         rising = 0
         zeros = np.zeros(self.bvp.n, dtype=complex)
-        for _ in range(max_steps):
+        for _ in range(_MAX_ALTERNATIONS):
             h1 = -(self.grid_state.a_xi @ phi + self.a_theta @ psi)
             xi, wxi, theta = self.fact_s.solve(self.bvp, h1, zeros)
             q1 = self.grid_state.transport @ xi
@@ -457,7 +458,7 @@ class OSIteration:
             else:
                 rising = 0
         raise NonConvergence(
-            f"alternation did not reach {tol:.1e} relative in {max_steps} steps")
+            f"alternation did not reach {tol:.1e} relative in {_MAX_ALTERNATIONS} steps")
 
 
 def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE):
@@ -564,7 +565,6 @@ def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE):
     functions at the wall by construction); with it the two remainder solves
     are subtracted, so the no-slip defect at the wall is Gamma(c) itself.
     """
-    p = params.with_c(c)
     grid = bvp.grid
     if full_os:
         _, modes, remainders = _solve_remainders(c, params, bvp, profile)
@@ -581,5 +581,4 @@ def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE):
         phi_arrays[1] = phi_arrays[1] - bvp.d1 @ (r1_phi + r2_phi)
         psi_arrays[0] = psi_arrays[0] - r1_psi - r2_psi
         psi_arrays[1] = psi_arrays[1] - bvp.d1 @ (r1_psi + r2_psi)
-    return (mode_from_grid(grid, phi_arrays, decay_rate=p.alpha),
-            mode_from_grid(grid, psi_arrays, decay_rate=p.alpha))
+    return mode_from_grid(grid, phi_arrays), mode_from_grid(grid, psi_arrays)

@@ -152,8 +152,9 @@ class SpectralParams:
 class ModeFunction:
     """Complex-valued function of Y >= 0 with derivatives up to ``max_order``.
 
-    ``decay_rate`` is a known envelope exponent eta with |f(Y)| <~ e^{-eta Y};
-    it steers tail truncation in downstream integrals.
+    ``decay_rate`` is a known envelope exponent eta with |f(Y)| <~ e^{-eta Y}
+    (0 when unknown); a magnetic solve caps its weight exponent by its
+    source's rate.
     """
 
     max_order: int
@@ -190,7 +191,7 @@ def memoize_on_grid(evaluator):
     return lookup
 
 
-def mode_from_grid(grid, vals_by_order, decay_rate=0.0):
+def mode_from_grid(grid, vals_by_order):
     """ModeFunction backed by cubic interpolation of per-order grid samples,
     held as read-only copies.  At the grid itself (same shape and bytes) an
     order is its samples; elsewhere each order is fitted on first use, which
@@ -215,5 +216,4 @@ def mode_from_grid(grid, vals_by_order, decay_rate=0.0):
         # grid functions decay; suppress cubic extrapolation past the far field
         return np.where(np.asarray(Y) <= ymax, out, 0.0)
 
-    return ModeFunction(max_order=len(samples) - 1, evaluator=evaluator,
-                        decay_rate=decay_rate)
+    return ModeFunction(max_order=len(samples) - 1, evaluator=evaluator)

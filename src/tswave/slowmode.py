@@ -223,7 +223,6 @@ def phi_app_s_mode(params, profile=DEFAULT_PROFILE, method="auto"):
         max_order=3,
         evaluator=memoize_on_grid(
             lambda order, Y: phi_app_s(order, Y, params, profile, method)),
-        decay_rate=params.alpha,
     )
 
 

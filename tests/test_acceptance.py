@@ -230,7 +230,7 @@ def test_criterion_5_error_norm_slopes():
     norms = {}
     for eps in eps_list:
         p0 = SpectralParams.eighth(2.0, eps)
-        p = p0.with_c(p0.chat_to_c(dispersion.center_eighth(p0)))
+        p = p0.with_c(dispersion.center_c(p0))
         bvp = osresolvent.build_bvp(p, n_nodes=1400)
         arrays, _, _ = osresolvent.assemble_error_terms(p.c, p, bvp)
         norms[eps] = osresolvent.error_norms(arrays, bvp)
@@ -260,7 +260,7 @@ def test_criterion_6_os_solvers():
 
     start = time.time()
     p_ref = SpectralParams.eighth(2.0, 1e-12)
-    p_ref = p_ref.with_c(p_ref.chat_to_c(dispersion.center_eighth(p_ref)))
+    p_ref = p_ref.with_c(dispersion.center_c(p_ref))
     ratios = {}
     for name, solver, sources in (("os_d", os_d_solve, os_d_sources),
                                   ("os_s", os_s_solve, os_s_sources)):
@@ -279,7 +279,7 @@ def test_criterion_6_os_solvers():
     worst = 0.0
     for eps in (1e-8, 1e-10, 1e-12):
         p0 = SpectralParams.eighth(2.0, eps)
-        p = p0.with_c(p0.chat_to_c(dispersion.center_eighth(p0)))
+        p = p0.with_c(dispersion.center_c(p0))
         bvp = osresolvent.build_bvp(p, n_nodes=1200)
         _, diag = osresolvent.remainder_and_gamma(p.c, p, bvp)
         trace = diag["traces"][0]
@@ -396,7 +396,7 @@ def test_criterion_8_beta_regime():
     for eps in C8_EPS:
         p0 = SpectralParams.beta_regime(1.0, C8_BETA, eps)
         try:
-            rep = dispersion.certify_beta(p0, r3=0.5)
+            rep = dispersion.certify(p0, r3=0.5, tol=1e-10)
             results[eps] = (rep.winding, rep.reference_gap_max)
         except WindingNotOne as exc:
             results[eps] = (exc.winding, exc.report.reference_gap_max)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from tswave import cli, dispersion, osresolvent
-from tswave.errors import GrowthOverflow
+from tswave.errors import GrowthOverflow, NonConvergence
 from tswave.params import SpectralParams
 
 
@@ -101,6 +103,15 @@ class TestSweep:
         assert math.isfinite(rows[0]["min_gamma0_boundary"])
         assert math.isfinite(rows[0]["e1s_l2"])   # audit still runs
 
+    def test_status_with_a_comma_is_quoted(self):
+        # at A = 1 the c_hat disk reaches below the real axis and the row
+        # records the ValueError, whose message holds a comma
+        rows, _, text = cli.run_sweep(fast_cfg(amplitude=1.0, eps_list=[1e-8]))
+        assert "," in rows[0]["status"]
+        header, row = csv.reader(io.StringIO(text))
+        assert header == cli.SWEEP_COLUMNS and len(row) == 19
+        assert row[-1] == rows[0]["status"]
+
     def test_json_format(self):
         cfg = fast_cfg(fmt="json")
         rows, footer, text = cli.run_sweep(cfg)
@@ -137,6 +148,35 @@ class TestOtherCommands:
         assert rc == 0
         assert payload[0]["certified"] is True
         assert payload[0]["winding"] == 1
+
+    def test_root_records_an_error_per_eps(self, capsys):
+        # the A = 1 disk reaches below the real axis of c_hat, where Gamma0
+        # is undefined: each eps keeps its own entry and the run goes on
+        rc = cli.main(["root", "--A", "1", "--eps-list", "1e-8,1e-12"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert rc == 1 and captured.err == ""
+        assert [e["eps"] for e in payload] == [1e-8, 1e-12]
+        for entry in payload:
+            assert entry["certified"] is False
+            assert entry["error"].startswith("ValueError: Im c_hat must be positive")
+
+    def test_root_keeps_certified_entries_next_to_a_failure(self, capsys,
+                                                           monkeypatch):
+        certify = dispersion.certify
+
+        def failing_at_1e_11(params, **kwargs):
+            if params.eps == 1e-11:
+                raise NonConvergence("budget exhausted")
+            return certify(params, **kwargs)
+
+        monkeypatch.setattr(dispersion, "certify", failing_at_1e_11)
+        rc = cli.main(["root", "--A", "2", "--eps-list", "1e-11,1e-12"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert payload[0] == {"eps": 1e-11, "certified": False,
+                              "error": "NonConvergence: budget exhausted"}
+        assert payload[1]["certified"] is True
 
     def test_validate_command(self, capsys):
         rc = cli.main(["validate", "--A", "2", "--eps", "1e-12"])
@@ -345,7 +385,7 @@ def _export_oracle(t_list, rows, fmt):
 @pytest.fixture(scope="module")
 def export_point():
     p0 = SpectralParams.eighth(2.0, 1e-8)
-    c = p0.chat_to_c(dispersion.center_eighth(p0))
+    c = dispersion.center_c(p0)
     return p0, c, osresolvent.build_bvp(p0, n_nodes=400)
 
 

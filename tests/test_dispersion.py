@@ -163,6 +163,29 @@ class TestEighthRegime:
             dispersion.certify_eighth(SpectralParams.eighth(2.0, 1e-10))
         assert err.value.winding == 0
 
+    def test_reports_carry_the_disk_variable_and_the_wave_speed(self):
+        # the disk is drawn in c_hat, so a refusal says so too
+        with pytest.raises(WindingNotOne) as err:
+            dispersion.certify(SpectralParams.eighth(2.0, 1e-10))
+        assert err.value.report.variable == "c_hat"
+        assert err.value.report.c is None
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        rep = dispersion.certify(p0)
+        assert rep.certified and rep.variable == "c_hat"
+        assert rep.c == p0.chat_to_c(rep.c_root)
+        assert dispersion.center_c(p0) == p0.chat_to_c(rep.disk.center)
+
+    def test_given_g_is_a_function_of_the_wave_speed(self):
+        # Gamma0 handed in as g retraces the default certification, without
+        # the reference gap
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        rep = dispersion.certify(p0, g=lambda c: dispersion.gamma0(c, p0))
+        default = dispersion.certify(p0)
+        assert (rep.c_root, rep.c, rep.samples) == (default.c_root, default.c,
+                                                    default.samples)
+        assert math.isnan(rep.reference_gap_max)
+        assert not math.isnan(default.reference_gap_max)
+
     def test_certified_newton_path_may_leave_the_disk(self):
         # the first step lands 1.07 radii out and the next ones come back to
         # a root at 0.96 radii: stopping Newton at the first iterate outside
@@ -177,7 +200,7 @@ class TestEighthRegime:
         vals = []
         for eps in (1e-24, 1e-26, 1e-28):
             p0 = SpectralParams.eighth(4.0, eps)
-            c = p0.chat_to_c(dispersion.center_eighth(p0))
+            c = dispersion.center_c(p0)
             vals.append(abs(dispersion.gamma0(c, p0)))
         assert vals[0] > vals[1] > vals[2]
 
@@ -283,20 +306,23 @@ class TestGamma0OnArrays:
 class TestBetaRegime:
     def test_certifies_in_contraction_regime(self):
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
-        rep = dispersion.certify_beta(p0, r3=0.5)
+        rep = dispersion.certify(p0, r3=0.5, tol=1e-10)
         assert rep.winding == 1
         assert rep.certified
         assert rep.boundary_min_abs >= 0.5 / 2.0
         assert rep.c_root.imag > 0.0
+        assert rep.variable == "c" and rep.c == rep.c_root
+        assert dispersion.center_c(p0) == rep.disk.center
 
     def test_reference_gap_bound(self):
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
-        rep = dispersion.certify_beta(p0, r3=0.5)
+        rep = dispersion.certify(p0, r3=0.5, tol=1e-10)
         a, nu0 = p0.alpha, p0.nu0
         bound = a ** nu0 + a ** (1.0 - nu0) * abs(math.log(a))
         assert rep.reference_gap_max <= 3.0 * bound
 
     def test_desk_scale_hierarchy_divergence_reports_winding_zero(self):
         with pytest.raises(WindingNotOne) as err:
-            dispersion.certify_beta(SpectralParams.beta_regime(1.0, 0.115, 1e-10))
+            dispersion.certify(SpectralParams.beta_regime(1.0, 0.115, 1e-10),
+                               tol=1e-10)
         assert err.value.winding == 0

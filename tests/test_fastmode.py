@@ -11,7 +11,7 @@ from tswave.params import SpectralParams
 @pytest.fixture(scope="module")
 def eighth_params():
     p0 = SpectralParams.eighth(2.0, 1e-10)
-    return p0.with_c(p0.chat_to_c(dispersion.center_eighth(p0)))
+    return p0.with_c(dispersion.center_c(p0))
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ class TestAiryFast:
         consts = {}
         for eps in (1e-8, 1e-10, 1e-12):
             p0 = SpectralParams.eighth(2.0, eps)
-            p = p0.with_c(p0.chat_to_c(dispersion.center_eighth(p0)))
+            p = p0.with_c(dispersion.center_c(p0))
             g = graded_grid(1500, 40.0, cluster_scale=p.n ** (-1.0 / 3.0))
             wts = trap_weights(g)
             wgt = 1.0 / np.sqrt(np.abs(DEFAULT_PROFILE.eval("U", 2, g)))

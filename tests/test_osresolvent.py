@@ -19,7 +19,7 @@ from tswave.profile import DEFAULT_PROFILE, HartmannProfile
 
 def basin_params(eps=1e-12, A=2.0):
     p0 = SpectralParams.eighth(A, eps)
-    return p0.with_c(p0.chat_to_c(dispersion.center_eighth(p0)))
+    return p0.with_c(dispersion.center_c(p0))
 
 
 def manufactured_fields(grid):

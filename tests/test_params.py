@@ -95,7 +95,7 @@ class TestModeFunction:
 
     def test_mode_from_grid_clamps_tail(self):
         grid = np.linspace(0.0, 10.0, 300)
-        f = mode_from_grid(grid, [np.exp(-grid)], decay_rate=1.0)
+        f = mode_from_grid(grid, [np.exp(-grid)])
         assert f(12.0) == 0.0
         assert f(3.0) == pytest.approx(math.exp(-3.0), rel=1e-8)
 
@@ -115,7 +115,7 @@ class TestModeFunction:
 
         monkeypatch.setattr(interpolate, "CubicSpline", counted)
         grid_buf, val_bufs = grid.copy(), [v.copy() for v in vals]
-        f = mode_from_grid(grid_buf, val_bufs, decay_rate=1.0)
+        f = mode_from_grid(grid_buf, val_bufs)
         grid_buf[:] = 0.0       # later changes to the caller's buffers
         for buf in val_bufs:
             buf[:] = 0.0
@@ -140,7 +140,7 @@ class TestModeFunction:
             return spline(x, y)
 
         monkeypatch.setattr(interpolate, "CubicSpline", counted)
-        f = mode_from_grid(grid, vals, decay_rate=1.0)
+        f = mode_from_grid(grid, vals)
         for order in (2, 0, 1):
             out = f.eval(order, grid.copy())
             assert np.array_equal(out, vals[order])
