@@ -392,8 +392,8 @@ def build_config(args):
         kwargs["eps_list"] = [float(s) for s in args.eps_list.split(",") if s]
     elif getattr(args, "eps", None) is not None:
         kwargs["eps_list"] = [args.eps]
-    if kwargs.get("regime") == "beta" and kwargs.get("beta", 0.125) == 0.125:
-        kwargs["beta"] = 0.115
+    if kwargs.get("regime") == "beta":
+        kwargs.setdefault("beta", 0.115)
     return RunConfig(**kwargs)
 
 
@@ -487,9 +487,14 @@ def cmd_export_mode(args):
     eps = cfg.eps_list[0]
     params0 = cfg.params(eps)
     try:
-        c = _certify(cfg, params0).c
-    except WindingNotOne as exc:
-        sys.stderr.write(f"certification failed ({exc}); exporting at the "
+        report = _certify(cfg, params0)
+        failure = None if report.certified else "Newton did not converge in the disk"
+    except (WindingNotOne, ZeroOnContour) as exc:
+        failure = exc
+    if failure is None:
+        c = report.c
+    else:
+        sys.stderr.write(f"certification failed ({failure}); exporting at the "
                          f"disk center\n")
         c = dispersion.center_c(params0)
     t_list = [float(s) for s in args.t_list.split(",")]

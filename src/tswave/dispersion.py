@@ -18,7 +18,6 @@ import numpy as np
 from . import airy, fastmode, slowmode
 from .errors import WindingNotOne
 from .numerics import Circle, RootTrace, newton_root, winding_samples
-from .profile import DEFAULT_PROFILE
 
 __all__ = [
     "DispersionReport",
@@ -72,7 +71,7 @@ def disk_eighth(params):
     return Circle(center=center_eighth(params), radius=radius)
 
 
-def gamma0(c, params, profile=DEFAULT_PROFILE):
+def gamma0(c, params):
     """Boundary slope of the approximate mode at wave speed c (eps^{1/8} regime).
 
     ``c`` is a scalar or an array: all points share one Airy evaluation of
@@ -84,17 +83,17 @@ def gamma0(c, params, profile=DEFAULT_PROFILE):
     c = np.atleast_1d(np.asarray(c, dtype=complex))
     params.with_c(c[np.argmin(c.imag)])     # the Im c_hat > 0 check, on the lowest point
     chat = c + 1j / params.n
-    out = _gamma0(chat, *airy.ai_k((1, 2), params.z0_at(chat)), params, profile)
+    out = _gamma0(chat, *airy.ai_k((1, 2), params.z0_at(chat)), params)
     return complex(out[0]) if scalar else out
 
 
-def _gamma0(chat, ai1, ai2, params, profile):
+def _gamma0(chat, ai1, ai2, params):
     """Gamma0 at the points ``chat`` from Ai(1, z0) and Ai(2, z0) there."""
-    phi0, dphi0 = slowmode.boundary_values(params, profile, c_hat=chat)
+    phi0, dphi0 = slowmode.boundary_values(params, c_hat=chat)
     return dphi0 - phi0 * (ai1 / ai2) / params.delta
 
 
-def gamma0_and_fast_pair(params, profile=DEFAULT_PROFILE):
+def gamma0_and_fast_pair(params):
     """``gamma0`` at the wave speed of ``params`` together with its
     ``fastmode.fast_mode_pair``, from one Airy evaluation at the wall.
 
@@ -105,7 +104,7 @@ def gamma0_and_fast_pair(params, profile=DEFAULT_PROFILE):
     chat = np.atleast_1d(params.c) + 1j / params.n
     ai1, ai2 = airy.ai_k((1, 2), np.append(params.z0_at(chat), params.z0))
     pair = fastmode.fast_mode_pair(params, den=ai2[1])
-    return complex(_gamma0(chat, ai1[:1], ai2[:1], params, profile)[0]), pair
+    return complex(_gamma0(chat, ai1[:1], ai2[:1], params)[0]), pair
 
 
 def gamma_ref_hat(h, params):
@@ -129,11 +128,11 @@ def disk_beta(params, r3=0.5):
                   radius=r3 * params.alpha ** (1.0 + params.nu0))
 
 
-def gamma0_beta(c, params, profile=DEFAULT_PROFILE):
+def gamma0_beta(c, params):
     """Boundary slope of the approximate mode built on the exponential hierarchy."""
     p = params.with_c(c)
-    phi0, dphi0 = slowmode.boundary_values(p, profile)
-    return gamma0_of_hierarchy(phi0, dphi0, fastmode.ExpFastHierarchy(p, profile=profile))
+    phi0, dphi0 = slowmode.boundary_values(p)
+    return gamma0_of_hierarchy(phi0, dphi0, fastmode.ExpFastHierarchy(p))
 
 
 def gamma0_of_hierarchy(phi0, dphi0, hier):

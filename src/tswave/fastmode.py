@@ -146,7 +146,7 @@ class ExpFastHierarchy:
     integrals of the Phi levels, formed on first use.
     """
 
-    def __init__(self, params, grid=None, n_terms=None, profile=DEFAULT_PROFILE):
+    def __init__(self, params, grid=None, n_terms=None):
         if params.is_eighth:
             raise RegimeMismatch("exponential hierarchy applies to beta < 1/8")
         self.params = params
@@ -157,8 +157,8 @@ class ExpFastHierarchy:
         self.grid = np.asarray(grid, dtype=float)
         self.varpi = varpi
 
-        us = profile.eval("U", 0, self.grid)
-        dus = profile.eval("U", 1, self.grid)
+        us = DEFAULT_PROFILE.eval("U", 0, self.grid)
+        dus = DEFAULT_PROFILE.eval("U", 1, self.grid)
         n = params.n
         phi = np.exp(-varpi * self.grid)
         dphi = -varpi * phi
@@ -213,7 +213,7 @@ class ExpFastHierarchy:
 
 
 def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,
-                phi_last=None, profile=DEFAULT_PROFILE):
+                phi_last=None):
     """Fast-mode error terms, verbatim per regime.
 
     ``phi_last`` (the highest hierarchy level) enters only the beta-regime
@@ -226,12 +226,12 @@ def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,
     c = params.c
     chat = params.c_hat
     B = complex(slow_boundary_value)
-    us = profile.eval("U", 0, Yarr)
-    dus = profile.eval("U", 1, Yarr)
-    d2us = profile.eval("U", 2, Yarr)
-    hs = profile.eval("H", 0, Yarr)
-    dhs = profile.eval("H", 1, Yarr)
-    d2hs = profile.eval("H", 2, Yarr)
+    us = DEFAULT_PROFILE.eval("U", 0, Yarr)
+    dus = DEFAULT_PROFILE.eval("U", 1, Yarr)
+    d2us = DEFAULT_PROFILE.eval("U", 2, Yarr)
+    hs = DEFAULT_PROFILE.eval("H", 0, Yarr)
+    dhs = DEFAULT_PROFILE.eval("H", 1, Yarr)
+    d2hs = DEFAULT_PROFILE.eval("H", 2, Yarr)
     phi = phi_app_f
     psi = psi_app_f
 
@@ -246,7 +246,7 @@ def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,
                      - (a / n) * phi.eval(0, Yarr)
                      - 1j * a * se * hs * psi.eval(0, Yarr))
     if group == "E3f":
-        slope0 = profile.eval("U", 1, 0.0)
+        slope0 = DEFAULT_PROFILE.eval("U", 1, 0.0)
         return -B * ((us - slope0 * Yarr) * phi.eval(2, Yarr)
                      - d2us * phi.eval(0, Yarr)
                      + se * dhs * psi.eval(1, Yarr)

@@ -66,8 +66,7 @@ def default_magnetic_grid(params, n_nodes=1200):
     return graded_grid(n_nodes, params.far_field, cluster_scale=1.0)
 
 
-def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None,
-                   profile=DEFAULT_PROFILE):
+def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None):
     """Picard limit of the mild formulation; returns (ModeFunction, trace).
 
     Stops when the weighted sup-norm gap between successive iterates drops
@@ -78,7 +77,7 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None,
     grid = default_magnetic_grid(p) if grid is None else np.asarray(grid, dtype=float)
     xi = prob.xi
     alpha = p.alpha
-    one_minus_us = profile.wake(grid)
+    one_minus_us = DEFAULT_PROFILE.wake(grid)
     lift = np.exp(-xi * grid) * prob.phi_b
     f_vals = prob.f.eval(0, grid)
     f_tilde = f_vals + 1j * alpha * one_minus_us * lift
@@ -117,12 +116,12 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None,
     trace.residual_weighted = float(np.max(weight * np.abs(remapped - phi_t)))
     # dY phi_tilde = -xi phi_tilde + inner(Y) follows from the mild form
     dphi = -xi * lift - xi * phi_t + inner_final
-    us = profile.eval("U", 0, grid)
+    us = DEFAULT_PROFILE.eval("U", 0, grid)
     d2phi = alpha**2 * phi + 1j * alpha * (us - p.c) * phi - f_vals
     return mode_from_grid(grid, [phi, dphi, d2phi]), trace
 
 
-def equation_residual(mode, prob, Y, step=1e-3, profile=DEFAULT_PROFILE):
+def equation_residual(mode, prob, Y, step=1e-3):
     """Differential residual -(phi'' - alpha^2 phi) + i alpha (U_s - c) phi - f
     with the second derivative taken by central differences of the solution
     values.  Carries the O(step^2) + interpolation error of the discretization
@@ -130,14 +129,13 @@ def equation_residual(mode, prob, Y, step=1e-3, profile=DEFAULT_PROFILE):
     for the defect alone."""
     p = prob.params
     Y = np.asarray(Y, dtype=float)
-    us = profile.eval("U", 0, Y)
+    us = DEFAULT_PROFILE.eval("U", 0, Y)
     d2 = (mode.eval(0, Y + step) - 2.0 * mode.eval(0, Y) + mode.eval(0, Y - step)) / step**2
     return (-(d2 - p.alpha**2 * mode.eval(0, Y))
             + 1j * p.alpha * (us - p.c) * mode.eval(0, Y) - prob.f.eval(0, Y))
 
 
-def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None,
-                    profile=DEFAULT_PROFILE):
+def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None):
     """Magnetic slow mode: solve the magnetic equation with boundary value
     Phi_app^s(0) Psi_app^f(0) and source i alpha H_s Phi_app^s + dY Phi_app^s.
 
@@ -150,12 +148,12 @@ def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None,
     def source(order, Y):
         if order != 0:
             raise NotImplementedError
-        hs = profile.eval("H", 0, Y)
+        hs = DEFAULT_PROFILE.eval("H", 0, Y)
         return 1j * params.alpha * hs * slow.eval(0, Y) + slow.eval(1, Y)
 
     f_mode = ModeFunction(max_order=0, evaluator=source,
                           decay_rate=min(params.alpha, 1.0))
     prob = MagneticProblem(params=params, phi_b=complex(slow_at_0 * fast_psi_at_0),
                            f=f_mode)
-    mode, _ = solve_magnetic(prob, grid=grid, profile=profile)
+    mode, _ = solve_magnetic(prob, grid=grid)
     return mode

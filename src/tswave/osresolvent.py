@@ -113,14 +113,11 @@ def _affine(m0, m1):
 
 @dataclass(frozen=True)
 class _GridState:
-    """Profile arrays and c-free operators of one (grid, params, profile)."""
+    """Profile arrays and c-free operators of one (grid, params)."""
 
     us: np.ndarray
-    dus: np.ndarray
     d2us: np.ndarray
     hs: np.ndarray
-    dhs: np.ndarray
-    d2hs: np.ndarray
     d1: sparse.csr_matrix
     d2: sparse.csr_matrix
     a_xi: sparse.csr_matrix      # first-slot magnetic coupling on Phi
@@ -129,14 +126,14 @@ class _GridState:
     w_inv_sqrt: np.ndarray
 
 
-def _state_key(params, bvp, profile):
-    """Cache key of the per-grid state: grid bytes, params without c, profile."""
-    return bvp.grid.tobytes(), replace(params, c=None), profile
+def _state_key(params, bvp):
+    """Cache key of the per-grid state: grid bytes and params without c."""
+    return bvp.grid.tobytes(), replace(params, c=None)
 
 
 @lru_cache(maxsize=2)
-def _grid_state(grid_key, params, profile):
-    """Per-(grid, params, profile) arrays shared by every wave speed, keyed on
+def _grid_state(grid_key, params):
+    """Per-(grid, params) arrays shared by every wave speed, keyed on
     the grid's bytes so equal grids share one entry and a grid changed in
     place misses; ``params`` carries no wave speed.  The difference matrices
     are rebuilt from the grid as in ``build_bvp``, so no entry refers back to
@@ -146,8 +143,8 @@ def _grid_state(grid_key, params, profile):
     All arrays are read-only.
     """
     grid = np.frombuffer(grid_key, dtype=float)
-    us, dus, d2us = (profile.eval("U", k, grid) for k in range(3))
-    hs, dhs, d2hs = (profile.eval("H", k, grid) for k in range(3))
+    us, dus, d2us = (DEFAULT_PROFILE.eval("U", k, grid) for k in range(3))
+    hs, dhs, d2hs = (DEFAULT_PROFILE.eval("H", k, grid) for k in range(3))
     d1, d2 = diff_matrix(grid, 1), diff_matrix(grid, 2)
     a, n, se = params.alpha, params.n, params.sqrt_eps
     eye = sparse.identity(grid.size, format="csr", dtype=complex)
@@ -163,10 +160,10 @@ def _grid_state(grid_key, params, profile):
                       + a**2 * se * dia(hs) @ eye,
                       (a / n) * d1)
     transport = (dia(dus) @ d1 + dia(d2us)).tocsr()
-    state = _GridState(us=us, dus=dus, d2us=d2us, hs=hs, dhs=dhs, d2hs=d2hs,
-                       d1=d1, d2=d2, a_xi=a_xi, a_theta=a_theta,
-                       transport=transport, w_inv_sqrt=_inv_sqrt_curvature(d2us))
-    for arr in (us, dus, d2us, hs, dhs, d2hs, state.w_inv_sqrt):
+    state = _GridState(us=us, d2us=d2us, hs=hs, d1=d1, d2=d2, a_xi=a_xi,
+                       a_theta=a_theta, transport=transport,
+                       w_inv_sqrt=_inv_sqrt_curvature(d2us))
+    for arr in (us, d2us, hs, state.w_inv_sqrt):
         arr.flags.writeable = False
     for m in (d1, d2, a_xi, transport):
         for arr in (m.data, m.indices, m.indptr):
@@ -174,11 +171,11 @@ def _grid_state(grid_key, params, profile):
     return state
 
 
-def _grid_state_for(params, bvp, profile):
-    return _grid_state(*_state_key(params, bvp, profile))
+def _grid_state_for(params, bvp):
+    return _grid_state(*_state_key(params, bvp))
 
 
-def _block_operator(grid_key, boundary, params, profile, variant):
+def _block_operator(grid_key, boundary, params, variant):
     """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1,
     with the unknowns in block order (Phi, omega, Psi).
 
@@ -186,7 +183,7 @@ def _block_operator(grid_key, boundary, params, profile, variant):
     block, the i alpha (U_s - c) diagonal of the magnetic block and, in the
     'os_s' and 'full' variants, the (alpha/n) c d_Y part of the Psi coupling.
     """
-    st = _grid_state(grid_key, params, profile)
+    st = _grid_state(grid_key, params)
     N = st.us.size
     a, n = params.alpha, params.n
     eye = sparse.identity(N, format="csr", dtype=complex)
@@ -273,21 +270,21 @@ class _Banded(NamedTuple):
 
 
 @lru_cache(maxsize=2)
-def _affine_operator(grid_key, boundary, params, profile, variant):
+def _affine_operator(grid_key, boundary, params, variant):
     """``_block_operator`` in read-only band storage, the one form kept."""
-    op = _block_operator(grid_key, boundary, params, profile, variant)
+    op = _block_operator(grid_key, boundary, params, variant)
     band0, kl, ku = _to_band(op.a0)
     band1 = _to_band(op.a1)[0]        # a1 shares a0's pattern, so its kl, ku
     band0.flags.writeable = band1.flags.writeable = False
     return _Banded(band0, band1, kl, ku)
 
 
-def _band_at(params, bvp, profile, variant):
+def _band_at(params, bvp, variant):
     """(band, kl, ku) of the requested splitting ('os_d', 'os_s', 'full') at
     the wave speed of ``params``."""
     params._need_c()
-    gridkey, p0, prof = _state_key(params, bvp, profile)
-    op = _affine_operator(gridkey, bvp.boundary, p0, prof, variant)
+    gridkey, p0 = _state_key(params, bvp)
+    op = _affine_operator(gridkey, bvp.boundary, p0, variant)
     return op.at(params.c), op.kl, op.ku
 
 
@@ -345,9 +342,9 @@ def _estimate_condition(lu):
 
 
 class _Factorized:
-    def __init__(self, params, bvp, profile, variant):
+    def __init__(self, params, bvp, variant):
         try:
-            self.lu = splu(*_band_at(params, bvp, profile, variant))
+            self.lu = splu(*_band_at(params, bvp, variant))
         except RuntimeError as exc:
             raise SingularSystem(f"{variant} factorization failed: {exc}") from exc
         cond = _estimate_condition(self.lu)
@@ -387,13 +384,13 @@ class OSIteration:
     condition estimates.
     """
 
-    def __init__(self, params, bvp, profile=DEFAULT_PROFILE):
+    def __init__(self, params, bvp):
         params._need_c()
         self.params = params
         self.bvp = bvp
-        self.grid_state = _grid_state_for(params, bvp, profile)
-        self.fact_d = _Factorized(params, bvp, profile, "os_d")
-        self.fact_s = _Factorized(params, bvp, profile, "os_s")
+        self.grid_state = _grid_state_for(params, bvp)
+        self.fact_d = _Factorized(params, bvp, "os_d")
+        self.fact_s = _Factorized(params, bvp, "os_s")
         self.a_theta = self.grid_state.a_theta.at(params.c)
 
     def _e_norm(self, phi, omega, psi, q2=None):
@@ -461,21 +458,21 @@ class OSIteration:
             f"alternation did not reach {tol:.1e} relative in {_MAX_ALTERNATIONS} steps")
 
 
-def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE):
+def assemble_error_terms(c, params, bvp):
     """All approximate-mode error arrays on the grid, plus the approximate
     dispersion value and the participating modes."""
     p = params.with_c(c)
     grid = bvp.grid
 
-    slow_mode = slowmode.phi_app_s_mode(p, profile)
-    phi0, dphi0 = slowmode.boundary_values(p, profile)
+    slow_mode = slowmode.phi_app_s_mode(p)
+    phi0, dphi0 = slowmode.boundary_values(p)
 
     if p.is_eighth:
-        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(p, profile)
+        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(p)
         phi_last = None
         groups = ("E1f", "E2f", "E3f", "Ff")
     else:
-        hier = fastmode.ExpFastHierarchy(p, grid=grid, profile=profile)
+        hier = fastmode.ExpFastHierarchy(p, grid=grid)
         phi_f = hier.mode("Phi")
         psi_f = hier.mode("Psi")
         phi_last = hier.level_mode(hier.n_terms)
@@ -484,20 +481,19 @@ def assemble_error_terms(c, params, bvp, profile=DEFAULT_PROFILE):
 
     # grid[0] = 0: the wall value from the grid samples the error terms read
     psi_s = magnetic.build_psi_app_s(p, slow_mode, psi_f.eval(0, grid)[0], phi0,
-                                     grid=grid, profile=profile)
+                                     grid=grid)
 
-    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s, profile,
-                                             phi_mode=slow_mode)
+    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s, phi_mode=slow_mode)
               for k in (1, 2, 3)}
     for key, g in zip(("e1f", "e2f", "e3f", "ff"), groups):
         arrays[key] = fastmode.fast_errors(g, grid, p, phi0, phi_f, psi_f,
-                                           phi_last=phi_last, profile=profile)
+                                           phi_last=phi_last)
     modes = {"slow": slow_mode, "phi_f": phi_f, "psi_f": psi_f, "psi_s": psi_s,
              "phi0": phi0, "dphi0": dphi0}
     return arrays, gamma0_val, modes
 
 
-def error_norms(arrays, bvp, profile=DEFAULT_PROFILE):
+def error_norms(arrays, bvp):
     """L2 / weighted-L2 norms of the assembled error arrays.
 
     The e3 groups are weighted by |U_s''|^{-1/2}.  Past Y ~ 745 the shear
@@ -507,7 +503,7 @@ def error_norms(arrays, bvp, profile=DEFAULT_PROFILE):
     where U_s'' underflows still makes the norm infinite.
     """
     wts = bvp.weights
-    w_inv_sqrt = _inv_sqrt_curvature(profile.eval("U", 2, bvp.grid))
+    w_inv_sqrt = _inv_sqrt_curvature(DEFAULT_PROFILE.eval("U", 2, bvp.grid))
     return {
         "e1s_l2": l2_norm(arrays["e1s"], wts),
         "e2s_l2": l2_norm(arrays["e2s"], wts),
@@ -519,7 +515,7 @@ def error_norms(arrays, bvp, profile=DEFAULT_PROFILE):
     }
 
 
-def _solve_remainders(c, params, bvp, profile):
+def _solve_remainders(c, params, bvp):
     """Error terms at c and the two remainder solves.
 
     The first remainder absorbs the strongly decaying error pair, the second
@@ -529,8 +525,8 @@ def _solve_remainders(c, params, bvp, profile):
     remainder its grid arrays (phi, psi) plus its alternation trace.
     """
     p = params.with_c(c)
-    arrays, gamma0_val, modes = assemble_error_terms(c, params, bvp, profile)
-    it = OSIteration(p, bvp, profile)
+    arrays, gamma0_val, modes = assemble_error_terms(c, params, bvp)
+    it = OSIteration(p, bvp)
     phi1, _, psi1, trace1 = it.iterate(arrays["e3s"] + arrays["e3f"],
                                        arrays["ff"], tol=_ALTERNATION_TOL,
                                        entry="d")
@@ -541,10 +537,10 @@ def _solve_remainders(c, params, bvp, profile):
     return gamma0_val, modes, ((phi1, psi1, trace1), (phi2, psi2, trace2))
 
 
-def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE):
+def remainder_and_gamma(c, params, bvp):
     """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
     two remainder solves, plus diagnostics."""
-    gamma0_val, _, remainders = _solve_remainders(c, params, bvp, profile)
+    gamma0_val, _, remainders = _solve_remainders(c, params, bvp)
     # the one-sided wall slope is the first row of d1
     slope1, slope2 = ((bvp.d1[0] @ phi)[0] for phi, _, _ in remainders)
     gamma = gamma0_val - slope1 - slope2
@@ -558,7 +554,7 @@ def remainder_and_gamma(c, params, bvp, profile=DEFAULT_PROFILE):
     return gamma, diag
 
 
-def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE):
+def build_mode(c, params, bvp, full_os=False):
     """Combined mode (Phi, Psi) at wave speed c as grid-backed ModeFunctions.
 
     Without ``full_os`` this is the approximate growing mode (zero stream
@@ -567,9 +563,9 @@ def build_mode(c, params, bvp, full_os=False, profile=DEFAULT_PROFILE):
     """
     grid = bvp.grid
     if full_os:
-        _, modes, remainders = _solve_remainders(c, params, bvp, profile)
+        _, modes, remainders = _solve_remainders(c, params, bvp)
     else:
-        _, _, modes = assemble_error_terms(c, params, bvp, profile)
+        _, _, modes = assemble_error_terms(c, params, bvp)
     phi0 = modes["phi0"]
     phi_arrays = [modes["slow"].eval(k, grid) - phi0 * modes["phi_f"].eval(k, grid)
                   for k in range(2)]

@@ -1,10 +1,10 @@
 """Background shear/magnetic profile and its structural conditions.
 
-Ships the exponential Hartmann pair U_s = 1 - e^{-Y}, H_s = h_inf - e^{-Y}.
-``Profile`` is an interface so alternative profiles satisfying the same
-monotonicity and strong-concavity conditions can be plugged in; closed-form
-primitives for the near-critical-layer integrals are optional methods that
-the slow-mode evaluators use when present.
+The Hartmann pair U_s = 1 - e^{-Y}, H_s = h_inf - e^{-Y} is the one
+background of the growing mode; the numerical modules read
+``DEFAULT_PROFILE``.  It carries the closed-form primitives of the
+near-critical-layer integrals, and ``check_structure`` verifies the
+monotonicity and strong-concavity conditions of any profile it is given.
 """
 
 from __future__ import annotations
@@ -16,35 +16,12 @@ import numpy as np
 from .errors import StructureViolation, UnsupportedOrder
 
 __all__ = [
-    "Profile",
     "HartmannProfile",
     "StructureConstants",
     "StructureReport",
     "check_structure",
     "DEFAULT_PROFILE",
 ]
-
-
-class Profile:
-    """Interface: U_s with three derivatives, H_s with two, far fields (1, h_inf)."""
-
-    u_inf = 1.0
-    h_inf = 1.0
-    max_order = {"U": 3, "H": 2}
-
-    def eval(self, which, order, Y):
-        raise NotImplementedError
-
-    def wake(self, Y):
-        """u_inf - U_s(Y), overridden where an exact tail form exists: the
-        plain subtraction loses all relative accuracy once U_s is within one
-        ulp of u_inf, and exponentially weighted norms amplify that noise."""
-        return self.u_inf - self.eval("U", 0, Y)
-
-    # Optional closed-form hooks used by the slow-mode evaluators when present:
-    #   inv_square_integral(Y, c_hat) = int_1^Y (U_s - c_hat)^{-2} dX
-    #   corrector_integral(Y, c_hat)  = int_0^Y U_s' (U_s - c_hat)
-    #                                     * inv_square_integral(X, c_hat) dX
 
 
 @dataclass(frozen=True)
@@ -73,8 +50,12 @@ class StructureReport:
         return self.worst[1] >= -1e-12
 
 
-class HartmannProfile(Profile):
-    """U_s(Y) = 1 - e^{-Y}, H_s(Y) = h_inf - e^{-Y}."""
+class HartmannProfile:
+    """U_s(Y) = 1 - e^{-Y} with three derivatives, H_s(Y) = h_inf - e^{-Y}
+    with two; far fields (1, h_inf)."""
+
+    u_inf = 1.0
+    max_order = {"U": 3, "H": 2}
 
     def __init__(self, h_inf=1.0):
         self.h_inf = float(h_inf)
@@ -93,6 +74,9 @@ class HartmannProfile(Profile):
         return (-1.0) ** (order + 1) * e
 
     def wake(self, Y):
+        """u_inf - U_s(Y) in its exact tail form: the plain subtraction loses
+        all relative accuracy once U_s is within one ulp of u_inf, and
+        exponentially weighted norms amplify that noise."""
         return np.exp(-np.asarray(Y, dtype=float))
 
     # -- closed-form primitives (exact completions of the integration-by-parts
@@ -107,9 +91,11 @@ class HartmannProfile(Profile):
         return Y / b**2 + np.log(w) / b**2 - 1.0 / (b * w)
 
     def inv_square_integral(self, Y, c_hat):
+        """int_1^Y (U_s - c_hat)^{-2} dX."""
         return self._inv_square_primitive(Y, c_hat) - self._inv_square_primitive(1.0, c_hat)
 
     def corrector_integral(self, Y, c_hat):
+        """int_0^Y U_s' (U_s - c_hat) inv_square_integral(X, c_hat) dX."""
         Y = np.asarray(Y, dtype=float)
         b = 1.0 - c_hat
         e = np.exp(-Y)

@@ -5,7 +5,7 @@ psi_{0,2} = (U_s - c_hat) * J(Y) with J(Y) the inverse-square integral from
 Y = 1, the wavenumber-corrected pair psi_{alpha,j} = e^{-alpha Y} psi_{0,j},
 the corrector Phi_1^s, and the combined slow mode
 Phi_app^s = psi_{alpha,1} + alpha Phi_1^s, all with derivatives up to order 3
-in closed form for profiles that expose analytic primitives.  A quadrature
+in closed form from the primitives of the Hartmann profile.  A quadrature
 evaluation path (`method="quadrature"`) retains the integral definitions and
 serves as the independent oracle.
 """
@@ -39,58 +39,51 @@ __all__ = [
 _QUAD_TOL = 1e-11
 
 
-def inv_square_integral(Y, params, profile=DEFAULT_PROFILE, method="auto"):
+def inv_square_integral(Y, params, method="auto"):
     """J(Y) = int_1^Y (U_s - c_hat)^{-2} dX.
 
-    "auto" uses the profile's closed-form primitive when available; the
-    quadrature route splits at Y = 1: an integration-by-parts representation
-    removes the near-singular inverse square on [0, 1] (leaving an integrable
-    logarithm), while the integrand is already tame for Y > 1.
+    "auto" uses the profile's closed-form primitive; the quadrature route
+    splits at Y = 1: an integration-by-parts representation removes the
+    near-singular inverse square on [0, 1] (leaving an integrable logarithm),
+    while the integrand is already tame for Y > 1.
     """
     chat = params.c_hat
-    if method == "auto" and hasattr(profile, "inv_square_integral"):
-        return _closed_forms_at(Y, chat, profile)[0]
+    if method == "auto":
+        return _closed_forms_at(Y, chat)[0]
     scalar = np.isscalar(Y)
-    out = np.array([_j_quad(float(y), chat, profile) for y in np.atleast_1d(Y)],
-                   dtype=complex)
+    out = np.array([_j_quad(float(y), chat) for y in np.atleast_1d(Y)], dtype=complex)
     return complex(out[0]) if scalar else out
 
 
-def _closed_forms_at(Y, chat, profile):
-    """(J, K, L) of a closed-form profile at these Y, from ``_closed_forms``;
-    a scalar Y gives scalars."""
+def _closed_forms_at(Y, chat):
+    """(J, K, L) at these Y, from ``_closed_forms``; a scalar Y gives scalars."""
     Yarr = np.asarray(Y, dtype=float)
-    out = _closed_forms(Yarr.tobytes(), Yarr.shape, complex(chat), profile)
-    return out if Yarr.ndim else tuple(None if v is None else v[()] for v in out)
+    out = _closed_forms(Yarr.tobytes(), Yarr.shape, complex(chat))
+    return out if Yarr.ndim else tuple(v[()] for v in out)
 
 
 @lru_cache(maxsize=4)
-def _closed_forms(y_key, shape, chat, profile):
-    """J(Y), K(Y) and L(Y) of one (grid, c_hat, profile) from the profile's
-    closed-form primitives (None where the profile has none), keyed on the
-    grid's bytes so equal grids share one entry and a grid changed in place
-    misses; the arrays are read-only.
+def _closed_forms(y_key, shape, chat):
+    """J(Y), K(Y) and L(Y) of one (grid, c_hat) from the profile's closed-form
+    primitives, keyed on the grid's bytes so equal grids share one entry and
+    a grid changed in place misses; the arrays are read-only.
     """
     Y = np.frombuffer(y_key, dtype=float).reshape(shape)
-    J = K = L = None
-    if hasattr(profile, "inv_square_integral"):
-        J = np.asarray(profile.inv_square_integral(Y, chat))
-    if hasattr(profile, "corrector_integral"):
-        K = np.asarray(profile.corrector_integral(Y, chat))
-        w = profile.eval("U", 0, Y) - chat
-        b = profile.u_inf - chat
-        # b^2 - w^2 written through the wake; the direct difference bottoms
-        # out at one ulp once U_s saturates, which exponential weights amplify
-        L = np.asarray(profile.wake(Y) * (b + w) / 2.0)
+    J = np.asarray(DEFAULT_PROFILE.inv_square_integral(Y, chat))
+    K = np.asarray(DEFAULT_PROFILE.corrector_integral(Y, chat))
+    w = DEFAULT_PROFILE.eval("U", 0, Y) - chat
+    b = DEFAULT_PROFILE.u_inf - chat
+    # b^2 - w^2 written through the wake; the direct difference bottoms
+    # out at one ulp once U_s saturates, which exponential weights amplify
+    L = np.asarray(DEFAULT_PROFILE.wake(Y) * (b + w) / 2.0)
     for arr in (J, K, L):
-        if arr is not None:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
     return J, K, L
 
 
-def _j_quad(Y, chat, profile):
+def _j_quad(Y, chat):
     def w(X):
-        return profile.eval("U", 0, X) - chat
+        return DEFAULT_PROFILE.eval("U", 0, X) - chat
 
     if Y == 1.0:
         return 0.0 + 0.0j
@@ -99,18 +92,18 @@ def _j_quad(Y, chat, profile):
                             rel_tol=_QUAD_TOL)
 
     def ratio(X):
-        du = profile.eval("U", 1, X)
-        d2u = profile.eval("U", 2, X)
+        du = DEFAULT_PROFILE.eval("U", 1, X)
+        d2u = DEFAULT_PROFILE.eval("U", 2, X)
         return d2u / du**3
 
     def dratio(X):
-        du = profile.eval("U", 1, X)
-        d2u = profile.eval("U", 2, X)
-        d3u = profile.eval("U", 3, X)
+        du = DEFAULT_PROFILE.eval("U", 1, X)
+        d2u = DEFAULT_PROFILE.eval("U", 2, X)
+        d3u = DEFAULT_PROFILE.eval("U", 3, X)
         return d3u / du**3 - 3.0 * d2u**2 / du**4
 
-    du_y = profile.eval("U", 1, Y)
-    du_1 = profile.eval("U", 1, 1.0)
+    du_y = DEFAULT_PROFILE.eval("U", 1, Y)
+    du_1 = DEFAULT_PROFILE.eval("U", 1, 1.0)
     boundary = (-1.0 / (du_y * w(Y)) + 1.0 / (du_1 * w(1.0))
                 - np.log(w(Y)) * ratio(Y) + np.log(w(1.0)) * ratio(1.0))
     rest = quad_segment(lambda X: np.log(w(np.real(X))) * dratio(np.real(X)),
@@ -118,7 +111,7 @@ def _j_quad(Y, chat, profile):
     return boundary + rest
 
 
-def psi0(j, order, Y, params, profile=DEFAULT_PROFILE, method="auto"):
+def psi0(j, order, Y, params, method="auto"):
     """psi_{0,j} and derivatives, j = 1 (regular) or 2 (critical-layer) solution."""
     if order < 0 or order > 3:
         raise UnsupportedOrder(f"psi0 order {order}")
@@ -126,46 +119,46 @@ def psi0(j, order, Y, params, profile=DEFAULT_PROFILE, method="auto"):
     chat = params.c_hat
     if j == 1:
         if order == 0:
-            return profile.eval("U", 0, Y) - chat
-        return profile.eval("U", order, Y) + 0.0j
+            return DEFAULT_PROFILE.eval("U", 0, Y) - chat
+        return DEFAULT_PROFILE.eval("U", order, Y) + 0.0j
     if j != 2:
         raise ValueError("j must be 1 or 2")
-    J = inv_square_integral(Y, params, profile, method)
-    w = profile.eval("U", 0, Y) - chat
+    J = inv_square_integral(Y, params, method)
+    w = DEFAULT_PROFILE.eval("U", 0, Y) - chat
     if order == 0:
         return w * J
-    du = profile.eval("U", 1, Y)
+    du = DEFAULT_PROFILE.eval("U", 1, Y)
     if order == 1:
         return du * J + 1.0 / w
-    d2u = profile.eval("U", 2, Y)
+    d2u = DEFAULT_PROFILE.eval("U", 2, Y)
     if order == 2:
         return d2u * J
-    d3u = profile.eval("U", 3, Y)
+    d3u = DEFAULT_PROFILE.eval("U", 3, Y)
     return d3u * J + d2u / w**2
 
 
-def corrector_integrals(Y, params, profile=DEFAULT_PROFILE, method="auto"):
+def corrector_integrals(Y, params, method="auto"):
     """Running integrals (K, L) of the corrector:
 
     K(Y) = int_0^Y U_s' psi_{0,2},  L(Y) = int_Y^inf U_s' psi_{0,1}.
     """
     chat = params.c_hat
     Yarr = np.atleast_1d(np.asarray(Y, dtype=float))
-    if method == "auto" and hasattr(profile, "corrector_integral"):
-        _, K, L = _closed_forms_at(Yarr, chat, profile)
+    if method == "auto":
+        _, K, L = _closed_forms_at(Yarr, chat)
     else:
         def k_int(y):
             if y == 0.0:
                 return 0.0 + 0.0j
             return quad_segment(
-                lambda X: profile.eval("U", 1, np.real(X))
-                * psi0(2, 0, np.real(X), params, profile, method),
+                lambda X: DEFAULT_PROFILE.eval("U", 1, np.real(X))
+                * psi0(2, 0, np.real(X), params, method),
                 Segment(0.0, y), rel_tol=_QUAD_TOL)
 
         def l_int(y):
             return quad_segment(
-                lambda X: profile.eval("U", 1, np.real(X))
-                * psi0(1, 0, np.real(X), params, profile, method),
+                lambda X: DEFAULT_PROFILE.eval("U", 1, np.real(X))
+                * psi0(1, 0, np.real(X), params, method),
                 Ray(y, 1.0 + 0.0j), rel_tol=_QUAD_TOL)
 
         K = np.array([k_int(float(y)) for y in Yarr], dtype=complex)
@@ -175,17 +168,17 @@ def corrector_integrals(Y, params, profile=DEFAULT_PROFILE, method="auto"):
     return K, L
 
 
-def _shifted_derivative(j, order, Y, params, profile, method):
+def _shifted_derivative(j, order, Y, params, method):
     """(d/dY - alpha)^order applied to psi_{0,j}."""
     a = params.alpha
     out = 0.0
     for m in range(order + 1):
         out = out + math.comb(order, m) * (-a) ** (order - m) * psi0(
-            j, m, Y, params, profile, method)
+            j, m, Y, params, method)
     return out
 
 
-def phi1s(order, Y, params, profile=DEFAULT_PROFILE, method="auto"):
+def phi1s(order, Y, params, method="auto"):
     """Corrector Phi_1^s and derivatives up to order 3.
 
     The derivative formulas keep the two running integrals intact; the
@@ -196,37 +189,37 @@ def phi1s(order, Y, params, profile=DEFAULT_PROFILE, method="auto"):
         raise UnsupportedOrder(f"phi1s order {order}")
     Yarr = np.asarray(Y, dtype=float)
     a = params.alpha
-    K, L = corrector_integrals(Yarr, params, profile, method)
+    K, L = corrector_integrals(Yarr, params, method)
     ea = np.exp(-a * Yarr)
-    p = (-2.0 * _shifted_derivative(1, order, Yarr, params, profile, method) * ea * K
-         - 2.0 * _shifted_derivative(2, order, Yarr, params, profile, method) * ea * L)
+    p = (-2.0 * _shifted_derivative(1, order, Yarr, params, method) * ea * K
+         - 2.0 * _shifted_derivative(2, order, Yarr, params, method) * ea * L)
     if order <= 1:
         return p
-    du = profile.eval("U", 1, Yarr)
+    du = DEFAULT_PROFILE.eval("U", 1, Yarr)
     if order == 2:
         return p + 2.0 * du * ea
-    d2u = profile.eval("U", 2, Yarr)
+    d2u = DEFAULT_PROFILE.eval("U", 2, Yarr)
     return p + (2.0 * d2u - 6.0 * a * du) * ea
 
 
-def phi_app_s(order, Y, params, profile=DEFAULT_PROFILE, method="auto"):
+def phi_app_s(order, Y, params, method="auto"):
     """Slow mode psi_{alpha,1} + alpha Phi_1^s and derivatives up to order 3."""
     Yarr = np.asarray(Y, dtype=float)
     ea = np.exp(-params.alpha * Yarr)
-    base = ea * _shifted_derivative(1, order, Yarr, params, profile, method)
-    return base + params.alpha * phi1s(order, Yarr, params, profile, method)
+    base = ea * _shifted_derivative(1, order, Yarr, params, method)
+    return base + params.alpha * phi1s(order, Yarr, params, method)
 
 
-def phi_app_s_mode(params, profile=DEFAULT_PROFILE, method="auto"):
+def phi_app_s_mode(params, method="auto"):
     """The slow mode as a ModeFunction; each (order, Y) is evaluated once."""
     return ModeFunction(
         max_order=3,
         evaluator=memoize_on_grid(
-            lambda order, Y: phi_app_s(order, Y, params, profile, method)),
+            lambda order, Y: phi_app_s(order, Y, params, method)),
     )
 
 
-def boundary_values(params, profile=DEFAULT_PROFILE, method="auto", c_hat=None):
+def boundary_values(params, method="auto", c_hat=None):
     """(Phi_app^s(0), dY Phi_app^s(0)) from the closed boundary formulas.
 
     ``c_hat`` replaces ``params.c_hat`` by an array of shifted wave speeds,
@@ -236,10 +229,10 @@ def boundary_values(params, profile=DEFAULT_PROFILE, method="auto", c_hat=None):
     scalar = c_hat is None
     chat = np.atleast_1d(np.asarray(params.c_hat if scalar else c_hat, dtype=complex))
     a = params.alpha
-    if method == "auto" and hasattr(profile, "inv_square_integral"):
-        j0 = profile.inv_square_integral(0.0, chat)
+    if method == "auto":
+        j0 = DEFAULT_PROFILE.inv_square_integral(0.0, chat)
     else:
-        j0 = np.array([_j_quad(0.0, ch, profile) for ch in chat], dtype=complex)
+        j0 = np.array([_j_quad(0.0, ch) for ch in chat], dtype=complex)
     psi02_0 = -chat * j0
     dpsi02_0 = j0 - 1.0 / chat
     phi0 = -chat - a * psi02_0 * (1.0 - 2.0 * chat)
@@ -249,17 +242,17 @@ def boundary_values(params, profile=DEFAULT_PROFILE, method="auto", c_hat=None):
     return phi0, dphi0
 
 
-def rayleigh_apply(f, Y, params, profile=DEFAULT_PROFILE):
+def rayleigh_apply(f, Y, params):
     """(U_s - c_hat)(f'' - alpha^2 f) - U_s'' f evaluated pointwise."""
     if f.max_order < 2:
         raise UnsupportedOrder("rayleigh_apply needs two derivatives")
     Yarr = np.asarray(Y, dtype=float)
-    w = profile.eval("U", 0, Yarr) - params.c_hat
-    d2u = profile.eval("U", 2, Yarr)
+    w = DEFAULT_PROFILE.eval("U", 0, Yarr) - params.c_hat
+    d2u = DEFAULT_PROFILE.eval("U", 2, Yarr)
     return w * (f.eval(2, Yarr) - params.alpha**2 * f.eval(0, Yarr)) - d2u * f.eval(0, Yarr)
 
 
-def damped_corrector_combo(Y, params, profile=DEFAULT_PROFILE, method="auto"):
+def damped_corrector_combo(Y, params, method="auto"):
     """dY Phi_1^s + alpha Phi_1^s in its cancelled form
     -2 psi_{0,1}' e^{-alpha Y} K - 2 psi_{0,2}' e^{-alpha Y} L.
 
@@ -268,22 +261,20 @@ def damped_corrector_combo(Y, params, profile=DEFAULT_PROFILE, method="auto"):
     that noise; this form decays like the shear itself.
     """
     Yarr = np.asarray(Y, dtype=float)
-    K, L = corrector_integrals(Yarr, params, profile, method)
+    K, L = corrector_integrals(Yarr, params, method)
     ea = np.exp(-params.alpha * Yarr)
-    return (-2.0 * psi0(1, 1, Yarr, params, profile, method) * ea * K
-            - 2.0 * psi0(2, 1, Yarr, params, profile, method) * ea * L)
+    return (-2.0 * psi0(1, 1, Yarr, params, method) * ea * K
+            - 2.0 * psi0(2, 1, Yarr, params, method) * ea * L)
 
 
-def rayleigh_residual_form(Y, params, profile=DEFAULT_PROFILE, method="auto"):
+def rayleigh_residual_form(Y, params, method="auto"):
     """Closed form -2 alpha^2 (U_s - c_hat)(dY Phi_1^s + alpha Phi_1^s)."""
     Yarr = np.asarray(Y, dtype=float)
-    w = profile.eval("U", 0, Yarr) - params.c_hat
-    return -2.0 * params.alpha**2 * w * damped_corrector_combo(
-        Yarr, params, profile, method)
+    w = DEFAULT_PROFILE.eval("U", 0, Yarr) - params.c_hat
+    return -2.0 * params.alpha**2 * w * damped_corrector_combo(Yarr, params, method)
 
 
-def slow_errors(group, Y, params, psi_app_s, profile=DEFAULT_PROFILE,
-                phi_mode=None, method="auto"):
+def slow_errors(group, Y, params, psi_app_s, phi_mode=None, method="auto"):
     """Slow-mode error terms: group 1 and 2 are the divergence/tangential
     parts, group 3 carries the strongly decaying remainder.
 
@@ -298,15 +289,15 @@ def slow_errors(group, Y, params, psi_app_s, profile=DEFAULT_PROFILE,
     n = params.n
     se = params.sqrt_eps
     c = params.c
-    hs = profile.eval("H", 0, Yarr)
+    hs = DEFAULT_PROFILE.eval("H", 0, Yarr)
 
     def phi(order):
         if phi_mode is not None:
             return phi_mode.eval(order, Yarr)
-        return phi_app_s(order, Yarr, params, profile, method)
+        return phi_app_s(order, Yarr, params, method)
 
     if group == 1:
-        us = profile.eval("U", 0, Yarr)
+        us = DEFAULT_PROFILE.eval("U", 0, Yarr)
         return ((1j / n) * (phi(3) - 2.0 * a**2 * phi(1))
                 - se * hs * psi_app_s.eval(1, Yarr)
                 - (a / n) * ((us - c) * psi_app_s.eval(0, Yarr) - hs * phi(0)))
@@ -314,8 +305,8 @@ def slow_errors(group, Y, params, psi_app_s, profile=DEFAULT_PROFILE,
         return ((a**3 / n) * phi(0)
                 - 1j * a * se * hs * psi_app_s.eval(0, Yarr)
                 - (a / n) * phi(0))
-    dhs = profile.eval("H", 1, Yarr)
-    d2hs = profile.eval("H", 2, Yarr)
-    return (rayleigh_residual_form(Yarr, params, profile, method)
+    dhs = DEFAULT_PROFILE.eval("H", 1, Yarr)
+    d2hs = DEFAULT_PROFILE.eval("H", 2, Yarr)
+    return (rayleigh_residual_form(Yarr, params, method)
             + se * dhs * psi_app_s.eval(1, Yarr)
             + se * d2hs * psi_app_s.eval(0, Yarr))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tswave import cli, dispersion, osresolvent
-from tswave.errors import GrowthOverflow, NonConvergence
+from tswave.errors import GrowthOverflow, NonConvergence, WindingNotOne, ZeroOnContour
 from tswave.params import SpectralParams
 
 
@@ -43,6 +43,20 @@ class TestRunConfig:
                             eps_list=[1e-10])
         p = cfg.params(1e-10)
         assert p.beta == 0.115 and not p.is_eighth
+
+    def test_beta_regime_fills_in_only_a_missing_beta(self, tmp_path, capsys):
+        assert cli.build_config(type("Args", (), {"amplitude_m": 1.0})()).beta == 0.115
+        # an explicit beta = 1/8 lies outside (3/28, 1/8) and is refused, from
+        # a flag or from a config file, instead of running at 0.115
+        rc = cli.main(["root", "--regime", "beta", "--M", "1", "--beta", "0.125",
+                       "--eps", "1e-24"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: beta regime needs beta in (3/28, 1/8)\n"
+        path = tmp_path / "run.cfg"
+        path.write_text("regime=beta\nbeta=0.125\n")
+        with pytest.raises(ValueError, match=r"needs beta in \(3/28, 1/8\)"):
+            cli.build_config(type("Args", (), {"config": str(path)})())
 
 
 class TestConfigFile:
@@ -354,6 +368,34 @@ def test_export_empty_lattice_is_an_error(capsys, lattice):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error: export lattice needs nx >= 1 and ny >= 1")
+
+
+@pytest.mark.parametrize("failure", ["winding", "zero-on-contour", "newton"])
+def test_export_falls_back_to_disk_center(monkeypatch, capsys, failure):
+    # every failed certification writes one note and exports at the disk
+    # center: a winding other than one, a zero on the contour, and a Newton
+    # run that did not converge inside the disk
+    certify = dispersion.certify
+
+    def failing(params, **kwargs):
+        if failure == "winding":
+            raise WindingNotOne(2)
+        if failure == "zero-on-contour":
+            raise ZeroOnContour("Gamma0 vanishes on the contour")
+        report = certify(params, **kwargs)
+        report.newton.converged = False
+        return report
+
+    monkeypatch.setattr(dispersion, "certify", failing)
+    rc = cli.main(["export-mode", "--A", "2", "--eps", "1e-12", "--grid-n", "400",
+                   "--nx", "2", "--ny", "4"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err.startswith("certification failed (")
+    assert err.endswith("); exporting at the disk center\n")
+    p0 = SpectralParams.eighth(2.0, 1e-12)
+    bvp = osresolvent.build_bvp(p0, n_nodes=400)
+    assert out == cli.export_mode(dispersion.center_c(p0), p0, [0.0], 2, 4, bvp=bvp)[2]
 
 
 def test_export_refuses_overflowing_time(capsys):

@@ -274,8 +274,8 @@ class TestGamma0OnArrays:
         gamma0, eval_vectorized = dispersion.gamma0, numerics._eval_vectorized
         in_winding, rounds, calls = [False], [], []
 
-        def gamma0_spy(c, params, profile=DEFAULT_PROFILE):
-            out = gamma0(c, params, profile)
+        def gamma0_spy(c, params):
+            out = gamma0(c, params)
             calls.append((in_winding[0], np.shape(c)))
             return out
 

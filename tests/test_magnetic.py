@@ -4,7 +4,7 @@ import typing
 import numpy as np
 import pytest
 
-from tswave import slowmode
+from tswave import magnetic, slowmode
 from tswave.errors import NonContraction, NonConvergence
 from tswave.magnetic import (MagneticProblem, default_magnetic_grid,
                              equation_residual, solve_magnetic, build_psi_app_s)
@@ -89,13 +89,10 @@ class TestSolve:
         with pytest.raises(NonConvergence):
             solve_magnetic(prob, tol=1e-14, max_picard=2)
 
-    def test_noncontraction_detector(self):
+    def test_noncontraction_detector(self, monkeypatch):
         # a wake decaying too slowly (and too large) breaks the contraction;
         # the runtime detector is the admissibility check
         class BadWake:
-            u_inf = 1.0
-            h_inf = 1.0
-
             def eval(self, which, order, Y):
                 return 1.0 - self.wake(Y)
 
@@ -104,8 +101,9 @@ class TestSolve:
 
         p = SpectralParams(eps=0.5, amplitude=0.95 / 0.5 ** 0.125).with_c(0.05 + 0.01j)
         prob = MagneticProblem(params=p, phi_b=1.0 + 0.0j, f=exp_source())
+        monkeypatch.setattr(magnetic, "DEFAULT_PROFILE", BadWake())
         with pytest.raises(NonContraction):
-            solve_magnetic(prob, tol=1e-11, profile=BadWake())
+            solve_magnetic(prob, tol=1e-11)
 
 
 class TestMeasuredScalings:

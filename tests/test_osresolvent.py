@@ -84,8 +84,8 @@ def os_s_solve(q1, q2, params, bvp):
 
 def block_operator(params, bvp, variant):
     """Sparse block-order system A0 + c A1 of one splitting on bvp's grid."""
-    grid_key, p0, profile = osresolvent._state_key(params, bvp, DEFAULT_PROFILE)
-    return osresolvent._block_operator(grid_key, bvp.boundary, p0, profile, variant)
+    grid_key, p0 = osresolvent._state_key(params, bvp)
+    return osresolvent._block_operator(grid_key, bvp.boundary, p0, variant)
 
 
 def assemble(params, bvp, variant):
@@ -141,7 +141,7 @@ class TestDirectSolves:
         m_d = assemble(p, bvp, "os_d")
         m_s = assemble(p, bvp, "os_s")
         m_f = assemble(p, bvp, "full")
-        state = osresolvent._grid_state_for(p, bvp, DEFAULT_PROFILE)
+        state = osresolvent._grid_state_for(p, bvp)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(3 * bvp.n) + 1j * rng.standard_normal(3 * bvp.n)
         N = bvp.n
@@ -215,7 +215,7 @@ def block_order(v, n_nodes):
 
 def band_solve(params, bvp, variant, rhs):
     """Block-order solution of one splitting by the module's banded LU."""
-    band, kl, ku = osresolvent._band_at(params, bvp, DEFAULT_PROFILE, variant)
+    band, kl, ku = osresolvent._band_at(params, bvp, variant)
     lu = osresolvent.splu(band, kl, ku)
     return block_order(lu.solve(node_order(rhs, bvp.n)), bvp.n)
 
@@ -264,8 +264,7 @@ class TestBandedFactorization:
         disk = dispersion.disk_eighth(p0)
         for th in (0.4, 2.0, 4.5):
             c = p0.chat_to_c(disk.point(th))
-            band, kl, ku = osresolvent._band_at(p0.with_c(c), bvp, DEFAULT_PROFILE,
-                                                variant)
+            band, kl, ku = osresolvent._band_at(p0.with_c(c), bvp, variant)
             assert band.shape == (2 * kl + ku + 1, n) and band.flags.f_contiguous
             assert not band[:kl].any()
             dense = np.zeros((n, n), dtype=complex)
@@ -308,7 +307,7 @@ class TestBandedFactorization:
         p = basin_params(eps=eps, A=A)
         bvp = osresolvent.build_bvp(p)
         for variant in ("os_d", "os_s"):
-            band, kl, ku = osresolvent._band_at(p, bvp, DEFAULT_PROFILE, variant)
+            band, kl, ku = osresolvent._band_at(p, bvp, variant)
             cond = osresolvent._estimate_condition(osresolvent.splu(band, kl, ku))
             m = assemble(p, bvp, variant)
             ref = superlu_condition(m, splu(m))
@@ -482,7 +481,7 @@ class TestMeasuredResolventScalings:
             bvp = osresolvent.build_bvp(p, n_nodes=800)
             g = bvp.grid
             q1 = np.exp(-g) * (1.0 + 0.5j)
-            fact = osresolvent._Factorized(p, bvp, DEFAULT_PROFILE, "os_d")
+            fact = osresolvent._Factorized(p, bvp, "os_d")
             phi, omega, psi = fact.solve(bvp, q1, np.zeros_like(q1))
             w = 1.0 / np.sqrt(np.abs(DEFAULT_PROFILE.eval("U", 2, g)))
             num = l2_norm(omega, bvp.weights, w, noise_floor=1e-13)
@@ -522,14 +521,14 @@ class _PerCBlocks:
     """Profile and coupling arrays rebuilt at every wave speed, as before the
     per-grid state: the reference for the affine assembly."""
 
-    def __init__(self, params, bvp, profile):
+    def __init__(self, params, bvp):
         Y = bvp.grid
-        self.us = profile.eval("U", 0, Y)
-        self.dus = profile.eval("U", 1, Y)
-        self.d2us = profile.eval("U", 2, Y)
-        self.hs = profile.eval("H", 0, Y)
-        self.dhs = profile.eval("H", 1, Y)
-        self.d2hs = profile.eval("H", 2, Y)
+        self.us = DEFAULT_PROFILE.eval("U", 0, Y)
+        self.dus = DEFAULT_PROFILE.eval("U", 1, Y)
+        self.d2us = DEFAULT_PROFILE.eval("U", 2, Y)
+        self.hs = DEFAULT_PROFILE.eval("H", 0, Y)
+        self.dhs = DEFAULT_PROFILE.eval("H", 1, Y)
+        self.d2hs = DEFAULT_PROFILE.eval("H", 2, Y)
         self.params = params
         self.bvp = bvp
 
@@ -554,10 +553,10 @@ class _PerCBlocks:
                 + sparse.diags(self.d2us)).tocsr()
 
 
-def _per_c_assemble(params, bvp, profile, variant):
+def _per_c_assemble(params, bvp, variant):
     """The per-c assembly of the 3N x 3N system, kept as the reference."""
     p = params
-    blocks = _PerCBlocks(p, bvp, profile)
+    blocks = _PerCBlocks(p, bvp)
     N = bvp.n
     a, n, c, chat = p.alpha, p.n, p.c, p.c_hat
     eye = sparse.identity(N, format="csr", dtype=complex)
@@ -604,7 +603,7 @@ def _clear_grid_caches():
 
 
 class TestPerGridState:
-    """Gamma(c) is evaluated from per-(grid, params, profile) state: the
+    """Gamma(c) is evaluated from per-(grid, params) state: the
     operators as A0 + c A1 and the c-free profile and coupling arrays."""
 
     def test_gamma_independent_of_evaluation_order(self):
@@ -639,12 +638,12 @@ class TestPerGridState:
             bvp = osresolvent.build_bvp(p, n_nodes=250, boundary=boundary)
             for variant in ("os_d", "os_s", "full"):
                 m = assemble(p, bvp, variant)
-                ref = _per_c_assemble(p, bvp, DEFAULT_PROFILE, variant)
+                ref = _per_c_assemble(p, bvp, variant)
                 assert np.array_equal(m.indptr, ref.indptr)
                 assert np.array_equal(m.indices, ref.indices)
                 assert np.max(np.abs(m.data - ref.data) / np.abs(ref.data)) <= 1e-14
-        state = osresolvent._grid_state_for(p, bvp, DEFAULT_PROFILE)
-        a_xi, a_theta = _PerCBlocks(p, bvp, DEFAULT_PROFILE).magnetic_coupling()
+        state = osresolvent._grid_state_for(p, bvp)
+        a_xi, a_theta = _PerCBlocks(p, bvp).magnetic_coupling()
         assert abs(state.a_xi - a_xi).max() == 0.0
         assert abs(state.a_theta.at(p.c) - a_theta).max() <= 1e-15 * abs(a_theta).max()
 
@@ -663,9 +662,9 @@ class TestPerGridState:
 
         init = osresolvent.OSIteration.__init__
 
-        def per_c_init(self, params, bvp, profile=DEFAULT_PROFILE):
-            init(self, params, bvp, profile)
-            self.a_theta = _PerCBlocks(params, bvp, profile).magnetic_coupling()[1]
+        def per_c_init(self, params, bvp):
+            init(self, params, bvp)
+            self.a_theta = _PerCBlocks(params, bvp).magnetic_coupling()[1]
 
         monkeypatch.setattr(osresolvent, "_band_at", lambda *args: osresolvent._to_band(
             _per_c_assemble(*args)))
@@ -677,12 +676,11 @@ class TestPerGridState:
     def test_cached_arrays_are_read_only(self):
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=200)
-        state = osresolvent._grid_state_for(p, bvp, DEFAULT_PROFILE)
-        arrays = [state.us, state.dus, state.d2us, state.hs, state.dhs, state.d2hs,
-                  state.w_inv_sqrt]
+        state = osresolvent._grid_state_for(p, bvp)
+        arrays = [state.us, state.d2us, state.hs, state.w_inv_sqrt]
         for m in (state.d1, state.d2, state.a_xi, state.transport, *state.a_theta):
             arrays += [m.data, m.indices, m.indptr]
-        key = osresolvent._state_key(p, bvp, DEFAULT_PROFILE)
+        key = osresolvent._state_key(p, bvp)
         op = osresolvent._affine_operator(key[0], bvp.boundary, *key[1:], "os_s")
         arrays += [op.band0, op.band1]
         for arr in arrays:
@@ -690,7 +688,7 @@ class TestPerGridState:
             with pytest.raises(ValueError):
                 arr[0] = 0
         # an operator at one c is the caller's own
-        band = osresolvent._band_at(p, bvp, DEFAULT_PROFILE, "os_s")[0]
+        band = osresolvent._band_at(p, bvp, "os_s")[0]
         band[0, 0] = band[0, 0]
 
     def test_caches_keep_no_grid_alive(self):

@@ -196,14 +196,14 @@ class TestSlowMode:
 
 class TestClosedFormCache:
     def test_cached_mode_equals_fresh_evaluation(self, monkeypatch):
-        # J, K and L are cached per (grid, c_hat, profile); the slow mode and
+        # J, K and L are cached per (grid, c_hat); the slow mode and
         # its error terms read the cache, and equal a fresh evaluation
         p = params_at()
         Y = 40.0 * np.linspace(0.0, 1.0, 400) ** 3
         mode = slowmode.phi_app_s_mode(p)
         cached = [mode.eval(k, Y) for k in range(4)]
         combo = slowmode.damped_corrector_combo(Y, p)
-        J, K, L = slowmode._closed_forms(Y.tobytes(), Y.shape, p.c_hat, DEFAULT_PROFILE)
+        J, K, L = slowmode._closed_forms(Y.tobytes(), Y.shape, p.c_hat)
         for arr in (J, K, L):
             assert not arr.flags.writeable
         monkeypatch.setattr(slowmode, "_closed_forms", slowmode._closed_forms.__wrapped__)
