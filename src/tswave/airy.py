@@ -24,7 +24,6 @@ __all__ = [
     "AiryBranch",
     "AiryValue",
     "ai_k",
-    "ai_asymptotic",
     "primitive_constants",
 ]
 
@@ -204,18 +203,6 @@ def ai_k(k, z):
     if not scalar:
         return out
     return out[:, 0] if isinstance(k, tuple) else complex(out[0])
-
-
-def ai_asymptotic(k, z):
-    """Leading asymptotic term only; requires |z| >= M_THRESHOLD inside the sector."""
-    if k not in (0, 1, 2, 3):
-        raise UnsupportedOrder(f"k = {k} not in 0..3")
-    _check_sector(z)
-    if np.any(np.abs(np.atleast_1d(z)) < M_THRESHOLD):
-        raise ValueError(f"asymptotic branch requires |z| >= {M_THRESHOLD}")
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    out = _asymptotic(k, np.atleast_1d(np.asarray(z, dtype=complex)))
-    return complex(out[0]) if scalar else out
 
 
 def ai_value(k, z):

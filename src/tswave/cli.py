@@ -366,6 +366,14 @@ _CFG_TYPES = {
 
 def build_config(args):
     """Config file values first, command-line flags override."""
+    return RunConfig(**_config_kwargs(args))
+
+
+def _config_kwargs(args):
+    if (getattr(args, "amplitude_a", None) is not None
+            and getattr(args, "amplitude_m", None) is not None):
+        raise ValueError("--A (eps^{1/8} regime) and --M (beta regime) exclude "
+                         "each other")
     raw = {}
     if getattr(args, "config", None):
         raw.update(_read_config_file(args.config))
@@ -394,7 +402,7 @@ def build_config(args):
         kwargs["eps_list"] = [args.eps]
     if kwargs.get("regime") == "beta":
         kwargs.setdefault("beta", 0.115)
-    return RunConfig(**kwargs)
+    return kwargs
 
 
 def cmd_sweep(args):
@@ -483,7 +491,11 @@ def cmd_airy_table(args):
 def cmd_export_mode(args):
     from . import osresolvent
 
-    cfg = build_config(args)
+    kwargs = _config_kwargs(args)
+    if len(kwargs.get("eps_list", ())) > 1:
+        raise ValueError(f"export-mode exports one eps, but the eps list holds "
+                         f"{len(kwargs['eps_list'])}")
+    cfg = RunConfig(**kwargs)
     eps = cfg.eps_list[0]
     params0 = cfg.params(eps)
     try:

@@ -21,7 +21,7 @@ from .params import ModeFunction, SpectralParams, mode_from_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = ["MagneticProblem", "MagneticTrace", "solve_magnetic",
-           "build_psi_app_s", "default_magnetic_grid", "equation_residual"]
+           "build_psi_app_s", "default_magnetic_grid"]
 
 
 @dataclass
@@ -119,20 +119,6 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None):
     us = DEFAULT_PROFILE.eval("U", 0, grid)
     d2phi = alpha**2 * phi + 1j * alpha * (us - p.c) * phi - f_vals
     return mode_from_grid(grid, [phi, dphi, d2phi]), trace
-
-
-def equation_residual(mode, prob, Y, step=1e-3):
-    """Differential residual -(phi'' - alpha^2 phi) + i alpha (U_s - c) phi - f
-    with the second derivative taken by central differences of the solution
-    values.  Carries the O(step^2) + interpolation error of the discretization
-    on top of the solver's fixed-point defect; use ``trace.residual_weighted``
-    for the defect alone."""
-    p = prob.params
-    Y = np.asarray(Y, dtype=float)
-    us = DEFAULT_PROFILE.eval("U", 0, Y)
-    d2 = (mode.eval(0, Y + step) - 2.0 * mode.eval(0, Y) + mode.eval(0, Y - step)) / step**2
-    return (-(d2 - p.alpha**2 * mode.eval(0, Y))
-            + 1j * p.alpha * (us - p.c) * mode.eval(0, Y) - prob.f.eval(0, Y))
 
 
 def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None):

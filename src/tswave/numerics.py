@@ -1,14 +1,13 @@
 """Shared complex-analysis and grid utilities.
 
-Adaptive Gauss-Kronrod quadrature on segments and rays, adaptive winding-number
-counting on circles, damped complex Newton iteration, graded grids with
-sub-layer clustering, and the exponential-kernel cumulative integrals used by
+Adaptive winding-number counting on circles, damped complex Newton iteration,
+graded grids with sub-layer clustering, finite-difference matrices, trapezoid
+norms and integrals, and the exponential-kernel cumulative integrals used by
 the mild formulations of the second-order solvers.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -24,50 +23,19 @@ from .errors import (
 )
 
 __all__ = [
-    "Segment",
-    "Ray",
     "Circle",
     "RootTrace",
-    "quad_segment",
     "winding_samples",
     "newton_root",
     "graded_grid",
     "trap_weights",
     "diff_matrix",
     "l2_norm",
-    "sup_exp_norm",
     "cumulative_trapezoid",
     "tail_trapezoid",
     "forward_exp_integral",
     "backward_exp_integral",
 ]
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Straight path from ``start`` to ``end`` in the complex plane."""
-
-    start: complex
-    end: complex
-
-    def __post_init__(self):
-        if self.start == self.end:
-            raise ValueError("degenerate segment: start == end")
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Half-line ``start + s*direction``, s >= 0, with unit-modulus direction."""
-
-    start: complex
-    direction: complex
-
-    def __post_init__(self):
-        mod = abs(self.direction)
-        if mod == 0.0:
-            raise ValueError("ray direction must be nonzero")
-        if abs(mod - 1.0) > 1e-12:
-            object.__setattr__(self, "direction", self.direction / mod)
 
 
 @dataclass(frozen=True)
@@ -97,29 +65,6 @@ class RootTrace:
         return self.residuals[-1] if self.residuals else math.inf
 
 
-# 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
-_GAUSS_IDX = np.arange(1, 15, 2)
 _MAX_WINDING_SAMPLES = 65536  # boundary samples before NonResolvable
 
 
@@ -135,75 +80,6 @@ def _eval_vectorized(f, z):
     except (TypeError, ValueError):
         pass
     return np.array([f(zi) for zi in z.ravel()], dtype=complex).reshape(z.shape)
-
-
-def _gk15(f, a, b):
-    """Kronrod value and |K15-G7| estimate of the line integral over [a, b]."""
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    z = mid + half * _XK
-    vals = _eval_vectorized(f, z)
-    if not np.all(np.isfinite(vals)):
-        raise NonConvergence(f"integrand not finite on [{a}, {b}] (singularity on path?)")
-    k15 = half * np.sum(_WK * vals)
-    g7 = half * np.sum(_WG * vals[_GAUSS_IDX])
-    return k15, abs(k15 - g7)
-
-
-def quad_segment(f, path, rel_tol=1e-10, max_intervals=4096):
-    """Adaptive line integral of ``f`` along a :class:`Segment` or :class:`Ray`.
-
-    Gauss-Kronrod pairs supply the embedded error estimate; the interval with
-    the largest estimate is bisected until the summed estimate meets
-    ``rel_tol`` relative to the accumulated value.  Rays are truncated once an
-    additional doubling chunk contributes below 1e-18 of the running total.
-    """
-    if not 1e-14 < rel_tol < 1e-3:
-        raise ValueError("rel_tol must lie in (1e-14, 1e-3)")
-    if isinstance(path, Ray):
-        return _quad_ray(f, path, rel_tol, max_intervals)
-    if not isinstance(path, Segment):
-        raise TypeError("path must be a Segment or Ray")
-    return _quad_adaptive(f, path.start, path.end, rel_tol, max_intervals)
-
-
-def _quad_adaptive(f, a, b, rel_tol, max_intervals):
-    k, e = _gk15(f, a, b)
-    # heap of (-error, counter, a, b, value, error); counter breaks ties
-    heap = [(-e, 0, a, b, k, e)]
-    total = k
-    total_err = e
-    count = 1
-    while total_err > rel_tol * max(abs(total), 1e-300):
-        if count >= max_intervals:
-            raise NonConvergence(
-                f"quadrature budget exhausted: {count} intervals, err {total_err:.2e} vs "
-                f"target {rel_tol * abs(total):.2e}")
-        neg_e, _, ia, ib, ival, ierr = heapq.heappop(heap)
-        im = (ia + ib) / 2.0
-        kl, el = _gk15(f, ia, im)
-        kr, er = _gk15(f, im, ib)
-        total += kl + kr - ival
-        total_err += el + er - ierr
-        count += 1
-        heapq.heappush(heap, (-el, count, ia, im, kl, el))
-        heapq.heappush(heap, (-er, count + max_intervals, im, ib, kr, er))
-    return total
-
-
-def _quad_ray(f, ray, rel_tol, max_intervals):
-    total = 0.0 + 0.0j
-    s0, length = 0.0, 1.0
-    for _ in range(64):
-        a = ray.start + s0 * ray.direction
-        b = ray.start + (s0 + length) * ray.direction
-        chunk = _quad_adaptive(f, a, b, rel_tol, max_intervals)
-        total += chunk
-        if abs(chunk) < 1e-18 * max(abs(total), 1e-300) and s0 > 0.0:
-            return total
-        s0 += length
-        length *= 2.0
-    raise NonConvergence("ray integrand does not decay; truncation never engaged")
 
 
 def winding_samples(g, circle, init_samples=64):
@@ -375,11 +251,6 @@ def l2_norm(vals, weights, point_weight=None, noise_floor=0.0):
         live = v > 0.0
         v[live] *= np.asarray(point_weight)[live]
     return math.sqrt(float(np.sum(weights * v * v)))
-
-
-def sup_exp_norm(vals, grid, eta):
-    """Weighted sup norm sup_Y e^{eta Y} |f(Y)| on the grid."""
-    return float(np.max(np.exp(eta * grid) * np.abs(vals)))
 
 
 def cumulative_trapezoid(vals, grid):

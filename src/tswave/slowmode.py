@@ -5,9 +5,9 @@ psi_{0,2} = (U_s - c_hat) * J(Y) with J(Y) the inverse-square integral from
 Y = 1, the wavenumber-corrected pair psi_{alpha,j} = e^{-alpha Y} psi_{0,j},
 the corrector Phi_1^s, and the combined slow mode
 Phi_app^s = psi_{alpha,1} + alpha Phi_1^s, all with derivatives up to order 3
-in closed form from the primitives of the Hartmann profile.  A quadrature
-evaluation path (`method="quadrature"`) retains the integral definitions and
-serves as the independent oracle.
+in closed form from the primitives of the Hartmann profile.  The running
+integrals J, K and L come from those closed forms, cached per (grid, c_hat);
+the tests check them against quadrature (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -18,41 +18,20 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .numerics import Ray, Segment, quad_segment
 from .params import ModeFunction, memoize_on_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = [
-    "inv_square_integral",
     "psi0",
     "corrector_integrals",
     "phi1s",
     "phi_app_s",
     "phi_app_s_mode",
     "boundary_values",
-    "rayleigh_apply",
     "rayleigh_residual_form",
     "damped_corrector_combo",
     "slow_errors",
 ]
-
-_QUAD_TOL = 1e-11
-
-
-def inv_square_integral(Y, params, method="auto"):
-    """J(Y) = int_1^Y (U_s - c_hat)^{-2} dX.
-
-    "auto" uses the profile's closed-form primitive; the quadrature route
-    splits at Y = 1: an integration-by-parts representation removes the
-    near-singular inverse square on [0, 1] (leaving an integrable logarithm),
-    while the integrand is already tame for Y > 1.
-    """
-    chat = params.c_hat
-    if method == "auto":
-        return _closed_forms_at(Y, chat)[0]
-    scalar = np.isscalar(Y)
-    out = np.array([_j_quad(float(y), chat) for y in np.atleast_1d(Y)], dtype=complex)
-    return complex(out[0]) if scalar else out
 
 
 def _closed_forms_at(Y, chat):
@@ -81,38 +60,11 @@ def _closed_forms(y_key, shape, chat):
     return J, K, L
 
 
-def _j_quad(Y, chat):
-    def w(X):
-        return DEFAULT_PROFILE.eval("U", 0, X) - chat
+def psi0(j, order, Y, params):
+    """psi_{0,j} and derivatives, j = 1 (regular) or 2 (critical-layer) solution.
 
-    if Y == 1.0:
-        return 0.0 + 0.0j
-    if Y > 1.0:
-        return quad_segment(lambda X: 1.0 / w(np.real(X)) ** 2, Segment(1.0, Y),
-                            rel_tol=_QUAD_TOL)
-
-    def ratio(X):
-        du = DEFAULT_PROFILE.eval("U", 1, X)
-        d2u = DEFAULT_PROFILE.eval("U", 2, X)
-        return d2u / du**3
-
-    def dratio(X):
-        du = DEFAULT_PROFILE.eval("U", 1, X)
-        d2u = DEFAULT_PROFILE.eval("U", 2, X)
-        d3u = DEFAULT_PROFILE.eval("U", 3, X)
-        return d3u / du**3 - 3.0 * d2u**2 / du**4
-
-    du_y = DEFAULT_PROFILE.eval("U", 1, Y)
-    du_1 = DEFAULT_PROFILE.eval("U", 1, 1.0)
-    boundary = (-1.0 / (du_y * w(Y)) + 1.0 / (du_1 * w(1.0))
-                - np.log(w(Y)) * ratio(Y) + np.log(w(1.0)) * ratio(1.0))
-    rest = quad_segment(lambda X: np.log(w(np.real(X))) * dratio(np.real(X)),
-                        Segment(1.0, Y), rel_tol=_QUAD_TOL)
-    return boundary + rest
-
-
-def psi0(j, order, Y, params, method="auto"):
-    """psi_{0,j} and derivatives, j = 1 (regular) or 2 (critical-layer) solution."""
+    psi_{0,2} = (U_s - c_hat) J with J(Y) = int_1^Y (U_s - c_hat)^{-2} dX.
+    """
     if order < 0 or order > 3:
         raise UnsupportedOrder(f"psi0 order {order}")
     Y = np.asarray(Y, dtype=float)
@@ -123,7 +75,7 @@ def psi0(j, order, Y, params, method="auto"):
         return DEFAULT_PROFILE.eval("U", order, Y) + 0.0j
     if j != 2:
         raise ValueError("j must be 1 or 2")
-    J = inv_square_integral(Y, params, method)
+    J = _closed_forms_at(Y, chat)[0]
     w = DEFAULT_PROFILE.eval("U", 0, Y) - chat
     if order == 0:
         return w * J
@@ -137,48 +89,27 @@ def psi0(j, order, Y, params, method="auto"):
     return d3u * J + d2u / w**2
 
 
-def corrector_integrals(Y, params, method="auto"):
+def corrector_integrals(Y, params):
     """Running integrals (K, L) of the corrector:
 
     K(Y) = int_0^Y U_s' psi_{0,2},  L(Y) = int_Y^inf U_s' psi_{0,1}.
     """
-    chat = params.c_hat
-    Yarr = np.atleast_1d(np.asarray(Y, dtype=float))
-    if method == "auto":
-        _, K, L = _closed_forms_at(Yarr, chat)
-    else:
-        def k_int(y):
-            if y == 0.0:
-                return 0.0 + 0.0j
-            return quad_segment(
-                lambda X: DEFAULT_PROFILE.eval("U", 1, np.real(X))
-                * psi0(2, 0, np.real(X), params, method),
-                Segment(0.0, y), rel_tol=_QUAD_TOL)
-
-        def l_int(y):
-            return quad_segment(
-                lambda X: DEFAULT_PROFILE.eval("U", 1, np.real(X))
-                * psi0(1, 0, np.real(X), params, method),
-                Ray(y, 1.0 + 0.0j), rel_tol=_QUAD_TOL)
-
-        K = np.array([k_int(float(y)) for y in Yarr], dtype=complex)
-        L = np.array([l_int(float(y)) for y in Yarr], dtype=complex)
+    _, K, L = _closed_forms_at(np.atleast_1d(np.asarray(Y, dtype=float)), params.c_hat)
     if np.isscalar(Y):
         return complex(np.atleast_1d(K)[0]), complex(np.atleast_1d(L)[0])
     return K, L
 
 
-def _shifted_derivative(j, order, Y, params, method):
+def _shifted_derivative(j, order, Y, params):
     """(d/dY - alpha)^order applied to psi_{0,j}."""
     a = params.alpha
     out = 0.0
     for m in range(order + 1):
-        out = out + math.comb(order, m) * (-a) ** (order - m) * psi0(
-            j, m, Y, params, method)
+        out = out + math.comb(order, m) * (-a) ** (order - m) * psi0(j, m, Y, params)
     return out
 
 
-def phi1s(order, Y, params, method="auto"):
+def phi1s(order, Y, params):
     """Corrector Phi_1^s and derivatives up to order 3.
 
     The derivative formulas keep the two running integrals intact; the
@@ -189,10 +120,10 @@ def phi1s(order, Y, params, method="auto"):
         raise UnsupportedOrder(f"phi1s order {order}")
     Yarr = np.asarray(Y, dtype=float)
     a = params.alpha
-    K, L = corrector_integrals(Yarr, params, method)
+    K, L = corrector_integrals(Yarr, params)
     ea = np.exp(-a * Yarr)
-    p = (-2.0 * _shifted_derivative(1, order, Yarr, params, method) * ea * K
-         - 2.0 * _shifted_derivative(2, order, Yarr, params, method) * ea * L)
+    p = (-2.0 * _shifted_derivative(1, order, Yarr, params) * ea * K
+         - 2.0 * _shifted_derivative(2, order, Yarr, params) * ea * L)
     if order <= 1:
         return p
     du = DEFAULT_PROFILE.eval("U", 1, Yarr)
@@ -202,24 +133,23 @@ def phi1s(order, Y, params, method="auto"):
     return p + (2.0 * d2u - 6.0 * a * du) * ea
 
 
-def phi_app_s(order, Y, params, method="auto"):
+def phi_app_s(order, Y, params):
     """Slow mode psi_{alpha,1} + alpha Phi_1^s and derivatives up to order 3."""
     Yarr = np.asarray(Y, dtype=float)
     ea = np.exp(-params.alpha * Yarr)
-    base = ea * _shifted_derivative(1, order, Yarr, params, method)
-    return base + params.alpha * phi1s(order, Yarr, params, method)
+    base = ea * _shifted_derivative(1, order, Yarr, params)
+    return base + params.alpha * phi1s(order, Yarr, params)
 
 
-def phi_app_s_mode(params, method="auto"):
+def phi_app_s_mode(params):
     """The slow mode as a ModeFunction; each (order, Y) is evaluated once."""
     return ModeFunction(
         max_order=3,
-        evaluator=memoize_on_grid(
-            lambda order, Y: phi_app_s(order, Y, params, method)),
+        evaluator=memoize_on_grid(lambda order, Y: phi_app_s(order, Y, params)),
     )
 
 
-def boundary_values(params, method="auto", c_hat=None):
+def boundary_values(params, c_hat=None):
     """(Phi_app^s(0), dY Phi_app^s(0)) from the closed boundary formulas.
 
     ``c_hat`` replaces ``params.c_hat`` by an array of shifted wave speeds,
@@ -229,10 +159,7 @@ def boundary_values(params, method="auto", c_hat=None):
     scalar = c_hat is None
     chat = np.atleast_1d(np.asarray(params.c_hat if scalar else c_hat, dtype=complex))
     a = params.alpha
-    if method == "auto":
-        j0 = DEFAULT_PROFILE.inv_square_integral(0.0, chat)
-    else:
-        j0 = np.array([_j_quad(0.0, ch) for ch in chat], dtype=complex)
+    j0 = DEFAULT_PROFILE.inv_square_integral(0.0, chat)
     psi02_0 = -chat * j0
     dpsi02_0 = j0 - 1.0 / chat
     phi0 = -chat - a * psi02_0 * (1.0 - 2.0 * chat)
@@ -242,17 +169,7 @@ def boundary_values(params, method="auto", c_hat=None):
     return phi0, dphi0
 
 
-def rayleigh_apply(f, Y, params):
-    """(U_s - c_hat)(f'' - alpha^2 f) - U_s'' f evaluated pointwise."""
-    if f.max_order < 2:
-        raise UnsupportedOrder("rayleigh_apply needs two derivatives")
-    Yarr = np.asarray(Y, dtype=float)
-    w = DEFAULT_PROFILE.eval("U", 0, Yarr) - params.c_hat
-    d2u = DEFAULT_PROFILE.eval("U", 2, Yarr)
-    return w * (f.eval(2, Yarr) - params.alpha**2 * f.eval(0, Yarr)) - d2u * f.eval(0, Yarr)
-
-
-def damped_corrector_combo(Y, params, method="auto"):
+def damped_corrector_combo(Y, params):
     """dY Phi_1^s + alpha Phi_1^s in its cancelled form
     -2 psi_{0,1}' e^{-alpha Y} K - 2 psi_{0,2}' e^{-alpha Y} L.
 
@@ -261,26 +178,25 @@ def damped_corrector_combo(Y, params, method="auto"):
     that noise; this form decays like the shear itself.
     """
     Yarr = np.asarray(Y, dtype=float)
-    K, L = corrector_integrals(Yarr, params, method)
+    K, L = corrector_integrals(Yarr, params)
     ea = np.exp(-params.alpha * Yarr)
-    return (-2.0 * psi0(1, 1, Yarr, params, method) * ea * K
-            - 2.0 * psi0(2, 1, Yarr, params, method) * ea * L)
+    return (-2.0 * psi0(1, 1, Yarr, params) * ea * K
+            - 2.0 * psi0(2, 1, Yarr, params) * ea * L)
 
 
-def rayleigh_residual_form(Y, params, method="auto"):
+def rayleigh_residual_form(Y, params):
     """Closed form -2 alpha^2 (U_s - c_hat)(dY Phi_1^s + alpha Phi_1^s)."""
     Yarr = np.asarray(Y, dtype=float)
     w = DEFAULT_PROFILE.eval("U", 0, Yarr) - params.c_hat
-    return -2.0 * params.alpha**2 * w * damped_corrector_combo(Yarr, params, method)
+    return -2.0 * params.alpha**2 * w * damped_corrector_combo(Yarr, params)
 
 
-def slow_errors(group, Y, params, psi_app_s, phi_mode=None, method="auto"):
+def slow_errors(group, Y, params, psi_app_s, phi_mode):
     """Slow-mode error terms: group 1 and 2 are the divergence/tangential
     parts, group 3 carries the strongly decaying remainder.
 
-    ``psi_app_s`` is the magnetic slow mode (order >= 1); ``phi_mode``
-    optionally overrides the velocity slow mode (defaults to the closed-form
-    evaluation at these parameters).
+    ``psi_app_s`` is the magnetic slow mode (order >= 1) and ``phi_mode`` the
+    velocity slow mode, ``phi_app_s_mode(params)``.
     """
     if group not in (1, 2, 3):
         raise ValueError("group must be 1, 2 or 3")
@@ -292,9 +208,7 @@ def slow_errors(group, Y, params, psi_app_s, phi_mode=None, method="auto"):
     hs = DEFAULT_PROFILE.eval("H", 0, Yarr)
 
     def phi(order):
-        if phi_mode is not None:
-            return phi_mode.eval(order, Yarr)
-        return phi_app_s(order, Yarr, params, method)
+        return phi_mode.eval(order, Yarr)
 
     if group == 1:
         us = DEFAULT_PROFILE.eval("U", 0, Yarr)
@@ -307,6 +221,6 @@ def slow_errors(group, Y, params, psi_app_s, phi_mode=None, method="auto"):
                 - (a / n) * phi(0))
     dhs = DEFAULT_PROFILE.eval("H", 1, Yarr)
     d2hs = DEFAULT_PROFILE.eval("H", 2, Yarr)
-    return (rayleigh_residual_form(Yarr, params, method)
+    return (rayleigh_residual_form(Yarr, params)
             + se * dhs * psi_app_s.eval(1, Yarr)
             + se * d2hs * psi_app_s.eval(0, Yarr))

@@ -59,6 +59,16 @@ class TestRunConfig:
             cli.build_config(type("Args", (), {"config": str(path)})())
 
 
+    def test_amplitude_flags_exclude_each_other(self, capsys):
+        # with both flags the beta regime's M used to stand in for the
+        # eps^{1/8} amplitude A, and the root was certified at A = 2
+        rc = cli.main(["root", "--A", "3", "--M", "2", "--eps", "1e-15"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == ("error: --A (eps^{1/8} regime) and --M (beta regime) "
+                       "exclude each other\n")
+
+
 class TestConfigFile:
     def test_file_plus_flag_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -396,6 +406,22 @@ def test_export_falls_back_to_disk_center(monkeypatch, capsys, failure):
     p0 = SpectralParams.eighth(2.0, 1e-12)
     bvp = osresolvent.build_bvp(p0, n_nodes=400)
     assert out == cli.export_mode(dispersion.center_c(p0), p0, [0.0], 2, 4, bvp=bvp)[2]
+
+
+def test_export_refuses_more_than_one_eps(capsys, tmp_path):
+    # an explicit eps list exports one eps only: the rest used to be dropped
+    rc = cli.main(["export-mode", "--A", "2", "--eps-list", "1e-12,1e-13",
+                   "--nx", "1", "--ny", "2", "--grid-n", "400"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: export-mode exports one eps, but the eps list holds 2\n"
+    path = tmp_path / "run.cfg"
+    path.write_text("eps_list=1e-12,1e-13\n")
+    rc = cli.main(["export-mode", "--A", "2", "--config", str(path),
+                   "--nx", "1", "--ny", "2", "--grid-n", "400"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: export-mode exports one eps, but the eps list holds 2\n"
 
 
 def test_export_refuses_overflowing_time(capsys):

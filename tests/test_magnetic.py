@@ -4,10 +4,11 @@ import typing
 import numpy as np
 import pytest
 
+from oracles import equation_residual, sup_exp_norm
 from tswave import magnetic, slowmode
 from tswave.errors import NonContraction, NonConvergence
 from tswave.magnetic import (MagneticProblem, default_magnetic_grid,
-                             equation_residual, solve_magnetic, build_psi_app_s)
+                             solve_magnetic, build_psi_app_s)
 from tswave.numerics import graded_grid
 from tswave.params import ModeFunction, SpectralParams
 
@@ -179,7 +180,6 @@ class TestPsiAppS:
 
     def test_norm_scalings_across_sweep(self):
         from tswave import fastmode
-        from tswave.numerics import sup_exp_norm
         sup_by_eps = {}
         sup2_by_eps = {}
         for eps in (1e-8, 1e-10, 1e-12):

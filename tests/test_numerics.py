@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from tswave import numerics
 from tswave.errors import (DerivativeBreakdown, NonConvergence, ZeroOnContour)
+from oracles import Ray, Segment, quad_segment
 from tswave.numerics import (
-    Circle, Ray, RootTrace, Segment, backward_exp_integral,
-    cumulative_trapezoid, diff_matrix, forward_exp_integral, graded_grid,
-    l2_norm, newton_root, quad_segment, tail_trapezoid, trap_weights,
-    winding_samples,
+    Circle, RootTrace, backward_exp_integral, cumulative_trapezoid,
+    diff_matrix, forward_exp_integral, graded_grid, l2_norm, newton_root,
+    tail_trapezoid, trap_weights, winding_samples,
 )
 
 

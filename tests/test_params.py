@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import sup_exp_norm
 from tswave.errors import RegimeMismatch, UnsupportedOrder
-from tswave.numerics import sup_exp_norm
 from tswave.params import ModeFunction, SpectralParams, mode_from_grid
 
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tswave import slowmode
-from tswave.numerics import Segment, quad_segment
+from oracles import Segment, quad_segment, quadrature_integrals, rayleigh_apply
+from tswave import dispersion, slowmode
 from tswave.params import SpectralParams
-from tswave.profile import DEFAULT_PROFILE
 
 P12 = SpectralParams.eighth(2.0, 1e-12)
 CENTER12 = (2.0 + np.exp(1j * math.pi / 4.0) / 2.0) * 1e-12 ** 0.125
@@ -16,6 +15,13 @@ def params_at(chat=None, eps=1e-12, A=2.0):
     p0 = SpectralParams.eighth(A, eps)
     chat = CENTER12 if chat is None else chat
     return p0.with_c(p0.chat_to_c(chat))
+
+
+def beta_params():
+    # the beta-regime disk center, where c_hat is an order of magnitude
+    # smaller than at the eighth-regime points
+    p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-20)
+    return p0.with_c(dispersion.center_beta(p0))
 
 
 class TestPsi0:
@@ -55,7 +61,8 @@ class TestPsi0:
         p = params_at()
         for Y in (0.0, 0.5, 1.8, 4.0):
             a = slowmode.psi0(2, 0, Y, p)
-            b = slowmode.psi0(2, 0, Y, p, method="quadrature")
+            with quadrature_integrals():
+                b = slowmode.psi0(2, 0, Y, p)
             assert complex(np.atleast_1d(a)[0]) == pytest.approx(
                 complex(np.atleast_1d(b)[0]), rel=1e-9, abs=1e-12)
 
@@ -100,11 +107,13 @@ class TestCorrector:
         assert vals[-1] <= 1.05 * sup_weighted * math.exp(-p.alpha * 40.0)
 
     def test_quadrature_oracle(self):
-        p = params_at()
-        for Y in (0.0, 1.2):
-            a = complex(np.atleast_1d(slowmode.phi1s(0, Y, p))[0])
-            b = complex(np.atleast_1d(slowmode.phi1s(0, Y, p, method="quadrature"))[0])
-            assert a == pytest.approx(b, rel=5e-9)
+        for p, ys, rel in ((params_at(), (0.0, 1.2), 5e-9),
+                           (beta_params(), (0.0, 1.2, 4.0), 1e-9)):
+            for Y in ys:
+                a = complex(np.atleast_1d(slowmode.phi1s(0, Y, p))[0])
+                with quadrature_integrals():
+                    b = complex(np.atleast_1d(slowmode.phi1s(0, Y, p))[0])
+                assert a == pytest.approx(b, rel=rel)
 
     def test_damped_combo_matches_sum(self):
         p = params_at()
@@ -143,6 +152,15 @@ class TestSlowMode:
         val = complex(np.atleast_1d(slowmode.phi_app_s(0, 0.0, p))[0])
         assert val == pytest.approx(phi0, rel=1e-12)
 
+    def test_boundary_values_quadrature_oracle_in_beta_regime(self):
+        # criterion 2 compares the boundary values in the eighth regime only
+        p = beta_params()
+        closed = slowmode.boundary_values(p)
+        with quadrature_integrals():
+            quad = slowmode.boundary_values(p)
+        for a, b in zip(closed, quad):
+            assert a == pytest.approx(b, rel=1e-9)
+
     def test_small_wavenumber_limit(self):
         # the corrector is scaled by alpha: at tiny alpha the slow mode
         # collapses onto the shifted shear (relative to its own size, since
@@ -160,7 +178,7 @@ class TestSlowMode:
         psi1 = ModeFunction(max_order=2,
                             evaluator=lambda o, Y: slowmode.psi0(1, o, Y, p))
         Y = np.linspace(0.0, 5.0, 11)
-        resid = slowmode.rayleigh_apply(psi1, Y, p)
+        resid = rayleigh_apply(psi1, Y, p)
         w = slowmode.psi0(1, 0, Y, p)
         assert np.allclose(resid, -p.alpha**2 * w * w, rtol=1e-12)
 
@@ -179,7 +197,7 @@ class TestSlowMode:
 
         psi_a1 = ModeFunction(max_order=2, evaluator=ev)
         Y = np.linspace(0.1, 4.0, 9)
-        resid = slowmode.rayleigh_apply(psi_a1, Y, p)
+        resid = rayleigh_apply(psi_a1, Y, p)
         w = slowmode.psi0(1, 0, Y, p)
         du = DEFAULT_PROFILE.eval("U", 1, Y)
         expect = -2.0 * p.alpha * w * du * np.exp(-p.alpha * Y)
@@ -189,7 +207,7 @@ class TestSlowMode:
         p = params_at()
         mode = slowmode.phi_app_s_mode(p)
         Y = np.linspace(0.05, 8.0, 10)
-        lhs = slowmode.rayleigh_apply(mode, Y, p)
+        lhs = rayleigh_apply(mode, Y, p)
         rhs = slowmode.rayleigh_residual_form(Y, p)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-8
 
@@ -212,13 +230,19 @@ class TestClosedFormCache:
         assert np.array_equal(combo, slowmode.damped_corrector_combo(Y, p))
 
     def test_quadrature_oracle_stays_uncached(self):
+        # every read of J, K and L goes through the supply the oracle
+        # replaces, so no oracle comparison meets the closed-form cache
         p = params_at()
         Y = np.array([0.3, 2.0])
+        closed = slowmode.psi0(2, 0, Y, p)
         before = slowmode._closed_forms.cache_info()
-        quad = slowmode.inv_square_integral(Y, p, method="quadrature")
-        slowmode.corrector_integrals(Y, p, method="quadrature")
+        with quadrature_integrals():
+            quad = slowmode.psi0(2, 0, Y, p)
+            slowmode.corrector_integrals(Y, p)
+            slowmode.phi_app_s(3, Y, p)
+            slowmode.damped_corrector_combo(Y, p)
         assert slowmode._closed_forms.cache_info() == before
-        assert np.allclose(quad, slowmode.inv_square_integral(Y, p), rtol=1e-9)
+        assert np.allclose(quad, closed, rtol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +263,7 @@ class TestSlowErrors:
     def test_group3_leading_term_scales_with_alpha_sq(self, setup):
         p, grid, psi_s = setup
         Y = np.linspace(0.2, 3.0, 7)
-        e3 = slowmode.slow_errors(3, Y, p, psi_s)
+        e3 = slowmode.slow_errors(3, Y, p, psi_s, slowmode.phi_app_s_mode(p))
         ray = slowmode.rayleigh_residual_form(Y, p)
         # the non-magnetic part is exactly the Rayleigh residual, O(alpha^2)
         assert np.max(np.abs(ray)) <= 4.0 * p.alpha**2 * np.max(
@@ -251,12 +275,13 @@ class TestSlowErrors:
         # the slow pair (checked with dY E1 by central differences)
         from tswave.profile import DEFAULT_PROFILE
         p, grid, psi_s = setup
+        slow = slowmode.phi_app_s_mode(p)
         Y = np.linspace(0.3, 5.0, 9)
         h = 1e-5
-        de1 = (slowmode.slow_errors(1, Y + h, p, psi_s)
-               - slowmode.slow_errors(1, Y - h, p, psi_s)) / (2 * h)
-        e2 = slowmode.slow_errors(2, Y, p, psi_s)
-        e3 = slowmode.slow_errors(3, Y, p, psi_s)
+        de1 = (slowmode.slow_errors(1, Y + h, p, psi_s, slow)
+               - slowmode.slow_errors(1, Y - h, p, psi_s, slow)) / (2 * h)
+        e2 = slowmode.slow_errors(2, Y, p, psi_s, slow)
+        e3 = slowmode.slow_errors(3, Y, p, psi_s, slow)
         total = de1 + 1j * p.alpha * e2 + e3
 
         prof = DEFAULT_PROFILE
