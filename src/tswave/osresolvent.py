@@ -5,9 +5,13 @@ variable omega = (dYY - alpha^2) Phi, which makes the Navier-slip row trivial
 (omega(0) = 0) and keeps every block second order.  Two splittings of the
 full operator are assembled: a diffusion-dominated one whose leftover is the
 magnetic coupling in divergence form, and a divergence-form one whose
-leftover decays like the background shear.  Alternating their solves yields
-the exact resolvent; the boundary slope of the remainder corrects the
-approximate dispersion function to the exact one.
+leftover decays like the background shear.  Alternating their solves
+(``OSIteration``) is the paper's construction of the exact resolvent; it is
+kept as the audited construction and not called by the program.  The
+remainder solves behind the exact dispersion function factor the full
+operator once per wave speed and solve both remainders from that one LU;
+the boundary slope of the remainder corrects the approximate dispersion
+function to the exact one.
 
 Every block couples only nodes i - 1, i, i + 1, so with the unknowns
 interleaved node by node as (Phi_i, omega_i, Psi_i) each 3N x 3N system is
@@ -41,7 +45,6 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _NOISE_FLOOR = 1e-13
-_ALTERNATION_TOL = 1e-8     # relative step norm that ends each remainder solve
 _MAX_ALTERNATIONS = 40      # alternation steps before NonConvergence
 
 
@@ -289,12 +292,13 @@ def _band_at(params, bvp, variant):
 
 
 def _rhs(bvp, q1, q2):
+    """Block-order right-hand side (0, q1, q2) with the six boundary rows
+    zeroed; sources stacked on a leading axis give stacked right-hand sides."""
     N = bvp.n
-    rhs = np.zeros(3 * N, dtype=complex)
-    rhs[N:2 * N] = np.asarray(q1, dtype=complex)
-    rhs[2 * N:] = np.asarray(q2, dtype=complex)
-    for i in (N, 2 * N - 1, 2 * N, 3 * N - 1):
-        rhs[i] = 0.0
+    rhs = np.zeros(np.shape(q1)[:-1] + (3 * N,), dtype=complex)
+    rhs[..., N:2 * N] = q1
+    rhs[..., 2 * N:] = q2
+    rhs[..., [N, 2 * N - 1, 2 * N, 3 * N - 1]] = 0.0
     return rhs
 
 
@@ -342,20 +346,30 @@ def _estimate_condition(lu):
 
 
 class _Factorized:
+    """Banded LU of one system ('os_d', 'os_s', 'full') at the wave speed of
+    ``params``, refused with ``SingularSystem`` when its Hager estimate
+    ``cond`` exceeds ``_COND_LIMIT``."""
+
     def __init__(self, params, bvp, variant):
         try:
             self.lu = splu(*_band_at(params, bvp, variant))
         except RuntimeError as exc:
             raise SingularSystem(f"{variant} factorization failed: {exc}") from exc
-        cond = _estimate_condition(self.lu)
-        if cond > _COND_LIMIT:
-            raise SingularSystem(
-                f"{variant} condition estimate {cond:.2e} exceeds {_COND_LIMIT:.0e}")
+        self.cond = _estimate_condition(self.lu)
+        if self.cond > _COND_LIMIT:
+            raise SingularSystem(f"{variant} condition estimate {self.cond:.2e} "
+                                 f"exceeds {_COND_LIMIT:.0e}")
 
     def solve(self, bvp, q1, q2):
+        """Grid arrays (phi, omega, psi) of the solution for the sources
+        (q1, q2).  Sources of shape (k, N) are solved as the k columns of one
+        zgbtrs call, and each returned array then has shape (k, N)."""
         N = bvp.n
-        x = self.lu.solve(_rhs(bvp, q1, q2).reshape(3, N).T.ravel())
-        return tuple(np.ascontiguousarray(x.reshape(N, 3).T))
+        rhs = _rhs(bvp, q1, q2)
+        # block order b N + i to node order 3 i + b, one column per source
+        cols = np.swapaxes(rhs.reshape(-1, 3, N), 1, 2).reshape(-1, 3 * N).T
+        x = self.lu.solve(cols).T.reshape(rhs.shape[:-1] + (N, 3))
+        return tuple(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
 
 
 def _sample_sources(q1, q2, bvp):
@@ -377,6 +391,9 @@ def _inv_sqrt_curvature(d2us):
 class OSIteration:
     """Alternating solves of the two splittings at fixed wave speed.
 
+    This is the paper's construction of the exact resolvent, kept as the
+    audited construction: the tests check its contraction and compare its
+    limit with the one-LU solve of the full operator that the program uses.
     Factorizations are done once per instance and reused across the
     alternation steps and both remainder problems.  Everything that does not
     depend on c (operators as A0 + c A1, profile and coupling arrays) comes
@@ -519,37 +536,36 @@ def _solve_remainders(c, params, bvp):
     """Error terms at c and the two remainder solves.
 
     The first remainder absorbs the strongly decaying error pair, the second
-    the divergence-form errors (entered through the divergence splitting).
-    Returns ``(gamma0, modes, remainders)``: the approximate dispersion
-    value, the participating modes of ``assemble_error_terms``, and for each
-    remainder its grid arrays (phi, psi) plus its alternation trace.
+    the divergence-form errors.  Both solve the full operator, factored once
+    at c, as the two columns of one banded solve.  Returns ``(gamma0, modes,
+    (phi, psi), cond)``: the approximate dispersion value, the participating
+    modes of ``assemble_error_terms``, the remainders' grid arrays with one
+    row per remainder, and the factorization's condition estimate.
     """
     p = params.with_c(c)
     arrays, gamma0_val, modes = assemble_error_terms(c, params, bvp)
-    it = OSIteration(p, bvp)
-    phi1, _, psi1, trace1 = it.iterate(arrays["e3s"] + arrays["e3f"],
-                                       arrays["ff"], tol=_ALTERNATION_TOL,
-                                       entry="d")
+    fact = _Factorized(p, bvp, "full")
     div_source = (bvp.d1 @ (arrays["e1s"] + arrays["e1f"])
                   + 1j * p.alpha * (arrays["e2s"] + arrays["e2f"]))
-    phi2, _, psi2, trace2 = it.iterate(div_source, None, tol=_ALTERNATION_TOL,
-                                       entry="s")
-    return gamma0_val, modes, ((phi1, psi1, trace1), (phi2, psi2, trace2))
+    phi, _, psi = fact.solve(
+        bvp, np.stack([arrays["e3s"] + arrays["e3f"], div_source]),
+        np.stack([arrays["ff"], np.zeros(bvp.n)]))
+    return gamma0_val, modes, (phi, psi), fact.cond
 
 
 def remainder_and_gamma(c, params, bvp):
     """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
     two remainder solves, plus diagnostics."""
-    gamma0_val, _, remainders = _solve_remainders(c, params, bvp)
+    gamma0_val, _, (phi, _), cond = _solve_remainders(c, params, bvp)
     # the one-sided wall slope is the first row of d1
-    slope1, slope2 = ((bvp.d1[0] @ phi)[0] for phi, _, _ in remainders)
+    slope1, slope2 = ((bvp.d1[0] @ phi_k)[0] for phi_k in phi)
     gamma = gamma0_val - slope1 - slope2
     diag = {
         "gamma0": gamma0_val,
         "gamma": gamma,
         "remainder_slopes": (slope1, slope2),
         "gap": abs(gamma - gamma0_val),
-        "traces": tuple(trace for _, _, trace in remainders),
+        "condition": cond,
     }
     return gamma, diag
 
@@ -563,7 +579,7 @@ def build_mode(c, params, bvp, full_os=False):
     """
     grid = bvp.grid
     if full_os:
-        _, modes, remainders = _solve_remainders(c, params, bvp)
+        _, modes, (r_phi, r_psi), _ = _solve_remainders(c, params, bvp)
     else:
         _, _, modes = assemble_error_terms(c, params, bvp)
     phi0 = modes["phi0"]
@@ -572,9 +588,8 @@ def build_mode(c, params, bvp, full_os=False):
     psi_arrays = [modes["psi_s"].eval(k, grid) - phi0 * modes["psi_f"].eval(k, grid)
                   for k in range(2)]
     if full_os:
-        (r1_phi, r1_psi, _), (r2_phi, r2_psi, _) = remainders
-        phi_arrays[0] = phi_arrays[0] - r1_phi - r2_phi
-        phi_arrays[1] = phi_arrays[1] - bvp.d1 @ (r1_phi + r2_phi)
-        psi_arrays[0] = psi_arrays[0] - r1_psi - r2_psi
-        psi_arrays[1] = psi_arrays[1] - bvp.d1 @ (r1_psi + r2_psi)
+        phi_arrays[0] = phi_arrays[0] - r_phi[0] - r_phi[1]
+        phi_arrays[1] = phi_arrays[1] - bvp.d1 @ (r_phi[0] + r_phi[1])
+        psi_arrays[0] = psi_arrays[0] - r_psi[0] - r_psi[1]
+        psi_arrays[1] = psi_arrays[1] - bvp.d1 @ (r_psi[0] + r_psi[1])
     return mode_from_grid(grid, phi_arrays), mode_from_grid(grid, psi_arrays)

@@ -1,9 +1,11 @@
 """Independent oracles shared by the tests.
 
 Adaptive Gauss-Kronrod quadrature on segments and rays, the slow-mode
-running integrals J, K and L by that quadrature, and the pointwise operators
-and norms the tests apply to computed modes.  None of this is on a path of
-the program: the tests compare the program's closed forms against it.
+running integrals J, K and L by that quadrature, the pointwise operators
+and norms the tests apply to computed modes, and the exact dispersion
+function by alternating the two splittings.  None of this is on a path of
+the program: the tests compare the program's closed forms and its one-LU
+remainder solves against it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tswave import slowmode
+from tswave import osresolvent, slowmode
 from tswave.errors import NonConvergence, UnsupportedOrder
 from tswave.numerics import _eval_vectorized
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile
@@ -266,3 +268,30 @@ def equation_residual(mode, prob, Y, step=1e-3):
 def sup_exp_norm(vals, grid, eta):
     """Weighted sup norm sup_Y e^{eta Y} |f(Y)| on the grid."""
     return float(np.max(np.exp(eta * grid) * np.abs(vals)))
+
+
+# -- exact dispersion function by alternation ---------------------------------
+
+def alternated_remainders(c, params, bvp):
+    """The two remainder solves of the exact dispersion function by the
+    paper's alternation of the two splittings (``OSIteration``), on the
+    sources of ``osresolvent._solve_remainders``.  Returns ``(gamma0,
+    remainders)``, each remainder its grid arrays (phi, psi) and its
+    ``IterationTrace``."""
+    p = params.with_c(c)
+    arrays, gamma0, _ = osresolvent.assemble_error_terms(c, params, bvp)
+    it = osresolvent.OSIteration(p, bvp)
+    phi1, _, psi1, trace1 = it.iterate(arrays["e3s"] + arrays["e3f"], arrays["ff"],
+                                       tol=1e-8, entry="d")
+    div_source = (bvp.d1 @ (arrays["e1s"] + arrays["e1f"])
+                  + 1j * p.alpha * (arrays["e2s"] + arrays["e2f"]))
+    phi2, _, psi2, trace2 = it.iterate(div_source, None, tol=1e-8, entry="s")
+    return gamma0, ((phi1, psi1, trace1), (phi2, psi2, trace2))
+
+
+def alternated_gamma(c, params, bvp):
+    """Gamma(c) = Gamma0(c) minus the wall slopes of the alternated
+    remainders, and the two alternation traces."""
+    gamma0, remainders = alternated_remainders(c, params, bvp)
+    slopes = [(bvp.d1[0] @ phi)[0] for phi, _, _ in remainders]
+    return gamma0 - slopes[0] - slopes[1], tuple(t for _, _, t in remainders)

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from oracles import quadrature_integrals, rayleigh_apply
+from oracles import alternated_gamma, quadrature_integrals, rayleigh_apply
 from tswave import airy, dispersion, osresolvent, slowmode
 from tswave.errors import (NonContraction, NonConvergence, SingularSystem,
                            TswaveError, WindingNotOne)
@@ -283,8 +283,7 @@ def test_criterion_6_os_solvers():
         p0 = SpectralParams.eighth(2.0, eps)
         p = p0.with_c(dispersion.center_c(p0))
         bvp = osresolvent.build_bvp(p, n_nodes=1200)
-        _, diag = osresolvent.remainder_and_gamma(p.c, p, bvp)
-        trace = diag["traces"][0]
+        trace = alternated_gamma(p.c, p, bvp)[1][0]
         envelope = 1.0 / (p.alpha**0.5 * p.n * p.c_hat.imag**2)
         contraction_ok &= all(r <= 1.0 for r in trace.ratios)
         envelope_ok &= all(r <= envelope for r in trace.ratios)

@@ -53,4 +53,4 @@ def test_full_os_row_reaches_wrapped_resolvent():
     assert proc.returncode == 0, proc.stderr
     gamma_evals, factorizations = map(int, proc.stdout.split())
     assert gamma_evals > 0
-    assert factorizations == 2 * gamma_evals
+    assert factorizations == gamma_evals

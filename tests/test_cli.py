@@ -349,7 +349,7 @@ def test_full_os_reports_exact_root_only_inside_disk(monkeypatch):
     for col in ("re_c_exact", "im_c_exact", "growth_rate"):
         assert math.isnan(row[col])
     # the maximum over the winding boundary samples only, not Newton's points
-    assert row["gamma_gap_max"] == gap_max == pytest.approx(3.5271260754839218,
+    assert row["gamma_gap_max"] == gap_max == pytest.approx(3.52712607547709,
                                                            rel=1e-12)
 
 

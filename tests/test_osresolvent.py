@@ -10,6 +10,7 @@ import scipy.linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigs, splu
 
+from oracles import alternated_gamma
 from tswave import airy, dispersion, fastmode, osresolvent, slowmode
 from tswave.errors import SingularSystem
 from tswave.numerics import l2_norm
@@ -318,6 +319,14 @@ class TestBandedFactorization:
         with pytest.raises(SingularSystem, match="condition estimate"):
             osresolvent.OSIteration(p, osresolvent.build_bvp(p))
 
+    @pytest.mark.parametrize("eps", [1e-20, 1e-24])
+    def test_gamma_guard_refuses_amplitude_four(self, eps):
+        # the exact Gamma factors the full operator; its estimate at the disk
+        # center is 4.1e13 (eps = 1e-20) and 2.1e15 (eps = 1e-24)
+        p = basin_params(eps=eps, A=4.0)
+        with pytest.raises(SingularSystem, match="full condition estimate"):
+            osresolvent.remainder_and_gamma(p.c, p, osresolvent.build_bvp(p))
+
 
 class TestIteration:
     def test_zero_source_trivial(self):
@@ -361,14 +370,37 @@ class TestIteration:
         for eps in (1e-8, 1e-10, 1e-12):
             p = basin_params(eps=eps)
             bvp = osresolvent.build_bvp(p, n_nodes=900)
-            _, diag = osresolvent.remainder_and_gamma(p.c, p, bvp)
-            trace = diag["traces"][0]
+            trace = alternated_gamma(p.c, p, bvp)[1][0]
             envelope = 1.0 / (p.alpha**0.5 * p.n * p.c_hat.imag**2)
             assert all(r <= 1.0 for r in trace.ratios)
             assert all(r <= envelope for r in trace.ratios)
 
 
 class TestRemainderAndGamma:
+    @pytest.mark.parametrize("A,eps", [(2.0, 1e-10), (2.0, 1e-12), (2.0, 5.36e-14),
+                                       (3.0, 1e-15)])
+    def test_gamma_matches_alternation_oracle(self, A, eps):
+        # the one-LU solve of the full operator against the paper's
+        # alternation of the two splittings, on the boundary of the Gamma0 disk
+        p0 = SpectralParams.eighth(A, eps)
+        bvp = osresolvent.build_bvp(p0)
+        disk = dispersion.disk_eighth(p0)
+        for th in math.pi / 64 + np.linspace(0.0, 2 * math.pi, 5)[:-1]:
+            c = p0.chat_to_c(disk.point(th))
+            ref, traces = alternated_gamma(c, p0, bvp)
+            assert all(t.converged for t in traces)
+            gamma = osresolvent.remainder_and_gamma(c, p0, bvp)[0]
+            assert abs(gamma - ref) <= 1e-9 * abs(ref)
+
+    def test_condition_estimate_reported(self):
+        # the diagnostics carry the full operator's Hager estimate at c
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p)
+        cond = osresolvent.remainder_and_gamma(p.c, p, bvp)[1]["condition"]
+        band, kl, ku = osresolvent._band_at(p, bvp, "full")
+        assert cond == osresolvent._estimate_condition(osresolvent.splu(band, kl, ku))
+        assert math.isfinite(cond) and 1.0 <= cond <= osresolvent._COND_LIMIT
+
     def test_gap_and_grid_refinement(self):
         p = basin_params()
         gammas = {}
@@ -660,15 +692,8 @@ class TestPerGridState:
               for th in np.linspace(0.15 * math.pi, 0.85 * math.pi, 4)]
         gammas = [osresolvent.remainder_and_gamma(c, p0, bvp)[0] for c in cs]
 
-        init = osresolvent.OSIteration.__init__
-
-        def per_c_init(self, params, bvp):
-            init(self, params, bvp)
-            self.a_theta = _PerCBlocks(params, bvp).magnetic_coupling()[1]
-
         monkeypatch.setattr(osresolvent, "_band_at", lambda *args: osresolvent._to_band(
             _per_c_assemble(*args)))
-        monkeypatch.setattr(osresolvent.OSIteration, "__init__", per_c_init)
         for c, gamma in zip(cs, gammas):
             ref = osresolvent.remainder_and_gamma(c, p0, bvp)[0]
             assert abs(gamma - ref) <= 1e-12 * abs(ref)
