@@ -65,97 +65,129 @@ def primitive_constants():
 def _series(k, z, tol=1e-18, max_terms=420):
     """Maclaurin evaluation of Ai(k, z) for k in {-1, 0, 1, 2, 3} (entire).
 
-    ``k`` may be a tuple of orders in 0..3: all of them run in one loop and
-    come back stacked on a leading axis, each value equal to its
-    single-order evaluation.
+    ``k`` may be a tuple of orders in 0..3: all of them run in one
+    recurrence and come back stacked on a leading axis, each value equal to
+    its single-order evaluation.
     """
     z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
     c1, c2 = AI_ZERO, -AIP_ZERO
-    z3 = z**3
     if k == -1:
-        # termwise derivative of the Ai series
-        tf = c1 * z**2 / 2.0          # m = 1 term of the f-part
-        tg = -c2 * np.ones_like(z)    # m = 0 term of the g-part
-
-        def step(m, tf, tg, z3):
-            return (tf * z3 / ((3 * m - 1) * (3 * m - 3)),
-                    tg * z3 / ((3 * m - 3) * (3 * m - 5)))
-
-        return _sum_terms(tf + tg, tf, tg, z3, 2, step, tol, max_terms)
-    orders = k if isinstance(k, tuple) else (k,)
-    if not all(0 <= kk <= 3 for kk in orders):
-        raise UnsupportedOrder(f"series order k = {k}")
-    consts = primitive_constants()
-    starts = []
-    for kk in orders:
-        acc = np.zeros_like(z)
-        fact = 1.0
-        for j in range(kk):
-            acc = acc + consts[kk - j] * z**j / fact
-            fact *= (j + 1)
-        tf = c1 * z**kk / math.factorial(kk)
-        tg = -c2 * z ** (kk + 1) / math.factorial(kk + 1)
-        starts.append((acc + tf + tg, tf, tg))
+        # termwise derivative of the Ai series: the m = 1 term of the f-part
+        # and the m = 0 term of the g-part
+        orders, m_start = (-1,), 2
+        tf, tg = c1 * z**2 / 2.0, -c2 * np.ones_like(z)
+        starts = [(tf + tg, tf, tg)]
+    else:
+        orders, m_start = (k if isinstance(k, tuple) else (k,)), 1
+        if not all(0 <= kk <= 3 for kk in orders):
+            raise UnsupportedOrder(f"series order k = {k}")
+        consts = primitive_constants()
+        starts = []
+        for kk in orders:
+            acc = np.zeros_like(z)
+            fact = 1.0
+            for j in range(kk):
+                acc = acc + consts[kk - j] * z**j / fact
+                fact *= (j + 1)
+            tf = c1 * z**kk / math.factorial(kk)
+            tg = -c2 * z ** (kk + 1) / math.factorial(kk + 1)
+            starts.append((acc + tf + tg, tf, tg))
     acc, tf, tg = (np.stack(a) for a in zip(*starts))
-    den_f, den_g = _denominators(orders, max_terms)
-
-    def step(m, tf, tg, z3):
-        return tf * (3 * m - 2) * z3 / den_f[m], tg * (3 * m - 1) * z3 / den_g[m]
-
-    out = _sum_terms(acc, tf, tg, z3, 1, step, tol, max_terms)
+    terms = np.concatenate([tf, tg])
+    out = _sum_terms(acc, terms, z**3, m_start, *_step_columns(orders, max_terms),
+                     tol, max_terms)
+    out = out.reshape((len(orders),) + shape)
     return out if isinstance(k, tuple) else out[0]
 
 
+# steps of the recurrence between two checks of the stopping rule
+_CHECK_EVERY = 8
+
+
 @lru_cache(maxsize=16)
-def _denominators(orders, max_terms):
-    """The integer denominators of the f- and g-part steps of every m as
-    complex columns (m, order, 1), so each row divides exactly as a single
-    order divides by its integer; read-only."""
-    j = 3 * np.arange(max_terms).reshape(-1, 1, 1) + np.reshape(orders, (-1, 1))
-    den_f = (j * (j - 1) * (j - 2)).astype(complex)
-    den_g = ((j + 1) * j * (j - 1)).astype(complex)
-    for arr in (den_f, den_g):
-        arr.flags.writeable = False
-    return den_f, den_g
+def _step_columns(orders, max_terms):
+    """The factors of every series step m as complex columns, shaped
+    (max_terms, 2 len(orders), 1): f-part rows above g-part rows, one per
+    order, so that each row rounds exactly as a single order's step with
+    integer factors does.
 
-
-def _sum_terms(acc, tf, tg, z3, m_start, step, tol, max_terms):
-    """``acc`` plus the series terms m = m_start, m_start + 1, ... of the f-
-    and g-parts, each pair made from the last by ``step(m, tf, tg, z3)``.
-
-    ``acc``, ``tf`` and ``tg`` are either shaped like ``z3`` or carry a
-    leading axis of orders.  An element is done after the first term past
-    m = 8 whose modulus is below ``tol`` relative to its sum: it takes the
-    terms it would take alone, so its value depends on no other element.  A
-    point leaves the working set once all its orders are done.
+    For an order k in 0..3 the step multiplies by 3m - 2 (f) or 3m - 1 (g)
+    and divides by j (j - 1) (j - 2) or (j + 1) j (j - 1), j = 3m + k; the
+    derivative series (k = -1) has no multiplier (None) and divides by
+    (3m - 1)(3m - 3) or (3m - 3)(3m - 5).  Read-only.
     """
-    shape = acc.shape
-    rows = acc.shape[0] if acc.ndim > z3.ndim else 1
-    acc, tf, tg = (np.reshape(a, (rows, -1)) for a in (acc, tf, tg))
-    # z3 repeated per order: numpy's complex multiply can round differently
+    def column(f_part, g_part):
+        out = np.concatenate([f_part, g_part], axis=1).astype(complex)
+        out.flags.writeable = False
+        return out
+
+    m = np.arange(max_terms).reshape(-1, 1, 1)
+    if orders == (-1,):
+        return None, column((3 * m - 1) * (3 * m - 3), (3 * m - 3) * (3 * m - 5))
+    j = 3 * m + np.reshape(orders, (-1, 1))
+    ones = np.ones_like(j)
+    return (column((3 * m - 2) * ones, (3 * m - 1) * ones),
+            column(j * (j - 1) * (j - 2), (j + 1) * j * (j - 1)))
+
+
+def _sum_terms(acc, terms, z3, m_start, mult, den, tol, max_terms):
+    """``acc`` (one row per order) plus the series terms m = m_start,
+    m_start + 1, ... of its f- and g-parts, ``terms`` holding the f-part
+    rows above the g-part rows.  Step m multiplies the terms by ``mult[m]``
+    (unless None) and by z^3, and divides them by ``den[m]``.
+
+    An element is done at the first term past m = 8 whose f- and g-part
+    moduli sum to at most ``tol`` relative to its sum, and keeps that sum:
+    it takes the terms it would take alone, so its value depends on no other
+    element.  The steps of a block are recorded and the rule is checked once
+    per block; a point leaves the working set once all its orders are done.
+    """
+    rows = acc.shape[0]
+    # z3 repeated per row: numpy's complex multiply can round differently
     # when an operand is broadcast, and each row must round as one order does
-    z3 = np.tile(np.ravel(z3), (rows, 1))
+    z3 = np.tile(z3, (2 * rows, 1))
+    first_check = max(m_start, 9)
+    for m in range(m_start, min(first_check, max_terms)):  # no element stops here
+        if mult is not None:
+            terms = terms * mult[m]
+        terms = terms * z3 / den[m]
+        acc = acc + terms[:rows] + terms[rows:]
     out = np.empty_like(acc)
     open_ = np.ones(acc.shape, dtype=bool)
     live = np.arange(acc.shape[1])
-    for m in range(m_start, max_terms):
-        tf, tg = step(m, tf, tg, z3)
-        acc = acc + tf + tg
-        if m > 8:
-            done = open_ & (np.abs(tf) + np.abs(tg) <= tol * np.abs(acc))
-            if done.any():
-                r, c = np.nonzero(done)
-                out[r, live[c]] = acc[r, c]
-                open_ &= ~done
-                keep = open_.any(axis=0)
-                if not keep.all():
-                    live = live[keep]
-                    acc, tf, tg, z3, open_ = (a[:, keep] for a in (acc, tf, tg, z3, open_))
-                    if not live.size:
-                        break
+    for m0 in range(first_check, max_terms, _CHECK_EVERY):
+        steps = min(_CHECK_EVERY, max_terms - m0)
+        tbuf = np.empty((steps,) + terms.shape, dtype=complex)
+        abuf = np.empty((steps,) + acc.shape, dtype=complex)
+        for i in range(steps):
+            t, a = tbuf[i], abuf[i]
+            if mult is not None:
+                np.multiply(terms, mult[m0 + i], out=t)
+                np.multiply(t, z3, out=t)
+            else:
+                np.multiply(terms, z3, out=t)
+            np.divide(t, den[m0 + i], out=t)
+            np.add(acc, t[:rows], out=a)
+            np.add(a, t[rows:], out=a)
+            terms, acc = t, a
+        size = np.abs(tbuf)
+        done = size[:, :rows] + size[:, rows:] <= tol * np.abs(abuf)
+        hit = done.any(axis=0)
+        if not hit.any():
+            continue
+        r, c = np.nonzero(hit & open_)
+        out[r, live[c]] = abuf[done.argmax(axis=0)[r, c], r, c]
+        open_ &= ~hit
+        keep = open_.any(axis=0)
+        if not keep.any():
+            return out
+        if not keep.all():
+            live = live[keep]
+            terms, acc, z3, open_ = terms[:, keep], acc[:, keep], z3[:, keep], open_[:, keep]
     r, c = np.nonzero(open_)
     out[r, live[c]] = acc[r, c]
-    return out.reshape(shape)
+    return out
 
 
 def _asymptotic(k, z):

@@ -122,35 +122,64 @@ def winding_samples(g, circle, init_samples=64):
     return winding, thetas, vals
 
 
-def newton_root(g, c0, tol=1e-12, max_iter=40):
+def _difference_step(c):
+    return 1e-7 * max(abs(c), 1.0)
+
+
+def newton_root(g, c0, tol=1e-12, max_iter=40, region=None):
     """Damped complex Newton iteration with central-difference derivative.
 
-    The derivative step is ``1e-7 * max(|c|, 1)``, and the two difference
-    points go to ``g`` as one array (one point at a time when ``g`` takes
-    scalars only).  A step is halved until the residual decreases (up to 50
-    halvings).  Returns ``(root, RootTrace)``.
+    The derivative step is ``h = 1e-7 * max(|c|, 1)``.  While ``g`` takes
+    arrays, each point c goes to it together with c + h and c - h as one
+    3-point array, so an accepted step carries the next derivative.  Once
+    that call raises TypeError or ValueError or gives no three values, ``g``
+    is called as for a scalar-only map, as it is from then on: c alone, and
+    the two difference points as one array when a derivative is needed.  A
+    step is halved until the residual decreases (up to 50 halvings).  With a
+    ``region`` (a ``Circle``) the iteration stops, unconverged, at the first
+    iterate outside it.  Returns ``(root, RootTrace)``.
     """
     trace = RootTrace()
+    arrays = True
+
+    def evaluate(c):
+        """g(c), and (g(c + h), g(c - h)) or None."""
+        nonlocal arrays
+        if arrays:
+            h = _difference_step(c)
+            try:
+                vals = np.asarray(g(np.array([c, c + h, c - h])), dtype=complex)
+                if vals.size == 3:
+                    vals = vals.ravel()
+                    return complex(vals[0]), vals[1:]
+            except (TypeError, ValueError):
+                pass
+            arrays = False
+        return complex(g(c)), None
+
     c = complex(c0)
-    gc = complex(g(c))
+    gc, diffs = evaluate(c)
     trace.iterates.append(c)
     trace.residuals.append(abs(gc))
     for _ in range(max_iter):
         if abs(gc) <= tol:
             trace.converged = True
             return c, trace
-        h = 1e-7 * max(abs(c), 1.0)
-        g_plus, g_minus = _eval_vectorized(g, np.array([c + h, c - h]))
-        gp = (complex(g_plus) - complex(g_minus)) / (2.0 * h)
+        if region is not None and not region.contains(c):
+            return c, trace
+        h = _difference_step(c)
+        if diffs is None:
+            diffs = _eval_vectorized(g, np.array([c + h, c - h]))
+        gp = (complex(diffs[0]) - complex(diffs[1])) / (2.0 * h)
         if abs(gp) < 1e-280 or not np.isfinite(gp):
             raise DerivativeBreakdown(f"difference quotient {gp} at c = {c}")
         step = -gc / gp
         lam = 1.0
         while lam > 2 ** -50:
             cand = c + lam * step
-            gcand = complex(g(cand))
+            gcand, cand_diffs = evaluate(cand)
             if abs(gcand) < abs(gc):
-                c, gc = cand, gcand
+                c, gc, diffs = cand, gcand, cand_diffs
                 break
             lam /= 2.0
         else:

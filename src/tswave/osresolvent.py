@@ -51,8 +51,6 @@ _MAX_ALTERNATIONS = 40      # alternation steps before NonConvergence
 @dataclass
 class DiscreteBVP:
     grid: np.ndarray
-    d1: sparse.csr_matrix
-    d2: sparse.csr_matrix
     weights: np.ndarray
     boundary: str = "navier"
     cluster_scale: float = 1.0
@@ -60,6 +58,28 @@ class DiscreteBVP:
     @property
     def n(self):
         return self.grid.size
+
+    @property
+    def d1(self):
+        """First-difference matrix of the grid, built on first read."""
+        return _difference_matrices(self.grid.tobytes())[0]
+
+    @property
+    def d2(self):
+        """Second-difference matrix of the grid, built on first read."""
+        return _difference_matrices(self.grid.tobytes())[1]
+
+
+@lru_cache(maxsize=2)
+def _difference_matrices(grid_key):
+    """``diff_matrix`` of orders 1 and 2 on the grid with bytes ``grid_key``,
+    read-only; ``DiscreteBVP`` and the per-grid state both read them here."""
+    grid = np.frombuffer(grid_key, dtype=float)
+    out = diff_matrix(grid, 1), diff_matrix(grid, 2)
+    for m in out:
+        for arr in (m.data, m.indices, m.indptr):
+            arr.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -83,8 +103,7 @@ def build_bvp(params, n_nodes=1600, y_max=None, boundary="navier"):
     else:
         scale = min(params.n ** (-1.0 / 3.0), params.alpha ** (1.0 + params.nu0))
     grid = graded_grid(n_nodes, y_max, cluster_scale=scale)
-    return DiscreteBVP(grid=grid, d1=diff_matrix(grid, 1), d2=diff_matrix(grid, 2),
-                       weights=trap_weights(grid), boundary=boundary,
+    return DiscreteBVP(grid=grid, weights=trap_weights(grid), boundary=boundary,
                        cluster_scale=scale)
 
 
@@ -139,8 +158,8 @@ def _grid_state(grid_key, params):
     """Per-(grid, params) arrays shared by every wave speed, keyed on
     the grid's bytes so equal grids share one entry and a grid changed in
     place misses; ``params`` carries no wave speed.  The difference matrices
-    are rebuilt from the grid as in ``build_bvp``, so no entry refers back to
-    a ``DiscreteBVP``.  The magnetic couplings are the first-slot action of the
+    are those a ``DiscreteBVP`` on the grid reads, and no entry refers back
+    to a ``DiscreteBVP``.  The magnetic couplings are the first-slot action of the
     expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi); the shear
     transport U_s' d_Y + U_s'' is the divergence-splitting leftover on Phi.
     All arrays are read-only.
@@ -148,7 +167,7 @@ def _grid_state(grid_key, params):
     grid = np.frombuffer(grid_key, dtype=float)
     us, dus, d2us = (DEFAULT_PROFILE.eval("U", k, grid) for k in range(3))
     hs, dhs, d2hs = (DEFAULT_PROFILE.eval("H", k, grid) for k in range(3))
-    d1, d2 = diff_matrix(grid, 1), diff_matrix(grid, 2)
+    d1, d2 = _difference_matrices(grid_key)
     a, n, se = params.alpha, params.n, params.sqrt_eps
     eye = sparse.identity(grid.size, format="csr", dtype=complex)
     dia = sparse.diags
@@ -168,7 +187,7 @@ def _grid_state(grid_key, params):
                        w_inv_sqrt=_inv_sqrt_curvature(d2us))
     for arr in (us, d2us, hs, state.w_inv_sqrt):
         arr.flags.writeable = False
-    for m in (d1, d2, a_xi, transport):
+    for m in (a_xi, transport):
         for arr in (m.data, m.indices, m.indptr):
             arr.flags.writeable = False
     return state

@@ -2,23 +2,27 @@
 
 Adaptive Gauss-Kronrod quadrature on segments and rays, the slow-mode
 running integrals J, K and L by that quadrature, the pointwise operators
-and norms the tests apply to computed modes, and the exact dispersion
-function by alternating the two splittings.  None of this is on a path of
-the program: the tests compare the program's closed forms and its one-LU
-remainder solves against it.
+and norms the tests apply to computed modes, the exact dispersion
+function by alternating the two splittings, the Airy Maclaurin series as a
+loop that checks its stopping rule after every term, and Newton's iteration
+with one call of the function per point.  None of this is on a path of the
+program: the tests compare the program's closed forms, its one-LU remainder
+solves, its blocked series recurrence and its Newton iteration against it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from tswave import osresolvent, slowmode
-from tswave.errors import NonConvergence, UnsupportedOrder
+from tswave import airy, osresolvent, slowmode
+from tswave.errors import (DerivativeBreakdown, NonConvergence,
+                           UnsupportedOrder)
 from tswave.numerics import _eval_vectorized
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile
 
@@ -295,3 +299,117 @@ def alternated_gamma(c, params, bvp):
     gamma0, remainders = alternated_remainders(c, params, bvp)
     slopes = [(bvp.d1[0] @ phi)[0] for phi, _, _ in remainders]
     return gamma0 - slopes[0] - slopes[1], tuple(t for _, _, t in remainders)
+
+
+# -- Airy Maclaurin series, one stopping check per term ------------------------
+
+def series_loop(k, z, tol=1e-18, max_terms=420):
+    """Ai(k, z) by the Maclaurin series of ``airy._series``, for k in
+    {-1, 0, 1, 2, 3} or a tuple of orders in 0..3 stacked on a leading axis.
+    The f- and g-part terms of each order are separate arrays, the stopping
+    rule is checked after every term, and the points that are done leave
+    the arrays at once."""
+    z = np.asarray(z, dtype=complex)
+    c1, c2 = airy.AI_ZERO, -airy.AIP_ZERO
+    z3 = z**3
+    if k == -1:
+        tf = c1 * z**2 / 2.0
+        tg = -c2 * np.ones_like(z)
+
+        def step(m, tf, tg, z3):
+            return (tf * z3 / ((3 * m - 1) * (3 * m - 3)),
+                    tg * z3 / ((3 * m - 3) * (3 * m - 5)))
+
+        return _sum_terms_loop(tf + tg, tf, tg, z3, 2, step, tol, max_terms)
+    orders = k if isinstance(k, tuple) else (k,)
+    if not all(0 <= kk <= 3 for kk in orders):
+        raise UnsupportedOrder(f"series order k = {k}")
+    consts = airy.primitive_constants()
+    starts = []
+    for kk in orders:
+        acc = np.zeros_like(z)
+        fact = 1.0
+        for j in range(kk):
+            acc = acc + consts[kk - j] * z**j / fact
+            fact *= (j + 1)
+        tf = c1 * z**kk / math.factorial(kk)
+        tg = -c2 * z ** (kk + 1) / math.factorial(kk + 1)
+        starts.append((acc + tf + tg, tf, tg))
+    acc, tf, tg = (np.stack(a) for a in zip(*starts))
+    j = 3 * np.arange(max_terms).reshape(-1, 1, 1) + np.reshape(orders, (-1, 1))
+    den_f = (j * (j - 1) * (j - 2)).astype(complex)
+    den_g = ((j + 1) * j * (j - 1)).astype(complex)
+
+    def step(m, tf, tg, z3):
+        return tf * (3 * m - 2) * z3 / den_f[m], tg * (3 * m - 1) * z3 / den_g[m]
+
+    out = _sum_terms_loop(acc, tf, tg, z3, 1, step, tol, max_terms)
+    return out if isinstance(k, tuple) else out[0]
+
+
+def _sum_terms_loop(acc, tf, tg, z3, m_start, step, tol, max_terms):
+    """``acc`` plus the terms m = m_start, ... made by ``step``; an element
+    stops at the first term past m = 8 with |tf| + |tg| <= tol |acc|."""
+    shape = acc.shape
+    rows = acc.shape[0] if acc.ndim > z3.ndim else 1
+    acc, tf, tg = (np.reshape(a, (rows, -1)) for a in (acc, tf, tg))
+    z3 = np.tile(np.ravel(z3), (rows, 1))
+    out = np.empty_like(acc)
+    open_ = np.ones(acc.shape, dtype=bool)
+    live = np.arange(acc.shape[1])
+    for m in range(m_start, max_terms):
+        tf, tg = step(m, tf, tg, z3)
+        acc = acc + tf + tg
+        if m > 8:
+            done = open_ & (np.abs(tf) + np.abs(tg) <= tol * np.abs(acc))
+            if done.any():
+                r, c = np.nonzero(done)
+                out[r, live[c]] = acc[r, c]
+                open_ &= ~done
+                keep = open_.any(axis=0)
+                if not keep.all():
+                    live = live[keep]
+                    acc, tf, tg, z3, open_ = (a[:, keep] for a in (acc, tf, tg, z3, open_))
+                    if not live.size:
+                        break
+    r, c = np.nonzero(open_)
+    out[r, live[c]] = acc[r, c]
+    return out.reshape(shape)
+
+
+# -- Newton's iteration, one point per call -----------------------------------
+
+def newton_loop(g, c0, tol=1e-12, max_iter=40):
+    """Damped complex Newton iteration as ``numerics.newton_root`` without a
+    region: ``g`` at each point alone, the two difference points
+    (step ``1e-7 * max(|c|, 1)``) as one array through ``_eval_vectorized``.
+    Returns ``(root, iterates, residuals, converged)``; raises
+    DerivativeBreakdown or NonConvergence as the iteration does."""
+    c = complex(c0)
+    gc = complex(g(c))
+    iterates, residuals = [c], [abs(gc)]
+    for _ in range(max_iter):
+        if abs(gc) <= tol:
+            return c, iterates, residuals, True
+        h = 1e-7 * max(abs(c), 1.0)
+        g_plus, g_minus = _eval_vectorized(g, np.array([c + h, c - h]))
+        gp = (complex(g_plus) - complex(g_minus)) / (2.0 * h)
+        if abs(gp) < 1e-280 or not np.isfinite(gp):
+            raise DerivativeBreakdown(f"difference quotient {gp} at c = {c}")
+        step = -gc / gp
+        lam = 1.0
+        while lam > 2 ** -50:
+            cand = c + lam * step
+            gcand = complex(g(cand))
+            if abs(gcand) < abs(gc):
+                c, gc = cand, gcand
+                break
+            lam /= 2.0
+        else:
+            raise NonConvergence(f"damping stalled at c = {c}, |g| = {abs(gc):.3e}")
+        iterates.append(c)
+        residuals.append(abs(gc))
+    if abs(gc) <= tol:
+        return c, iterates, residuals, True
+    raise NonConvergence(f"Newton did not reach |g| <= {tol:.1e} in {max_iter} steps "
+                         f"(final |g| = {abs(gc):.3e})")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tswave import airy
-from oracles import Ray, Segment, quad_segment
+from tswave import airy, dispersion, osresolvent
+from oracles import Ray, Segment, quad_segment, series_loop
 from tswave.errors import SectorViolation, UnsupportedOrder
+from tswave.params import SpectralParams
 
 EXACT_PRIMITIVES = {
     1: -1.0 / 3.0,                 # integral of Ai over the half line is 1/3
@@ -323,6 +324,35 @@ class TestStackedOrders:
             airy.ai_k((0, 1, 2, 3), -1.0)
         with pytest.raises(UnsupportedOrder):
             airy.ai_k((1, 4), 1.0)
+
+
+class TestBlockedRecurrence:
+    """``_series`` checks its stopping rule once per block of steps on a
+    stacked recurrence; ``oracles.series_loop`` checks it after every term on
+    separate f- and g-part arrays.  Every value must agree bit for bit."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(18)
+        n = 20000
+        z = 8.0 * np.sqrt(rng.random(n)) * np.exp(
+            1j * rng.uniform(-airy.SECTOR, airy.SECTOR, n))
+        # the series points of the fast-mode grid blocks (Y/delta + z0 below
+        # the seam) at the disk centers of A = 2, 3, 4
+        blocks = []
+        for A, eps in ((2.0, 1e-12), (3.0, 1e-24), (4.0, 1e-26)):
+            p0 = SpectralParams.eighth(A, eps)
+            p = p0.with_c(dispersion.center_c(p0))
+            zg = osresolvent.build_bvp(p).grid / p.delta + p.z0
+            blocks.append(zg[np.abs(zg) < airy.M_THRESHOLD])
+        assert all(b.size > 40 for b in blocks)
+        return np.concatenate([z, *blocks])
+
+    @pytest.mark.parametrize("k", [(0, 1, 2, 3), (1, 2), 0, 1, 2, 3, -1])
+    def test_matches_loop_oracle_bit_for_bit(self, k):
+        z = self.points()
+        assert np.array_equal(airy._series(k, z).view(float),
+                              series_loop(k, z).view(float))
 
 
 def test_ai_value_branch_labels():

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from tswave import airy, dispersion, numerics
+from oracles import newton_loop
+from tswave import airy, cli, dispersion, numerics
 from tswave.errors import WindingNotOne
 from tswave.numerics import Circle, newton_root, winding_samples
 from tswave.params import SpectralParams
@@ -193,8 +194,25 @@ class TestEighthRegime:
         rep = dispersion.certify_eighth(SpectralParams.eighth(2.0, 1e-24))
         assert rep.certified
         excursion = max(abs(z - rep.disk.center) for z in rep.newton.iterates)
-        assert excursion / rep.disk.radius > 1.0
+        assert 1.0 < excursion / rep.disk.radius < dispersion._NEWTON_REACH
         assert rep.disk.contains(rep.c_root)
+
+    @pytest.mark.parametrize("A, eps", [(2.0, 1e-12), (2.0, 1e-24), (3.0, 1e-24),
+                                        (4.0, 1e-26)])
+    def test_newton_matches_reference_bit_for_bit(self, A, eps):
+        # one 3-point call per point gives the iterates and residuals of the
+        # reference iteration with one call per point
+        p0 = SpectralParams.eighth(A, eps)
+        rep = dispersion.certify_eighth(p0)
+        assert rep.certified
+        root, iterates, residuals, converged = newton_loop(
+            lambda w: dispersion.gamma0(p0.chat_to_c(w), p0), rep.disk.center,
+            max_iter=60)
+        assert converged
+        assert np.array_equal(np.array(rep.newton.iterates).view(float),
+                              np.array(iterates).view(float))
+        assert rep.newton.residuals == residuals
+        assert np.array([rep.c_root]).view(float).tolist() == [root.real, root.imag]
 
     def test_gamma0_center_value_shrinks_deep(self):
         vals = []
@@ -298,12 +316,34 @@ class TestGamma0OnArrays:
         winding_shapes = [shape for inside, shape in calls if inside]
         assert winding_shapes == [(n,) for n in rounds[:len(winding_shapes)]]
         assert sum(n for (n,) in winding_shapes) == rep.samples
-        # Newton: scalar steps, and the two difference points as one array
+        # Newton: each point with its two difference points as one array
         newton_shapes = [shape for inside, shape in calls if not inside]
-        assert set(newton_shapes) == {(), (2,)}
+        assert newton_shapes == [(3,)] * len(rep.newton.iterates)
 
 
 class TestBetaRegime:
+    def test_scalar_only_gamma0_keeps_the_reference_evaluations(self):
+        # gamma0_beta takes one point at a time: Newton's evaluations, in
+        # order and number, are those of the reference iteration
+        p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
+        disk = dispersion.disk_beta(p0)
+        gamma0_beta = dispersion.gamma0_beta
+
+        def run(newton):
+            points = []
+
+            def g(c):
+                val = gamma0_beta(c, p0)
+                points.append(c)
+                return val
+            return newton(g, disk.center, tol=1e-10), points
+
+        (root, trace), points = run(numerics.newton_root)
+        ref, ref_points = run(newton_loop)
+        assert trace.converged and len(trace.iterates) > 2
+        assert points == ref_points
+        assert (root, trace.iterates, trace.residuals) == ref[:3]
+
     def test_certifies_in_contraction_regime(self):
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
         rep = dispersion.certify(p0, r3=0.5, tol=1e-10)
@@ -326,3 +366,31 @@ class TestBetaRegime:
             dispersion.certify(SpectralParams.beta_regime(1.0, 0.115, 1e-10),
                                tol=1e-10)
         assert err.value.winding == 0
+
+
+class TestNewtonReach:
+    def test_exact_gamma_walk_stops_past_the_reach(self, monkeypatch):
+        # Gamma0 winds 0 at A = 3, eps = 1e-15, but the exact Gamma winds 1
+        # on its disk.  Newton's first step on Gamma lands 1.62 radii out,
+        # past the reach, so the walk ends there uncertified (without the
+        # stop, four more iterations walk to 2.22 radii); the row's status
+        # and its empty exact root do not depend on it
+        reports = []
+        find_root_certified = dispersion.find_root_certified
+
+        def spy(*args, **kwargs):
+            rep = find_root_certified(*args, **kwargs)
+            reports.append(rep)
+            return rep
+
+        monkeypatch.setattr(dispersion, "find_root_certified", spy)
+        cfg = cli.RunConfig(amplitude=3.0, eps_list=[1e-15], full_os=True, grid_n=400)
+        row = cli.sweep_row(cfg, 1e-15)
+        assert row["status"] == "winding=0" and row["winding"] == 0
+        assert math.isnan(row["re_c_exact"]) and math.isnan(row["im_c_exact"])
+        (rep,) = reports                    # Gamma0's count raised WindingNotOne
+        assert rep.winding == 1 and not rep.certified
+        iterates = rep.newton.iterates
+        assert len(iterates) == 2 and rep.c_root == iterates[-1]
+        reach = abs(iterates[-1] - rep.disk.center) / rep.disk.radius
+        assert 1.6 < reach < 1.65

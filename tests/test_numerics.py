@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tswave import numerics
 from tswave.errors import (DerivativeBreakdown, NonConvergence, ZeroOnContour)
-from oracles import Ray, Segment, quad_segment
+from oracles import Ray, Segment, newton_loop, quad_segment
 from tswave.numerics import (
     Circle, RootTrace, backward_exp_integral, cumulative_trapezoid,
     diff_matrix, forward_exp_integral, graded_grid, l2_norm, newton_root,
@@ -173,6 +173,8 @@ class TestNewton:
         assert abs((root - 0.5j) * (root + 2.0)) <= 1e-13
 
     def test_difference_points_go_as_one_array(self):
+        # each point goes with its two difference points as one array, so
+        # an undamped run makes one call per iterate and no other
         shapes = []
 
         def g(c):
@@ -181,8 +183,82 @@ class TestNewton:
 
         root, trace = newton_root(g, 1.0)
         assert trace.converged
-        assert shapes.count((2,)) == len(trace.iterates) - 1
-        assert set(shapes) == {(), (2,)}
+        assert shapes == [(3,)] * len(trace.iterates)
+
+    def test_damped_candidates_go_with_their_difference_points(self):
+        # the first full step overshoots to 1e3: each halving is one more
+        # 3-point call, and the accepted one carries the next derivative
+        calls = []
+
+        def g(c):
+            calls.append(np.array(c))
+            return np.arctan(c)
+
+        root, trace = newton_root(g, 1.5)
+        assert trace.converged and abs(root) <= 1e-12
+        assert all(z.shape == (3,) for z in calls)
+        assert len(calls) > len(trace.iterates)
+        ref_calls = []
+
+        def g_ref(c):
+            ref_calls.append(np.array(c))
+            return np.arctan(c)
+
+        ref = newton_loop(g_ref, 1.5)
+        assert [z[0] for z in calls] == [z.item() for z in ref_calls if z.size == 1]
+        assert (root, trace.iterates, trace.residuals) == ref[:3]
+
+    def test_scalar_only_map_keeps_the_reference_evaluations(self):
+        # complex() of an array raises TypeError: after that one refused
+        # 3-point call, the points go as in the reference iteration
+        def recorder(calls):
+            def g(c):
+                z = complex(c)
+                calls.append(z)
+                return np.arctan(z)
+            return g
+
+        calls, ref_calls = [], []
+        root, trace = newton_root(recorder(calls), 1.5)
+        ref = newton_loop(recorder(ref_calls), 1.5)
+        assert calls == ref_calls and len(calls) > 2 * len(trace.iterates)
+        assert (root, trace.iterates, trace.residuals) == ref[:3]
+
+    @pytest.mark.parametrize("power, c0, limit", [(1, 0.5, 1.0 + 1e-9), (2, 0.4, 1.2)])
+    def test_raising_difference_point_keeps_the_reference_outcome(self, power, c0, limit):
+        # g refuses points with Re c > limit, as Gamma0 refuses Im c_hat <= 0.
+        # On c - 1 the first step from 0.5 lands within 1.5e-11 of the root,
+        # which converges while its difference point + h is refused; on c^2 - 1 the
+        # first candidate from 0.4, 1.45, is refused itself
+        def g(c):
+            c = np.asarray(c, dtype=complex)
+            if np.any(c.real > limit):
+                raise ValueError(f"Re c above {limit}")
+            return c**power - 1.0
+
+        def outcome(run):
+            try:
+                return run()
+            except ValueError as exc:
+                return str(exc)
+
+        got = outcome(lambda: newton_root(g, c0, tol=1e-10))
+        want = outcome(lambda: newton_loop(g, c0, tol=1e-10))
+        if power == 2:
+            assert got == want == "Re c above 1.2"
+        else:
+            root, trace = got
+            assert (root, trace.iterates, trace.residuals, trace.converged) == want
+            assert len(trace.iterates) == 2 and root == pytest.approx(1.0)
+
+    def test_region_stops_the_walk(self):
+        # the first step from 1, damped twice, lands near 13.375, outside
+        # the region: the iteration ends there, unconverged
+        root, trace = newton_root(lambda c: c * c - 100.0, 1.0, region=Circle(0.0, 2.0))
+        assert trace.iterates == [1.0, root] and root == pytest.approx(13.375)
+        assert not trace.converged
+        inside, _ = newton_root(lambda c: c * c - 100.0, 1.0, region=Circle(0.0, 60.0))
+        assert inside == pytest.approx(10.0)
 
     def test_scalar_only_map_converges(self):
         # complex() of an array raises TypeError: every point goes alone

@@ -629,6 +629,7 @@ def _per_c_assemble(params, bvp, variant):
 
 
 def _clear_grid_caches():
+    osresolvent._difference_matrices.cache_clear()
     osresolvent._grid_state.cache_clear()
     osresolvent._affine_operator.cache_clear()
     slowmode._closed_forms.cache_clear()
@@ -715,6 +716,32 @@ class TestPerGridState:
         # an operator at one c is the caller's own
         band = osresolvent._band_at(p, bvp, "os_s")[0]
         band[0, 0] = band[0, 0]
+
+    def test_difference_matrices_built_on_first_read(self, monkeypatch):
+        # a plain sweep row reads no difference matrix; a full-OS row builds
+        # each order once per grid, for the DiscreteBVP and the per-grid
+        # state together
+        from tswave import cli
+
+        built = []
+        diff_matrix = osresolvent.diff_matrix
+
+        def counted(grid, order):
+            built.append((grid.size, order))
+            return diff_matrix(grid, order)
+
+        monkeypatch.setattr(osresolvent, "diff_matrix", counted)
+        _clear_grid_caches()
+        plain = cli.sweep_row(cli.RunConfig(eps_list=[1e-12]), 1e-12)
+        assert plain["status"] == "ok" and built == []
+        full = cli.sweep_row(cli.RunConfig(eps_list=[1e-12], full_os=True, grid_n=400),
+                             1e-12)
+        assert full["status"] == "exact-winding=3"
+        assert built == [(400, 1), (400, 2)]
+        bvp = osresolvent.build_bvp(SpectralParams.eighth(2.0, 1e-12), n_nodes=400)
+        state = osresolvent._grid_state_for(basin_params(), bvp)
+        assert bvp.d1 is state.d1 and bvp.d2 is state.d2
+        assert len(built) == 2
 
     def test_caches_keep_no_grid_alive(self):
         p = basin_params()
