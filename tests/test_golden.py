@@ -1,4 +1,4 @@
-"""The CLI outputs of eight commands against stored golden outputs.
+"""The CLI outputs of eleven commands against stored golden outputs.
 
 Run in-process through ``cli.main``.  Column names, statuses, windings and
 exit codes must match exactly; numeric cells to 1e-12 relative.  In the
@@ -34,6 +34,9 @@ COMMANDS = [
     ("export_full_os", "export-mode --A 2 --eps 1e-12 --full-os --t-list 0,5e-4 "
                        "--nx 8 --ny 32"),
     ("airy_table", "airy-table"),
+    ("audit_beta", "audit --M 1 --beta 0.11 --eps 1e-24"),
+    ("root_beta", "root --M 1 --beta 0.115 --eps 1.17e-42"),
+    ("export_beta", "export-mode --M 1 --beta 0.11 --eps 1e-24 --nx 2 --ny 8"),
 ]
 STRICT_RTOL = 1e-12
 SOLVE_RTOL = 1e-8
