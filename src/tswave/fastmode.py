@@ -131,6 +131,13 @@ def fast_mode_pair(params, den=None):
     return mode("Phi", 4), mode("Psi", 2)
 
 
+# nodes kept past the last nonzero node of e^{-varpi Y}, per hierarchy level:
+# each level reaches at most about 3.3 nodes past the one below on the default
+# and build_bvp grids for eps <= 1e-12, beta <= 0.12; a level that reaches
+# further costs a second build on the whole grid, not accuracy
+_MARGIN_PER_LEVEL = 4
+
+
 def default_hierarchy_terms(params):
     """Smallest N with N nu0 > 1 + nu0, plus one step of margin."""
     nu0 = params.nu0
@@ -157,27 +164,55 @@ class ExpFastHierarchy:
         self.grid = np.asarray(grid, dtype=float)
         self.varpi = varpi
 
-        us = DEFAULT_PROFILE.eval("U", 0, self.grid)
-        dus = DEFAULT_PROFILE.eval("U", 1, self.grid)
-        n = params.n
         phi = np.exp(-varpi * self.grid)
-        dphi = -varpi * phi
         self.phi_levels = [phi]
-        self.dphi_levels = [dphi]
+        self.dphi_levels = [-varpi * phi]
         self.d2phi_levels = [varpi**2 * phi]
         self.rhs_levels = [np.zeros_like(phi)]
-        for _ in range(1, self.n_terms + 1):
-            prev = self.phi_levels[-1]
-            anti = -tail_trapezoid(dus * prev, self.grid)
-            rhs = -us * prev + 2.0 * anti
-            inner = backward_exp_integral(rhs, self.grid, varpi)
-            phi_k = 1j * n * forward_exp_integral(inner, self.grid, varpi)
-            dphi_k = -varpi * phi_k + 1j * n * inner
-            d2phi_k = -1j * n * (params.c * phi_k + rhs)
-            self.phi_levels.append(phi_k)
-            self.dphi_levels.append(dphi_k)
-            self.d2phi_levels.append(d2phi_k)
-            self.rhs_levels.append(rhs)
+        # e^{-varpi Y} underflows to 0 long before the far field; each level
+        # spreads a few nodes past the one below, so run the recurrence on the
+        # prefix that holds level 0's support plus a margin (level 0 is 0 at
+        # the cut), and on the whole grid if some level is still nonzero there
+        cut = min(self.grid.size, np.flatnonzero(phi)[-1] + 1
+                  + _MARGIN_PER_LEVEL * self.n_terms)
+        levels = self._levels(cut)
+        if cut < self.grid.size and any(level[0, cut - 1] for level in levels):
+            levels = self._levels(self.grid.size)
+        for store, arrays in zip((self.phi_levels, self.dphi_levels,
+                                  self.d2phi_levels, self.rhs_levels), zip(*levels)):
+            store.extend(arrays)
+
+    def _levels(self, cut):
+        """Levels 1..n_terms, each a zero-filled (4, N) block of its Phi,
+        dPhi, d2Phi and rhs, computed on the first ``cut`` nodes.
+
+        Where level k - 1 is exactly 0 from node cut - 1 on, the whole-grid
+        recurrence has zero sources there: its tail integral is constant and
+        both exp-integral recurrences carry 0, so the prefix is the whole-grid
+        result bit for bit, and level k is 0 past the cut unless it is
+        nonzero at node cut - 1.  Past the cut the blocks hold +0; the
+        whole-grid level-1 source holds -U_s times the underflowed zeros of
+        e^{-varpi Y} there, some of them -0.
+        """
+        params, varpi, n = self.params, self.varpi, self.params.n
+        grid = self.grid[:cut]
+        us = DEFAULT_PROFILE.eval("U", 0, grid)
+        dus = DEFAULT_PROFILE.eval("U", 1, grid)
+        # one block per level, not one for all: at N = 2000 each stays under
+        # malloc's 128 KiB mmap threshold, where one (4, 6, N) block raised
+        # the peak RSS of a beta sweep by about 0.2 MB
+        levels = [np.zeros((4, self.grid.size), dtype=complex)
+                  for _ in range(self.n_terms)]
+        prev = self.phi_levels[0][:cut]
+        for phi_k, dphi_k, d2phi_k, rhs in (level[:, :cut] for level in levels):
+            anti = -tail_trapezoid(dus * prev, grid)
+            rhs[:] = -us * prev + 2.0 * anti
+            inner = backward_exp_integral(rhs, grid, varpi)
+            phi_k[:] = 1j * n * forward_exp_integral(inner, grid, varpi)
+            dphi_k[:] = -varpi * phi_k + 1j * n * inner
+            d2phi_k[:] = -1j * n * (params.c * phi_k + rhs)
+            prev = phi_k
+        return levels
 
     @cached_property
     def psi_levels(self):

@@ -4,10 +4,12 @@ Adaptive Gauss-Kronrod quadrature on segments and rays, the slow-mode
 running integrals J, K and L by that quadrature, the pointwise operators
 and norms the tests apply to computed modes, the exact dispersion
 function by alternating the two splittings, the Airy Maclaurin series as a
-loop that checks its stopping rule after every term, and Newton's iteration
-with one call of the function per point.  None of this is on a path of the
+loop that checks its stopping rule after every term, Newton's iteration
+with one call of the function per point, and the exponential fast hierarchy
+computed on every node of its grid.  None of this is on a path of the
 program: the tests compare the program's closed forms, its one-LU remainder
-solves, its blocked series recurrence and its Newton iteration against it.
+solves, its blocked series recurrence, its Newton iteration and its
+hierarchy cut to the support of e^{-varpi Y} against it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import pytest
 from tswave import airy, osresolvent, slowmode
 from tswave.errors import (DerivativeBreakdown, NonConvergence,
                            UnsupportedOrder)
-from tswave.numerics import _eval_vectorized
+from tswave.numerics import (_eval_vectorized, backward_exp_integral,
+                             forward_exp_integral, tail_trapezoid)
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile
 
 
@@ -299,6 +302,41 @@ def alternated_gamma(c, params, bvp):
     gamma0, remainders = alternated_remainders(c, params, bvp)
     slopes = [(bvp.d1[0] @ phi)[0] for phi, _, _ in remainders]
     return gamma0 - slopes[0] - slopes[1], tuple(t for _, _, t in remainders)
+
+
+# -- exponential fast hierarchy on the whole grid -----------------------------
+
+def hierarchy_full_grid(params, grid, n_terms):
+    """Levels 0..n_terms of the beta-regime exponential hierarchy with the
+    level recurrence run on every node of ``grid``, as ``{"phi", "dphi",
+    "d2phi", "rhs", "psi"}`` -> list of level arrays."""
+    grid = np.asarray(grid, dtype=float)
+    varpi = params.varpi
+    us = DEFAULT_PROFILE.eval("U", 0, grid)
+    dus = DEFAULT_PROFILE.eval("U", 1, grid)
+    n = params.n
+    phi = np.exp(-varpi * grid)
+    dphi = -varpi * phi
+    phi_levels = [phi]
+    dphi_levels = [dphi]
+    d2phi_levels = [varpi**2 * phi]
+    rhs_levels = [np.zeros_like(phi)]
+    for _ in range(1, n_terms + 1):
+        prev = phi_levels[-1]
+        anti = -tail_trapezoid(dus * prev, grid)
+        rhs = -us * prev + 2.0 * anti
+        inner = backward_exp_integral(rhs, grid, varpi)
+        phi_k = 1j * n * forward_exp_integral(inner, grid, varpi)
+        dphi_k = -varpi * phi_k + 1j * n * inner
+        d2phi_k = -1j * n * (params.c * phi_k + rhs)
+        phi_levels.append(phi_k)
+        dphi_levels.append(dphi_k)
+        d2phi_levels.append(d2phi_k)
+        rhs_levels.append(rhs)
+    psi_levels = ([np.exp(-varpi * grid) / varpi]
+                  + [tail_trapezoid(p, grid) for p in phi_levels[1:]])
+    return {"phi": phi_levels, "dphi": dphi_levels, "d2phi": d2phi_levels,
+            "rhs": rhs_levels, "psi": psi_levels}
 
 
 # -- Airy Maclaurin series, one stopping check per term ------------------------

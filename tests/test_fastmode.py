@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tswave import airy, dispersion, fastmode
+from oracles import hierarchy_full_grid
+from tswave import airy, dispersion, fastmode, osresolvent
 from tswave.errors import RegimeMismatch, UnsupportedOrder
 from tswave.params import SpectralParams
 
@@ -151,6 +152,83 @@ class TestExpHierarchy:
         d2psi = hier.sum_arrays("Psi", 2)
         d1phi = hier.sum_arrays("Phi", 1)
         assert np.max(np.abs(d2psi + d1phi)) == 0.0
+
+
+def disk_params(beta, eps):
+    """The disk center and 8 boundary points of the beta-regime disk."""
+    p0 = SpectralParams.beta_regime(1.0, beta, eps)
+    disk = dispersion.disk_beta(p0)
+    return [p0.with_c(c) for c in
+            [disk.center] + [disk.point(2.0 * math.pi * j / 8) for j in range(8)]]
+
+
+def assert_matches_full_grid(hier):
+    want = hierarchy_full_grid(hier.params, hier.grid, hier.n_terms)
+    for name, levels in want.items():
+        got = getattr(hier, f"{name}_levels")
+        assert len(got) == len(levels)
+        for k, (a, b) in enumerate(zip(got, levels)):
+            assert np.array_equal(a.view(float), b.view(float)), (name, k)
+            # past the cut, the whole-grid level-1 source is -U_s times the
+            # underflowed zeros of e^{-varpi Y}, some of them -0, where the
+            # cut build holds +0.  No other array differs even in the sign of
+            # a zero.
+            if (name, k) != ("rhs", 1):
+                assert a.tobytes() == b.tobytes(), (name, k)
+
+
+def exp_integral_lengths(monkeypatch):
+    """Record the grid length of every exp-kernel integral the hierarchy runs."""
+    lengths = []
+    for name in ("backward_exp_integral", "forward_exp_integral"):
+        def counted(vals, grid, xi, _fn=getattr(fastmode, name)):
+            lengths.append(len(grid))
+            return _fn(vals, grid, xi)
+
+        monkeypatch.setattr(fastmode, name, counted)
+    return lengths
+
+
+class TestCutHierarchy:
+    @pytest.mark.parametrize("beta, eps", [(0.1075, 1e-16), (0.1075, 1e-20),
+                                           (0.1075, 1e-24), (0.11, 1e-28),
+                                           (0.115, 1.17e-42)])
+    @pytest.mark.parametrize("on_bvp_grid", [False, True], ids=["default", "bvp"])
+    def test_levels_match_full_grid(self, beta, eps, on_bvp_grid):
+        for p in disk_params(beta, eps):
+            grid = osresolvent.build_bvp(p).grid if on_bvp_grid else None
+            for n_terms in (0, 1, None):
+                assert_matches_full_grid(
+                    fastmode.ExpFastHierarchy(p, grid=grid, n_terms=n_terms))
+
+    def test_support_reaching_the_end_runs_on_the_whole_grid(self, monkeypatch):
+        # level 0 is nonzero up to node 1985 and the later levels up to 1999
+        p = disk_params(0.1075, 1e-8)[0]
+        lengths = exp_integral_lengths(monkeypatch)
+        hier = fastmode.ExpFastHierarchy(p)
+        supports = [np.flatnonzero(phi)[-1] for phi in hier.phi_levels]
+        assert supports[0] < 1999 and supports[-1] == 1999
+        assert lengths == [2000] * (2 * hier.n_terms)
+        assert_matches_full_grid(hier)
+
+    def test_support_crossing_the_cut_reruns_on_the_whole_grid(self, monkeypatch):
+        # 14 levels whose support grows from node 1894 to 1970: the margin
+        # kept past level 0 is crossed, and the levels are rebuilt
+        p = disk_params(0.12, 1e-8)[0]
+        lengths = exp_integral_lengths(monkeypatch)
+        hier = fastmode.ExpFastHierarchy(p)
+        supports = [np.flatnonzero(phi)[-1] for phi in hier.phi_levels]
+        cut = lengths[0]
+        assert hier.n_terms == 14 and supports[0] < cut <= supports[-1] < 1999
+        assert lengths == [cut] * 28 + [2000] * 28
+        assert_matches_full_grid(hier)
+
+    def test_gamma0_beta_runs_on_the_support(self, monkeypatch):
+        # e^{-varpi Y} is nonzero on 622 of the 2000 nodes at this disk center
+        p = disk_params(0.1075, 1e-24)[0]
+        lengths = exp_integral_lengths(monkeypatch)
+        dispersion.gamma0_beta(p.c, p)
+        assert lengths and max(lengths) <= 800
 
 
 class TestFastErrors:
