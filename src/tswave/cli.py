@@ -402,6 +402,13 @@ def _config_kwargs(args):
         kwargs["eps_list"] = [args.eps]
     if kwargs.get("regime") == "beta":
         kwargs.setdefault("beta", 0.115)
+    else:
+        # r3 sizes only disk_beta: the eps^{1/8} regime reads neither key
+        for key in ("beta", "r3"):
+            if key in kwargs:
+                raise ValueError(f"{key} applies to the beta regime only (--M)")
+    if kwargs.get("jobs", 1) < 1:
+        raise ValueError(f"jobs must be at least 1, got {kwargs['jobs']}")
     return kwargs
 
 

@@ -21,9 +21,10 @@ from .numerics import (
     backward_exp_integral,
     forward_exp_integral,
     graded_grid,
+    grid_cache,
     tail_trapezoid,
 )
-from .params import ModeFunction, memoize_on_grid, mode_from_grid
+from .params import ModeFunction, mode_from_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = [
@@ -79,10 +80,10 @@ def airy_ratios(params, den=None):
     z0 = params.z0
     if den is None:
         den = airy.ai_k(2, z0)
-    memo = memoize_on_grid(lambda k, Y: airy._ai_any(k, Y / delta + z0) / den)
+    memo = grid_cache(maxsize=8)(lambda Y, k: airy._ai_any(k, Y / delta + z0) / den)
 
     def ratio(k, Y):
-        return memo(_BLOCK, Y)[k] if k in _BLOCK else memo(k, Y)
+        return memo(Y, _BLOCK)[k] if k in _BLOCK else memo(Y, k)
 
     return ratio
 
@@ -217,7 +218,7 @@ class ExpFastHierarchy:
     @cached_property
     def psi_levels(self):
         # tail of level 0 is exact: int_Y^inf e^{-varpi X} dX
-        return ([np.exp(-self.varpi * self.grid) / self.varpi]
+        return ([self.phi_levels[0] / self.varpi]
                 + [tail_trapezoid(p, self.grid) for p in self.phi_levels[1:]])
 
     def sum_arrays(self, which, order):

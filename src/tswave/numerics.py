@@ -9,8 +9,8 @@ the mild formulations of the second-order solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -35,7 +35,49 @@ __all__ = [
     "tail_trapezoid",
     "forward_exp_integral",
     "backward_exp_integral",
+    "grid_cache",
 ]
+
+
+def grid_cache(maxsize):
+    """Memoize ``fn(grid, *args)`` over its ``maxsize`` most recent keys: the
+    shape and bytes of the float grid plus the other, hashable arguments, so
+    equal grids share one entry and a grid changed in place misses.  ``fn``
+    receives a read-only grid, and its result is made read-only by
+    ``_read_only``.  ``cache_clear`` and ``cache_info`` are the ``lru_cache``'s.
+    """
+    def decorate(fn):
+        @lru_cache(maxsize=maxsize)
+        def cached(shape, grid_bytes, *args):
+            grid = np.frombuffer(grid_bytes, dtype=float).reshape(shape)
+            return _read_only(fn(grid, *args))
+
+        @wraps(fn)
+        def lookup(grid, *args):
+            grid = np.asarray(grid, dtype=float)
+            return cached(grid.shape, grid.tobytes(), *args)
+
+        lookup.cache_clear = cached.cache_clear
+        lookup.cache_info = cached.cache_info
+        return lookup
+
+    return decorate
+
+
+def _read_only(obj):
+    """``obj`` with its arrays made read-only: an ndarray, the arrays of a
+    compressed sparse matrix, and those inside tuples and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _read_only(item)
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _read_only(getattr(obj, f.name))
+    elif hasattr(obj, "indptr"):      # a compressed sparse matrix; scipy stays unimported
+        _read_only((obj.data, obj.indices, obj.indptr))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -321,18 +363,15 @@ def _exp_kernel_coeffs(x):
     return a, b
 
 
-@lru_cache(maxsize=4)
-def _exp_kernel(grid_key, xi):
-    """Per-(grid, xi) data of the exp-kernel recurrences, keyed on the grid's
-    bytes so equal grids share one entry and a grid changed in place misses.
+@grid_cache(maxsize=4)
+def _exp_kernel(grid, xi):
+    """Per-(grid, xi) data of the exp-kernel recurrences.
 
     Returns ``(h, ah, bh, upper, lower)``: the spacings, the scaled kernel
     coefficients, and the LAPACK band storage (kd = 1, unit diagonal) of the
     bidiagonal systems with -e^{-xi h} beside the diagonal, above it for the
-    backward recurrence and below it for the forward one.  All arrays are
-    read-only.
+    backward recurrence and below it for the forward one.
     """
-    grid = np.frombuffer(grid_key, dtype=float)
     h = np.diff(grid)
     x = xi * h
     ah, bh = _exp_kernel_coeffs(x)
@@ -341,13 +380,7 @@ def _exp_kernel(grid_key, xi):
     upper[0, 1:] = off
     lower = np.ones((2, grid.size), dtype=complex, order="F")
     lower[1, :-1] = off
-    for arr in (h, ah, bh, upper, lower):
-        arr.flags.writeable = False
     return h, ah, bh, upper, lower
-
-
-def _kernel_for(grid, xi):
-    return _exp_kernel(np.asarray(grid, dtype=float).tobytes(), complex(xi))
 
 
 # LAPACK's ztbtrs, bound by the first band solve so that importing this module
@@ -374,7 +407,7 @@ def backward_exp_integral(vals, grid, xi, tail_rate=0.0):
     factor decays, and is solved as one upper unit-bidiagonal system.
     """
     vals = np.asarray(vals, dtype=complex)
-    h, ah, bh, upper, _ = _kernel_for(grid, xi)
+    h, ah, bh, upper, _ = _exp_kernel(grid, complex(xi))
     # int_0^h e^{-xi s}(v_i + (v_{i+1}-v_i) s/h) ds = h*(v_i ah) + h*(v_{i+1}-v_i) bh
     rhs = np.empty(vals.shape, dtype=complex)
     rhs[:-1] = h * (vals[:-1] * ah + (vals[1:] - vals[:-1]) * bh)
@@ -389,7 +422,7 @@ def forward_exp_integral(vals, grid, xi):
     solved as one lower unit-bidiagonal system.
     """
     vals = np.asarray(vals, dtype=complex)
-    h, ah, bh, _, lower = _kernel_for(grid, xi)
+    h, ah, bh, _, lower = _exp_kernel(grid, complex(xi))
     # int_0^h e^{-xi(h-s)} (v_i + (v_{i+1}-v_i) s/h) ds  with sigma = h-s:
     #   = v_{i+1} * h*ah - (v_{i+1}-v_i) * h*bh
     rhs = np.empty(vals.shape, dtype=complex)

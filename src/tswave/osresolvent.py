@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +30,7 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem
-from .numerics import diff_matrix, graded_grid, l2_norm, trap_weights
+from .numerics import diff_matrix, graded_grid, grid_cache, l2_norm, trap_weights
 from .params import mode_from_grid
 from .profile import DEFAULT_PROFILE
 
@@ -62,24 +61,19 @@ class DiscreteBVP:
     @property
     def d1(self):
         """First-difference matrix of the grid, built on first read."""
-        return _difference_matrices(self.grid.tobytes())[0]
+        return _difference_matrices(self.grid)[0]
 
     @property
     def d2(self):
         """Second-difference matrix of the grid, built on first read."""
-        return _difference_matrices(self.grid.tobytes())[1]
+        return _difference_matrices(self.grid)[1]
 
 
-@lru_cache(maxsize=2)
-def _difference_matrices(grid_key):
-    """``diff_matrix`` of orders 1 and 2 on the grid with bytes ``grid_key``,
-    read-only; ``DiscreteBVP`` and the per-grid state both read them here."""
-    grid = np.frombuffer(grid_key, dtype=float)
-    out = diff_matrix(grid, 1), diff_matrix(grid, 2)
-    for m in out:
-        for arr in (m.data, m.indices, m.indptr):
-            arr.flags.writeable = False
-    return out
+@grid_cache(maxsize=2)
+def _difference_matrices(grid):
+    """``diff_matrix`` of orders 1 and 2 on the grid; ``DiscreteBVP`` and the
+    per-grid state both read them here."""
+    return diff_matrix(grid, 1), diff_matrix(grid, 2)
 
 
 @dataclass
@@ -127,8 +121,6 @@ def _affine(m0, m1):
         vals = np.asarray(sparse.csr_matrix(m)[coo.row, coo.col], dtype=complex).ravel()
         part = sparse.csc_matrix((vals, pattern.indices, pattern.indptr),
                                  shape=pattern.shape)
-        for arr in (part.data, part.indices, part.indptr):
-            arr.flags.writeable = False
         parts.append(part)
     return _Affine(*parts)
 
@@ -148,26 +140,18 @@ class _GridState:
     w_inv_sqrt: np.ndarray
 
 
-def _state_key(params, bvp):
-    """Cache key of the per-grid state: grid bytes and params without c."""
-    return bvp.grid.tobytes(), replace(params, c=None)
-
-
-@lru_cache(maxsize=2)
-def _grid_state(grid_key, params):
-    """Per-(grid, params) arrays shared by every wave speed, keyed on
-    the grid's bytes so equal grids share one entry and a grid changed in
-    place misses; ``params`` carries no wave speed.  The difference matrices
-    are those a ``DiscreteBVP`` on the grid reads, and no entry refers back
-    to a ``DiscreteBVP``.  The magnetic couplings are the first-slot action of the
+@grid_cache(maxsize=2)
+def _grid_state(grid, params):
+    """Per-(grid, params) arrays shared by every wave speed; ``params``
+    carries no wave speed.  The difference matrices are those a
+    ``DiscreteBVP`` on the grid reads, and no entry refers back to a
+    ``DiscreteBVP``.  The magnetic couplings are the first-slot action of the
     expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi); the shear
     transport U_s' d_Y + U_s'' is the divergence-splitting leftover on Phi.
-    All arrays are read-only.
     """
-    grid = np.frombuffer(grid_key, dtype=float)
     us, dus, d2us = (DEFAULT_PROFILE.eval("U", k, grid) for k in range(3))
     hs, dhs, d2hs = (DEFAULT_PROFILE.eval("H", k, grid) for k in range(3))
-    d1, d2 = _difference_matrices(grid_key)
+    d1, d2 = _difference_matrices(grid)
     a, n, se = params.alpha, params.n, params.sqrt_eps
     eye = sparse.identity(grid.size, format="csr", dtype=complex)
     dia = sparse.diags
@@ -182,22 +166,16 @@ def _grid_state(grid_key, params):
                       + a**2 * se * dia(hs) @ eye,
                       (a / n) * d1)
     transport = (dia(dus) @ d1 + dia(d2us)).tocsr()
-    state = _GridState(us=us, d2us=d2us, hs=hs, d1=d1, d2=d2, a_xi=a_xi,
-                       a_theta=a_theta, transport=transport,
-                       w_inv_sqrt=_inv_sqrt_curvature(d2us))
-    for arr in (us, d2us, hs, state.w_inv_sqrt):
-        arr.flags.writeable = False
-    for m in (a_xi, transport):
-        for arr in (m.data, m.indices, m.indptr):
-            arr.flags.writeable = False
-    return state
+    return _GridState(us=us, d2us=d2us, hs=hs, d1=d1, d2=d2, a_xi=a_xi,
+                      a_theta=a_theta, transport=transport,
+                      w_inv_sqrt=_inv_sqrt_curvature(d2us))
 
 
 def _grid_state_for(params, bvp):
-    return _grid_state(*_state_key(params, bvp))
+    return _grid_state(bvp.grid, replace(params, c=None))
 
 
-def _block_operator(grid_key, boundary, params, variant):
+def _block_operator(grid, boundary, params, variant):
     """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1,
     with the unknowns in block order (Phi, omega, Psi).
 
@@ -205,7 +183,7 @@ def _block_operator(grid_key, boundary, params, variant):
     block, the i alpha (U_s - c) diagonal of the magnetic block and, in the
     'os_s' and 'full' variants, the (alpha/n) c d_Y part of the Psi coupling.
     """
-    st = _grid_state(grid_key, params)
+    st = _grid_state(grid, params)
     N = st.us.size
     a, n = params.alpha, params.n
     eye = sparse.identity(N, format="csr", dtype=complex)
@@ -291,13 +269,12 @@ class _Banded(NamedTuple):
         return band
 
 
-@lru_cache(maxsize=2)
-def _affine_operator(grid_key, boundary, params, variant):
-    """``_block_operator`` in read-only band storage, the one form kept."""
-    op = _block_operator(grid_key, boundary, params, variant)
+@grid_cache(maxsize=2)
+def _affine_operator(grid, boundary, params, variant):
+    """``_block_operator`` in band storage, the one form kept."""
+    op = _block_operator(grid, boundary, params, variant)
     band0, kl, ku = _to_band(op.a0)
     band1 = _to_band(op.a1)[0]        # a1 shares a0's pattern, so its kl, ku
-    band0.flags.writeable = band1.flags.writeable = False
     return _Banded(band0, band1, kl, ku)
 
 
@@ -305,8 +282,7 @@ def _band_at(params, bvp, variant):
     """(band, kl, ku) of the requested splitting ('os_d', 'os_s', 'full') at
     the wave speed of ``params``."""
     params._need_c()
-    gridkey, p0 = _state_key(params, bvp)
-    op = _affine_operator(gridkey, bvp.boundary, p0, variant)
+    op = _affine_operator(bvp.grid, bvp.boundary, replace(params, c=None), variant)
     return op.at(params.c), op.kl, op.ku
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import RegimeMismatch, UnsupportedOrder
 
-__all__ = ["SpectralParams", "ModeFunction", "GUARDS", "BETA_EIGHTH", "memoize_on_grid"]
+__all__ = ["SpectralParams", "ModeFunction", "GUARDS", "BETA_EIGHTH"]
 
 BETA_EIGHTH = 0.125
 BETA_FLOOR = 3.0 / 28.0
@@ -171,24 +170,6 @@ class ModeFunction:
 
     def __call__(self, Y):
         return self.eval(0, Y)
-
-
-def memoize_on_grid(evaluator):
-    """``evaluator(k, Y)`` computed once per (k, values of Y) among the eight
-    most recent, keyed on the bytes of Y; results are read-only."""
-
-    @lru_cache(maxsize=8)
-    def cached(k, shape, y_bytes):
-        Y = np.frombuffer(y_bytes, dtype=float).reshape(shape)
-        out = np.asarray(evaluator(k, Y), dtype=complex)
-        out.flags.writeable = False
-        return out
-
-    def lookup(k, Y):
-        Y = np.asarray(Y, dtype=float)
-        return cached(k, Y.shape, Y.tobytes())
-
-    return lookup
 
 
 def mode_from_grid(grid, vals_by_order):

@@ -13,12 +13,12 @@ the tests check them against quadrature (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .params import ModeFunction, memoize_on_grid
+from .numerics import grid_cache
+from .params import ModeFunction
 from .profile import DEFAULT_PROFILE
 
 __all__ = [
@@ -36,18 +36,14 @@ __all__ = [
 
 def _closed_forms_at(Y, chat):
     """(J, K, L) at these Y, from ``_closed_forms``; a scalar Y gives scalars."""
-    Yarr = np.asarray(Y, dtype=float)
-    out = _closed_forms(Yarr.tobytes(), Yarr.shape, complex(chat))
-    return out if Yarr.ndim else tuple(v[()] for v in out)
+    out = _closed_forms(Y, complex(chat))
+    return out if np.ndim(Y) else tuple(v[()] for v in out)
 
 
-@lru_cache(maxsize=4)
-def _closed_forms(y_key, shape, chat):
+@grid_cache(maxsize=4)
+def _closed_forms(Y, chat):
     """J(Y), K(Y) and L(Y) of one (grid, c_hat) from the profile's closed-form
-    primitives, keyed on the grid's bytes so equal grids share one entry and
-    a grid changed in place misses; the arrays are read-only.
-    """
-    Y = np.frombuffer(y_key, dtype=float).reshape(shape)
+    primitives."""
     J = np.asarray(DEFAULT_PROFILE.inv_square_integral(Y, chat))
     K = np.asarray(DEFAULT_PROFILE.corrector_integral(Y, chat))
     w = DEFAULT_PROFILE.eval("U", 0, Y) - chat
@@ -55,8 +51,6 @@ def _closed_forms(y_key, shape, chat):
     # b^2 - w^2 written through the wake; the direct difference bottoms
     # out at one ulp once U_s saturates, which exponential weights amplify
     L = np.asarray(DEFAULT_PROFILE.wake(Y) * (b + w) / 2.0)
-    for arr in (J, K, L):
-        arr.flags.writeable = False
     return J, K, L
 
 
@@ -142,11 +136,10 @@ def phi_app_s(order, Y, params):
 
 
 def phi_app_s_mode(params):
-    """The slow mode as a ModeFunction; each (order, Y) is evaluated once."""
-    return ModeFunction(
-        max_order=3,
-        evaluator=memoize_on_grid(lambda order, Y: phi_app_s(order, Y, params)),
-    )
+    """The slow mode as a ModeFunction; each (order, Y) is evaluated once
+    among the eight most recent."""
+    memo = grid_cache(maxsize=8)(lambda Y, order: phi_app_s(order, Y, params))
+    return ModeFunction(max_order=3, evaluator=lambda order, Y: memo(Y, order))
 
 
 def boundary_values(params, c_hat=None):

@@ -9,19 +9,24 @@ with one call of the function per point, and the exponential fast hierarchy
 computed on every node of its grid.  None of this is on a path of the
 program: the tests compare the program's closed forms, its one-LU remainder
 solves, its blocked series recurrence, its Newton iteration and its
-hierarchy cut to the support of e^{-varpi Y} against it.
+hierarchy cut to the support of e^{-varpi Y} against it.  The tests that
+compare evaluation orders start from empty grid caches (``clear_grid_caches``).
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib
+import inspect
 import math
+import pkgutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import tswave
 from tswave import airy, osresolvent, slowmode
 from tswave.errors import (DerivativeBreakdown, NonConvergence,
                            UnsupportedOrder)
@@ -244,6 +249,16 @@ def quadrature_integrals():
         mp.setattr(HartmannProfile, "inv_square_integral",
                    lambda self, Y, chat: _j_array(Y, chat))
         yield
+
+
+def clear_grid_caches():
+    """Empty every module-level ``grid_cache`` of the program: each plain
+    function with a ``cache_clear`` (an ``lru_cache`` is no plain function)."""
+    for info in pkgutil.iter_modules(tswave.__path__):
+        module = importlib.import_module(f"tswave.{info.name}")
+        for obj in vars(module).values():
+            if inspect.isfunction(obj) and hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 # -- pointwise operators and norms --------------------------------------------

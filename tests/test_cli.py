@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import clear_grid_caches
 from tswave import cli, dispersion, osresolvent
 from tswave.errors import GrowthOverflow, NonConvergence, WindingNotOne, ZeroOnContour
 from tswave.params import SpectralParams
@@ -67,6 +68,32 @@ class TestRunConfig:
         assert rc == 2 and out == ""
         assert err == ("error: --A (eps^{1/8} regime) and --M (beta regime) "
                        "exclude each other\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["root", "--A", "2", "--beta", "0.11", "--eps", "1e-12"],
+         "beta applies to the beta regime only (--M)"),
+        (["root", "--A", "2", "--r3", "0.9", "--eps", "1e-12"],
+         "r3 applies to the beta regime only (--M)"),
+        (["sweep", "--A", "2", "--eps", "1e-12", "--jobs", "-2"],
+         "jobs must be at least 1, got -2"),
+    ])
+    def test_ignored_inputs_are_refused(self, capsys, argv, message):
+        # each of these used to run as if it were absent, and exit 0
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_ignored_config_keys_are_refused(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for key, val in (("beta", "0.11"), ("r3", "0.4"), ("jobs", "0")):
+            path.write_text(f"regime=eighth\n{key}={val}\n")
+            with pytest.raises(ValueError, match=key):
+                cli.build_config(type("Args", (), {"config": str(path)})())
+        # RunConfig's defaults, and r3 in the beta regime, still pass
+        assert cli.build_config(type("Args", (), {"amplitude_a": 2.0})()).r3 == 0.5
+        cfg = cli.build_config(type("Args", (), {"amplitude_m": 1.0, "r3": 0.4})())
+        assert cfg.r3 == 0.4 and cfg.beta == 0.115
 
 
 class TestConfigFile:
@@ -356,8 +383,7 @@ def test_full_os_reports_exact_root_only_inside_disk(monkeypatch):
 def test_full_os_rows_independent_of_row_order():
     # Gamma's per-grid state is cached across rows; a row must not depend on
     # which rows ran before it, nor on whether its own state was cached
-    osresolvent._grid_state.cache_clear()
-    osresolvent._affine_operator.cache_clear()
+    clear_grid_caches()
     cfg = cli.RunConfig(amplitude=2.0, eps_list=[1e-11, 1e-12], grid_n=400,
                         full_os=True)
     _, _, text = cli.run_sweep(cfg)

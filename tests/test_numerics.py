@@ -1,6 +1,8 @@
 import gc
 import math
 import weakref
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from tswave.errors import (DerivativeBreakdown, NonConvergence, ZeroOnContour)
 from oracles import Ray, Segment, newton_loop, quad_segment
 from tswave.numerics import (
     Circle, RootTrace, backward_exp_integral, cumulative_trapezoid,
-    diff_matrix, forward_exp_integral, graded_grid, l2_norm, newton_root,
-    tail_trapezoid, trap_weights, winding_samples,
+    diff_matrix, forward_exp_integral, graded_grid, grid_cache, l2_norm,
+    newton_root, tail_trapezoid, trap_weights, winding_samples,
 )
 
 
@@ -491,14 +493,64 @@ class TestExpKernelOracle:
                         _reference_forward(vals, grid, xi)) <= 1e-13
 
     def test_cached_arrays_are_read_only(self):
+        # both recurrences read one cached kernel per (grid, xi)
         spec, xi = self.CASES[2]
         grid, vals = self._data(spec)
+        numerics._exp_kernel.cache_clear()
         backward_exp_integral(vals, grid, xi)
-        cached = numerics._exp_kernel(grid.tobytes(), complex(xi))
-        for arr in cached:
+        forward_exp_integral(vals, grid, xi)
+        info = numerics._exp_kernel.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        for arr in numerics._exp_kernel(grid, complex(xi)):
             assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+
+
+class _Pair(NamedTuple):
+    values: np.ndarray
+    count: int
+
+
+@dataclass(frozen=True)
+class _Held:
+    matrix: object
+    pair: _Pair
+
+
+def test_grid_cache():
+    from scipy import sparse
+
+    calls = []
+
+    @grid_cache(maxsize=2)
+    def build(grid, scale):
+        calls.append(scale)
+        assert not grid.flags.writeable
+        matrix = sparse.csr_matrix(np.diag(scale * grid))
+        return scale * grid, (grid + scale, _Held(matrix, _Pair(grid - scale, 1)))
+
+    grid = np.linspace(0.0, 1.0, 5)
+    first = build(grid, 2.0)
+    # an equal-valued copy of the grid hits the entry, a new argument misses
+    assert build(grid.copy(), 2.0) is first and calls == [2.0]
+    build(grid, 3.0)
+    assert calls == [2.0, 3.0]
+    # every array of the result is read-only, however deeply it is held
+    arr, (shifted, held) = first
+    matrix = held.matrix
+    for a in (arr, shifted, matrix.data, matrix.indices, matrix.indptr,
+              held.pair.values):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+    # a grid changed in place misses and is evaluated on its new values
+    grid[1] = 0.5
+    assert build(grid, 2.0)[0][1] == 1.0 and calls == [2.0, 3.0, 2.0]
+    info = build.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 3, 2, 2)
+    build.cache_clear()
+    assert build.cache_info().currsize == 0
+    build(grid, 2.0)
+    assert calls[-1] == 2.0 and build.cache_info().misses == 1
 
 
 class TestL2Norm:
