@@ -17,10 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# osresolvent (scipy.sparse and LAPACK) is imported inside the functions that
-# call it, through the module object, so that `root`, `airy-table` and
-# `validate` start without scipy
-from . import airy, dispersion, fastmode
+from . import airy, dispersion, fastmode, osresolvent
 from .errors import GrowthOverflow, TswaveError, WindingNotOne, ZeroOnContour
 from .numerics import winding_samples  # noqa: F401  (perfbench/layers.py wraps it)
 from .params import SpectralParams
@@ -109,8 +106,6 @@ def _write(text, out):
 
 def sweep_row(cfg, eps):
     """One sweep row; failures are recorded in the status field, never raised."""
-    from . import osresolvent
-
     params0 = cfg.params(eps)
     row = {k: math.nan for k in SWEEP_COLUMNS}
     row.update(eps=eps, alpha=params0.alpha, n=params0.n, status="ok", winding=0)
@@ -169,8 +164,6 @@ def full_os_certification(cfg, params0, bvp, c_center):
     Gamma vanishes on the boundary).  ``c_center`` is not used:
     ``dispersion.certify`` draws Gamma0's disk.
     """
-    from . import osresolvent
-
     gaps = []
 
     def g_exact(c):
@@ -259,8 +252,6 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     Raises ValueError for an empty lattice, and GrowthOverflow for a time
     at which |alpha Im c t / sqrt(eps)| exceeds ``_GROWTH_LIMIT``.
     """
-    from . import osresolvent
-
     if nx < 1 or ny < 1:
         raise ValueError(f"export lattice needs nx >= 1 and ny >= 1, got nx = {nx}, "
                          f"ny = {ny}")
@@ -322,7 +313,22 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
 
 # -- argument handling --
 
-def _add_common(sub):
+# the options beyond the common ones that each subcommand's handler reads,
+# as flags and as config keys
+_OPTIONS = {"sweep": ("fmt", "full_os", "grid_n", "y_max", "jobs"), "root": (),
+            "audit": ("grid_n", "y_max"), "validate": (),
+            "export-mode": ("fmt", "full_os", "grid_n", "y_max")}
+
+_OPTION_FLAGS = {
+    "fmt": ("--format", {"choices": ("csv", "json")}),
+    "full_os": ("--full-os", {"action": "store_true", "default": None}),
+    "grid_n": ("--grid-n", {"type": int}),
+    "y_max": ("--ymax", {"type": float}),
+    "jobs": ("--jobs", {"type": int}),
+}
+
+
+def _add_common(sub, options):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--regime", choices=("eighth", "beta"))
     sub.add_argument("--A", type=float, dest="amplitude_a")
@@ -334,12 +340,9 @@ def _add_common(sub):
     sub.add_argument("--theta", type=float)
     sub.add_argument("--r3", type=float)
     sub.add_argument("--out")
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    sub.add_argument("--full-os", dest="full_os", action="store_true",
-                     default=None)
-    sub.add_argument("--grid-n", dest="grid_n", type=int)
-    sub.add_argument("--ymax", dest="y_max", type=float)
-    sub.add_argument("--jobs", type=int)
+    for dest in options:
+        flag, kwargs = _OPTION_FLAGS[dest]
+        sub.add_argument(flag, dest=dest, **kwargs)
 
 
 def _read_config_file(path):
@@ -370,32 +373,31 @@ def build_config(args):
 
 
 def _config_kwargs(args):
-    if (getattr(args, "amplitude_a", None) is not None
-            and getattr(args, "amplitude_m", None) is not None):
-        raise ValueError("--A (eps^{1/8} regime) and --M (beta regime) exclude "
-                         "each other")
     raw = {}
     if getattr(args, "config", None):
         raw.update(_read_config_file(args.config))
+    # a parsed subcommand takes only its own options; a bare namespace, all
+    options = _OPTIONS.get(getattr(args, "command", None), _OPTION_FLAGS)
     kwargs = {}
     for key, val in raw.items():
         if key == "eps_list":
             kwargs["eps_list"] = [float(s) for s in val.split(",") if s]
-        elif key in _CFG_TYPES:
+        elif key in _CFG_TYPES and (key in options or key not in _OPTION_FLAGS):
             kwargs[key] = _CFG_TYPES[key](val)
         else:
-            raise ValueError(f"unknown config key {key!r}")
-    for key in ("regime", "beta", "theta", "r3", "grid_n", "y_max", "fmt",
-                "out", "full_os", "jobs"):
+            raise ValueError(f"unrecognized config key {key!r}")
+    for key in ("regime", "beta", "theta", "r3", "out", *_OPTION_FLAGS):
         val = getattr(args, key, None)
         if val is not None:
             kwargs[key] = val
-    if getattr(args, "amplitude_a", None) is not None:
-        kwargs["amplitude"] = args.amplitude_a
-        kwargs.setdefault("regime", "eighth")
-    if getattr(args, "amplitude_m", None) is not None:
-        kwargs["amplitude"] = args.amplitude_m
-        kwargs.setdefault("regime", "beta")
+    # each amplitude flag belongs to one regime, which must be the run's
+    for flag, dest, regime in (("--A", "amplitude_a", "eighth"),
+                               ("--M", "amplitude_m", "beta")):
+        if getattr(args, dest, None) is not None:
+            kwargs["amplitude"] = getattr(args, dest)
+            if kwargs.setdefault("regime", regime) != regime:
+                raise ValueError(f"{flag} is the {regime} regime's amplitude, but "
+                                 f"the regime is {kwargs['regime']}")
     if getattr(args, "eps_list", None):
         kwargs["eps_list"] = [float(s) for s in args.eps_list.split(",") if s]
     elif getattr(args, "eps", None) is not None:
@@ -454,8 +456,6 @@ def cmd_root(args):
 
 
 def cmd_audit(args):
-    from . import osresolvent
-
     cfg = build_config(args)
     entries = []
     for eps in cfg.eps_list:
@@ -496,8 +496,6 @@ def cmd_airy_table(args):
 
 
 def cmd_export_mode(args):
-    from . import osresolvent
-
     kwargs = _config_kwargs(args)
     if len(kwargs.get("eps_list", ())) > 1:
         raise ValueError(f"export-mode exports one eps, but the eps list holds "
@@ -546,7 +544,7 @@ def main(argv=None):
     for name, fn in (("sweep", cmd_sweep), ("root", cmd_root),
                      ("audit", cmd_audit), ("validate", cmd_validate)):
         sub = subs.add_parser(name)
-        _add_common(sub)
+        _add_common(sub, _OPTIONS[name])
         sub.set_defaults(handler=fn)
 
     sub = subs.add_parser("airy-table")
@@ -557,7 +555,7 @@ def main(argv=None):
     sub.set_defaults(handler=cmd_airy_table)
 
     sub = subs.add_parser("export-mode")
-    _add_common(sub)
+    _add_common(sub, _OPTIONS["export-mode"])
     sub.add_argument("--t-list", dest="t_list", default="0.0")
     sub.add_argument("--nx", type=int, default=16)
     sub.add_argument("--ny", type=int, default=64)

@@ -1,14 +1,19 @@
 """Shared complex-analysis and grid utilities.
 
 Adaptive winding-number counting on circles, damped complex Newton iteration,
-graded grids with sub-layer clustering, finite-difference matrices, trapezoid
-norms and integrals, and the exponential-kernel cumulative integrals used by
-the mild formulations of the second-order solvers.
+graded grids with sub-layer clustering, 3-point difference stencils, trapezoid
+norms and integrals, the exponential-kernel cumulative integrals used by the
+mild formulations of the second-order solvers, and the binding of the LAPACK
+band routines.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache, wraps
 
@@ -29,6 +34,7 @@ __all__ = [
     "newton_root",
     "graded_grid",
     "trap_weights",
+    "Stencil",
     "diff_matrix",
     "l2_norm",
     "cumulative_trapezoid",
@@ -36,6 +42,7 @@ __all__ = [
     "forward_exp_integral",
     "backward_exp_integral",
     "grid_cache",
+    "flapack",
 ]
 
 
@@ -65,8 +72,8 @@ def grid_cache(maxsize):
 
 
 def _read_only(obj):
-    """``obj`` with its arrays made read-only: an ndarray, the arrays of a
-    compressed sparse matrix, and those inside tuples and dataclasses."""
+    """``obj`` with its arrays made read-only: an ndarray, and those inside
+    tuples and dataclasses."""
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
     elif isinstance(obj, tuple):
@@ -75,8 +82,6 @@ def _read_only(obj):
     elif is_dataclass(obj):
         for f in fields(obj):
             _read_only(getattr(obj, f.name))
-    elif hasattr(obj, "indptr"):      # a compressed sparse matrix; scipy stays unimported
-        _read_only((obj.data, obj.indices, obj.indptr))
     return obj
 
 
@@ -276,34 +281,61 @@ def trap_weights(grid):
     return w
 
 
-def diff_matrix(grid, order):
-    """Sparse 3-point finite-difference matrix (order 1 or 2) on a nonuniform grid."""
-    from scipy import sparse
+def _row_sum(w, a, b, c):
+    """w[0] a + w[1] b + w[2] c summed from +0 in this order, as a CSR
+    matrix-vector product sums a row."""
+    return 0.0 + w[0] * a + w[1] * b + w[2] * c
 
-    n = grid.size
+
+@dataclass(frozen=True)
+class Stencil:
+    """3-point difference operator on a grid of n nodes.
+
+    Row i = 1..n-2 weighs nodes i-1, i, i+1 by ``lo[i-1]``, ``mid[i-1]`` and
+    ``hi[i-1]``; the one-sided end rows weigh nodes 0, 1, 2 (``first``) and
+    n-3, n-2, n-1 (``last``).  ``stencil @ v`` gives the same bits as the
+    equal CSR matrix applied to the 1-D array v.
+    """
+
+    lo: np.ndarray
+    mid: np.ndarray
+    hi: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+    def __matmul__(self, v):
+        v = np.asarray(v)
+        out = np.empty(v.shape, dtype=np.result_type(self.mid, v))
+        out[0] = self.wall(v)
+        out[1:-1] = _row_sum((self.lo, self.mid, self.hi), v[:-2], v[1:-1], v[2:])
+        out[-1] = _row_sum(self.last, v[-3], v[-2], v[-1])
+        return out
+
+    def wall(self, v):
+        """Row 0 applied to v: for order 1 the one-sided slope at the wall."""
+        return _row_sum(self.first, v[0], v[1], v[2])
+
+
+def diff_matrix(grid, order):
+    """3-point finite-difference ``Stencil`` (order 1 or 2) on a nonuniform grid."""
     hm = np.diff(grid)
     # interior rows i = 1..n-2 with spacings a = h_{i-1}, b = h_i
     a, b = hm[:-1], hm[1:]
     if order == 1:
-        stencil = [-b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))]
+        interior = (-b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b)))
     else:
-        stencil = [2.0 / (a * (a + b)), -2.0 / (a * b), 2.0 / (b * (a + b))]
-    # one-sided closures at the ends, from the end node inward
+        interior = (2.0 / (a * (a + b)), -2.0 / (a * b), 2.0 / (b * (a + b)))
+    # one-sided closures at the ends, in node order
     a0, b0, a1, b1 = hm[0], hm[1], hm[-1], hm[-2]
     if order == 1:
         first = [-(2 * a0 + b0) / (a0 * (a0 + b0)), (a0 + b0) / (a0 * b0),
                  -a0 / (b0 * (a0 + b0))]
-        last = [(2 * a1 + b1) / (a1 * (a1 + b1)), -(a1 + b1) / (a1 * b1),
-                a1 / (b1 * (a1 + b1))]
+        last = [a1 / (b1 * (a1 + b1)), -(a1 + b1) / (a1 * b1),
+                (2 * a1 + b1) / (a1 * (a1 + b1))]
     else:
         first = [2.0 / (a0 * (a0 + b0)), -2.0 / (a0 * b0), 2.0 / (b0 * (a0 + b0))]
-        last = [2.0 / (a1 * (a1 + b1)), -2.0 / (a1 * b1), 2.0 / (b1 * (a1 + b1))]
-    inner = np.arange(1, n - 1)
-    rows = np.concatenate([np.repeat(inner, 3), [0, 0, 0], [n - 1] * 3])
-    cols = np.concatenate([(inner[:, None] + np.arange(-1, 2)).ravel(),
-                           [0, 1, 2], [n - 1, n - 2, n - 3]])
-    data = np.concatenate([np.column_stack(stencil).ravel(), first, last])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        last = [2.0 / (b1 * (a1 + b1)), -2.0 / (a1 * b1), 2.0 / (a1 * (a1 + b1))]
+    return Stencil(*interior, np.array(first), np.array(last))
 
 
 def l2_norm(vals, weights, point_weight=None, noise_floor=0.0):
@@ -383,17 +415,51 @@ def _exp_kernel(grid, xi):
     return h, ah, bh, upper, lower
 
 
-# LAPACK's ztbtrs, bound by the first band solve so that importing this module
-# loads no scipy; an import inside every call would add about 1.8 us (x86_64,
-# Python 3.11) to each of the thousands of solves of a beta-regime row
-_ztbtrs = None
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path():
+    """Path of scipy's compiled ``linalg/_flapack`` extension, or None;
+    scipy itself is not imported."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@lru_cache(maxsize=None)
+def flapack():
+    """scipy's compiled LAPACK module, whose ``zgbtrf``, ``zgbtrs`` and
+    ``ztbtrs`` the band solves call.
+
+    The extension is loaded from its file under its own name, so the
+    ``scipy.linalg`` package init never runs: with scipy's array-API layer
+    it costs 0.2-0.3 s and 30 MB of RSS (x86_64, scipy 1.17).  A later
+    ``import scipy.linalg`` finds the module in ``sys.modules`` and reuses
+    it.  Without the file, ``scipy.linalg.lapack`` serves.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
 
 
 def _unit_bidiagonal_solve(band, rhs, uplo):
-    global _ztbtrs
-    if _ztbtrs is None:
-        from scipy.linalg.lapack import ztbtrs as _ztbtrs
-    out, info = _ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=1)
+    out, info = flapack().ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=1)
     if info != 0:
         raise TswaveError(f"banded exp-kernel solve failed: ztbtrs info = {info}")
     return out

@@ -15,7 +15,8 @@ function to the exact one.
 
 Every block couples only nodes i - 1, i, i + 1, so with the unknowns
 interleaved node by node as (Phi_i, omega_i, Psi_i) each 3N x 3N system is
-banded; it is stored and factored in LAPACK band form (zgbtrf / zgbtrs).
+banded; it is written in LAPACK band form straight from the difference
+stencils and the profile arrays, and factored there (zgbtrf / zgbtrs).
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem
-from .numerics import diff_matrix, graded_grid, grid_cache, l2_norm, trap_weights
+from .numerics import (Stencil, diff_matrix, flapack, graded_grid, grid_cache,
+                       l2_norm, trap_weights)
 from .params import mode_from_grid
 from .profile import DEFAULT_PROFILE
 
@@ -60,20 +60,13 @@ class DiscreteBVP:
 
     @property
     def d1(self):
-        """First-difference matrix of the grid, built on first read."""
-        return _difference_matrices(self.grid)[0]
+        """First-difference stencil of the grid, built on first read."""
+        return _grid_state(self.grid).d1
 
     @property
     def d2(self):
-        """Second-difference matrix of the grid, built on first read."""
-        return _difference_matrices(self.grid)[1]
-
-
-@grid_cache(maxsize=2)
-def _difference_matrices(grid):
-    """``diff_matrix`` of orders 1 and 2 on the grid; ``DiscreteBVP`` and the
-    per-grid state both read them here."""
-    return diff_matrix(grid, 1), diff_matrix(grid, 2)
+        """Second-difference stencil of the grid, built on first read."""
+        return _grid_state(self.grid).d2
 
 
 @dataclass
@@ -101,162 +94,35 @@ def build_bvp(params, n_nodes=1600, y_max=None, boundary="navier"):
                        cluster_scale=scale)
 
 
-class _Affine(NamedTuple):
-    """Operator A(c) = a0 + c * a1, both parts on one CSC pattern."""
-
-    a0: sparse.csc_matrix
-    a1: sparse.csc_matrix
-
-    def at(self, c):
-        return sparse.csc_matrix((self.a0.data + c * self.a1.data, self.a0.indices,
-                                  self.a0.indptr), shape=self.a0.shape)
-
-
-def _affine(m0, m1):
-    """``_Affine`` of two sparse matrices on the union of their patterns."""
-    pattern = (abs(m0) + abs(m1)).tocsc()     # sums of moduli never cancel
-    coo = pattern.tocoo()
-    parts = []
-    for m in (m0, m1):
-        vals = np.asarray(sparse.csr_matrix(m)[coo.row, coo.col], dtype=complex).ravel()
-        part = sparse.csc_matrix((vals, pattern.indices, pattern.indptr),
-                                 shape=pattern.shape)
-        parts.append(part)
-    return _Affine(*parts)
-
-
 @dataclass(frozen=True)
 class _GridState:
-    """Profile arrays and c-free operators of one (grid, params)."""
+    """Profile arrays and difference stencils of one grid."""
 
     us: np.ndarray
+    dus: np.ndarray
     d2us: np.ndarray
     hs: np.ndarray
-    d1: sparse.csr_matrix
-    d2: sparse.csr_matrix
-    a_xi: sparse.csr_matrix      # first-slot magnetic coupling on Phi
-    a_theta: _Affine             # first-slot magnetic coupling on Psi
-    transport: sparse.csr_matrix
+    dhs: np.ndarray
+    d2hs: np.ndarray
+    d1: Stencil
+    d2: Stencil
     w_inv_sqrt: np.ndarray
 
 
 @grid_cache(maxsize=2)
-def _grid_state(grid, params):
-    """Per-(grid, params) arrays shared by every wave speed; ``params``
-    carries no wave speed.  The difference matrices are those a
-    ``DiscreteBVP`` on the grid reads, and no entry refers back to a
-    ``DiscreteBVP``.  The magnetic couplings are the first-slot action of the
-    expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi); the shear
-    transport U_s' d_Y + U_s'' is the divergence-splitting leftover on Phi.
-    """
+def _grid_state(grid):
+    """Per-grid arrays shared by every parameter set and wave speed; the
+    stencils are those a ``DiscreteBVP`` on the grid reads."""
     us, dus, d2us = (DEFAULT_PROFILE.eval("U", k, grid) for k in range(3))
     hs, dhs, d2hs = (DEFAULT_PROFILE.eval("H", k, grid) for k in range(3))
-    d1, d2 = _difference_matrices(grid)
-    a, n, se = params.alpha, params.n, params.sqrt_eps
-    eye = sparse.identity(grid.size, format="csr", dtype=complex)
-    dia = sparse.diags
-    a_xi = ((a / n) * dia(dhs) @ eye
-            + (a / n) * dia(hs) @ d1
-            - (1j * a**2 / n) * eye).tocsr()
-    # -(a/n) (U_s - c) d_Y splits into its c-free part and c (a/n) d_Y
-    a_theta = _affine(-se * dia(hs) @ d2
-                      + se * dia(d2hs) @ eye
-                      - (a / n) * dia(dus) @ eye
-                      - (a / n) * dia(us) @ d1
-                      + a**2 * se * dia(hs) @ eye,
-                      (a / n) * d1)
-    transport = (dia(dus) @ d1 + dia(d2us)).tocsr()
-    return _GridState(us=us, d2us=d2us, hs=hs, d1=d1, d2=d2, a_xi=a_xi,
-                      a_theta=a_theta, transport=transport,
-                      w_inv_sqrt=_inv_sqrt_curvature(d2us))
-
-
-def _grid_state_for(params, bvp):
-    return _grid_state(bvp.grid, replace(params, c=None))
-
-
-def _block_operator(grid, boundary, params, variant):
-    """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1,
-    with the unknowns in block order (Phi, omega, Psi).
-
-    The wave speed enters through the (U_s - c_hat) diagonal of the omega
-    block, the i alpha (U_s - c) diagonal of the magnetic block and, in the
-    'os_s' and 'full' variants, the (alpha/n) c d_Y part of the Psi coupling.
-    """
-    st = _grid_state(grid, params)
-    N = st.us.size
-    a, n = params.alpha, params.n
-    eye = sparse.identity(N, format="csr", dtype=complex)
-    zero = sparse.csr_matrix((N, N), dtype=complex)
-    dia = sparse.diags
-    lap = st.d2 - a**2 * eye
-
-    interior = np.ones(N)
-    interior[0] = interior[-1] = 0.0
-    keep = dia(interior)
-
-    def with_bc(ops, bc_rows):
-        """(c-free, c-coefficient) block rows: the two boundary rows of each
-        operator zeroed, then the BC entries (block, row, columns, values)
-        added to the c-free part."""
-        row0 = [keep @ op0 for op0, _ in ops]
-        row1 = [keep @ op1 for _, op1 in ops]
-        for col, i, cols, vals in bc_rows:
-            bc = sparse.csr_matrix((vals, (np.full(len(cols), i), cols)), shape=(N, N))
-            row0[col] = row0[col] + bc
-        return row0, row1
-
-    # Block A: omega definition with Phi boundary rows
-    rowA = with_bc([(lap, zero), (-eye, zero), (zero, zero)],
-                   [(0, 0, [0], [1.0]), (0, N - 1, [N - 1], [1.0])])
-
-    # Block B: governing equation in omega; U_s - c_hat = (U_s - i/n) - c
-    gov_phi = -dia(st.d2us) @ eye
-    gov_psi = (zero, zero)
-    if variant in ("os_s", "full"):
-        gov_phi = gov_phi + st.a_xi
-        gov_psi = st.a_theta
-    if variant == "os_s":
-        gov_phi = gov_phi + st.transport
-    if boundary == "navier":
-        bc0 = (1, 0, [0], [1.0])                       # omega(0) = 0
-    else:
-        wall = st.d1[0]
-        bc0 = (0, 0, wall.indices, wall.data)         # dY Phi(0) = 0 (one-sided)
-    rowB = with_bc([(gov_phi, zero), ((1j / n) * lap + dia(st.us - 1j / n), -eye),
-                    gov_psi],
-                   [bc0, (1, N - 1, [N - 1], [1.0])])
-
-    # Block C: magnetic equation with Psi boundary rows
-    rowC = with_bc([(-1j * a * dia(st.hs) @ eye - st.d1, zero), (zero, zero),
-                    (-lap + 1j * a * dia(st.us), -1j * a * eye)],
-                   [(2, 0, [0], [1.0]), (2, N - 1, [N - 1], [1.0])])
-
-    blocks = [rowA, rowB, rowC]
-    return _affine(sparse.bmat([r[0] for r in blocks], format="csc"),
-                   sparse.bmat([r[1] for r in blocks], format="csc"))
-
-
-def _to_band(matrix):
-    """(band, kl, ku) of a block-order 3N x 3N sparse matrix in node order.
-
-    ``band`` is LAPACK band storage: 2 kl + ku + 1 rows in Fortran order,
-    entry (r, j) at row kl + ku + r - j, the first kl rows left zero for the
-    LU's fill-in.  The bandwidths are those of the stored pattern.
-    """
-    N = matrix.shape[0] // 3
-    coo = matrix.tocoo()
-    # block-order index b N + i is node-order index 3 i + b
-    rows, cols = (3 * (k % N) + k // N for k in (coo.row, coo.col))
-    offset = rows - cols
-    kl, ku = int(offset.max()), int(-offset.min())
-    band = np.zeros((2 * kl + ku + 1, 3 * N), dtype=complex, order="F")
-    band[kl + ku + offset, cols] = coo.data
-    return band, kl, ku
+    return _GridState(us, dus, d2us, hs, dhs, d2hs, diff_matrix(grid, 1),
+                      diff_matrix(grid, 2), _inv_sqrt_curvature(d2us))
 
 
 class _Banded(NamedTuple):
-    """Operator A(c) = band0 + c * band1 in the band storage of ``_to_band``."""
+    """Operator A(c) = band0 + c * band1 in LAPACK band storage: 2 kl + ku + 1
+    rows in Fortran order, entry (r, j) at row kl + ku + r - j, the first kl
+    rows left zero for the LU's fill-in."""
 
     band0: np.ndarray
     band1: np.ndarray
@@ -269,12 +135,95 @@ class _Banded(NamedTuple):
         return band
 
 
+# position of Phi, omega and Psi among a node's unknowns, and of the omega
+# definition, governing and magnetic equations among its rows
+_PHI, _OMEGA, _PSI = 0, 1, 2
+
+
 @grid_cache(maxsize=2)
 def _affine_operator(grid, boundary, params, variant):
-    """``_block_operator`` in band storage, the one form kept."""
-    op = _block_operator(grid, boundary, params, variant)
-    band0, kl, ku = _to_band(op.a0)
-    band1 = _to_band(op.a1)[0]        # a1 shares a0's pattern, so its kl, ku
+    """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1
+    in LAPACK band storage, written from the stencils and profile arrays.
+
+    Equation e of node i on unknown u of node i + s sits at offset
+    e - u - 3 s from the diagonal: kl = 5 (magnetic equation on Phi_{i-1}),
+    ku = 3, 4 once the Psi coupling enters, 5 with the no-slip wall row.
+    The wave speed enters through the (U_s - c_hat) diagonal of the omega
+    block, the i alpha (U_s - c) diagonal of the magnetic block and, in the
+    'os_s' and 'full' variants, the (alpha/n) c d_Y part of the Psi coupling.
+    Those variants add the first-slot action of the expanded divergence terms
+    d_Y R1 + i alpha R2 on (Phi, Psi); 'os_s' adds the shear transport
+    U_s' d_Y + U_s'' on Phi.
+    """
+    st = _grid_state(grid)
+    N = grid.size
+    a, n, se = params.alpha, params.n, params.sqrt_eps
+    kl = 5
+    ku = 5 if boundary == "noslip" else 3 if variant == "os_d" else 4
+    band0 = np.zeros((2 * kl + ku + 1, 3 * N), dtype=complex, order="F")
+    band1 = np.zeros_like(band0)
+
+    def put(band, eq, var, shift, re, im=0.0):
+        """Entries of equation ``eq`` at the interior nodes i on the unknown
+        ``var`` of node i + shift."""
+        row = band[kl + ku + eq - var - 3 * shift, var::3]
+        row.real[1 + shift:N - 1 + shift] = re
+        row.imag[1 + shift:N - 1 + shift] = im
+
+    d1, d2 = st.d1, st.d2
+    # profile arrays at the interior nodes, which the stencils' rows cover
+    us, dus, d2us, hs, dhs, d2hs = (x[1:-1] for x in (st.us, st.dus, st.d2us, st.hs,
+                                                      st.dhs, st.d2hs))
+    lap = (d2.lo, d2.mid - a**2, d2.hi)          # d_YY - alpha^2, by shift
+    inv_n = 1.0 / n
+    # omega definition: (d_YY - alpha^2) Phi - omega
+    for s, w in zip((-1, 0, 1), lap):
+        put(band0, _PHI, _PHI, s, w)
+    put(band0, _PHI, _OMEGA, 0, -1.0)
+    # governing equation: (i/n)(d_YY - alpha^2) omega + (U_s - i/n - c) omega
+    # - U_s'' Phi, plus the couplings of the variant
+    put(band0, _OMEGA, _OMEGA, -1, 0.0, lap[0] * inv_n)
+    put(band0, _OMEGA, _OMEGA, 0, us, lap[1] * inv_n - inv_n)
+    put(band0, _OMEGA, _OMEGA, 1, 0.0, lap[2] * inv_n)
+    put(band1, _OMEGA, _OMEGA, 0, -1.0)
+    if variant == "os_d":
+        put(band0, _OMEGA, _PHI, 0, -d2us)
+    else:
+        # (a/n)(H_s' + H_s d_Y) - i a^2/n on Phi
+        ah = (a / n) * hs
+        phi = [ah * d1.lo, -d2us + ((a / n) * dhs + ah * d1.mid), ah * d1.hi]
+        if variant == "os_s":
+            phi = [phi[0] + dus * d1.lo, phi[1] + (dus * d1.mid + d2us),
+                   phi[2] + dus * d1.hi]
+        put(band0, _OMEGA, _PHI, -1, phi[0])
+        put(band0, _OMEGA, _PHI, 0, phi[1], -(a**2 / n))
+        put(band0, _OMEGA, _PHI, 1, phi[2])
+        # -sqrt(eps) H_s d_YY + sqrt(eps) H_s'' - (a/n)(U_s' + (U_s - c) d_Y)
+        # + a^2 sqrt(eps) H_s on Psi
+        sh, au = -se * hs, (a / n) * us
+        put(band0, _OMEGA, _PSI, -1, sh * d2.lo - au * d1.lo)
+        put(band0, _OMEGA, _PSI, 0, (sh * d2.mid + se * d2hs - (a / n) * dus
+                                     - au * d1.mid) + (a**2 * se) * hs)
+        put(band0, _OMEGA, _PSI, 1, sh * d2.hi - au * d1.hi)
+        for s, w in zip((-1, 0, 1), (d1.lo, d1.mid, d1.hi)):
+            put(band1, _OMEGA, _PSI, s, (a / n) * w)
+    # magnetic equation: -(i a H_s + d_Y) Phi - (d_YY - alpha^2) Psi
+    # + i a (U_s - c) Psi
+    put(band0, _PSI, _PHI, -1, -d1.lo)
+    put(band0, _PSI, _PHI, 0, -d1.mid, -(a * hs))
+    put(band0, _PSI, _PHI, 1, -d1.hi)
+    put(band0, _PSI, _PSI, -1, -lap[0])
+    put(band0, _PSI, _PSI, 0, -lap[1], us * a)
+    put(band0, _PSI, _PSI, 1, -lap[2])
+    put(band1, _PSI, _PSI, 0, 0.0, -a)
+    # boundary rows: Phi, omega and Psi vanish at both ends, except that the
+    # one-sided d_Y Phi(0) = 0 replaces omega(0) = 0 at a no-slip wall
+    ends = [0, 1, 2, 3 * N - 3, 3 * N - 2, 3 * N - 1]
+    if boundary == "noslip":
+        ends.remove(1)
+        cols = np.array([0, 3, 6])
+        band0[kl + ku + 1 - cols, cols] = d1.first
+    band0[kl + ku, ends] = 1.0
     return _Banded(band0, band1, kl, ku)
 
 
@@ -308,14 +257,14 @@ class _BandLU(NamedTuple):
 
     def solve(self, b, trans=0):
         """x with A x = b (``trans=0``) or A^H x = b (``trans=2``)."""
-        return zgbtrs(self.lu, self.kl, self.ku, b, self.piv, trans=trans)[0]
+        return flapack().zgbtrs(self.lu, self.kl, self.ku, b, self.piv, trans=trans)[0]
 
 
 def splu(band, kl, ku):
     """Banded LU factors of ``band`` (overwritten); the one factorization
     entry point, whose calls perfbench counts."""
     norm1 = float(np.max(np.abs(band[kl:]).sum(axis=0)))     # before zgbtrf
-    lu, piv, info = zgbtrf(band, kl, ku, overwrite_ab=1)
+    lu, piv, info = flapack().zgbtrf(band, kl, ku, overwrite_ab=1)
     if info > 0:
         raise RuntimeError(f"factor is exactly singular (zgbtrf info = {info})")
     return _BandLU(lu, piv, kl, ku, norm1)
@@ -390,20 +339,34 @@ class OSIteration:
     audited construction: the tests check its contraction and compare its
     limit with the one-LU solve of the full operator that the program uses.
     Factorizations are done once per instance and reused across the
-    alternation steps and both remainder problems.  Everything that does not
-    depend on c (operators as A0 + c A1, profile and coupling arrays) comes
-    from the per-grid state, so an instance costs two banded LUs and their
-    condition estimates.
+    alternation steps and both remainder problems.  The operators as
+    A0 + c A1 and the profile arrays are per-grid state, so an instance costs
+    two banded LUs and their condition estimates.
     """
 
     def __init__(self, params, bvp):
         params._need_c()
         self.params = params
         self.bvp = bvp
-        self.grid_state = _grid_state_for(params, bvp)
+        self.grid_state = _grid_state(bvp.grid)
         self.fact_d = _Factorized(params, bvp, "os_d")
         self.fact_s = _Factorized(params, bvp, "os_s")
-        self.a_theta = self.grid_state.a_theta.at(params.c)
+
+    def coupling(self, phi, psi):
+        """The diffusion splitting's leftover: the first-slot action of the
+        expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi)."""
+        p, st = self.params, self.grid_state
+        a, n, se = p.alpha, p.n, p.sqrt_eps
+        return ((a / n) * (st.dhs * phi + st.hs * (st.d1 @ phi))
+                - (1j * a**2 / n) * phi
+                + se * (st.d2hs * psi - st.hs * (st.d2 @ psi))
+                - (a / n) * (st.dus * psi + (st.us - p.c) * (st.d1 @ psi))
+                + a**2 * se * st.hs * psi)
+
+    def transport(self, xi):
+        """The divergence splitting's leftover U_s' d_Y xi + U_s'' xi."""
+        st = self.grid_state
+        return st.dus * (st.d1 @ xi) + st.d2us * xi
 
     def _e_norm(self, phi, omega, psi, q2=None):
         """Weighted vorticity + velocity + magnetic norm of one step."""
@@ -433,7 +396,7 @@ class OSIteration:
             xi0, wxi0, th0 = self.fact_s.solve(self.bvp, f1v, f2v)
             for t, v in zip(total, (xi0, wxi0, th0)):
                 t += v
-            f1v = self.grid_state.transport @ xi0
+            f1v = self.transport(xi0)
             f2v = np.zeros_like(f2v)
         elif entry != "d":
             raise ValueError("entry must be 'd' or 's'")
@@ -448,9 +411,9 @@ class OSIteration:
         rising = 0
         zeros = np.zeros(self.bvp.n, dtype=complex)
         for _ in range(_MAX_ALTERNATIONS):
-            h1 = -(self.grid_state.a_xi @ phi + self.a_theta @ psi)
+            h1 = -self.coupling(phi, psi)
             xi, wxi, theta = self.fact_s.solve(self.bvp, h1, zeros)
-            q1 = self.grid_state.transport @ xi
+            q1 = self.transport(xi)
             phi, omega, psi = self.fact_d.solve(self.bvp, q1, zeros)
             ek = self._e_norm(phi, omega, psi)
             trace.e_norms.append(ek)
@@ -552,8 +515,7 @@ def remainder_and_gamma(c, params, bvp):
     """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
     two remainder solves, plus diagnostics."""
     gamma0_val, _, (phi, _), cond = _solve_remainders(c, params, bvp)
-    # the one-sided wall slope is the first row of d1
-    slope1, slope2 = ((bvp.d1[0] @ phi_k)[0] for phi_k in phi)
+    slope1, slope2 = (bvp.d1.wall(phi_k) for phi_k in phi)
     gamma = gamma0_val - slope1 - slope2
     diag = {
         "gamma0": gamma0_val,

@@ -292,6 +292,24 @@ def sup_exp_norm(vals, grid, eta):
     return float(np.max(np.exp(eta * grid) * np.abs(vals)))
 
 
+# -- difference stencils as sparse matrices ------------------------------------
+
+def stencil_matrix(stencil):
+    """The CSR matrix of a ``numerics.Stencil``: the rows of the sparse
+    assembly the operator oracles are written in."""
+    from scipy import sparse
+
+    n = stencil.mid.size + 2
+    inner = np.arange(1, n - 1)
+    rows = np.concatenate([[0] * 3, np.repeat(inner, 3), [n - 1] * 3])
+    cols = np.concatenate([[0, 1, 2], (inner[:, None] + np.arange(-1, 2)).ravel(),
+                           [n - 3, n - 2, n - 1]])
+    data = np.concatenate([stencil.first,
+                           np.column_stack([stencil.lo, stencil.mid, stencil.hi]).ravel(),
+                           stencil.last])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 # -- exact dispersion function by alternation ---------------------------------
 
 def alternated_remainders(c, params, bvp):
@@ -315,7 +333,7 @@ def alternated_gamma(c, params, bvp):
     """Gamma(c) = Gamma0(c) minus the wall slopes of the alternated
     remainders, and the two alternation traces."""
     gamma0, remainders = alternated_remainders(c, params, bvp)
-    slopes = [(bvp.d1[0] @ phi)[0] for phi, _, _ in remainders]
+    slopes = [bvp.d1.wall(phi) for phi, _, _ in remainders]
     return gamma0 - slopes[0] - slopes[1], tuple(t for _, _, t in remainders)
 
 

@@ -36,9 +36,9 @@ def test_winding_counter_counts_points_of_a_vectorised_map():
 
 
 def test_full_os_row_reaches_wrapped_resolvent():
-    # cli imports osresolvent inside its functions; it must still call the
-    # module's attributes, which the layer wrappers replace, so that the
-    # per-layer Gamma and factorization counts see the full-OS row
+    # cli must call osresolvent's module attributes, which the layer
+    # wrappers replace, so that the per-layer Gamma and factorization counts
+    # see the full-OS row
     code = ("import layers, spans, workloads\n"
             "lib = workloads.load_library()\n"
             "rec = spans.Recorder()\n"
@@ -54,3 +54,15 @@ def test_full_os_row_reaches_wrapped_resolvent():
     gamma_evals, factorizations = map(int, proc.stdout.split())
     assert gamma_evals > 0
     assert factorizations == gamma_evals
+
+
+def test_setup_loads_only_the_lapack_extension():
+    # the benchmark's set-up runs every workload path once; of scipy it
+    # loads only the compiled LAPACK extension the band solves call
+    code = ("import sys, workloads\n"
+            "workloads.setup()\n"
+            "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["scipy.linalg._flapack"]

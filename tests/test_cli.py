@@ -66,8 +66,27 @@ class TestRunConfig:
         rc = cli.main(["root", "--A", "3", "--M", "2", "--eps", "1e-15"])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
-        assert err == ("error: --A (eps^{1/8} regime) and --M (beta regime) "
-                       "exclude each other\n")
+        assert err == "error: --M is the beta regime's amplitude, but the regime is eighth\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        # used to certify the eps^{1/8} root at A = 2, the bytes of --A 2
+        (["root", "--regime", "eighth", "--M", "2", "--eps", "1e-12"],
+         "--M is the beta regime's amplitude, but the regime is eighth"),
+        (["root", "--regime", "beta", "--A", "2", "--eps", "1e-24"],
+         "--A is the eighth regime's amplitude, but the regime is beta"),
+    ])
+    def test_regime_must_match_amplitude_flag(self, capsys, tmp_path, argv, message):
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: {message}\n"
+        # a regime from a config file is held to the same rule
+        path = tmp_path / "run.cfg"
+        path.write_text(f"regime={argv[2]}\n")
+        rc = cli.main([argv[0], "--config", str(path), *argv[3:]])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["root", "--A", "2", "--beta", "0.11", "--eps", "1e-12"],
@@ -94,6 +113,50 @@ class TestRunConfig:
         assert cli.build_config(type("Args", (), {"amplitude_a": 2.0})()).r3 == 0.5
         cfg = cli.build_config(type("Args", (), {"amplitude_m": 1.0, "r3": 0.4})())
         assert cfg.r3 == 0.4 and cfg.beta == 0.115
+
+
+# (subcommand, flag and value) pairs of the flags a subcommand's handler does
+# not read; each used to be accepted and ignored
+_UNREAD_FLAGS = [
+    *((cmd, flag) for cmd in ("root", "validate")
+      for flag in ("--full-os", "--grid-n 3", "--ymax 1", "--format csv", "--jobs 4")),
+    *(("audit", flag) for flag in ("--full-os", "--format json", "--jobs 4")),
+    ("export-mode", "--jobs 4"),
+]
+
+
+class TestSubcommandOptions:
+    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+    def test_unread_flag_is_refused(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--A", "2", "--eps", "1e-12", *flag.split()])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+    def test_unread_config_key_is_refused(self, capsys, tmp_path, command, flag):
+        key = {"--full-os": "full_os", "--grid-n": "grid_n", "--ymax": "y_max",
+               "--format": "fmt", "--jobs": "jobs"}[flag.split()[0]]
+        value = flag.split()[1] if " " in flag else "1"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={value}\n")
+        rc = cli.main([command, "--A", "2", "--eps", "1e-12", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: unrecognized config key {key!r}\n"
+
+    def test_read_options_still_pass(self, tmp_path):
+        # the options a handler reads, as flags and as config keys
+        path = tmp_path / "run.cfg"
+        path.write_text("grid_n=400\nfmt=json\nfull_os=1\njobs=2\n")
+        args = type("Args", (), {"command": "sweep", "config": str(path), "y_max": 30.0})()
+        cfg = cli.build_config(args)
+        assert (cfg.grid_n, cfg.fmt, cfg.full_os, cfg.jobs, cfg.y_max) == (
+            400, "json", True, 2, 30.0)
+        path.write_text("grid_n=400\n")
+        args = type("Args", (), {"command": "audit", "config": str(path)})()
+        assert cli.build_config(args).grid_n == 400
 
 
 class TestConfigFile:
@@ -282,6 +345,25 @@ class TestColdImports:
             "print(*[m for m in sys.modules if m == 'scipy'\n"
             "        or m.startswith('scipy.') or m == 'concurrent.futures.process'])\n")
         assert loaded == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--A", "2", "--eps", "1e-12"],
+        ["sweep", "--M", "1", "--beta", "0.1075", "--eps", "1e-24"],
+        ["sweep", "--A", "2", "--eps", "1e-12", "--full-os", "--grid-n", "400"],
+        ["audit", "--A", "3", "--eps", "1e-15"],
+        ["root", "--M", "1", "--beta", "0.115", "--eps", "1.17e-42"],
+    ])
+    def test_command_loads_only_the_lapack_extension(self, argv, tmp_path):
+        # the band solves bind LAPACK from scipy's compiled extension alone:
+        # neither scipy.linalg's package init nor scipy.sparse runs
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        loaded = _run_fresh(
+            "import sys\n"
+            "from tswave import cli\n"
+            f"assert cli.main({argv!r}) in (0, 1)\n"
+            "print(*[m for m in sys.modules if m == 'scipy'\n"
+            "        or m.startswith('scipy.') or m == 'concurrent.futures.process'])\n")
+        assert loaded == ["scipy.linalg._flapack"]
 
     def test_splines_load_interpolate_only_off_grid(self):
         # a plain sweep row evaluates every grid mode on its own grid; the

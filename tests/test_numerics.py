@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -10,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from tswave import numerics
 from tswave.errors import (DerivativeBreakdown, NonConvergence, ZeroOnContour)
-from oracles import Ray, Segment, newton_loop, quad_segment
+from oracles import Ray, Segment, newton_loop, quad_segment, stencil_matrix
 from tswave.numerics import (
-    Circle, RootTrace, backward_exp_integral, cumulative_trapezoid,
+    Circle, RootTrace, Stencil, backward_exp_integral, cumulative_trapezoid,
     diff_matrix, forward_exp_integral, graded_grid, grid_cache, l2_norm,
     newton_root, tail_trapezoid, trap_weights, winding_samples,
 )
@@ -363,16 +366,37 @@ class TestGridsAndCalculus:
         g = graded_grid(n, y_max, cluster_scale=cluster)
         for order in (1, 2):
             ref = _diff_matrix_loop(g, order)
-            out = diff_matrix(g, order)
+            out = stencil_matrix(diff_matrix(g, order))
             for name in ("data", "indices", "indptr"):
                 a, b = getattr(out, name), getattr(ref, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("n,y_max,cluster", [(16, 1.0, 1.0), (1600, 900.0, 1e-4)])
+    def test_stencil_applies_as_its_csr_matrix(self, n, y_max, cluster):
+        # bit for bit, signs of zero included, for real and complex vectors
+        g = graded_grid(n, y_max, cluster_scale=cluster)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v[rng.integers(0, n, n // 3)] = 0.0
+        v.real[rng.integers(0, n, n // 3)] = -0.0
+        v.imag[rng.integers(0, n, n // 3)] = -0.0
+        for order in (1, 2):
+            stencil = diff_matrix(g, order)
+            ref = _diff_matrix_loop(g, order)
+            for x in (v, v.real.copy(), np.full(n, -0.0 + 0j)):
+                out, want = stencil @ x, ref @ x
+                assert out.dtype == want.dtype
+                assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+                wall, want_wall = stencil.wall(x), (ref[0] @ x)[0]
+                assert type(wall) is type(want_wall)
+                assert np.array([wall]).view(np.uint64).tolist() == \
+                    np.array([want_wall]).view(np.uint64).tolist()
 
     def test_diff_matrix_wall_row_slope(self):
         # the first row of d1 is the one-sided wall slope the resolvent reads
         g = graded_grid(400, 5.0, cluster_scale=0.05)
         f = np.exp(-2.0 * g) * np.cos(g)
-        assert (diff_matrix(g, 1)[0] @ f)[0] == pytest.approx(-2.0, abs=2e-4)
+        assert diff_matrix(g, 1).wall(f) == pytest.approx(-2.0, abs=2e-4)
 
     def test_cumulative_and_tail(self):
         g = np.linspace(0.0, 30.0, 4000)
@@ -505,6 +529,92 @@ class TestExpKernelOracle:
             assert not arr.flags.writeable
 
 
+# factor, solve (plain and conjugate-transposed) and bidiagonal-solve random
+# banded systems with the routines of a LAPACK module ``lib``; prints a digest
+# of every output's bytes
+_LAPACK_RUN = """
+import hashlib
+import numpy as np
+
+def digest(lib):
+    rng = np.random.default_rng(3)
+    h = hashlib.sha256()
+    for n, kl, ku in ((40, 5, 4), (301, 5, 3), (123, 2, 5)):
+        band = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
+        shape = (kl + ku + 1, n)
+        band[kl:] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        lu, piv, info = lib.zgbtrf(band, kl, ku)
+        tri = np.ones((2, n), dtype=complex, order="F")
+        tri[0, 1:] = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        for out in (lu, piv, info, lib.zgbtrs(lu, kl, ku, b, piv)[0],
+                    lib.zgbtrs(lu, kl, ku, b, piv, trans=2)[0],
+                    lib.ztbtrs(tri, b[:, 0].copy(), uplo="U", diag="U")[0]):
+            h.update(np.asarray(out).tobytes())
+    return h.hexdigest()
+"""
+
+
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter and return the words it prints."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAPACK_RUN + code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestLapackBinding:
+    def test_bound_routines_match_scipy_lapack(self):
+        # bound without scipy.linalg, the routines give the bytes of
+        # scipy.linalg.lapack's in a process that imports it the usual way;
+        # a later import of scipy.linalg reuses the bound module
+        bound = _run_fresh(
+            "import sys\n"
+            "from tswave import numerics\n"
+            "lib = numerics.flapack()\n"
+            "assert 'scipy.linalg' not in sys.modules and 'scipy' not in sys.modules\n"
+            "print(digest(lib))\n"
+            "from scipy.linalg import lapack\n"
+            "assert sys.modules['scipy.linalg._flapack'] is lib\n"
+            "assert all(getattr(lapack, f) is getattr(lib, f)\n"
+            "           for f in ('zgbtrf', 'zgbtrs', 'ztbtrs'))\n"
+            "assert numerics.flapack() is lib\n"
+            "print(digest(lapack))\n")
+        plain = _run_fresh("from scipy.linalg import lapack\nprint(digest(lapack))\n")
+        assert bound == plain * 2
+
+    def test_loaded_extension_is_reused(self):
+        # with scipy.linalg imported first, the binding loads nothing new
+        out = _run_fresh(
+            "import sys\n"
+            "from scipy.linalg import lapack\n"
+            "from tswave import numerics\n"
+            "print(numerics.flapack() is sys.modules['scipy.linalg._flapack'])\n")
+        assert out == ["True"]
+
+    def test_missing_extension_falls_back_to_scipy_linalg(self):
+        out = _run_fresh(
+            "import sys\n"
+            "from tswave import numerics\n"
+            "numerics._flapack_path = lambda: None\n"
+            "lib = numerics.flapack()\n"
+            "from scipy.linalg import lapack\n"
+            "print(lib is lapack, digest(lib))\n")
+        plain = _run_fresh("from scipy.linalg import lapack\nprint(digest(lapack))\n")
+        assert out == ["True", *plain]
+
+    def test_extension_path_found_without_importing_scipy(self):
+        out = _run_fresh(
+            "import sys\n"
+            "from tswave import numerics\n"
+            "path = numerics._flapack_path()\n"
+            "print('scipy' in sys.modules, '_flapack' in path)\n")
+        assert out == ["False", "True"]
+
+
 class _Pair(NamedTuple):
     values: np.ndarray
     count: int
@@ -517,16 +627,15 @@ class _Held:
 
 
 def test_grid_cache():
-    from scipy import sparse
-
     calls = []
 
     @grid_cache(maxsize=2)
     def build(grid, scale):
         calls.append(scale)
         assert not grid.flags.writeable
-        matrix = sparse.csr_matrix(np.diag(scale * grid))
-        return scale * grid, (grid + scale, _Held(matrix, _Pair(grid - scale, 1)))
+        stencil = Stencil(scale * grid[:-2], scale * grid[1:-1], scale * grid[2:],
+                          scale * grid[:3], scale * grid[-3:])
+        return scale * grid, (grid + scale, _Held(stencil, _Pair(grid - scale, 1)))
 
     grid = np.linspace(0.0, 1.0, 5)
     first = build(grid, 2.0)
@@ -536,9 +645,9 @@ def test_grid_cache():
     assert calls == [2.0, 3.0]
     # every array of the result is read-only, however deeply it is held
     arr, (shifted, held) = first
-    matrix = held.matrix
-    for a in (arr, shifted, matrix.data, matrix.indices, matrix.indptr,
-              held.pair.values):
+    stencil = held.matrix
+    for a in (arr, shifted, stencil.lo, stencil.mid, stencil.hi, stencil.first,
+              stencil.last, held.pair.values):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1

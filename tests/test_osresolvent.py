@@ -4,6 +4,7 @@ import random
 import warnings
 import weakref
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import scipy.linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigs, splu
 
-from oracles import alternated_gamma, clear_grid_caches
+from oracles import alternated_gamma, clear_grid_caches, stencil_matrix
 from tswave import airy, dispersion, fastmode, osresolvent, slowmode
 from tswave.errors import SingularSystem
 from tswave.numerics import l2_norm
@@ -84,15 +85,41 @@ def os_s_solve(q1, q2, params, bvp):
     return phi, psi
 
 
+def band_matrix(band, kl, ku):
+    """Block-order sparse matrix of a node-order operator in LAPACK band
+    storage: the inverse of ``_to_band``."""
+    n = band.shape[1]
+    q, cols = np.nonzero(band)
+    rows = q - kl - ku + cols
+
+    def block(k):
+        return (k % 3) * (n // 3) + k // 3
+
+    return sparse.csc_matrix((band[q, cols], (block(rows), block(cols))), shape=(n, n))
+
+
+class BlockOperator(NamedTuple):
+    """A(c) = a0 + c a1 as block-order sparse matrices."""
+
+    a0: sparse.csc_matrix
+    a1: sparse.csc_matrix
+
+    def at(self, c):
+        return (self.a0 + c * self.a1).tocsc()
+
+
 def block_operator(params, bvp, variant):
-    """Sparse block-order system A0 + c A1 of one splitting on bvp's grid."""
-    return osresolvent._block_operator(bvp.grid, bvp.boundary, replace(params, c=None),
-                                       variant)
+    """Sparse block-order system A0 + c A1 of one splitting on bvp's grid,
+    read from the module's bands."""
+    op = osresolvent._affine_operator(bvp.grid, bvp.boundary, replace(params, c=None),
+                                      variant)
+    return BlockOperator(band_matrix(op.band0, op.kl, op.ku),
+                         band_matrix(op.band1, op.kl, op.ku))
 
 
 def assemble(params, bvp, variant):
     """Sparse block-order system of one splitting at the wave speed of params."""
-    return block_operator(params, bvp, variant).at(params.c)
+    return band_matrix(*osresolvent._band_at(params, bvp, variant))
 
 
 def noslip_operator(params, n_nodes):
@@ -143,14 +170,14 @@ class TestDirectSolves:
         m_d = assemble(p, bvp, "os_d")
         m_s = assemble(p, bvp, "os_s")
         m_f = assemble(p, bvp, "full")
-        state = osresolvent._grid_state_for(p, bvp)
+        it = osresolvent.OSIteration(p, bvp)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(3 * bvp.n) + 1j * rng.standard_normal(3 * bvp.n)
         N = bvp.n
         interior = np.ones(N)
         interior[0] = interior[-1] = 0.0
-        l_d = interior * (state.a_xi @ x[:N] + state.a_theta.at(p.c) @ x[2 * N:])
-        l_s = interior * (state.transport @ x[:N])
+        l_d = interior * it.coupling(x[:N], x[2 * N:])
+        l_s = interior * it.transport(x[:N])
         lhs = m_d @ x
         lhs[N:2 * N] += l_d
         rhs = m_s @ x
@@ -186,7 +213,7 @@ class TestDirectSolves:
         n = 201
         diag = np.ones(n, dtype=complex)
         diag[n // 2] = 1e-14
-        band, kl, ku = osresolvent._to_band(sparse.diags(diag).tocsc())
+        band, kl, ku = _to_band(sparse.diags(diag).tocsc())
         cond = osresolvent._estimate_condition(osresolvent.splu(band, kl, ku))
         assert cond > 1e12
 
@@ -258,23 +285,28 @@ class TestBandedFactorization:
     @pytest.mark.parametrize("boundary", ["navier", "noslip"])
     @pytest.mark.parametrize("variant", ["os_d", "os_s", "full"])
     def test_band_storage_rebuilds_the_operator(self, boundary, variant):
+        # the band read back as a dense node-order matrix is the per-c sparse
+        # assembly: the same pattern, values within 1e-14 relative
         p0 = SpectralParams.eighth(2.0, 1e-12)
         bvp = osresolvent.build_bvp(p0, n_nodes=60, boundary=boundary)
         n = 3 * bvp.n
-        op = block_operator(p0, bvp, variant)
         block_of_node = node_order(np.arange(n), bvp.n)
         disk = dispersion.disk_eighth(p0)
         for th in (0.4, 2.0, 4.5):
-            c = p0.chat_to_c(disk.point(th))
-            band, kl, ku = osresolvent._band_at(p0.with_c(c), bvp, variant)
+            p = p0.with_c(p0.chat_to_c(disk.point(th)))
+            band, kl, ku = osresolvent._band_at(p, bvp, variant)
             assert band.shape == (2 * kl + ku + 1, n) and band.flags.f_contiguous
             assert not band[:kl].any()
             dense = np.zeros((n, n), dtype=complex)
             for j in range(n):
                 for i in range(max(0, j - ku), min(n, j + kl + 1)):
                     dense[i, j] = band[kl + ku + i - j, j]
-            expected = op.at(c).toarray()[np.ix_(block_of_node, block_of_node)]
-            assert np.array_equal(dense, expected)
+            ref = _per_c_assemble(p, bvp, variant).toarray()
+            expected = ref[np.ix_(block_of_node, block_of_node)]
+            live = expected != 0
+            assert np.array_equal(dense != 0, live)
+            assert np.max(np.abs(dense[live] - expected[live])
+                          / np.abs(expected[live])) <= 1e-14
 
     @pytest.mark.parametrize("boundary", ["navier", "noslip"])
     def test_solves_match_superlu(self, boundary):
@@ -556,6 +588,7 @@ class _PerCBlocks:
 
     def __init__(self, params, bvp):
         Y = bvp.grid
+        self.d1, self.d2 = stencil_matrix(bvp.d1), stencil_matrix(bvp.d2)
         self.us = DEFAULT_PROFILE.eval("U", 0, Y)
         self.dus = DEFAULT_PROFILE.eval("U", 1, Y)
         self.d2us = DEFAULT_PROFILE.eval("U", 2, Y)
@@ -572,18 +605,17 @@ class _PerCBlocks:
         eye = sparse.identity(bvp.n, format="csr", dtype=complex)
         dia = sparse.diags
         a_xi = ((a / n) * dia(self.dhs) @ eye
-                + (a / n) * dia(self.hs) @ bvp.d1
+                + (a / n) * dia(self.hs) @ self.d1
                 - (1j * a**2 / n) * eye)
-        a_theta = (-se * dia(self.hs) @ bvp.d2
+        a_theta = (-se * dia(self.hs) @ self.d2
                    + se * dia(self.d2hs) @ eye
                    - (a / n) * dia(self.dus) @ eye
-                   - (a / n) * dia(self.us - c) @ bvp.d1
+                   - (a / n) * dia(self.us - c) @ self.d1
                    + a**2 * se * dia(self.hs) @ eye)
         return a_xi.tocsr(), a_theta.tocsr()
 
     def shear_transport(self):
-        return (sparse.diags(self.dus) @ self.bvp.d1
-                + sparse.diags(self.d2us)).tocsr()
+        return (sparse.diags(self.dus) @ self.d1 + sparse.diags(self.d2us)).tocsr()
 
 
 def _per_c_assemble(params, bvp, variant):
@@ -595,7 +627,7 @@ def _per_c_assemble(params, bvp, variant):
     eye = sparse.identity(N, format="csr", dtype=complex)
     zero = sparse.csr_matrix((N, N), dtype=complex)
     dia = sparse.diags
-    d1, d2 = bvp.d1, bvp.d2
+    d1, d2 = blocks.d1, blocks.d2
     interior = np.ones(N)
     interior[0] = interior[-1] = 0.0
     keep = dia(interior)
@@ -629,6 +661,24 @@ def _per_c_assemble(params, bvp, variant):
     return sparse.bmat([rowA, rowB, rowC], format="csc")
 
 
+def _to_band(matrix):
+    """(band, kl, ku) of a block-order 3N x 3N sparse matrix in node order.
+
+    ``band`` is LAPACK band storage: 2 kl + ku + 1 rows in Fortran order,
+    entry (r, j) at row kl + ku + r - j, the first kl rows left zero for the
+    LU's fill-in.  The bandwidths are those of the stored pattern.
+    """
+    N = matrix.shape[0] // 3
+    coo = matrix.tocoo()
+    # block-order index b N + i is node-order index 3 i + b
+    rows, cols = (3 * (k % N) + k // N for k in (coo.row, coo.col))
+    offset = rows - cols
+    kl, ku = int(offset.max()), int(-offset.min())
+    band = np.zeros((2 * kl + ku + 1, 3 * N), dtype=complex, order="F")
+    band[kl + ku + offset, cols] = coo.data
+    return band, kl, ku
+
+
 class TestPerGridState:
     """Gamma(c) is evaluated from per-(grid, params) state: the
     operators as A0 + c A1 and the c-free profile and coupling arrays."""
@@ -660,19 +710,28 @@ class TestPerGridState:
             assert run(order) == in_order
 
     def test_operators_match_per_c_assembly(self):
+        # the bands written from the stencils against the band storage of
+        # the sparse per-c assembly, entry by entry
+        p = basin_params()
         for boundary in ("navier", "noslip"):
-            p = basin_params()
             bvp = osresolvent.build_bvp(p, n_nodes=250, boundary=boundary)
             for variant in ("os_d", "os_s", "full"):
-                m = assemble(p, bvp, variant)
-                ref = _per_c_assemble(p, bvp, variant)
-                assert np.array_equal(m.indptr, ref.indptr)
-                assert np.array_equal(m.indices, ref.indices)
-                assert np.max(np.abs(m.data - ref.data) / np.abs(ref.data)) <= 1e-14
-        state = osresolvent._grid_state_for(p, bvp)
-        a_xi, a_theta = _PerCBlocks(p, bvp).magnetic_coupling()
-        assert abs(state.a_xi - a_xi).max() == 0.0
-        assert abs(state.a_theta.at(p.c) - a_theta).max() <= 1e-15 * abs(a_theta).max()
+                band, kl, ku = osresolvent._band_at(p, bvp, variant)
+                ref, ref_kl, ref_ku = _to_band(_per_c_assemble(p, bvp, variant))
+                assert (kl, ku) == (ref_kl, ref_ku)
+                live = ref != 0
+                assert np.array_equal(band != 0, live)
+                assert np.max(np.abs(band[live] - ref[live]) / np.abs(ref[live])) <= 1e-14
+        # the alternation's leftovers against the per-c couplings
+        blocks = _PerCBlocks(p, bvp)
+        a_xi, a_theta = blocks.magnetic_coupling()
+        it = osresolvent.OSIteration(p, bvp)
+        rng = np.random.default_rng(5)
+        phi, psi = (rng.standard_normal(bvp.n) + 1j * rng.standard_normal(bvp.n)
+                    for _ in range(2))
+        for out, ref in ((it.coupling(phi, psi), a_xi @ phi + a_theta @ psi),
+                         (it.transport(phi), blocks.shear_transport() @ phi)):
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_gamma_matches_per_c_assembly(self, monkeypatch):
         # the reference rebuilds every operator at each c.  The two differ by
@@ -687,7 +746,7 @@ class TestPerGridState:
               for th in np.linspace(0.15 * math.pi, 0.85 * math.pi, 4)]
         gammas = [osresolvent.remainder_and_gamma(c, p0, bvp)[0] for c in cs]
 
-        monkeypatch.setattr(osresolvent, "_band_at", lambda *args: osresolvent._to_band(
+        monkeypatch.setattr(osresolvent, "_band_at", lambda *args: _to_band(
             _per_c_assemble(*args)))
         for c, gamma in zip(cs, gammas):
             ref = osresolvent.remainder_and_gamma(c, p0, bvp)[0]
@@ -696,10 +755,11 @@ class TestPerGridState:
     def test_cached_arrays_are_read_only(self):
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=200)
-        state = osresolvent._grid_state_for(p, bvp)
-        arrays = [state.us, state.d2us, state.hs, state.w_inv_sqrt]
-        for m in (state.d1, state.d2, state.a_xi, state.transport, *state.a_theta):
-            arrays += [m.data, m.indices, m.indptr]
+        state = osresolvent._grid_state(bvp.grid)
+        arrays = [state.us, state.dus, state.d2us, state.hs, state.dhs, state.d2hs,
+                  state.w_inv_sqrt]
+        for st in (state.d1, state.d2):
+            arrays += [st.lo, st.mid, st.hi, st.first, st.last]
         op = osresolvent._affine_operator(bvp.grid, bvp.boundary, replace(p, c=None),
                                           "os_s")
         arrays += [op.band0, op.band1]
@@ -731,7 +791,7 @@ class TestPerGridState:
         assert full["status"] == "exact-winding=3"
         assert built == [(400, 1), (400, 2)]
         bvp = osresolvent.build_bvp(SpectralParams.eighth(2.0, 1e-12), n_nodes=400)
-        state = osresolvent._grid_state_for(basin_params(), bvp)
+        state = osresolvent._grid_state(bvp.grid)
         assert bvp.d1 is state.d1 and bvp.d2 is state.d2
         assert len(built) == 2
 
