@@ -63,40 +63,30 @@ def primitive_constants():
 
 
 def _series(k, z, tol=1e-18, max_terms=420):
-    """Maclaurin evaluation of Ai(k, z) for k in {-1, 0, 1, 2, 3} (entire).
+    """Maclaurin evaluation of Ai(k, z) for k in {0, 1, 2, 3} (entire).
 
-    ``k`` may be a tuple of orders in 0..3: all of them run in one
-    recurrence and come back stacked on a leading axis, each value equal to
-    its single-order evaluation.
+    ``k`` may be a tuple of orders: all of them run in one recurrence and
+    come back stacked on a leading axis, each value equal to its
+    single-order evaluation.
     """
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
     c1, c2 = AI_ZERO, -AIP_ZERO
-    if k == -1:
-        # termwise derivative of the Ai series: the m = 1 term of the f-part
-        # and the m = 0 term of the g-part
-        orders, m_start = (-1,), 2
-        tf, tg = c1 * z**2 / 2.0, -c2 * np.ones_like(z)
-        starts = [(tf + tg, tf, tg)]
-    else:
-        orders, m_start = (k if isinstance(k, tuple) else (k,)), 1
-        if not all(0 <= kk <= 3 for kk in orders):
-            raise UnsupportedOrder(f"series order k = {k}")
-        consts = primitive_constants()
-        starts = []
-        for kk in orders:
-            acc = np.zeros_like(z)
-            fact = 1.0
-            for j in range(kk):
-                acc = acc + consts[kk - j] * z**j / fact
-                fact *= (j + 1)
-            tf = c1 * z**kk / math.factorial(kk)
-            tg = -c2 * z ** (kk + 1) / math.factorial(kk + 1)
-            starts.append((acc + tf + tg, tf, tg))
+    orders = k if isinstance(k, tuple) else (k,)
+    consts = primitive_constants()
+    starts = []
+    for kk in orders:
+        acc = np.zeros_like(z)
+        fact = 1.0
+        for j in range(kk):
+            acc = acc + consts[kk - j] * z**j / fact
+            fact *= (j + 1)
+        tf = c1 * z**kk / math.factorial(kk)
+        tg = -c2 * z ** (kk + 1) / math.factorial(kk + 1)
+        starts.append((acc + tf + tg, tf, tg))
     acc, tf, tg = (np.stack(a) for a in zip(*starts))
     terms = np.concatenate([tf, tg])
-    out = _sum_terms(acc, terms, z**3, m_start, *_step_columns(orders, max_terms),
-                     tol, max_terms)
+    out = _sum_terms(acc, terms, z**3, *_step_columns(orders, max_terms), tol, max_terms)
     out = out.reshape((len(orders),) + shape)
     return out if isinstance(k, tuple) else out[0]
 
@@ -112,10 +102,8 @@ def _step_columns(orders, max_terms):
     order, so that each row rounds exactly as a single order's step with
     integer factors does.
 
-    For an order k in 0..3 the step multiplies by 3m - 2 (f) or 3m - 1 (g)
-    and divides by j (j - 1) (j - 2) or (j + 1) j (j - 1), j = 3m + k; the
-    derivative series (k = -1) has no multiplier (None) and divides by
-    (3m - 1)(3m - 3) or (3m - 3)(3m - 5).  Read-only.
+    Step m multiplies by 3m - 2 (f) or 3m - 1 (g) and divides by
+    j (j - 1) (j - 2) or (j + 1) j (j - 1), j = 3m + k.  Read-only.
     """
     def column(f_part, g_part):
         out = np.concatenate([f_part, g_part], axis=1).astype(complex)
@@ -123,19 +111,17 @@ def _step_columns(orders, max_terms):
         return out
 
     m = np.arange(max_terms).reshape(-1, 1, 1)
-    if orders == (-1,):
-        return None, column((3 * m - 1) * (3 * m - 3), (3 * m - 3) * (3 * m - 5))
     j = 3 * m + np.reshape(orders, (-1, 1))
     ones = np.ones_like(j)
     return (column((3 * m - 2) * ones, (3 * m - 1) * ones),
             column(j * (j - 1) * (j - 2), (j + 1) * j * (j - 1)))
 
 
-def _sum_terms(acc, terms, z3, m_start, mult, den, tol, max_terms):
-    """``acc`` (one row per order) plus the series terms m = m_start,
-    m_start + 1, ... of its f- and g-parts, ``terms`` holding the f-part
-    rows above the g-part rows.  Step m multiplies the terms by ``mult[m]``
-    (unless None) and by z^3, and divides them by ``den[m]``.
+def _sum_terms(acc, terms, z3, mult, den, tol, max_terms):
+    """``acc`` (one row per order) plus the series terms m = 1, 2, ... of
+    its f- and g-parts, ``terms`` holding the f-part rows above the g-part
+    rows.  Step m multiplies the terms by ``mult[m]`` and by z^3, and
+    divides them by ``den[m]``.
 
     An element is done at the first term past m = 8 whose f- and g-part
     moduli sum to at most ``tol`` relative to its sum, and keeps that sum:
@@ -147,26 +133,21 @@ def _sum_terms(acc, terms, z3, m_start, mult, den, tol, max_terms):
     # z3 repeated per row: numpy's complex multiply can round differently
     # when an operand is broadcast, and each row must round as one order does
     z3 = np.tile(z3, (2 * rows, 1))
-    first_check = max(m_start, 9)
-    for m in range(m_start, min(first_check, max_terms)):  # no element stops here
-        if mult is not None:
-            terms = terms * mult[m]
+    for m in range(1, min(9, max_terms)):  # no element stops here
+        terms = terms * mult[m]
         terms = terms * z3 / den[m]
         acc = acc + terms[:rows] + terms[rows:]
     out = np.empty_like(acc)
     open_ = np.ones(acc.shape, dtype=bool)
     live = np.arange(acc.shape[1])
-    for m0 in range(first_check, max_terms, _CHECK_EVERY):
+    for m0 in range(9, max_terms, _CHECK_EVERY):
         steps = min(_CHECK_EVERY, max_terms - m0)
         tbuf = np.empty((steps,) + terms.shape, dtype=complex)
         abuf = np.empty((steps,) + acc.shape, dtype=complex)
         for i in range(steps):
             t, a = tbuf[i], abuf[i]
-            if mult is not None:
-                np.multiply(terms, mult[m0 + i], out=t)
-                np.multiply(t, z3, out=t)
-            else:
-                np.multiply(terms, z3, out=t)
+            np.multiply(terms, mult[m0 + i], out=t)
+            np.multiply(t, z3, out=t)
             np.divide(t, den[m0 + i], out=t)
             np.add(acc, t[:rows], out=a)
             np.add(a, t[rows:], out=a)
@@ -204,8 +185,8 @@ def _asymptotic(k, z):
 
 
 def _ai_any(k, z):
-    """Branch-dispatched Ai(k, z) for k in {-2, ..., 3}, or a tuple of orders
-    in 0..3 stacked on a leading axis; no sector check."""
+    """Branch-dispatched Ai(k, z) for k in 0..3, or a tuple of orders stacked
+    on a leading axis; no sector check."""
     z = np.asarray(z, dtype=complex)
     orders = k if isinstance(k, tuple) else (k,)
     out = np.empty((len(orders),) + z.shape, dtype=complex)
@@ -213,8 +194,7 @@ def _ai_any(k, z):
     if np.any(big):
         out[:, big] = _asymptotic(orders, z[big])
     if np.any(~big):
-        zs = z[~big]
-        out[:, ~big] = zs * _series(0, zs) if k == -2 else _series(k, zs)
+        out[:, ~big] = _series(k, z[~big])
     return out if isinstance(k, tuple) else out[0]
 
 

@@ -313,36 +313,60 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
 
 # -- argument handling --
 
-# the options beyond the common ones that each subcommand's handler reads,
-# as flags and as config keys
-_OPTIONS = {"sweep": ("fmt", "full_os", "grid_n", "y_max", "jobs"), "root": (),
-            "audit": ("grid_n", "y_max"), "validate": (),
-            "export-mode": ("fmt", "full_os", "grid_n", "y_max")}
+_ALL = ("sweep", "root", "audit", "validate", "export-mode")
+_CERTIFYING = ("sweep", "root", "export-mode")
+_GRIDDED = ("sweep", "audit", "export-mode")
+_WRITING = ("sweep", "export-mode")
 
-_OPTION_FLAGS = {
-    "fmt": ("--format", {"choices": ("csv", "json")}),
-    "full_os": ("--full-os", {"action": "store_true", "default": None}),
-    "grid_n": ("--grid-n", {"type": int}),
-    "y_max": ("--ymax", {"type": float}),
-    "jobs": ("--jobs", {"type": int}),
+
+def _switch(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+def _floats(text):
+    return [float(s) for s in text.split(",") if s]
+
+
+# the regime whose amplitude each amplitude flag sets
+_AMPLITUDE_FLAGS = {"--A": "eighth", "--M": "beta"}
+
+# One row per RunConfig key: its flags (none: config file only), the parser
+# of its value, the subcommands whose handlers read it, and the regime that
+# reads it when only one does.  A tuple parser lists the choices of a str,
+# and a _switch flag takes no value.  --eps gives one eps and --eps-list
+# overrides it; --A with --M is refused.
+_KEYS = {
+    "regime": (("--regime",), ("eighth", "beta"), _ALL, None),
+    "amplitude": (tuple(_AMPLITUDE_FLAGS), float, _ALL, None),
+    "beta": (("--beta",), float, _ALL, "beta"),
+    "eps_list": (("--eps", "--eps-list"), _floats, _ALL, None),
+    "theta": (("--theta",), float, _CERTIFYING, "eighth"),
+    "r3": (("--r3",), float, _CERTIFYING, "beta"),
+    "out": (("--out",), str, _ALL, None),
+    "fmt": (("--format",), ("csv", "json"), _WRITING, None),
+    "full_os": (("--full-os",), _switch, _WRITING, None),
+    "grid_n": (("--grid-n",), int, _GRIDDED, None),
+    "y_max": (("--ymax",), float, _GRIDDED, None),
+    "jobs": (("--jobs",), int, ("sweep",), None),
+    "newton_tol": ((), float, _CERTIFYING, None),
+    "init_samples": ((), int, _CERTIFYING, None),
 }
 
 
-def _add_common(sub, options):
+def _add_options(sub, command):
+    """``--config`` and the flags of the keys that ``command`` reads."""
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--regime", choices=("eighth", "beta"))
-    sub.add_argument("--A", type=float, dest="amplitude_a")
-    sub.add_argument("--M", type=float, dest="amplitude_m")
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--eps", type=float)
-    sub.add_argument("--eps-list", dest="eps_list",
-                     help="comma-separated, strictly decreasing")
-    sub.add_argument("--theta", type=float)
-    sub.add_argument("--r3", type=float)
-    sub.add_argument("--out")
-    for dest in options:
-        flag, kwargs = _OPTION_FLAGS[dest]
-        sub.add_argument(flag, dest=dest, **kwargs)
+    for flags, parse, commands, _ in _KEYS.values():
+        if command not in commands:
+            continue
+        if parse is _switch:
+            kwargs = {"action": "store_true", "default": None}
+        elif isinstance(parse, tuple):
+            kwargs = {"choices": parse}
+        else:
+            kwargs = {"type": parse}
+        for flag in flags:
+            sub.add_argument(flag, **({"type": float} if flag == "--eps" else kwargs))
 
 
 def _read_config_file(path):
@@ -359,56 +383,37 @@ def _read_config_file(path):
     return values
 
 
-_CFG_TYPES = {
-    "regime": str, "amplitude": float, "beta": float, "theta": float,
-    "r3": float, "grid_n": int, "y_max": float, "newton_tol": float,
-    "full_os": lambda s: s.lower() in ("1", "true", "yes"),
-    "init_samples": int, "out": str, "fmt": str, "jobs": int,
-}
-
-
 def build_config(args):
     """Config file values first, command-line flags override."""
     return RunConfig(**_config_kwargs(args))
 
 
 def _config_kwargs(args):
-    raw = {}
-    if getattr(args, "config", None):
-        raw.update(_read_config_file(args.config))
-    # a parsed subcommand takes only its own options; a bare namespace, all
-    options = _OPTIONS.get(getattr(args, "command", None), _OPTION_FLAGS)
     kwargs = {}
-    for key, val in raw.items():
-        if key == "eps_list":
-            kwargs["eps_list"] = [float(s) for s in val.split(",") if s]
-        elif key in _CFG_TYPES and (key in options or key not in _OPTION_FLAGS):
-            kwargs[key] = _CFG_TYPES[key](val)
-        else:
-            raise ValueError(f"unrecognized config key {key!r}")
-    for key in ("regime", "beta", "theta", "r3", "out", *_OPTION_FLAGS):
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs[key] = val
-    # each amplitude flag belongs to one regime, which must be the run's
-    for flag, dest, regime in (("--A", "amplitude_a", "eighth"),
-                               ("--M", "amplitude_m", "beta")):
-        if getattr(args, dest, None) is not None:
-            kwargs["amplitude"] = getattr(args, dest)
-            if kwargs.setdefault("regime", regime) != regime:
-                raise ValueError(f"{flag} is the {regime} regime's amplitude, but "
+    if getattr(args, "config", None):
+        for key, val in _read_config_file(args.config).items():
+            if key not in _KEYS or args.command not in _KEYS[key][2]:
+                raise ValueError(f"unrecognized config key {key!r}")
+            parse = _KEYS[key][1]
+            kwargs[key] = val if isinstance(parse, tuple) else parse(val)
+    for key, (flags, _, _, _) in _KEYS.items():
+        for flag in flags:
+            # argparse's name for the flag's value
+            val = getattr(args, flag[2:].replace("-", "_"), None)
+            if val is None:
+                continue
+            kwargs[key] = [val] if flag == "--eps" else val
+            own = _AMPLITUDE_FLAGS.get(flag)
+            if own and kwargs.setdefault("regime", own) != own:
+                raise ValueError(f"{flag} is the {own} regime's amplitude, but "
                                  f"the regime is {kwargs['regime']}")
-    if getattr(args, "eps_list", None):
-        kwargs["eps_list"] = [float(s) for s in args.eps_list.split(",") if s]
-    elif getattr(args, "eps", None) is not None:
-        kwargs["eps_list"] = [args.eps]
-    if kwargs.get("regime") == "beta":
+    regime = kwargs.get("regime", RunConfig.regime)
+    for key, (_, _, _, only) in _KEYS.items():
+        if key in kwargs and only not in (None, regime):
+            flag = next(f for f, r in _AMPLITUDE_FLAGS.items() if r == only)
+            raise ValueError(f"{key} applies to the {only} regime only ({flag})")
+    if regime == "beta":
         kwargs.setdefault("beta", 0.115)
-    else:
-        # r3 sizes only disk_beta: the eps^{1/8} regime reads neither key
-        for key in ("beta", "r3"):
-            if key in kwargs:
-                raise ValueError(f"{key} applies to the beta regime only (--M)")
     if kwargs.get("jobs", 1) < 1:
         raise ValueError(f"jobs must be at least 1, got {kwargs['jobs']}")
     return kwargs
@@ -544,7 +549,7 @@ def main(argv=None):
     for name, fn in (("sweep", cmd_sweep), ("root", cmd_root),
                      ("audit", cmd_audit), ("validate", cmd_validate)):
         sub = subs.add_parser(name)
-        _add_common(sub, _OPTIONS[name])
+        _add_options(sub, name)
         sub.set_defaults(handler=fn)
 
     sub = subs.add_parser("airy-table")
@@ -555,7 +560,7 @@ def main(argv=None):
     sub.set_defaults(handler=cmd_airy_table)
 
     sub = subs.add_parser("export-mode")
-    _add_common(sub, _OPTIONS["export-mode"])
+    _add_options(sub, "export-mode")
     sub.add_argument("--t-list", dest="t_list", default="0.0")
     sub.add_argument("--nx", type=int, default=16)
     sub.add_argument("--ny", type=int, default=64)

@@ -10,7 +10,6 @@ corresponding error terms of the full system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +27,7 @@ from .params import ModeFunction, mode_from_grid
 from .profile import DEFAULT_PROFILE
 
 __all__ = [
-    "SublayerScales",
+    "check_sublayer_scales",
     "airy_ratios",
     "airy_fast",
     "fast_mode_pair",
@@ -39,61 +38,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SublayerScales:
-    """Derived sub-layer quantities; construction validates the angular windows."""
-
-    delta: complex
-    z0: complex
-    varpi: complex | None
-
-    @classmethod
-    def from_params(cls, params):
-        delta = params.delta
-        z0 = params.z0
-        varpi = None
-        arg_off = np.angle(z0) + 5.0 * math.pi / 6.0
-        # the offset shrinks like 1/A^2 at the disk center, but boundary
-        # samples of the A = 2 certification disk reach offsets near 0.30
-        if not 0.0 < arg_off < 0.35:
-            raise ValueError(
-                f"arg z0 = {np.angle(z0):.6f} outside (-5pi/6, -5pi/6 + 0.35)")
-        if not params.is_eighth:
-            varpi = params.varpi
-            lo = math.sqrt(2.0) / 3.0 * params.alpha ** (-(1.0 + params.nu0))
-            if not lo / 1.5 < varpi.real < 3.0 * lo:
-                raise ValueError(f"Re varpi = {varpi.real:.4e} outside its window")
-        return cls(delta=delta, z0=z0, varpi=varpi)
-
-
-_BLOCK = (0, 1, 2, 3)     # the primitives read by the error terms
+def check_sublayer_scales(params):
+    """Raise ValueError unless arg z0, and in the beta regime Re varpi, lie
+    in their angular and size windows."""
+    z0 = params.z0
+    arg_off = np.angle(z0) + 5.0 * math.pi / 6.0
+    # the offset shrinks like 1/A^2 at the disk center, but boundary
+    # samples of the A = 2 certification disk reach offsets near 0.30
+    if not 0.0 < arg_off < 0.35:
+        raise ValueError(
+            f"arg z0 = {np.angle(z0):.6f} outside (-5pi/6, -5pi/6 + 0.35)")
+    if not params.is_eighth:
+        varpi = params.varpi
+        lo = math.sqrt(2.0) / 3.0 * params.alpha ** (-(1.0 + params.nu0))
+        if not lo / 1.5 < varpi.real < 3.0 * lo:
+            raise ValueError(f"Re varpi = {varpi.real:.4e} outside its window")
 
 
 def airy_ratios(params, den=None):
     """Ai(k, Y/delta + z0)/Ai(2, z0) of the eps^{1/8} fast mode as
-    ``ratio(k, Y)``, k in -2..3.
+    ``ratio(k, Y)``, k in 0..3.
 
-    The orders 0..3 are evaluated as one block per grid, each k < 0 once per
-    grid.  ``den`` is Ai(2, z0) when the caller has evaluated it already.
+    The four orders are evaluated as one block per grid.  ``den`` is
+    Ai(2, z0) when the caller has evaluated it already.
     """
     delta = params.delta
     z0 = params.z0
     if den is None:
         den = airy.ai_k(2, z0)
-    memo = grid_cache(maxsize=8)(lambda Y, k: airy._ai_any(k, Y / delta + z0) / den)
-
-    def ratio(k, Y):
-        return memo(Y, _BLOCK)[k] if k in _BLOCK else memo(Y, k)
-
-    return ratio
+    memo = grid_cache(maxsize=8)(
+        lambda Y: airy._ai_any((0, 1, 2, 3), Y / delta + z0) / den)
+    return lambda k, Y: memo(Y)[k]
 
 
 def airy_fast(which, order, Y, params, primitives=None):
     """Airy fast mode (eps^{1/8} regime): Phi = Ai(2, z+z0)/Ai(2, z0) in the
-    sub-layer variable, Psi = delta * (-Ai(3, z+z0))/Ai(2, z0).
+    sub-layer variable, Psi = delta * (-Ai(3, z+z0))/Ai(2, z0), each to
+    order 2.
 
-    Orders 0..2 are the public surface; 3..4 exist for the fourth-order
-    residual checks and stay on the Airy chain (no finite differences).
     ``primitives`` is the ``airy_ratios`` of ``params``; ``fast_mode_pair``
     passes its own, which keeps each grid's primitives across calls.
     """
@@ -101,8 +83,7 @@ def airy_fast(which, order, Y, params, primitives=None):
         raise RegimeMismatch("airy_fast is the eps^{1/8}-regime fast mode")
     if which not in ("Phi", "Psi"):
         raise ValueError("which must be 'Phi' or 'Psi'")
-    maxo = 4 if which == "Phi" else 2
-    if order < 0 or order > maxo:
+    if order < 0 or order > 2:
         raise UnsupportedOrder(f"{which} order {order}")
     delta = params.delta
     if primitives is None:
@@ -121,15 +102,14 @@ def fast_mode_pair(params, den=None):
     """
     if not params.is_eighth:
         raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
-    SublayerScales.from_params(params)
+    check_sublayer_scales(params)
     ratio = airy_ratios(params, den)
 
-    def mode(which, max_order):
+    def mode(which):
         return ModeFunction(
-            max_order=max_order,
-            evaluator=lambda o, Y: airy_fast(which, o, Y, params, ratio))
+            max_order=2, evaluator=lambda o, Y: airy_fast(which, o, Y, params, ratio))
 
-    return mode("Phi", 4), mode("Psi", 2)
+    return mode("Phi"), mode("Psi")
 
 
 # nodes kept past the last nonzero node of e^{-varpi Y}, per hierarchy level:

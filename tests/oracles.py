@@ -376,22 +376,13 @@ def hierarchy_full_grid(params, grid, n_terms):
 
 def series_loop(k, z, tol=1e-18, max_terms=420):
     """Ai(k, z) by the Maclaurin series of ``airy._series``, for k in
-    {-1, 0, 1, 2, 3} or a tuple of orders in 0..3 stacked on a leading axis.
+    {0, 1, 2, 3} or a tuple of those orders stacked on a leading axis.
     The f- and g-part terms of each order are separate arrays, the stopping
     rule is checked after every term, and the points that are done leave
     the arrays at once."""
     z = np.asarray(z, dtype=complex)
     c1, c2 = airy.AI_ZERO, -airy.AIP_ZERO
     z3 = z**3
-    if k == -1:
-        tf = c1 * z**2 / 2.0
-        tg = -c2 * np.ones_like(z)
-
-        def step(m, tf, tg, z3):
-            return (tf * z3 / ((3 * m - 1) * (3 * m - 3)),
-                    tg * z3 / ((3 * m - 3) * (3 * m - 5)))
-
-        return _sum_terms_loop(tf + tg, tf, tg, z3, 2, step, tol, max_terms)
     orders = k if isinstance(k, tuple) else (k,)
     if not all(0 <= kk <= 3 for kk in orders):
         raise UnsupportedOrder(f"series order k = {k}")
@@ -410,26 +401,14 @@ def series_loop(k, z, tol=1e-18, max_terms=420):
     j = 3 * np.arange(max_terms).reshape(-1, 1, 1) + np.reshape(orders, (-1, 1))
     den_f = (j * (j - 1) * (j - 2)).astype(complex)
     den_g = ((j + 1) * j * (j - 1)).astype(complex)
-
-    def step(m, tf, tg, z3):
-        return tf * (3 * m - 2) * z3 / den_f[m], tg * (3 * m - 1) * z3 / den_g[m]
-
-    out = _sum_terms_loop(acc, tf, tg, z3, 1, step, tol, max_terms)
-    return out if isinstance(k, tuple) else out[0]
-
-
-def _sum_terms_loop(acc, tf, tg, z3, m_start, step, tol, max_terms):
-    """``acc`` plus the terms m = m_start, ... made by ``step``; an element
-    stops at the first term past m = 8 with |tf| + |tg| <= tol |acc|."""
-    shape = acc.shape
-    rows = acc.shape[0] if acc.ndim > z3.ndim else 1
-    acc, tf, tg = (np.reshape(a, (rows, -1)) for a in (acc, tf, tg))
-    z3 = np.tile(np.ravel(z3), (rows, 1))
+    z3 = np.tile(z3, (len(orders), 1))
     out = np.empty_like(acc)
     open_ = np.ones(acc.shape, dtype=bool)
     live = np.arange(acc.shape[1])
-    for m in range(m_start, max_terms):
-        tf, tg = step(m, tf, tg, z3)
+    # an element stops at the first term past m = 8 with |tf| + |tg| <= tol |acc|
+    for m in range(1, max_terms):
+        tf = tf * (3 * m - 2) * z3 / den_f[m]
+        tg = tg * (3 * m - 1) * z3 / den_g[m]
         acc = acc + tf + tg
         if m > 8:
             done = open_ & (np.abs(tf) + np.abs(tg) <= tol * np.abs(acc))
@@ -445,7 +424,7 @@ def _sum_terms_loop(acc, tf, tg, z3, m_start, step, tol, max_terms):
                         break
     r, c = np.nonzero(open_)
     out[r, live[c]] = acc[r, c]
-    return out.reshape(shape)
+    return out if isinstance(k, tuple) else out[0]
 
 
 # -- Newton's iteration, one point per call -----------------------------------

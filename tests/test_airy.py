@@ -219,7 +219,7 @@ class TestInvariants:
         pair = airy.ai_k(3, np.array([z, 7.9j]))
         assert pair[0] == airy.ai_k(3, z)
         assert pair[1] == airy.ai_k(3, 7.9j)
-        for k in (-1, 0, 1, 2):
+        for k in (0, 1, 2):
             assert airy._series(k, np.array([z, 7.9j]))[0] == airy._series(k, np.array([z]))[0]
 
 
@@ -302,9 +302,6 @@ class TestStackedOrders:
             ref = asymptotic_one_order(k, z)
             assert np.array_equal(block[k].view(float), ref.view(float))
             assert np.array_equal(airy._asymptotic(k, z).view(float), ref.view(float))
-        for k in (-2, -1):
-            assert np.array_equal(airy._ai_any(k, z).view(float),
-                                  asymptotic_one_order(k, z).view(float))
 
     def test_stacked_ai_k_equals_single_orders(self):
         z = self.points()
@@ -348,7 +345,7 @@ class TestBlockedRecurrence:
         assert all(b.size > 40 for b in blocks)
         return np.concatenate([z, *blocks])
 
-    @pytest.mark.parametrize("k", [(0, 1, 2, 3), (1, 2), 0, 1, 2, 3, -1])
+    @pytest.mark.parametrize("k", [(0, 1, 2, 3), (1, 2), 0, 1, 2, 3])
     def test_matches_loop_oracle_bit_for_bit(self, k):
         z = self.points()
         assert np.array_equal(airy._series(k, z).view(float),

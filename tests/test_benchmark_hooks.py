@@ -1,6 +1,7 @@
 """The traced benchmark wraps library names by attribute; removing or
 renaming one of them must fail here rather than only in a benchmark run."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,24 @@ def test_setup_loads_only_the_lapack_extension():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["scipy.linalg._flapack"]
+
+
+def test_tiny_pass_of_each_workload_is_clean():
+    # one untraced --tiny pass per workload, as the benchmark runs it: a change
+    # to what the workloads call (RunConfig's fields, full_os_certification's
+    # arguments, certify_eighth) fails here rather than only in a benchmark run
+    code = ("import json, workloads\n"
+            "lib = workloads.load_library()\n"
+            "for name in workloads.NAMES:\n"
+            "    sampler = workloads.SpeedSampler()\n"
+            "    wl = workloads.make(name, lib, 0, tiny=True, clock=sampler.clock)\n"
+            "    passes = workloads.run_passes(wl, 0.0, None, workloads.Passes(), sampler)\n"
+            "    print(json.dumps([name, passes.attempted, passes.failed, passes.problems]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r[0] for r in results] == ["eighth_sweep", "beta_hierarchy", "full_os",
+                                       "export_mode"]
+    for name, attempted, failed, problems in results:
+        assert attempted > 0 and failed == 0 and problems == [], (name, problems)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -46,7 +47,7 @@ class TestRunConfig:
         assert p.beta == 0.115 and not p.is_eighth
 
     def test_beta_regime_fills_in_only_a_missing_beta(self, tmp_path, capsys):
-        assert cli.build_config(type("Args", (), {"amplitude_m": 1.0})()).beta == 0.115
+        assert cli.build_config(type("Args", (), {"M": 1.0})()).beta == 0.115
         # an explicit beta = 1/8 lies outside (3/28, 1/8) and is refused, from
         # a flag or from a config file, instead of running at 0.115
         rc = cli.main(["root", "--regime", "beta", "--M", "1", "--beta", "0.125",
@@ -57,7 +58,7 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("regime=beta\nbeta=0.125\n")
         with pytest.raises(ValueError, match=r"needs beta in \(3/28, 1/8\)"):
-            cli.build_config(type("Args", (), {"config": str(path)})())
+            cli.build_config(type("Args", (), {"command": "root", "config": str(path)})())
 
 
     def test_amplitude_flags_exclude_each_other(self, capsys):
@@ -108,25 +109,55 @@ class TestRunConfig:
         for key, val in (("beta", "0.11"), ("r3", "0.4"), ("jobs", "0")):
             path.write_text(f"regime=eighth\n{key}={val}\n")
             with pytest.raises(ValueError, match=key):
-                cli.build_config(type("Args", (), {"config": str(path)})())
+                cli.build_config(type("Args", (), {"command": "sweep",
+                                                   "config": str(path)})())
         # RunConfig's defaults, and r3 in the beta regime, still pass
-        assert cli.build_config(type("Args", (), {"amplitude_a": 2.0})()).r3 == 0.5
-        cfg = cli.build_config(type("Args", (), {"amplitude_m": 1.0, "r3": 0.4})())
+        assert cli.build_config(type("Args", (), {"A": 2.0})()).r3 == 0.5
+        cfg = cli.build_config(type("Args", (), {"M": 1.0, "r3": 0.4})())
         assert cfg.r3 == 0.4 and cfg.beta == 0.115
 
 
-# (subcommand, flag and value) pairs of the flags a subcommand's handler does
-# not read; each used to be accepted and ignored
-_UNREAD_FLAGS = [
-    *((cmd, flag) for cmd in ("root", "validate")
-      for flag in ("--full-os", "--grid-n 3", "--ymax 1", "--format csv", "--jobs 4")),
-    *(("audit", flag) for flag in ("--full-os", "--format json", "--jobs 4")),
-    ("export-mode", "--jobs 4"),
-]
+# The keys each subcommand's handler reads, written out here rather than
+# taken from cli: every other (subcommand, key) pair is refused, as a flag
+# and as a config key
+_COMMON = ("regime", "amplitude", "beta", "eps_list", "out")
+_CERTIFYING = ("theta", "r3", "newton_tol", "init_samples")
+_READ = {
+    "sweep": (*_COMMON, *_CERTIFYING, "grid_n", "y_max", "fmt", "full_os", "jobs"),
+    "root": (*_COMMON, *_CERTIFYING),
+    "audit": (*_COMMON, "grid_n", "y_max"),
+    "validate": _COMMON,
+    "export-mode": (*_COMMON, *_CERTIFYING, "grid_n", "y_max", "fmt", "full_os"),
+}
+# per key: a flag with its value (None: config file only), a config value
+_VALUES = {
+    "regime": ("--regime eighth", "eighth"), "amplitude": ("--A 2", "2"),
+    "beta": ("--beta 0.11", "0.11"), "eps_list": ("--eps 1e-12", "1e-12"),
+    "out": ("--out report.csv", "report.csv"), "theta": ("--theta 0.3", "0.3"),
+    "r3": ("--r3 0.4", "0.4"), "newton_tol": (None, "5"),
+    "init_samples": (None, "3"), "grid_n": ("--grid-n 3", "3"),
+    "y_max": ("--ymax 1", "1"), "fmt": ("--format csv", "csv"),
+    "full_os": ("--full-os", "1"), "jobs": ("--jobs 4", "4"),
+}
+# the keys that one regime reads, and the refusal in the other
+_REGIME_ONLY = {
+    "beta": "beta applies to the beta regime only (--M)",
+    "r3": "r3 applies to the beta regime only (--M)",
+    "theta": "theta applies to the eighth regime only (--A)",
+}
+_UNREAD = [(cmd, key) for cmd in _READ for key in _VALUES if key not in _READ[cmd]]
+
+
+def _regime_argv(key, own=True):
+    """Amplitude and eps of the regime that reads ``key`` (or, with
+    ``own=False``, of the other one)."""
+    beta = (key in ("beta", "r3")) == own
+    return ["--M", "1", "--eps", "1e-24"] if beta else ["--A", "2", "--eps", "1e-12"]
 
 
 class TestSubcommandOptions:
-    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+    @pytest.mark.parametrize("command, flag", [
+        (cmd, _VALUES[key][0]) for cmd, key in _UNREAD if _VALUES[key][0]])
     def test_unread_flag_is_refused(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--A", "2", "--eps", "1e-12", *flag.split()])
@@ -134,29 +165,58 @@ class TestSubcommandOptions:
         assert exc.value.code == 2 and out == ""
         assert err.endswith(f"error: unrecognized arguments: {flag}\n")
 
-    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
-    def test_unread_config_key_is_refused(self, capsys, tmp_path, command, flag):
-        key = {"--full-os": "full_os", "--grid-n": "grid_n", "--ymax": "y_max",
-               "--format": "fmt", "--jobs": "jobs"}[flag.split()[0]]
-        value = flag.split()[1] if " " in flag else "1"
+    @pytest.mark.parametrize("command, key", _UNREAD, ids=[
+        f"{cmd}-{_VALUES[key][0] or key}" for cmd, key in _UNREAD])
+    def test_unread_config_key_is_refused(self, capsys, tmp_path, command, key):
         path = tmp_path / "run.cfg"
-        path.write_text(f"{key}={value}\n")
-        rc = cli.main([command, "--A", "2", "--eps", "1e-12", "--config", str(path)])
+        path.write_text(f"{key}={_VALUES[key][1]}\n")
+        rc = cli.main([command, *_regime_argv(key), "--config", str(path)])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err == f"error: unrecognized config key {key!r}\n"
 
-    def test_read_options_still_pass(self, tmp_path):
+    @pytest.mark.parametrize("command, key", [
+        (cmd, key) for cmd in _READ for key in _REGIME_ONLY if key in _READ[cmd]])
+    def test_regime_only_key_is_refused_in_the_other_regime(self, capsys, tmp_path,
+                                                            command, key):
+        flag, value = _VALUES[key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={value}\n")
+        for extra in (flag.split(), ["--config", str(path)]):
+            rc = cli.main([command, *_regime_argv(key, own=False), *extra])
+            out, err = capsys.readouterr()
+            assert rc == 2 and out == ""
+            assert err == f"error: {_REGIME_ONLY[key]}\n"
+
+    def test_read_options_still_pass(self, tmp_path, monkeypatch):
         # the options a handler reads, as flags and as config keys
         path = tmp_path / "run.cfg"
         path.write_text("grid_n=400\nfmt=json\nfull_os=1\njobs=2\n")
-        args = type("Args", (), {"command": "sweep", "config": str(path), "y_max": 30.0})()
+        args = type("Args", (), {"command": "sweep", "config": str(path), "ymax": 30.0})()
         cfg = cli.build_config(args)
         assert (cfg.grid_n, cfg.fmt, cfg.full_os, cfg.jobs, cfg.y_max) == (
             400, "json", True, 2, 30.0)
         path.write_text("grid_n=400\n")
         args = type("Args", (), {"command": "audit", "config": str(path)})()
         assert cli.build_config(args).grid_n == 400
+        # every pair the handlers read reaches the handler, which here only
+        # builds its config; _VALUES holds every RunConfig key
+        assert set(_VALUES) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+        def build_only(args):
+            cli.build_config(args)
+            return 0
+
+        for name in ("sweep", "root", "audit", "validate", "export_mode"):
+            monkeypatch.setattr(cli, f"cmd_{name}", build_only)
+        for command, keys in _READ.items():
+            for key in keys:
+                flag, value = _VALUES[key]
+                path.write_text(f"{key}={value}\n")
+                argv = [command, *_regime_argv(key)]
+                assert cli.main([*argv, "--config", str(path)]) == 0, (command, key)
+                if flag:
+                    assert cli.main([*argv, *flag.split()]) == 0, (command, key)
 
 
 class TestConfigFile:
@@ -164,9 +224,9 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nregime=eighth\namplitude=3.0\n"
                         "eps_list=1e-8,1e-10\ngrid_n=800\n")
-        parser_args = type("Args", (), {})()
+        parser_args = type("Args", (), {"command": "sweep"})()
         parser_args.config = str(path)
-        parser_args.amplitude_a = 2.0     # flag overrides file amplitude
+        parser_args.A = 2.0     # flag overrides file amplitude
         cfg = cli.build_config(parser_args)
         assert cfg.amplitude == 2.0
         assert cfg.eps_list == [1e-8, 1e-10]
@@ -176,7 +236,7 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
-        args = type("Args", (), {"config": str(path)})()
+        args = type("Args", (), {"command": "sweep", "config": str(path)})()
         with pytest.raises(ValueError):
             cli.build_config(args)
 

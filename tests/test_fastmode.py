@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from oracles import hierarchy_full_grid
 from tswave import airy, dispersion, fastmode, osresolvent
@@ -32,9 +33,8 @@ class TestAiryFast:
         assert fastmode.airy_fast("Phi", 1, 0.0, p) == pytest.approx(expect, rel=1e-12)
 
     def test_scales_validation(self, eighth_params):
-        scales = fastmode.SublayerScales.from_params(eighth_params)
-        assert scales.varpi is None
-        assert -5 * math.pi / 6 < np.angle(scales.z0) < -5 * math.pi / 6 + 0.2
+        fastmode.check_sublayer_scales(eighth_params)
+        assert -5 * math.pi / 6 < np.angle(eighth_params.z0) < -5 * math.pi / 6 + 0.2
 
     def test_decay_envelope_with_measured_tau(self, eighth_params):
         p = eighth_params
@@ -48,8 +48,10 @@ class TestAiryFast:
         p = eighth_params
         n13 = p.n ** (1.0 / 3.0)
         Y = np.linspace(0.0, 6.0 / n13, 30)
-        resid = ((1j / p.n) * fastmode.airy_fast("Phi", 4, Y, p)
-                 + (Y - p.c_hat) * fastmode.airy_fast("Phi", 2, Y, p))
+        # Phi'''' = delta^-4 Ai''(zeta) / Ai(2, z0), with Ai'' = zeta Ai
+        zeta = Y / p.delta + p.z0
+        d4phi = p.delta**-4 * zeta * scipy.special.airy(zeta)[0] / airy.ai_k(2, p.z0)
+        resid = (1j / p.n) * d4phi + (Y - p.c_hat) * fastmode.airy_fast("Phi", 2, Y, p)
         assert np.max(np.abs(resid)) <= 1e-6 * p.n ** (4.0 / 3.0)
 
     def test_magnetic_linkage(self, eighth_params):
@@ -63,8 +65,9 @@ class TestAiryFast:
     def test_regime_and_order_checks(self, beta_params, eighth_params):
         with pytest.raises(RegimeMismatch):
             fastmode.airy_fast("Phi", 0, 0.0, beta_params)
-        with pytest.raises(UnsupportedOrder):
-            fastmode.airy_fast("Psi", 3, 0.0, eighth_params)
+        for which in ("Phi", "Psi"):
+            with pytest.raises(UnsupportedOrder):
+                fastmode.airy_fast(which, 3, 0.0, eighth_params)
 
     def test_weighted_norm_scalings(self):
         # || |U_s''|^{-1/2} Y^pow d^k Phi_f || ~ n^{(k-pow)/3 - 1/6}
@@ -299,8 +302,8 @@ class TestFastModePair:
 
         monkeypatch.setattr(airy, "_ai_any", ai_any)
         for Y in grids:
-            for which, mode, top in (("Phi", phi_f, 4), ("Psi", psi_f, 2)):
-                for order in range(top + 1):
+            for which, mode in (("Phi", phi_f), ("Psi", psi_f)):
+                for order in range(3):
                     assert np.array_equal(mode.eval(order, Y),
                                           fastmode.airy_fast(which, order, Y, p))
 
