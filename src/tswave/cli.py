@@ -76,8 +76,9 @@ class RunConfig:
             raise ValueError("eps_list must be strictly decreasing")
         if self.regime == "beta" and not (3.0 / 28.0 < self.beta < 0.125):
             raise ValueError("beta regime needs beta in (3/28, 1/8)")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got "
+                             f"{self.newton_tol}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -174,7 +175,8 @@ def full_os_certification(cfg, params0, bvp, c_center):
     try:
         report = dispersion.certify(params0, r3=cfg.r3,
                                     tol=max(cfg.newton_tol, 1e-11),
-                                    init_samples=cfg.init_samples, g=g_exact,
+                                    init_samples=cfg.init_samples,
+                                    g=np.vectorize(g_exact, otypes=[complex]),
                                     max_iter=30)
     except WindingNotOne as exc:
         report = exc.report
@@ -250,7 +252,7 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     (len(t_list)*nx*ny, 8) float array of the written columns.
 
     Raises ValueError for an empty lattice, and GrowthOverflow for a time
-    at which |alpha Im c t / sqrt(eps)| exceeds ``_GROWTH_LIMIT``.
+    at which |alpha Im c t / sqrt(eps)| is NaN or exceeds ``_GROWTH_LIMIT``.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"export lattice needs nx >= 1 and ny >= 1, got nx = {nx}, "
@@ -258,7 +260,7 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     p = params.with_c(c)
     rate = p.alpha * p.c.imag / p.sqrt_eps
     for t in t_list:
-        if abs(rate * t) > _GROWTH_LIMIT:
+        if not abs(rate * t) <= _GROWTH_LIMIT:
             raise GrowthOverflow(t, rate * t, _GROWTH_LIMIT)
     if bvp is None:
         bvp = osresolvent.build_bvp(p)

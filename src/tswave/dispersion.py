@@ -129,10 +129,13 @@ def disk_beta(params, r3=0.5):
 
 
 def gamma0_beta(c, params):
-    """Boundary slope of the approximate mode built on the exponential hierarchy."""
+    """Boundary slope of the approximate mode built on the exponential hierarchy,
+    at a scalar c as a ``complex`` or at each point of an array in turn."""
+    if np.ndim(c) > 0:
+        return np.vectorize(lambda x: gamma0_beta(x, params), otypes=[complex])(c)
     p = params.with_c(c)
     phi0, dphi0 = slowmode.boundary_values(p)
-    return gamma0_of_hierarchy(phi0, dphi0, fastmode.ExpFastHierarchy(p))
+    return complex(gamma0_of_hierarchy(phi0, dphi0, fastmode.ExpFastHierarchy(p)))
 
 
 def gamma0_of_hierarchy(phi0, dphi0, hier):
@@ -157,9 +160,11 @@ _NEWTON_REACH = 1.5
 def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
                         max_iter=60, variable="c"):
     """Winding count on the disk boundary; on winding one, Newton refinement
-    from the center.  The report carries the number of boundary samples (the
-    first ``samples`` evaluations of ``g``), the boundary modulus floor and,
-    when a reference map is supplied, the maximal boundary gap |g - g_ref|.
+    from the center.  ``g`` takes an ndarray of points and returns one value
+    per point; ``g_ref`` is called at one point at a time.  The report carries
+    the number of boundary samples (the first ``samples`` points evaluated by
+    ``g``), the boundary modulus floor and, when a reference map is supplied,
+    the maximal boundary gap |g - g_ref|.
     The root counts as certified only when Newton converges inside the disk.
     Newton's path may leave the disk and come back, but it stops, and its
     last iterate is reported uncertified, once an iterate lies more than
@@ -194,7 +199,8 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
 def certify(params, r3=0.5, tol=1e-12, init_samples=64, g=None, max_iter=60):
     """Certify the leading eigenvalue of either regime on its disk: Gamma0 of
     the regime by default (with the gap to its reference map), or ``g``, any
-    dispersion function of the wave speed c such as the exact Gamma.
+    dispersion function of the wave speed c such as the exact Gamma.  ``g``
+    takes an ndarray of wave speeds and returns one value per point.
 
     The eps^{1/8} regime counts and refines in c_hat = c + i/n on
     ``disk_eighth``, the beta regime in c itself on ``disk_beta(params, r3)``;

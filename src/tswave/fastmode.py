@@ -39,8 +39,8 @@ __all__ = [
 
 
 def check_sublayer_scales(params):
-    """Raise ValueError unless arg z0, and in the beta regime Re varpi, lie
-    in their angular and size windows."""
+    """Raise ValueError unless arg z0 lies in its angular window (eps^{1/8}
+    regime)."""
     z0 = params.z0
     arg_off = np.angle(z0) + 5.0 * math.pi / 6.0
     # the offset shrinks like 1/A^2 at the disk center, but boundary
@@ -48,11 +48,6 @@ def check_sublayer_scales(params):
     if not 0.0 < arg_off < 0.35:
         raise ValueError(
             f"arg z0 = {np.angle(z0):.6f} outside (-5pi/6, -5pi/6 + 0.35)")
-    if not params.is_eighth:
-        varpi = params.varpi
-        lo = math.sqrt(2.0) / 3.0 * params.alpha ** (-(1.0 + params.nu0))
-        if not lo / 1.5 < varpi.real < 3.0 * lo:
-            raise ValueError(f"Re varpi = {varpi.real:.4e} outside its window")
 
 
 def airy_ratios(params, den=None):

@@ -115,22 +115,20 @@ class RootTrace:
 _MAX_WINDING_SAMPLES = 65536  # boundary samples before NonResolvable
 
 
-def _eval_vectorized(f, z):
-    """Evaluate ``f`` on an ndarray of complex points, tolerating scalar-only
-    callables.  A result with one value per point is taken in any shape, so a
-    scalar-only ``f`` that returns a scalar for one point is called once."""
+def _values(g, z):
+    """``g`` on the ndarray of complex points ``z``, one value per point."""
     z = np.asarray(z, dtype=complex)
-    try:
-        vals = np.asarray(f(z), dtype=complex)
-        if vals.size == z.size:
-            return vals.reshape(z.shape)
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(zi) for zi in z.ravel()], dtype=complex).reshape(z.shape)
+    vals = np.asarray(g(z), dtype=complex)
+    if vals.shape != z.shape:
+        raise ValueError(f"dispersion function gave values of shape {vals.shape} "
+                         f"for points of shape {z.shape}")
+    return vals
 
 
 def winding_samples(g, circle, init_samples=64):
-    """Winding number plus the boundary samples used to certify it.
+    """Winding number of ``g`` on ``circle`` plus the boundary samples used to
+    certify it.  ``g`` takes an ndarray of points and returns one value per
+    point; each round of samples is one call.
 
     Returns ``(winding, thetas, values)``.  Samples are inserted adaptively
     until every consecutive argument increment is below pi/2, which makes the
@@ -143,7 +141,7 @@ def winding_samples(g, circle, init_samples=64):
         raise ValueError("init_samples must be at least 16")
     offset = math.pi / init_samples
     thetas = offset + np.linspace(0.0, 2.0 * math.pi, init_samples + 1)
-    vals = _eval_vectorized(g, circle.point(thetas))
+    vals = _values(g, circle.point(thetas))
     while True:
         amax = np.max(np.abs(vals))
         if amax == 0.0 or np.min(np.abs(vals)) <= 1e-13 * amax:
@@ -159,7 +157,7 @@ def winding_samples(g, circle, init_samples=64):
             raise NonResolvable(
                 f"argument continuation not resolved with {thetas.size} samples")
         mids = (thetas[bad] + thetas[bad + 1]) / 2.0
-        mvals = _eval_vectorized(g, circle.point(mids))
+        mvals = _values(g, circle.point(mids))
         thetas = np.insert(thetas, bad + 1, mids)
         vals = np.insert(vals, bad + 1, mvals)
     turns = float(np.sum(np.angle(vals[1:] / vals[:-1]))) / (2.0 * math.pi)
@@ -176,36 +174,24 @@ def _difference_step(c):
 def newton_root(g, c0, tol=1e-12, max_iter=40, region=None):
     """Damped complex Newton iteration with central-difference derivative.
 
-    The derivative step is ``h = 1e-7 * max(|c|, 1)``.  While ``g`` takes
-    arrays, each point c goes to it together with c + h and c - h as one
-    3-point array, so an accepted step carries the next derivative.  Once
-    that call raises TypeError or ValueError or gives no three values, ``g``
-    is called as for a scalar-only map, as it is from then on: c alone, and
-    the two difference points as one array when a derivative is needed.  A
-    step is halved until the residual decreases (up to 50 halvings).  With a
-    ``region`` (a ``Circle``) the iteration stops, unconverged, at the first
-    iterate outside it.  Returns ``(root, RootTrace)``.
+    ``g`` takes an ndarray of points and returns one value per point.  The
+    derivative step is ``h = 1e-7 * max(|c|, 1)``; each point c goes to ``g``
+    together with c + h and c - h as one 3-point array, so an accepted step
+    carries the next derivative.  A step is halved until the residual
+    decreases (up to 50 halvings).  With a ``region`` (a ``Circle``) the
+    iteration stops, unconverged, at the first iterate outside it.  Returns
+    ``(root, RootTrace)``.
     """
     trace = RootTrace()
-    arrays = True
 
     def evaluate(c):
-        """g(c), and (g(c + h), g(c - h)) or None."""
-        nonlocal arrays
-        if arrays:
-            h = _difference_step(c)
-            try:
-                vals = np.asarray(g(np.array([c, c + h, c - h])), dtype=complex)
-                if vals.size == 3:
-                    vals = vals.ravel()
-                    return complex(vals[0]), vals[1:]
-            except (TypeError, ValueError):
-                pass
-            arrays = False
-        return complex(g(c)), None
+        """g(c) and the central difference quotient of g at c."""
+        h = _difference_step(c)
+        vals = _values(g, np.array([c, c + h, c - h]))
+        return complex(vals[0]), (complex(vals[1]) - complex(vals[2])) / (2.0 * h)
 
     c = complex(c0)
-    gc, diffs = evaluate(c)
+    gc, gp = evaluate(c)
     trace.iterates.append(c)
     trace.residuals.append(abs(gc))
     for _ in range(max_iter):
@@ -214,19 +200,15 @@ def newton_root(g, c0, tol=1e-12, max_iter=40, region=None):
             return c, trace
         if region is not None and not region.contains(c):
             return c, trace
-        h = _difference_step(c)
-        if diffs is None:
-            diffs = _eval_vectorized(g, np.array([c + h, c - h]))
-        gp = (complex(diffs[0]) - complex(diffs[1])) / (2.0 * h)
         if abs(gp) < 1e-280 or not np.isfinite(gp):
             raise DerivativeBreakdown(f"difference quotient {gp} at c = {c}")
         step = -gc / gp
         lam = 1.0
         while lam > 2 ** -50:
             cand = c + lam * step
-            gcand, cand_diffs = evaluate(cand)
+            gcand, gp_cand = evaluate(cand)
             if abs(gcand) < abs(gc):
-                c, gc, diffs = cand, gcand, cand_diffs
+                c, gc, gp = cand, gcand, gp_cand
                 break
             lam /= 2.0
         else:
@@ -254,6 +236,8 @@ def graded_grid(n_nodes, y_max, cluster_scale, points_per_scale=6.0):
     """
     if n_nodes < 16:
         raise ValueError("need at least 16 nodes")
+    if not 0.0 < y_max < math.inf:
+        raise ValueError(f"grid far end must be positive and finite, got {y_max}")
     h0 = cluster_scale / points_per_scale
     ratio = h0 * (n_nodes - 1) / y_max
     s = np.linspace(0.0, 1.0, n_nodes)

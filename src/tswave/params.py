@@ -43,8 +43,9 @@ class SpectralParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
+        if not 0.0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be positive and finite, got "
+                             f"{self.amplitude}")
         if not BETA_FLOOR < self.beta <= BETA_EIGHTH:
             raise ValueError(f"beta must lie in (3/28, 1/8], got {self.beta}")
         if not 0.0 < self.theta < 1.0:
@@ -67,8 +68,7 @@ class SpectralParams:
         return cls(eps=eps, amplitude=amplitude, beta=beta, c=c, theta=theta)
 
     def with_c(self, c):
-        # .item() accepts python/numpy scalars and size-1 arrays alike
-        return replace(self, c=complex(np.asarray(c).item()))
+        return replace(self, c=complex(c))
 
     # -- derived quantities --
 

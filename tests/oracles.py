@@ -30,8 +30,8 @@ import tswave
 from tswave import airy, osresolvent, slowmode
 from tswave.errors import (DerivativeBreakdown, NonConvergence,
                            UnsupportedOrder)
-from tswave.numerics import (_eval_vectorized, backward_exp_integral,
-                             forward_exp_integral, tail_trapezoid)
+from tswave.numerics import (backward_exp_integral, forward_exp_integral,
+                             tail_trapezoid)
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile
 
 
@@ -89,12 +89,21 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
+def _at_points(f, z):
+    """``f`` on the ndarray of points ``z``, which must give one value per
+    point."""
+    vals = np.asarray(f(z), dtype=complex)
+    if vals.shape != z.shape:
+        raise ValueError(f"{vals.shape} values for points of shape {z.shape}")
+    return vals
+
+
 def _gk15(f, a, b):
     """Kronrod value and |K15-G7| estimate of the line integral over [a, b]."""
     mid = (a + b) / 2.0
     half = (b - a) / 2.0
     z = mid + half * _XK
-    vals = _eval_vectorized(f, z)
+    vals = _at_points(f, z)
     if not np.all(np.isfinite(vals)):
         raise NonConvergence(f"integrand not finite on [{a}, {b}] (singularity on path?)")
     k15 = half * np.sum(_WK * vals)
@@ -432,7 +441,7 @@ def series_loop(k, z, tol=1e-18, max_terms=420):
 def newton_loop(g, c0, tol=1e-12, max_iter=40):
     """Damped complex Newton iteration as ``numerics.newton_root`` without a
     region: ``g`` at each point alone, the two difference points
-    (step ``1e-7 * max(|c|, 1)``) as one array through ``_eval_vectorized``.
+    (step ``1e-7 * max(|c|, 1)``) as one array through ``_at_points``.
     Returns ``(root, iterates, residuals, converged)``; raises
     DerivativeBreakdown or NonConvergence as the iteration does."""
     c = complex(c0)
@@ -442,7 +451,7 @@ def newton_loop(g, c0, tol=1e-12, max_iter=40):
         if abs(gc) <= tol:
             return c, iterates, residuals, True
         h = 1e-7 * max(abs(c), 1.0)
-        g_plus, g_minus = _eval_vectorized(g, np.array([c + h, c - h]))
+        g_plus, g_minus = _at_points(g, np.array([c + h, c - h]))
         gp = (complex(g_plus) - complex(g_minus)) / (2.0 * h)
         if abs(gp) < 1e-280 or not np.isfinite(gp):
             raise DerivativeBreakdown(f"difference quotient {gp} at c = {c}")

@@ -338,10 +338,10 @@ def test_criterion_7_exact_dispersion():
             bvp_e = osresolvent.build_bvp(SpectralParams.eighth(2.0, eps),
                                           n_nodes=1300)
             from tswave.numerics import newton_root
-            root, trace = newton_root(
+            root, trace = newton_root(np.vectorize(
                 lambda w: osresolvent.remainder_and_gamma(
                     SpectralParams.eighth(2.0, eps).chat_to_c(w),
-                    SpectralParams.eighth(2.0, eps), bvp_e)[0],
+                    SpectralParams.eighth(2.0, eps), bvp_e)[0], otypes=[complex]),
                 rep.c_root, tol=1e-9, max_iter=25)
             p0e = SpectralParams.eighth(2.0, eps)
             c_exact = p0e.chat_to_c(root)

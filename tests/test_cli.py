@@ -37,8 +37,9 @@ class TestRunConfig:
             cli.RunConfig(regime="beta", beta=0.125, eps_list=[1e-10])
 
     def test_tolerances_positive(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig(eps_list=[1e-10], newton_tol=0.0)
+        for tol in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
+                cli.RunConfig(eps_list=[1e-10], newton_tol=tol)
 
     def test_params_builder(self):
         cfg = cli.RunConfig(regime="beta", amplitude=1.0, beta=0.115,
@@ -604,6 +605,29 @@ def test_export_refuses_overflowing_time(capsys):
     exponent = p0.alpha * c.imag / p0.sqrt_eps
     assert err.startswith("error: export time t = 1.0: alpha Im c t / sqrt(eps) = "
                           f"{exponent:.6g} ")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["export-mode", "--A", "2", "--eps", "1e-12", "--t-list", "0,nan", "--nx", "2",
+      "--ny", "2", "--grid-n", "400"], None, "export time t = nan: "),
+    (["audit", "--A", "2", "--eps", "1e-12", "--ymax", "0", "--grid-n", "100"], None,
+     "grid far end must be positive and finite, got 0.0"),
+    (["validate", "--A", "nan", "--eps", "1e-12"], None,
+     "amplitude must be positive and finite, got nan"),
+    (["root", "--A", "2", "--eps", "1e-12"], "newton_tol=nan\n",
+     "newton_tol must be positive and finite, got nan"),
+], ids=["export-nan-time", "audit-zero-ymax", "validate-nan-amplitude", "root-nan-tol"])
+def test_nan_and_degenerate_inputs_are_refused(capsys, tmp_path, argv, config, message):
+    # a NaN passes a "> limit" or "<= 0" check; each of these used to write
+    # NaN output, end in a traceback or report a misleading Newton failure
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def _export_oracle(t_list, rows, fmt):

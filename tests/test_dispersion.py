@@ -99,14 +99,13 @@ class TestCertifiedRootFinding:
             gc.enable()
 
     def test_report_counts_winding_samples(self):
-        # a scalar-only map, so every boundary point is one call; the root sits
-        # near the boundary of the first disk, which forces refinement there
+        # every point handed to the map is recorded; the root sits near the
+        # boundary of the first disk, which forces refinement there
         p = SpectralParams.eighth(4.0, 1e-10)
         calls = []
 
         def g(h):
-            h = complex(h)
-            calls.append(h)
+            calls.extend(h.tolist())
             return dispersion.gamma_ref_hat(h, p)
 
         for disk in (Circle(h_star(4.0) + 0.9 * 0.125, 0.125),
@@ -280,16 +279,16 @@ class TestGamma0OnArrays:
             dispersion.gamma0(c, p0)
         assert str(in_array.value) == str(alone.value)
         assert "Im c_hat must be positive" in str(alone.value)
-        # the winding count's fallback then meets the same error pointwise
-        with pytest.raises(ValueError) as fallback:
-            numerics._eval_vectorized(lambda w: dispersion.gamma0(w, p0), c)
-        assert str(fallback.value) == str(alone.value)
+        # the winding count's evaluator passes the same error on
+        with pytest.raises(ValueError) as evaluated:
+            numerics._values(lambda w: dispersion.gamma0(w, p0), c)
+        assert str(evaluated.value) == str(alone.value)
 
     def test_certify_evaluates_gamma0_once_per_winding_round(self, monkeypatch):
-        # a spy on gamma0 and on the winding count's evaluator: a silent
-        # fallback to one call per point would show up as scalar calls
+        # a spy on gamma0 and on the winding count's evaluator: each round
+        # of boundary points is one array call
         p0 = SpectralParams.eighth(2.0, 1e-12)
-        gamma0, eval_vectorized = dispersion.gamma0, numerics._eval_vectorized
+        gamma0, values = dispersion.gamma0, numerics._values
         in_winding, rounds, calls = [False], [], []
 
         def gamma0_spy(c, params):
@@ -299,7 +298,7 @@ class TestGamma0OnArrays:
 
         def rounds_spy(f, z):
             rounds.append(np.size(z))
-            return eval_vectorized(f, z)
+            return values(f, z)
 
         def winding_spy(*args, **kwargs):
             in_winding[0] = True
@@ -310,7 +309,7 @@ class TestGamma0OnArrays:
 
         monkeypatch.setattr(dispersion, "gamma0", gamma0_spy)
         monkeypatch.setattr(dispersion, "winding_samples", winding_spy)
-        monkeypatch.setattr(numerics, "_eval_vectorized", rounds_spy)
+        monkeypatch.setattr(numerics, "_values", rounds_spy)
         rep = dispersion.certify_eighth(p0)
         assert rep.certified
         winding_shapes = [shape for inside, shape in calls if inside]
@@ -322,26 +321,33 @@ class TestGamma0OnArrays:
 
 
 class TestBetaRegime:
-    def test_scalar_only_gamma0_keeps_the_reference_evaluations(self):
-        # gamma0_beta takes one point at a time: Newton's evaluations, in
-        # order and number, are those of the reference iteration
+    def test_array_equals_scalar_calls_bit_for_bit(self):
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
         disk = dispersion.disk_beta(p0)
-        gamma0_beta = dispersion.gamma0_beta
+        c = disk.point(np.linspace(0.1, 2.0 * math.pi, 5))
+        single = [dispersion.gamma0_beta(x, p0) for x in c]
+        assert all(type(v) is complex for v in single)
+        vals = dispersion.gamma0_beta(c, p0)
+        assert vals.shape == c.shape and vals.tolist() == single
+        assert dispersion.gamma0_beta(c.reshape(1, 5), p0).tolist() == [single]
 
-        def run(newton):
-            points = []
+    def test_newton_sends_three_points_and_matches_the_reference(self):
+        # each Newton point goes with its two difference points as one
+        # (3,) array, and the iterates and residuals are those of the
+        # reference iteration, which sends the point alone
+        p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
+        disk = dispersion.disk_beta(p0)
+        shapes = []
 
-            def g(c):
-                val = gamma0_beta(c, p0)
-                points.append(c)
-                return val
-            return newton(g, disk.center, tol=1e-10), points
+        def g(c):
+            shapes.append(np.shape(c))
+            return dispersion.gamma0_beta(c, p0)
 
-        (root, trace), points = run(numerics.newton_root)
-        ref, ref_points = run(newton_loop)
+        root, trace = numerics.newton_root(g, disk.center, tol=1e-10)
+        ref = newton_loop(lambda c: dispersion.gamma0_beta(c, p0), disk.center,
+                          tol=1e-10)
         assert trace.converged and len(trace.iterates) > 2
-        assert points == ref_points
+        assert set(shapes) == {(3,)} and len(shapes) >= len(trace.iterates)
         assert (root, trace.iterates, trace.residuals) == ref[:3]
 
     def test_certifies_in_contraction_regime(self):

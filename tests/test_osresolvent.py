@@ -470,9 +470,10 @@ class TestRemainderAndGamma:
             gammas0.append(abs(diag["gamma0"]))
         assert max(gaps) < 0.5 * min(gammas0)
 
-        root, trace = newton_root(
+        root, trace = newton_root(np.vectorize(
             lambda w: osresolvent.remainder_and_gamma(
-                p0.chat_to_c(w), p0, bvp)[0], disk.center, tol=1e-9, max_iter=25)
+                p0.chat_to_c(w), p0, bvp)[0], otypes=[complex]),
+            disk.center, tol=1e-9, max_iter=25)
         assert trace.converged
         assert disk.contains(root, slack=0.2)
         c_exact = p0.chat_to_c(root)
@@ -498,10 +499,10 @@ class TestRemainderAndGamma:
         p0 = SpectralParams.eighth(2.0, 1e-12)
         bvp = osresolvent.build_bvp(p0, n_nodes=1300)
         from tswave.numerics import newton_root
-        root, trace = newton_root(
+        root, trace = newton_root(np.vectorize(
             lambda w: osresolvent.remainder_and_gamma(
-                p0.chat_to_c(w), p0, bvp)[0], dispersion.disk_eighth(p0).center,
-            tol=1e-9, max_iter=25)
+                p0.chat_to_c(w), p0, bvp)[0], otypes=[complex]),
+            dispersion.disk_eighth(p0).center, tol=1e-9, max_iter=25)
         assert trace.converged
         phi, psi = osresolvent.build_mode(p0.chat_to_c(root), p0, bvp,
                                           full_os=True)

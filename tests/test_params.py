@@ -30,8 +30,9 @@ class TestSpectralParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectralParams(eps=2.0, amplitude=1.0)
-        with pytest.raises(ValueError):
-            SpectralParams(eps=1e-8, amplitude=-1.0)
+        for amplitude in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="amplitude must be positive and finite"):
+                SpectralParams(eps=1e-8, amplitude=amplitude)
         with pytest.raises(ValueError):
             SpectralParams(eps=1e-8, amplitude=1.0, beta=0.2)
         with pytest.raises(ValueError):
