@@ -79,6 +79,18 @@ class RunConfig:
         if not 0.0 < self.newton_tol < math.inf:
             raise ValueError(f"newton_tol must be positive and finite, got "
                              f"{self.newton_tol}")
+        # refused here, before any row runs: the grid builder and the winding
+        # count would refuse these only inside each row
+        if self.grid_n < 16:
+            raise ValueError(f"grid_n must be at least 16, got {self.grid_n}")
+        if self.y_max is not None and not 0.0 < self.y_max < math.inf:
+            raise ValueError(f"grid far end must be positive and finite, got "
+                             f"{self.y_max}")
+        if self.init_samples < 16:
+            raise ValueError(f"init_samples must be at least 16, got "
+                             f"{self.init_samples}")
+        if not 0.0 < self.r3 < math.sqrt(2.0) / 2.0:
+            raise ValueError(f"r3 must lie in (0, sqrt(2)/2), got {self.r3}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 

@@ -93,18 +93,27 @@ def _gamma0(chat, ai1, ai2, params):
     return dphi0 - phi0 * (ai1 / ai2) / params.delta
 
 
-def gamma0_and_fast_pair(params):
+def gamma0_and_fast_pair(params, grid):
     """``gamma0`` at the wave speed of ``params`` together with its
-    ``fastmode.fast_mode_pair``, from one Airy evaluation at the wall.
+    ``fastmode.fast_mode_pair``, whose primitives on ``grid`` come from the
+    same Airy evaluation.
 
-    The evaluation holds two offsets: Gamma0's, formed in array arithmetic as
-    in ``gamma0``, and the pair's ``params.z0``, formed in scalar arithmetic,
-    which can round one ulp away from it.
+    The one evaluation holds orders 0..3 at two wall offsets and on the grid.
+    The wall offsets are Gamma0's, formed in array arithmetic as in
+    ``gamma0``, and the pair's ``params.z0``, formed in scalar arithmetic,
+    which can round one ulp away from it; the grid block is the pair's
+    Y / delta + z0.  Each element of one evaluation takes the terms it would
+    take alone, so every value is that of its separate evaluation.
     """
     chat = np.atleast_1d(params.c) + 1j / params.n
-    ai1, ai2 = airy.ai_k((1, 2), np.append(params.z0_at(chat), params.z0))
-    pair = fastmode.fast_mode_pair(params, den=ai2[1])
-    return complex(_gamma0(chat, ai1[:1], ai2[:1], params)[0]), pair
+    wall = np.append(params.z0_at(chat), params.z0)
+    airy._check_sector(wall)
+    fastmode.check_sublayer_scales(params)      # before the grid block is evaluated
+    grid = np.asarray(grid, dtype=float)
+    ai = airy._ai_any((0, 1, 2, 3),
+                      np.concatenate([wall, grid / params.delta + params.z0]))
+    pair = fastmode.fast_mode_pair(params, den=ai[2, 1], samples=(grid, ai[:, 2:]))
+    return complex(_gamma0(chat, ai[1, :1], ai[2, :1], params)[0]), pair
 
 
 def gamma_ref_hat(h, params):

@@ -24,7 +24,7 @@ from .numerics import (
     tail_trapezoid,
 )
 from .params import ModeFunction, mode_from_grid
-from .profile import DEFAULT_PROFILE
+from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
     "check_sublayer_scales",
@@ -50,19 +50,26 @@ def check_sublayer_scales(params):
             f"arg z0 = {np.angle(z0):.6f} outside (-5pi/6, -5pi/6 + 0.35)")
 
 
-def airy_ratios(params, den=None):
+def airy_ratios(params, den=None, samples=None):
     """Ai(k, Y/delta + z0)/Ai(2, z0) of the eps^{1/8} fast mode as
     ``ratio(k, Y)``, k in 0..3.
 
     The four orders are evaluated as one block per grid.  ``den`` is
-    Ai(2, z0) when the caller has evaluated it already.
+    Ai(2, z0) and ``samples`` a pair (grid, block of Ai(k, grid/delta + z0),
+    k = 0..3) when the caller has evaluated them already.
     """
     delta = params.delta
     z0 = params.z0
     if den is None:
         den = airy.ai_k(2, z0)
-    memo = grid_cache(maxsize=8)(
-        lambda Y: airy._ai_any((0, 1, 2, 3), Y / delta + z0) / den)
+    grid, block = (None, None) if samples is None else samples
+
+    def primitives(Y):
+        if grid is not None and Y.shape == grid.shape and Y.tobytes() == grid.tobytes():
+            return block
+        return airy._ai_any((0, 1, 2, 3), Y / delta + z0)
+
+    memo = grid_cache(maxsize=8)(lambda Y: primitives(Y) / den)
     return lambda k, Y: memo(Y)[k]
 
 
@@ -88,17 +95,17 @@ def airy_fast(which, order, Y, params, primitives=None):
     return -delta ** (1 - order) * primitives(3 - order, Y)
 
 
-def fast_mode_pair(params, den=None):
+def fast_mode_pair(params, den=None, samples=None):
     """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime.
 
     Phi order o and Psi order o + 1 share the primitive Ai(2 - o, z + z0);
     both read one ``airy_ratios``, so each grid's primitives are evaluated
-    once.  ``den`` is passed on to it.
+    once.  ``den`` and ``samples`` are passed on to it.
     """
     if not params.is_eighth:
         raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
     check_sublayer_scales(params)
-    ratio = airy_ratios(params, den)
+    ratio = airy_ratios(params, den, samples)
 
     def mode(which):
         return ModeFunction(
@@ -237,12 +244,7 @@ def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,
     c = params.c
     chat = params.c_hat
     B = complex(slow_boundary_value)
-    us = DEFAULT_PROFILE.eval("U", 0, Yarr)
-    dus = DEFAULT_PROFILE.eval("U", 1, Yarr)
-    d2us = DEFAULT_PROFILE.eval("U", 2, Yarr)
-    hs = DEFAULT_PROFILE.eval("H", 0, Yarr)
-    dhs = DEFAULT_PROFILE.eval("H", 1, Yarr)
-    d2hs = DEFAULT_PROFILE.eval("H", 2, Yarr)
+    us, dus, d2us, hs, dhs, d2hs = profile_arrays(Yarr)
     phi = phi_app_f
     psi = psi_app_f
 

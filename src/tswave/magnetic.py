@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NonContraction, NonConvergence
 from .numerics import backward_exp_integral, forward_exp_integral, graded_grid
 from .params import ModeFunction, SpectralParams, mode_from_grid
-from .profile import DEFAULT_PROFILE
+from .profile import profile_arrays
 
 __all__ = ["MagneticProblem", "MagneticTrace", "solve_magnetic",
            "build_psi_app_s", "default_magnetic_grid"]
@@ -77,10 +77,12 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None):
     grid = default_magnetic_grid(p) if grid is None else np.asarray(grid, dtype=float)
     xi = prob.xi
     alpha = p.alpha
-    one_minus_us = DEFAULT_PROFILE.wake(grid)
+    prof = profile_arrays(grid)
+    # i alpha (1 - U_s), the same at every Picard step
+    coupling = 1j * alpha * prof.wake
     lift = np.exp(-xi * grid) * prob.phi_b
     f_vals = prob.f.eval(0, grid)
-    f_tilde = f_vals + 1j * alpha * one_minus_us * lift
+    f_tilde = f_vals + coupling * lift
     weight = np.exp(prob.eta * grid)
 
     trace = MagneticTrace()
@@ -88,7 +90,7 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None):
     inner = None
     rising = 0
     for _ in range(max_picard):
-        g = f_tilde + 1j * alpha * one_minus_us * phi_t
+        g = f_tilde + coupling * phi_t
         inner = backward_exp_integral(g, grid, xi, tail_rate=prob.eta)
         new = forward_exp_integral(inner, grid, xi)
         gap = float(np.max(weight * np.abs(new - phi_t)))
@@ -111,13 +113,12 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None):
     # one more application of the Picard map: a-posteriori equation defect of
     # the returned iterate in the weighted sup norm (mild formulation)
     inner_final = backward_exp_integral(
-        f_tilde + 1j * alpha * one_minus_us * phi_t, grid, xi, tail_rate=prob.eta)
+        f_tilde + coupling * phi_t, grid, xi, tail_rate=prob.eta)
     remapped = forward_exp_integral(inner_final, grid, xi)
     trace.residual_weighted = float(np.max(weight * np.abs(remapped - phi_t)))
     # dY phi_tilde = -xi phi_tilde + inner(Y) follows from the mild form
     dphi = -xi * lift - xi * phi_t + inner_final
-    us = DEFAULT_PROFILE.eval("U", 0, grid)
-    d2phi = alpha**2 * phi + 1j * alpha * (us - p.c) * phi - f_vals
+    d2phi = alpha**2 * phi + 1j * alpha * (prof.us - p.c) * phi - f_vals
     return mode_from_grid(grid, [phi, dphi, d2phi]), trace
 
 
@@ -134,7 +135,7 @@ def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None):
     def source(order, Y):
         if order != 0:
             raise NotImplementedError
-        hs = DEFAULT_PROFILE.eval("H", 0, Y)
+        hs = profile_arrays(Y).hs
         return 1j * params.alpha * hs * slow.eval(0, Y) + slow.eval(1, Y)
 
     f_mode = ModeFunction(max_order=0, evaluator=source,

@@ -32,7 +32,7 @@ from .errors import NonContraction, NonConvergence, SingularSystem
 from .numerics import (Stencil, diff_matrix, flapack, graded_grid, grid_cache,
                        l2_norm, trap_weights)
 from .params import mode_from_grid
-from .profile import DEFAULT_PROFILE
+from .profile import profile_arrays
 
 __all__ = [
     "DiscreteBVP",
@@ -96,14 +96,8 @@ def build_bvp(params, n_nodes=1600, y_max=None, boundary="navier"):
 
 @dataclass(frozen=True)
 class _GridState:
-    """Profile arrays and difference stencils of one grid."""
+    """Difference stencils and curvature weight of one grid."""
 
-    us: np.ndarray
-    dus: np.ndarray
-    d2us: np.ndarray
-    hs: np.ndarray
-    dhs: np.ndarray
-    d2hs: np.ndarray
     d1: Stencil
     d2: Stencil
     w_inv_sqrt: np.ndarray
@@ -113,10 +107,8 @@ class _GridState:
 def _grid_state(grid):
     """Per-grid arrays shared by every parameter set and wave speed; the
     stencils are those a ``DiscreteBVP`` on the grid reads."""
-    us, dus, d2us = (DEFAULT_PROFILE.eval("U", k, grid) for k in range(3))
-    hs, dhs, d2hs = (DEFAULT_PROFILE.eval("H", k, grid) for k in range(3))
-    return _GridState(us, dus, d2us, hs, dhs, d2hs, diff_matrix(grid, 1),
-                      diff_matrix(grid, 2), _inv_sqrt_curvature(d2us))
+    return _GridState(diff_matrix(grid, 1), diff_matrix(grid, 2),
+                      _inv_sqrt_curvature(profile_arrays(grid).d2us))
 
 
 class _Banded(NamedTuple):
@@ -172,8 +164,7 @@ def _affine_operator(grid, boundary, params, variant):
 
     d1, d2 = st.d1, st.d2
     # profile arrays at the interior nodes, which the stencils' rows cover
-    us, dus, d2us, hs, dhs, d2hs = (x[1:-1] for x in (st.us, st.dus, st.d2us, st.hs,
-                                                      st.dhs, st.d2hs))
+    us, dus, d2us, hs, dhs, d2hs = (x[1:-1] for x in profile_arrays(grid))
     lap = (d2.lo, d2.mid - a**2, d2.hi)          # d_YY - alpha^2, by shift
     inv_n = 1.0 / n
     # omega definition: (d_YY - alpha^2) Phi - omega
@@ -349,24 +340,25 @@ class OSIteration:
         self.params = params
         self.bvp = bvp
         self.grid_state = _grid_state(bvp.grid)
+        self.profile = profile_arrays(bvp.grid)
         self.fact_d = _Factorized(params, bvp, "os_d")
         self.fact_s = _Factorized(params, bvp, "os_s")
 
     def coupling(self, phi, psi):
         """The diffusion splitting's leftover: the first-slot action of the
         expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi)."""
-        p, st = self.params, self.grid_state
+        p, st, pr = self.params, self.grid_state, self.profile
         a, n, se = p.alpha, p.n, p.sqrt_eps
-        return ((a / n) * (st.dhs * phi + st.hs * (st.d1 @ phi))
+        return ((a / n) * (pr.dhs * phi + pr.hs * (st.d1 @ phi))
                 - (1j * a**2 / n) * phi
-                + se * (st.d2hs * psi - st.hs * (st.d2 @ psi))
-                - (a / n) * (st.dus * psi + (st.us - p.c) * (st.d1 @ psi))
-                + a**2 * se * st.hs * psi)
+                + se * (pr.d2hs * psi - pr.hs * (st.d2 @ psi))
+                - (a / n) * (pr.dus * psi + (pr.us - p.c) * (st.d1 @ psi))
+                + a**2 * se * pr.hs * psi)
 
     def transport(self, xi):
         """The divergence splitting's leftover U_s' d_Y xi + U_s'' xi."""
-        st = self.grid_state
-        return st.dus * (st.d1 @ xi) + st.d2us * xi
+        pr = self.profile
+        return pr.dus * (self.grid_state.d1 @ xi) + pr.d2us * xi
 
     def _e_norm(self, phi, omega, psi, q2=None):
         """Weighted vorticity + velocity + magnetic norm of one step."""
@@ -376,9 +368,9 @@ class OSIteration:
         wts = bvp.weights
         dphi = bvp.d1 @ phi
         dpsi = bvp.d1 @ psi
-        st = self.grid_state
-        d2psi_m_a2 = (1j * a * (st.us - p.c) * psi
-                      - 1j * a * st.hs * phi - dphi
+        st, pr = self.grid_state, self.profile
+        d2psi_m_a2 = (1j * a * (pr.us - p.c) * psi
+                      - 1j * a * pr.hs * phi - dphi
                       - (np.zeros_like(phi) if q2 is None else q2))
         return (l2_norm(omega, wts, st.w_inv_sqrt, noise_floor=_NOISE_FLOOR)
                 + math.hypot(l2_norm(dphi, wts), a * l2_norm(phi, wts))
@@ -443,7 +435,7 @@ def assemble_error_terms(c, params, bvp):
     phi0, dphi0 = slowmode.boundary_values(p)
 
     if p.is_eighth:
-        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(p)
+        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(p, grid)
         phi_last = None
         groups = ("E1f", "E2f", "E3f", "Ff")
     else:
@@ -478,7 +470,7 @@ def error_norms(arrays, bvp):
     where U_s'' underflows still makes the norm infinite.
     """
     wts = bvp.weights
-    w_inv_sqrt = _inv_sqrt_curvature(DEFAULT_PROFILE.eval("U", 2, bvp.grid))
+    w_inv_sqrt = _inv_sqrt_curvature(profile_arrays(bvp.grid).d2us)
     return {
         "e1s_l2": l2_norm(arrays["e1s"], wts),
         "e2s_l2": l2_norm(arrays["e2s"], wts),

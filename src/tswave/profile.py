@@ -3,17 +3,23 @@
 The Hartmann pair U_s = 1 - e^{-Y}, H_s = h_inf - e^{-Y} is the one
 background of the growing mode; the numerical modules read
 ``DEFAULT_PROFILE``.  It carries the closed-form primitives of the
-near-critical-layer integrals, and ``check_structure`` verifies the
-monotonicity and strong-concavity conditions of any profile it is given.
+near-critical-layer integrals: ``critical_layer_integrals`` gives the slow
+mode's running integrals J, K and L from one e^{-Y} and one logarithm.
+``profile_arrays`` samples U_s, H_s and their first two derivatives on a
+grid from one e^{-Y}, once per grid, for the modules that read them there.
+``check_structure`` verifies the monotonicity and strong-concavity
+conditions of any profile it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StructureViolation, UnsupportedOrder
+from .numerics import grid_cache
 
 __all__ = [
     "HartmannProfile",
@@ -21,6 +27,8 @@ __all__ = [
     "StructureReport",
     "check_structure",
     "DEFAULT_PROFILE",
+    "ProfileArrays",
+    "profile_arrays",
 ]
 
 
@@ -61,12 +69,14 @@ class HartmannProfile:
         self.h_inf = float(h_inf)
 
     def eval(self, which, order, Y):
-        Y = np.asarray(Y, dtype=float)
         if which not in ("U", "H"):
             raise ValueError(f"unknown field {which!r}")
         if order < 0 or order > self.max_order[which]:
             raise UnsupportedOrder(f"{which} derivative order {order}")
-        e = np.exp(-Y)
+        return self._field(which, order, np.exp(-np.asarray(Y, dtype=float)))
+
+    def _field(self, which, order, e):
+        """``eval`` of the field at the Y where e = e^{-Y}."""
         if order == 0:
             base = 1.0 if which == "U" else self.h_inf
             return base - e
@@ -82,35 +92,54 @@ class HartmannProfile:
     # -- closed-form primitives (exact completions of the integration-by-parts
     #    representation of the inverse-square critical-layer integral) --
 
-    def _inv_square_primitive(self, Y, c_hat):
-        # F'(Y) = (U_s - c_hat)^{-2}; principal log is continuous along the
-        # real-Y path because Im(U_s - c_hat) = -Im c_hat is constant.
+    @staticmethod
+    def _inv_square_primitive(Y, b, w, log_w):
+        # F'(Y) = (U_s - c_hat)^{-2} from w = U_s - c_hat, log w and
+        # b = u_inf - c_hat; principal log is continuous along the real-Y path
+        # because Im(U_s - c_hat) = -Im c_hat is constant.
+        return Y / b**2 + log_w / b**2 - 1.0 / (b * w)
+
+    def _inv_square_at(self, Y, c_hat):
         Y = np.asarray(Y, dtype=float)
-        b = 1.0 - c_hat
         w = (1.0 - np.exp(-Y)) - c_hat
-        return Y / b**2 + np.log(w) / b**2 - 1.0 / (b * w)
+        return self._inv_square_primitive(Y, 1.0 - c_hat, w, np.log(w))
 
     def inv_square_integral(self, Y, c_hat):
         """int_1^Y (U_s - c_hat)^{-2} dX."""
-        return self._inv_square_primitive(Y, c_hat) - self._inv_square_primitive(1.0, c_hat)
+        return self._inv_square_at(Y, c_hat) - self._inv_square_at(1.0, c_hat)
 
-    def corrector_integral(self, Y, c_hat):
-        """int_0^Y U_s' (U_s - c_hat) inv_square_integral(X, c_hat) dX."""
+    def critical_layer_integrals(self, Y, c_hat):
+        """The running integrals (J, K, L) at Y from one e^{-Y} and one log w,
+        w = U_s - c_hat:
+
+        J(Y) = int_1^Y w^{-2} dX,  K(Y) = int_0^Y U_s' w J dX,
+        L(Y) = int_Y^inf U_s' w dX.
+        """
         Y = np.asarray(Y, dtype=float)
         b = 1.0 - c_hat
         e = np.exp(-Y)
+        w = (1.0 - e) - c_hat
+        log_w = np.log(w)
+        f1 = self._inv_square_at(1.0, c_hat)
+        J = self._inv_square_primitive(Y, b, w, log_w) - f1
 
-        def big_g(Yv, ev):
-            w = (1.0 - ev) - c_hat
-            return (Yv * w**2 / (2.0 * b**2)
+        def big_g(Yv, ev, w2, log_w):
+            # a primitive of U_s' w F(Y), F the primitive of w^{-2} above
+            return (Yv * w2 / (2.0 * b**2)
                     - (b**2 * Yv + 2.0 * b * ev - ev**2 / 2.0) / (2.0 * b**2)
-                    + w**2 * np.log(w) / (2.0 * b**2)
-                    - w**2 / (4.0 * b**2)
+                    + w2 * log_w / (2.0 * b**2)
+                    - w2 / (4.0 * b**2)
                     - (1.0 - ev) / b)
 
-        w = (1.0 - e) - c_hat
-        f1 = self._inv_square_primitive(1.0, c_hat)
-        return (big_g(Y, e) - big_g(0.0, 1.0)) - f1 * (w**2 - c_hat**2) / 2.0
+        w2 = w**2
+        w0 = (1.0 - 1.0) - c_hat
+        K = ((big_g(Y, e, w2, log_w) - big_g(0.0, 1.0, w0**2, np.log(w0)))
+             - f1 * (w2 - c_hat**2) / 2.0)
+        # (b^2 - w^2) / 2 written through the wake e^{-Y} = b - w; the direct
+        # difference bottoms out at one ulp once U_s saturates, which
+        # exponential weights amplify
+        L = e * (b + w) / 2.0
+        return J, K, L
 
 
 def check_structure(profile, consts=StructureConstants(), y_max=40.0, n=2001):
@@ -153,3 +182,28 @@ def check_structure(profile, consts=StructureConstants(), y_max=40.0, n=2001):
 
 
 DEFAULT_PROFILE = HartmannProfile()
+
+
+class ProfileArrays(NamedTuple):
+    """U_s and H_s with two derivatives each, sampled on one grid."""
+
+    us: np.ndarray
+    dus: np.ndarray
+    d2us: np.ndarray
+    hs: np.ndarray
+    dhs: np.ndarray
+    d2hs: np.ndarray
+
+    @property
+    def wake(self):
+        """u_inf - U_s in its exact tail form e^{-Y}, which is U_s'."""
+        return self.dus
+
+
+@grid_cache(maxsize=2)
+def profile_arrays(grid):
+    """The ``ProfileArrays`` of ``DEFAULT_PROFILE`` on one grid, from one
+    e^{-Y}; each array has the bits of its ``DEFAULT_PROFILE.eval``."""
+    e = np.exp(-grid)
+    return ProfileArrays(*(DEFAULT_PROFILE._field(which, k, e)
+                           for which in ("U", "H") for k in range(3)))

@@ -5,21 +5,30 @@ psi_{0,2} = (U_s - c_hat) * J(Y) with J(Y) the inverse-square integral from
 Y = 1, the wavenumber-corrected pair psi_{alpha,j} = e^{-alpha Y} psi_{0,j},
 the corrector Phi_1^s, and the combined slow mode
 Phi_app^s = psi_{alpha,1} + alpha Phi_1^s, all with derivatives up to order 3
-in closed form from the primitives of the Hartmann profile.  The running
-integrals J, K and L come from those closed forms, cached per (grid, c_hat);
-the tests check them against quadrature (``tests/oracles.py``).
+in closed form from the primitives of the Hartmann profile.
+
+One pass per (grid, c_hat, alpha), ``_slow_pass``, builds all of these
+arrays: psi_{0,j} and its shifts (d/dY - alpha)^k to order 3, Phi_1^s and
+Phi_app^s to order 3, and the cancelled form of dY Phi_1^s + alpha Phi_1^s.
+It reads the grid's profile arrays and the running integrals J, K and L of
+one closed-form pass per (grid, c_hat), ``_closed_forms``; both passes are
+grid caches.  ``psi0``, ``phi1s``, ``phi_app_s``, the slow mode
+``phi_app_s_mode`` and the error terms read that pass.  The tests hold it
+bit for bit to the order-by-order formulas and J, K and L to quadrature
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnsupportedOrder
 from .numerics import grid_cache
 from .params import ModeFunction
-from .profile import DEFAULT_PROFILE
+from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
     "psi0",
@@ -44,14 +53,66 @@ def _closed_forms_at(Y, chat):
 def _closed_forms(Y, chat):
     """J(Y), K(Y) and L(Y) of one (grid, c_hat) from the profile's closed-form
     primitives."""
-    J = np.asarray(DEFAULT_PROFILE.inv_square_integral(Y, chat))
-    K = np.asarray(DEFAULT_PROFILE.corrector_integral(Y, chat))
-    w = DEFAULT_PROFILE.eval("U", 0, Y) - chat
-    b = DEFAULT_PROFILE.u_inf - chat
-    # b^2 - w^2 written through the wake; the direct difference bottoms
-    # out at one ulp once U_s saturates, which exponential weights amplify
-    L = np.asarray(DEFAULT_PROFILE.wake(Y) * (b + w) / 2.0)
-    return J, K, L
+    return tuple(np.asarray(v) for v in DEFAULT_PROFILE.critical_layer_integrals(Y, chat))
+
+
+class _SlowPass(NamedTuple):
+    """The slow-mode arrays of one (grid, c_hat, alpha)."""
+
+    psi: tuple          # psi[j - 1][k]: d^k/dY^k psi_{0,j}, k = 0..3
+    phi1s: tuple        # Phi_1^s, orders 0..3
+    phi_app: tuple      # Phi_app^s, orders 0..3
+    combo: np.ndarray   # dY Phi_1^s + alpha Phi_1^s, cancelled
+
+
+def _slow_at(Y, params):
+    """The ``_slow_pass`` of these Y at the wave speed of ``params``."""
+    return _slow_pass(np.asarray(Y, dtype=float), params.c_hat, params.alpha)
+
+
+@grid_cache(maxsize=1)
+def _slow_pass(Y, chat, a):
+    """Every slow-mode array of one (grid, c_hat, alpha) in one pass.
+
+    The derivative formulas of Phi_1^s keep the two running integrals
+    intact; the Wronskian psi_{0,1} psi_{0,2}' - psi_{0,2} psi_{0,1}' = 1
+    collapses the leftover products into the explicit e^{-alpha Y}
+    correction terms of orders 2 and 3.
+    """
+    J, K, L = _closed_forms_at(Y, chat)
+    prof = profile_arrays(Y)
+    w = prof.us - chat
+    du, d2u = prof.dus, prof.d2us
+    d3u = du                    # U_s^{(3)} = U_s' = e^{-Y}
+    psi1 = (w, du + 0.0j, d2u + 0.0j, d3u + 0.0j)
+    # psi_{0,2} = w J with J' = 1 / w^2
+    psi2 = (w * J, du * J + 1.0 / w, d2u * J, d3u * J + d2u / w**2)
+
+    def shifted(psi, order):
+        """(d/dY - alpha)^order psi_{0,j} from its derivatives ``psi``."""
+        out = 0.0
+        for m in range(order + 1):
+            out = out + math.comb(order, m) * (-a) ** (order - m) * psi[m]
+        return out
+
+    ea = np.exp(-a * Y)
+    phi1s, phi_app = [], []
+    for order in range(4):
+        s1 = shifted(psi1, order)
+        p = -2.0 * s1 * ea * K - 2.0 * shifted(psi2, order) * ea * L
+        if order == 2:
+            p = p + 2.0 * du * ea
+        elif order == 3:
+            p = p + (2.0 * d2u - 6.0 * a * du) * ea
+        phi1s.append(p)
+        phi_app.append(ea * s1 + a * p)
+    combo = -2.0 * psi1[1] * ea * K - 2.0 * psi2[1] * ea * L
+    return _SlowPass((psi1, psi2), tuple(phi1s), tuple(phi_app), combo)
+
+
+def _check_order(name, order):
+    if order < 0 or order > 3:
+        raise UnsupportedOrder(f"{name} order {order}")
 
 
 def psi0(j, order, Y, params):
@@ -59,28 +120,10 @@ def psi0(j, order, Y, params):
 
     psi_{0,2} = (U_s - c_hat) J with J(Y) = int_1^Y (U_s - c_hat)^{-2} dX.
     """
-    if order < 0 or order > 3:
-        raise UnsupportedOrder(f"psi0 order {order}")
-    Y = np.asarray(Y, dtype=float)
-    chat = params.c_hat
-    if j == 1:
-        if order == 0:
-            return DEFAULT_PROFILE.eval("U", 0, Y) - chat
-        return DEFAULT_PROFILE.eval("U", order, Y) + 0.0j
-    if j != 2:
+    _check_order("psi0", order)
+    if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    J = _closed_forms_at(Y, chat)[0]
-    w = DEFAULT_PROFILE.eval("U", 0, Y) - chat
-    if order == 0:
-        return w * J
-    du = DEFAULT_PROFILE.eval("U", 1, Y)
-    if order == 1:
-        return du * J + 1.0 / w
-    d2u = DEFAULT_PROFILE.eval("U", 2, Y)
-    if order == 2:
-        return d2u * J
-    d3u = DEFAULT_PROFILE.eval("U", 3, Y)
-    return d3u * J + d2u / w**2
+    return _slow_at(Y, params).psi[j - 1][order]
 
 
 def corrector_integrals(Y, params):
@@ -94,52 +137,23 @@ def corrector_integrals(Y, params):
     return K, L
 
 
-def _shifted_derivative(j, order, Y, params):
-    """(d/dY - alpha)^order applied to psi_{0,j}."""
-    a = params.alpha
-    out = 0.0
-    for m in range(order + 1):
-        out = out + math.comb(order, m) * (-a) ** (order - m) * psi0(j, m, Y, params)
-    return out
-
-
 def phi1s(order, Y, params):
-    """Corrector Phi_1^s and derivatives up to order 3.
-
-    The derivative formulas keep the two running integrals intact; the
-    Wronskian psi_{0,1} psi_{0,2}' - psi_{0,2} psi_{0,1}' = 1 collapses the
-    leftover products into the explicit e^{-alpha Y} correction terms.
-    """
-    if order < 0 or order > 3:
-        raise UnsupportedOrder(f"phi1s order {order}")
-    Yarr = np.asarray(Y, dtype=float)
-    a = params.alpha
-    K, L = corrector_integrals(Yarr, params)
-    ea = np.exp(-a * Yarr)
-    p = (-2.0 * _shifted_derivative(1, order, Yarr, params) * ea * K
-         - 2.0 * _shifted_derivative(2, order, Yarr, params) * ea * L)
-    if order <= 1:
-        return p
-    du = DEFAULT_PROFILE.eval("U", 1, Yarr)
-    if order == 2:
-        return p + 2.0 * du * ea
-    d2u = DEFAULT_PROFILE.eval("U", 2, Yarr)
-    return p + (2.0 * d2u - 6.0 * a * du) * ea
+    """Corrector Phi_1^s and derivatives up to order 3."""
+    _check_order("phi1s", order)
+    return _slow_at(Y, params).phi1s[order]
 
 
 def phi_app_s(order, Y, params):
     """Slow mode psi_{alpha,1} + alpha Phi_1^s and derivatives up to order 3."""
-    Yarr = np.asarray(Y, dtype=float)
-    ea = np.exp(-params.alpha * Yarr)
-    base = ea * _shifted_derivative(1, order, Yarr, params)
-    return base + params.alpha * phi1s(order, Yarr, params)
+    _check_order("phi_app_s", order)
+    return _slow_at(Y, params).phi_app[order]
 
 
 def phi_app_s_mode(params):
-    """The slow mode as a ModeFunction; each (order, Y) is evaluated once
-    among the eight most recent."""
-    memo = grid_cache(maxsize=8)(lambda Y, order: phi_app_s(order, Y, params))
-    return ModeFunction(max_order=3, evaluator=lambda order, Y: memo(Y, order))
+    """The slow mode as a ModeFunction; each order is read from the slow-mode
+    pass of its grid."""
+    return ModeFunction(max_order=3,
+                        evaluator=lambda order, Y: phi_app_s(order, Y, params))
 
 
 def boundary_values(params, c_hat=None):
@@ -170,18 +184,13 @@ def damped_corrector_combo(Y, params):
     pieces only to roundoff, and exponentially weighted tail norms amplify
     that noise; this form decays like the shear itself.
     """
-    Yarr = np.asarray(Y, dtype=float)
-    K, L = corrector_integrals(Yarr, params)
-    ea = np.exp(-params.alpha * Yarr)
-    return (-2.0 * psi0(1, 1, Yarr, params) * ea * K
-            - 2.0 * psi0(2, 1, Yarr, params) * ea * L)
+    return _slow_at(Y, params).combo
 
 
 def rayleigh_residual_form(Y, params):
     """Closed form -2 alpha^2 (U_s - c_hat)(dY Phi_1^s + alpha Phi_1^s)."""
-    Yarr = np.asarray(Y, dtype=float)
-    w = DEFAULT_PROFILE.eval("U", 0, Yarr) - params.c_hat
-    return -2.0 * params.alpha**2 * w * damped_corrector_combo(Yarr, params)
+    slow = _slow_at(Y, params)
+    return -2.0 * params.alpha**2 * slow.psi[0][0] * slow.combo
 
 
 def slow_errors(group, Y, params, psi_app_s, phi_mode):
@@ -198,13 +207,14 @@ def slow_errors(group, Y, params, psi_app_s, phi_mode):
     n = params.n
     se = params.sqrt_eps
     c = params.c
-    hs = DEFAULT_PROFILE.eval("H", 0, Yarr)
+    prof = profile_arrays(Yarr)
+    hs = prof.hs
 
     def phi(order):
         return phi_mode.eval(order, Yarr)
 
     if group == 1:
-        us = DEFAULT_PROFILE.eval("U", 0, Yarr)
+        us = prof.us
         return ((1j / n) * (phi(3) - 2.0 * a**2 * phi(1))
                 - se * hs * psi_app_s.eval(1, Yarr)
                 - (a / n) * ((us - c) * psi_app_s.eval(0, Yarr) - hs * phi(0)))
@@ -212,8 +222,6 @@ def slow_errors(group, Y, params, psi_app_s, phi_mode):
         return ((a**3 / n) * phi(0)
                 - 1j * a * se * hs * psi_app_s.eval(0, Yarr)
                 - (a / n) * phi(0))
-    dhs = DEFAULT_PROFILE.eval("H", 1, Yarr)
-    d2hs = DEFAULT_PROFILE.eval("H", 2, Yarr)
     return (rayleigh_residual_form(Yarr, params)
-            + se * dhs * psi_app_s.eval(1, Yarr)
-            + se * d2hs * psi_app_s.eval(0, Yarr))
+            + se * prof.dhs * psi_app_s.eval(1, Yarr)
+            + se * prof.d2hs * psi_app_s.eval(0, Yarr))

@@ -1,13 +1,15 @@
 """Independent oracles shared by the tests.
 
 Adaptive Gauss-Kronrod quadrature on segments and rays, the slow-mode
-running integrals J, K and L by that quadrature, the pointwise operators
+running integrals J, K and L by that quadrature, the slow mode evaluated
+quantity by quantity and order by order, the pointwise operators
 and norms the tests apply to computed modes, the exact dispersion
 function by alternating the two splittings, the Airy Maclaurin series as a
 loop that checks its stopping rule after every term, Newton's iteration
 with one call of the function per point, and the exponential fast hierarchy
 computed on every node of its grid.  None of this is on a path of the
-program: the tests compare the program's closed forms, its one-LU remainder
+program: the tests compare the program's closed forms, its one-pass slow
+mode and per-grid profile arrays, its one-LU remainder
 solves, its blocked series recurrence, its Newton iteration and its
 hierarchy cut to the support of e^{-varpi Y} against it.  The tests that
 compare evaluation orders start from empty grid caches (``clear_grid_caches``).
@@ -243,7 +245,8 @@ def _quad_jkl(Y, chat):
 def quadrature_integrals():
     """Within this block the slow mode reads J, K and L from quadrature: the
     production formulas then run on the oracle's integrals, bypassing the
-    closed-form cache.  Each (Y, c_hat) is integrated once per block."""
+    closed-form and slow-mode caches.  Each (Y, c_hat) is integrated once per
+    block."""
     memo = {}
 
     def supply(Y, chat):
@@ -255,9 +258,134 @@ def quadrature_integrals():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slowmode, "_closed_forms_at", supply)
+        mp.setattr(slowmode, "_slow_pass", slowmode._slow_pass.__wrapped__)
         mp.setattr(HartmannProfile, "inv_square_integral",
                    lambda self, Y, chat: _j_array(Y, chat))
         yield
+
+
+# -- the slow mode order by order ---------------------------------------------
+#
+# Each function below evaluates one quantity on its own, with the arithmetic
+# of its closed form: the profile fields from their own e^{-Y}, J and K from
+# their own primitives, psi_{0,j} per derivative order and the shifts, the
+# corrector and the slow mode per order from those.  The program builds all
+# of them in one pass; the tests hold that pass to these bit for bit.
+
+def profile_field(which, order, Y):
+    """U_s = 1 - e^{-Y} or H_s = h_inf - e^{-Y} (``DEFAULT_PROFILE``), or
+    its derivative of the given order, from a fresh e^{-Y}."""
+    e = np.exp(-np.asarray(Y, dtype=float))
+    if order == 0:
+        return (1.0 if which == "U" else DEFAULT_PROFILE.h_inf) - e
+    return (-1.0) ** (order + 1) * e
+
+
+def _inv_square_primitive(Y, c_hat):
+    Y = np.asarray(Y, dtype=float)
+    b = 1.0 - c_hat
+    w = (1.0 - np.exp(-Y)) - c_hat
+    return Y / b**2 + np.log(w) / b**2 - 1.0 / (b * w)
+
+
+def inv_square_integral(Y, c_hat):
+    """J(Y) = int_1^Y (U_s - c_hat)^{-2} dX."""
+    return _inv_square_primitive(Y, c_hat) - _inv_square_primitive(1.0, c_hat)
+
+
+def corrector_integral(Y, c_hat):
+    """K(Y) = int_0^Y U_s' (U_s - c_hat) J(X) dX."""
+    Y = np.asarray(Y, dtype=float)
+    b = 1.0 - c_hat
+    e = np.exp(-Y)
+
+    def big_g(Yv, ev):
+        w = (1.0 - ev) - c_hat
+        return (Yv * w**2 / (2.0 * b**2)
+                - (b**2 * Yv + 2.0 * b * ev - ev**2 / 2.0) / (2.0 * b**2)
+                + w**2 * np.log(w) / (2.0 * b**2)
+                - w**2 / (4.0 * b**2)
+                - (1.0 - ev) / b)
+
+    w = (1.0 - e) - c_hat
+    f1 = _inv_square_primitive(1.0, c_hat)
+    return (big_g(Y, e) - big_g(0.0, 1.0)) - f1 * (w**2 - c_hat**2) / 2.0
+
+
+def closed_forms(Y, chat):
+    """(J, K, L) at these Y; L = int_Y^inf U_s' (U_s - c_hat) through the wake."""
+    w = profile_field("U", 0, Y) - chat
+    b = DEFAULT_PROFILE.u_inf - chat
+    return (np.asarray(inv_square_integral(Y, chat)),
+            np.asarray(corrector_integral(Y, chat)),
+            np.asarray(DEFAULT_PROFILE.wake(Y) * (b + w) / 2.0))
+
+
+def psi0(j, order, Y, params):
+    """d^order/dY^order psi_{0,j}: psi_{0,1} = U_s - c_hat, psi_{0,2} =
+    (U_s - c_hat) J."""
+    Y = np.asarray(Y, dtype=float)
+    chat = params.c_hat
+    if j == 1:
+        if order == 0:
+            return profile_field("U", 0, Y) - chat
+        return profile_field("U", order, Y) + 0.0j
+    J = closed_forms(Y, chat)[0]
+    w = profile_field("U", 0, Y) - chat
+    if order == 0:
+        return w * J
+    du = profile_field("U", 1, Y)
+    if order == 1:
+        return du * J + 1.0 / w
+    d2u = profile_field("U", 2, Y)
+    if order == 2:
+        return d2u * J
+    d3u = profile_field("U", 3, Y)
+    return d3u * J + d2u / w**2
+
+
+def shifted_derivative(j, order, Y, params):
+    """(d/dY - alpha)^order applied to psi_{0,j}."""
+    a = params.alpha
+    out = 0.0
+    for m in range(order + 1):
+        out = out + math.comb(order, m) * (-a) ** (order - m) * psi0(j, m, Y, params)
+    return out
+
+
+def phi1s(order, Y, params):
+    """Corrector Phi_1^s of the given derivative order."""
+    Yarr = np.asarray(Y, dtype=float)
+    a = params.alpha
+    _, K, L = closed_forms(Yarr, params.c_hat)
+    ea = np.exp(-a * Yarr)
+    p = (-2.0 * shifted_derivative(1, order, Yarr, params) * ea * K
+         - 2.0 * shifted_derivative(2, order, Yarr, params) * ea * L)
+    if order <= 1:
+        return p
+    du = profile_field("U", 1, Yarr)
+    if order == 2:
+        return p + 2.0 * du * ea
+    d2u = profile_field("U", 2, Yarr)
+    return p + (2.0 * d2u - 6.0 * a * du) * ea
+
+
+def phi_app_s(order, Y, params):
+    """Slow mode psi_{alpha,1} + alpha Phi_1^s of the given derivative order."""
+    Yarr = np.asarray(Y, dtype=float)
+    ea = np.exp(-params.alpha * Yarr)
+    base = ea * shifted_derivative(1, order, Yarr, params)
+    return base + params.alpha * phi1s(order, Yarr, params)
+
+
+def damped_corrector_combo(Y, params):
+    """dY Phi_1^s + alpha Phi_1^s as -2 psi_{0,1}' e^{-alpha Y} K
+    - 2 psi_{0,2}' e^{-alpha Y} L."""
+    Yarr = np.asarray(Y, dtype=float)
+    _, K, L = closed_forms(Yarr, params.c_hat)
+    ea = np.exp(-params.alpha * Yarr)
+    return (-2.0 * psi0(1, 1, Yarr, params) * ea * K
+            - 2.0 * psi0(2, 1, Yarr, params) * ea * L)
 
 
 def clear_grid_caches():

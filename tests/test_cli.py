@@ -210,9 +210,13 @@ class TestSubcommandOptions:
 
         for name in ("sweep", "root", "audit", "validate", "export_mode"):
             monkeypatch.setattr(cli, f"cmd_{name}", build_only)
+        # RunConfig refuses fewer than 16 grid nodes or winding samples; the
+        # refusal tests above need only a flag or key the handler does not read
+        values = {**_VALUES, "grid_n": ("--grid-n 300", "300"),
+                  "init_samples": (None, "32")}
         for command, keys in _READ.items():
             for key in keys:
-                flag, value = _VALUES[key]
+                flag, value = values[key]
                 path.write_text(f"{key}={value}\n")
                 argv = [command, *_regime_argv(key)]
                 assert cli.main([*argv, "--config", str(path)]) == 0, (command, key)
@@ -616,10 +620,20 @@ def test_export_refuses_overflowing_time(capsys):
      "amplitude must be positive and finite, got nan"),
     (["root", "--A", "2", "--eps", "1e-12"], "newton_tol=nan\n",
      "newton_tol must be positive and finite, got nan"),
-], ids=["export-nan-time", "audit-zero-ymax", "validate-nan-amplitude", "root-nan-tol"])
+    (["sweep", "--A", "2", "--eps", "1e-12", "--ymax", "nan", "--grid-n", "100"], None,
+     "grid far end must be positive and finite, got nan"),
+    (["sweep", "--A", "2", "--eps", "1e-12", "--grid-n", "10"], None,
+     "grid_n must be at least 16, got 10"),
+    (["root", "--M", "1", "--beta", "0.11", "--eps", "1e-24", "--r3", "nan"], None,
+     "r3 must lie in (0, sqrt(2)/2), got nan"),
+    (["sweep", "--A", "2", "--eps", "1e-12"], "init_samples=8\n",
+     "init_samples must be at least 16, got 8"),
+], ids=["export-nan-time", "audit-zero-ymax", "validate-nan-amplitude", "root-nan-tol",
+        "sweep-nan-ymax", "sweep-coarse-grid", "root-nan-r3", "sweep-few-samples"])
 def test_nan_and_degenerate_inputs_are_refused(capsys, tmp_path, argv, config, message):
     # a NaN passes a "> limit" or "<= 0" check; each of these used to write
-    # NaN output, end in a traceback or report a misleading Newton failure
+    # NaN output, end in a traceback, report a misleading Newton failure or,
+    # for a grid or winding setting, certify Gamma0 before failing the row
     if config is not None:
         path = tmp_path / "run.cfg"
         path.write_text(config)

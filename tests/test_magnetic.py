@@ -1,5 +1,6 @@
 import math
 import typing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,16 +94,13 @@ class TestSolve:
     def test_noncontraction_detector(self, monkeypatch):
         # a wake decaying too slowly (and too large) breaks the contraction;
         # the runtime detector is the admissibility check
-        class BadWake:
-            def eval(self, which, order, Y):
-                return 1.0 - self.wake(Y)
-
-            def wake(self, Y):
-                return 6.0 / (1.0 + np.asarray(Y, dtype=float))
+        def bad_wake(grid):
+            wake = 6.0 / (1.0 + np.asarray(grid, dtype=float))
+            return SimpleNamespace(us=1.0 - wake, wake=wake)
 
         p = SpectralParams(eps=0.5, amplitude=0.95 / 0.5 ** 0.125).with_c(0.05 + 0.01j)
         prob = MagneticProblem(params=p, phi_b=1.0 + 0.0j, f=exp_source())
-        monkeypatch.setattr(magnetic, "DEFAULT_PROFILE", BadWake())
+        monkeypatch.setattr(magnetic, "profile_arrays", bad_wake)
         with pytest.raises(NonContraction):
             solve_magnetic(prob, tol=1e-11)
 

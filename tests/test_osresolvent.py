@@ -17,7 +17,7 @@ from tswave import airy, dispersion, fastmode, osresolvent, slowmode
 from tswave.errors import SingularSystem
 from tswave.numerics import l2_norm
 from tswave.params import SpectralParams
-from tswave.profile import DEFAULT_PROFILE, HartmannProfile
+from tswave.profile import DEFAULT_PROFILE, HartmannProfile, profile_arrays
 
 
 def basin_params(eps=1e-12, A=2.0):
@@ -757,8 +757,7 @@ class TestPerGridState:
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=200)
         state = osresolvent._grid_state(bvp.grid)
-        arrays = [state.us, state.dus, state.d2us, state.hs, state.dhs, state.d2hs,
-                  state.w_inv_sqrt]
+        arrays = [*profile_arrays(bvp.grid), state.w_inv_sqrt]
         for st in (state.d1, state.d2):
             arrays += [st.lo, st.mid, st.hi, st.first, st.last]
         op = osresolvent._affine_operator(bvp.grid, bvp.boundary, replace(p, c=None),
@@ -808,22 +807,19 @@ class TestPerGridState:
         finally:
             gc.enable()
 
-    def test_slow_mode_evaluated_once_per_order(self, monkeypatch):
+    def test_slow_mode_evaluated_once_per_order(self):
+        # every order of the slow mode, of the corrector and of psi_{0,j}
+        # comes from one slow-mode pass of the grid, which reads one
+        # closed-form pass and one set of profile arrays
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=300)
-        calls = []
-        phi_app_s = slowmode.phi_app_s
-
-        def counted(order, Y, *args):
-            calls.append((order, np.size(Y)))
-            return phi_app_s(order, Y, *args)
-
-        monkeypatch.setattr(slowmode, "phi_app_s", counted)
+        clear_grid_caches()
         osresolvent.assemble_error_terms(p.c, p, bvp)
-        assert sorted(calls) == [(k, bvp.n) for k in (0, 1, 3)]
+        for cache in (slowmode._slow_pass, slowmode._closed_forms, profile_arrays):
+            assert cache.cache_info().misses == 1
 
     def test_error_terms_evaluate_closed_forms_once_and_fit_no_spline(self, monkeypatch):
-        # J and the corrector integral K are evaluated once on the grid, and
+        # J, K and L are evaluated in one closed-form pass on the grid, and
         # every grid-backed mode is read at its own nodes, from its samples
         from scipy import interpolate
 
@@ -831,7 +827,7 @@ class TestPerGridState:
         bvp = osresolvent.build_bvp(p, n_nodes=1600)
         clear_grid_caches()
         calls = []
-        for name in ("inv_square_integral", "corrector_integral"):
+        for name in ("inv_square_integral", "critical_layer_integrals"):
             method = getattr(HartmannProfile, name)
 
             def counted(self, Y, chat, method=method, name=name):
@@ -849,7 +845,7 @@ class TestPerGridState:
 
         monkeypatch.setattr(interpolate, "CubicSpline", counted_fit)
         osresolvent.assemble_error_terms(p.c, p, bvp)
-        assert sorted(calls) == ["corrector_integral", "inv_square_integral"]
+        assert calls == ["critical_layer_integrals"]
         assert fits == []
 
     def test_beta_error_terms_fit_no_spline(self, monkeypatch):
@@ -876,11 +872,11 @@ class TestPerGridState:
     @pytest.mark.parametrize("A, eps, t", [(2.0, 1e-12, 2.0), (3.0, 1e-15, 0.5),
                                            (4.0, 1e-24, 1.0)])
     def test_error_terms_evaluate_airy_once_at_the_wall(self, A, eps, t, monkeypatch):
-        # Gamma0's Ai(1, z0) and Ai(2, z0), the fast pair's denominator and
-        # Psi_f(0) come from one Airy evaluation at the wall, the error terms
-        # from one block on the grid; every value is the one of the separate
-        # evaluations, bit for bit.  At the first two wave speeds Gamma0's
-        # array-formed z0 can differ from params.z0 in its last bit.
+        # Gamma0's Ai(1, z0) and Ai(2, z0), the fast pair's denominator,
+        # Psi_f(0) and the error terms' block on the grid come from one Airy
+        # evaluation; every value is the one of the separate evaluations, bit
+        # for bit.  At the first two wave speeds Gamma0's array-formed z0 can
+        # differ from params.z0 in its last bit.
         p0 = SpectralParams.eighth(A, eps)
         disk = dispersion.disk_eighth(p0)
         p = p0.with_c(p0.chat_to_c(disk.center + 0.5 * disk.radius * np.exp(1j * t)))
@@ -894,7 +890,7 @@ class TestPerGridState:
 
         monkeypatch.setattr(airy, "_ai_any", counted)
         _, gamma0_val, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
-        assert calls == [((1, 2), 2), ((0, 1, 2, 3), bvp.n)]
+        assert calls == [((0, 1, 2, 3), bvp.n + 2)]
 
         monkeypatch.setattr(airy, "_ai_any", ai_any)
         assert gamma0_val == dispersion.gamma0(p.c, p)

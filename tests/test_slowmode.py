@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import Segment, quad_segment, quadrature_integrals, rayleigh_apply
-from tswave import dispersion, slowmode
+import oracles
+from oracles import (Segment, clear_grid_caches, quad_segment, quadrature_integrals,
+                     rayleigh_apply)
+from tswave import dispersion, osresolvent, slowmode
 from tswave.params import SpectralParams
+from tswave.profile import DEFAULT_PROFILE, profile_arrays
 
 P12 = SpectralParams.eighth(2.0, 1e-12)
 CENTER12 = (2.0 + np.exp(1j * math.pi / 4.0) / 2.0) * 1e-12 ** 0.125
@@ -212,34 +215,99 @@ class TestSlowMode:
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-8
 
 
+def _same_bits(a, b):
+    """Equal values with equal signs of zero, NaN matching NaN."""
+    a, b = (np.ascontiguousarray(x).view(float) for x in (a, b))
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _beta_point():
+    p0 = SpectralParams.beta_regime(1.0, 0.11, 1e-24)
+    return p0.with_c(dispersion.center_beta(p0)), None
+
+
+def _eighth_point(A, eps, t, y_max=None):
+    p0 = SpectralParams.eighth(A, eps)
+    disk = dispersion.disk_eighth(p0)
+    chat = disk.center + 0.5 * disk.radius * np.exp(1j * t)
+    return p0.with_c(p0.chat_to_c(chat)), y_max
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("point", [
+        (_eighth_point, (2.0, 1e-12, 2.0)), (_eighth_point, (3.0, 1e-15, 0.5)),
+        (_eighth_point, (4.0, 1e-24, 1.0)), (_beta_point, ()),
+        (_eighth_point, (2.0, 1e-12, 2.0, 800.0))],
+        ids=["A2", "A3", "A4", "beta", "A2-past-745"])
+    def test_one_pass_equals_order_by_order_formulas(self, point):
+        # every array of the slow-mode pass, the closed-form pass and the
+        # per-grid profile arrays against the formulas evaluated one
+        # quantity and one order at a time, bit for bit; the beta grid and
+        # the last one reach past Y = 745, where e^{-Y} underflows
+        make, args = point
+        p, y_max = make(*args)
+        grid = osresolvent.build_bvp(p, n_nodes=400, y_max=y_max).grid
+        clear_grid_caches()
+        prof = profile_arrays(grid)
+        fields = [("U", k) for k in range(3)] + [("H", k) for k in range(3)]
+        for arr, (which, k) in zip(prof, fields):
+            assert _same_bits(arr, oracles.profile_field(which, k, grid))
+            assert _same_bits(arr, DEFAULT_PROFILE.eval(which, k, grid))
+        if grid[-1] > 745.0:
+            assert prof.d2us[-1] == 0.0 and np.signbit(prof.d2us[-1])
+        for arr, ref in zip(slowmode._closed_forms_at(grid, p.c_hat),
+                            oracles.closed_forms(grid, p.c_hat)):
+            assert _same_bits(arr, ref)
+        mode = slowmode.phi_app_s_mode(p)
+        for k in range(4):
+            for j in (1, 2):
+                assert _same_bits(slowmode.psi0(j, k, grid, p),
+                                  oracles.psi0(j, k, grid, p))
+            assert _same_bits(slowmode.phi1s(k, grid, p), oracles.phi1s(k, grid, p))
+            ref = oracles.phi_app_s(k, grid, p)
+            assert _same_bits(slowmode.phi_app_s(k, grid, p), ref)
+            assert _same_bits(mode.eval(k, grid), ref)
+        combo = oracles.damped_corrector_combo(grid, p)
+        assert _same_bits(slowmode.damped_corrector_combo(grid, p), combo)
+        assert _same_bits(slowmode.rayleigh_residual_form(grid, p),
+                          -2.0 * p.alpha**2 * oracles.psi0(1, 0, grid, p) * combo)
+        assert slowmode._slow_pass.cache_info().misses == 1
+
+
 class TestClosedFormCache:
     def test_cached_mode_equals_fresh_evaluation(self, monkeypatch):
-        # J, K and L are cached per (grid, c_hat); the slow mode and
-        # its error terms read the cache, and equal a fresh evaluation
+        # J, K and L are cached per (grid, c_hat) and the slow-mode pass per
+        # (grid, c_hat, alpha); the slow mode and its error terms read the
+        # caches, and equal a fresh evaluation
         p = params_at()
         Y = 40.0 * np.linspace(0.0, 1.0, 400) ** 3
         mode = slowmode.phi_app_s_mode(p)
         cached = [mode.eval(k, Y) for k in range(4)]
         combo = slowmode.damped_corrector_combo(Y, p)
         assert slowmode._closed_forms.cache_info().currsize >= 1
-        monkeypatch.setattr(slowmode, "_closed_forms", slowmode._closed_forms.__wrapped__)
+        for name in ("_closed_forms", "_slow_pass"):
+            monkeypatch.setattr(slowmode, name, getattr(slowmode, name).__wrapped__)
         for k in range(4):
             assert np.array_equal(cached[k], slowmode.phi_app_s(k, Y, p))
         assert np.array_equal(combo, slowmode.damped_corrector_combo(Y, p))
 
     def test_quadrature_oracle_stays_uncached(self):
         # every read of J, K and L goes through the supply the oracle
-        # replaces, so no oracle comparison meets the closed-form cache
+        # replaces, so no oracle comparison meets the closed-form or the
+        # slow-mode cache
         p = params_at()
         Y = np.array([0.3, 2.0])
         closed = slowmode.psi0(2, 0, Y, p)
-        before = slowmode._closed_forms.cache_info()
+        caches = (slowmode._closed_forms, slowmode._slow_pass)
+        before = [c.cache_info() for c in caches]
         with quadrature_integrals():
             quad = slowmode.psi0(2, 0, Y, p)
             slowmode.corrector_integrals(Y, p)
             slowmode.phi_app_s(3, Y, p)
             slowmode.damped_corrector_combo(Y, p)
-        assert slowmode._closed_forms.cache_info() == before
+        assert [c.cache_info() for c in caches] == before
+        assert not np.array_equal(quad, closed)
         assert np.allclose(quad, closed, rtol=1e-9)
 
 
