@@ -94,14 +94,14 @@ def _gamma0(chat, ai1, ai2, params):
 
 
 def gamma0_and_fast_pair(params, grid):
-    """``gamma0`` at the wave speed of ``params`` together with its
-    ``fastmode.fast_mode_pair``, whose primitives on ``grid`` come from the
-    same Airy evaluation.
+    """``gamma0`` at the wave speed of ``params`` together with the Airy fast
+    mode on ``grid`` from the same Airy evaluation: Phi_app^f of orders 0..2
+    and Psi_app^f of orders 0..1, each ``fastmode.airy_fast`` on the grid.
 
     The one evaluation holds orders 0..3 at two wall offsets and on the grid.
     The wall offsets are Gamma0's, formed in array arithmetic as in
-    ``gamma0``, and the pair's ``params.z0``, formed in scalar arithmetic,
-    which can round one ulp away from it; the grid block is the pair's
+    ``gamma0``, and the fast mode's ``params.z0``, formed in scalar
+    arithmetic, which can round one ulp away from it; the grid block is
     Y / delta + z0.  Each element of one evaluation takes the terms it would
     take alone, so every value is that of its separate evaluation.
     """
@@ -112,8 +112,10 @@ def gamma0_and_fast_pair(params, grid):
     grid = np.asarray(grid, dtype=float)
     ai = airy._ai_any((0, 1, 2, 3),
                       np.concatenate([wall, grid / params.delta + params.z0]))
-    pair = fastmode.fast_mode_pair(params, den=ai[2, 1], samples=(grid, ai[:, 2:]))
-    return complex(_gamma0(chat, ai[1, :1], ai[2, :1], params)[0]), pair
+    ratios = ai[:, 2:] / ai[2, 1]
+    phi = tuple(fastmode.airy_fast("Phi", o, grid, params, ratios) for o in range(3))
+    psi = tuple(fastmode.airy_fast("Psi", o, grid, params, ratios) for o in range(2))
+    return complex(_gamma0(chat, ai[1, :1], ai[2, :1], params)[0]), (phi, psi)
 
 
 def gamma_ref_hat(h, params):

@@ -3,8 +3,10 @@
 In the eps^{1/8} regime the fast mode is built from ratios of Airy
 primitives evaluated at z + z0 with z = Y / delta; in the smaller-beta regime
 it is an exponential hierarchy Phi_0 = e^{-varpi Y} plus iterated
-double-integral corrections.  Both regimes expose ModeFunction views and the
-corresponding error terms of the full system.
+double-integral corrections.  The error terms of the full system take the
+fast mode as arrays on their grid by derivative order: ``airy_fast`` on a
+given block of Airy ratios, or the hierarchy's level sums.  The Airy mode has
+a ModeFunction view, ``fast_mode_pair``, for evaluation at any Y.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from .numerics import (
     backward_exp_integral,
     forward_exp_integral,
     graded_grid,
-    grid_cache,
     tail_trapezoid,
 )
-from .params import ModeFunction, mode_from_grid
+from .params import ModeFunction
 from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
     "check_sublayer_scales",
-    "airy_ratios",
     "airy_fast",
     "fast_mode_pair",
     "ExpFastHierarchy",
@@ -50,36 +50,14 @@ def check_sublayer_scales(params):
             f"arg z0 = {np.angle(z0):.6f} outside (-5pi/6, -5pi/6 + 0.35)")
 
 
-def airy_ratios(params, den=None, samples=None):
-    """Ai(k, Y/delta + z0)/Ai(2, z0) of the eps^{1/8} fast mode as
-    ``ratio(k, Y)``, k in 0..3.
-
-    The four orders are evaluated as one block per grid.  ``den`` is
-    Ai(2, z0) and ``samples`` a pair (grid, block of Ai(k, grid/delta + z0),
-    k = 0..3) when the caller has evaluated them already.
-    """
-    delta = params.delta
-    z0 = params.z0
-    if den is None:
-        den = airy.ai_k(2, z0)
-    grid, block = (None, None) if samples is None else samples
-
-    def primitives(Y):
-        if grid is not None and Y.shape == grid.shape and Y.tobytes() == grid.tobytes():
-            return block
-        return airy._ai_any((0, 1, 2, 3), Y / delta + z0)
-
-    memo = grid_cache(maxsize=8)(lambda Y: primitives(Y) / den)
-    return lambda k, Y: memo(Y)[k]
-
-
-def airy_fast(which, order, Y, params, primitives=None):
+def airy_fast(which, order, Y, params, ratios=None):
     """Airy fast mode (eps^{1/8} regime): Phi = Ai(2, z+z0)/Ai(2, z0) in the
     sub-layer variable, Psi = delta * (-Ai(3, z+z0))/Ai(2, z0), each to
     order 2.
 
-    ``primitives`` is the ``airy_ratios`` of ``params``; ``fast_mode_pair``
-    passes its own, which keeps each grid's primitives across calls.
+    ``ratios`` is the block Ai(k, Y/delta + z0)/Ai(2, z0), k = 0..3, at these
+    Y when the caller has evaluated it; otherwise the four orders are
+    evaluated here as one block.
     """
     if not params.is_eighth:
         raise RegimeMismatch("airy_fast is the eps^{1/8}-regime fast mode")
@@ -88,28 +66,25 @@ def airy_fast(which, order, Y, params, primitives=None):
     if order < 0 or order > 2:
         raise UnsupportedOrder(f"{which} order {order}")
     delta = params.delta
-    if primitives is None:
-        primitives = airy_ratios(params)
+    if ratios is None:
+        z0 = params.z0
+        den = airy.ai_k(2, z0)
+        ratios = airy._ai_any((0, 1, 2, 3), np.asarray(Y, dtype=float) / delta + z0) / den
     if which == "Phi":
-        return delta ** (-order) * primitives(2 - order, Y)
-    return -delta ** (1 - order) * primitives(3 - order, Y)
+        return delta ** (-order) * ratios[2 - order]
+    return -delta ** (1 - order) * ratios[3 - order]
 
 
-def fast_mode_pair(params, den=None, samples=None):
-    """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime.
-
-    Phi order o and Psi order o + 1 share the primitive Ai(2 - o, z + z0);
-    both read one ``airy_ratios``, so each grid's primitives are evaluated
-    once.  ``den`` and ``samples`` are passed on to it.
-    """
+def fast_mode_pair(params):
+    """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime: the
+    closed-form ``airy_fast`` at any Y."""
     if not params.is_eighth:
         raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
     check_sublayer_scales(params)
-    ratio = airy_ratios(params, den, samples)
 
     def mode(which):
-        return ModeFunction(
-            max_order=2, evaluator=lambda o, Y: airy_fast(which, o, Y, params, ratio))
+        return ModeFunction(max_order=2,
+                            evaluator=lambda o, Y: airy_fast(which, o, Y, params))
 
     return mode("Phi"), mode("Psi")
 
@@ -217,25 +192,14 @@ class ExpFastHierarchy:
         """sum_{k>=1} dY Phi_k^f(0), the hierarchy part of the dispersion slope."""
         return sum(d[0] for d in self.dphi_levels[1:])
 
-    def level_mode(self, k):
-        return mode_from_grid(self.grid,
-                              [self.phi_levels[k], self.dphi_levels[k],
-                               self.d2phi_levels[k]])
 
-    def mode(self, which):
-        if which == "Phi":
-            arrays = [self.sum_arrays("Phi", o) for o in range(3)]
-        else:
-            arrays = [self.sum_arrays("Psi", o) for o in range(3)]
-        return mode_from_grid(self.grid, arrays)
-
-
-def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,
-                phi_last=None):
+def fast_errors(group, Y, params, slow_boundary_value, phi, psi, phi_last=None):
     """Fast-mode error terms, verbatim per regime.
 
-    ``phi_last`` (the highest hierarchy level) enters only the beta-regime
-    divergence term group 'E1f_beta'.
+    ``phi`` and ``psi`` hold Phi_app^f and Psi_app^f at Y by derivative
+    order: Phi to order 2 ('E3f' reads it) and Psi to order 1.  ``phi_last``,
+    the highest hierarchy level and its first derivative at Y, enters only
+    the beta-regime divergence term group 'E1f_beta'.
     """
     Yarr = np.asarray(Y, dtype=float)
     a = params.alpha
@@ -245,44 +209,42 @@ def fast_errors(group, Y, params, slow_boundary_value, phi_app_f, psi_app_f,
     chat = params.c_hat
     B = complex(slow_boundary_value)
     us, dus, d2us, hs, dhs, d2hs = profile_arrays(Yarr)
-    phi = phi_app_f
-    psi = psi_app_f
 
     if group == "E1f":
-        return -B * ((-2j * a**2 / n) * phi.eval(1, Yarr)
-                     - se * hs * psi.eval(1, Yarr)
-                     - (a / n) * (us - c) * psi.eval(0, Yarr)
-                     + (a / n) * hs * phi.eval(0, Yarr))
+        return -B * ((-2j * a**2 / n) * phi[1]
+                     - se * hs * psi[1]
+                     - (a / n) * (us - c) * psi[0]
+                     + (a / n) * hs * phi[0])
     if group == "E2f":
-        return -B * ((a**3 / n) * phi.eval(0, Yarr)
-                     + 1j * a * (us - chat) * phi.eval(0, Yarr)
-                     - (a / n) * phi.eval(0, Yarr)
-                     - 1j * a * se * hs * psi.eval(0, Yarr))
+        return -B * ((a**3 / n) * phi[0]
+                     + 1j * a * (us - chat) * phi[0]
+                     - (a / n) * phi[0]
+                     - 1j * a * se * hs * psi[0])
     if group == "E3f":
         slope0 = DEFAULT_PROFILE.eval("U", 1, 0.0)
-        return -B * ((us - slope0 * Yarr) * phi.eval(2, Yarr)
-                     - d2us * phi.eval(0, Yarr)
-                     + se * dhs * psi.eval(1, Yarr)
-                     + se * d2hs * psi.eval(0, Yarr))
+        return -B * ((us - slope0 * Yarr) * phi[2]
+                     - d2us * phi[0]
+                     + se * dhs * psi[1]
+                     + se * d2hs * psi[0])
     if group == "Ff" or group == "Ff_beta":
-        return -B * (a**2 * psi.eval(0, Yarr)
-                     + 1j * a * (us - c) * psi.eval(0, Yarr)
-                     - 1j * a * hs * phi.eval(0, Yarr))
+        return -B * (a**2 * psi[0]
+                     + 1j * a * (us - c) * psi[0]
+                     - 1j * a * hs * phi[0])
     if group == "E1f_beta":
         if phi_last is None:
             raise ValueError("E1f_beta needs the top hierarchy level phi_last")
-        return -B * ((-1j / n) * (2.0 * a**2 + 1.0) * phi.eval(1, Yarr)
-                     + us * phi_last.eval(1, Yarr)
-                     - dus * phi_last.eval(0, Yarr)
-                     - se * hs * psi.eval(1, Yarr)
-                     - (a / n) * (us - c) * psi.eval(0, Yarr)
-                     + (a / n) * hs * phi.eval(0, Yarr))
+        return -B * ((-1j / n) * (2.0 * a**2 + 1.0) * phi[1]
+                     + us * phi_last[1]
+                     - dus * phi_last[0]
+                     - se * hs * psi[1]
+                     - (a / n) * (us - c) * psi[0]
+                     + (a / n) * hs * phi[0])
     if group == "E2f_beta":
-        return -B * ((a / n) * (a**2 - 1.0) * phi.eval(0, Yarr)
-                     + 1j * a * (us - chat) * phi.eval(0, Yarr)
-                     - 1j * a * se * hs * psi.eval(0, Yarr))
+        return -B * ((a / n) * (a**2 - 1.0) * phi[0]
+                     + 1j * a * (us - chat) * phi[0]
+                     - 1j * a * se * hs * psi[0])
     if group == "E3f_beta":
-        return -B * (se * dhs * psi.eval(1, Yarr) + se * d2hs * psi.eval(0, Yarr))
+        return -B * (se * dhs * psi[1] + se * d2hs * psi[0])
     raise ValueError(f"unknown error group {group!r}")
 
 

@@ -4,7 +4,9 @@ Solves -(dYY - alpha^2) phi + i alpha (U_s - c) phi = f with phi(0) = phi_b
 and decay at infinity by splitting off the lift e^{-xi Y} phi_b,
 xi = sqrt(i alpha + alpha^2 - i alpha c) with Re xi > 0, and iterating the
 mild (double-integral) formulation of the remainder.  The per-step gap in the
-e^{eta Y}-weighted sup norm contracts like O(alpha).
+e^{eta Y}-weighted sup norm contracts like O(alpha).  The source is sampled
+on the solve grid, and the solution comes back there with its first two
+derivatives.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import NonContraction, NonConvergence
 from .numerics import backward_exp_integral, forward_exp_integral, graded_grid
-from .params import ModeFunction, SpectralParams, mode_from_grid
+from .params import SpectralParams
 from .profile import profile_arrays
 
 __all__ = ["MagneticProblem", "MagneticTrace", "solve_magnetic",
@@ -38,20 +40,23 @@ class MagneticTrace:
 @dataclass
 class MagneticProblem:
     """Data for one magnetic solve: wavenumber/speed via params, boundary
-    value, source (as a ModeFunction so the tail envelope is known), and the
-    weight exponent eta < sqrt(2 alpha)/4 for the contraction norm."""
+    value, the source f sampled on the solve grid, its known envelope
+    exponent ``decay_rate`` with |f(Y)| <~ e^{-decay_rate Y} (0 when
+    unknown), and the weight exponent eta < sqrt(2 alpha)/4 for the
+    contraction norm, capped by the source's rate when not given."""
 
     params: SpectralParams
     phi_b: complex
-    f: ModeFunction
+    f: np.ndarray
+    decay_rate: float = 0.0
     eta: float | None = None
 
     def __post_init__(self):
         ceiling = math.sqrt(2.0 * self.params.alpha) / 4.0
         if self.eta is None:
             self.eta = ceiling / 2.0
-            if self.f.decay_rate > 0.0:
-                self.eta = min(self.eta, 0.98 * self.f.decay_rate)
+            if self.decay_rate > 0.0:
+                self.eta = min(self.eta, 0.98 * self.decay_rate)
         if not 0.0 < self.eta < ceiling:
             raise ValueError(f"eta = {self.eta} outside (0, {ceiling})")
 
@@ -66,22 +71,27 @@ def default_magnetic_grid(params, n_nodes=1200):
     return graded_grid(n_nodes, params.far_field, cluster_scale=1.0)
 
 
-def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None):
-    """Picard limit of the mild formulation; returns (ModeFunction, trace).
+def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
+    """Picard limit of the mild formulation on ``grid``, where ``prob.f`` is
+    sampled; returns ((phi, dY phi, dYY phi) on the grid, trace).
 
     Stops when the weighted sup-norm gap between successive iterates drops
     below ``tol``; raises NonContraction if the gap ratio reaches 1 twice in
-    a row, NonConvergence at the iteration budget.
+    a row, NonConvergence at the iteration budget, and ValueError when the
+    source's shape is not the grid's.
     """
     p = prob.params
-    grid = default_magnetic_grid(p) if grid is None else np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    f_vals = np.asarray(prob.f)
+    if f_vals.shape != grid.shape:
+        raise ValueError(f"magnetic source has shape {f_vals.shape}, "
+                         f"the grid {grid.shape}")
     xi = prob.xi
     alpha = p.alpha
     prof = profile_arrays(grid)
     # i alpha (1 - U_s), the same at every Picard step
     coupling = 1j * alpha * prof.wake
     lift = np.exp(-xi * grid) * prob.phi_b
-    f_vals = prob.f.eval(0, grid)
     f_tilde = f_vals + coupling * lift
     weight = np.exp(prob.eta * grid)
 
@@ -119,28 +129,19 @@ def solve_magnetic(prob, tol=1e-10, max_picard=80, grid=None):
     # dY phi_tilde = -xi phi_tilde + inner(Y) follows from the mild form
     dphi = -xi * lift - xi * phi_t + inner_final
     d2phi = alpha**2 * phi + 1j * alpha * (prof.us - p.c) * phi - f_vals
-    return mode_from_grid(grid, [phi, dphi, d2phi]), trace
+    return (phi, dphi, d2phi), trace
 
 
-def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid=None):
-    """Magnetic slow mode: solve the magnetic equation with boundary value
-    Phi_app^s(0) Psi_app^f(0) and source i alpha H_s Phi_app^s + dY Phi_app^s.
+def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid):
+    """Magnetic slow mode on ``grid``: solve the magnetic equation with
+    boundary value Phi_app^s(0) Psi_app^f(0) and source
+    i alpha H_s Phi_app^s + dY Phi_app^s, where ``slow`` holds Phi_app^s and
+    dY Phi_app^s on the grid.
 
-    The returned mode carries two derivatives; the second is recovered from
-    the equation itself rather than numerical differentiation.
+    Returns the mode and its first two derivatives on the grid; the second is
+    recovered from the equation itself rather than numerical differentiation.
     """
-    if slow.max_order < 1:
-        raise ValueError("slow mode must provide one derivative")
-
-    def source(order, Y):
-        if order != 0:
-            raise NotImplementedError
-        hs = profile_arrays(Y).hs
-        return 1j * params.alpha * hs * slow.eval(0, Y) + slow.eval(1, Y)
-
-    f_mode = ModeFunction(max_order=0, evaluator=source,
-                          decay_rate=min(params.alpha, 1.0))
+    f = 1j * params.alpha * profile_arrays(grid).hs * slow[0] + slow[1]
     prob = MagneticProblem(params=params, phi_b=complex(slow_at_0 * fast_psi_at_0),
-                           f=f_mode)
-    mode, _ = solve_magnetic(prob, grid=grid)
-    return mode
+                           f=f, decay_rate=min(params.alpha, 1.0))
+    return solve_magnetic(prob, grid)[0]

@@ -427,11 +427,10 @@ class OSIteration:
 
 def assemble_error_terms(c, params, bvp):
     """All approximate-mode error arrays on the grid, plus the approximate
-    dispersion value and the participating modes."""
+    dispersion value and the participating modes: each mode as its arrays on
+    the grid by derivative order, and the slow mode's wall values."""
     p = params.with_c(c)
     grid = bvp.grid
-
-    slow_mode = slowmode.phi_app_s_mode(p)
     phi0, dphi0 = slowmode.boundary_values(p)
 
     if p.is_eighth:
@@ -440,22 +439,21 @@ def assemble_error_terms(c, params, bvp):
         groups = ("E1f", "E2f", "E3f", "Ff")
     else:
         hier = fastmode.ExpFastHierarchy(p, grid=grid)
-        phi_f = hier.mode("Phi")
-        psi_f = hier.mode("Psi")
-        phi_last = hier.level_mode(hier.n_terms)
+        phi_f = tuple(hier.sum_arrays("Phi", o) for o in range(2))
+        psi_f = tuple(hier.sum_arrays("Psi", o) for o in range(2))
+        phi_last = (hier.phi_levels[-1], hier.dphi_levels[-1])
         gamma0_val = dispersion.gamma0_of_hierarchy(phi0, dphi0, hier)
         groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
-    # grid[0] = 0: the wall value from the grid samples the error terms read
-    psi_s = magnetic.build_psi_app_s(p, slow_mode, psi_f.eval(0, grid)[0], phi0,
-                                     grid=grid)
+    slow = tuple(slowmode.phi_app_s(k, grid, p) for k in range(2))
+    # grid[0] = 0: the wall value of the fast mode's magnetic part
+    psi_s = magnetic.build_psi_app_s(p, slow, psi_f[0][0], phi0, grid)
 
-    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s, phi_mode=slow_mode)
-              for k in (1, 2, 3)}
+    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s) for k in (1, 2, 3)}
     for key, g in zip(("e1f", "e2f", "e3f", "ff"), groups):
         arrays[key] = fastmode.fast_errors(g, grid, p, phi0, phi_f, psi_f,
                                            phi_last=phi_last)
-    modes = {"slow": slow_mode, "phi_f": phi_f, "psi_f": psi_f, "psi_s": psi_s,
+    modes = {"slow": slow, "phi_f": phi_f, "psi_f": psi_f, "psi_s": psi_s,
              "phi0": phi0, "dphi0": dphi0}
     return arrays, gamma0_val, modes
 
@@ -520,7 +518,8 @@ def remainder_and_gamma(c, params, bvp):
 
 
 def build_mode(c, params, bvp, full_os=False):
-    """Combined mode (Phi, Psi) at wave speed c as grid-backed ModeFunctions.
+    """Combined mode (Phi, Psi) at wave speed c as grid-backed ModeFunctions,
+    each from its grid arrays of orders 0 and 1.
 
     Without ``full_os`` this is the approximate growing mode (zero stream
     functions at the wall by construction); with it the two remainder solves
@@ -532,10 +531,8 @@ def build_mode(c, params, bvp, full_os=False):
     else:
         _, _, modes = assemble_error_terms(c, params, bvp)
     phi0 = modes["phi0"]
-    phi_arrays = [modes["slow"].eval(k, grid) - phi0 * modes["phi_f"].eval(k, grid)
-                  for k in range(2)]
-    psi_arrays = [modes["psi_s"].eval(k, grid) - phi0 * modes["psi_f"].eval(k, grid)
-                  for k in range(2)]
+    phi_arrays = [modes["slow"][k] - phi0 * modes["phi_f"][k] for k in range(2)]
+    psi_arrays = [modes["psi_s"][k] - phi0 * modes["psi_f"][k] for k in range(2)]
     if full_os:
         phi_arrays[0] = phi_arrays[0] - r_phi[0] - r_phi[1]
         phi_arrays[1] = phi_arrays[1] - bvp.d1 @ (r_phi[0] + r_phi[1])

@@ -149,16 +149,10 @@ class SpectralParams:
 
 @dataclass
 class ModeFunction:
-    """Complex-valued function of Y >= 0 with derivatives up to ``max_order``.
-
-    ``decay_rate`` is a known envelope exponent eta with |f(Y)| <~ e^{-eta Y}
-    (0 when unknown); a magnetic solve caps its weight exponent by its
-    source's rate.
-    """
+    """Complex-valued function of Y >= 0 with derivatives up to ``max_order``."""
 
     max_order: int
     evaluator: Callable
-    decay_rate: float = 0.0
 
     def eval(self, order, Y):
         if order < 0 or order > self.max_order:
@@ -174,19 +168,16 @@ class ModeFunction:
 
 def mode_from_grid(grid, vals_by_order):
     """ModeFunction backed by cubic interpolation of per-order grid samples,
-    held as read-only copies.  At the grid itself (same shape and bytes) an
-    order is its samples; elsewhere each order is fitted on first use, which
-    is also where scipy.interpolate is first imported."""
+    held as read-only copies.  Each order is fitted on first use, which is
+    also where scipy.interpolate is first imported; past the last node every
+    order is 0."""
     grid, samples = np.array(grid), [np.array(v) for v in vals_by_order]
     for a in (grid, *samples):
         a.flags.writeable = False
-    grid_key = grid.tobytes()
     splines = {}
     ymax = grid[-1]
 
     def evaluator(order, Y):
-        if Y.shape == grid.shape and Y.tobytes() == grid_key:
-            return samples[order]
         if order not in splines:
             from scipy.interpolate import CubicSpline
 

@@ -11,11 +11,11 @@ One pass per (grid, c_hat, alpha), ``_slow_pass``, builds all of these
 arrays: psi_{0,j} and its shifts (d/dY - alpha)^k to order 3, Phi_1^s and
 Phi_app^s to order 3, and the cancelled form of dY Phi_1^s + alpha Phi_1^s.
 It reads the grid's profile arrays and the running integrals J, K and L of
-one closed-form pass per (grid, c_hat), ``_closed_forms``; both passes are
-grid caches.  ``psi0``, ``phi1s``, ``phi_app_s``, the slow mode
-``phi_app_s_mode`` and the error terms read that pass.  The tests hold it
-bit for bit to the order-by-order formulas and J, K and L to quadrature
-(``tests/oracles.py``).
+one closed-form evaluation, ``_closed_forms_at``, and is a grid cache of one
+entry.  ``psi0``, ``phi1s``, ``phi_app_s``, the ModeFunction view
+``phi_app_s_mode`` and the error terms ``slow_errors`` read that pass.  The
+tests hold it bit for bit to the order-by-order formulas and J, K and L to
+quadrature (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -44,16 +44,9 @@ __all__ = [
 
 
 def _closed_forms_at(Y, chat):
-    """(J, K, L) at these Y, from ``_closed_forms``; a scalar Y gives scalars."""
-    out = _closed_forms(Y, complex(chat))
-    return out if np.ndim(Y) else tuple(v[()] for v in out)
-
-
-@grid_cache(maxsize=4)
-def _closed_forms(Y, chat):
-    """J(Y), K(Y) and L(Y) of one (grid, c_hat) from the profile's closed-form
-    primitives."""
-    return tuple(np.asarray(v) for v in DEFAULT_PROFILE.critical_layer_integrals(Y, chat))
+    """(J, K, L) at these Y from the profile's closed-form primitives; a
+    scalar Y gives scalars."""
+    return DEFAULT_PROFILE.critical_layer_integrals(Y, chat)
 
 
 class _SlowPass(NamedTuple):
@@ -193,12 +186,12 @@ def rayleigh_residual_form(Y, params):
     return -2.0 * params.alpha**2 * slow.psi[0][0] * slow.combo
 
 
-def slow_errors(group, Y, params, psi_app_s, phi_mode):
+def slow_errors(group, Y, params, psi):
     """Slow-mode error terms: group 1 and 2 are the divergence/tangential
     parts, group 3 carries the strongly decaying remainder.
 
-    ``psi_app_s`` is the magnetic slow mode (order >= 1) and ``phi_mode`` the
-    velocity slow mode, ``phi_app_s_mode(params)``.
+    ``psi`` holds the magnetic slow mode Psi_app^s at Y by derivative order
+    (to order 1); the velocity slow mode is read from the slow-mode pass of Y.
     """
     if group not in (1, 2, 3):
         raise ValueError("group must be 1, 2 or 3")
@@ -209,19 +202,17 @@ def slow_errors(group, Y, params, psi_app_s, phi_mode):
     c = params.c
     prof = profile_arrays(Yarr)
     hs = prof.hs
-
-    def phi(order):
-        return phi_mode.eval(order, Yarr)
+    phi = _slow_at(Yarr, params).phi_app
 
     if group == 1:
         us = prof.us
-        return ((1j / n) * (phi(3) - 2.0 * a**2 * phi(1))
-                - se * hs * psi_app_s.eval(1, Yarr)
-                - (a / n) * ((us - c) * psi_app_s.eval(0, Yarr) - hs * phi(0)))
+        return ((1j / n) * (phi[3] - 2.0 * a**2 * phi[1])
+                - se * hs * psi[1]
+                - (a / n) * ((us - c) * psi[0] - hs * phi[0]))
     if group == 2:
-        return ((a**3 / n) * phi(0)
-                - 1j * a * se * hs * psi_app_s.eval(0, Yarr)
-                - (a / n) * phi(0))
+        return ((a**3 / n) * phi[0]
+                - 1j * a * se * hs * psi[0]
+                - (a / n) * phi[0])
     return (rayleigh_residual_form(Yarr, params)
-            + se * prof.dhs * psi_app_s.eval(1, Yarr)
-            + se * prof.d2hs * psi_app_s.eval(0, Yarr))
+            + se * prof.dhs * psi[1]
+            + se * prof.d2hs * psi[0])

@@ -245,8 +245,7 @@ def _quad_jkl(Y, chat):
 def quadrature_integrals():
     """Within this block the slow mode reads J, K and L from quadrature: the
     production formulas then run on the oracle's integrals, bypassing the
-    closed-form and slow-mode caches.  Each (Y, c_hat) is integrated once per
-    block."""
+    slow-mode cache.  Each (Y, c_hat) is integrated once per block."""
     memo = {}
 
     def supply(Y, chat):
@@ -398,6 +397,20 @@ def clear_grid_caches():
                 obj.cache_clear()
 
 
+def closed_form_calls(monkeypatch):
+    """Record the number of points of every evaluation of J, K and L
+    (``HartmannProfile.critical_layer_integrals``) for the rest of a test."""
+    sizes = []
+    method = HartmannProfile.critical_layer_integrals
+
+    def counted(self, Y, chat):
+        sizes.append(np.size(Y))
+        return method(self, Y, chat)
+
+    monkeypatch.setattr(HartmannProfile, "critical_layer_integrals", counted)
+    return sizes
+
+
 # -- pointwise operators and norms --------------------------------------------
 
 def rayleigh_apply(f, Y, params):
@@ -410,18 +423,19 @@ def rayleigh_apply(f, Y, params):
     return w * (f.eval(2, Yarr) - params.alpha**2 * f.eval(0, Yarr)) - d2u * f.eval(0, Yarr)
 
 
-def equation_residual(mode, prob, Y, step=1e-3):
+def equation_residual(mode, params, f, Y, step=1e-3):
     """Differential residual -(phi'' - alpha^2 phi) + i alpha (U_s - c) phi - f
-    of a magnetic solution, with the second derivative taken by central
-    differences of the solution values.  Carries the O(step^2) +
-    interpolation error of the discretization on top of the solver's
-    fixed-point defect, which ``trace.residual_weighted`` holds alone."""
-    p = prob.params
+    of a magnetic solution ``mode`` (a ModeFunction) with source ``f`` (a
+    function of Y), with the second derivative taken by central differences
+    of the solution values.  Carries the O(step^2) + interpolation error of
+    the discretization on top of the solver's fixed-point defect, which
+    ``trace.residual_weighted`` holds alone."""
+    p = params
     Y = np.asarray(Y, dtype=float)
     us = _u(0, Y)
     d2 = (mode.eval(0, Y + step) - 2.0 * mode.eval(0, Y) + mode.eval(0, Y - step)) / step**2
     return (-(d2 - p.alpha**2 * mode.eval(0, Y))
-            + 1j * p.alpha * (us - p.c) * mode.eval(0, Y) - prob.f.eval(0, Y))
+            + 1j * p.alpha * (us - p.c) * mode.eval(0, Y) - f(Y))
 
 
 def sup_exp_norm(vals, grid, eta):

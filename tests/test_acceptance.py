@@ -28,8 +28,8 @@ from oracles import alternated_gamma, quadrature_integrals, rayleigh_apply
 from tswave import airy, dispersion, osresolvent, slowmode
 from tswave.errors import (NonContraction, NonConvergence, SingularSystem,
                            TswaveError, WindingNotOne)
-from tswave.magnetic import MagneticProblem, solve_magnetic
-from tswave.params import ModeFunction, SpectralParams
+from tswave.magnetic import MagneticProblem, default_magnetic_grid, solve_magnetic
+from tswave.params import SpectralParams
 
 
 def report(num, ok, detail):
@@ -146,11 +146,10 @@ def test_criterion_3_magnetic_contraction():
     worst_defect = 0.0
     for alpha in (0.05, 0.1, 0.2):
         p = SpectralParams(eps=alpha**8, amplitude=1.0).with_c(0.1 + 0.05j)
-        f = ModeFunction(max_order=0,
-                         evaluator=lambda o, Y: np.exp(-0.5 * Y) * (1.0 + 0.0j),
-                         decay_rate=0.5)
-        mode, trace = solve_magnetic(MagneticProblem(params=p, phi_b=1.0, f=f),
-                                     tol=tol)
+        grid = default_magnetic_grid(p)
+        f = np.exp(-0.5 * grid) * (1.0 + 0.0j)
+        mode, trace = solve_magnetic(
+            MagneticProblem(params=p, phi_b=1.0, f=f, decay_rate=0.5), grid, tol=tol)
         band.append(trace.ratios[1] / alpha)
         worst_defect = max(worst_defect, trace.residual_weighted)
     spread = max(band) / min(band)

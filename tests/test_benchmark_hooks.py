@@ -57,6 +57,28 @@ def test_full_os_row_reaches_wrapped_resolvent():
     assert factorizations == gamma_evals
 
 
+def test_beta_row_reaches_wrapped_magnetic_solve_and_hierarchy():
+    # a beta sweep row calls the wrapped magnetic solve and hierarchy through
+    # the module attributes the layer wrappers replace, with the call shapes
+    # the wrappers read (the trace as the solve's second result)
+    code = ("import layers, spans, workloads\n"
+            "lib = workloads.load_library()\n"
+            "rec = spans.Recorder()\n"
+            "layers.install(rec, lib)\n"
+            "rec.enabled = True\n"
+            "cfg = lib.cli.RunConfig(regime='beta', amplitude=1.0, beta=0.11,\n"
+            "                        eps_list=[1e-24], grid_n=400)\n"
+            "row = lib.cli.sweep_row(cfg, 1e-24)\n"
+            "print(row['status'], rec.counts['magnetic.solves'],\n"
+            "      rec.counts['fastmode.hierarchy_builds'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, solves, builds = proc.stdout.split()
+    assert status == "ok"
+    assert int(solves) > 0 and int(builds) > 0
+
+
 def test_setup_loads_only_the_lapack_extension():
     # the benchmark's set-up runs every workload path once; of scipy it
     # loads only the compiled LAPACK extension the band solves call

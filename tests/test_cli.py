@@ -431,8 +431,8 @@ class TestColdImports:
         assert loaded == ["scipy.linalg._flapack"]
 
     def test_splines_load_interpolate_only_off_grid(self):
-        # a plain sweep row evaluates every grid mode on its own grid; the
-        # off-grid evaluation shows that the check can see the import
+        # a plain sweep row evaluates no grid mode; the off-grid evaluation
+        # shows that the check can see the import
         loaded = _run_fresh(
             "import sys\n"
             "import numpy as np\n"

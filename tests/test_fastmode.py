@@ -7,7 +7,7 @@ import scipy.special
 from oracles import hierarchy_full_grid
 from tswave import airy, dispersion, fastmode, osresolvent
 from tswave.errors import RegimeMismatch, UnsupportedOrder
-from tswave.params import SpectralParams
+from tswave.params import SpectralParams, mode_from_grid
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,18 @@ def beta_params():
     # parameters inside the hierarchy's contraction regime
     p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
     return p0.with_c(dispersion.center_beta(p0))
+
+
+def airy_arrays(Y, p, ratios=None):
+    """The Airy fast mode at Y by order: Phi to order 2, Psi to order 1."""
+    return ([fastmode.airy_fast("Phi", o, Y, p, ratios) for o in range(3)],
+            [fastmode.airy_fast("Psi", o, Y, p, ratios) for o in range(2)])
+
+
+def hierarchy_arrays(hier):
+    """The hierarchy's level sums by order: Phi and Psi to order 1."""
+    return ([hier.sum_arrays("Phi", o) for o in range(2)],
+            [hier.sum_arrays("Psi", o) for o in range(2)])
 
 
 class TestAiryFast:
@@ -138,7 +150,9 @@ class TestExpHierarchy:
 
     def test_exp_fast_wrapper(self, beta_params):
         p = beta_params
-        val = fastmode.ExpFastHierarchy(p).mode("Phi").eval(0, 0.0)
+        hier = fastmode.ExpFastHierarchy(p)
+        assert hier.grid[0] == 0.0
+        val = hier.sum_arrays("Phi", 0)[0]
         # sum over levels: level 0 contributes 1, the rest vanish at the wall
         assert val == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(RegimeMismatch):
@@ -147,7 +161,8 @@ class TestExpHierarchy:
     def test_exp_fast_bare_exponential(self, beta_params):
         p = beta_params
         Y = np.linspace(0.0, 0.2, 9)
-        vals = fastmode.ExpFastHierarchy(p, n_terms=0).mode("Phi").eval(0, Y)
+        hier = fastmode.ExpFastHierarchy(p, n_terms=0)
+        vals = mode_from_grid(hier.grid, [hier.sum_arrays("Phi", 0)]).eval(0, Y)
         assert np.max(np.abs(vals - np.exp(-p.varpi * Y))) < 1e-10
 
     def test_linkage(self, beta_params):
@@ -248,9 +263,9 @@ class TestFastErrors:
             bvp = osresolvent.build_bvp(p, n_nodes=1600)
             hier = fastmode.ExpFastHierarchy(p, grid=bvp.grid)
             phi0, _ = slowmode.boundary_values(p)
-            ff = fastmode.fast_errors("Ff_beta", bvp.grid, p, phi0,
-                                      hier.mode("Phi"), hier.mode("Psi"),
-                                      phi_last=hier.level_mode(hier.n_terms))
+            ff = fastmode.fast_errors(
+                "Ff_beta", bvp.grid, p, phi0, *hierarchy_arrays(hier),
+                phi_last=(hier.phi_levels[-1], hier.dphi_levels[-1]))
             vals[eps] = (p.alpha, l2_norm(ff, trap_weights(bvp.grid)))
         (a1, n1), (a2, n2) = vals.values()
         slope = (np.log(n2) - np.log(n1)) / (np.log(a2) - np.log(a1))
@@ -259,32 +274,33 @@ class TestFastErrors:
 
     def test_zero_prefactor(self, eighth_params):
         p = eighth_params
-        phi_f, psi_f = fastmode.fast_mode_pair(p)
         Y = np.linspace(0.0, 1.0, 9)
-        vals = fastmode.fast_errors("Ff", Y, p, 0.0, phi_f, psi_f)
+        vals = fastmode.fast_errors("Ff", Y, p, 0.0, *airy_arrays(Y, p))
         assert np.max(np.abs(vals)) == 0.0
 
     def test_beta_group_needs_top_level(self, beta_params):
         p = beta_params
         hier = fastmode.ExpFastHierarchy(p, n_terms=2)
         with pytest.raises(ValueError):
-            fastmode.fast_errors("E1f_beta", np.array([0.1]), p, 1.0,
-                                 hier.mode("Phi"), hier.mode("Psi"))
+            fastmode.fast_errors("E1f_beta", hier.grid, p, 1.0, *hierarchy_arrays(hier))
 
     def test_unknown_group(self, eighth_params):
-        phi_f, psi_f = fastmode.fast_mode_pair(eighth_params)
+        p = eighth_params
+        Y = np.array([0.1])
         with pytest.raises(ValueError):
-            fastmode.fast_errors("bogus", np.array([0.1]), eighth_params, 1.0,
-                                 phi_f, psi_f)
+            fastmode.fast_errors("bogus", Y, p, 1.0, *airy_arrays(Y, p))
 
 
 class TestFastModePair:
     def test_one_airy_evaluation_per_primitive_and_grid(self, eighth_params,
                                                         monkeypatch):
         # the four error groups read Phi orders 0..2 and Psi orders 0..1, which
-        # are the primitives k = 0..3: they are evaluated as one block per
-        # grid, over one denominator Ai(2, z0) per params
+        # are the primitives k = 0..3: airy_fast evaluates them as one block
+        # over one denominator Ai(2, z0), and none when handed that block's
+        # ratios; the ModeFunction view of the pair is airy_fast at any Y
         p = eighth_params
+        Y = np.linspace(0.0, 2.0, 33)
+        ratios = airy._ai_any((0, 1, 2, 3), Y / p.delta + p.z0) / airy.ai_k(2, p.z0)
         calls = []
         ai_any = airy._ai_any
 
@@ -294,18 +310,18 @@ class TestFastModePair:
 
         monkeypatch.setattr(airy, "_ai_any", counted)
         phi_f, psi_f = fastmode.fast_mode_pair(p)
-        grids = [np.linspace(0.0, 2.0, 33), np.linspace(0.0, 3.0, 40)]
-        for Y in grids + grids:
-            for group in ("E1f", "E2f", "E3f", "Ff"):
-                fastmode.fast_errors(group, Y, p, 0.7 - 0.1j, phi_f, psi_f)
-        assert calls == [(2, 1)] + [((0, 1, 2, 3), Y.size) for Y in grids]
-
-        monkeypatch.setattr(airy, "_ai_any", ai_any)
-        for Y in grids:
-            for which, mode in (("Phi", phi_f), ("Psi", psi_f)):
-                for order in range(3):
-                    assert np.array_equal(mode.eval(order, Y),
-                                          fastmode.airy_fast(which, order, Y, p))
+        for which, mode in (("Phi", phi_f), ("Psi", psi_f)):
+            for order in range(3):
+                del calls[:]
+                ref = fastmode.airy_fast(which, order, Y, p)
+                assert calls == [(2, 1), ((0, 1, 2, 3), Y.size)]
+                assert np.array_equal(fastmode.airy_fast(which, order, Y, p, ratios), ref)
+                assert np.array_equal(mode.eval(order, Y), ref)
+        del calls[:]
+        phi, psi = airy_arrays(Y, p, ratios)
+        for group in ("E1f", "E2f", "E3f", "Ff"):
+            fastmode.fast_errors(group, Y, p, 0.7 - 0.1j, phi, psi)
+        assert calls == []
 
     def test_regime_check(self, beta_params):
         with pytest.raises(RegimeMismatch):

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -12,11 +13,11 @@ import scipy.linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigs, splu
 
-from oracles import alternated_gamma, clear_grid_caches, stencil_matrix
-from tswave import airy, dispersion, fastmode, osresolvent, slowmode
+from oracles import alternated_gamma, clear_grid_caches, closed_form_calls, stencil_matrix
+from tswave import airy, dispersion, fastmode, magnetic, osresolvent, slowmode
 from tswave.errors import SingularSystem
 from tswave.numerics import l2_norm
-from tswave.params import SpectralParams
+from tswave.params import ModeFunction, SpectralParams
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile, profile_arrays
 
 
@@ -680,6 +681,57 @@ def _to_band(matrix):
     return band, kl, ku
 
 
+@contextmanager
+def counted_views():
+    """Count ModeFunction evaluations and spline fits within the block."""
+    from scipy import interpolate
+
+    counts = {"eval": 0, "fit": 0}
+    evaluate, fit = ModeFunction.eval, interpolate.CubicSpline
+
+    def counted_eval(self, order, Y):
+        counts["eval"] += 1
+        return evaluate(self, order, Y)
+
+    def counted_fit(x, y):
+        counts["fit"] += 1
+        return fit(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ModeFunction, "eval", counted_eval)
+        mp.setattr(interpolate, "CubicSpline", counted_fit)
+        yield counts
+
+
+def assert_handoff(p, bvp, arrays, modes, fast, phi_last, groups):
+    """The arrays one assembly handed on, bit for bit: the slow mode against
+    its ModeFunction view on the grid, the fast mode against ``fast`` (Phi
+    and Psi by order), the magnetic slow mode against a direct solve of its
+    problem, and every error array against its terms on those references."""
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    grid = bvp.grid
+    view = slowmode.phi_app_s_mode(p)
+    slow = [view.eval(k, grid) for k in range(2)]
+    phi_f, psi_f = fast
+    for got, want in ((modes["slow"], slow), (modes["phi_f"], phi_f),
+                      (modes["psi_f"], psi_f)):
+        assert len(got) == len(want)
+        assert all(same(a, b) for a, b in zip(got, want))
+    phi0 = modes["phi0"]
+    source = 1j * p.alpha * profile_arrays(grid).hs * slow[0] + slow[1]
+    prob = magnetic.MagneticProblem(params=p, phi_b=complex(phi0 * psi_f[0][0]),
+                                    f=source, decay_rate=min(p.alpha, 1.0))
+    psi_s, _ = magnetic.solve_magnetic(prob, grid)
+    assert all(same(a, b) for a, b in zip(modes["psi_s"], psi_s))
+    for k in (1, 2, 3):
+        assert same(arrays[f"e{k}s"], slowmode.slow_errors(k, grid, p, psi_s))
+    for key, group in zip(("e1f", "e2f", "e3f", "ff"), groups):
+        assert same(arrays[key], fastmode.fast_errors(group, grid, p, phi0, phi_f, psi_f,
+                                                      phi_last=phi_last))
+
+
 class TestPerGridState:
     """Gamma(c) is evaluated from per-(grid, params) state: the
     operators as A0 + c A1 and the c-free profile and coupling arrays."""
@@ -807,20 +859,22 @@ class TestPerGridState:
         finally:
             gc.enable()
 
-    def test_slow_mode_evaluated_once_per_order(self):
+    def test_slow_mode_evaluated_once_per_order(self, monkeypatch):
         # every order of the slow mode, of the corrector and of psi_{0,j}
         # comes from one slow-mode pass of the grid, which reads one
-        # closed-form pass and one set of profile arrays
+        # evaluation of J, K and L and one set of profile arrays
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=300)
         clear_grid_caches()
+        calls = closed_form_calls(monkeypatch)
         osresolvent.assemble_error_terms(p.c, p, bvp)
-        for cache in (slowmode._slow_pass, slowmode._closed_forms, profile_arrays):
+        assert calls == [bvp.n]
+        for cache in (slowmode._slow_pass, profile_arrays):
             assert cache.cache_info().misses == 1
 
     def test_error_terms_evaluate_closed_forms_once_and_fit_no_spline(self, monkeypatch):
         # J, K and L are evaluated in one closed-form pass on the grid, and
-        # every grid-backed mode is read at its own nodes, from its samples
+        # the modes are handed on as grid arrays, with no spline fitted
         from scipy import interpolate
 
         p = basin_params()
@@ -848,26 +902,22 @@ class TestPerGridState:
         assert calls == ["critical_layer_integrals"]
         assert fits == []
 
-    def test_beta_error_terms_fit_no_spline(self, monkeypatch):
-        # the hierarchy's wall value is read from its grid samples, where the
-        # spline through them would return the same bits
-        from scipy import interpolate
-
+    def test_beta_error_terms_fit_no_spline(self):
+        # the assembly hands the hierarchy's level sums and top level on as
+        # grid arrays, evaluates no ModeFunction and fits no spline; every
+        # array is the one of the hierarchy and of the separate solves
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
         p = p0.with_c(dispersion.center_beta(p0))
         bvp = osresolvent.build_bvp(p, n_nodes=400)
-        psi_f = fastmode.ExpFastHierarchy(p, grid=bvp.grid).mode("Psi")
-        assert psi_f.eval(0, bvp.grid)[0] == psi_f.eval(0, 0.0)
-        fits = []
-        spline = interpolate.CubicSpline
-
-        def counted_fit(x, y):
-            fits.append(1)
-            return spline(x, y)
-
-        monkeypatch.setattr(interpolate, "CubicSpline", counted_fit)
-        osresolvent.assemble_error_terms(p.c, p, bvp)
-        assert fits == []
+        with counted_views() as views:
+            arrays, _, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
+        assert views == {"eval": 0, "fit": 0}
+        hier = fastmode.ExpFastHierarchy(p, grid=bvp.grid)
+        fast = ([hier.sum_arrays("Phi", o) for o in range(2)],
+                [hier.sum_arrays("Psi", o) for o in range(2)])
+        assert_handoff(p, bvp, arrays, modes, fast,
+                       (hier.phi_levels[-1], hier.dphi_levels[-1]),
+                       ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta"))
 
     @pytest.mark.parametrize("A, eps, t", [(2.0, 1e-12, 2.0), (3.0, 1e-15, 0.5),
                                            (4.0, 1e-24, 1.0)])
@@ -889,14 +939,15 @@ class TestPerGridState:
             return ai_any(k, z)
 
         monkeypatch.setattr(airy, "_ai_any", counted)
-        _, gamma0_val, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
+        with counted_views() as views:
+            arrays, gamma0_val, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
         assert calls == [((0, 1, 2, 3), bvp.n + 2)]
+        assert views == {"eval": 0, "fit": 0}
 
         monkeypatch.setattr(airy, "_ai_any", ai_any)
         assert gamma0_val == dispersion.gamma0(p.c, p)
         phi_f, psi_f = fastmode.fast_mode_pair(p)
-        for name, ref in (("phi_f", phi_f), ("psi_f", psi_f)):
-            for order in range(3):
-                assert np.array_equal(modes[name].eval(order, bvp.grid),
-                                      ref.eval(order, bvp.grid))
-        assert modes["psi_f"].eval(0, bvp.grid)[0] == psi_f.eval(0, 0.0)
+        fast = ([phi_f.eval(o, bvp.grid) for o in range(3)],
+                [psi_f.eval(o, bvp.grid) for o in range(2)])
+        assert modes["psi_f"][0][0] == psi_f.eval(0, 0.0)
+        assert_handoff(p, bvp, arrays, modes, fast, None, ("E1f", "E2f", "E3f", "Ff"))

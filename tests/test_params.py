@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from oracles import sup_exp_norm
 from tswave.errors import RegimeMismatch, UnsupportedOrder
 from tswave.params import ModeFunction, SpectralParams, mode_from_grid
 
@@ -88,12 +87,6 @@ class TestModeFunction:
         with pytest.raises(UnsupportedOrder):
             f.eval(2, 0.0)
 
-    def test_decay_envelope(self):
-        f = ModeFunction(max_order=0, evaluator=lambda o, Y: np.exp(-0.5 * Y),
-                         decay_rate=0.5)
-        grid = np.linspace(0.0, 30.0, 200)
-        assert sup_exp_norm(f.eval(0, grid), grid, f.decay_rate) == pytest.approx(1.0)
-
     def test_mode_from_grid_clamps_tail(self):
         grid = np.linspace(0.0, 10.0, 300)
         f = mode_from_grid(grid, [np.exp(-grid)])
@@ -127,31 +120,3 @@ class TestModeFunction:
             expected = np.where(Y <= grid[-1], re(Y) + 1j * im(Y), 0.0)
             assert np.array_equal(f.eval(order, Y), expected)
         assert len(fits) == 6
-
-    def test_mode_from_grid_returns_samples_on_its_own_grid(self, monkeypatch):
-        from scipy import interpolate
-
-        grid = 10.0 * np.linspace(0.0, 1.0, 300) ** 2
-        vals = [np.exp(-(1.0 + 0.5j) * k * grid) for k in range(1, 4)]
-        fits = []
-        spline = interpolate.CubicSpline
-
-        def counted(x, y):
-            fits.append(1)
-            return spline(x, y)
-
-        monkeypatch.setattr(interpolate, "CubicSpline", counted)
-        f = mode_from_grid(grid, vals)
-        for order in (2, 0, 1):
-            out = f.eval(order, grid.copy())
-            assert np.array_equal(out, vals[order])
-            assert not out.flags.writeable
-        assert fits == []
-        # at every interior node the spline takes the sample exactly
-        inner = grid[1:-1]
-        for v in vals:
-            assert np.array_equal(spline(grid, v.real)(inner), v.real[1:-1])
-            assert np.array_equal(spline(grid, v.imag)(inner), v.imag[1:-1])
-        # any other abscissae, even the grid without its last node, interpolate
-        assert np.array_equal(f.eval(0, grid[:-1]), vals[0][:-1])
-        assert len(fits) == 2

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (Segment, clear_grid_caches, quad_segment, quadrature_integrals,
-                     rayleigh_apply)
+from oracles import (Segment, clear_grid_caches, closed_form_calls, quad_segment,
+                     quadrature_integrals, rayleigh_apply)
 from tswave import dispersion, osresolvent, slowmode
-from tswave.params import SpectralParams
+from tswave.params import SpectralParams, mode_from_grid
 from tswave.profile import DEFAULT_PROFILE, profile_arrays
 
 P12 = SpectralParams.eighth(2.0, 1e-12)
@@ -277,36 +277,39 @@ class TestOnePass:
 
 class TestClosedFormCache:
     def test_cached_mode_equals_fresh_evaluation(self, monkeypatch):
-        # J, K and L are cached per (grid, c_hat) and the slow-mode pass per
-        # (grid, c_hat, alpha); the slow mode and its error terms read the
-        # caches, and equal a fresh evaluation
+        # the slow-mode pass is cached per (grid, c_hat, alpha) and evaluates
+        # J, K and L once; the slow mode and its error terms read the pass,
+        # and equal a fresh evaluation
         p = params_at()
         Y = 40.0 * np.linspace(0.0, 1.0, 400) ** 3
+        clear_grid_caches()
+        calls = closed_form_calls(monkeypatch)
         mode = slowmode.phi_app_s_mode(p)
         cached = [mode.eval(k, Y) for k in range(4)]
         combo = slowmode.damped_corrector_combo(Y, p)
-        assert slowmode._closed_forms.cache_info().currsize >= 1
-        for name in ("_closed_forms", "_slow_pass"):
-            monkeypatch.setattr(slowmode, name, getattr(slowmode, name).__wrapped__)
+        assert calls == [Y.size]
+        monkeypatch.setattr(slowmode, "_slow_pass", slowmode._slow_pass.__wrapped__)
         for k in range(4):
             assert np.array_equal(cached[k], slowmode.phi_app_s(k, Y, p))
         assert np.array_equal(combo, slowmode.damped_corrector_combo(Y, p))
+        assert calls == [Y.size] * 6
 
-    def test_quadrature_oracle_stays_uncached(self):
+    def test_quadrature_oracle_stays_uncached(self, monkeypatch):
         # every read of J, K and L goes through the supply the oracle
-        # replaces, so no oracle comparison meets the closed-form or the
+        # replaces, so no oracle comparison meets the closed forms or the
         # slow-mode cache
         p = params_at()
         Y = np.array([0.3, 2.0])
         closed = slowmode.psi0(2, 0, Y, p)
-        caches = (slowmode._closed_forms, slowmode._slow_pass)
-        before = [c.cache_info() for c in caches]
+        calls = closed_form_calls(monkeypatch)
+        before = slowmode._slow_pass.cache_info()
         with quadrature_integrals():
             quad = slowmode.psi0(2, 0, Y, p)
             slowmode.corrector_integrals(Y, p)
             slowmode.phi_app_s(3, Y, p)
             slowmode.damped_corrector_combo(Y, p)
-        assert [c.cache_info() for c in caches] == before
+        assert calls == []
+        assert slowmode._slow_pass.cache_info() == before
         assert not np.array_equal(quad, closed)
         assert np.allclose(quad, closed, rtol=1e-9)
 
@@ -317,11 +320,17 @@ def setup():
     from tswave.numerics import graded_grid
     p = params_at()
     grid = graded_grid(900, 40.0, cluster_scale=p.n ** (-1.0 / 3.0))
-    slow = slowmode.phi_app_s_mode(p)
+    slow = [slowmode.phi_app_s(k, grid, p) for k in range(2)]
     phi0, _ = slowmode.boundary_values(p)
     _, psi_f = fastmode.fast_mode_pair(p)
-    psi_s = magnetic.build_psi_app_s(p, slow, psi_f.eval(0, 0.0), phi0, grid=grid)
-    return p, grid, psi_s
+    psi_s = magnetic.build_psi_app_s(p, slow, psi_f.eval(0, 0.0), phi0, grid)
+    # the magnetic slow mode at any Y, from its grid arrays
+    return p, grid, mode_from_grid(grid, psi_s)
+
+
+def psi_at(psi_s, Y):
+    """The magnetic slow mode at Y by order, as ``slow_errors`` reads it."""
+    return [psi_s.eval(k, Y) for k in range(2)]
 
 
 class TestSlowErrors:
@@ -329,7 +338,7 @@ class TestSlowErrors:
     def test_group3_leading_term_scales_with_alpha_sq(self, setup):
         p, grid, psi_s = setup
         Y = np.linspace(0.2, 3.0, 7)
-        e3 = slowmode.slow_errors(3, Y, p, psi_s, slowmode.phi_app_s_mode(p))
+        e3 = slowmode.slow_errors(3, Y, p, psi_at(psi_s, Y))
         ray = slowmode.rayleigh_residual_form(Y, p)
         # the non-magnetic part is exactly the Rayleigh residual, O(alpha^2)
         assert np.max(np.abs(ray)) <= 4.0 * p.alpha**2 * np.max(
@@ -341,13 +350,12 @@ class TestSlowErrors:
         # the slow pair (checked with dY E1 by central differences)
         from tswave.profile import DEFAULT_PROFILE
         p, grid, psi_s = setup
-        slow = slowmode.phi_app_s_mode(p)
         Y = np.linspace(0.3, 5.0, 9)
         h = 1e-5
-        de1 = (slowmode.slow_errors(1, Y + h, p, psi_s, slow)
-               - slowmode.slow_errors(1, Y - h, p, psi_s, slow)) / (2 * h)
-        e2 = slowmode.slow_errors(2, Y, p, psi_s, slow)
-        e3 = slowmode.slow_errors(3, Y, p, psi_s, slow)
+        de1 = (slowmode.slow_errors(1, Y + h, p, psi_at(psi_s, Y + h))
+               - slowmode.slow_errors(1, Y - h, p, psi_at(psi_s, Y - h))) / (2 * h)
+        e2 = slowmode.slow_errors(2, Y, p, psi_at(psi_s, Y))
+        e3 = slowmode.slow_errors(3, Y, p, psi_at(psi_s, Y))
         total = de1 + 1j * p.alpha * e2 + e3
 
         prof = DEFAULT_PROFILE
