@@ -180,16 +180,16 @@ def full_os_certification(cfg, params0, bvp, c_center):
     gaps = []
 
     def g_exact(c):
+        # one call per round of winding samples or Newton step, in blocks
         gamma, diag = osresolvent.remainder_and_gamma(c, params0, bvp)
-        gaps.append(diag["gap"])
+        gaps.extend(diag["gap"])
         return gamma
 
     try:
         report = dispersion.certify(params0, r3=cfg.r3,
                                     tol=max(cfg.newton_tol, 1e-11),
                                     init_samples=cfg.init_samples,
-                                    g=np.vectorize(g_exact, otypes=[complex]),
-                                    max_iter=30)
+                                    g=g_exact, max_iter=30)
     except WindingNotOne as exc:
         report = exc.report
     except ZeroOnContour:

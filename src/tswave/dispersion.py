@@ -17,7 +17,8 @@ import numpy as np
 
 from . import airy, fastmode, slowmode
 from .errors import WindingNotOne
-from .numerics import Circle, RootTrace, newton_root, winding_samples
+from .numerics import Circle, RootTrace, newton_root, pointwise, winding_samples
+from .params import shared
 
 __all__ = [
     "DispersionReport",
@@ -104,18 +105,30 @@ def gamma0_and_fast_pair(params, grid):
     arithmetic, which can round one ulp away from it; the grid block is
     Y / delta + z0.  Each element of one evaluation takes the terms it would
     take alone, so every value is that of its separate evaluation.
+
+    For a block ``params`` (a tuple of SpectralParams that differ only in c)
+    the evaluation holds every point's wall offsets and grid block; Gamma0
+    comes back as a (k,) array and each array of the fast mode with a row
+    per point.
     """
-    chat = np.atleast_1d(params.c) + 1j / params.n
-    wall = np.append(params.z0_at(chat), params.z0)
+    block = isinstance(params, tuple)
+    points = params if block else (params,)
+    p = shared(params)
+    chat = np.array([q.c for q in points]) + 1j / p.n
+    wall = np.column_stack([p.z0_at(chat), [q.z0 for q in points]])
     airy._check_sector(wall)
-    fastmode.check_sublayer_scales(params)      # before the grid block is evaluated
+    for q in points:
+        fastmode.check_sublayer_scales(q)   # before the grid block is evaluated
     grid = np.asarray(grid, dtype=float)
-    ai = airy._ai_any((0, 1, 2, 3),
-                      np.concatenate([wall, grid / params.delta + params.z0]))
-    ratios = ai[:, 2:] / ai[2, 1]
-    phi = tuple(fastmode.airy_fast("Phi", o, grid, params, ratios) for o in range(3))
-    psi = tuple(fastmode.airy_fast("Psi", o, grid, params, ratios) for o in range(2))
-    return complex(_gamma0(chat, ai[1, :1], ai[2, :1], params)[0]), (phi, psi)
+    z = np.concatenate([wall, grid / p.delta + pointwise(lambda q: q.z0, points)], axis=1)
+    ai = airy._ai_any((0, 1, 2, 3), z.ravel()).reshape((4,) + z.shape)
+    ratios = ai[:, :, 2:] / ai[2, :, 1:2]
+    if not block:
+        ratios = ratios[:, 0]
+    phi = tuple(fastmode.airy_fast("Phi", o, grid, p, ratios) for o in range(3))
+    psi = tuple(fastmode.airy_fast("Psi", o, grid, p, ratios) for o in range(2))
+    gamma = _gamma0(chat, ai[1, :, 0], ai[2, :, 0], p)
+    return (gamma if block else complex(gamma[0])), (phi, psi)
 
 
 def gamma_ref_hat(h, params):

@@ -22,9 +22,10 @@ from .numerics import (
     backward_exp_integral,
     forward_exp_integral,
     graded_grid,
+    pointwise,
     tail_trapezoid,
 )
-from .params import ModeFunction
+from .params import ModeFunction, shared
 from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
@@ -56,8 +57,9 @@ def airy_fast(which, order, Y, params, ratios=None):
     order 2.
 
     ``ratios`` is the block Ai(k, Y/delta + z0)/Ai(2, z0), k = 0..3, at these
-    Y when the caller has evaluated it; otherwise the four orders are
-    evaluated here as one block.
+    Y when the caller has evaluated it, with a point axis after the order
+    for a block of wave speeds; otherwise the four orders are evaluated here
+    as one block.
     """
     if not params.is_eighth:
         raise RegimeMismatch("airy_fast is the eps^{1/8}-regime fast mode")
@@ -199,15 +201,18 @@ def fast_errors(group, Y, params, slow_boundary_value, phi, psi, phi_last=None):
     ``phi`` and ``psi`` hold Phi_app^f and Psi_app^f at Y by derivative
     order: Phi to order 2 ('E3f' reads it) and Psi to order 1.  ``phi_last``,
     the highest hierarchy level and its first derivative at Y, enters only
-    the beta-regime divergence term group 'E1f_beta'.
+    the beta-regime divergence term group 'E1f_beta'.  For a block
+    ``params`` (a tuple of SpectralParams that differ only in c) the arrays
+    have a row per point and ``slow_boundary_value`` holds one value per
+    point.
     """
     Yarr = np.asarray(Y, dtype=float)
-    a = params.alpha
-    n = params.n
-    se = params.sqrt_eps
-    c = params.c
-    chat = params.c_hat
-    B = complex(slow_boundary_value)
+    p = shared(params)
+    a, n, se = p.alpha, p.n, p.sqrt_eps
+    c = pointwise(lambda q: q.c, params)
+    chat = pointwise(lambda q: q.c_hat, params)
+    block = isinstance(params, tuple)
+    B = pointwise(complex, tuple(slow_boundary_value) if block else slow_boundary_value)
     us, dus, d2us, hs, dhs, d2hs = profile_arrays(Yarr)
 
     if group == "E1f":

@@ -6,7 +6,8 @@ xi = sqrt(i alpha + alpha^2 - i alpha c) with Re xi > 0, and iterating the
 mild (double-integral) formulation of the remainder.  The per-step gap in the
 e^{eta Y}-weighted sup norm contracts like O(alpha).  The source is sampled
 on the solve grid, and the solution comes back there with its first two
-derivatives.
+derivatives.  The problems of a block of wave speeds run one Picard
+iteration together, with a row per point.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonContraction, NonConvergence
-from .numerics import backward_exp_integral, forward_exp_integral, graded_grid
-from .params import SpectralParams
+from .numerics import (backward_exp_integral, exp_kernel, forward_exp_integral,
+                       graded_grid, pointwise)
+from .params import SpectralParams, shared
 from .profile import profile_arrays
 
-__all__ = ["MagneticProblem", "MagneticTrace", "solve_magnetic",
+__all__ = ["MagneticProblem", "MagneticTrace", "MagneticTraces", "solve_magnetic",
            "build_psi_app_s", "default_magnetic_grid"]
 
 
@@ -37,13 +39,30 @@ class MagneticTrace:
         return [b / a for a, b in zip(self.gaps, self.gaps[1:]) if a > 0.0]
 
 
+class MagneticTraces(tuple):
+    """The ``MagneticTrace`` of each point of a block solve, in point order;
+    ``gaps`` and ``ratios`` run over the points in turn."""
+
+    @property
+    def gaps(self):
+        return [g for trace in self for g in trace.gaps]
+
+    @property
+    def ratios(self):
+        return [r for trace in self for r in trace.ratios]
+
+
 @dataclass
 class MagneticProblem:
     """Data for one magnetic solve: wavenumber/speed via params, boundary
     value, the source f sampled on the solve grid, its known envelope
     exponent ``decay_rate`` with |f(Y)| <~ e^{-decay_rate Y} (0 when
     unknown), and the weight exponent eta < sqrt(2 alpha)/4 for the
-    contraction norm, capped by the source's rate when not given."""
+    contraction norm, capped by the source's rate when not given.
+
+    A block of wave speeds is one problem per point solved together:
+    ``params`` is then a tuple of SpectralParams that differ only in c,
+    ``phi_b`` a tuple of boundary values and ``f`` has a row per point."""
 
     params: SpectralParams
     phi_b: complex
@@ -52,7 +71,7 @@ class MagneticProblem:
     eta: float | None = None
 
     def __post_init__(self):
-        ceiling = math.sqrt(2.0 * self.params.alpha) / 4.0
+        ceiling = math.sqrt(2.0 * shared(self.params).alpha) / 4.0
         if self.eta is None:
             self.eta = ceiling / 2.0
             if self.decay_rate > 0.0:
@@ -62,9 +81,14 @@ class MagneticProblem:
 
     @property
     def xi(self):
-        p = self.params
-        root = cmath.sqrt(1j * p.alpha + p.alpha**2 - 1j * p.alpha * p.c)
-        return -root if root.real < 0.0 else root
+        """The decay rate of the lift, or the tuple of the block's rates."""
+        def rate(p):
+            root = cmath.sqrt(1j * p.alpha + p.alpha**2 - 1j * p.alpha * p.c)
+            return -root if root.real < 0.0 else root
+
+        if isinstance(self.params, tuple):
+            return tuple(rate(p) for p in self.params)
+        return rate(self.params)
 
 
 def default_magnetic_grid(params, n_nodes=1200):
@@ -79,69 +103,109 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     below ``tol``; raises NonContraction if the gap ratio reaches 1 twice in
     a row, NonConvergence at the iteration budget, and ValueError when the
     source's shape is not the grid's.
+
+    A block problem runs one Picard iteration over its points, with each
+    point's iterate a row of the (k, N) arrays.  A point's iterate stays
+    fixed once its own gap is below ``tol``, and it keeps its own trace, so
+    every row has the bits of its point's own solve; the arrays come back
+    (k, N) and the trace as ``MagneticTraces``.  When points fail, the
+    first failing point's exception in point order is raised.
     """
-    p = prob.params
+    block = isinstance(prob.params, tuple)
+    points = prob.params if block else (prob.params,)
     grid = np.asarray(grid, dtype=float)
     f_vals = np.asarray(prob.f)
-    if f_vals.shape != grid.shape:
+    k = len(points)
+    if f_vals.shape != ((k,) if block else ()) + grid.shape:
         raise ValueError(f"magnetic source has shape {f_vals.shape}, "
                          f"the grid {grid.shape}")
-    xi = prob.xi
-    alpha = p.alpha
+    f_vals = f_vals.reshape(k, grid.size)
+    xis = prob.xi if block else (prob.xi,)
+    # the point scalars as (k, 1) columns; one point is the block of k = 1
+    xi = pointwise(complex, xis)
+    c = pointwise(lambda p: p.c, points)
+    phi_b = pointwise(complex, tuple(prob.phi_b) if block else (prob.phi_b,))
+    alpha = shared(prob.params).alpha
     prof = profile_arrays(grid)
     # i alpha (1 - U_s), the same at every Picard step
     coupling = 1j * alpha * prof.wake
-    lift = np.exp(-xi * grid) * prob.phi_b
+    lift = np.exp(-xi * grid) * phi_b
     f_tilde = f_vals + coupling * lift
     weight = np.exp(prob.eta * grid)
+    kernel = exp_kernel(grid, xis)
 
-    trace = MagneticTrace()
-    phi_t = np.zeros_like(grid, dtype=complex)
-    inner = None
-    rising = 0
+    traces = [MagneticTrace() for _ in range(k)]
+    phi_t = np.zeros((k, grid.size), dtype=complex)
+    live = list(range(k))
+    rising = [0] * k
+    failed = {}
     for _ in range(max_picard):
-        g = f_tilde + coupling * phi_t
-        inner = backward_exp_integral(g, grid, xi, tail_rate=prob.eta)
-        new = forward_exp_integral(inner, grid, xi)
-        gap = float(np.max(weight * np.abs(new - phi_t)))
-        trace.gaps.append(gap)
-        phi_t = new
-        if gap < tol:
-            trace.converged = True
-            break
-        if len(trace.gaps) >= 2 and trace.gaps[-1] >= trace.gaps[-2]:
-            rising += 1
-            if rising >= 2:
-                raise NonContraction(
-                    f"gap ratio >= 1 twice (last gaps {trace.gaps[-3:]})")
+        # every row is iterated, and only the live ones take the new iterate
+        inner = backward_exp_integral(f_tilde + coupling * phi_t, grid, kernel,
+                                      tail_rate=prob.eta)
+        new = forward_exp_integral(inner, grid, kernel)
+        gaps = np.max(weight * np.abs(new - phi_t), axis=1)
+        if len(live) == k:
+            phi_t = new
         else:
-            rising = 0
-    else:
-        raise NonConvergence(f"Picard gap {trace.gaps[-1]:.3e} after {max_picard} steps")
+            phi_t[live] = new[live]
+        keep = []
+        for j in live:
+            trace = traces[j]
+            trace.gaps.append(float(gaps[j]))
+            if trace.gaps[-1] < tol:
+                trace.converged = True
+                continue
+            if len(trace.gaps) >= 2 and trace.gaps[-1] >= trace.gaps[-2]:
+                rising[j] += 1
+                if rising[j] >= 2:
+                    failed[j] = NonContraction(
+                        f"gap ratio >= 1 twice (last gaps {trace.gaps[-3:]})")
+                    continue
+            else:
+                rising[j] = 0
+            keep.append(j)
+        live = keep
+        if not live:
+            break
+    for j in live:
+        failed[j] = NonConvergence(
+            f"Picard gap {traces[j].gaps[-1]:.3e} after {max_picard} steps")
+    if failed:
+        raise failed[min(failed)]
 
     phi = lift + phi_t
     # one more application of the Picard map: a-posteriori equation defect of
     # the returned iterate in the weighted sup norm (mild formulation)
     inner_final = backward_exp_integral(
-        f_tilde + coupling * phi_t, grid, xi, tail_rate=prob.eta)
-    remapped = forward_exp_integral(inner_final, grid, xi)
-    trace.residual_weighted = float(np.max(weight * np.abs(remapped - phi_t)))
+        f_tilde + coupling * phi_t, grid, kernel, tail_rate=prob.eta)
+    remapped = forward_exp_integral(inner_final, grid, kernel)
+    residuals = np.max(weight * np.abs(remapped - phi_t), axis=1)
+    for trace, res in zip(traces, residuals):
+        trace.residual_weighted = float(res)
     # dY phi_tilde = -xi phi_tilde + inner(Y) follows from the mild form
     dphi = -xi * lift - xi * phi_t + inner_final
-    d2phi = alpha**2 * phi + 1j * alpha * (prof.us - p.c) * phi - f_vals
-    return (phi, dphi, d2phi), trace
+    d2phi = alpha**2 * phi + 1j * alpha * (prof.us - c) * phi - f_vals
+    if block:
+        return (phi, dphi, d2phi), MagneticTraces(traces)
+    return (phi[0], dphi[0], d2phi[0]), traces[0]
 
 
 def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid):
     """Magnetic slow mode on ``grid``: solve the magnetic equation with
     boundary value Phi_app^s(0) Psi_app^f(0) and source
     i alpha H_s Phi_app^s + dY Phi_app^s, where ``slow`` holds Phi_app^s and
-    dY Phi_app^s on the grid.
+    dY Phi_app^s on the grid.  For a block ``params`` the arrays have a row
+    per point and the two wall values hold one entry per point.
 
     Returns the mode and its first two derivatives on the grid; the second is
     recovered from the equation itself rather than numerical differentiation.
     """
-    f = 1j * params.alpha * profile_arrays(grid).hs * slow[0] + slow[1]
-    prob = MagneticProblem(params=params, phi_b=complex(slow_at_0 * fast_psi_at_0),
-                           f=f, decay_rate=min(params.alpha, 1.0))
+    alpha = shared(params).alpha
+    f = 1j * alpha * profile_arrays(grid).hs * slow[0] + slow[1]
+    if isinstance(params, tuple):
+        phi_b = tuple(complex(s * p) for s, p in zip(slow_at_0, fast_psi_at_0))
+    else:
+        phi_b = complex(slow_at_0 * fast_psi_at_0)
+    prob = MagneticProblem(params=params, phi_b=phi_b, f=f, decay_rate=min(alpha, 1.0))
     return solve_magnetic(prob, grid)[0]

@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,9 @@ __all__ = [
     "forward_exp_integral",
     "backward_exp_integral",
     "grid_cache",
+    "pointwise",
+    "ExpKernel",
+    "exp_kernel",
     "flapack",
 ]
 
@@ -83,6 +87,20 @@ def _read_only(obj):
         for f in fields(obj):
             _read_only(getattr(obj, f.name))
     return obj
+
+
+def pointwise(fn, x):
+    """``fn(x)`` for one point.  For a block of points, ``x`` is a tuple with
+    one entry per point: each ``fn(x_j)`` is computed on its own, as a scalar,
+    and the values come back stacked into a (k, 1) complex column.
+
+    Grid arithmetic with the column rounds each row as the scalar rounds the
+    one-point arrays; a column formed by array arithmetic can round
+    differently (numpy's complex multiply and square are not Python's).
+    """
+    if isinstance(x, tuple):
+        return np.array([fn(v) for v in x], dtype=complex).reshape(-1, 1)
+    return fn(x)
 
 
 @dataclass(frozen=True)
@@ -278,7 +296,8 @@ class Stencil:
     Row i = 1..n-2 weighs nodes i-1, i, i+1 by ``lo[i-1]``, ``mid[i-1]`` and
     ``hi[i-1]``; the one-sided end rows weigh nodes 0, 1, 2 (``first``) and
     n-3, n-2, n-1 (``last``).  ``stencil @ v`` gives the same bits as the
-    equal CSR matrix applied to the 1-D array v.
+    equal CSR matrix applied to the 1-D array v; a (k, n) array is
+    differenced row by row.
     """
 
     lo: np.ndarray
@@ -290,14 +309,18 @@ class Stencil:
     def __matmul__(self, v):
         v = np.asarray(v)
         out = np.empty(v.shape, dtype=np.result_type(self.mid, v))
-        out[0] = self.wall(v)
-        out[1:-1] = _row_sum((self.lo, self.mid, self.hi), v[:-2], v[1:-1], v[2:])
-        out[-1] = _row_sum(self.last, v[-3], v[-2], v[-1])
+        out[..., 0] = self.wall(v)
+        out[..., 1:-1] = _row_sum((self.lo, self.mid, self.hi),
+                                  v[..., :-2], v[..., 1:-1], v[..., 2:])
+        nodes = np.asarray(v).T     # node first: v[-1] of a 1-D v is a scalar
+        out[..., -1] = _row_sum(self.last, nodes[-3], nodes[-2], nodes[-1])
         return out
 
     def wall(self, v):
-        """Row 0 applied to v: for order 1 the one-sided slope at the wall."""
-        return _row_sum(self.first, v[0], v[1], v[2])
+        """Row 0 applied to v (to each row of a 2-D v): for order 1 the
+        one-sided slope at the wall."""
+        nodes = np.asarray(v).T
+        return _row_sum(self.first, nodes[0], nodes[1], nodes[2])
 
 
 def diff_matrix(grid, order):
@@ -379,24 +402,54 @@ def _exp_kernel_coeffs(x):
     return a, b
 
 
+class ExpKernel(NamedTuple):
+    """Data of the exp-kernel recurrences on one grid for one rate xi, or for
+    a block of k rates, one per row of (k, N) values: the spacings h, the
+    scaled kernel coefficients and the LAPACK band storage (kd = 1, unit
+    diagonal) of the bidiagonal system with -e^{-xi h} beside the diagonal,
+    above it for the backward recurrence and below it for the forward one.
+    A block's k systems are stacked into one of kN unknowns with zero
+    coupling between them."""
+
+    xi: np.ndarray
+    h: np.ndarray
+    ah: np.ndarray
+    bh: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+
+def exp_kernel(grid, xi):
+    """The ``ExpKernel`` on ``grid`` of the rate ``xi``, or of each rate of
+    the tuple ``xi``; each row of a block has the bits of its rate's own
+    kernel."""
+    block = isinstance(xi, tuple)
+    xi = np.array(xi, dtype=complex) if block else np.complex128(xi)
+    h = np.diff(grid)
+    x = (xi[:, None] if block else xi) * h
+    ah, bh = _exp_kernel_coeffs(x)
+    off = -np.exp(-x).reshape(-1, h.size)
+    k, n = off.shape[0], grid.size
+    upper = np.ones((2, k * n), dtype=complex, order="F")
+    lower = np.ones((2, k * n), dtype=complex, order="F")
+    # the off-diagonal rows, viewed as one row of n per system
+    above, below = upper[0].reshape(k, n), lower[1].reshape(k, n)
+    above[:, 0] = below[:, -1] = 0.0
+    above[:, 1:] = below[:, :-1] = off
+    return ExpKernel(xi, h, ah, bh, upper, lower)
+
+
 @grid_cache(maxsize=4)
 def _exp_kernel(grid, xi):
-    """Per-(grid, xi) data of the exp-kernel recurrences.
+    """The ``ExpKernel`` of one rate xi, shared by the recurrences that
+    integrate on the same (grid, xi)."""
+    return exp_kernel(grid, xi)
 
-    Returns ``(h, ah, bh, upper, lower)``: the spacings, the scaled kernel
-    coefficients, and the LAPACK band storage (kd = 1, unit diagonal) of the
-    bidiagonal systems with -e^{-xi h} beside the diagonal, above it for the
-    backward recurrence and below it for the forward one.
-    """
-    h = np.diff(grid)
-    x = xi * h
-    ah, bh = _exp_kernel_coeffs(x)
-    off = -np.exp(-x)
-    upper = np.ones((2, grid.size), dtype=complex, order="F")
-    upper[0, 1:] = off
-    lower = np.ones((2, grid.size), dtype=complex, order="F")
-    lower[1, :-1] = off
-    return h, ah, bh, upper, lower
+
+def _kernel(grid, xi):
+    """``xi`` itself when it is an ``ExpKernel``, else the cached kernel of
+    the rate ``xi`` on ``grid``."""
+    return xi if isinstance(xi, ExpKernel) else _exp_kernel(grid, complex(xi))
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -442,10 +495,28 @@ def flapack():
     return module
 
 
-def _unit_bidiagonal_solve(band, rhs, uplo):
-    out, info = flapack().ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=1)
+def _ztbtrs(band, rhs, uplo, overwrite_b=0):
+    out, info = flapack().ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=overwrite_b)
     if info != 0:
         raise TswaveError(f"banded exp-kernel solve failed: ztbtrs info = {info}")
+    return out
+
+
+def _unit_bidiagonal_solve(band, rhs, uplo):
+    """Solve the unit-bidiagonal system of ``band`` for ``rhs`` (overwritten),
+    or its stacked systems for the rows of a (k, N) ``rhs``, as one ztbtrs
+    call.
+
+    A zero coupling passes 0 * NaN = NaN from one system to the next, so a
+    system whose solution is not finite is solved again on its own: each
+    row then has the bits of its own solve, whatever its neighbours hold.
+    """
+    k = len(rhs) if rhs.ndim == 2 else 1
+    out = _ztbtrs(band, rhs.ravel(), uplo, overwrite_b=int(k == 1)).reshape(rhs.shape)
+    if k > 1:
+        n = rhs.shape[1]
+        for j in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+            out[j] = _ztbtrs(band[:, j * n:(j + 1) * n], rhs[j], uplo)
     return out
 
 
@@ -454,28 +525,35 @@ def backward_exp_integral(vals, grid, xi, tail_rate=0.0):
 
     Piecewise-linear integrand with the exponential kernel handled exactly;
     the recurrence I_i = e^{-xi h_i} I_{i+1} + local_i runs backward so every
-    factor decays, and is solved as one upper unit-bidiagonal system.
+    factor decays, and is solved as one upper unit-bidiagonal system.  With
+    the ``ExpKernel`` of a block of k rates as ``xi``, each row of the
+    (k, N) ``vals`` is integrated with its own rate.
     """
     vals = np.asarray(vals, dtype=complex)
-    h, ah, bh, upper, _ = _exp_kernel(grid, complex(xi))
+    kern = _kernel(grid, xi)
     # int_0^h e^{-xi s}(v_i + (v_{i+1}-v_i) s/h) ds = h*(v_i ah) + h*(v_{i+1}-v_i) bh
     rhs = np.empty(vals.shape, dtype=complex)
-    rhs[:-1] = h * (vals[:-1] * ah + (vals[1:] - vals[:-1]) * bh)
-    rhs[-1] = vals[-1] / (xi + tail_rate)
-    return _unit_bidiagonal_solve(upper, rhs, "U")
+    rhs[..., :-1] = kern.h * (vals[..., :-1] * kern.ah
+                              + (vals[..., 1:] - vals[..., :-1]) * kern.bh)
+    # node axis first: the last node's values, a scalar for one rate
+    rhs.T[-1] = vals.T[-1] / (kern.xi + tail_rate)
+    return _unit_bidiagonal_solve(kern.upper, rhs, "U")
 
 
 def forward_exp_integral(vals, grid, xi):
     """u(Y_i) = int_0^{Y_i} e^{-xi (Y_i - Y')} vals(Y') dY' for Re xi > 0.
 
     The recurrence u_i = e^{-xi h_{i-1}} u_{i-1} + local_{i-1} from u_0 = 0 is
-    solved as one lower unit-bidiagonal system.
+    solved as one lower unit-bidiagonal system; a block's ``ExpKernel`` as
+    ``xi`` integrates the rows of (k, N) ``vals`` as ``backward_exp_integral``
+    does.
     """
     vals = np.asarray(vals, dtype=complex)
-    h, ah, bh, _, lower = _exp_kernel(grid, complex(xi))
+    kern = _kernel(grid, xi)
     # int_0^h e^{-xi(h-s)} (v_i + (v_{i+1}-v_i) s/h) ds  with sigma = h-s:
     #   = v_{i+1} * h*ah - (v_{i+1}-v_i) * h*bh
     rhs = np.empty(vals.shape, dtype=complex)
-    rhs[0] = 0.0
-    rhs[1:] = h * (vals[1:] * ah - (vals[1:] - vals[:-1]) * bh)
-    return _unit_bidiagonal_solve(lower, rhs, "L")
+    rhs[..., 0] = 0.0
+    rhs[..., 1:] = kern.h * (vals[..., 1:] * kern.ah
+                             - (vals[..., 1:] - vals[..., :-1]) * kern.bh)
+    return _unit_bidiagonal_solve(kern.lower, rhs, "L")

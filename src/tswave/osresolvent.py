@@ -261,13 +261,24 @@ def splu(band, kl, ku):
     return _BandLU(lu, piv, kl, ku, norm1)
 
 
-def _estimate_condition(lu):
-    """Hager-style 1-norm condition estimate from the factorization."""
+def _estimate_condition(lu, first=None):
+    """Hager-style 1-norm condition estimate from the factorization.
+
+    ``first`` is the solve of the estimate's first step, A y = (1/n, ...,
+    1/n), when the caller has made it as one more column of another solve;
+    it has the bits of that step's own solve.
+
+    LAPACK's band estimator ``zgbcon`` (scipy's ``_flapack.zgbcon``) was
+    measured against this loop and not taken: it gave the same estimate
+    (ratio 1.0000 at A = 2 with eps = 1e-12 and 1e-10, at A = 4 with
+    eps = 1e-20 and 1e-24, N = 1600) but took 40-85 ms per factorization
+    against 1.2-3.1 ms for this loop (scipy 1.17, 2-vCPU x86_64).
+    """
     n = lu.lu.shape[1]
     x = np.full(n, 1.0 / n, dtype=complex)
     est = 0.0
-    for _ in range(6):
-        y = lu.solve(x)
+    for step in range(6):
+        y = first if step == 0 and first is not None else lu.solve(x)
         est = float(np.sum(np.abs(y)))
         ay = np.abs(y)
         xi = np.divide(y, ay, out=np.ones_like(y), where=ay > 1e-280)
@@ -283,14 +294,22 @@ def _estimate_condition(lu):
 class _Factorized:
     """Banded LU of one system ('os_d', 'os_s', 'full') at the wave speed of
     ``params``, refused with ``SingularSystem`` when its Hager estimate
-    ``cond`` exceeds ``_COND_LIMIT``."""
+    ``cond`` exceeds ``_COND_LIMIT``.
 
-    def __init__(self, params, bvp, variant):
+    With ``sources`` (q1, q2) the system is solved for them too, and
+    ``solution`` holds the grid arrays ``solve`` returns; the first step of
+    the Hager estimate rides along as one more column of that zgbtrs call.
+    """
+
+    def __init__(self, params, bvp, variant, sources=None):
         try:
             self.lu = splu(*_band_at(params, bvp, variant))
         except RuntimeError as exc:
             raise SingularSystem(f"{variant} factorization failed: {exc}") from exc
-        self.cond = _estimate_condition(self.lu)
+        first = None
+        if sources is not None:
+            self.solution, first = self._solve(bvp, *sources, hager_column=True)
+        self.cond = _estimate_condition(self.lu, first)
         if self.cond > _COND_LIMIT:
             raise SingularSystem(f"{variant} condition estimate {self.cond:.2e} "
                                  f"exceeds {_COND_LIMIT:.0e}")
@@ -299,12 +318,21 @@ class _Factorized:
         """Grid arrays (phi, omega, psi) of the solution for the sources
         (q1, q2).  Sources of shape (k, N) are solved as the k columns of one
         zgbtrs call, and each returned array then has shape (k, N)."""
+        return self._solve(bvp, q1, q2)[0]
+
+    def _solve(self, bvp, q1, q2, hager_column=False):
+        """``solve``, and with ``hager_column`` the solution of the Hager
+        estimate's first step from one more column of the same call."""
         N = bvp.n
         rhs = _rhs(bvp, q1, q2)
         # block order b N + i to node order 3 i + b, one column per source
         cols = np.swapaxes(rhs.reshape(-1, 3, N), 1, 2).reshape(-1, 3 * N).T
-        x = self.lu.solve(cols).T.reshape(rhs.shape[:-1] + (N, 3))
-        return tuple(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
+        if hager_column:
+            cols = np.column_stack([cols, np.full(3 * N, 1.0 / (3 * N), dtype=complex)])
+        x = self.lu.solve(cols)
+        first = x[:, -1] if hager_column else None
+        x = x[:, :rhs.size // (3 * N)].T.reshape(rhs.shape[:-1] + (N, 3))
+        return tuple(np.ascontiguousarray(np.moveaxis(x, -1, 0))), first
 
 
 def _sample_sources(q1, q2, bvp):
@@ -428,34 +456,58 @@ class OSIteration:
 def assemble_error_terms(c, params, bvp):
     """All approximate-mode error arrays on the grid, plus the approximate
     dispersion value and the participating modes: each mode as its arrays on
-    the grid by derivative order, and the slow mode's wall values."""
-    p = params.with_c(c)
+    the grid by derivative order, and the slow mode's wall values.
+
+    ``c`` is one wave speed or a 1-D array of them, a block, and one wave
+    speed is the block of one point.  Each quantity is computed once for the
+    block, as a (k, N) array with a row per point, from the point's scalars
+    formed on their own; every row has the bits of its point's own assembly.
+    For an array ``c`` the error arrays and modes come back with that point
+    axis first and the dispersion and wall values as (k,) arrays.
+    """
+    points = tuple(params.with_c(v) for v in np.atleast_1d(c))
+    p = points[0]
     grid = bvp.grid
-    phi0, dphi0 = slowmode.boundary_values(p)
+    phi0, dphi0 = slowmode.boundary_values(p, c_hat=np.array([q.c_hat for q in points]))
+    wall = [complex(v) for v in phi0]       # Phi_app^s(0) of each point
 
     if p.is_eighth:
-        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(p, grid)
+        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(points, grid)
         phi_last = None
         groups = ("E1f", "E2f", "E3f", "Ff")
     else:
-        hier = fastmode.ExpFastHierarchy(p, grid=grid)
-        phi_f = tuple(hier.sum_arrays("Phi", o) for o in range(2))
-        psi_f = tuple(hier.sum_arrays("Psi", o) for o in range(2))
-        phi_last = (hier.phi_levels[-1], hier.dphi_levels[-1])
-        gamma0_val = dispersion.gamma0_of_hierarchy(phi0, dphi0, hier)
+        hiers = [fastmode.ExpFastHierarchy(q, grid=grid) for q in points]
+        phi_f = tuple(np.stack([h.sum_arrays("Phi", o) for h in hiers]) for o in range(2))
+        psi_f = tuple(np.stack([h.sum_arrays("Psi", o) for h in hiers]) for o in range(2))
+        phi_last = (np.stack([h.phi_levels[-1] for h in hiers]),
+                    np.stack([h.dphi_levels[-1] for h in hiers]))
+        gamma0_val = np.array([dispersion.gamma0_of_hierarchy(b, complex(d), h)
+                               for b, d, h in zip(wall, dphi0, hiers)])
         groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
-    slow = tuple(slowmode.phi_app_s(k, grid, p) for k in range(2))
+    slow = tuple(slowmode.phi_app_s(k, grid, points) for k in range(2))
     # grid[0] = 0: the wall value of the fast mode's magnetic part
-    psi_s = magnetic.build_psi_app_s(p, slow, psi_f[0][0], phi0, grid)
+    psi_s = magnetic.build_psi_app_s(points, slow, psi_f[0][:, 0], wall, grid)
 
-    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, p, psi_s) for k in (1, 2, 3)}
+    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, points, psi_s) for k in (1, 2, 3)}
     for key, g in zip(("e1f", "e2f", "e3f", "ff"), groups):
-        arrays[key] = fastmode.fast_errors(g, grid, p, phi0, phi_f, psi_f,
+        arrays[key] = fastmode.fast_errors(g, grid, points, wall, phi_f, psi_f,
                                            phi_last=phi_last)
     modes = {"slow": slow, "phi_f": phi_f, "psi_f": psi_f, "psi_s": psi_s,
              "phi0": phi0, "dphi0": dphi0}
-    return arrays, gamma0_val, modes
+    out = arrays, gamma0_val, modes
+    return out if np.ndim(c) else _point(out, 0)
+
+
+def _point(result, j):
+    """Point j of a block's result: row j of each array, nested in dicts and
+    tuples, with a row that is a single value as a Python number."""
+    if isinstance(result, dict):
+        return {key: _point(v, j) for key, v in result.items()}
+    if isinstance(result, tuple):
+        return tuple(_point(v, j) for v in result)
+    row = result[j]
+    return row.item() if np.ndim(row) == 0 else row
 
 
 def error_norms(arrays, bvp):
@@ -480,41 +532,79 @@ def error_norms(arrays, bvp):
     }
 
 
-def _solve_remainders(c, params, bvp):
-    """Error terms at c and the two remainder solves.
+def _sources(arrays, params, bvp):
+    """Sources (q1, q2) of the two remainder solves from the error arrays,
+    one row per remainder (after the point axis of a block's arrays).
 
     The first remainder absorbs the strongly decaying error pair, the second
     the divergence-form errors.  Both solve the full operator, factored once
-    at c, as the two columns of one banded solve.  Returns ``(gamma0, modes,
-    (phi, psi), cond)``: the approximate dispersion value, the participating
-    modes of ``assemble_error_terms``, the remainders' grid arrays with one
-    row per remainder, and the factorization's condition estimate.
-    """
-    p = params.with_c(c)
-    arrays, gamma0_val, modes = assemble_error_terms(c, params, bvp)
-    fact = _Factorized(p, bvp, "full")
+    per wave speed, as the columns of one banded solve."""
     div_source = (bvp.d1 @ (arrays["e1s"] + arrays["e1f"])
-                  + 1j * p.alpha * (arrays["e2s"] + arrays["e2f"]))
-    phi, _, psi = fact.solve(
-        bvp, np.stack([arrays["e3s"] + arrays["e3f"], div_source]),
-        np.stack([arrays["ff"], np.zeros(bvp.n)]))
-    return gamma0_val, modes, (phi, psi), fact.cond
+                  + 1j * params.alpha * (arrays["e2s"] + arrays["e2f"]))
+    return (np.stack([arrays["e3s"] + arrays["e3f"], div_source], axis=-2),
+            np.stack([arrays["ff"], np.zeros_like(arrays["ff"])], axis=-2))
+
+
+# grid nodes summed over the points of one block of wave speeds in
+# ``remainder_and_gamma`` (4 points at N = 1600, 16 at N = 400): it bounds
+# the memory a block holds, about 0.7 MB per point at N = 1600.  Blocks of
+# 1, 4, 6 and 8 points gave the benchmark's ``full_os`` workload (N = 1600)
+# a peak RSS of 46.2, 48.3, 49.8 and 50.6 MB (47.2 MB before blocks), and
+# blocks past four ran no faster
+_BLOCK_NODES = 4 * 1600
 
 
 def remainder_and_gamma(c, params, bvp):
     """Exact dispersion value Gamma(c) = Gamma0(c) - boundary slopes of the
-    two remainder solves, plus diagnostics."""
-    gamma0_val, _, (phi, _), cond = _solve_remainders(c, params, bvp)
-    slope1, slope2 = (bvp.d1.wall(phi_k) for phi_k in phi)
+    two remainder solves, plus diagnostics.
+
+    ``c`` is one wave speed, or a 1-D array of them, which is evaluated in
+    blocks of at most ``_BLOCK_NODES`` grid nodes: Gamma comes back as an
+    array and each diagnostic with a leading point axis.  Every value has
+    the bits of its point's own evaluation.  When points fail, the first
+    failing point in order raises its own exception.
+    """
+    cs = np.atleast_1d(np.asarray(c, dtype=complex))
+    size = max(1, _BLOCK_NODES // bvp.n)
+    rows = [row for start in range(0, cs.size, size)
+            for row in _gamma_rows(cs[start:start + size], params, bvp)]
+    if np.ndim(c) == 0:
+        return rows[0]
+    diag = {key: np.array([d[key] for _, d in rows]) for key in rows[0][1]}
+    return diag["gamma"], diag
+
+
+def _gamma_rows(cs, params, bvp):
+    """(Gamma, diagnostics) of each wave speed of the block ``cs``: the
+    error terms assembled as one block, then each point's full operator
+    factored and its remainders solved on their own.  A block in which a
+    point fails is evaluated again point by point, so that the first failing
+    point raises the exception of its own evaluation."""
+    try:
+        arrays, gamma0_val, _ = assemble_error_terms(cs, params, bvp)
+        q1, q2 = _sources(arrays, params, bvp)
+        del arrays      # only the sources stay alive through the solves
+        return [_gamma_row(g0.item(), params.with_c(v), bvp, (s1, s2))
+                for g0, v, s1, s2 in zip(gamma0_val, cs, q1, q2)]
+    except Exception:
+        if cs.size == 1:
+            raise
+        return [row for v in cs for row in _gamma_rows(v[None], params, bvp)]
+
+
+def _gamma_row(gamma0_val, p, bvp, sources):
+    """Gamma at the wave speed of ``p`` from Gamma0 there and the sources of
+    its remainder solves, with its diagnostics."""
+    fact = _Factorized(p, bvp, "full", sources=sources)
+    slope1, slope2 = (bvp.d1.wall(phi_k) for phi_k in fact.solution[0])
     gamma = gamma0_val - slope1 - slope2
-    diag = {
+    return gamma, {
         "gamma0": gamma0_val,
         "gamma": gamma,
         "remainder_slopes": (slope1, slope2),
         "gap": abs(gamma - gamma0_val),
-        "condition": cond,
+        "condition": fact.cond,
     }
-    return gamma, diag
 
 
 def build_mode(c, params, bvp, full_os=False):
@@ -526,10 +616,10 @@ def build_mode(c, params, bvp, full_os=False):
     are subtracted, so the no-slip defect at the wall is Gamma(c) itself.
     """
     grid = bvp.grid
+    arrays, _, modes = assemble_error_terms(c, params, bvp)
     if full_os:
-        _, modes, (r_phi, r_psi), _ = _solve_remainders(c, params, bvp)
-    else:
-        _, _, modes = assemble_error_terms(c, params, bvp)
+        r_phi, _, r_psi = _Factorized(params.with_c(c), bvp, "full",
+                                      sources=_sources(arrays, params, bvp)).solution
     phi0 = modes["phi0"]
     phi_arrays = [modes["slow"][k] - phi0 * modes["phi_f"][k] for k in range(2)]
     psi_arrays = [modes["psi_s"][k] - phi0 * modes["psi_f"][k] for k in range(2)]

@@ -58,6 +58,22 @@ class StructureReport:
         return self.worst[1] >= -1e-12
 
 
+class _ChatScalars(NamedTuple):
+    """The scalars of one c_hat in the critical-layer integrals, b = u_inf -
+    c_hat: F(1) the primitive of w^{-2} at Y = 1 and G(0) the primitive of
+    U_s' w F at Y = 0.  For a block, each is a (k, 1) column."""
+
+    chat: complex
+    chat2: complex
+    b: complex
+    b2: complex
+    two_b: complex
+    two_b2: complex
+    four_b2: complex
+    f1: complex
+    g0: complex
+
+
 class HartmannProfile:
     """U_s(Y) = 1 - e^{-Y} with three derivatives, H_s(Y) = h_inf - e^{-Y}
     with two; far fields (1, h_inf)."""
@@ -93,20 +109,40 @@ class HartmannProfile:
     #    representation of the inverse-square critical-layer integral) --
 
     @staticmethod
-    def _inv_square_primitive(Y, b, w, log_w):
-        # F'(Y) = (U_s - c_hat)^{-2} from w = U_s - c_hat, log w and
-        # b = u_inf - c_hat; principal log is continuous along the real-Y path
-        # because Im(U_s - c_hat) = -Im c_hat is constant.
-        return Y / b**2 + log_w / b**2 - 1.0 / (b * w)
+    def _inv_square_primitive(Y, b, b2, w, log_w):
+        # F'(Y) = (U_s - c_hat)^{-2} from w = U_s - c_hat, log w,
+        # b = u_inf - c_hat and b2 = b^2; principal log is continuous along
+        # the real-Y path because Im(U_s - c_hat) = -Im c_hat is constant.
+        return Y / b2 + log_w / b2 - 1.0 / (b * w)
 
     def _inv_square_at(self, Y, c_hat):
         Y = np.asarray(Y, dtype=float)
         w = (1.0 - np.exp(-Y)) - c_hat
-        return self._inv_square_primitive(Y, 1.0 - c_hat, w, np.log(w))
+        b = 1.0 - c_hat
+        return self._inv_square_primitive(Y, b, b**2, w, np.log(w))
 
     def inv_square_integral(self, Y, c_hat):
         """int_1^Y (U_s - c_hat)^{-2} dX."""
         return self._inv_square_at(Y, c_hat) - self._inv_square_at(1.0, c_hat)
+
+    @staticmethod
+    def _big_g(Y, e, w2, log_w, s):
+        """A primitive of U_s' w F(Y), F the primitive of w^{-2}, at the Y
+        where e = e^{-Y}, from w^2, log w and the ``_ChatScalars`` s."""
+        return (Y * w2 / s.two_b2
+                - (s.b2 * Y + s.two_b * e - e**2 / 2.0) / s.two_b2
+                + w2 * log_w / s.two_b2
+                - w2 / s.four_b2
+                - (1.0 - e) / s.b)
+
+    def _chat_scalars(self, c_hat):
+        """The ``_ChatScalars`` of one c_hat, each formed from Python scalars
+        as for a single c_hat."""
+        b = 1.0 - c_hat
+        s = _ChatScalars(c_hat, c_hat**2, b, b**2, 2.0 * b, 2.0 * b**2, 4.0 * b**2,
+                         self._inv_square_at(1.0, c_hat), None)
+        w0 = (1.0 - 1.0) - c_hat
+        return s._replace(g0=self._big_g(0.0, 1.0, w0**2, np.log(w0), s))
 
     def critical_layer_integrals(self, Y, c_hat):
         """The running integrals (J, K, L) at Y from one e^{-Y} and one log w,
@@ -114,31 +150,28 @@ class HartmannProfile:
 
         J(Y) = int_1^Y w^{-2} dX,  K(Y) = int_0^Y U_s' w J dX,
         L(Y) = int_Y^inf U_s' w dX.
+
+        ``c_hat`` is one value, or a tuple of values (a block of points) for
+        which each integral comes back with a leading point axis.  The
+        scalars of each c_hat are formed on their own and enter the grid
+        arithmetic as columns, so every row has the bits of its own call.
         """
         Y = np.asarray(Y, dtype=float)
-        b = 1.0 - c_hat
+        if isinstance(c_hat, tuple):
+            table = np.array([self._chat_scalars(ch) for ch in c_hat], dtype=complex)
+            s = _ChatScalars(*table.T[:, :, None])
+        else:
+            s = self._chat_scalars(c_hat)
         e = np.exp(-Y)
-        w = (1.0 - e) - c_hat
+        w = (1.0 - e) - s.chat
         log_w = np.log(w)
-        f1 = self._inv_square_at(1.0, c_hat)
-        J = self._inv_square_primitive(Y, b, w, log_w) - f1
-
-        def big_g(Yv, ev, w2, log_w):
-            # a primitive of U_s' w F(Y), F the primitive of w^{-2} above
-            return (Yv * w2 / (2.0 * b**2)
-                    - (b**2 * Yv + 2.0 * b * ev - ev**2 / 2.0) / (2.0 * b**2)
-                    + w2 * log_w / (2.0 * b**2)
-                    - w2 / (4.0 * b**2)
-                    - (1.0 - ev) / b)
-
+        J = self._inv_square_primitive(Y, s.b, s.b2, w, log_w) - s.f1
         w2 = w**2
-        w0 = (1.0 - 1.0) - c_hat
-        K = ((big_g(Y, e, w2, log_w) - big_g(0.0, 1.0, w0**2, np.log(w0)))
-             - f1 * (w2 - c_hat**2) / 2.0)
+        K = (self._big_g(Y, e, w2, log_w, s) - s.g0) - s.f1 * (w2 - s.chat2) / 2.0
         # (b^2 - w^2) / 2 written through the wake e^{-Y} = b - w; the direct
         # difference bottoms out at one ulp once U_s saturates, which
         # exponential weights amplify
-        L = e * (b + w) / 2.0
+        L = e * (s.b + w) / 2.0
         return J, K, L
 
 

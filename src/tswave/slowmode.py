@@ -13,7 +13,9 @@ Phi_app^s to order 3, and the cancelled form of dY Phi_1^s + alpha Phi_1^s.
 It reads the grid's profile arrays and the running integrals J, K and L of
 one closed-form evaluation, ``_closed_forms_at``, and is a grid cache of one
 entry.  ``psi0``, ``phi1s``, ``phi_app_s``, the ModeFunction view
-``phi_app_s_mode`` and the error terms ``slow_errors`` read that pass.  The
+``phi_app_s_mode`` and the error terms ``slow_errors`` read that pass.  Their
+``params`` is one SpectralParams or a block, a tuple of SpectralParams that
+differ only in c; a block's row has the bits of its point's own pass.  The
 tests hold it bit for bit to the order-by-order formulas and J, K and L to
 quadrature (``tests/oracles.py``).
 """
@@ -26,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .numerics import grid_cache
-from .params import ModeFunction
+from .numerics import grid_cache, pointwise
+from .params import ModeFunction, shared
 from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
@@ -45,12 +47,17 @@ __all__ = [
 
 def _closed_forms_at(Y, chat):
     """(J, K, L) at these Y from the profile's closed-form primitives; a
-    scalar Y gives scalars."""
+    scalar Y gives scalars, a tuple ``chat`` a row per value."""
     return DEFAULT_PROFILE.critical_layer_integrals(Y, chat)
 
 
 class _SlowPass(NamedTuple):
-    """The slow-mode arrays of one (grid, c_hat, alpha)."""
+    """The slow-mode arrays of one (grid, c_hat, alpha).
+
+    A block's pass keeps (k, N) arrays of what its error terms read: Phi_app^s,
+    psi_{0,1} (whose orders 1..3 do not depend on c_hat and stay (N,)) and
+    the combination, 6 of the pass's 14 arrays that depend on c_hat;
+    psi_{0,2} and Phi_1^s are None there."""
 
     psi: tuple          # psi[j - 1][k]: d^k/dY^k psi_{0,j}, k = 0..3
     phi1s: tuple        # Phi_1^s, orders 0..3
@@ -59,27 +66,32 @@ class _SlowPass(NamedTuple):
 
 
 def _slow_at(Y, params):
-    """The ``_slow_pass`` of these Y at the wave speed of ``params``."""
-    return _slow_pass(np.asarray(Y, dtype=float), params.c_hat, params.alpha)
+    """The ``_slow_pass`` of these Y at the wave speed of ``params``, or at
+    each wave speed of a block."""
+    chat = tuple(p.c_hat for p in params) if isinstance(params, tuple) else params.c_hat
+    return _slow_pass(np.asarray(Y, dtype=float), chat, shared(params).alpha)
 
 
 @grid_cache(maxsize=1)
 def _slow_pass(Y, chat, a):
-    """Every slow-mode array of one (grid, c_hat, alpha) in one pass.
+    """Every slow-mode array of one (grid, c_hat, alpha) in one pass; a tuple
+    ``chat`` gives the block of its points.
 
     The derivative formulas of Phi_1^s keep the two running integrals
     intact; the Wronskian psi_{0,1} psi_{0,2}' - psi_{0,2} psi_{0,1}' = 1
     collapses the leftover products into the explicit e^{-alpha Y}
     correction terms of orders 2 and 3.
     """
+    block = isinstance(chat, tuple)
     J, K, L = _closed_forms_at(Y, chat)
     prof = profile_arrays(Y)
-    w = prof.us - chat
+    w = prof.us - pointwise(complex, chat)
     du, d2u = prof.dus, prof.d2us
     d3u = du                    # U_s^{(3)} = U_s' = e^{-Y}
     psi1 = (w, du + 0.0j, d2u + 0.0j, d3u + 0.0j)
     # psi_{0,2} = w J with J' = 1 / w^2
     psi2 = (w * J, du * J + 1.0 / w, d2u * J, d3u * J + d2u / w**2)
+    del J
 
     def shifted(psi, order):
         """(d/dY - alpha)^order psi_{0,j} from its derivatives ``psi``."""
@@ -97,9 +109,12 @@ def _slow_pass(Y, chat, a):
             p = p + 2.0 * du * ea
         elif order == 3:
             p = p + (2.0 * d2u - 6.0 * a * du) * ea
-        phi1s.append(p)
+        if not block:
+            phi1s.append(p)
         phi_app.append(ea * s1 + a * p)
     combo = -2.0 * psi1[1] * ea * K - 2.0 * psi2[1] * ea * L
+    if block:
+        return _SlowPass((psi1, None), None, tuple(phi_app), combo)
     return _SlowPass((psi1, psi2), tuple(phi1s), tuple(phi_app), combo)
 
 
@@ -109,7 +124,8 @@ def _check_order(name, order):
 
 
 def psi0(j, order, Y, params):
-    """psi_{0,j} and derivatives, j = 1 (regular) or 2 (critical-layer) solution.
+    """psi_{0,j} and derivatives, j = 1 (regular) or 2 (critical-layer)
+    solution, at one wave speed.
 
     psi_{0,2} = (U_s - c_hat) J with J(Y) = int_1^Y (U_s - c_hat)^{-2} dX.
     """
@@ -131,7 +147,7 @@ def corrector_integrals(Y, params):
 
 
 def phi1s(order, Y, params):
-    """Corrector Phi_1^s and derivatives up to order 3."""
+    """Corrector Phi_1^s and derivatives up to order 3, at one wave speed."""
     _check_order("phi1s", order)
     return _slow_at(Y, params).phi1s[order]
 
@@ -183,7 +199,7 @@ def damped_corrector_combo(Y, params):
 def rayleigh_residual_form(Y, params):
     """Closed form -2 alpha^2 (U_s - c_hat)(dY Phi_1^s + alpha Phi_1^s)."""
     slow = _slow_at(Y, params)
-    return -2.0 * params.alpha**2 * slow.psi[0][0] * slow.combo
+    return -2.0 * shared(params).alpha**2 * slow.psi[0][0] * slow.combo
 
 
 def slow_errors(group, Y, params, psi):
@@ -191,15 +207,15 @@ def slow_errors(group, Y, params, psi):
     parts, group 3 carries the strongly decaying remainder.
 
     ``psi`` holds the magnetic slow mode Psi_app^s at Y by derivative order
-    (to order 1); the velocity slow mode is read from the slow-mode pass of Y.
+    (to order 1), with a row per point for a block ``params``; the velocity
+    slow mode is read from the slow-mode pass of Y.
     """
     if group not in (1, 2, 3):
         raise ValueError("group must be 1, 2 or 3")
     Yarr = np.asarray(Y, dtype=float)
-    a = params.alpha
-    n = params.n
-    se = params.sqrt_eps
-    c = params.c
+    p = shared(params)
+    a, n, se = p.alpha, p.n, p.sqrt_eps
+    c = pointwise(lambda q: q.c, params)
     prof = profile_arrays(Yarr)
     hs = prof.hs
     phi = _slow_at(Yarr, params).phi_app

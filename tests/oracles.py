@@ -466,7 +466,7 @@ def stencil_matrix(stencil):
 def alternated_remainders(c, params, bvp):
     """The two remainder solves of the exact dispersion function by the
     paper's alternation of the two splittings (``OSIteration``), on the
-    sources of ``osresolvent._solve_remainders``.  Returns ``(gamma0,
+    sources of ``osresolvent._sources``.  Returns ``(gamma0,
     remainders)``, each remainder its grid arrays (phi, psi) and its
     ``IterationTrace``."""
     p = params.with_c(c)

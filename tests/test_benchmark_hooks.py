@@ -39,22 +39,60 @@ def test_winding_counter_counts_points_of_a_vectorised_map():
 def test_full_os_row_reaches_wrapped_resolvent():
     # cli must call osresolvent's module attributes, which the layer
     # wrappers replace, so that the per-layer Gamma and factorization counts
-    # see the full-OS row
-    code = ("import layers, spans, workloads\n"
+    # see the full-OS row: one Gamma call per round of wave speeds, one
+    # factorization per wave speed
+    code = ("import numpy as np, layers, spans, workloads\n"
             "lib = workloads.load_library()\n"
             "rec = spans.Recorder()\n"
             "layers.install(rec, lib)\n"
             "rec.enabled = True\n"
+            "gamma, points = lib.osresolvent.remainder_and_gamma, []\n"
+            "def counted(c, *args):\n"
+            "    points.append(np.size(c))\n"
+            "    return gamma(c, *args)\n"
+            "lib.osresolvent.remainder_and_gamma = counted\n"
             "cfg = lib.cli.RunConfig(eps_list=[1e-12], full_os=True, grid_n=200)\n"
             "lib.cli.run_sweep(cfg)\n"
-            "print(rec.counts['osresolvent.gamma_evals'],\n"
+            "print(len(points), sum(points), rec.counts['osresolvent.gamma_evals'],\n"
             "      rec.counts['osresolvent.factorizations'])\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    gamma_evals, factorizations = map(int, proc.stdout.split())
-    assert gamma_evals > 0
-    assert factorizations == gamma_evals
+    calls, points, gamma_evals, factorizations = map(int, proc.stdout.split())
+    assert gamma_evals == calls > 0
+    assert factorizations == points > calls
+
+
+def test_traced_full_os_row_matches_untraced():
+    # one --full-os row with the hooks installed and enabled gives the
+    # unhooked row's status, gap and exact winding, and the traced run sees
+    # the blocked Gamma, its error-term assembly and its magnetic solve
+    code = ("import json, layers, spans, workloads\n"
+            "lib = workloads.load_library()\n"
+            "cert, exact = lib.cli.full_os_certification, []\n"
+            "def kept(*args):\n"
+            "    out = cert(*args)\n"
+            "    exact.append([out[0], out[2]])\n"
+            "    return out\n"
+            "lib.cli.full_os_certification = kept\n"
+            "cfg = lib.cli.RunConfig(amplitude=2.0, eps_list=[1e-12], full_os=True,\n"
+            "                        grid_n=400)\n"
+            "rows = [lib.cli.sweep_row(cfg, 1e-12)]\n"
+            "rec = spans.Recorder()\n"
+            "layers.install(rec, lib)\n"
+            "rec.enabled = True\n"
+            "rows.append(lib.cli.sweep_row(cfg, 1e-12))\n"
+            "print(json.dumps({'rows': [[r['status'], r['gamma_gap_max']] for r in rows],\n"
+            "                  'exact': exact, 'spans': sorted({s[0] for s in rec.spans})}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    plain, traced = out["rows"]
+    assert plain == traced and plain[0] == "exact-winding=3"
+    assert out["exact"][0] == out["exact"][1] and out["exact"][0][1] == 3
+    assert {"osresolvent.gamma", "osresolvent.error_terms",
+            "magnetic.solve_magnetic"} <= set(out["spans"])
 
 
 def test_beta_row_reaches_wrapped_magnetic_solve_and_hierarchy():

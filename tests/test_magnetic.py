@@ -119,6 +119,55 @@ class TestSolve:
             solve_magnetic(prob, grid, tol=1e-11)
 
 
+class TestBlockSolve:
+    """Problems at several wave speeds solved as one block."""
+
+    # (c, source rate, boundary value): the second and fourth points take
+    # one Picard step more than the others
+    POINTS = [(0.1 + 0.05j, 0.5, 1.0), (0.3 + 0.01j, 0.6, 0.5 - 0.2j),
+              (0.05 + 0.2j, 0.7, 0.0), (0.4 + 0.3j, 0.3, 2.0)]
+
+    def problems(self):
+        base = params_with_alpha(0.1)
+        grid = default_magnetic_grid(base)
+        points = [(base.with_c(c), exp_source(grid, r), pb) for c, r, pb in self.POINTS]
+        block = MagneticProblem(params=tuple(p for p, _, _ in points),
+                                phi_b=tuple(pb for _, _, pb in points),
+                                f=np.stack([f for _, f, _ in points]), decay_rate=0.3)
+        singles = [MagneticProblem(params=p, phi_b=pb, f=f, decay_rate=0.3)
+                   for p, f, pb in points]
+        return grid, block, singles
+
+    def test_rows_and_traces_are_the_single_solves(self):
+        grid, block, singles = self.problems()
+        mode, traces = solve_magnetic(block, grid, tol=1e-11)
+        assert isinstance(traces, magnetic.MagneticTraces)
+        for j, prob in enumerate(singles):
+            ref, trace = solve_magnetic(prob, grid, tol=1e-11)
+            assert all(a[j].tobytes() == b.tobytes() for a, b in zip(mode, ref))
+            assert traces[j] == trace
+        assert [len(t.gaps) for t in traces] == [9, 10, 9, 10]
+        assert traces.gaps == [g for t in traces for g in t.gaps]
+        assert traces.ratios == [r for t in traces for r in t.ratios]
+
+    def test_first_failing_point_raises_its_own_error(self):
+        # with one Picard step too few for the second and fourth points, the
+        # block raises the second point's NonConvergence, message and all
+        grid, block, singles = self.problems()
+        with pytest.raises(NonConvergence) as own:
+            solve_magnetic(singles[1], grid, tol=1e-11, max_picard=9)
+        with pytest.raises(NonConvergence) as blocked:
+            solve_magnetic(block, grid, tol=1e-11, max_picard=9)
+        assert str(blocked.value) == str(own.value)
+        solve_magnetic(singles[2], grid, tol=1e-11, max_picard=9)
+
+    def test_source_must_have_a_row_per_point(self):
+        grid, block, _ = self.problems()
+        block.f = block.f[:3]
+        with pytest.raises(ValueError, match="shape"):
+            solve_magnetic(block, grid)
+
+
 class TestMeasuredScalings:
     def test_weighted_sup_estimates(self):
         # phi ~ |phi_b| + ||f||/alpha and dY phi ~ sqrt(alpha)|phi_b| +

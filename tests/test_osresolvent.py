@@ -435,6 +435,27 @@ class TestRemainderAndGamma:
         assert cond == osresolvent._estimate_condition(osresolvent.splu(band, kl, ku))
         assert math.isfinite(cond) and 1.0 <= cond <= osresolvent._COND_LIMIT
 
+    def test_condition_estimate_rides_along_with_the_remainder_solve(self, monkeypatch):
+        # the Hager estimate's first step is one more column of the remainder
+        # solve: three columns in the first zgbtrs call, then one one-column
+        # solve fewer than the estimate makes on its own, and its value
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p, n_nodes=400)
+        columns = []
+        solve = osresolvent._BandLU.solve
+
+        def counted(lu, b, trans=0):
+            columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return solve(lu, b, trans)
+
+        monkeypatch.setattr(osresolvent._BandLU, "solve", counted)
+        cond = osresolvent.remainder_and_gamma(p.c, p, bvp)[1]["condition"]
+        folded = list(columns)
+        columns.clear()
+        band, kl, ku = osresolvent._band_at(p, bvp, "full")
+        assert cond == osresolvent._estimate_condition(osresolvent.splu(band, kl, ku))
+        assert folded[0] == 3 and folded[1:] == columns[1:] == [1] * (len(columns) - 1)
+
     def test_gap_and_grid_refinement(self):
         p = basin_params()
         gammas = {}
@@ -537,6 +558,87 @@ class TestRemainderAndGamma:
         vals = vals[np.isfinite(vals)]
         dense = vals[np.argmin(np.abs(vals - c_app))]
         assert abs(noslip_eigenvalue_near(p0, 200, c_app) - dense) <= 1e-8 * abs(dense)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _raised(fn):
+    """(type, message) of the exception ``fn`` raises."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestGammaBlocks:
+    """Gamma on an array of wave speeds, evaluated in blocks, against Gamma
+    point by point."""
+
+    @staticmethod
+    def round_setup():
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        return p0, osresolvent.build_bvp(p0, n_nodes=400), dispersion.disk_eighth(p0)
+
+    def test_block_equals_points_bit_for_bit(self):
+        # the winding count's first round (65 points: four blocks of 16 at
+        # N = 400 and one of 1), an odd refinement round and a Newton call
+        p0, bvp, disk = self.round_setup()
+        thetas = math.pi / 64 + np.linspace(0.0, 2 * math.pi, 65)
+        c0 = p0.chat_to_c(disk.center)
+        h = 1e-7 * max(abs(c0), 1.0)
+        rounds = [p0.chat_to_c(disk.point(thetas)),
+                  p0.chat_to_c(disk.point((thetas[3:10] + thetas[4:11]) / 2.0)),
+                  np.array([c0, c0 + h, c0 - h])]
+        assert osresolvent._BLOCK_NODES // bvp.n == 16
+        for cs in rounds:
+            gamma, diag = osresolvent.remainder_and_gamma(cs, p0, bvp)
+            points = [osresolvent.remainder_and_gamma(c, p0, bvp) for c in cs]
+            assert _same_bits(gamma, [g for g, _ in points])
+            assert set(diag) == set(points[0][1])
+            for key, values in diag.items():
+                assert _same_bits(values, [d[key] for _, d in points]), key
+
+    def test_beta_block_assembly_equals_points(self):
+        # the beta regime builds each point's hierarchy and stacks its sums
+        p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
+        bvp = osresolvent.build_bvp(p0, n_nodes=400)
+        cs = dispersion.disk_beta(p0).point(np.array([0.4, 1.9, 3.3]))
+        block = osresolvent.assemble_error_terms(cs, p0, bvp)
+        for j, c in enumerate(cs):
+            arrays, gamma0_val, modes = osresolvent._point(block, j)
+            ref_arrays, ref_gamma0, ref_modes = osresolvent.assemble_error_terms(c, p0, bvp)
+            assert gamma0_val == ref_gamma0
+            assert all(_same_bits(arrays[key], ref) for key, ref in ref_arrays.items())
+            assert all(_same_bits(a, b) for a, b in zip(modes["psi_s"], ref_modes["psi_s"]))
+
+    def test_first_failing_point_raises_its_own_error(self, monkeypatch):
+        # point 1 fails only in its factorization; point 4 has Im c_hat < 0,
+        # which a block meets first, in its assembly.  The block raises what
+        # the point-by-point loop raises: point 1's error
+        p0, bvp, disk = self.round_setup()
+        cs = p0.chat_to_c(disk.point(np.linspace(0.3, 2.3, 6)))
+        cs[4] = cs[4].real - 2j / p0.n
+        band_at = osresolvent._band_at
+
+        def failing(params, bvp, variant):
+            if params.c == cs[1]:
+                raise RuntimeError("injected")
+            return band_at(params, bvp, variant)
+
+        def points():
+            return [osresolvent.remainder_and_gamma(c, p0, bvp) for c in cs]
+
+        def block():
+            return osresolvent.remainder_and_gamma(cs, p0, bvp)
+
+        monkeypatch.setattr(osresolvent, "_band_at", failing)
+        assert _raised(points) == (SingularSystem, "full factorization failed: injected")
+        assert _raised(block) == _raised(points)
+        monkeypatch.setattr(osresolvent, "_band_at", band_at)
+        assert _raised(points)[0] is ValueError
+        assert _raised(block) == _raised(points)
 
 
 class TestMeasuredResolventScalings:
@@ -761,6 +863,16 @@ class TestPerGridState:
         interleaved = [i + 3 * j for i in range(3) for j in range(4)]
         for order in (shuffled, interleaved):
             assert run(order) == in_order
+        # a point has the same bits in any block of its (grid, params) and
+        # at any position in it, also beside a copy of itself
+        clear_grid_caches()
+        for first in range(0, len(cases), 3):
+            i, j, k = range(first, first + 3)
+            for block in ([i, j, k], [k, j, i], [j], [j, i, k, j, i]):
+                _, p0, bvp = cases[block[0]]
+                cs = np.array([cases[m][0] for m in block])
+                gammas = osresolvent.remainder_and_gamma(cs, p0, bvp)[0]
+                assert gammas.tobytes() == np.array([in_order[m] for m in block]).tobytes()
 
     def test_operators_match_per_c_assembly(self):
         # the bands written from the stencils against the band storage of
@@ -862,15 +974,18 @@ class TestPerGridState:
     def test_slow_mode_evaluated_once_per_order(self, monkeypatch):
         # every order of the slow mode, of the corrector and of psi_{0,j}
         # comes from one slow-mode pass of the grid, which reads one
-        # evaluation of J, K and L and one set of profile arrays
+        # evaluation of J, K and L and one set of profile arrays: per block
+        # of wave speeds, whether it holds one point or three
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=300)
-        clear_grid_caches()
         calls = closed_form_calls(monkeypatch)
-        osresolvent.assemble_error_terms(p.c, p, bvp)
-        assert calls == [bvp.n]
-        for cache in (slowmode._slow_pass, profile_arrays):
-            assert cache.cache_info().misses == 1
+        for c in (p.c, p.c + np.array([0.0, 1e-4, 2e-4j])):
+            clear_grid_caches()
+            calls.clear()
+            osresolvent.assemble_error_terms(c, p, bvp)
+            assert calls == [bvp.n]
+            for cache in (slowmode._slow_pass, profile_arrays):
+                assert cache.cache_info().misses == 1
 
     def test_error_terms_evaluate_closed_forms_once_and_fit_no_spline(self, monkeypatch):
         # J, K and L are evaluated in one closed-form pass on the grid, and
@@ -924,13 +1039,14 @@ class TestPerGridState:
     def test_error_terms_evaluate_airy_once_at_the_wall(self, A, eps, t, monkeypatch):
         # Gamma0's Ai(1, z0) and Ai(2, z0), the fast pair's denominator,
         # Psi_f(0) and the error terms' block on the grid come from one Airy
-        # evaluation; every value is the one of the separate evaluations, bit
-        # for bit.  At the first two wave speeds Gamma0's array-formed z0 can
-        # differ from params.z0 in its last bit.
+        # evaluation per block of wave speeds, here three; every value is the
+        # one of the separate evaluations, bit for bit.  At the first two
+        # wave speeds Gamma0's array-formed z0 can differ from params.z0 in
+        # its last bit.
         p0 = SpectralParams.eighth(A, eps)
         disk = dispersion.disk_eighth(p0)
-        p = p0.with_c(p0.chat_to_c(disk.center + 0.5 * disk.radius * np.exp(1j * t)))
-        bvp = osresolvent.build_bvp(p, n_nodes=400)
+        cs = p0.chat_to_c(disk.center + 0.5 * disk.radius * np.exp(1j * (t + np.arange(3.0))))
+        bvp = osresolvent.build_bvp(p0, n_nodes=400)
         calls = []
         ai_any = airy._ai_any
 
@@ -940,14 +1056,17 @@ class TestPerGridState:
 
         monkeypatch.setattr(airy, "_ai_any", counted)
         with counted_views() as views:
-            arrays, gamma0_val, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
-        assert calls == [((0, 1, 2, 3), bvp.n + 2)]
+            block = osresolvent.assemble_error_terms(cs, p0, bvp)
+        assert calls == [((0, 1, 2, 3), cs.size * (bvp.n + 2))]
         assert views == {"eval": 0, "fit": 0}
 
         monkeypatch.setattr(airy, "_ai_any", ai_any)
-        assert gamma0_val == dispersion.gamma0(p.c, p)
-        phi_f, psi_f = fastmode.fast_mode_pair(p)
-        fast = ([phi_f.eval(o, bvp.grid) for o in range(3)],
-                [psi_f.eval(o, bvp.grid) for o in range(2)])
-        assert modes["psi_f"][0][0] == psi_f.eval(0, 0.0)
-        assert_handoff(p, bvp, arrays, modes, fast, None, ("E1f", "E2f", "E3f", "Ff"))
+        for j, c in enumerate(cs):
+            p = p0.with_c(c)
+            arrays, gamma0_val, modes = osresolvent._point(block, j)
+            assert gamma0_val == dispersion.gamma0(p.c, p)
+            phi_f, psi_f = fastmode.fast_mode_pair(p)
+            fast = ([phi_f.eval(o, bvp.grid) for o in range(3)],
+                    [psi_f.eval(o, bvp.grid) for o in range(2)])
+            assert modes["psi_f"][0][0] == psi_f.eval(0, 0.0)
+            assert_handoff(p, bvp, arrays, modes, fast, None, ("E1f", "E2f", "E3f", "Ff"))
