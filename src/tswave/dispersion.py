@@ -94,26 +94,25 @@ def _gamma0(chat, ai1, ai2, params):
     return dphi0 - phi0 * (ai1 / ai2) / params.delta
 
 
-def gamma0_and_fast_pair(params, grid):
-    """``gamma0`` at the wave speed of ``params`` together with the Airy fast
-    mode on ``grid`` from the same Airy evaluation: Phi_app^f of orders 0..2
-    and Psi_app^f of orders 0..1, each ``fastmode.airy_fast`` on the grid.
+def gamma0_and_fast_pair(points, grid):
+    """``gamma0`` at the wave speed of each of ``points`` together with the
+    Airy fast mode on ``grid`` from the same Airy evaluation: Phi_app^f of
+    orders 0..2 and Psi_app^f of orders 0..1, each ``fastmode.airy_fast`` on
+    the grid.
 
     The one evaluation holds orders 0..3 at two wall offsets and on the grid.
     The wall offsets are Gamma0's, formed in array arithmetic as in
-    ``gamma0``, and the fast mode's ``params.z0``, formed in scalar
+    ``gamma0``, and the fast mode's ``z0``, formed in scalar
     arithmetic, which can round one ulp away from it; the grid block is
     Y / delta + z0.  Each element of one evaluation takes the terms it would
     take alone, so every value is that of its separate evaluation.
 
-    For a block ``params`` (a tuple of SpectralParams that differ only in c)
-    the evaluation holds every point's wall offsets and grid block; Gamma0
-    comes back as a (k,) array and each array of the fast mode with a row
-    per point.
+    ``points`` is a tuple of SpectralParams that differ only in c, one per
+    point of a block: the evaluation holds every point's wall offsets and
+    grid block, Gamma0 comes back as a (k,) array and each array of the
+    fast mode with a row per point.
     """
-    block = isinstance(params, tuple)
-    points = params if block else (params,)
-    p = shared(params)
+    p = shared(points)
     chat = np.array([q.c for q in points]) + 1j / p.n
     wall = np.column_stack([p.z0_at(chat), [q.z0 for q in points]])
     airy._check_sector(wall)
@@ -123,12 +122,10 @@ def gamma0_and_fast_pair(params, grid):
     z = np.concatenate([wall, grid / p.delta + pointwise(lambda q: q.z0, points)], axis=1)
     ai = airy._ai_any((0, 1, 2, 3), z.ravel()).reshape((4,) + z.shape)
     ratios = ai[:, :, 2:] / ai[2, :, 1:2]
-    if not block:
-        ratios = ratios[:, 0]
     phi = tuple(fastmode.airy_fast("Phi", o, grid, p, ratios) for o in range(3))
     psi = tuple(fastmode.airy_fast("Psi", o, grid, p, ratios) for o in range(2))
     gamma = _gamma0(chat, ai[1, :, 0], ai[2, :, 0], p)
-    return (gamma if block else complex(gamma[0])), (phi, psi)
+    return gamma, (phi, psi)
 
 
 def gamma_ref_hat(h, params):

@@ -108,8 +108,12 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     point's iterate a row of the (k, N) arrays.  A point's iterate stays
     fixed once its own gap is below ``tol``, and it keeps its own trace, so
     every row has the bits of its point's own solve; the arrays come back
-    (k, N) and the trace as ``MagneticTraces``.  When points fail, the
-    first failing point's exception in point order is raised.
+    (k, N) and the trace as ``MagneticTraces``.  A block raises the
+    exception of the first point that fails, in the iteration it fails:
+    ``osresolvent.remainder_and_gamma`` then solves its points one by one.
+    A point with a non-finite source can pass NaN to the next point's row
+    through the stacked exp-kernel solve (0 * NaN), but such a row never
+    meets ``tol``, so the block fails and no row it touched is returned.
     """
     block = isinstance(prob.params, tuple)
     points = prob.params if block else (prob.params,)
@@ -138,7 +142,6 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     phi_t = np.zeros((k, grid.size), dtype=complex)
     live = list(range(k))
     rising = [0] * k
-    failed = {}
     for _ in range(max_picard):
         # every row is iterated, and only the live ones take the new iterate
         inner = backward_exp_integral(f_tilde + coupling * phi_t, grid, kernel,
@@ -159,20 +162,17 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
             if len(trace.gaps) >= 2 and trace.gaps[-1] >= trace.gaps[-2]:
                 rising[j] += 1
                 if rising[j] >= 2:
-                    failed[j] = NonContraction(
+                    raise NonContraction(
                         f"gap ratio >= 1 twice (last gaps {trace.gaps[-3:]})")
-                    continue
             else:
                 rising[j] = 0
             keep.append(j)
         live = keep
         if not live:
             break
-    for j in live:
-        failed[j] = NonConvergence(
-            f"Picard gap {traces[j].gaps[-1]:.3e} after {max_picard} steps")
-    if failed:
-        raise failed[min(failed)]
+    else:
+        raise NonConvergence(
+            f"Picard gap {traces[live[0]].gaps[-1]:.3e} after {max_picard} steps")
 
     phi = lift + phi_t
     # one more application of the Picard map: a-posteriori equation defect of

@@ -495,29 +495,15 @@ def flapack():
     return module
 
 
-def _ztbtrs(band, rhs, uplo, overwrite_b=0):
-    out, info = flapack().ztbtrs(band, rhs, uplo=uplo, diag="U", overwrite_b=overwrite_b)
-    if info != 0:
-        raise TswaveError(f"banded exp-kernel solve failed: ztbtrs info = {info}")
-    return out
-
-
 def _unit_bidiagonal_solve(band, rhs, uplo):
     """Solve the unit-bidiagonal system of ``band`` for ``rhs`` (overwritten),
     or its stacked systems for the rows of a (k, N) ``rhs``, as one ztbtrs
-    call.
-
-    A zero coupling passes 0 * NaN = NaN from one system to the next, so a
-    system whose solution is not finite is solved again on its own: each
-    row then has the bits of its own solve, whatever its neighbours hold.
-    """
-    k = len(rhs) if rhs.ndim == 2 else 1
-    out = _ztbtrs(band, rhs.ravel(), uplo, overwrite_b=int(k == 1)).reshape(rhs.shape)
-    if k > 1:
-        n = rhs.shape[1]
-        for j in np.flatnonzero(~np.isfinite(out).all(axis=1)):
-            out[j] = _ztbtrs(band[:, j * n:(j + 1) * n], rhs[j], uplo)
-    return out
+    call; the zero coupling between stacked systems keeps each row's bits
+    those of its own solve while every row is finite."""
+    out, info = flapack().ztbtrs(band, rhs.ravel(), uplo=uplo, diag="U", overwrite_b=1)
+    if info != 0:
+        raise TswaveError(f"banded exp-kernel solve failed: ztbtrs info = {info}")
+    return out.reshape(rhs.shape)
 
 
 def backward_exp_integral(vals, grid, xi, tail_rate=0.0):

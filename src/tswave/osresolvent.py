@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dispersion, fastmode, magnetic, slowmode
-from .errors import NonContraction, NonConvergence, SingularSystem
+from .errors import NonContraction, NonConvergence, SingularSystem, TswaveError
 from .numerics import (Stencil, diff_matrix, flapack, graded_grid, grid_cache,
                        l2_norm, trap_weights)
 from .params import mode_from_grid
@@ -578,15 +578,16 @@ def _gamma_rows(cs, params, bvp):
     """(Gamma, diagnostics) of each wave speed of the block ``cs``: the
     error terms assembled as one block, then each point's full operator
     factored and its remainders solved on their own.  A block in which a
-    point fails is evaluated again point by point, so that the first failing
-    point raises the exception of its own evaluation."""
+    point fails (``TswaveError`` or ``ValueError``, the errors a point's own
+    evaluation raises) is evaluated again point by point, so that the first
+    failing point raises the exception of its own evaluation."""
     try:
         arrays, gamma0_val, _ = assemble_error_terms(cs, params, bvp)
         q1, q2 = _sources(arrays, params, bvp)
         del arrays      # only the sources stay alive through the solves
         return [_gamma_row(g0.item(), params.with_c(v), bvp, (s1, s2))
                 for g0, v, s1, s2 in zip(gamma0_val, cs, q1, q2)]
-    except Exception:
+    except (TswaveError, ValueError):
         if cs.size == 1:
             raise
         return [row for v in cs for row in _gamma_rows(v[None], params, bvp)]

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 from oracles import alternated_gamma, clear_grid_caches, closed_form_calls, stencil_matrix
 from tswave import airy, dispersion, fastmode, magnetic, osresolvent, slowmode
-from tswave.errors import SingularSystem
+from tswave.errors import NonConvergence, SingularSystem
 from tswave.numerics import l2_norm
 from tswave.params import ModeFunction, SpectralParams
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile, profile_arrays
@@ -581,10 +581,19 @@ class TestGammaBlocks:
         p0 = SpectralParams.eighth(2.0, 1e-12)
         return p0, osresolvent.build_bvp(p0, n_nodes=400), dispersion.disk_eighth(p0)
 
-    def test_block_equals_points_bit_for_bit(self):
+    def test_block_equals_points_bit_for_bit(self, monkeypatch):
         # the winding count's first round (65 points: four blocks of 16 at
-        # N = 400 and one of 1), an odd refinement round and a Newton call
+        # N = 400 and one of 1), an odd refinement round and a Newton call;
+        # each block is assembled once, not again point by point
         p0, bvp, disk = self.round_setup()
+        assemble = osresolvent.assemble_error_terms
+        sizes = []
+
+        def counted(c, params, bvp):
+            sizes.append(np.size(c))
+            return assemble(c, params, bvp)
+
+        monkeypatch.setattr(osresolvent, "assemble_error_terms", counted)
         thetas = math.pi / 64 + np.linspace(0.0, 2 * math.pi, 65)
         c0 = p0.chat_to_c(disk.center)
         h = 1e-7 * max(abs(c0), 1.0)
@@ -592,8 +601,10 @@ class TestGammaBlocks:
                   p0.chat_to_c(disk.point((thetas[3:10] + thetas[4:11]) / 2.0)),
                   np.array([c0, c0 + h, c0 - h])]
         assert osresolvent._BLOCK_NODES // bvp.n == 16
-        for cs in rounds:
+        for cs, blocks in zip(rounds, ([16, 16, 16, 16, 1], [7], [3])):
+            sizes.clear()
             gamma, diag = osresolvent.remainder_and_gamma(cs, p0, bvp)
+            assert sizes == blocks
             points = [osresolvent.remainder_and_gamma(c, p0, bvp) for c in cs]
             assert _same_bits(gamma, [g for g, _ in points])
             assert set(diag) == set(points[0][1])
@@ -616,11 +627,16 @@ class TestGammaBlocks:
     def test_first_failing_point_raises_its_own_error(self, monkeypatch):
         # point 1 fails only in its factorization; point 4 has Im c_hat < 0,
         # which a block meets first, in its assembly.  The block raises what
-        # the point-by-point loop raises: point 1's error
+        # the point-by-point loop raises: point 1's error.  Then point 2's
+        # magnetic source is not finite: the block's Picard solve fails on
+        # the rows it reached through the stacked solve, and the round
+        # raises point 2's own error
         p0, bvp, disk = self.round_setup()
         cs = p0.chat_to_c(disk.point(np.linspace(0.3, 2.3, 6)))
+        healthy = cs.copy()
         cs[4] = cs[4].real - 2j / p0.n
         band_at = osresolvent._band_at
+        solve_magnetic = magnetic.solve_magnetic
 
         def failing(params, bvp, variant):
             if params.c == cs[1]:
@@ -638,6 +654,18 @@ class TestGammaBlocks:
         assert _raised(block) == _raised(points)
         monkeypatch.setattr(osresolvent, "_band_at", band_at)
         assert _raised(points)[0] is ValueError
+        assert _raised(block) == _raised(points)
+
+        def nan_source(prob, grid, **kwargs):
+            # Gamma solves each block, of one point or more, as a tuple
+            for row, q in zip(prob.f, prob.params):
+                if q.c == cs[2]:
+                    row[len(grid) // 2] = math.nan
+            return solve_magnetic(prob, grid, **kwargs)
+
+        cs[:] = healthy
+        monkeypatch.setattr(magnetic, "solve_magnetic", nan_source)
+        assert _raised(points)[0] is NonConvergence
         assert _raised(block) == _raised(points)
 
 
