@@ -18,7 +18,6 @@ import numpy as np
 from . import airy, fastmode, slowmode
 from .errors import WindingNotOne
 from .numerics import Circle, RootTrace, newton_root, pointwise, winding_samples
-from .params import shared
 
 __all__ = [
     "DispersionReport",
@@ -112,7 +111,7 @@ def gamma0_and_fast_pair(points, grid):
     grid block, Gamma0 comes back as a (k,) array and each array of the
     fast mode with a row per point.
     """
-    p = shared(points)
+    p = points[0]
     chat = np.array([q.c for q in points]) + 1j / p.n
     wall = np.column_stack([p.z0_at(chat), [q.z0 for q in points]])
     airy._check_sector(wall)
@@ -156,7 +155,8 @@ def gamma0_beta(c, params):
         return np.vectorize(lambda x: gamma0_beta(x, params), otypes=[complex])(c)
     p = params.with_c(c)
     phi0, dphi0 = slowmode.boundary_values(p)
-    return complex(gamma0_of_hierarchy(phi0, dphi0, fastmode.ExpFastHierarchy(p)))
+    return complex(gamma0_of_hierarchy(complex(phi0[0]), complex(dphi0[0]),
+                                       fastmode.ExpFastHierarchy(p)))
 
 
 def gamma0_of_hierarchy(phi0, dphi0, hier):

@@ -25,7 +25,7 @@ from .numerics import (
     pointwise,
     tail_trapezoid,
 )
-from .params import ModeFunction, shared
+from .params import ModeFunction
 from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
@@ -167,9 +167,10 @@ class ExpFastHierarchy:
         for phi_k, dphi_k, d2phi_k, rhs in (level[:, :cut] for level in levels):
             anti = -tail_trapezoid(dus * prev, grid)
             rhs[:] = -us * prev + 2.0 * anti
-            inner = backward_exp_integral(rhs, grid, varpi)
-            phi_k[:] = 1j * n * forward_exp_integral(inner, grid, varpi)
-            dphi_k[:] = -varpi * phi_k + 1j * n * inner
+            # the exp integrals take the level as the one row of a block
+            inner = backward_exp_integral(rhs[None], grid, varpi)
+            phi_k[:] = 1j * n * forward_exp_integral(inner, grid, varpi)[0]
+            dphi_k[:] = -varpi * phi_k + 1j * n * inner[0]
             d2phi_k[:] = -1j * n * (params.c * phi_k + rhs)
             prev = phi_k
         return levels
@@ -201,18 +202,16 @@ def fast_errors(group, Y, params, slow_boundary_value, phi, psi, phi_last=None):
     ``phi`` and ``psi`` hold Phi_app^f and Psi_app^f at Y by derivative
     order: Phi to order 2 ('E3f' reads it) and Psi to order 1.  ``phi_last``,
     the highest hierarchy level and its first derivative at Y, enters only
-    the beta-regime divergence term group 'E1f_beta'.  For a block
-    ``params`` (a tuple of SpectralParams that differ only in c) the arrays
-    have a row per point and ``slow_boundary_value`` holds one value per
-    point.
+    the beta-regime divergence term group 'E1f_beta'.  ``params`` is a
+    block, a tuple of SpectralParams that differ only in c: the arrays have
+    a row per point and ``slow_boundary_value`` holds one value per point.
     """
     Yarr = np.asarray(Y, dtype=float)
-    p = shared(params)
+    p = params[0]
     a, n, se = p.alpha, p.n, p.sqrt_eps
     c = pointwise(lambda q: q.c, params)
     chat = pointwise(lambda q: q.c_hat, params)
-    block = isinstance(params, tuple)
-    B = pointwise(complex, tuple(slow_boundary_value) if block else slow_boundary_value)
+    B = pointwise(complex, slow_boundary_value)
     us, dus, d2us, hs, dhs, d2hs = profile_arrays(Yarr)
 
     if group == "E1f":

@@ -4,10 +4,10 @@ Solves -(dYY - alpha^2) phi + i alpha (U_s - c) phi = f with phi(0) = phi_b
 and decay at infinity by splitting off the lift e^{-xi Y} phi_b,
 xi = sqrt(i alpha + alpha^2 - i alpha c) with Re xi > 0, and iterating the
 mild (double-integral) formulation of the remainder.  The per-step gap in the
-e^{eta Y}-weighted sup norm contracts like O(alpha).  The source is sampled
-on the solve grid, and the solution comes back there with its first two
-derivatives.  The problems of a block of wave speeds run one Picard
-iteration together, with a row per point.
+e^{eta Y}-weighted sup norm contracts like O(alpha).  A problem is a block of
+wave speeds whose points run one Picard iteration together, with a row per
+point: the source is sampled on the solve grid, and the solution comes back
+there with its first two derivatives.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonContraction, NonConvergence
 from .numerics import (backward_exp_integral, exp_kernel, forward_exp_integral,
                        graded_grid, pointwise)
-from .params import SpectralParams, shared
+from .params import SpectralParams
 from .profile import profile_arrays
 
 __all__ = ["MagneticProblem", "MagneticTrace", "MagneticTraces", "solve_magnetic",
@@ -40,7 +40,7 @@ class MagneticTrace:
 
 
 class MagneticTraces(tuple):
-    """The ``MagneticTrace`` of each point of a block solve, in point order;
+    """The ``MagneticTrace`` of each point of a solve, in point order;
     ``gaps`` and ``ratios`` run over the points in turn."""
 
     @property
@@ -54,24 +54,22 @@ class MagneticTraces(tuple):
 
 @dataclass
 class MagneticProblem:
-    """Data for one magnetic solve: wavenumber/speed via params, boundary
-    value, the source f sampled on the solve grid, its known envelope
-    exponent ``decay_rate`` with |f(Y)| <~ e^{-decay_rate Y} (0 when
-    unknown), and the weight exponent eta < sqrt(2 alpha)/4 for the
-    contraction norm, capped by the source's rate when not given.
+    """Data for one magnetic solve of a block of wave speeds, one problem
+    per point: ``params``, a tuple of SpectralParams that differ only in c,
+    ``phi_b``, a tuple of boundary values, the source f sampled on the solve
+    grid with a row per point, its known envelope exponent ``decay_rate``
+    with |f(Y)| <~ e^{-decay_rate Y} (0 when unknown), and the weight
+    exponent eta < sqrt(2 alpha)/4 for the contraction norm, capped by the
+    source's rate when not given."""
 
-    A block of wave speeds is one problem per point solved together:
-    ``params`` is then a tuple of SpectralParams that differ only in c,
-    ``phi_b`` a tuple of boundary values and ``f`` has a row per point."""
-
-    params: SpectralParams
-    phi_b: complex
+    params: tuple[SpectralParams, ...]
+    phi_b: tuple[complex, ...]
     f: np.ndarray
     decay_rate: float = 0.0
     eta: float | None = None
 
     def __post_init__(self):
-        ceiling = math.sqrt(2.0 * shared(self.params).alpha) / 4.0
+        ceiling = math.sqrt(2.0 * self.params[0].alpha) / 4.0
         if self.eta is None:
             self.eta = ceiling / 2.0
             if self.decay_rate > 0.0:
@@ -81,14 +79,12 @@ class MagneticProblem:
 
     @property
     def xi(self):
-        """The decay rate of the lift, or the tuple of the block's rates."""
+        """The decay rate of the lift at each point, a tuple."""
         def rate(p):
             root = cmath.sqrt(1j * p.alpha + p.alpha**2 - 1j * p.alpha * p.c)
             return -root if root.real < 0.0 else root
 
-        if isinstance(self.params, tuple):
-            return tuple(rate(p) for p in self.params)
-        return rate(self.params)
+        return tuple(rate(p) for p in self.params)
 
 
 def default_magnetic_grid(params, n_nodes=1200):
@@ -97,39 +93,37 @@ def default_magnetic_grid(params, n_nodes=1200):
 
 def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     """Picard limit of the mild formulation on ``grid``, where ``prob.f`` is
-    sampled; returns ((phi, dY phi, dYY phi) on the grid, trace).
+    sampled; returns ((phi, dY phi, dYY phi) on the grid, traces), each
+    array (k, N) with a row per point and the traces a ``MagneticTraces``.
 
     Stops when the weighted sup-norm gap between successive iterates drops
     below ``tol``; raises NonContraction if the gap ratio reaches 1 twice in
     a row, NonConvergence at the iteration budget, and ValueError when the
-    source's shape is not the grid's.
+    source is not (k, N) on the grid of N nodes.
 
-    A block problem runs one Picard iteration over its points, with each
-    point's iterate a row of the (k, N) arrays.  A point's iterate stays
-    fixed once its own gap is below ``tol``, and it keeps its own trace, so
-    every row has the bits of its point's own solve; the arrays come back
-    (k, N) and the trace as ``MagneticTraces``.  A block raises the
-    exception of the first point that fails, in the iteration it fails:
+    One Picard iteration runs over the k points, with each point's iterate
+    a row of the (k, N) arrays.  A point's iterate stays fixed once its own
+    gap is below ``tol``, and it keeps its own trace, so every row has the
+    bits of a solve of its point alone.  A solve raises the exception of
+    the first point that fails, in the iteration it fails:
     ``osresolvent.remainder_and_gamma`` then solves its points one by one.
     A point with a non-finite source can pass NaN to the next point's row
     through the stacked exp-kernel solve (0 * NaN), but such a row never
     meets ``tol``, so the block fails and no row it touched is returned.
     """
-    block = isinstance(prob.params, tuple)
-    points = prob.params if block else (prob.params,)
+    points = prob.params
     grid = np.asarray(grid, dtype=float)
     f_vals = np.asarray(prob.f)
     k = len(points)
-    if f_vals.shape != ((k,) if block else ()) + grid.shape:
+    if f_vals.shape != (k,) + grid.shape:
         raise ValueError(f"magnetic source has shape {f_vals.shape}, "
-                         f"the grid {grid.shape}")
-    f_vals = f_vals.reshape(k, grid.size)
-    xis = prob.xi if block else (prob.xi,)
-    # the point scalars as (k, 1) columns; one point is the block of k = 1
+                         f"{k} points on the grid {grid.shape}")
+    xis = prob.xi
+    # the point scalars as (k, 1) columns
     xi = pointwise(complex, xis)
     c = pointwise(lambda p: p.c, points)
-    phi_b = pointwise(complex, tuple(prob.phi_b) if block else (prob.phi_b,))
-    alpha = shared(prob.params).alpha
+    phi_b = pointwise(complex, prob.phi_b)
+    alpha = points[0].alpha
     prof = profile_arrays(grid)
     # i alpha (1 - U_s), the same at every Picard step
     coupling = 1j * alpha * prof.wake
@@ -186,26 +180,21 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     # dY phi_tilde = -xi phi_tilde + inner(Y) follows from the mild form
     dphi = -xi * lift - xi * phi_t + inner_final
     d2phi = alpha**2 * phi + 1j * alpha * (prof.us - c) * phi - f_vals
-    if block:
-        return (phi, dphi, d2phi), MagneticTraces(traces)
-    return (phi[0], dphi[0], d2phi[0]), traces[0]
+    return (phi, dphi, d2phi), MagneticTraces(traces)
 
 
 def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid):
     """Magnetic slow mode on ``grid``: solve the magnetic equation with
     boundary value Phi_app^s(0) Psi_app^f(0) and source
     i alpha H_s Phi_app^s + dY Phi_app^s, where ``slow`` holds Phi_app^s and
-    dY Phi_app^s on the grid.  For a block ``params`` the arrays have a row
-    per point and the two wall values hold one entry per point.
+    dY Phi_app^s on the grid with a row per point of the block ``params``,
+    and the two wall values hold one entry per point.
 
     Returns the mode and its first two derivatives on the grid; the second is
     recovered from the equation itself rather than numerical differentiation.
     """
-    alpha = shared(params).alpha
+    alpha = params[0].alpha
     f = 1j * alpha * profile_arrays(grid).hs * slow[0] + slow[1]
-    if isinstance(params, tuple):
-        phi_b = tuple(complex(s * p) for s, p in zip(slow_at_0, fast_psi_at_0))
-    else:
-        phi_b = complex(slow_at_0 * fast_psi_at_0)
+    phi_b = tuple(complex(s * p) for s, p in zip(slow_at_0, fast_psi_at_0))
     prob = MagneticProblem(params=params, phi_b=phi_b, f=f, decay_rate=min(alpha, 1.0))
     return solve_magnetic(prob, grid)[0]

@@ -90,17 +90,15 @@ def _read_only(obj):
 
 
 def pointwise(fn, x):
-    """``fn(x)`` for one point.  For a block of points, ``x`` is a tuple with
-    one entry per point: each ``fn(x_j)`` is computed on its own, as a scalar,
-    and the values come back stacked into a (k, 1) complex column.
+    """``fn`` of each entry of ``x``, one entry per point of a block: each
+    ``fn(x_j)`` is computed on its own, as a scalar, and the values come
+    back stacked into a (k, 1) complex column.
 
-    Grid arithmetic with the column rounds each row as the scalar rounds the
-    one-point arrays; a column formed by array arithmetic can round
+    Grid arithmetic with the column rounds each row as a scalar rounds a
+    one-point array; a column formed by array arithmetic can round
     differently (numpy's complex multiply and square are not Python's).
     """
-    if isinstance(x, tuple):
-        return np.array([fn(v) for v in x], dtype=complex).reshape(-1, 1)
-    return fn(x)
+    return np.array([fn(v) for v in x], dtype=complex).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -154,6 +152,12 @@ def winding_samples(g, circle, init_samples=64):
     half-step offset so that symmetry-aligned boundary points (where g may be
     singular, e.g. a certification disk tangent to a branch line) are never
     evaluated exactly.
+
+    Raises ``NonResolvable`` when a sample is not finite, naming its theta
+    and value (a NaN or infinite value carries no argument), when the
+    samples would exceed ``_MAX_WINDING_SAMPLES`` or when the argument sum is
+    not an integer, and ``ZeroOnContour`` when some |g| is below 1e-13 of
+    the largest.
     """
     if init_samples < 16:
         raise ValueError("init_samples must be at least 16")
@@ -161,6 +165,11 @@ def winding_samples(g, circle, init_samples=64):
     thetas = offset + np.linspace(0.0, 2.0 * math.pi, init_samples + 1)
     vals = _values(g, circle.point(thetas))
     while True:
+        nonfinite = np.flatnonzero(~np.isfinite(vals))
+        if nonfinite.size:
+            idx = nonfinite[0]
+            raise NonResolvable(f"g = {vals[idx]} at theta = {thetas[idx]:.6f} "
+                                f"is not finite")
         amax = np.max(np.abs(vals))
         if amax == 0.0 or np.min(np.abs(vals)) <= 1e-13 * amax:
             idx = int(np.argmin(np.abs(vals)))
@@ -403,13 +412,12 @@ def _exp_kernel_coeffs(x):
 
 
 class ExpKernel(NamedTuple):
-    """Data of the exp-kernel recurrences on one grid for one rate xi, or for
-    a block of k rates, one per row of (k, N) values: the spacings h, the
-    scaled kernel coefficients and the LAPACK band storage (kd = 1, unit
-    diagonal) of the bidiagonal system with -e^{-xi h} beside the diagonal,
-    above it for the backward recurrence and below it for the forward one.
-    A block's k systems are stacked into one of kN unknowns with zero
-    coupling between them."""
+    """Data of the exp-kernel recurrences on one grid for a block of k rates
+    xi, one per row of (k, N) values: the spacings h, the scaled kernel
+    coefficients and the LAPACK band storage (kd = 1, unit diagonal) of the
+    bidiagonal system with -e^{-xi h} beside the diagonal, above it for the
+    backward recurrence and below it for the forward one.  The k systems
+    are stacked into one of kN unknowns with zero coupling between them."""
 
     xi: np.ndarray
     h: np.ndarray
@@ -420,15 +428,13 @@ class ExpKernel(NamedTuple):
 
 
 def exp_kernel(grid, xi):
-    """The ``ExpKernel`` on ``grid`` of the rate ``xi``, or of each rate of
-    the tuple ``xi``; each row of a block has the bits of its rate's own
-    kernel."""
-    block = isinstance(xi, tuple)
-    xi = np.array(xi, dtype=complex) if block else np.complex128(xi)
+    """The ``ExpKernel`` on ``grid`` of the tuple of rates ``xi``; each row
+    has the bits of the kernel of its rate alone."""
+    xi = np.array(xi, dtype=complex)
     h = np.diff(grid)
-    x = (xi[:, None] if block else xi) * h
+    x = xi[:, None] * h
     ah, bh = _exp_kernel_coeffs(x)
-    off = -np.exp(-x).reshape(-1, h.size)
+    off = -np.exp(-x)
     k, n = off.shape[0], grid.size
     upper = np.ones((2, k * n), dtype=complex, order="F")
     lower = np.ones((2, k * n), dtype=complex, order="F")
@@ -441,14 +447,14 @@ def exp_kernel(grid, xi):
 
 @grid_cache(maxsize=4)
 def _exp_kernel(grid, xi):
-    """The ``ExpKernel`` of one rate xi, shared by the recurrences that
+    """The one-rate ``ExpKernel`` of xi, shared by the recurrences that
     integrate on the same (grid, xi)."""
-    return exp_kernel(grid, xi)
+    return exp_kernel(grid, (xi,))
 
 
 def _kernel(grid, xi):
-    """``xi`` itself when it is an ``ExpKernel``, else the cached kernel of
-    the rate ``xi`` on ``grid``."""
+    """``xi`` itself when it is an ``ExpKernel``, else the cached one-rate
+    kernel of the rate ``xi`` on ``grid``."""
     return xi if isinstance(xi, ExpKernel) else _exp_kernel(grid, complex(xi))
 
 
@@ -496,10 +502,10 @@ def flapack():
 
 
 def _unit_bidiagonal_solve(band, rhs, uplo):
-    """Solve the unit-bidiagonal system of ``band`` for ``rhs`` (overwritten),
-    or its stacked systems for the rows of a (k, N) ``rhs``, as one ztbtrs
-    call; the zero coupling between stacked systems keeps each row's bits
-    those of its own solve while every row is finite."""
+    """Solve the stacked unit-bidiagonal systems of ``band`` for the rows of
+    the (k, N) ``rhs`` (overwritten) as one ztbtrs call; the zero coupling
+    between stacked systems keeps each row's bits those of its own solve
+    while every row is finite."""
     out, info = flapack().ztbtrs(band, rhs.ravel(), uplo=uplo, diag="U", overwrite_b=1)
     if info != 0:
         raise TswaveError(f"banded exp-kernel solve failed: ztbtrs info = {info}")
@@ -511,18 +517,18 @@ def backward_exp_integral(vals, grid, xi, tail_rate=0.0):
 
     Piecewise-linear integrand with the exponential kernel handled exactly;
     the recurrence I_i = e^{-xi h_i} I_{i+1} + local_i runs backward so every
-    factor decays, and is solved as one upper unit-bidiagonal system.  With
-    the ``ExpKernel`` of a block of k rates as ``xi``, each row of the
-    (k, N) ``vals`` is integrated with its own rate.
+    factor decays, and is solved as one upper unit-bidiagonal system.
+    ``vals`` is (k, N), and each row is integrated with its own rate of the
+    ``ExpKernel`` ``xi``; a plain rate ``xi`` is the kernel of one rate, for
+    (1, N) ``vals``.
     """
     vals = np.asarray(vals, dtype=complex)
     kern = _kernel(grid, xi)
     # int_0^h e^{-xi s}(v_i + (v_{i+1}-v_i) s/h) ds = h*(v_i ah) + h*(v_{i+1}-v_i) bh
     rhs = np.empty(vals.shape, dtype=complex)
-    rhs[..., :-1] = kern.h * (vals[..., :-1] * kern.ah
-                              + (vals[..., 1:] - vals[..., :-1]) * kern.bh)
-    # node axis first: the last node's values, a scalar for one rate
-    rhs.T[-1] = vals.T[-1] / (kern.xi + tail_rate)
+    rhs[:, :-1] = kern.h * (vals[:, :-1] * kern.ah
+                            + (vals[:, 1:] - vals[:, :-1]) * kern.bh)
+    rhs[:, -1] = vals[:, -1] / (kern.xi + tail_rate)
     return _unit_bidiagonal_solve(kern.upper, rhs, "U")
 
 
@@ -530,16 +536,15 @@ def forward_exp_integral(vals, grid, xi):
     """u(Y_i) = int_0^{Y_i} e^{-xi (Y_i - Y')} vals(Y') dY' for Re xi > 0.
 
     The recurrence u_i = e^{-xi h_{i-1}} u_{i-1} + local_{i-1} from u_0 = 0 is
-    solved as one lower unit-bidiagonal system; a block's ``ExpKernel`` as
-    ``xi`` integrates the rows of (k, N) ``vals`` as ``backward_exp_integral``
-    does.
+    solved as one lower unit-bidiagonal system; ``vals`` and ``xi`` are
+    those of ``backward_exp_integral``.
     """
     vals = np.asarray(vals, dtype=complex)
     kern = _kernel(grid, xi)
     # int_0^h e^{-xi(h-s)} (v_i + (v_{i+1}-v_i) s/h) ds  with sigma = h-s:
     #   = v_{i+1} * h*ah - (v_{i+1}-v_i) * h*bh
     rhs = np.empty(vals.shape, dtype=complex)
-    rhs[..., 0] = 0.0
-    rhs[..., 1:] = kern.h * (vals[..., 1:] * kern.ah
-                             - (vals[..., 1:] - vals[..., :-1]) * kern.bh)
+    rhs[:, 0] = 0.0
+    rhs[:, 1:] = kern.h * (vals[:, 1:] * kern.ah
+                           - (vals[:, 1:] - vals[:, :-1]) * kern.bh)
     return _unit_bidiagonal_solve(kern.lower, rhs, "L")

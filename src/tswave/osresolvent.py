@@ -293,8 +293,8 @@ def _estimate_condition(lu, first=None):
 
 class _Factorized:
     """Banded LU of one system ('os_d', 'os_s', 'full') at the wave speed of
-    ``params``, refused with ``SingularSystem`` when its Hager estimate
-    ``cond`` exceeds ``_COND_LIMIT``.
+    ``params``, refused with ``SingularSystem`` unless its Hager estimate
+    ``cond`` is at most ``_COND_LIMIT`` (a NaN estimate is refused too).
 
     With ``sources`` (q1, q2) the system is solved for them too, and
     ``solution`` holds the grid arrays ``solve`` returns; the first step of
@@ -310,7 +310,7 @@ class _Factorized:
         if sources is not None:
             self.solution, first = self._solve(bvp, *sources, hager_column=True)
         self.cond = _estimate_condition(self.lu, first)
-        if self.cond > _COND_LIMIT:
+        if not self.cond <= _COND_LIMIT:
             raise SingularSystem(f"{variant} condition estimate {self.cond:.2e} "
                                  f"exceeds {_COND_LIMIT:.0e}")
 

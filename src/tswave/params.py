@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RegimeMismatch, UnsupportedOrder
 
-__all__ = ["SpectralParams", "ModeFunction", "GUARDS", "BETA_EIGHTH", "shared"]
+__all__ = ["SpectralParams", "ModeFunction", "GUARDS", "BETA_EIGHTH"]
 
 BETA_EIGHTH = 0.125
 BETA_FLOOR = 3.0 / 28.0
@@ -145,13 +145,6 @@ class SpectralParams:
         if self.alpha > GUARDS["alpha0"]:
             out.append(f"alpha = {self.alpha:.4f} exceeds alpha0 = {GUARDS['alpha0']}")
         return out
-
-
-def shared(params):
-    """The SpectralParams of one point, or of the first point of a block (a
-    tuple of SpectralParams that differ only in c): where every quantity
-    that does not depend on c is read."""
-    return params[0] if isinstance(params, tuple) else params
 
 
 @dataclass

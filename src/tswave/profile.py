@@ -151,17 +151,14 @@ class HartmannProfile:
         J(Y) = int_1^Y w^{-2} dX,  K(Y) = int_0^Y U_s' w J dX,
         L(Y) = int_Y^inf U_s' w dX.
 
-        ``c_hat`` is one value, or a tuple of values (a block of points) for
-        which each integral comes back with a leading point axis.  The
-        scalars of each c_hat are formed on their own and enter the grid
-        arithmetic as columns, so every row has the bits of its own call.
+        ``c_hat`` is a tuple of values, one per point of a block, and each
+        integral comes back with a leading point axis.  The scalars of each
+        c_hat are formed on their own and enter the grid arithmetic as
+        columns, so every row has the bits of a block of its c_hat alone.
         """
         Y = np.asarray(Y, dtype=float)
-        if isinstance(c_hat, tuple):
-            table = np.array([self._chat_scalars(ch) for ch in c_hat], dtype=complex)
-            s = _ChatScalars(*table.T[:, :, None])
-        else:
-            s = self._chat_scalars(c_hat)
+        table = np.array([self._chat_scalars(ch) for ch in c_hat], dtype=complex)
+        s = _ChatScalars(*table.T[:, :, None])
         e = np.exp(-Y)
         w = (1.0 - e) - s.chat
         log_w = np.log(w)

@@ -7,17 +7,17 @@ the corrector Phi_1^s, and the combined slow mode
 Phi_app^s = psi_{alpha,1} + alpha Phi_1^s, all with derivatives up to order 3
 in closed form from the primitives of the Hartmann profile.
 
-One pass per (grid, c_hat, alpha), ``_slow_pass``, builds all of these
-arrays: psi_{0,j} and its shifts (d/dY - alpha)^k to order 3, Phi_1^s and
-Phi_app^s to order 3, and the cancelled form of dY Phi_1^s + alpha Phi_1^s.
-It reads the grid's profile arrays and the running integrals J, K and L of
-one closed-form evaluation, ``_closed_forms_at``, and is a grid cache of one
-entry.  ``psi0``, ``phi1s``, ``phi_app_s``, the ModeFunction view
-``phi_app_s_mode`` and the error terms ``slow_errors`` read that pass.  Their
-``params`` is one SpectralParams or a block, a tuple of SpectralParams that
-differ only in c; a block's row has the bits of its point's own pass.  The
-tests hold it bit for bit to the order-by-order formulas and J, K and L to
-quadrature (``tests/oracles.py``).
+One pass per (grid, c_hat, alpha), ``_slow_pass``, builds the arrays that
+the program reads: Phi_app^s to order 3, psi_{0,1} and the cancelled form
+of dY Phi_1^s + alpha Phi_1^s.  It reads the grid's profile arrays and the
+running integrals J, K and L of one closed-form evaluation,
+``_closed_forms_at``, and is a grid cache of one entry.  ``phi_app_s``, the
+ModeFunction view ``phi_app_s_mode`` and the error terms ``slow_errors``
+read that pass.  Their ``params`` is a block, a tuple of SpectralParams
+that differ only in c, and each array has a row per point; a row has the
+bits of a block of its point alone.  The tests hold the pass bit for bit to
+the order-by-order formulas and J, K and L to quadrature
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,60 +29,54 @@ import numpy as np
 
 from .errors import UnsupportedOrder
 from .numerics import grid_cache, pointwise
-from .params import ModeFunction, shared
+from .params import ModeFunction
 from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
-    "psi0",
-    "corrector_integrals",
-    "phi1s",
     "phi_app_s",
     "phi_app_s_mode",
     "boundary_values",
     "rayleigh_residual_form",
-    "damped_corrector_combo",
     "slow_errors",
 ]
 
 
 def _closed_forms_at(Y, chat):
-    """(J, K, L) at these Y from the profile's closed-form primitives; a
-    scalar Y gives scalars, a tuple ``chat`` a row per value."""
+    """(J, K, L) at these Y from the profile's closed-form primitives, a row
+    per value of the tuple ``chat``."""
     return DEFAULT_PROFILE.critical_layer_integrals(Y, chat)
 
 
 class _SlowPass(NamedTuple):
-    """The slow-mode arrays of one (grid, c_hat, alpha).
+    """The slow-mode arrays of one (grid, c_hat, alpha) that the error terms
+    read, each with a row per point."""
 
-    A block's pass keeps (k, N) arrays of what its error terms read: Phi_app^s,
-    psi_{0,1} (whose orders 1..3 do not depend on c_hat and stay (N,)) and
-    the combination, 6 of the pass's 14 arrays that depend on c_hat;
-    psi_{0,2} and Phi_1^s are None there."""
-
-    psi: tuple          # psi[j - 1][k]: d^k/dY^k psi_{0,j}, k = 0..3
-    phi1s: tuple        # Phi_1^s, orders 0..3
+    psi1: np.ndarray    # psi_{0,1} = U_s - c_hat
     phi_app: tuple      # Phi_app^s, orders 0..3
     combo: np.ndarray   # dY Phi_1^s + alpha Phi_1^s, cancelled
 
 
 def _slow_at(Y, params):
-    """The ``_slow_pass`` of these Y at the wave speed of ``params``, or at
-    each wave speed of a block."""
-    chat = tuple(p.c_hat for p in params) if isinstance(params, tuple) else params.c_hat
-    return _slow_pass(np.asarray(Y, dtype=float), chat, shared(params).alpha)
+    """The ``_slow_pass`` of these Y at the wave speeds of the block
+    ``params``."""
+    return _slow_pass(np.asarray(Y, dtype=float), tuple(p.c_hat for p in params),
+                      params[0].alpha)
 
 
 @grid_cache(maxsize=1)
 def _slow_pass(Y, chat, a):
-    """Every slow-mode array of one (grid, c_hat, alpha) in one pass; a tuple
-    ``chat`` gives the block of its points.
+    """The slow-mode arrays of one (grid, c_hat, alpha) in one pass, a row
+    per value of the tuple ``chat``.
 
     The derivative formulas of Phi_1^s keep the two running integrals
     intact; the Wronskian psi_{0,1} psi_{0,2}' - psi_{0,2} psi_{0,1}' = 1
     collapses the leftover products into the explicit e^{-alpha Y}
-    correction terms of orders 2 and 3.
+    correction terms of orders 2 and 3.  The combination
+    dY Phi_1^s + alpha Phi_1^s is formed as -2 psi_{0,1}' e^{-alpha Y} K
+    - 2 psi_{0,2}' e^{-alpha Y} L: adding the two orders of Phi_1^s
+    cancels their alpha-shifted pieces only to roundoff, which exponentially
+    weighted tail norms amplify, while this form decays like the shear.
     """
-    block = isinstance(chat, tuple)
     J, K, L = _closed_forms_at(Y, chat)
     prof = profile_arrays(Y)
     w = prof.us - pointwise(complex, chat)
@@ -101,105 +95,55 @@ def _slow_pass(Y, chat, a):
         return out
 
     ea = np.exp(-a * Y)
-    phi1s, phi_app = [], []
+    phi_app = []
     for order in range(4):
         s1 = shifted(psi1, order)
+        # Phi_1^s of this order
         p = -2.0 * s1 * ea * K - 2.0 * shifted(psi2, order) * ea * L
         if order == 2:
             p = p + 2.0 * du * ea
         elif order == 3:
             p = p + (2.0 * d2u - 6.0 * a * du) * ea
-        if not block:
-            phi1s.append(p)
         phi_app.append(ea * s1 + a * p)
     combo = -2.0 * psi1[1] * ea * K - 2.0 * psi2[1] * ea * L
-    if block:
-        return _SlowPass((psi1, None), None, tuple(phi_app), combo)
-    return _SlowPass((psi1, psi2), tuple(phi1s), tuple(phi_app), combo)
-
-
-def _check_order(name, order):
-    if order < 0 or order > 3:
-        raise UnsupportedOrder(f"{name} order {order}")
-
-
-def psi0(j, order, Y, params):
-    """psi_{0,j} and derivatives, j = 1 (regular) or 2 (critical-layer)
-    solution, at one wave speed.
-
-    psi_{0,2} = (U_s - c_hat) J with J(Y) = int_1^Y (U_s - c_hat)^{-2} dX.
-    """
-    _check_order("psi0", order)
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    return _slow_at(Y, params).psi[j - 1][order]
-
-
-def corrector_integrals(Y, params):
-    """Running integrals (K, L) of the corrector:
-
-    K(Y) = int_0^Y U_s' psi_{0,2},  L(Y) = int_Y^inf U_s' psi_{0,1}.
-    """
-    _, K, L = _closed_forms_at(np.atleast_1d(np.asarray(Y, dtype=float)), params.c_hat)
-    if np.isscalar(Y):
-        return complex(np.atleast_1d(K)[0]), complex(np.atleast_1d(L)[0])
-    return K, L
-
-
-def phi1s(order, Y, params):
-    """Corrector Phi_1^s and derivatives up to order 3, at one wave speed."""
-    _check_order("phi1s", order)
-    return _slow_at(Y, params).phi1s[order]
+    return _SlowPass(w, tuple(phi_app), combo)
 
 
 def phi_app_s(order, Y, params):
     """Slow mode psi_{alpha,1} + alpha Phi_1^s and derivatives up to order 3."""
-    _check_order("phi_app_s", order)
+    if order < 0 or order > 3:
+        raise UnsupportedOrder(f"phi_app_s order {order}")
     return _slow_at(Y, params).phi_app[order]
 
 
 def phi_app_s_mode(params):
-    """The slow mode as a ModeFunction; each order is read from the slow-mode
-    pass of its grid."""
+    """The slow mode at the wave speed of ``params`` as a ModeFunction; each
+    order is row 0 of the slow-mode pass of the block of one."""
     return ModeFunction(max_order=3,
-                        evaluator=lambda order, Y: phi_app_s(order, Y, params))
+                        evaluator=lambda order, Y: phi_app_s(order, Y, (params,))[0])
 
 
 def boundary_values(params, c_hat=None):
-    """(Phi_app^s(0), dY Phi_app^s(0)) from the closed boundary formulas.
-
-    ``c_hat`` replaces ``params.c_hat`` by an array of shifted wave speeds,
-    and the two values come back as arrays.  A scalar call runs the same
-    array arithmetic on one point, so it equals that entry of an array call.
+    """(Phi_app^s(0), dY Phi_app^s(0)) from the closed boundary formulas, as
+    arrays: at each entry of ``c_hat``, an array of shifted wave speeds, or
+    at ``params.c_hat`` as an array of one.  Each entry has the bits of its
+    own evaluation.
     """
-    scalar = c_hat is None
-    chat = np.atleast_1d(np.asarray(params.c_hat if scalar else c_hat, dtype=complex))
+    chat = np.atleast_1d(np.asarray(params.c_hat if c_hat is None else c_hat,
+                                    dtype=complex))
     a = params.alpha
     j0 = DEFAULT_PROFILE.inv_square_integral(0.0, chat)
     psi02_0 = -chat * j0
     dpsi02_0 = j0 - 1.0 / chat
     phi0 = -chat - a * psi02_0 * (1.0 - 2.0 * chat)
     dphi0 = 1.0 + a * chat + a * (1.0 - 2.0 * chat) * (a * psi02_0 - dpsi02_0)
-    if scalar:
-        return complex(phi0[0]), complex(dphi0[0])
     return phi0, dphi0
-
-
-def damped_corrector_combo(Y, params):
-    """dY Phi_1^s + alpha Phi_1^s in its cancelled form
-    -2 psi_{0,1}' e^{-alpha Y} K - 2 psi_{0,2}' e^{-alpha Y} L.
-
-    Adding phi1s(1) and alpha*phi1s(0) separately cancels the alpha-shifted
-    pieces only to roundoff, and exponentially weighted tail norms amplify
-    that noise; this form decays like the shear itself.
-    """
-    return _slow_at(Y, params).combo
 
 
 def rayleigh_residual_form(Y, params):
     """Closed form -2 alpha^2 (U_s - c_hat)(dY Phi_1^s + alpha Phi_1^s)."""
     slow = _slow_at(Y, params)
-    return -2.0 * shared(params).alpha**2 * slow.psi[0][0] * slow.combo
+    return -2.0 * params[0].alpha**2 * slow.psi1 * slow.combo
 
 
 def slow_errors(group, Y, params, psi):
@@ -207,13 +151,13 @@ def slow_errors(group, Y, params, psi):
     parts, group 3 carries the strongly decaying remainder.
 
     ``psi`` holds the magnetic slow mode Psi_app^s at Y by derivative order
-    (to order 1), with a row per point for a block ``params``; the velocity
-    slow mode is read from the slow-mode pass of Y.
+    (to order 1), with a row per point of the block ``params``; the
+    velocity slow mode is read from the slow-mode pass of Y.
     """
     if group not in (1, 2, 3):
         raise ValueError("group must be 1, 2 or 3")
     Yarr = np.asarray(Y, dtype=float)
-    p = shared(params)
+    p = params[0]
     a, n, se = p.alpha, p.n, p.sqrt_eps
     c = pointwise(lambda q: q.c, params)
     prof = profile_arrays(Yarr)

@@ -243,20 +243,26 @@ def _quad_jkl(Y, chat):
 
 @contextmanager
 def quadrature_integrals():
-    """Within this block the slow mode reads J, K and L from quadrature: the
-    production formulas then run on the oracle's integrals, bypassing the
-    slow-mode cache.  Each (Y, c_hat) is integrated once per block."""
+    """Within this block the slow mode, and the order-by-order formulas
+    below, read J, K and L from quadrature: the formulas then run on the
+    oracle's integrals, bypassing the slow-mode cache.  Each (Y, c_hat) is
+    integrated once per block."""
     memo = {}
 
-    def supply(Y, chat):
+    def one(Y, chat):
         Yarr = np.asarray(Y, dtype=float)
         key = (Yarr.tobytes(), Yarr.shape, complex(chat))
         if key not in memo:
             memo[key] = _quad_jkl(Yarr, chat)
         return memo[key]
 
+    def supply(Y, chats):
+        """The rows of a block of c_hat values, as ``_closed_forms_at``."""
+        return tuple(np.stack(rows) for rows in zip(*(one(Y, ch) for ch in chats)))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slowmode, "_closed_forms_at", supply)
+        mp.setattr(f"{__name__}.closed_forms", one)
         mp.setattr(slowmode, "_slow_pass", slowmode._slow_pass.__wrapped__)
         mp.setattr(HartmannProfile, "inv_square_integral",
                    lambda self, Y, chat: _j_array(Y, chat))
@@ -509,8 +515,8 @@ def hierarchy_full_grid(params, grid, n_terms):
         prev = phi_levels[-1]
         anti = -tail_trapezoid(dus * prev, grid)
         rhs = -us * prev + 2.0 * anti
-        inner = backward_exp_integral(rhs, grid, varpi)
-        phi_k = 1j * n * forward_exp_integral(inner, grid, varpi)
+        inner = backward_exp_integral(rhs[None], grid, varpi)[0]
+        phi_k = 1j * n * forward_exp_integral(inner[None], grid, varpi)[0]
         dphi_k = -varpi * phi_k + 1j * n * inner
         d2phi_k = -1j * n * (params.c * phi_k + rhs)
         phi_levels.append(phi_k)

@@ -116,16 +116,16 @@ def test_criterion_2_slow_mode_closed_forms():
                                  for k in range(4)]
         for chat in chats:
             p = p0.with_c(p0.chat_to_c(chat))
-            closed = slowmode.boundary_values(p)
+            closed = [v[0] for v in slowmode.boundary_values(p)]
             with quadrature_integrals():
-                quad = slowmode.boundary_values(p)
+                quad = [v[0] for v in slowmode.boundary_values(p)]
             worst_bc = max(worst_bc,
                            abs(closed[0] - quad[0]) / abs(closed[0]),
                            abs(closed[1] - quad[1]) / abs(closed[1]))
             mode = slowmode.phi_app_s_mode(p)
             Y = np.linspace(0.05, 9.0, 10)
             lhs = rayleigh_apply(mode, Y, p)
-            rhs = slowmode.rayleigh_residual_form(Y, p)
+            rhs = slowmode.rayleigh_residual_form(Y, (p,))[0]
             worst_ray = max(worst_ray,
                             float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
     elapsed = time.time() - start
@@ -148,8 +148,9 @@ def test_criterion_3_magnetic_contraction():
         p = SpectralParams(eps=alpha**8, amplitude=1.0).with_c(0.1 + 0.05j)
         grid = default_magnetic_grid(p)
         f = np.exp(-0.5 * grid) * (1.0 + 0.0j)
-        mode, trace = solve_magnetic(
-            MagneticProblem(params=p, phi_b=1.0, f=f, decay_rate=0.5), grid, tol=tol)
+        mode, (trace,) = solve_magnetic(
+            MagneticProblem(params=(p,), phi_b=(1.0,), f=f[None], decay_rate=0.5), grid,
+            tol=tol)
         band.append(trace.ratios[1] / alpha)
         worst_defect = max(worst_defect, trace.residual_weighted)
     spread = max(band) / min(band)

@@ -24,14 +24,22 @@ def exp_source(Y, rate=0.5):
 
 
 def exp_problem(p, phi_b, grid, rate=0.5, **kwargs):
-    """The problem with the source e^{-rate Y} sampled on ``grid``."""
-    return MagneticProblem(params=p, phi_b=phi_b, f=exp_source(grid, rate),
+    """The problem of the one point ``p`` with the source e^{-rate Y} sampled
+    on ``grid``."""
+    return MagneticProblem(params=(p,), phi_b=(phi_b,), f=exp_source(grid, rate)[None],
                            decay_rate=rate, **kwargs)
+
+
+def solve_point(prob, grid, **kwargs):
+    """``solve_magnetic`` of a problem of one point: row 0 of each array and
+    the point's trace."""
+    mode, (trace,) = solve_magnetic(prob, grid, **kwargs)
+    return tuple(v[0] for v in mode), trace
 
 
 def test_problem_type_hints_resolve():
     hints = typing.get_type_hints(MagneticProblem)
-    assert hints["params"] is SpectralParams
+    assert hints["params"] == tuple[SpectralParams, ...]
     assert hints["f"] is np.ndarray
 
 
@@ -39,16 +47,16 @@ class TestSolve:
     def test_zero_data_gives_zero(self):
         p = params_with_alpha(0.1)
         grid = default_magnetic_grid(p)
-        prob = MagneticProblem(params=p, phi_b=0.0, f=np.zeros_like(grid, dtype=complex),
-                               decay_rate=1.0)
-        mode, trace = solve_magnetic(prob, grid, tol=1e-12)
+        prob = MagneticProblem(params=(p,), phi_b=(0.0,),
+                               f=np.zeros((1, grid.size), dtype=complex), decay_rate=1.0)
+        mode, trace = solve_point(prob, grid, tol=1e-12)
         assert max(np.max(np.abs(v)) for v in mode) == 0.0
         assert trace.converged
 
     def test_lift_solution_residual(self):
         p = params_with_alpha(0.1)
         grid = default_magnetic_grid(p)
-        mode, trace = solve_magnetic(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-11)
+        mode, trace = solve_point(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-11)
         assert trace.converged
         # a-posteriori defect of the returned iterate under the Picard map
         assert trace.residual_weighted < 10.0 * 1e-11
@@ -60,7 +68,7 @@ class TestSolve:
         errs = []
         for n_nodes in (900, 1800):
             grid = default_magnetic_grid(p, n_nodes=n_nodes)
-            mode, _ = solve_magnetic(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-12)
+            mode, _ = solve_point(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-12)
             Y = np.linspace(0.5, 15.0, 40)
             errs.append(np.max(np.abs(equation_residual(
                 mode_from_grid(grid, mode), p, exp_source, Y, step=1e-4))))
@@ -71,7 +79,7 @@ class TestSolve:
         for alpha in (0.05, 0.1, 0.2):
             p = params_with_alpha(alpha)
             grid = default_magnetic_grid(p)
-            _, trace = solve_magnetic(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-11)
+            _, trace = solve_point(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-11)
             band.append(trace.ratios[1] / alpha)
         assert max(band) / min(band) <= 3.0
 
@@ -80,7 +88,7 @@ class TestSolve:
             p = params_with_alpha(alpha)
             prob = exp_problem(p, 0.0, default_magnetic_grid(p))
             lo = math.sqrt(2.0 * alpha) / 3.0
-            assert lo < prob.xi.real < 2.0 * lo
+            assert lo < prob.xi[0].real < 2.0 * lo
 
     def test_eta_validation(self):
         p = params_with_alpha(0.1)
@@ -92,9 +100,9 @@ class TestSolve:
         # grid is refused, with both shapes named
         p = params_with_alpha(0.1)
         grid = default_magnetic_grid(p)
-        sources = ((np.complex128(1.0), r"\(\)"), (exp_source(grid[:-1]), r"\(1199,\)"))
+        sources = ((np.complex128(1.0), r"\(\)"), (exp_source(grid[:-1])[None], r"\(1, 1199\)"))
         for f, shape in sources:
-            prob = MagneticProblem(params=p, phi_b=1.0, f=f, decay_rate=0.5)
+            prob = MagneticProblem(params=(p,), phi_b=(1.0,), f=f, decay_rate=0.5)
             with pytest.raises(ValueError, match=shape + r".*\(1200,\)"):
                 solve_magnetic(prob, grid)
 
@@ -134,7 +142,7 @@ class TestBlockSolve:
         block = MagneticProblem(params=tuple(p for p, _, _ in points),
                                 phi_b=tuple(pb for _, _, pb in points),
                                 f=np.stack([f for _, f, _ in points]), decay_rate=0.3)
-        singles = [MagneticProblem(params=p, phi_b=pb, f=f, decay_rate=0.3)
+        singles = [MagneticProblem(params=(p,), phi_b=(pb,), f=f[None], decay_rate=0.3)
                    for p, f, pb in points]
         return grid, block, singles
 
@@ -143,7 +151,7 @@ class TestBlockSolve:
         mode, traces = solve_magnetic(block, grid, tol=1e-11)
         assert isinstance(traces, magnetic.MagneticTraces)
         for j, prob in enumerate(singles):
-            ref, trace = solve_magnetic(prob, grid, tol=1e-11)
+            ref, trace = solve_point(prob, grid, tol=1e-11)
             assert all(a[j].tobytes() == b.tobytes() for a, b in zip(mode, ref))
             assert traces[j] == trace
         assert [len(t.gaps) for t in traces] == [9, 10, 9, 10]
@@ -178,7 +186,7 @@ class TestMeasuredScalings:
             p = params_with_alpha(alpha)
             grid = default_magnetic_grid(p)
             prob = exp_problem(p, 1.0 + 0.0j, grid)
-            mode, _ = solve_magnetic(prob, grid, tol=1e-11)
+            mode, _ = solve_point(prob, grid, tol=1e-11)
             w = np.exp(prob.eta * grid)
             sup0 = np.max(w * np.abs(mode[0]))
             sup1 = np.max(w * np.abs(mode[1]))
@@ -196,7 +204,7 @@ class TestMeasuredScalings:
         for alpha in (0.05, 0.1, 0.2):
             p = params_with_alpha(alpha)
             grid = default_magnetic_grid(p, n_nodes=1500)
-            mode, _ = solve_magnetic(exp_problem(p, 0.0, grid), grid, tol=1e-11)
+            mode, _ = solve_point(exp_problem(p, 0.0, grid), grid, tol=1e-11)
             wts = trap_weights(grid)
             lhs = math.hypot(l2_norm(mode[1], wts), alpha * l2_norm(mode[0], wts))
             f_l2 = l2_norm(exp_source(grid), wts)
@@ -215,9 +223,9 @@ def solution():
     _, psi_f = fastmode.fast_mode_pair(p)
     grid = graded_grid(1400, p.far_field,
                        cluster_scale=p.n ** (-1.0 / 3.0))
-    psi_s = build_psi_app_s(p, [slow.eval(k, grid) for k in range(2)],
-                            psi_f.eval(0, 0.0), phi0, grid)
-    return p, grid, slow, phi0, psi_f, psi_s
+    psi_s = build_psi_app_s((p,), [slow.eval(k, grid)[None] for k in range(2)],
+                            [psi_f.eval(0, 0.0)], phi0, grid)
+    return p, grid, slow, phi0[0], psi_f, [v[0] for v in psi_s]
 
 
 class TestPsiAppS:
@@ -253,8 +261,9 @@ class TestPsiAppS:
             _, psi_f = fastmode.fast_mode_pair(p)
             grid = graded_grid(1200, p.far_field,
                                cluster_scale=p.n ** (-1.0 / 3.0))
-            slow = [slowmode.phi_app_s(k, grid, p) for k in range(2)]
-            psi_s = build_psi_app_s(p, slow, psi_f.eval(0, 0.0), phi0, grid)
+            slow = [slowmode.phi_app_s(k, grid, (p,)) for k in range(2)]
+            psi_s = [v[0] for v in build_psi_app_s((p,), slow, [psi_f.eval(0, 0.0)],
+                                                   phi0, grid)]
             sup_by_eps[eps] = sup_exp_norm(psi_s[0], grid, p.alpha) * p.alpha
             sup2_by_eps[eps] = sup_exp_norm(psi_s[2], grid, p.alpha)
         # ||Psi_app^s||_{Linf_alpha} <= C / alpha and the second derivative

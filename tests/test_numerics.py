@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tswave import numerics
-from tswave.errors import (DerivativeBreakdown, NonConvergence, ZeroOnContour)
+from tswave.errors import (DerivativeBreakdown, NonConvergence, NonResolvable,
+                           ZeroOnContour)
 from oracles import Ray, Segment, newton_loop, quad_segment, stencil_matrix
 from tswave.numerics import (
     Circle, RootTrace, Stencil, backward_exp_integral, cumulative_trapezoid,
@@ -138,6 +139,19 @@ class TestWinding:
     def test_zero_on_contour(self):
         with pytest.raises(ZeroOnContour):
             winding_samples(lambda c: c - 1.0, Circle(0.0, 1.0), init_samples=16)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_is_refused(self, bad):
+        # a NaN or infinite sample carries no argument: it is refused by its
+        # theta and value, not counted and not taken for a zero on the contour
+        def g(c):
+            vals = np.array(c, dtype=complex)
+            vals[3] = bad
+            return vals
+
+        with pytest.raises(NonResolvable,
+                           match=rf"g = \({bad}\+0j\) at theta = 1\.374447 is not finite"):
+            winding_samples(g, Circle(0.0, 1.0), init_samples=16)
 
     def test_min_samples(self):
         with pytest.raises(ValueError):
@@ -371,15 +385,15 @@ class TestGridsAndCalculus:
     @pytest.mark.parametrize("xi", [0.7 + 0.4j, 2.0 - 1.0j])
     def test_exp_integrals_against_closed_form(self, xi):
         g = graded_grid(1500, 25.0, cluster_scale=0.5)
-        vals = np.exp(-2.0 * g)
-        back = backward_exp_integral(vals, g, xi, tail_rate=2.0)
+        vals = np.exp(-2.0 * g)[None]
+        back = backward_exp_integral(vals, g, xi, tail_rate=2.0)[0]
         assert np.max(np.abs(back - np.exp(-2.0 * g) / (xi + 2.0))) < 2e-4
-        fwd = forward_exp_integral(vals, g, xi)
+        fwd = forward_exp_integral(vals, g, xi)[0]
         exact = (np.exp(-2.0 * g) - np.exp(-xi * g)) / (xi - 2.0)
         assert np.max(np.abs(fwd - exact)) < 2e-4
         # the piecewise-linear kernel integration is second order
         g2 = graded_grid(3000, 25.0, cluster_scale=0.5)
-        back2 = backward_exp_integral(np.exp(-2.0 * g2), g2, xi, tail_rate=2.0)
+        back2 = backward_exp_integral(np.exp(-2.0 * g2)[None], g2, xi, tail_rate=2.0)[0]
         err2 = np.max(np.abs(back2 - np.exp(-2.0 * g2) / (xi + 2.0)))
         assert np.max(np.abs(back - np.exp(-2.0 * g) / (xi + 2.0))) / err2 > 3.0
 
@@ -426,19 +440,20 @@ class TestExpKernelOracle:
 
     @staticmethod
     def _data(spec, seed=0):
+        """A grid and random values on it, as the one row of a (1, N) block."""
         grid = graded_grid(spec[0], spec[1], cluster_scale=spec[2])
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        return grid, vals
+        return grid, vals[None]
 
     @pytest.mark.parametrize("spec,xi", CASES)
     @pytest.mark.parametrize("tail_rate", [0.0, 0.8])
     def test_matches_sequential_loop(self, spec, xi, tail_rate):
         grid, vals = self._data(spec)
-        back = backward_exp_integral(vals, grid, xi, tail_rate=tail_rate)
-        assert _max_rel(back, _reference_backward(vals, grid, xi, tail_rate)) <= 1e-13
-        fwd = forward_exp_integral(vals, grid, xi)
-        assert _max_rel(fwd, _reference_forward(vals, grid, xi)) <= 1e-13
+        back = backward_exp_integral(vals, grid, xi, tail_rate=tail_rate)[0]
+        assert _max_rel(back, _reference_backward(vals[0], grid, xi, tail_rate)) <= 1e-13
+        fwd = forward_exp_integral(vals, grid, xi)[0]
+        assert _max_rel(fwd, _reference_forward(vals[0], grid, xi)) <= 1e-13
 
     def test_cases_cover_both_coefficient_branches(self):
         x = np.concatenate([xi * np.diff(graded_grid(spec[0], spec[1], cluster_scale=spec[2]))
@@ -449,13 +464,14 @@ class TestExpKernelOracle:
     def test_list_and_strided_inputs(self):
         spec, xi = self.CASES[0]
         grid, vals = self._data(spec, seed=1)
-        ref_b = _reference_backward(vals, grid, xi, 0.8)
-        ref_f = _reference_forward(vals, grid, xi)
+        ref_b = _reference_backward(vals[0], grid, xi, 0.8)
+        ref_f = _reference_forward(vals[0], grid, xi)
         strided = np.repeat(grid, 2)[::2]
         assert not strided.flags.c_contiguous
-        for g, v in ((grid.tolist(), vals.tolist()), (strided, np.repeat(vals, 2)[::2])):
-            assert _max_rel(backward_exp_integral(v, g, xi, tail_rate=0.8), ref_b) <= 1e-13
-            assert _max_rel(forward_exp_integral(v, g, xi), ref_f) <= 1e-13
+        for g, v in ((grid.tolist(), vals.tolist()),
+                     (strided, np.repeat(vals, 2, axis=1)[:, ::2])):
+            assert _max_rel(backward_exp_integral(v, g, xi, tail_rate=0.8)[0], ref_b) <= 1e-13
+            assert _max_rel(forward_exp_integral(v, g, xi)[0], ref_f) <= 1e-13
 
     def test_equal_grids_share_results(self):
         spec, xi = self.CASES[1]
@@ -473,10 +489,10 @@ class TestExpKernelOracle:
         backward_exp_integral(vals, grid, xi)
         forward_exp_integral(vals, grid, xi)
         grid *= 1.5
-        assert _max_rel(backward_exp_integral(vals, grid, xi),
-                        _reference_backward(vals, grid, xi)) <= 1e-13
-        assert _max_rel(forward_exp_integral(vals, grid, xi),
-                        _reference_forward(vals, grid, xi)) <= 1e-13
+        assert _max_rel(backward_exp_integral(vals, grid, xi)[0],
+                        _reference_backward(vals[0], grid, xi)) <= 1e-13
+        assert _max_rel(forward_exp_integral(vals, grid, xi)[0],
+                        _reference_forward(vals[0], grid, xi)) <= 1e-13
 
     def test_cached_arrays_are_read_only(self):
         # both recurrences read one cached kernel per (grid, xi)
@@ -515,8 +531,9 @@ class TestStackedKernels:
         fwd = forward_exp_integral(vals, grid, kernel)
         for j, xi in enumerate(self.RATES):
             assert back[j].tobytes() == backward_exp_integral(
-                vals[j], grid, xi, tail_rate=0.8).tobytes()
-            assert fwd[j].tobytes() == forward_exp_integral(vals[j], grid, xi).tobytes()
+                vals[j:j + 1], grid, xi, tail_rate=0.8).tobytes()
+            assert fwd[j].tobytes() == forward_exp_integral(vals[j:j + 1], grid,
+                                                            xi).tobytes()
 
 
 # factor, solve (plain and conjugate-transposed) and bidiagonal-solve random

@@ -353,6 +353,23 @@ class TestBandedFactorization:
         with pytest.raises(SingularSystem, match="condition estimate"):
             osresolvent.OSIteration(p, osresolvent.build_bvp(p))
 
+    def test_nan_condition_estimate_is_refused(self, monkeypatch):
+        # one NaN entry on the diagonal of the full band leaves zgbtrf without
+        # an exactly zero pivot and the Hager estimate NaN, which is not at
+        # most the limit: the factorization is refused
+        p = basin_params()
+        bvp = osresolvent.build_bvp(p, n_nodes=400)
+        band_at = osresolvent._band_at
+
+        def with_nan(params, bvp, variant):
+            band, kl, ku = band_at(params, bvp, variant)
+            band[kl + ku, 3 * (bvp.n // 2)] = math.nan
+            return band, kl, ku
+
+        monkeypatch.setattr(osresolvent, "_band_at", with_nan)
+        with pytest.raises(SingularSystem, match="full condition estimate nan"):
+            osresolvent._Factorized(p, bvp, "full")
+
     @pytest.mark.parametrize("eps", [1e-20, 1e-24])
     def test_gamma_guard_refuses_amplitude_four(self, eps):
         # the exact Gamma factors the full operator; its estimate at the disk
@@ -851,15 +868,15 @@ def assert_handoff(p, bvp, arrays, modes, fast, phi_last, groups):
         assert all(same(a, b) for a, b in zip(got, want))
     phi0 = modes["phi0"]
     source = 1j * p.alpha * profile_arrays(grid).hs * slow[0] + slow[1]
-    prob = magnetic.MagneticProblem(params=p, phi_b=complex(phi0 * psi_f[0][0]),
-                                    f=source, decay_rate=min(p.alpha, 1.0))
+    prob = magnetic.MagneticProblem(params=(p,), phi_b=(complex(phi0 * psi_f[0][0]),),
+                                    f=source[None], decay_rate=min(p.alpha, 1.0))
     psi_s, _ = magnetic.solve_magnetic(prob, grid)
-    assert all(same(a, b) for a, b in zip(modes["psi_s"], psi_s))
+    assert all(same(a, b[0]) for a, b in zip(modes["psi_s"], psi_s))
     for k in (1, 2, 3):
-        assert same(arrays[f"e{k}s"], slowmode.slow_errors(k, grid, p, psi_s))
+        assert same(arrays[f"e{k}s"], slowmode.slow_errors(k, grid, (p,), psi_s)[0])
     for key, group in zip(("e1f", "e2f", "e3f", "ff"), groups):
-        assert same(arrays[key], fastmode.fast_errors(group, grid, p, phi0, phi_f, psi_f,
-                                                      phi_last=phi_last))
+        assert same(arrays[key], fastmode.fast_errors(group, grid, (p,), (phi0,), phi_f,
+                                                      psi_f, phi_last=phi_last)[0])
 
 
 class TestPerGridState:

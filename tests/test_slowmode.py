@@ -30,18 +30,18 @@ def beta_params():
 class TestPsi0:
     def test_regular_solution_at_wall(self):
         p = params_at()
-        assert slowmode.psi0(1, 0, 0.0, p) == pytest.approx(-p.c_hat)
+        assert oracles.psi0(1, 0, 0.0, p) == pytest.approx(-p.c_hat)
 
     def test_critical_solution_vanishes_at_one(self):
         p = params_at()
-        assert abs(slowmode.psi0(2, 0, 1.0, p)) < 1e-14
+        assert abs(oracles.psi0(2, 0, 1.0, p)) < 1e-14
 
     def test_wall_value_against_quadrature_oracle(self):
         # small wave speed: psi_{0,2}(0) = -1 + r with |r| <= C |chat log Im chat|
         p0 = SpectralParams.eighth(1.0, (0.05) ** 8)  # alpha small, chat free
         chat = 0.05 + 0.005j
         p = p0.with_c(p0.chat_to_c(chat))
-        val = slowmode.psi0(2, 0, 0.0, p)
+        val = oracles.psi0(2, 0, 0.0, p)
 
         def integrand(t):
             return 1.0 / (1.0 - np.exp(-np.real(t)) - chat) ** 2
@@ -57,15 +57,15 @@ class TestPsi0:
         for j in (1, 2):
             for k in (0, 1, 2):
                 for Y in (0.4, 1.7):
-                    fd = (slowmode.psi0(j, k, Y + h, p) - slowmode.psi0(j, k, Y - h, p)) / (2 * h)
-                    assert fd == pytest.approx(slowmode.psi0(j, k + 1, Y, p), rel=2e-8, abs=1e-8)
+                    fd = (oracles.psi0(j, k, Y + h, p) - oracles.psi0(j, k, Y - h, p)) / (2 * h)
+                    assert fd == pytest.approx(oracles.psi0(j, k + 1, Y, p), rel=2e-8, abs=1e-8)
 
     def test_quadrature_method_matches_closed(self):
         p = params_at()
         for Y in (0.0, 0.5, 1.8, 4.0):
-            a = slowmode.psi0(2, 0, Y, p)
+            a = oracles.psi0(2, 0, Y, p)
             with quadrature_integrals():
-                b = slowmode.psi0(2, 0, Y, p)
+                b = oracles.psi0(2, 0, Y, p)
             assert complex(np.atleast_1d(a)[0]) == pytest.approx(
                 complex(np.atleast_1d(b)[0]), rel=1e-9, abs=1e-12)
 
@@ -76,9 +76,9 @@ class TestPsi0:
             p0 = SpectralParams.eighth(2.0, eps)
             p = p0.with_c(p0.chat_to_c((2.0 + np.exp(1j * math.pi / 4) / 2.0) * eps ** 0.125))
             Y1 = np.linspace(1.0, 40.0, 300)
-            v1 = np.max(np.abs(slowmode.psi0(2, 0, Y1, p)) / (1.0 + Y1))
+            v1 = np.max(np.abs(oracles.psi0(2, 0, Y1, p)) / (1.0 + Y1))
             Y0 = np.linspace(0.0, 1.0, 200)
-            v0 = np.max(np.abs(slowmode.psi0(2, 0, Y0, p)))
+            v0 = np.max(np.abs(oracles.psi0(2, 0, Y0, p)))
             maxima.append(max(v0, v1))
         for earlier, later in zip(maxima, maxima[1:]):
             assert later <= 1.2 * earlier + 0.5
@@ -87,8 +87,8 @@ class TestPsi0:
 class TestCorrector:
     def test_wall_value_closed_form(self):
         p = params_at()
-        psi02_0 = slowmode.psi0(2, 0, 0.0, p)
-        val = slowmode.phi1s(0, 0.0, p)
+        psi02_0 = oracles.psi0(2, 0, 0.0, p)
+        val = oracles.phi1s(0, 0.0, p)
         expect = -psi02_0 * (1.0 - 2.0 * p.c_hat)
         assert complex(np.atleast_1d(val)[0]) == pytest.approx(complex(psi02_0 * 0 + expect))
 
@@ -96,8 +96,8 @@ class TestCorrector:
         p = params_at()
         h = 1e-6
         for k in (1, 2, 3):
-            fd = (slowmode.phi1s(k - 1, 2.0 + h, p) - slowmode.phi1s(k - 1, 2.0 - h, p)) / (2 * h)
-            an = slowmode.phi1s(k, 2.0, p)
+            fd = (oracles.phi1s(k - 1, 2.0 + h, p) - oracles.phi1s(k - 1, 2.0 - h, p)) / (2 * h)
+            an = oracles.phi1s(k, 2.0, p)
             assert abs(fd - an) <= 1e-6 * max(abs(an), 1.0)
 
     def test_decay_envelope(self):
@@ -105,7 +105,7 @@ class TestCorrector:
         # absolute floor (e^{-40 alpha} is only ~1e-2 at these wavenumbers)
         p = params_at()
         grid = np.linspace(0.0, 40.0, 400)
-        vals = np.abs(slowmode.phi1s(0, grid, p))
+        vals = np.abs(oracles.phi1s(0, grid, p))
         sup_weighted = np.max(np.exp(p.alpha * grid) * vals)
         assert vals[-1] <= 1.05 * sup_weighted * math.exp(-p.alpha * 40.0)
 
@@ -113,16 +113,16 @@ class TestCorrector:
         for p, ys, rel in ((params_at(), (0.0, 1.2), 5e-9),
                            (beta_params(), (0.0, 1.2, 4.0), 1e-9)):
             for Y in ys:
-                a = complex(np.atleast_1d(slowmode.phi1s(0, Y, p))[0])
+                a = complex(np.atleast_1d(oracles.phi1s(0, Y, p))[0])
                 with quadrature_integrals():
-                    b = complex(np.atleast_1d(slowmode.phi1s(0, Y, p))[0])
+                    b = complex(np.atleast_1d(oracles.phi1s(0, Y, p))[0])
                 assert a == pytest.approx(b, rel=rel)
 
     def test_damped_combo_matches_sum(self):
         p = params_at()
         Y = np.linspace(0.1, 6.0, 25)
-        combo = slowmode.damped_corrector_combo(Y, p)
-        direct = slowmode.phi1s(1, Y, p) + p.alpha * slowmode.phi1s(0, Y, p)
+        combo = oracles.damped_corrector_combo(Y, p)
+        direct = oracles.phi1s(1, Y, p) + p.alpha * oracles.phi1s(0, Y, p)
         assert np.max(np.abs(combo - direct)) < 1e-12 * np.max(np.abs(combo))
 
     def test_norm_scalings_across_sweep(self):
@@ -135,8 +135,8 @@ class TestCorrector:
             g = graded_grid(1500, 40.0, cluster_scale=p.n ** (-1.0 / 3.0))
             w = trap_weights(g)
             im = p.c_hat.imag
-            vals2.append(l2_norm(slowmode.phi1s(2, g, p), w) / (1.0 + im ** -0.5))
-            vals3.append(l2_norm(slowmode.phi1s(3, g, p), w) / (1.0 + im ** -1.5))
+            vals2.append(l2_norm(oracles.phi1s(2, g, p), w) / (1.0 + im ** -0.5))
+            vals3.append(l2_norm(oracles.phi1s(3, g, p), w) / (1.0 + im ** -1.5))
         for seq in (vals2, vals3):
             for earlier, later in zip(seq, seq[1:]):
                 assert later <= 1.3 * earlier + 0.1
@@ -145,14 +145,14 @@ class TestCorrector:
 class TestSlowMode:
     def test_boundary_values_closed_forms(self):
         p = params_at()
-        phi0, dphi0 = slowmode.boundary_values(p)
-        psi02_0 = slowmode.psi0(2, 0, 0.0, p)
-        dpsi02_0 = slowmode.psi0(2, 1, 0.0, p)
+        phi0, dphi0 = (v[0] for v in slowmode.boundary_values(p))
+        psi02_0 = oracles.psi0(2, 0, 0.0, p)
+        dpsi02_0 = oracles.psi0(2, 1, 0.0, p)
         chat, a = p.c_hat, p.alpha
         assert phi0 == pytest.approx(-chat - a * psi02_0 * (1 - 2 * chat))
         assert dphi0 == pytest.approx(1 + a * chat + a * (1 - 2 * chat)
                                       * (a * psi02_0 - dpsi02_0))
-        val = complex(np.atleast_1d(slowmode.phi_app_s(0, 0.0, p))[0])
+        val = slowmode.phi_app_s(0, np.array([0.0]), (p,))[0, 0]
         assert val == pytest.approx(phi0, rel=1e-12)
 
     def test_boundary_values_quadrature_oracle_in_beta_regime(self):
@@ -171,18 +171,18 @@ class TestSlowMode:
         p0 = SpectralParams.eighth(1e-12, 1e-8)
         p = p0.with_c(0.05 + 0.01j)
         Y = np.array([0.0, 0.7, 2.0])
-        base = slowmode.psi0(1, 0, Y, p)
-        diff = slowmode.phi_app_s(0, Y, p) - base
+        base = oracles.psi0(1, 0, Y, p)
+        diff = slowmode.phi_app_s(0, Y, (p,))[0] - base
         assert np.max(np.abs(diff)) < 20.0 * p.alpha * 3.0 * np.max(np.abs(base))
 
     def test_rayleigh_on_exact_solution(self):
         p = params_at()
         from tswave.params import ModeFunction
         psi1 = ModeFunction(max_order=2,
-                            evaluator=lambda o, Y: slowmode.psi0(1, o, Y, p))
+                            evaluator=lambda o, Y: oracles.psi0(1, o, Y, p))
         Y = np.linspace(0.0, 5.0, 11)
         resid = rayleigh_apply(psi1, Y, p)
-        w = slowmode.psi0(1, 0, Y, p)
+        w = oracles.psi0(1, 0, Y, p)
         assert np.allclose(resid, -p.alpha**2 * w * w, rtol=1e-12)
 
     def test_rayleigh_on_damped_pair(self):
@@ -194,14 +194,14 @@ class TestSlowMode:
             ea = np.exp(-p.alpha * np.asarray(Y))
             out = 0.0
             for m in range(o + 1):
-                out = out + math.comb(o, m) * (-p.alpha) ** (o - m) * slowmode.psi0(
+                out = out + math.comb(o, m) * (-p.alpha) ** (o - m) * oracles.psi0(
                     1, m, Y, p)
             return ea * out
 
         psi_a1 = ModeFunction(max_order=2, evaluator=ev)
         Y = np.linspace(0.1, 4.0, 9)
         resid = rayleigh_apply(psi_a1, Y, p)
-        w = slowmode.psi0(1, 0, Y, p)
+        w = oracles.psi0(1, 0, Y, p)
         du = DEFAULT_PROFILE.eval("U", 1, Y)
         expect = -2.0 * p.alpha * w * du * np.exp(-p.alpha * Y)
         assert np.max(np.abs(resid - expect)) < 1e-10 * np.max(np.abs(expect))
@@ -211,7 +211,7 @@ class TestSlowMode:
         mode = slowmode.phi_app_s_mode(p)
         Y = np.linspace(0.05, 8.0, 10)
         lhs = rayleigh_apply(mode, Y, p)
-        rhs = slowmode.rayleigh_residual_form(Y, p)
+        rhs = slowmode.rayleigh_residual_form(Y, (p,))[0]
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-8
 
 
@@ -256,22 +256,21 @@ class TestOnePass:
             assert _same_bits(arr, DEFAULT_PROFILE.eval(which, k, grid))
         if grid[-1] > 745.0:
             assert prof.d2us[-1] == 0.0 and np.signbit(prof.d2us[-1])
-        for arr, ref in zip(slowmode._closed_forms_at(grid, p.c_hat),
+        for arr, ref in zip(slowmode._closed_forms_at(grid, (p.c_hat,)),
                             oracles.closed_forms(grid, p.c_hat)):
-            assert _same_bits(arr, ref)
+            assert _same_bits(arr[0], ref)
         mode = slowmode.phi_app_s_mode(p)
+        slow = slowmode._slow_at(grid, (p,))
+        psi1 = oracles.psi0(1, 0, grid, p)
+        assert _same_bits(slow.psi1[0], psi1)
         for k in range(4):
-            for j in (1, 2):
-                assert _same_bits(slowmode.psi0(j, k, grid, p),
-                                  oracles.psi0(j, k, grid, p))
-            assert _same_bits(slowmode.phi1s(k, grid, p), oracles.phi1s(k, grid, p))
             ref = oracles.phi_app_s(k, grid, p)
-            assert _same_bits(slowmode.phi_app_s(k, grid, p), ref)
+            assert _same_bits(slowmode.phi_app_s(k, grid, (p,))[0], ref)
             assert _same_bits(mode.eval(k, grid), ref)
         combo = oracles.damped_corrector_combo(grid, p)
-        assert _same_bits(slowmode.damped_corrector_combo(grid, p), combo)
-        assert _same_bits(slowmode.rayleigh_residual_form(grid, p),
-                          -2.0 * p.alpha**2 * oracles.psi0(1, 0, grid, p) * combo)
+        assert _same_bits(slow.combo[0], combo)
+        assert _same_bits(slowmode.rayleigh_residual_form(grid, (p,))[0],
+                          -2.0 * p.alpha**2 * psi1 * combo)
         assert slowmode._slow_pass.cache_info().misses == 1
 
 
@@ -286,12 +285,12 @@ class TestClosedFormCache:
         calls = closed_form_calls(monkeypatch)
         mode = slowmode.phi_app_s_mode(p)
         cached = [mode.eval(k, Y) for k in range(4)]
-        combo = slowmode.damped_corrector_combo(Y, p)
+        residual = slowmode.rayleigh_residual_form(Y, (p,))
         assert calls == [Y.size]
         monkeypatch.setattr(slowmode, "_slow_pass", slowmode._slow_pass.__wrapped__)
         for k in range(4):
-            assert np.array_equal(cached[k], slowmode.phi_app_s(k, Y, p))
-        assert np.array_equal(combo, slowmode.damped_corrector_combo(Y, p))
+            assert np.array_equal(cached[k], slowmode.phi_app_s(k, Y, (p,))[0])
+        assert np.array_equal(residual, slowmode.rayleigh_residual_form(Y, (p,)))
         assert calls == [Y.size] * 6
 
     def test_quadrature_oracle_stays_uncached(self, monkeypatch):
@@ -300,14 +299,13 @@ class TestClosedFormCache:
         # slow-mode cache
         p = params_at()
         Y = np.array([0.3, 2.0])
-        closed = slowmode.psi0(2, 0, Y, p)
+        closed = slowmode.phi_app_s(0, Y, (p,))
         calls = closed_form_calls(monkeypatch)
         before = slowmode._slow_pass.cache_info()
         with quadrature_integrals():
-            quad = slowmode.psi0(2, 0, Y, p)
-            slowmode.corrector_integrals(Y, p)
-            slowmode.phi_app_s(3, Y, p)
-            slowmode.damped_corrector_combo(Y, p)
+            quad = slowmode.phi_app_s(0, Y, (p,))
+            slowmode.phi_app_s(3, Y, (p,))
+            slowmode.rayleigh_residual_form(Y, (p,))
         assert calls == []
         assert slowmode._slow_pass.cache_info() == before
         assert not np.array_equal(quad, closed)
@@ -320,12 +318,12 @@ def setup():
     from tswave.numerics import graded_grid
     p = params_at()
     grid = graded_grid(900, 40.0, cluster_scale=p.n ** (-1.0 / 3.0))
-    slow = [slowmode.phi_app_s(k, grid, p) for k in range(2)]
+    slow = [slowmode.phi_app_s(k, grid, (p,)) for k in range(2)]
     phi0, _ = slowmode.boundary_values(p)
     _, psi_f = fastmode.fast_mode_pair(p)
-    psi_s = magnetic.build_psi_app_s(p, slow, psi_f.eval(0, 0.0), phi0, grid)
+    psi_s = magnetic.build_psi_app_s((p,), slow, [psi_f.eval(0, 0.0)], phi0, grid)
     # the magnetic slow mode at any Y, from its grid arrays
-    return p, grid, mode_from_grid(grid, psi_s)
+    return p, grid, mode_from_grid(grid, [v[0] for v in psi_s])
 
 
 def psi_at(psi_s, Y):
@@ -338,11 +336,11 @@ class TestSlowErrors:
     def test_group3_leading_term_scales_with_alpha_sq(self, setup):
         p, grid, psi_s = setup
         Y = np.linspace(0.2, 3.0, 7)
-        e3 = slowmode.slow_errors(3, Y, p, psi_at(psi_s, Y))
-        ray = slowmode.rayleigh_residual_form(Y, p)
+        e3 = slowmode.slow_errors(3, Y, (p,), psi_at(psi_s, Y))[0]
+        ray = slowmode.rayleigh_residual_form(Y, (p,))[0]
         # the non-magnetic part is exactly the Rayleigh residual, O(alpha^2)
         assert np.max(np.abs(ray)) <= 4.0 * p.alpha**2 * np.max(
-            np.abs(slowmode.damped_corrector_combo(Y, p)))
+            np.abs(oracles.damped_corrector_combo(Y, p)))
         assert np.max(np.abs(e3 - ray)) <= p.sqrt_eps * 10.0
 
     def test_groups_combine_to_operator_residual(self, setup):
@@ -352,10 +350,10 @@ class TestSlowErrors:
         p, grid, psi_s = setup
         Y = np.linspace(0.3, 5.0, 9)
         h = 1e-5
-        de1 = (slowmode.slow_errors(1, Y + h, p, psi_at(psi_s, Y + h))
-               - slowmode.slow_errors(1, Y - h, p, psi_at(psi_s, Y - h))) / (2 * h)
-        e2 = slowmode.slow_errors(2, Y, p, psi_at(psi_s, Y))
-        e3 = slowmode.slow_errors(3, Y, p, psi_at(psi_s, Y))
+        de1 = (slowmode.slow_errors(1, Y + h, (p,), psi_at(psi_s, Y + h))[0]
+               - slowmode.slow_errors(1, Y - h, (p,), psi_at(psi_s, Y - h))[0]) / (2 * h)
+        e2 = slowmode.slow_errors(2, Y, (p,), psi_at(psi_s, Y))[0]
+        e3 = slowmode.slow_errors(3, Y, (p,), psi_at(psi_s, Y))[0]
         total = de1 + 1j * p.alpha * e2 + e3
 
         prof = DEFAULT_PROFILE
@@ -364,12 +362,12 @@ class TestSlowErrors:
         hs = prof.eval("H", 0, Y)
 
         def phi(k):
-            return slowmode.phi_app_s(k, Y, p)
+            return slowmode.phi_app_s(k, Y, (p,))[0]
 
         def dphi4(Y):
             hh = 1e-4
-            return (slowmode.phi_app_s(3, Y + hh, p)
-                    - slowmode.phi_app_s(3, Y - hh, p)) / (2 * hh)
+            return (slowmode.phi_app_s(3, Y + hh, (p,))[0]
+                    - slowmode.phi_app_s(3, Y - hh, (p,))[0]) / (2 * hh)
 
         full = ((1j / n) * (dphi4(Y) - 2 * a**2 * phi(2) + a**4 * phi(0))
                 + (us - chat) * (phi(2) - a**2 * phi(0))
