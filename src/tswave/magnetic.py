@@ -116,8 +116,8 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     f_vals = np.asarray(prob.f)
     k = len(points)
     if f_vals.shape != (k,) + grid.shape:
-        raise ValueError(f"magnetic source has shape {f_vals.shape}, "
-                         f"{k} points on the grid {grid.shape}")
+        raise ValueError(f"magnetic source has shape {f_vals.shape}, not one row "
+                         f"per point ({k}) on the grid {grid.shape}")
     xis = prob.xi
     # the point scalars as (k, 1) columns
     xi = pointwise(complex, xis)
