@@ -5,8 +5,7 @@ primitives evaluated at z + z0 with z = Y / delta; in the smaller-beta regime
 it is an exponential hierarchy Phi_0 = e^{-varpi Y} plus iterated
 double-integral corrections.  The error terms of the full system take the
 fast mode as arrays on their grid by derivative order: ``airy_fast`` on a
-given block of Airy ratios, or the hierarchy's level sums.  The Airy mode has
-a ModeFunction view, ``fast_mode_pair``, for evaluation at any Y.
+given block of Airy ratios, or the hierarchy's level sums.
 """
 
 from __future__ import annotations
@@ -20,18 +19,17 @@ from . import airy
 from .errors import RegimeMismatch, UnsupportedOrder
 from .numerics import (
     backward_exp_integral,
+    exp_kernel,
     forward_exp_integral,
     graded_grid,
     pointwise,
     tail_trapezoid,
 )
-from .params import ModeFunction
 from .profile import DEFAULT_PROFILE, profile_arrays
 
 __all__ = [
     "check_sublayer_scales",
     "airy_fast",
-    "fast_mode_pair",
     "ExpFastHierarchy",
     "default_hierarchy_terms",
     "fast_errors",
@@ -51,15 +49,13 @@ def check_sublayer_scales(params):
             f"arg z0 = {np.angle(z0):.6f} outside (-5pi/6, -5pi/6 + 0.35)")
 
 
-def airy_fast(which, order, Y, params, ratios=None):
+def airy_fast(which, order, Y, params, ratios):
     """Airy fast mode (eps^{1/8} regime): Phi = Ai(2, z+z0)/Ai(2, z0) in the
     sub-layer variable, Psi = delta * (-Ai(3, z+z0))/Ai(2, z0), each to
     order 2.
 
     ``ratios`` is the block Ai(k, Y/delta + z0)/Ai(2, z0), k = 0..3, at these
-    Y when the caller has evaluated it, with a point axis after the order
-    for a block of wave speeds; otherwise the four orders are evaluated here
-    as one block.
+    Y, with a point axis after the order for a block of wave speeds.
     """
     if not params.is_eighth:
         raise RegimeMismatch("airy_fast is the eps^{1/8}-regime fast mode")
@@ -68,27 +64,9 @@ def airy_fast(which, order, Y, params, ratios=None):
     if order < 0 or order > 2:
         raise UnsupportedOrder(f"{which} order {order}")
     delta = params.delta
-    if ratios is None:
-        z0 = params.z0
-        den = airy.ai_k(2, z0)
-        ratios = airy._ai_any((0, 1, 2, 3), np.asarray(Y, dtype=float) / delta + z0) / den
     if which == "Phi":
         return delta ** (-order) * ratios[2 - order]
     return -delta ** (1 - order) * ratios[3 - order]
-
-
-def fast_mode_pair(params):
-    """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime: the
-    closed-form ``airy_fast`` at any Y."""
-    if not params.is_eighth:
-        raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
-    check_sublayer_scales(params)
-
-    def mode(which):
-        return ModeFunction(max_order=2,
-                            evaluator=lambda o, Y: airy_fast(which, o, Y, params))
-
-    return mode("Phi"), mode("Psi")
 
 
 # nodes kept past the last nonzero node of e^{-varpi Y}, per hierarchy level:
@@ -156,6 +134,7 @@ class ExpFastHierarchy:
         """
         params, varpi, n = self.params, self.varpi, self.params.n
         grid = self.grid[:cut]
+        kernel = exp_kernel(grid, (varpi,))
         us = DEFAULT_PROFILE.eval("U", 0, grid)
         dus = DEFAULT_PROFILE.eval("U", 1, grid)
         # one block per level, not one for all: at N = 2000 each stays under
@@ -168,8 +147,8 @@ class ExpFastHierarchy:
             anti = -tail_trapezoid(dus * prev, grid)
             rhs[:] = -us * prev + 2.0 * anti
             # the exp integrals take the level as the one row of a block
-            inner = backward_exp_integral(rhs[None], grid, varpi)
-            phi_k[:] = 1j * n * forward_exp_integral(inner, grid, varpi)[0]
+            inner = backward_exp_integral(rhs[None], grid, kernel)
+            phi_k[:] = 1j * n * forward_exp_integral(inner, grid, kernel)[0]
             dphi_k[:] = -varpi * phi_k + 1j * n * inner[0]
             d2phi_k[:] = -1j * n * (params.c * phi_k + rhs)
             prev = phi_k
@@ -258,7 +237,7 @@ def measure_tau1(params, y_points=40):
     underlying estimates, so it is reported from data, not assumed)."""
     n13 = params.n ** (1.0 / 3.0)
     Y = np.linspace(0.2 / n13, 4.0 / n13, y_points)
-    vals = np.abs(airy_fast("Phi", 0, Y, params))
+    vals = np.abs(airy.ai_k(2, Y / params.delta + params.z0) / airy.ai_k(2, params.z0))
     mask = vals > 0.0
     slope = np.polyfit(n13 * Y[mask], -np.log(vals[mask]), 1)[0]
     return float(slope)

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonContraction, NonConvergence
-from .numerics import (backward_exp_integral, exp_kernel, forward_exp_integral,
-                       graded_grid, pointwise)
+from .numerics import backward_exp_integral, exp_kernel, forward_exp_integral, pointwise
 from .params import SpectralParams
 from .profile import profile_arrays
 
 __all__ = ["MagneticProblem", "MagneticTrace", "MagneticTraces", "solve_magnetic",
-           "build_psi_app_s", "default_magnetic_grid"]
+           "build_psi_app_s"]
 
 
 @dataclass
@@ -85,10 +84,6 @@ class MagneticProblem:
             return -root if root.real < 0.0 else root
 
         return tuple(rate(p) for p in self.params)
-
-
-def default_magnetic_grid(params, n_nodes=1200):
-    return graded_grid(n_nodes, params.far_field, cluster_scale=1.0)
 
 
 def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):

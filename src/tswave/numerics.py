@@ -3,8 +3,10 @@
 Adaptive winding-number counting on circles, damped complex Newton iteration,
 graded grids with sub-layer clustering, 3-point difference stencils, trapezoid
 norms and integrals, the exponential-kernel cumulative integrals used by the
-mild formulations of the second-order solvers, and the binding of the LAPACK
-band routines.
+mild formulations of the second-order solvers (on an ``ExpKernel`` that the
+caller builds once and hands to each integral), the grid cache for state
+that calls at other wave speeds reuse, and the binding of the LAPACK band
+routines.
 """
 
 from __future__ import annotations
@@ -445,19 +447,6 @@ def exp_kernel(grid, xi):
     return ExpKernel(xi, h, ah, bh, upper, lower)
 
 
-@grid_cache(maxsize=4)
-def _exp_kernel(grid, xi):
-    """The one-rate ``ExpKernel`` of xi, shared by the recurrences that
-    integrate on the same (grid, xi)."""
-    return exp_kernel(grid, (xi,))
-
-
-def _kernel(grid, xi):
-    """``xi`` itself when it is an ``ExpKernel``, else the cached one-rate
-    kernel of the rate ``xi`` on ``grid``."""
-    return xi if isinstance(xi, ExpKernel) else _exp_kernel(grid, complex(xi))
-
-
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -512,18 +501,16 @@ def _unit_bidiagonal_solve(band, rhs, uplo):
     return out.reshape(rhs.shape)
 
 
-def backward_exp_integral(vals, grid, xi, tail_rate=0.0):
+def backward_exp_integral(vals, grid, kern, tail_rate=0.0):
     """I(Y_i) = int_{Y_i}^inf e^{xi (Y_i - Y'')} vals(Y'') dY'' for Re xi > 0.
 
     Piecewise-linear integrand with the exponential kernel handled exactly;
     the recurrence I_i = e^{-xi h_i} I_{i+1} + local_i runs backward so every
     factor decays, and is solved as one upper unit-bidiagonal system.
-    ``vals`` is (k, N), and each row is integrated with its own rate of the
-    ``ExpKernel`` ``xi``; a plain rate ``xi`` is the kernel of one rate, for
-    (1, N) ``vals``.
+    ``vals`` is (k, N) on ``grid``, and each row is integrated with its own
+    rate of ``kern``, the ``ExpKernel`` of the grid.
     """
     vals = np.asarray(vals, dtype=complex)
-    kern = _kernel(grid, xi)
     # int_0^h e^{-xi s}(v_i + (v_{i+1}-v_i) s/h) ds = h*(v_i ah) + h*(v_{i+1}-v_i) bh
     rhs = np.empty(vals.shape, dtype=complex)
     rhs[:, :-1] = kern.h * (vals[:, :-1] * kern.ah
@@ -532,15 +519,14 @@ def backward_exp_integral(vals, grid, xi, tail_rate=0.0):
     return _unit_bidiagonal_solve(kern.upper, rhs, "U")
 
 
-def forward_exp_integral(vals, grid, xi):
+def forward_exp_integral(vals, grid, kern):
     """u(Y_i) = int_0^{Y_i} e^{-xi (Y_i - Y')} vals(Y') dY' for Re xi > 0.
 
     The recurrence u_i = e^{-xi h_{i-1}} u_{i-1} + local_{i-1} from u_0 = 0 is
-    solved as one lower unit-bidiagonal system; ``vals`` and ``xi`` are
-    those of ``backward_exp_integral``.
+    solved as one lower unit-bidiagonal system; ``vals``, ``grid`` and
+    ``kern`` are those of ``backward_exp_integral``.
     """
     vals = np.asarray(vals, dtype=complex)
-    kern = _kernel(grid, xi)
     # int_0^h e^{-xi(h-s)} (v_i + (v_{i+1}-v_i) s/h) ds  with sigma = h-s:
     #   = v_{i+1} * h*ah - (v_{i+1}-v_i) * h*bh
     rhs = np.empty(vals.shape, dtype=complex)

@@ -17,20 +17,23 @@ Every block couples only nodes i - 1, i, i + 1, so with the unknowns
 interleaved node by node as (Phi_i, omega_i, Psi_i) each 3N x 3N system is
 banded; it is written in LAPACK band form straight from the difference
 stencils and the profile arrays, and factored there (zgbtrf / zgbtrs).
+Every wave speed on a grid reuses its operator, so ``_affine_operator`` is
+a grid cache; a ``DiscreteBVP`` keeps the stencils it reads itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem, TswaveError
-from .numerics import (Stencil, diff_matrix, flapack, graded_grid, grid_cache,
-                       l2_norm, trap_weights)
+from .numerics import (diff_matrix, flapack, graded_grid, grid_cache, l2_norm,
+                       trap_weights)
 from .params import mode_from_grid
 from .profile import profile_arrays
 
@@ -58,15 +61,15 @@ class DiscreteBVP:
     def n(self):
         return self.grid.size
 
-    @property
+    @cached_property
     def d1(self):
         """First-difference stencil of the grid, built on first read."""
-        return _grid_state(self.grid).d1
+        return diff_matrix(self.grid, 1)
 
-    @property
+    @cached_property
     def d2(self):
         """Second-difference stencil of the grid, built on first read."""
-        return _grid_state(self.grid).d2
+        return diff_matrix(self.grid, 2)
 
 
 @dataclass
@@ -92,23 +95,6 @@ def build_bvp(params, n_nodes=1600, y_max=None, boundary="navier"):
     grid = graded_grid(n_nodes, y_max, cluster_scale=scale)
     return DiscreteBVP(grid=grid, weights=trap_weights(grid), boundary=boundary,
                        cluster_scale=scale)
-
-
-@dataclass(frozen=True)
-class _GridState:
-    """Difference stencils and curvature weight of one grid."""
-
-    d1: Stencil
-    d2: Stencil
-    w_inv_sqrt: np.ndarray
-
-
-@grid_cache(maxsize=2)
-def _grid_state(grid):
-    """Per-grid arrays shared by every parameter set and wave speed; the
-    stencils are those a ``DiscreteBVP`` on the grid reads."""
-    return _GridState(diff_matrix(grid, 1), diff_matrix(grid, 2),
-                      _inv_sqrt_curvature(profile_arrays(grid).d2us))
 
 
 class _Banded(NamedTuple):
@@ -147,7 +133,6 @@ def _affine_operator(grid, boundary, params, variant):
     d_Y R1 + i alpha R2 on (Phi, Psi); 'os_s' adds the shear transport
     U_s' d_Y + U_s'' on Phi.
     """
-    st = _grid_state(grid)
     N = grid.size
     a, n, se = params.alpha, params.n, params.sqrt_eps
     kl = 5
@@ -162,7 +147,7 @@ def _affine_operator(grid, boundary, params, variant):
         row.real[1 + shift:N - 1 + shift] = re
         row.imag[1 + shift:N - 1 + shift] = im
 
-    d1, d2 = st.d1, st.d2
+    d1, d2 = diff_matrix(grid, 1), diff_matrix(grid, 2)
     # profile arrays at the interior nodes, which the stencils' rows cover
     us, dus, d2us, hs, dhs, d2hs = (x[1:-1] for x in profile_arrays(grid))
     lap = (d2.lo, d2.mid - a**2, d2.hi)          # d_YY - alpha^2, by shift
@@ -310,7 +295,9 @@ class _Factorized:
         if sources is not None:
             self.solution, first = self._solve(bvp, *sources, hager_column=True)
         self.cond = _estimate_condition(self.lu, first)
-        if not self.cond <= _COND_LIMIT:
+        if math.isnan(self.cond):
+            raise SingularSystem(f"{variant} condition estimate {self.cond} is not finite")
+        if self.cond > _COND_LIMIT:
             raise SingularSystem(f"{variant} condition estimate {self.cond:.2e} "
                                  f"exceeds {_COND_LIMIT:.0e}")
 
@@ -367,26 +354,26 @@ class OSIteration:
         params._need_c()
         self.params = params
         self.bvp = bvp
-        self.grid_state = _grid_state(bvp.grid)
         self.profile = profile_arrays(bvp.grid)
+        self.w_inv_sqrt = _inv_sqrt_curvature(self.profile.d2us)
         self.fact_d = _Factorized(params, bvp, "os_d")
         self.fact_s = _Factorized(params, bvp, "os_s")
 
     def coupling(self, phi, psi):
         """The diffusion splitting's leftover: the first-slot action of the
         expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi)."""
-        p, st, pr = self.params, self.grid_state, self.profile
+        p, bvp, pr = self.params, self.bvp, self.profile
         a, n, se = p.alpha, p.n, p.sqrt_eps
-        return ((a / n) * (pr.dhs * phi + pr.hs * (st.d1 @ phi))
+        return ((a / n) * (pr.dhs * phi + pr.hs * (bvp.d1 @ phi))
                 - (1j * a**2 / n) * phi
-                + se * (pr.d2hs * psi - pr.hs * (st.d2 @ psi))
-                - (a / n) * (pr.dus * psi + (pr.us - p.c) * (st.d1 @ psi))
+                + se * (pr.d2hs * psi - pr.hs * (bvp.d2 @ psi))
+                - (a / n) * (pr.dus * psi + (pr.us - p.c) * (bvp.d1 @ psi))
                 + a**2 * se * pr.hs * psi)
 
     def transport(self, xi):
         """The divergence splitting's leftover U_s' d_Y xi + U_s'' xi."""
         pr = self.profile
-        return pr.dus * (self.grid_state.d1 @ xi) + pr.d2us * xi
+        return pr.dus * (self.bvp.d1 @ xi) + pr.d2us * xi
 
     def _e_norm(self, phi, omega, psi, q2=None):
         """Weighted vorticity + velocity + magnetic norm of one step."""
@@ -396,11 +383,11 @@ class OSIteration:
         wts = bvp.weights
         dphi = bvp.d1 @ phi
         dpsi = bvp.d1 @ psi
-        st, pr = self.grid_state, self.profile
+        pr = self.profile
         d2psi_m_a2 = (1j * a * (pr.us - p.c) * psi
                       - 1j * a * pr.hs * phi - dphi
                       - (np.zeros_like(phi) if q2 is None else q2))
-        return (l2_norm(omega, wts, st.w_inv_sqrt, noise_floor=_NOISE_FLOOR)
+        return (l2_norm(omega, wts, self.w_inv_sqrt, noise_floor=_NOISE_FLOOR)
                 + math.hypot(l2_norm(dphi, wts), a * l2_norm(phi, wts))
                 + l2_norm(d2psi_m_a2, wts)
                 + math.sqrt(a) * math.hypot(l2_norm(dpsi, wts), a * l2_norm(psi, wts))
@@ -485,11 +472,13 @@ def assemble_error_terms(c, params, bvp):
                                for b, d, h in zip(wall, dphi0, hiers)])
         groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
-    slow = tuple(slowmode.phi_app_s(k, grid, points) for k in range(2))
+    slow_pass = slowmode._slow_pass(grid, points)
+    slow = slow_pass.phi_app[:2]
     # grid[0] = 0: the wall value of the fast mode's magnetic part
     psi_s = magnetic.build_psi_app_s(points, slow, psi_f[0][:, 0], wall, grid)
 
-    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, points, psi_s) for k in (1, 2, 3)}
+    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, points, psi_s, slow_pass)
+              for k in (1, 2, 3)}
     for key, g in zip(("e1f", "e2f", "e3f", "ff"), groups):
         arrays[key] = fastmode.fast_errors(g, grid, points, wall, phi_f, psi_f,
                                            phi_last=phi_last)

@@ -7,17 +7,17 @@ the corrector Phi_1^s, and the combined slow mode
 Phi_app^s = psi_{alpha,1} + alpha Phi_1^s, all with derivatives up to order 3
 in closed form from the primitives of the Hartmann profile.
 
-One pass per (grid, c_hat, alpha), ``_slow_pass``, builds the arrays that
-the program reads: Phi_app^s to order 3, psi_{0,1} and the cancelled form
-of dY Phi_1^s + alpha Phi_1^s.  It reads the grid's profile arrays and the
+One pass, ``_slow_pass``, builds the arrays that the program reads on a
+grid: Phi_app^s to order 3, psi_{0,1} and the cancelled form of
+dY Phi_1^s + alpha Phi_1^s.  It reads the grid's profile arrays and the
 running integrals J, K and L of one closed-form evaluation,
-``_closed_forms_at``, and is a grid cache of one entry.  ``phi_app_s``, the
-ModeFunction view ``phi_app_s_mode`` and the error terms ``slow_errors``
-read that pass.  Their ``params`` is a block, a tuple of SpectralParams
-that differ only in c, and each array has a row per point; a row has the
-bits of a block of its point alone.  The tests hold the pass bit for bit to
-the order-by-order formulas and J, K and L to quadrature
-(``tests/oracles.py``).
+``_closed_forms_at``, and keeps nothing.  The error-term assembly makes one
+pass and hands it to the error terms ``slow_errors``; ``phi_app_s`` and
+the ModeFunction view ``phi_app_s_mode`` read a pass of their own.  Their
+``params`` is a block, a tuple of SpectralParams that differ only in c, and
+each array has a row per point; a row has the bits of a block of its point
+alone.  The tests hold the pass bit for bit to the order-by-order formulas
+and J, K and L to quadrature (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .numerics import grid_cache, pointwise
+from .numerics import pointwise
 from .params import ModeFunction
 from .profile import DEFAULT_PROFILE, profile_arrays
 
@@ -48,25 +48,17 @@ def _closed_forms_at(Y, chat):
 
 
 class _SlowPass(NamedTuple):
-    """The slow-mode arrays of one (grid, c_hat, alpha) that the error terms
-    read, each with a row per point."""
+    """The slow-mode arrays of one grid and block of wave speeds that the
+    error terms read, each with a row per point."""
 
     psi1: np.ndarray    # psi_{0,1} = U_s - c_hat
     phi_app: tuple      # Phi_app^s, orders 0..3
     combo: np.ndarray   # dY Phi_1^s + alpha Phi_1^s, cancelled
 
 
-def _slow_at(Y, params):
-    """The ``_slow_pass`` of these Y at the wave speeds of the block
-    ``params``."""
-    return _slow_pass(np.asarray(Y, dtype=float), tuple(p.c_hat for p in params),
-                      params[0].alpha)
-
-
-@grid_cache(maxsize=1)
-def _slow_pass(Y, chat, a):
-    """The slow-mode arrays of one (grid, c_hat, alpha) in one pass, a row
-    per value of the tuple ``chat``.
+def _slow_pass(Y, params):
+    """The slow-mode arrays at these Y in one pass, a row per point of the
+    block ``params``.
 
     The derivative formulas of Phi_1^s keep the two running integrals
     intact; the Wronskian psi_{0,1} psi_{0,2}' - psi_{0,2} psi_{0,1}' = 1
@@ -77,6 +69,9 @@ def _slow_pass(Y, chat, a):
     cancels their alpha-shifted pieces only to roundoff, which exponentially
     weighted tail norms amplify, while this form decays like the shear.
     """
+    Y = np.asarray(Y, dtype=float)
+    chat = tuple(p.c_hat for p in params)
+    a = params[0].alpha
     J, K, L = _closed_forms_at(Y, chat)
     prof = profile_arrays(Y)
     w = prof.us - pointwise(complex, chat)
@@ -113,12 +108,12 @@ def phi_app_s(order, Y, params):
     """Slow mode psi_{alpha,1} + alpha Phi_1^s and derivatives up to order 3."""
     if order < 0 or order > 3:
         raise UnsupportedOrder(f"phi_app_s order {order}")
-    return _slow_at(Y, params).phi_app[order]
+    return _slow_pass(Y, params).phi_app[order]
 
 
 def phi_app_s_mode(params):
     """The slow mode at the wave speed of ``params`` as a ModeFunction; each
-    order is row 0 of the slow-mode pass of the block of one."""
+    order is row 0 of a slow-mode pass of the block of one."""
     return ModeFunction(max_order=3,
                         evaluator=lambda order, Y: phi_app_s(order, Y, (params,))[0])
 
@@ -140,19 +135,19 @@ def boundary_values(params, c_hat=None):
     return phi0, dphi0
 
 
-def rayleigh_residual_form(Y, params):
-    """Closed form -2 alpha^2 (U_s - c_hat)(dY Phi_1^s + alpha Phi_1^s)."""
-    slow = _slow_at(Y, params)
-    return -2.0 * params[0].alpha**2 * slow.psi1 * slow.combo
+def rayleigh_residual_form(slow, alpha):
+    """Closed form -2 alpha^2 (U_s - c_hat)(dY Phi_1^s + alpha Phi_1^s) from
+    the slow-mode pass ``slow``."""
+    return -2.0 * alpha**2 * slow.psi1 * slow.combo
 
 
-def slow_errors(group, Y, params, psi):
+def slow_errors(group, Y, params, psi, slow):
     """Slow-mode error terms: group 1 and 2 are the divergence/tangential
     parts, group 3 carries the strongly decaying remainder.
 
     ``psi`` holds the magnetic slow mode Psi_app^s at Y by derivative order
     (to order 1), with a row per point of the block ``params``; the
-    velocity slow mode is read from the slow-mode pass of Y.
+    velocity slow mode is read from ``slow``, the slow-mode pass of Y.
     """
     if group not in (1, 2, 3):
         raise ValueError("group must be 1, 2 or 3")
@@ -162,7 +157,7 @@ def slow_errors(group, Y, params, psi):
     c = pointwise(lambda q: q.c, params)
     prof = profile_arrays(Yarr)
     hs = prof.hs
-    phi = _slow_at(Yarr, params).phi_app
+    phi = slow.phi_app
 
     if group == 1:
         us = prof.us
@@ -173,6 +168,6 @@ def slow_errors(group, Y, params, psi):
         return ((a**3 / n) * phi[0]
                 - 1j * a * se * hs * psi[0]
                 - (a / n) * phi[0])
-    return (rayleigh_residual_form(Yarr, params)
+    return (rayleigh_residual_form(slow, a)
             + se * prof.dhs * psi[1]
             + se * prof.d2hs * psi[0])

@@ -13,6 +13,8 @@ mode and per-grid profile arrays, its one-LU remainder
 solves, its blocked series recurrence, its Newton iteration and its
 hierarchy cut to the support of e^{-varpi Y} against it.  The tests that
 compare evaluation orders start from empty grid caches (``clear_grid_caches``).
+The Airy fast mode's ModeFunction view ``fast_mode_pair`` and the magnetic
+solve's default grid live here too: only the tests read them.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ import numpy as np
 import pytest
 
 import tswave
-from tswave import airy, osresolvent, slowmode
-from tswave.errors import (DerivativeBreakdown, NonConvergence,
+from tswave import airy, fastmode, osresolvent, slowmode
+from tswave.errors import (DerivativeBreakdown, NonConvergence, RegimeMismatch,
                            UnsupportedOrder)
-from tswave.numerics import (backward_exp_integral, forward_exp_integral,
+from tswave.numerics import (backward_exp_integral, exp_kernel, forward_exp_integral,
+                             graded_grid,
                              tail_trapezoid)
+from tswave.params import ModeFunction
 from tswave.profile import DEFAULT_PROFILE, HartmannProfile
 
 
@@ -263,7 +267,6 @@ def quadrature_integrals():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slowmode, "_closed_forms_at", supply)
         mp.setattr(f"{__name__}.closed_forms", one)
-        mp.setattr(slowmode, "_slow_pass", slowmode._slow_pass.__wrapped__)
         mp.setattr(HartmannProfile, "inv_square_integral",
                    lambda self, Y, chat: _j_array(Y, chat))
         yield
@@ -393,14 +396,24 @@ def damped_corrector_combo(Y, params):
             - 2.0 * psi0(2, 1, Yarr, params) * ea * L)
 
 
-def clear_grid_caches():
-    """Empty every module-level ``grid_cache`` of the program: each plain
-    function with a ``cache_clear`` (an ``lru_cache`` is no plain function)."""
+def grid_caches():
+    """Every module-level ``grid_cache`` of the program by its name
+    ``module.function``: each plain function with a ``cache_clear`` (an
+    ``lru_cache`` is no plain function), under the module that defines it."""
+    caches = {}
     for info in pkgutil.iter_modules(tswave.__path__):
         module = importlib.import_module(f"tswave.{info.name}")
         for obj in vars(module).values():
-            if inspect.isfunction(obj) and hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+            if (inspect.isfunction(obj) and hasattr(obj, "cache_clear")
+                    and obj.__module__ == module.__name__):
+                caches[f"{info.name}.{obj.__name__}"] = obj
+    return caches
+
+
+def clear_grid_caches():
+    """Empty every module-level ``grid_cache`` of the program."""
+    for cache in grid_caches().values():
+        cache.cache_clear()
 
 
 def closed_form_calls(monkeypatch):
@@ -511,12 +524,13 @@ def hierarchy_full_grid(params, grid, n_terms):
     dphi_levels = [dphi]
     d2phi_levels = [varpi**2 * phi]
     rhs_levels = [np.zeros_like(phi)]
+    kernel = exp_kernel(grid, (varpi,))
     for _ in range(1, n_terms + 1):
         prev = phi_levels[-1]
         anti = -tail_trapezoid(dus * prev, grid)
         rhs = -us * prev + 2.0 * anti
-        inner = backward_exp_integral(rhs[None], grid, varpi)[0]
-        phi_k = 1j * n * forward_exp_integral(inner[None], grid, varpi)[0]
+        inner = backward_exp_integral(rhs[None], grid, kernel)[0]
+        phi_k = 1j * n * forward_exp_integral(inner[None], grid, kernel)[0]
         dphi_k = -varpi * phi_k + 1j * n * inner
         d2phi_k = -1j * n * (params.c * phi_k + rhs)
         phi_levels.append(phi_k)
@@ -527,6 +541,35 @@ def hierarchy_full_grid(params, grid, n_terms):
                   + [tail_trapezoid(p, grid) for p in phi_levels[1:]])
     return {"phi": phi_levels, "dphi": dphi_levels, "d2phi": d2phi_levels,
             "rhs": rhs_levels, "psi": psi_levels}
+
+
+# -- the Airy fast mode at any Y and the magnetic default grid -----------------
+
+def airy_ratios(Y, params):
+    """Ai(k, Y/delta + z0)/Ai(2, z0), k = 0..3, at these Y: the block
+    ``fastmode.airy_fast`` reads, from one evaluation of the four orders."""
+    z0 = params.z0
+    return (airy._ai_any((0, 1, 2, 3), np.asarray(Y, dtype=float) / params.delta + z0)
+            / airy.ai_k(2, z0))
+
+
+def fast_mode_pair(params):
+    """(Phi_app^f, Psi_app^f) as ModeFunctions for the eps^{1/8} regime:
+    ``fastmode.airy_fast`` on the Airy ratios of any Y."""
+    if not params.is_eighth:
+        raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
+    fastmode.check_sublayer_scales(params)
+
+    def mode(which):
+        return ModeFunction(max_order=2, evaluator=lambda o, Y: fastmode.airy_fast(
+            which, o, Y, params, airy_ratios(Y, params)))
+
+    return mode("Phi"), mode("Psi")
+
+
+def default_magnetic_grid(params, n_nodes=1200):
+    """Graded grid of a stand-alone magnetic solve, out to the far field."""
+    return graded_grid(n_nodes, params.far_field, cluster_scale=1.0)
 
 
 # -- Airy Maclaurin series, one stopping check per term ------------------------

@@ -24,11 +24,12 @@ import time
 
 import numpy as np
 
-from oracles import alternated_gamma, quadrature_integrals, rayleigh_apply
+from oracles import (alternated_gamma, default_magnetic_grid, quadrature_integrals,
+                     rayleigh_apply)
 from tswave import airy, dispersion, osresolvent, slowmode
 from tswave.errors import (NonContraction, NonConvergence, SingularSystem,
                            TswaveError, WindingNotOne)
-from tswave.magnetic import MagneticProblem, default_magnetic_grid, solve_magnetic
+from tswave.magnetic import MagneticProblem, solve_magnetic
 from tswave.params import SpectralParams
 
 
@@ -125,7 +126,8 @@ def test_criterion_2_slow_mode_closed_forms():
             mode = slowmode.phi_app_s_mode(p)
             Y = np.linspace(0.05, 9.0, 10)
             lhs = rayleigh_apply(mode, Y, p)
-            rhs = slowmode.rayleigh_residual_form(Y, (p,))[0]
+            rhs = slowmode.rayleigh_residual_form(slowmode._slow_pass(Y, (p,)),
+                                                  p.alpha)[0]
             worst_ray = max(worst_ray,
                             float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
     elapsed = time.time() - start

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oracles import hierarchy_full_grid
+from oracles import airy_ratios, fast_mode_pair, hierarchy_full_grid
 from tswave import airy, dispersion, fastmode, osresolvent
 from tswave.errors import RegimeMismatch, UnsupportedOrder
 from tswave.params import SpectralParams, mode_from_grid
@@ -23,8 +23,15 @@ def beta_params():
     return p0.with_c(dispersion.center_beta(p0))
 
 
+def airy_fast(which, order, Y, p):
+    """The Airy fast mode at Y on the Airy ratios of Y."""
+    return fastmode.airy_fast(which, order, Y, p, airy_ratios(Y, p))
+
+
 def airy_arrays(Y, p, ratios=None):
     """The Airy fast mode at Y by order: Phi to order 2, Psi to order 1."""
+    if ratios is None:
+        ratios = airy_ratios(Y, p)
     return ([fastmode.airy_fast("Phi", o, Y, p, ratios) for o in range(3)],
             [fastmode.airy_fast("Psi", o, Y, p, ratios) for o in range(2)])
 
@@ -37,12 +44,12 @@ def hierarchy_arrays(hier):
 
 class TestAiryFast:
     def test_wall_normalization(self, eighth_params):
-        assert fastmode.airy_fast("Phi", 0, 0.0, eighth_params) == pytest.approx(1.0)
+        assert airy_fast("Phi", 0, 0.0, eighth_params) == pytest.approx(1.0)
 
     def test_wall_slope_is_airy_ratio(self, eighth_params):
         p = eighth_params
         expect = airy.ai_k(1, p.z0) / airy.ai_k(2, p.z0) / p.delta
-        assert fastmode.airy_fast("Phi", 1, 0.0, p) == pytest.approx(expect, rel=1e-12)
+        assert airy_fast("Phi", 1, 0.0, p) == pytest.approx(expect, rel=1e-12)
 
     def test_scales_validation(self, eighth_params):
         fastmode.check_sublayer_scales(eighth_params)
@@ -53,7 +60,7 @@ class TestAiryFast:
         tau1 = fastmode.measure_tau1(p)
         assert tau1 > 0.3
         n13 = p.n ** (1.0 / 3.0)
-        val = abs(fastmode.airy_fast("Phi", 0, 5.0 / n13, p))
+        val = abs(airy_fast("Phi", 0, 5.0 / n13, p))
         assert val <= 5.0 * math.exp(-5.0 * tau1)
 
     def test_fourth_order_residual_on_airy_chain(self, eighth_params):
@@ -63,23 +70,23 @@ class TestAiryFast:
         # Phi'''' = delta^-4 Ai''(zeta) / Ai(2, z0), with Ai'' = zeta Ai
         zeta = Y / p.delta + p.z0
         d4phi = p.delta**-4 * zeta * scipy.special.airy(zeta)[0] / airy.ai_k(2, p.z0)
-        resid = (1j / p.n) * d4phi + (Y - p.c_hat) * fastmode.airy_fast("Phi", 2, Y, p)
+        resid = (1j / p.n) * d4phi + (Y - p.c_hat) * airy_fast("Phi", 2, Y, p)
         assert np.max(np.abs(resid)) <= 1e-6 * p.n ** (4.0 / 3.0)
 
     def test_magnetic_linkage(self, eighth_params):
         p = eighth_params
         Y = np.linspace(0.0, 0.4, 25)
-        d2psi = fastmode.airy_fast("Psi", 2, Y, p)
-        d1phi = fastmode.airy_fast("Phi", 1, Y, p)
+        d2psi = airy_fast("Psi", 2, Y, p)
+        d1phi = airy_fast("Phi", 1, Y, p)
         scale = np.max(np.abs(d1phi))
         assert np.max(np.abs(d2psi + d1phi)) <= 1e-8 * scale
 
     def test_regime_and_order_checks(self, beta_params, eighth_params):
         with pytest.raises(RegimeMismatch):
-            fastmode.airy_fast("Phi", 0, 0.0, beta_params)
+            fastmode.airy_fast("Phi", 0, 0.0, beta_params, np.ones((4, 1)))
         for which in ("Phi", "Psi"):
             with pytest.raises(UnsupportedOrder):
-                fastmode.airy_fast(which, 3, 0.0, eighth_params)
+                airy_fast(which, 3, 0.0, eighth_params)
 
     def test_weighted_norm_scalings(self):
         # || |U_s''|^{-1/2} Y^pow d^k Phi_f || ~ n^{(k-pow)/3 - 1/6}
@@ -94,7 +101,7 @@ class TestAiryFast:
             wgt = 1.0 / np.sqrt(np.abs(DEFAULT_PROFILE.eval("U", 2, g)))
             for k in (0, 2):
                 for pow_ in (0, 2):
-                    vals = g ** pow_ * fastmode.airy_fast("Phi", k, g, p)
+                    vals = g ** pow_ * airy_fast("Phi", k, g, p)
                     norm = l2_norm(vals, wts, wgt)
                     key = (k, pow_)
                     consts.setdefault(key, []).append(
@@ -199,9 +206,9 @@ def exp_integral_lengths(monkeypatch):
     """Record the grid length of every exp-kernel integral the hierarchy runs."""
     lengths = []
     for name in ("backward_exp_integral", "forward_exp_integral"):
-        def counted(vals, grid, xi, _fn=getattr(fastmode, name)):
+        def counted(vals, grid, kern, _fn=getattr(fastmode, name)):
             lengths.append(len(grid))
-            return _fn(vals, grid, xi)
+            return _fn(vals, grid, kern)
 
         monkeypatch.setattr(fastmode, name, counted)
     return lengths
@@ -240,6 +247,32 @@ class TestCutHierarchy:
         assert hier.n_terms == 14 and supports[0] < cut <= supports[-1] < 1999
         assert lengths == [cut] * 28 + [2000] * 28
         assert_matches_full_grid(hier)
+
+    def test_one_exp_kernel_per_levels_pass(self, monkeypatch):
+        # each pass of the level recurrence builds one exp kernel of varpi on
+        # its nodes, and every integral of the pass reads it: here 14 levels
+        # on the cut, then 14 on the whole grid
+        p = disk_params(0.12, 1e-8)[0]
+        kernels, reads = [], []
+        build = fastmode.exp_kernel
+
+        def counted(grid, xi):
+            kernels.append(build(grid, xi))
+            return kernels[-1]
+
+        monkeypatch.setattr(fastmode, "exp_kernel", counted)
+        for name in ("backward_exp_integral", "forward_exp_integral"):
+            def read(vals, grid, kern, _fn=getattr(fastmode, name), **kwargs):
+                reads.append(kern)
+                return _fn(vals, grid, kern, **kwargs)
+
+            monkeypatch.setattr(fastmode, name, read)
+        fastmode.ExpFastHierarchy(p)
+        assert [k.xi.tolist() for k in kernels] == [[p.varpi]] * 2
+        assert kernels[0].h.size < kernels[1].h.size == 1999
+        assert len(reads) == 56
+        assert all(k is kernels[0] for k in reads[:28])
+        assert all(k is kernels[1] for k in reads[28:])
 
     def test_gamma0_beta_runs_on_the_support(self, monkeypatch):
         # e^{-varpi Y} is nonzero on 622 of the 2000 nodes at this disk center
@@ -296,9 +329,9 @@ class TestFastModePair:
     def test_one_airy_evaluation_per_primitive_and_grid(self, eighth_params,
                                                         monkeypatch):
         # the four error groups read Phi orders 0..2 and Psi orders 0..1, which
-        # are the primitives k = 0..3: airy_fast evaluates them as one block
-        # over one denominator Ai(2, z0), and none when handed that block's
-        # ratios; the ModeFunction view of the pair is airy_fast at any Y
+        # are the primitives k = 0..3: one block of them over one denominator
+        # Ai(2, z0) serves every order, and airy_fast evaluates none itself;
+        # the ModeFunction view of the pair is airy_fast at any Y
         p = eighth_params
         Y = np.linspace(0.0, 2.0, 33)
         ratios = airy._ai_any((0, 1, 2, 3), Y / p.delta + p.z0) / airy.ai_k(2, p.z0)
@@ -310,14 +343,15 @@ class TestFastModePair:
             return ai_any(k, z)
 
         monkeypatch.setattr(airy, "_ai_any", counted)
-        phi_f, psi_f = fastmode.fast_mode_pair(p)
+        phi_f, psi_f = fast_mode_pair(p)
         for which, mode in (("Phi", phi_f), ("Psi", psi_f)):
             for order in range(3):
                 del calls[:]
-                ref = fastmode.airy_fast(which, order, Y, p)
-                assert calls == [(2, 1), ((0, 1, 2, 3), Y.size)]
+                ref = mode.eval(order, Y)
+                assert calls == [((0, 1, 2, 3), Y.size), (2, 1)]
+                del calls[:]
                 assert np.array_equal(fastmode.airy_fast(which, order, Y, p, ratios), ref)
-                assert np.array_equal(mode.eval(order, Y), ref)
+                assert calls == []
         del calls[:]
         phi, psi = airy_arrays(Y, p, ratios)
         for group in ("E1f", "E2f", "E3f", "Ff"):
@@ -326,4 +360,4 @@ class TestFastModePair:
 
     def test_regime_check(self, beta_params):
         with pytest.raises(RegimeMismatch):
-            fastmode.fast_mode_pair(beta_params)
+            fast_mode_pair(beta_params)

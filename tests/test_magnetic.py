@@ -5,11 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import equation_residual, sup_exp_norm
+from oracles import default_magnetic_grid, equation_residual, fast_mode_pair, sup_exp_norm
 from tswave import magnetic, slowmode
 from tswave.errors import NonContraction, NonConvergence
-from tswave.magnetic import (MagneticProblem, default_magnetic_grid,
-                             solve_magnetic, build_psi_app_s)
+from tswave.magnetic import MagneticProblem, solve_magnetic, build_psi_app_s
 from tswave.numerics import graded_grid
 from tswave.params import SpectralParams, mode_from_grid
 
@@ -217,10 +216,9 @@ def solution():
     p0 = SpectralParams.eighth(2.0, 1e-10)
     chat = (2.0 + np.exp(1j * math.pi / 4.0) / 2.0) * 1e-10 ** 0.125
     p = p0.with_c(p0.chat_to_c(chat))
-    from tswave import fastmode
     slow = slowmode.phi_app_s_mode(p)
     phi0, _ = slowmode.boundary_values(p)
-    _, psi_f = fastmode.fast_mode_pair(p)
+    _, psi_f = fast_mode_pair(p)
     grid = graded_grid(1400, p.far_field,
                        cluster_scale=p.n ** (-1.0 / 3.0))
     psi_s = build_psi_app_s((p,), [slow.eval(k, grid)[None] for k in range(2)],
@@ -250,7 +248,6 @@ class TestPsiAppS:
         assert np.max(np.abs(resid)) <= 1e-8 * (1.0 + np.max(np.abs(f)))
 
     def test_norm_scalings_across_sweep(self):
-        from tswave import fastmode
         sup_by_eps = {}
         sup2_by_eps = {}
         for eps in (1e-8, 1e-10, 1e-12):
@@ -258,7 +255,7 @@ class TestPsiAppS:
             chat = (2.0 + np.exp(1j * math.pi / 4.0) / 2.0) * eps ** 0.125
             p = p0.with_c(p0.chat_to_c(chat))
             phi0, _ = slowmode.boundary_values(p)
-            _, psi_f = fastmode.fast_mode_pair(p)
+            _, psi_f = fast_mode_pair(p)
             grid = graded_grid(1200, p.far_field,
                                cluster_scale=p.n ** (-1.0 / 3.0))
             slow = [slowmode.phi_app_s(k, grid, (p,)) for k in range(2)]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from tswave import numerics
 from tswave.errors import (DerivativeBreakdown, NonConvergence, NonResolvable,
                            ZeroOnContour)
-from oracles import Ray, Segment, newton_loop, quad_segment, stencil_matrix
+from oracles import Ray, Segment, grid_caches, newton_loop, quad_segment, stencil_matrix
 from tswave.numerics import (
     Circle, RootTrace, Stencil, backward_exp_integral, cumulative_trapezoid,
     diff_matrix, forward_exp_integral, graded_grid, grid_cache, l2_norm,
@@ -386,14 +386,14 @@ class TestGridsAndCalculus:
     def test_exp_integrals_against_closed_form(self, xi):
         g = graded_grid(1500, 25.0, cluster_scale=0.5)
         vals = np.exp(-2.0 * g)[None]
-        back = backward_exp_integral(vals, g, xi, tail_rate=2.0)[0]
+        back = _backward(vals, g, xi, tail_rate=2.0)[0]
         assert np.max(np.abs(back - np.exp(-2.0 * g) / (xi + 2.0))) < 2e-4
-        fwd = forward_exp_integral(vals, g, xi)[0]
+        fwd = _forward(vals, g, xi)[0]
         exact = (np.exp(-2.0 * g) - np.exp(-xi * g)) / (xi - 2.0)
         assert np.max(np.abs(fwd - exact)) < 2e-4
         # the piecewise-linear kernel integration is second order
         g2 = graded_grid(3000, 25.0, cluster_scale=0.5)
-        back2 = backward_exp_integral(np.exp(-2.0 * g2)[None], g2, xi, tail_rate=2.0)[0]
+        back2 = _backward(np.exp(-2.0 * g2)[None], g2, xi, tail_rate=2.0)[0]
         err2 = np.max(np.abs(back2 - np.exp(-2.0 * g2) / (xi + 2.0)))
         assert np.max(np.abs(back - np.exp(-2.0 * g) / (xi + 2.0))) / err2 > 3.0
 
@@ -429,6 +429,19 @@ def _max_rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _one_rate(grid, xi):
+    """The ``ExpKernel`` of the one rate ``xi`` on ``grid``."""
+    return numerics.exp_kernel(np.asarray(grid, dtype=float), (xi,))
+
+
+def _backward(vals, grid, xi, tail_rate=0.0):
+    return backward_exp_integral(vals, grid, _one_rate(grid, xi), tail_rate=tail_rate)
+
+
+def _forward(vals, grid, xi):
+    return forward_exp_integral(vals, grid, _one_rate(grid, xi))
+
+
 class TestExpKernelOracle:
     """Banded solves of the exp-kernel recurrences against the sequential loop."""
 
@@ -450,9 +463,9 @@ class TestExpKernelOracle:
     @pytest.mark.parametrize("tail_rate", [0.0, 0.8])
     def test_matches_sequential_loop(self, spec, xi, tail_rate):
         grid, vals = self._data(spec)
-        back = backward_exp_integral(vals, grid, xi, tail_rate=tail_rate)[0]
+        back = _backward(vals, grid, xi, tail_rate=tail_rate)[0]
         assert _max_rel(back, _reference_backward(vals[0], grid, xi, tail_rate)) <= 1e-13
-        fwd = forward_exp_integral(vals, grid, xi)[0]
+        fwd = _forward(vals, grid, xi)[0]
         assert _max_rel(fwd, _reference_forward(vals[0], grid, xi)) <= 1e-13
 
     def test_cases_cover_both_coefficient_branches(self):
@@ -470,41 +483,17 @@ class TestExpKernelOracle:
         assert not strided.flags.c_contiguous
         for g, v in ((grid.tolist(), vals.tolist()),
                      (strided, np.repeat(vals, 2, axis=1)[:, ::2])):
-            assert _max_rel(backward_exp_integral(v, g, xi, tail_rate=0.8)[0], ref_b) <= 1e-13
-            assert _max_rel(forward_exp_integral(v, g, xi)[0], ref_f) <= 1e-13
+            assert _max_rel(_backward(v, g, xi, tail_rate=0.8)[0], ref_b) <= 1e-13
+            assert _max_rel(_forward(v, g, xi)[0], ref_f) <= 1e-13
 
     def test_equal_grids_share_results(self):
+        # a kernel reads only the values of its grid
         spec, xi = self.CASES[1]
         grid, vals = self._data(spec, seed=2)
         twin = grid.copy()
         assert twin is not grid
-        assert np.array_equal(backward_exp_integral(vals, grid, xi),
-                              backward_exp_integral(vals, twin, xi))
-        assert np.array_equal(forward_exp_integral(vals, grid, xi),
-                              forward_exp_integral(vals, twin, xi))
-
-    def test_grid_changed_in_place_recomputes(self):
-        spec, xi = self.CASES[2]
-        grid, vals = self._data(spec, seed=3)
-        backward_exp_integral(vals, grid, xi)
-        forward_exp_integral(vals, grid, xi)
-        grid *= 1.5
-        assert _max_rel(backward_exp_integral(vals, grid, xi)[0],
-                        _reference_backward(vals[0], grid, xi)) <= 1e-13
-        assert _max_rel(forward_exp_integral(vals, grid, xi)[0],
-                        _reference_forward(vals[0], grid, xi)) <= 1e-13
-
-    def test_cached_arrays_are_read_only(self):
-        # both recurrences read one cached kernel per (grid, xi)
-        spec, xi = self.CASES[2]
-        grid, vals = self._data(spec)
-        numerics._exp_kernel.cache_clear()
-        backward_exp_integral(vals, grid, xi)
-        forward_exp_integral(vals, grid, xi)
-        info = numerics._exp_kernel.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        for arr in numerics._exp_kernel(grid, complex(xi)):
-            assert not arr.flags.writeable
+        assert np.array_equal(_backward(vals, grid, xi), _backward(vals, twin, xi))
+        assert np.array_equal(_forward(vals, grid, xi), _forward(vals, twin, xi))
 
 
 class TestStackedKernels:
@@ -530,10 +519,9 @@ class TestStackedKernels:
         back = backward_exp_integral(vals, grid, kernel, tail_rate=0.8)
         fwd = forward_exp_integral(vals, grid, kernel)
         for j, xi in enumerate(self.RATES):
-            assert back[j].tobytes() == backward_exp_integral(
-                vals[j:j + 1], grid, xi, tail_rate=0.8).tobytes()
-            assert fwd[j].tobytes() == forward_exp_integral(vals[j:j + 1], grid,
-                                                            xi).tobytes()
+            assert back[j].tobytes() == _backward(vals[j:j + 1], grid, xi,
+                                                  tail_rate=0.8).tobytes()
+            assert fwd[j].tobytes() == _forward(vals[j:j + 1], grid, xi).tobytes()
 
 
 # factor, solve (plain and conjugate-transposed) and bidiagonal-solve random
@@ -667,6 +655,15 @@ def test_grid_cache():
     assert build.cache_info().currsize == 0
     build(grid, 2.0)
     assert calls[-1] == 2.0 and build.cache_info().misses == 1
+
+
+def test_program_keeps_two_grid_caches():
+    # a grid cache pays a hash of the grid's bytes on every lookup, so one
+    # is kept only where calls at other wave speeds repeat its work: the
+    # profile arrays and the resolvent operator.  State used within one
+    # call or on one DiscreteBVP is passed down or held there instead
+    assert sorted(grid_caches()) == ["osresolvent._affine_operator",
+                                     "profile.profile_arrays"]
 
 
 class TestL2Norm:

@@ -58,7 +58,8 @@ class TestSpectralParams:
         assert p.z0 == pytest.approx(-p.c_hat / p.delta)
 
     def test_far_field_ends_every_default_grid(self):
-        from tswave import dispersion, fastmode, magnetic, osresolvent
+        from oracles import default_magnetic_grid
+        from tswave import dispersion, fastmode, osresolvent
         assert SpectralParams.eighth(2.0, 1e-4).far_field == 40.0
         p = SpectralParams.eighth(2.0, 1e-12)
         assert p.far_field == 8.0 / p.alpha
@@ -66,7 +67,7 @@ class TestSpectralParams:
         pb = pb.with_c(dispersion.center_beta(pb))
         # np.sinh and math.sinh of the grid map's end may differ by an ulp
         ends = [(osresolvent.build_bvp(p, n_nodes=200).grid[-1], p.far_field),
-                (magnetic.default_magnetic_grid(p)[-1], p.far_field),
+                (default_magnetic_grid(p)[-1], p.far_field),
                 (fastmode.ExpFastHierarchy(pb, n_terms=1).grid[-1], pb.far_field)]
         for end, far in ends:
             assert end == pytest.approx(far, rel=1e-15)

@@ -20,6 +20,11 @@ def params_at(chat=None, eps=1e-12, A=2.0):
     return p0.with_c(p0.chat_to_c(chat))
 
 
+def residual_form(Y, p):
+    """The closed-form Rayleigh residual at Y, from a slow-mode pass there."""
+    return slowmode.rayleigh_residual_form(slowmode._slow_pass(Y, (p,)), p.alpha)[0]
+
+
 def beta_params():
     # the beta-regime disk center, where c_hat is an order of magnitude
     # smaller than at the eighth-regime points
@@ -211,7 +216,7 @@ class TestSlowMode:
         mode = slowmode.phi_app_s_mode(p)
         Y = np.linspace(0.05, 8.0, 10)
         lhs = rayleigh_apply(mode, Y, p)
-        rhs = slowmode.rayleigh_residual_form(Y, (p,))[0]
+        rhs = residual_form(Y, p)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-8
 
 
@@ -260,7 +265,7 @@ class TestOnePass:
                             oracles.closed_forms(grid, p.c_hat)):
             assert _same_bits(arr[0], ref)
         mode = slowmode.phi_app_s_mode(p)
-        slow = slowmode._slow_at(grid, (p,))
+        slow = slowmode._slow_pass(grid, (p,))
         psi1 = oracles.psi0(1, 0, grid, p)
         assert _same_bits(slow.psi1[0], psi1)
         for k in range(4):
@@ -269,66 +274,61 @@ class TestOnePass:
             assert _same_bits(mode.eval(k, grid), ref)
         combo = oracles.damped_corrector_combo(grid, p)
         assert _same_bits(slow.combo[0], combo)
-        assert _same_bits(slowmode.rayleigh_residual_form(grid, (p,))[0],
+        assert _same_bits(slowmode.rayleigh_residual_form(slow, p.alpha)[0],
                           -2.0 * p.alpha**2 * psi1 * combo)
-        assert slowmode._slow_pass.cache_info().misses == 1
 
 
-class TestClosedFormCache:
-    def test_cached_mode_equals_fresh_evaluation(self, monkeypatch):
-        # the slow-mode pass is cached per (grid, c_hat, alpha) and evaluates
-        # J, K and L once; the slow mode and its error terms read the pass,
-        # and equal a fresh evaluation
+class TestSlowPass:
+    def test_each_read_makes_one_pass(self, monkeypatch):
+        # the slow mode keeps no pass between calls: a pass evaluates J, K
+        # and L once, and each read of phi_app_s, so each order of the
+        # ModeFunction view, makes a pass of its own with the same bits
         p = params_at()
         Y = 40.0 * np.linspace(0.0, 1.0, 400) ** 3
-        clear_grid_caches()
         calls = closed_form_calls(monkeypatch)
-        mode = slowmode.phi_app_s_mode(p)
-        cached = [mode.eval(k, Y) for k in range(4)]
-        residual = slowmode.rayleigh_residual_form(Y, (p,))
+        slow = slowmode._slow_pass(Y, (p,))
         assert calls == [Y.size]
-        monkeypatch.setattr(slowmode, "_slow_pass", slowmode._slow_pass.__wrapped__)
+        mode = slowmode.phi_app_s_mode(p)
         for k in range(4):
-            assert np.array_equal(cached[k], slowmode.phi_app_s(k, Y, (p,))[0])
-        assert np.array_equal(residual, slowmode.rayleigh_residual_form(Y, (p,)))
-        assert calls == [Y.size] * 6
+            assert np.array_equal(mode.eval(k, Y), slow.phi_app[k][0])
+            assert np.array_equal(slowmode.phi_app_s(k, Y, (p,)), slow.phi_app[k])
+        assert calls == [Y.size] * 9
 
-    def test_quadrature_oracle_stays_uncached(self, monkeypatch):
+    def test_quadrature_oracle_replaces_closed_forms(self, monkeypatch):
         # every read of J, K and L goes through the supply the oracle
-        # replaces, so no oracle comparison meets the closed forms or the
-        # slow-mode cache
+        # replaces, so no oracle comparison meets the closed forms
         p = params_at()
         Y = np.array([0.3, 2.0])
         closed = slowmode.phi_app_s(0, Y, (p,))
         calls = closed_form_calls(monkeypatch)
-        before = slowmode._slow_pass.cache_info()
         with quadrature_integrals():
             quad = slowmode.phi_app_s(0, Y, (p,))
             slowmode.phi_app_s(3, Y, (p,))
-            slowmode.rayleigh_residual_form(Y, (p,))
+            residual_form(Y, p)
         assert calls == []
-        assert slowmode._slow_pass.cache_info() == before
         assert not np.array_equal(quad, closed)
         assert np.allclose(quad, closed, rtol=1e-9)
 
 
 @pytest.fixture(scope="module")
 def setup():
-    from tswave import magnetic, fastmode
+    from tswave import magnetic
     from tswave.numerics import graded_grid
     p = params_at()
     grid = graded_grid(900, 40.0, cluster_scale=p.n ** (-1.0 / 3.0))
     slow = [slowmode.phi_app_s(k, grid, (p,)) for k in range(2)]
     phi0, _ = slowmode.boundary_values(p)
-    _, psi_f = fastmode.fast_mode_pair(p)
+    _, psi_f = oracles.fast_mode_pair(p)
     psi_s = magnetic.build_psi_app_s((p,), slow, [psi_f.eval(0, 0.0)], phi0, grid)
     # the magnetic slow mode at any Y, from its grid arrays
     return p, grid, mode_from_grid(grid, [v[0] for v in psi_s])
 
 
-def psi_at(psi_s, Y):
-    """The magnetic slow mode at Y by order, as ``slow_errors`` reads it."""
-    return [psi_s.eval(k, Y) for k in range(2)]
+def slow_errors(group, Y, p, psi_s):
+    """The slow error group at Y, with the magnetic slow mode ``psi_s`` at
+    Y by order and the slow-mode pass of Y."""
+    psi = [psi_s.eval(k, Y) for k in range(2)]
+    return slowmode.slow_errors(group, Y, (p,), psi, slowmode._slow_pass(Y, (p,)))[0]
 
 
 class TestSlowErrors:
@@ -336,8 +336,8 @@ class TestSlowErrors:
     def test_group3_leading_term_scales_with_alpha_sq(self, setup):
         p, grid, psi_s = setup
         Y = np.linspace(0.2, 3.0, 7)
-        e3 = slowmode.slow_errors(3, Y, (p,), psi_at(psi_s, Y))[0]
-        ray = slowmode.rayleigh_residual_form(Y, (p,))[0]
+        e3 = slow_errors(3, Y, p, psi_s)
+        ray = residual_form(Y, p)
         # the non-magnetic part is exactly the Rayleigh residual, O(alpha^2)
         assert np.max(np.abs(ray)) <= 4.0 * p.alpha**2 * np.max(
             np.abs(oracles.damped_corrector_combo(Y, p)))
@@ -350,10 +350,9 @@ class TestSlowErrors:
         p, grid, psi_s = setup
         Y = np.linspace(0.3, 5.0, 9)
         h = 1e-5
-        de1 = (slowmode.slow_errors(1, Y + h, (p,), psi_at(psi_s, Y + h))[0]
-               - slowmode.slow_errors(1, Y - h, (p,), psi_at(psi_s, Y - h))[0]) / (2 * h)
-        e2 = slowmode.slow_errors(2, Y, (p,), psi_at(psi_s, Y))[0]
-        e3 = slowmode.slow_errors(3, Y, (p,), psi_at(psi_s, Y))[0]
+        de1 = (slow_errors(1, Y + h, p, psi_s) - slow_errors(1, Y - h, p, psi_s)) / (2 * h)
+        e2 = slow_errors(2, Y, p, psi_s)
+        e3 = slow_errors(3, Y, p, psi_s)
         total = de1 + 1j * p.alpha * e2 + e3
 
         prof = DEFAULT_PROFILE
