@@ -25,7 +25,7 @@ from .numerics import (
     pointwise,
     tail_trapezoid,
 )
-from .profile import DEFAULT_PROFILE, profile_arrays
+from .profile import DEFAULT_PROFILE
 
 __all__ = [
     "check_sublayer_scales",
@@ -121,8 +121,8 @@ class ExpFastHierarchy:
             store.extend(arrays)
 
     def _levels(self, cut):
-        """Levels 1..n_terms, each a zero-filled (4, N) block of its Phi,
-        dPhi, d2Phi and rhs, computed on the first ``cut`` nodes.
+        """Levels 1..n_terms as a zero-filled (n_terms, 4, N) block, each
+        level's Phi, dPhi, d2Phi and rhs computed on the first ``cut`` nodes.
 
         Where level k - 1 is exactly 0 from node cut - 1 on, the whole-grid
         recurrence has zero sources there: its tail integral is constant and
@@ -137,11 +137,14 @@ class ExpFastHierarchy:
         kernel = exp_kernel(grid, (varpi,))
         us = DEFAULT_PROFILE.eval("U", 0, grid)
         dus = DEFAULT_PROFILE.eval("U", 1, grid)
-        # one block per level, not one for all: at N = 2000 each stays under
-        # malloc's 128 KiB mmap threshold, where one (4, 6, N) block raised
-        # the peak RSS of a beta sweep by about 0.2 MB
-        levels = [np.zeros((4, self.grid.size), dtype=complex)
-                  for _ in range(self.n_terms)]
+        # one block for all levels: per-level 128 KB blocks on a 2000-node
+        # grid, freed together, left more free memory at glibc's heap top
+        # than its trim threshold, so Gamma0's builds grew and trimmed the
+        # heap each time (29 000 page faults per pass of perfbench's
+        # beta_hierarchy, none with one block).  The first block is mapped
+        # on its own, and freeing it raises malloc's mmap and trim
+        # thresholds past its size
+        levels = np.zeros((self.n_terms, 4, self.grid.size), dtype=complex)
         prev = self.phi_levels[0][:cut]
         for phi_k, dphi_k, d2phi_k, rhs in (level[:, :cut] for level in levels):
             anti = -tail_trapezoid(dus * prev, grid)
@@ -175,11 +178,12 @@ class ExpFastHierarchy:
         return sum(d[0] for d in self.dphi_levels[1:])
 
 
-def fast_errors(group, Y, params, slow_boundary_value, phi, psi, phi_last=None):
+def fast_errors(group, Y, prof, params, slow_boundary_value, phi, psi, phi_last=None):
     """Fast-mode error terms, verbatim per regime.
 
-    ``phi`` and ``psi`` hold Phi_app^f and Psi_app^f at Y by derivative
-    order: Phi to order 2 ('E3f' reads it) and Psi to order 1.  ``phi_last``,
+    ``prof`` holds the profile arrays at Y.  ``phi`` and ``psi`` hold
+    Phi_app^f and Psi_app^f at Y by derivative order: Phi to order 2 ('E3f'
+    reads it) and Psi to order 1.  ``phi_last``,
     the highest hierarchy level and its first derivative at Y, enters only
     the beta-regime divergence term group 'E1f_beta'.  ``params`` is a
     block, a tuple of SpectralParams that differ only in c: the arrays have
@@ -191,7 +195,7 @@ def fast_errors(group, Y, params, slow_boundary_value, phi, psi, phi_last=None):
     c = pointwise(lambda q: q.c, params)
     chat = pointwise(lambda q: q.c_hat, params)
     B = pointwise(complex, slow_boundary_value)
-    us, dus, d2us, hs, dhs, d2hs = profile_arrays(Yarr)
+    us, dus, d2us, hs, dhs, d2hs = prof
 
     if group == "E1f":
         return -B * ((-2j * a**2 / n) * phi[1]
@@ -231,12 +235,16 @@ def fast_errors(group, Y, params, slow_boundary_value, phi, psi, phi_last=None):
     raise ValueError(f"unknown error group {group!r}")
 
 
-def measure_tau1(params, y_points=40):
+# sample points of the least-squares fit in ``measure_tau1``
+_TAU1_POINTS = 40
+
+
+def measure_tau1(params):
     """Measured decay constant of the Airy fast mode: least-squares slope of
     -log|Phi_app^f| against n^{1/3} Y (the constant is existential in the
     underlying estimates, so it is reported from data, not assumed)."""
     n13 = params.n ** (1.0 / 3.0)
-    Y = np.linspace(0.2 / n13, 4.0 / n13, y_points)
+    Y = np.linspace(0.2 / n13, 4.0 / n13, _TAU1_POINTS)
     vals = np.abs(airy.ai_k(2, Y / params.delta + params.z0) / airy.ai_k(2, params.z0))
     mask = vals > 0.0
     slope = np.polyfit(n13 * Y[mask], -np.log(vals[mask]), 1)[0]

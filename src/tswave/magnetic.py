@@ -21,7 +21,6 @@ import numpy as np
 from .errors import NonContraction, NonConvergence
 from .numerics import backward_exp_integral, exp_kernel, forward_exp_integral, pointwise
 from .params import SpectralParams
-from .profile import profile_arrays
 
 __all__ = ["MagneticProblem", "MagneticTrace", "MagneticTraces", "solve_magnetic",
            "build_psi_app_s"]
@@ -86,9 +85,10 @@ class MagneticProblem:
         return tuple(rate(p) for p in self.params)
 
 
-def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
+def solve_magnetic(prob, grid, prof, tol=1e-10, max_picard=80):
     """Picard limit of the mild formulation on ``grid``, where ``prob.f`` is
-    sampled; returns ((phi, dY phi, dYY phi) on the grid, traces), each
+    sampled and ``prof`` holds the profile arrays (U_s and its wake are
+    read); returns ((phi, dY phi, dYY phi) on the grid, traces), each
     array (k, N) with a row per point and the traces a ``MagneticTraces``.
 
     Stops when the weighted sup-norm gap between successive iterates drops
@@ -119,7 +119,6 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     c = pointwise(lambda p: p.c, points)
     phi_b = pointwise(complex, prob.phi_b)
     alpha = points[0].alpha
-    prof = profile_arrays(grid)
     # i alpha (1 - U_s), the same at every Picard step
     coupling = 1j * alpha * prof.wake
     lift = np.exp(-xi * grid) * phi_b
@@ -178,18 +177,19 @@ def solve_magnetic(prob, grid, tol=1e-10, max_picard=80):
     return (phi, dphi, d2phi), MagneticTraces(traces)
 
 
-def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid):
-    """Magnetic slow mode on ``grid``: solve the magnetic equation with
-    boundary value Phi_app^s(0) Psi_app^f(0) and source
-    i alpha H_s Phi_app^s + dY Phi_app^s, where ``slow`` holds Phi_app^s and
-    dY Phi_app^s on the grid with a row per point of the block ``params``,
-    and the two wall values hold one entry per point.
+def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid, prof):
+    """Magnetic slow mode on ``grid``, whose profile arrays ``prof`` holds:
+    solve the magnetic equation with boundary value Phi_app^s(0)
+    Psi_app^f(0) and source i alpha H_s Phi_app^s + dY Phi_app^s, where
+    ``slow`` holds Phi_app^s and dY Phi_app^s on the grid with a row per
+    point of the block ``params``, and the two wall values hold one entry
+    per point.
 
     Returns the mode and its first two derivatives on the grid; the second is
     recovered from the equation itself rather than numerical differentiation.
     """
     alpha = params[0].alpha
-    f = 1j * alpha * profile_arrays(grid).hs * slow[0] + slow[1]
+    f = 1j * alpha * prof.hs * slow[0] + slow[1]
     phi_b = tuple(complex(s * p) for s, p in zip(slow_at_0, fast_psi_at_0))
     prob = MagneticProblem(params=params, phi_b=phi_b, f=f, decay_rate=min(alpha, 1.0))
-    return solve_magnetic(prob, grid)[0]
+    return solve_magnetic(prob, grid, prof)[0]

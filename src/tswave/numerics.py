@@ -4,9 +4,8 @@ Adaptive winding-number counting on circles, damped complex Newton iteration,
 graded grids with sub-layer clustering, 3-point difference stencils, trapezoid
 norms and integrals, the exponential-kernel cumulative integrals used by the
 mild formulations of the second-order solvers (on an ``ExpKernel`` that the
-caller builds once and hands to each integral), the grid cache for state
-that calls at other wave speeds reuse, and the binding of the LAPACK band
-routines.
+caller builds once and hands to each integral), and the binding of the
+LAPACK band routines.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
-from functools import lru_cache, wraps
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,51 +43,11 @@ __all__ = [
     "tail_trapezoid",
     "forward_exp_integral",
     "backward_exp_integral",
-    "grid_cache",
     "pointwise",
     "ExpKernel",
     "exp_kernel",
     "flapack",
 ]
-
-
-def grid_cache(maxsize):
-    """Memoize ``fn(grid, *args)`` over its ``maxsize`` most recent keys: the
-    shape and bytes of the float grid plus the other, hashable arguments, so
-    equal grids share one entry and a grid changed in place misses.  ``fn``
-    receives a read-only grid, and its result is made read-only by
-    ``_read_only``.  ``cache_clear`` and ``cache_info`` are the ``lru_cache``'s.
-    """
-    def decorate(fn):
-        @lru_cache(maxsize=maxsize)
-        def cached(shape, grid_bytes, *args):
-            grid = np.frombuffer(grid_bytes, dtype=float).reshape(shape)
-            return _read_only(fn(grid, *args))
-
-        @wraps(fn)
-        def lookup(grid, *args):
-            grid = np.asarray(grid, dtype=float)
-            return cached(grid.shape, grid.tobytes(), *args)
-
-        lookup.cache_clear = cached.cache_clear
-        lookup.cache_info = cached.cache_info
-        return lookup
-
-    return decorate
-
-
-def _read_only(obj):
-    """``obj`` with its arrays made read-only: an ndarray, and those inside
-    tuples and dataclasses."""
-    if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
-    elif isinstance(obj, tuple):
-        for item in obj:
-            _read_only(item)
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            _read_only(getattr(obj, f.name))
-    return obj
 
 
 def pointwise(fn, x):
@@ -256,18 +215,23 @@ def newton_root(g, c0, tol=1e-12, max_iter=40, region=None):
         del err     # break the exception -> traceback -> frame cycle that keeps g alive
 
 
-def graded_grid(n_nodes, y_max, cluster_scale, points_per_scale=6.0):
+# grid points per cluster scale at the wall: the wall-spacing rule of
+# ``graded_grid``
+_POINTS_PER_SCALE = 6.0
+
+
+def graded_grid(n_nodes, y_max, cluster_scale):
     """Strictly increasing grid on [0, y_max] clustered near Y = 0.
 
     A sinh map is tuned so the first spacing is about
-    ``cluster_scale / points_per_scale``; for coarse targets it degrades to a
-    uniform grid.
+    ``cluster_scale / _POINTS_PER_SCALE``; for coarse targets it degrades to
+    a uniform grid.
     """
     if n_nodes < 16:
         raise ValueError("need at least 16 nodes")
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"grid far end must be positive and finite, got {y_max}")
-    h0 = cluster_scale / points_per_scale
+    h0 = cluster_scale / _POINTS_PER_SCALE
     ratio = h0 * (n_nodes - 1) / y_max
     s = np.linspace(0.0, 1.0, n_nodes)
     if ratio >= 1.0:

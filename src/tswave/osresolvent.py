@@ -17,8 +17,8 @@ Every block couples only nodes i - 1, i, i + 1, so with the unknowns
 interleaved node by node as (Phi_i, omega_i, Psi_i) each 3N x 3N system is
 banded; it is written in LAPACK band form straight from the difference
 stencils and the profile arrays, and factored there (zgbtrf / zgbtrs).
-Every wave speed on a grid reuses its operator, so ``_affine_operator`` is
-a grid cache; a ``DiscreteBVP`` keeps the stencils it reads itself.
+A ``DiscreteBVP`` holds the state of its grid that every wave speed on it
+reuses: the stencils, the profile arrays and the operators as A0 + c A1.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import numpy as np
 
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem, TswaveError
-from .numerics import (diff_matrix, flapack, graded_grid, grid_cache, l2_norm,
-                       trap_weights)
+from .numerics import diff_matrix, flapack, graded_grid, l2_norm, trap_weights
 from .params import mode_from_grid
 from .profile import profile_arrays
 
@@ -52,10 +51,17 @@ _MAX_ALTERNATIONS = 40      # alternation steps before NonConvergence
 
 @dataclass
 class DiscreteBVP:
+    """A grid with its weights and boundary condition, and the state that
+    calls at every wave speed on it share, built on first read: the
+    stencils, the profile arrays and, in ``operators``, the ``_Banded``
+    operator of each (params without c, splitting).  The grid is not to
+    change once state is built; the shared arrays are read-only."""
+
     grid: np.ndarray
     weights: np.ndarray
     boundary: str = "navier"
     cluster_scale: float = 1.0
+    operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self):
@@ -63,13 +69,21 @@ class DiscreteBVP:
 
     @cached_property
     def d1(self):
-        """First-difference stencil of the grid, built on first read."""
+        """First-difference stencil of the grid."""
         return diff_matrix(self.grid, 1)
 
     @cached_property
     def d2(self):
-        """Second-difference stencil of the grid, built on first read."""
+        """Second-difference stencil of the grid."""
         return diff_matrix(self.grid, 2)
+
+    @cached_property
+    def profile(self):
+        """The ``ProfileArrays`` of the grid, read-only."""
+        prof = profile_arrays(self.grid)
+        for arr in prof:
+            arr.flags.writeable = False
+        return prof
 
 
 @dataclass
@@ -118,10 +132,10 @@ class _Banded(NamedTuple):
 _PHI, _OMEGA, _PSI = 0, 1, 2
 
 
-@grid_cache(maxsize=2)
-def _affine_operator(grid, boundary, params, variant):
-    """3N x 3N system of one splitting ('os_d', 'os_s', 'full') as A0 + c A1
-    in LAPACK band storage, written from the stencils and profile arrays.
+def _affine_operator(bvp, params, variant):
+    """3N x 3N system of one splitting ('os_d', 'os_s', 'full') on the grid
+    of ``bvp`` as A0 + c A1 in LAPACK band storage, written from the bvp's
+    stencils and profile arrays; ``params`` carries no wave speed.
 
     Equation e of node i on unknown u of node i + s sits at offset
     e - u - 3 s from the diagonal: kl = 5 (magnetic equation on Phi_{i-1}),
@@ -133,7 +147,7 @@ def _affine_operator(grid, boundary, params, variant):
     d_Y R1 + i alpha R2 on (Phi, Psi); 'os_s' adds the shear transport
     U_s' d_Y + U_s'' on Phi.
     """
-    N = grid.size
+    N, boundary = bvp.n, bvp.boundary
     a, n, se = params.alpha, params.n, params.sqrt_eps
     kl = 5
     ku = 5 if boundary == "noslip" else 3 if variant == "os_d" else 4
@@ -147,9 +161,9 @@ def _affine_operator(grid, boundary, params, variant):
         row.real[1 + shift:N - 1 + shift] = re
         row.imag[1 + shift:N - 1 + shift] = im
 
-    d1, d2 = diff_matrix(grid, 1), diff_matrix(grid, 2)
+    d1, d2 = bvp.d1, bvp.d2
     # profile arrays at the interior nodes, which the stencils' rows cover
-    us, dus, d2us, hs, dhs, d2hs = (x[1:-1] for x in profile_arrays(grid))
+    us, dus, d2us, hs, dhs, d2hs = (x[1:-1] for x in bvp.profile)
     lap = (d2.lo, d2.mid - a**2, d2.hi)          # d_YY - alpha^2, by shift
     inv_n = 1.0 / n
     # omega definition: (d_YY - alpha^2) Phi - omega
@@ -200,14 +214,18 @@ def _affine_operator(grid, boundary, params, variant):
         cols = np.array([0, 3, 6])
         band0[kl + ku + 1 - cols, cols] = d1.first
     band0[kl + ku, ends] = 1.0
+    band0.flags.writeable = band1.flags.writeable = False
     return _Banded(band0, band1, kl, ku)
 
 
 def _band_at(params, bvp, variant):
     """(band, kl, ku) of the requested splitting ('os_d', 'os_s', 'full') at
-    the wave speed of ``params``."""
+    the wave speed of ``params``, from the operator ``bvp`` holds for it."""
     params._need_c()
-    op = _affine_operator(bvp.grid, bvp.boundary, replace(params, c=None), variant)
+    key = (replace(params, c=None), variant)
+    op = bvp.operators.get(key)
+    if op is None:
+        op = bvp.operators[key] = _affine_operator(bvp, *key)
     return op.at(params.c), op.kl, op.ku
 
 
@@ -346,7 +364,7 @@ class OSIteration:
     limit with the one-LU solve of the full operator that the program uses.
     Factorizations are done once per instance and reused across the
     alternation steps and both remainder problems.  The operators as
-    A0 + c A1 and the profile arrays are per-grid state, so an instance costs
+    A0 + c A1 and the profile arrays are the bvp's, so an instance costs
     two banded LUs and their condition estimates.
     """
 
@@ -354,15 +372,14 @@ class OSIteration:
         params._need_c()
         self.params = params
         self.bvp = bvp
-        self.profile = profile_arrays(bvp.grid)
-        self.w_inv_sqrt = _inv_sqrt_curvature(self.profile.d2us)
+        self.w_inv_sqrt = _inv_sqrt_curvature(bvp.profile.d2us)
         self.fact_d = _Factorized(params, bvp, "os_d")
         self.fact_s = _Factorized(params, bvp, "os_s")
 
     def coupling(self, phi, psi):
         """The diffusion splitting's leftover: the first-slot action of the
         expanded divergence terms d_Y R1 + i alpha R2 on (Phi, Psi)."""
-        p, bvp, pr = self.params, self.bvp, self.profile
+        p, bvp, pr = self.params, self.bvp, self.bvp.profile
         a, n, se = p.alpha, p.n, p.sqrt_eps
         return ((a / n) * (pr.dhs * phi + pr.hs * (bvp.d1 @ phi))
                 - (1j * a**2 / n) * phi
@@ -372,7 +389,7 @@ class OSIteration:
 
     def transport(self, xi):
         """The divergence splitting's leftover U_s' d_Y xi + U_s'' xi."""
-        pr = self.profile
+        pr = self.bvp.profile
         return pr.dus * (self.bvp.d1 @ xi) + pr.d2us * xi
 
     def _e_norm(self, phi, omega, psi, q2=None):
@@ -383,7 +400,7 @@ class OSIteration:
         wts = bvp.weights
         dphi = bvp.d1 @ phi
         dpsi = bvp.d1 @ psi
-        pr = self.profile
+        pr = bvp.profile
         d2psi_m_a2 = (1j * a * (pr.us - p.c) * psi
                       - 1j * a * pr.hs * phi - dphi
                       - (np.zeros_like(phi) if q2 is None else q2))
@@ -472,15 +489,16 @@ def assemble_error_terms(c, params, bvp):
                                for b, d, h in zip(wall, dphi0, hiers)])
         groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
-    slow_pass = slowmode._slow_pass(grid, points)
+    prof = bvp.profile
+    slow_pass = slowmode._slow_pass(grid, prof, points)
     slow = slow_pass.phi_app[:2]
     # grid[0] = 0: the wall value of the fast mode's magnetic part
-    psi_s = magnetic.build_psi_app_s(points, slow, psi_f[0][:, 0], wall, grid)
+    psi_s = magnetic.build_psi_app_s(points, slow, psi_f[0][:, 0], wall, grid, prof)
 
-    arrays = {f"e{k}s": slowmode.slow_errors(k, grid, points, psi_s, slow_pass)
+    arrays = {f"e{k}s": slowmode.slow_errors(k, prof, points, psi_s, slow_pass)
               for k in (1, 2, 3)}
     for key, g in zip(("e1f", "e2f", "e3f", "ff"), groups):
-        arrays[key] = fastmode.fast_errors(g, grid, points, wall, phi_f, psi_f,
+        arrays[key] = fastmode.fast_errors(g, grid, prof, points, wall, phi_f, psi_f,
                                            phi_last=phi_last)
     modes = {"slow": slow, "phi_f": phi_f, "psi_f": psi_f, "psi_s": psi_s,
              "phi0": phi0, "dphi0": dphi0}
@@ -509,7 +527,7 @@ def error_norms(arrays, bvp):
     where U_s'' underflows still makes the norm infinite.
     """
     wts = bvp.weights
-    w_inv_sqrt = _inv_sqrt_curvature(profile_arrays(bvp.grid).d2us)
+    w_inv_sqrt = _inv_sqrt_curvature(bvp.profile.d2us)
     return {
         "e1s_l2": l2_norm(arrays["e1s"], wts),
         "e2s_l2": l2_norm(arrays["e2s"], wts),

@@ -6,7 +6,8 @@ background of the growing mode; the numerical modules read
 near-critical-layer integrals: ``critical_layer_integrals`` gives the slow
 mode's running integrals J, K and L from one e^{-Y} and one logarithm.
 ``profile_arrays`` samples U_s, H_s and their first two derivatives on a
-grid from one e^{-Y}, once per grid, for the modules that read them there.
+grid from one e^{-Y}; a ``DiscreteBVP`` keeps those of its grid and hands
+them to the modules that read them there.
 ``check_structure`` verifies the monotonicity and strong-concavity
 conditions of any profile it is given.
 """
@@ -19,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureViolation, UnsupportedOrder
-from .numerics import grid_cache
 
 __all__ = [
     "HartmannProfile",
@@ -230,7 +230,6 @@ class ProfileArrays(NamedTuple):
         return self.dus
 
 
-@grid_cache(maxsize=2)
 def profile_arrays(grid):
     """The ``ProfileArrays`` of ``DEFAULT_PROFILE`` on one grid, from one
     e^{-Y}; each array has the bits of its ``DEFAULT_PROFILE.eval``."""

@@ -9,14 +9,15 @@ in closed form from the primitives of the Hartmann profile.
 
 One pass, ``_slow_pass``, builds the arrays that the program reads on a
 grid: Phi_app^s to order 3, psi_{0,1} and the cancelled form of
-dY Phi_1^s + alpha Phi_1^s.  It reads the grid's profile arrays and the
-running integrals J, K and L of one closed-form evaluation,
+dY Phi_1^s + alpha Phi_1^s.  It reads the profile arrays it is given and
+the running integrals J, K and L of one closed-form evaluation,
 ``_closed_forms_at``, and keeps nothing.  The error-term assembly makes one
-pass and hands it to the error terms ``slow_errors``; ``phi_app_s`` and
-the ModeFunction view ``phi_app_s_mode`` read a pass of their own.  Their
-``params`` is a block, a tuple of SpectralParams that differ only in c, and
-each array has a row per point; a row has the bits of a block of its point
-alone.  The tests hold the pass bit for bit to the order-by-order formulas
+pass from its ``DiscreteBVP``'s profile arrays and hands both to the error
+terms ``slow_errors``; ``phi_app_s`` and the ModeFunction view
+``phi_app_s_mode`` read a pass of their own, on profile arrays of their Y.
+Their ``params`` is a block, a tuple of SpectralParams that differ only in
+c, and each array has a row per point; a row has the bits of a block of its
+point alone.  The tests hold the pass bit for bit to the order-by-order formulas
 and J, K and L to quadrature (``tests/oracles.py``).
 """
 
@@ -56,9 +57,9 @@ class _SlowPass(NamedTuple):
     combo: np.ndarray   # dY Phi_1^s + alpha Phi_1^s, cancelled
 
 
-def _slow_pass(Y, params):
+def _slow_pass(Y, prof, params):
     """The slow-mode arrays at these Y in one pass, a row per point of the
-    block ``params``.
+    block ``params``, from ``prof``, the profile arrays at Y.
 
     The derivative formulas of Phi_1^s keep the two running integrals
     intact; the Wronskian psi_{0,1} psi_{0,2}' - psi_{0,2} psi_{0,1}' = 1
@@ -73,7 +74,6 @@ def _slow_pass(Y, params):
     chat = tuple(p.c_hat for p in params)
     a = params[0].alpha
     J, K, L = _closed_forms_at(Y, chat)
-    prof = profile_arrays(Y)
     w = prof.us - pointwise(complex, chat)
     du, d2u = prof.dus, prof.d2us
     d3u = du                    # U_s^{(3)} = U_s' = e^{-Y}
@@ -108,7 +108,8 @@ def phi_app_s(order, Y, params):
     """Slow mode psi_{alpha,1} + alpha Phi_1^s and derivatives up to order 3."""
     if order < 0 or order > 3:
         raise UnsupportedOrder(f"phi_app_s order {order}")
-    return _slow_pass(Y, params).phi_app[order]
+    Y = np.asarray(Y, dtype=float)
+    return _slow_pass(Y, profile_arrays(Y), params).phi_app[order]
 
 
 def phi_app_s_mode(params):
@@ -141,21 +142,20 @@ def rayleigh_residual_form(slow, alpha):
     return -2.0 * alpha**2 * slow.psi1 * slow.combo
 
 
-def slow_errors(group, Y, params, psi, slow):
+def slow_errors(group, prof, params, psi, slow):
     """Slow-mode error terms: group 1 and 2 are the divergence/tangential
     parts, group 3 carries the strongly decaying remainder.
 
-    ``psi`` holds the magnetic slow mode Psi_app^s at Y by derivative order
-    (to order 1), with a row per point of the block ``params``; the
-    velocity slow mode is read from ``slow``, the slow-mode pass of Y.
+    ``prof`` holds the profile arrays on a grid and ``psi`` the magnetic
+    slow mode Psi_app^s there by derivative order (to order 1), with a row
+    per point of the block ``params``; the velocity slow mode is read from
+    ``slow``, the slow-mode pass of the grid.
     """
     if group not in (1, 2, 3):
         raise ValueError("group must be 1, 2 or 3")
-    Yarr = np.asarray(Y, dtype=float)
     p = params[0]
     a, n, se = p.alpha, p.n, p.sqrt_eps
     c = pointwise(lambda q: q.c, params)
-    prof = profile_arrays(Yarr)
     hs = prof.hs
     phi = slow.phi_app
 

@@ -11,26 +11,20 @@ computed on every node of its grid.  None of this is on a path of the
 program: the tests compare the program's closed forms, its one-pass slow
 mode and per-grid profile arrays, its one-LU remainder
 solves, its blocked series recurrence, its Newton iteration and its
-hierarchy cut to the support of e^{-varpi Y} against it.  The tests that
-compare evaluation orders start from empty grid caches (``clear_grid_caches``).
-The Airy fast mode's ModeFunction view ``fast_mode_pair`` and the magnetic
+hierarchy cut to the support of e^{-varpi Y} against it.  The Airy fast mode's ModeFunction view ``fast_mode_pair`` and the magnetic
 solve's default grid live here too: only the tests read them.
 """
 
 from __future__ import annotations
 
 import heapq
-import importlib
-import inspect
 import math
-import pkgutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-import tswave
 from tswave import airy, fastmode, osresolvent, slowmode
 from tswave.errors import (DerivativeBreakdown, NonConvergence, RegimeMismatch,
                            UnsupportedOrder)
@@ -249,8 +243,7 @@ def _quad_jkl(Y, chat):
 def quadrature_integrals():
     """Within this block the slow mode, and the order-by-order formulas
     below, read J, K and L from quadrature: the formulas then run on the
-    oracle's integrals, bypassing the slow-mode cache.  Each (Y, c_hat) is
-    integrated once per block."""
+    oracle's integrals.  Each (Y, c_hat) is integrated once per block."""
     memo = {}
 
     def one(Y, chat):
@@ -394,26 +387,6 @@ def damped_corrector_combo(Y, params):
     ea = np.exp(-params.alpha * Yarr)
     return (-2.0 * psi0(1, 1, Yarr, params) * ea * K
             - 2.0 * psi0(2, 1, Yarr, params) * ea * L)
-
-
-def grid_caches():
-    """Every module-level ``grid_cache`` of the program by its name
-    ``module.function``: each plain function with a ``cache_clear`` (an
-    ``lru_cache`` is no plain function), under the module that defines it."""
-    caches = {}
-    for info in pkgutil.iter_modules(tswave.__path__):
-        module = importlib.import_module(f"tswave.{info.name}")
-        for obj in vars(module).values():
-            if (inspect.isfunction(obj) and hasattr(obj, "cache_clear")
-                    and obj.__module__ == module.__name__):
-                caches[f"{info.name}.{obj.__name__}"] = obj
-    return caches
-
-
-def clear_grid_caches():
-    """Empty every module-level ``grid_cache`` of the program."""
-    for cache in grid_caches().values():
-        cache.cache_clear()
 
 
 def closed_form_calls(monkeypatch):

@@ -31,6 +31,7 @@ from tswave.errors import (NonContraction, NonConvergence, SingularSystem,
                            TswaveError, WindingNotOne)
 from tswave.magnetic import MagneticProblem, solve_magnetic
 from tswave.params import SpectralParams
+from tswave.profile import profile_arrays
 
 
 def report(num, ok, detail):
@@ -126,8 +127,8 @@ def test_criterion_2_slow_mode_closed_forms():
             mode = slowmode.phi_app_s_mode(p)
             Y = np.linspace(0.05, 9.0, 10)
             lhs = rayleigh_apply(mode, Y, p)
-            rhs = slowmode.rayleigh_residual_form(slowmode._slow_pass(Y, (p,)),
-                                                  p.alpha)[0]
+            rhs = slowmode.rayleigh_residual_form(
+                slowmode._slow_pass(Y, profile_arrays(Y), (p,)), p.alpha)[0]
             worst_ray = max(worst_ray,
                             float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
     elapsed = time.time() - start
@@ -152,7 +153,7 @@ def test_criterion_3_magnetic_contraction():
         f = np.exp(-0.5 * grid) * (1.0 + 0.0j)
         mode, (trace,) = solve_magnetic(
             MagneticProblem(params=(p,), phi_b=(1.0,), f=f[None], decay_rate=0.5), grid,
-            tol=tol)
+            profile_arrays(grid), tol=tol)
         band.append(trace.ratios[1] / alpha)
         worst_defect = max(worst_defect, trace.residual_weighted)
     spread = max(band) / min(band)

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import clear_grid_caches
 from tswave import cli, dispersion, osresolvent
 from tswave.errors import GrowthOverflow, NonConvergence, WindingNotOne, ZeroOnContour
 from tswave.params import SpectralParams
@@ -528,9 +527,8 @@ def test_full_os_reports_exact_root_only_inside_disk(monkeypatch):
 
 
 def test_full_os_rows_independent_of_row_order():
-    # Gamma's per-grid state is cached across rows; a row must not depend on
-    # which rows ran before it, nor on whether its own state was cached
-    clear_grid_caches()
+    # a row keeps Gamma's per-grid state on its own DiscreteBVP, so it must
+    # not depend on which rows ran before it
     cfg = cli.RunConfig(amplitude=2.0, eps_list=[1e-11, 1e-12], grid_n=400,
                         full_os=True)
     _, _, text = cli.run_sweep(cfg)

@@ -11,6 +11,7 @@ from tswave.errors import NonContraction, NonConvergence
 from tswave.magnetic import MagneticProblem, solve_magnetic, build_psi_app_s
 from tswave.numerics import graded_grid
 from tswave.params import SpectralParams, mode_from_grid
+from tswave.profile import profile_arrays
 
 
 def params_with_alpha(alpha, c=0.1 + 0.05j):
@@ -32,7 +33,7 @@ def exp_problem(p, phi_b, grid, rate=0.5, **kwargs):
 def solve_point(prob, grid, **kwargs):
     """``solve_magnetic`` of a problem of one point: row 0 of each array and
     the point's trace."""
-    mode, (trace,) = solve_magnetic(prob, grid, **kwargs)
+    mode, (trace,) = solve_magnetic(prob, grid, profile_arrays(grid), **kwargs)
     return tuple(v[0] for v in mode), trace
 
 
@@ -103,27 +104,24 @@ class TestSolve:
         for f, shape in sources:
             prob = MagneticProblem(params=(p,), phi_b=(1.0,), f=f, decay_rate=0.5)
             with pytest.raises(ValueError, match=shape + r".*\(1200,\)"):
-                solve_magnetic(prob, grid)
+                solve_magnetic(prob, grid, profile_arrays(grid))
 
     def test_nonconvergence_budget(self):
         p = params_with_alpha(0.2)
         grid = default_magnetic_grid(p)
         with pytest.raises(NonConvergence):
-            solve_magnetic(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-14, max_picard=2)
+            solve_magnetic(exp_problem(p, 1.0 + 0.0j, grid), grid, profile_arrays(grid),
+                           tol=1e-14, max_picard=2)
 
-    def test_noncontraction_detector(self, monkeypatch):
+    def test_noncontraction_detector(self):
         # a wake decaying too slowly (and too large) breaks the contraction;
         # the runtime detector is the admissibility check
-        def bad_wake(grid):
-            wake = 6.0 / (1.0 + np.asarray(grid, dtype=float))
-            return SimpleNamespace(us=1.0 - wake, wake=wake)
-
         p = SpectralParams(eps=0.5, amplitude=0.95 / 0.5 ** 0.125).with_c(0.05 + 0.01j)
         grid = default_magnetic_grid(p)
         prob = exp_problem(p, 1.0 + 0.0j, grid)
-        monkeypatch.setattr(magnetic, "profile_arrays", bad_wake)
+        wake = 6.0 / (1.0 + grid)
         with pytest.raises(NonContraction):
-            solve_magnetic(prob, grid, tol=1e-11)
+            solve_magnetic(prob, grid, SimpleNamespace(us=1.0 - wake, wake=wake), tol=1e-11)
 
 
 class TestBlockSolve:
@@ -147,7 +145,7 @@ class TestBlockSolve:
 
     def test_rows_and_traces_are_the_single_solves(self):
         grid, block, singles = self.problems()
-        mode, traces = solve_magnetic(block, grid, tol=1e-11)
+        mode, traces = solve_magnetic(block, grid, profile_arrays(grid), tol=1e-11)
         assert isinstance(traces, magnetic.MagneticTraces)
         for j, prob in enumerate(singles):
             ref, trace = solve_point(prob, grid, tol=1e-11)
@@ -165,15 +163,15 @@ class TestBlockSolve:
         grid, block, singles = self.problems()
         block.f[1, grid.size // 2] = math.nan
         with pytest.raises(NonConvergence, match="gap nan"):
-            solve_magnetic(block, grid, tol=1e-11, max_picard=12)
+            solve_magnetic(block, grid, profile_arrays(grid), tol=1e-11, max_picard=12)
         for j in (0, 2, 3):
-            solve_magnetic(singles[j], grid, tol=1e-11, max_picard=12)
+            solve_magnetic(singles[j], grid, profile_arrays(grid), tol=1e-11, max_picard=12)
 
     def test_source_must_have_a_row_per_point(self):
         grid, block, _ = self.problems()
         block.f = block.f[:3]
         with pytest.raises(ValueError, match="shape"):
-            solve_magnetic(block, grid)
+            solve_magnetic(block, grid, profile_arrays(grid))
 
 
 class TestMeasuredScalings:
@@ -222,7 +220,7 @@ def solution():
     grid = graded_grid(1400, p.far_field,
                        cluster_scale=p.n ** (-1.0 / 3.0))
     psi_s = build_psi_app_s((p,), [slow.eval(k, grid)[None] for k in range(2)],
-                            [psi_f.eval(0, 0.0)], phi0, grid)
+                            [psi_f.eval(0, 0.0)], phi0, grid, profile_arrays(grid))
     return p, grid, slow, phi0[0], psi_f, [v[0] for v in psi_s]
 
 
@@ -260,7 +258,7 @@ class TestPsiAppS:
                                cluster_scale=p.n ** (-1.0 / 3.0))
             slow = [slowmode.phi_app_s(k, grid, (p,)) for k in range(2)]
             psi_s = [v[0] for v in build_psi_app_s((p,), slow, [psi_f.eval(0, 0.0)],
-                                                   phi0, grid)]
+                                                   phi0, grid, profile_arrays(grid))]
             sup_by_eps[eps] = sup_exp_norm(psi_s[0], grid, p.alpha) * p.alpha
             sup2_by_eps[eps] = sup_exp_norm(psi_s[2], grid, p.alpha)
         # ||Psi_app^s||_{Linf_alpha} <= C / alpha and the second derivative

@@ -1,23 +1,24 @@
 import gc
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import weakref
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tswave
 from tswave import numerics
 from tswave.errors import (DerivativeBreakdown, NonConvergence, NonResolvable,
                            ZeroOnContour)
-from oracles import Ray, Segment, grid_caches, newton_loop, quad_segment, stencil_matrix
+from oracles import Ray, Segment, newton_loop, quad_segment, stencil_matrix
 from tswave.numerics import (
-    Circle, RootTrace, Stencil, backward_exp_integral, cumulative_trapezoid,
-    diff_matrix, forward_exp_integral, graded_grid, grid_cache, l2_norm,
+    Circle, RootTrace, backward_exp_integral, cumulative_trapezoid,
+    diff_matrix, forward_exp_integral, graded_grid, l2_norm,
     newton_root, tail_trapezoid, trap_weights, winding_samples,
 )
 
@@ -610,60 +611,18 @@ class TestLapackBinding:
         assert out == ["False", "True"]
 
 
-class _Pair(NamedTuple):
-    values: np.ndarray
-    count: int
-
-
-@dataclass(frozen=True)
-class _Held:
-    matrix: object
-    pair: _Pair
-
-
-def test_grid_cache():
-    calls = []
-
-    @grid_cache(maxsize=2)
-    def build(grid, scale):
-        calls.append(scale)
-        assert not grid.flags.writeable
-        stencil = Stencil(scale * grid[:-2], scale * grid[1:-1], scale * grid[2:],
-                          scale * grid[:3], scale * grid[-3:])
-        return scale * grid, (grid + scale, _Held(stencil, _Pair(grid - scale, 1)))
-
-    grid = np.linspace(0.0, 1.0, 5)
-    first = build(grid, 2.0)
-    # an equal-valued copy of the grid hits the entry, a new argument misses
-    assert build(grid.copy(), 2.0) is first and calls == [2.0]
-    build(grid, 3.0)
-    assert calls == [2.0, 3.0]
-    # every array of the result is read-only, however deeply it is held
-    arr, (shifted, held) = first
-    stencil = held.matrix
-    for a in (arr, shifted, stencil.lo, stencil.mid, stencil.hi, stencil.first,
-              stencil.last, held.pair.values):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 1
-    # a grid changed in place misses and is evaluated on its new values
-    grid[1] = 0.5
-    assert build(grid, 2.0)[0][1] == 1.0 and calls == [2.0, 3.0, 2.0]
-    info = build.cache_info()
-    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 3, 2, 2)
-    build.cache_clear()
-    assert build.cache_info().currsize == 0
-    build(grid, 2.0)
-    assert calls[-1] == 2.0 and build.cache_info().misses == 1
-
-
-def test_program_keeps_two_grid_caches():
-    # a grid cache pays a hash of the grid's bytes on every lookup, so one
-    # is kept only where calls at other wave speeds repeat its work: the
-    # profile arrays and the resolvent operator.  State used within one
-    # call or on one DiscreteBVP is passed down or held there instead
-    assert sorted(grid_caches()) == ["osresolvent._affine_operator",
-                                     "profile.profile_arrays"]
+def test_program_keeps_two_module_memos():
+    # a module-level memo outlives every call and every DiscreteBVP, so one
+    # is kept only for state that no grid or wave speed changes: the LAPACK
+    # binding and the Airy series' step factors.  State of a grid lives on
+    # its DiscreteBVP, and state of one call is passed down
+    memos = []
+    for info in pkgutil.iter_modules(tswave.__path__):
+        module = importlib.import_module(f"tswave.{info.name}")
+        memos += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_clear")
+                  and getattr(obj, "__module__", None) == module.__name__]
+    assert sorted(memos) == ["airy._step_columns", "numerics.flapack"]
 
 
 class TestL2Norm:

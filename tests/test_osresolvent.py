@@ -13,7 +13,7 @@ import scipy.linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigs, splu
 
-from oracles import (alternated_gamma, clear_grid_caches, closed_form_calls, fast_mode_pair,
+from oracles import (alternated_gamma, closed_form_calls, fast_mode_pair,
                      stencil_matrix)
 from tswave import airy, dispersion, fastmode, magnetic, osresolvent, slowmode
 from tswave.errors import NonConvergence, SingularSystem
@@ -25,6 +25,20 @@ from tswave.profile import DEFAULT_PROFILE, HartmannProfile, profile_arrays
 def basin_params(eps=1e-12, A=2.0):
     p0 = SpectralParams.eighth(A, eps)
     return p0.with_c(dispersion.center_c(p0))
+
+
+def profile_builds(monkeypatch):
+    """Record the grid size of every ``profile_arrays`` evaluation by the
+    program: a DiscreteBVP's and a slow-mode read's."""
+    built = []
+
+    def counted(grid):
+        built.append(grid.size)
+        return profile_arrays(grid)
+
+    for module in (osresolvent, slowmode):
+        monkeypatch.setattr(module, "profile_arrays", counted)
+    return built
 
 
 def manufactured_fields(grid):
@@ -113,8 +127,7 @@ class BlockOperator(NamedTuple):
 def block_operator(params, bvp, variant):
     """Sparse block-order system A0 + c A1 of one splitting on bvp's grid,
     read from the module's bands."""
-    op = osresolvent._affine_operator(bvp.grid, bvp.boundary, replace(params, c=None),
-                                      variant)
+    op = osresolvent._affine_operator(bvp, replace(params, c=None), variant)
     return BlockOperator(band_matrix(op.band0, op.kl, op.ku),
                          band_matrix(op.band1, op.kl, op.ku))
 
@@ -675,12 +688,12 @@ class TestGammaBlocks:
         assert _raised(points)[0] is ValueError
         assert _raised(block) == _raised(points)
 
-        def nan_source(prob, grid, **kwargs):
+        def nan_source(prob, grid, prof, **kwargs):
             # Gamma solves each block, of one point or more, as a tuple
             for row, q in zip(prob.f, prob.params):
                 if q.c == cs[2]:
                     row[len(grid) // 2] = math.nan
-            return solve_magnetic(prob, grid, **kwargs)
+            return solve_magnetic(prob, grid, prof, **kwargs)
 
         cs[:] = healthy
         monkeypatch.setattr(magnetic, "solve_magnetic", nan_source)
@@ -869,41 +882,46 @@ def assert_handoff(p, bvp, arrays, modes, fast, phi_last, groups):
         assert len(got) == len(want)
         assert all(same(a, b) for a, b in zip(got, want))
     phi0 = modes["phi0"]
-    source = 1j * p.alpha * profile_arrays(grid).hs * slow[0] + slow[1]
+    prof = profile_arrays(grid)
+    source = 1j * p.alpha * prof.hs * slow[0] + slow[1]
     prob = magnetic.MagneticProblem(params=(p,), phi_b=(complex(phi0 * psi_f[0][0]),),
                                     f=source[None], decay_rate=min(p.alpha, 1.0))
-    psi_s, _ = magnetic.solve_magnetic(prob, grid)
+    psi_s, _ = magnetic.solve_magnetic(prob, grid, prof)
     assert all(same(a, b[0]) for a, b in zip(modes["psi_s"], psi_s))
     for k in (1, 2, 3):
         assert same(arrays[f"e{k}s"], slowmode.slow_errors(
-            k, grid, (p,), psi_s, slowmode._slow_pass(grid, (p,)))[0])
+            k, prof, (p,), psi_s, slowmode._slow_pass(grid, prof, (p,)))[0])
     for key, group in zip(("e1f", "e2f", "e3f", "ff"), groups):
-        assert same(arrays[key], fastmode.fast_errors(group, grid, (p,), (phi0,), phi_f,
-                                                      psi_f, phi_last=phi_last)[0])
+        assert same(arrays[key], fastmode.fast_errors(group, grid, prof, (p,), (phi0,),
+                                                      phi_f, psi_f, phi_last=phi_last)[0])
 
 
 class TestPerGridState:
-    """Gamma(c) is evaluated from per-(grid, params) state: the
-    operators as A0 + c A1 and the c-free profile and coupling arrays."""
+    """Gamma(c) is evaluated from the state its DiscreteBVP holds: the
+    stencils, the c-free profile arrays and the operators as A0 + c A1 of
+    each (params without c, splitting)."""
 
     def test_gamma_independent_of_evaluation_order(self):
-        # two parameter sets on the same two grids share the caches; any
-        # order of the evaluations, including ones that evict entries, gives
-        # the same bits
-        bvps = [osresolvent.build_bvp(SpectralParams.eighth(2.0, 1e-12), n_nodes=n)
-                for n in (300, 360)]
-        cases = []
-        for A in (2.0, 2.5):
-            p0 = SpectralParams.eighth(A, 1e-12)
-            disk = dispersion.disk_eighth(p0)
-            for bvp in bvps:
-                for th in (0.7, 1.6, 2.5):
-                    cases.append((p0.chat_to_c(disk.point(th)), p0, bvp))
+        # two parameter sets on the same two grids share each bvp's state;
+        # any order of the evaluations, each from new bvps, gives the same
+        # bits
+        def fresh_cases():
+            bvps = [osresolvent.build_bvp(SpectralParams.eighth(2.0, 1e-12), n_nodes=n)
+                    for n in (300, 360)]
+            cases = []
+            for A in (2.0, 2.5):
+                p0 = SpectralParams.eighth(A, 1e-12)
+                disk = dispersion.disk_eighth(p0)
+                for bvp in bvps:
+                    for th in (0.7, 1.6, 2.5):
+                        cases.append((p0.chat_to_c(disk.point(th)), p0, bvp))
+            return cases
 
         def run(order):
-            clear_grid_caches()
+            cases = fresh_cases()
             return {i: osresolvent.remainder_and_gamma(*cases[i])[0] for i in order}
 
+        cases = fresh_cases()
         in_order = run(range(len(cases)))
         shuffled = list(range(len(cases)))
         random.Random(3).shuffle(shuffled)
@@ -913,7 +931,6 @@ class TestPerGridState:
             assert run(order) == in_order
         # a point has the same bits in any block of its (grid, params) and
         # at any position in it, also beside a copy of itself
-        clear_grid_caches()
         for first in range(0, len(cases), 3):
             i, j, k = range(first, first + 3)
             for block in ([i, j, k], [k, j, i], [j], [j, i, k, j, i]):
@@ -966,22 +983,22 @@ class TestPerGridState:
             assert abs(gamma - ref) <= 1e-12 * abs(ref)
 
     def test_cached_arrays_are_read_only(self):
+        # the arrays a bvp shares between calls are read-only, and an
+        # operator at one c is the caller's own
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=200)
-        arrays = list(profile_arrays(bvp.grid))
-        op = osresolvent._affine_operator(bvp.grid, bvp.boundary, replace(p, c=None),
-                                          "os_s")
-        arrays += [op.band0, op.band1]
-        for arr in arrays:
-            assert not arr.flags.writeable
-        # an operator at one c is the caller's own
         band = osresolvent._band_at(p, bvp, "os_s")[0]
         band[0, 0] = band[0, 0]
+        (op,) = bvp.operators.values()
+        for arr in [*bvp.profile, op.band0, op.band1]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_difference_matrices_built_on_first_read(self, monkeypatch):
         # a plain sweep row reads no difference matrix; a full-OS row builds
-        # both orders once per grid for the operator and the first-order one
-        # once for the DiscreteBVP, which keeps its stencils
+        # both orders once, on its DiscreteBVP, which keeps its stencils for
+        # the operator and the remainder slopes
         from tswave import cli
 
         built = []
@@ -992,17 +1009,64 @@ class TestPerGridState:
             return diff_matrix(grid, order)
 
         monkeypatch.setattr(osresolvent, "diff_matrix", counted)
-        clear_grid_caches()
         plain = cli.sweep_row(cli.RunConfig(eps_list=[1e-12]), 1e-12)
         assert plain["status"] == "ok" and built == []
         full = cli.sweep_row(cli.RunConfig(eps_list=[1e-12], full_os=True, grid_n=400),
                              1e-12)
         assert full["status"] == "exact-winding=3"
-        assert sorted(built) == [(400, 1), (400, 1), (400, 2)]
+        assert sorted(built) == [(400, 1), (400, 2)]
         del built[:]
         bvp = osresolvent.build_bvp(SpectralParams.eighth(2.0, 1e-12), n_nodes=400)
         assert bvp.d1 is bvp.d1 and bvp.d2 is bvp.d2
         assert built == [(400, 1), (400, 2)]
+
+    def test_one_profile_build_per_bvp(self, monkeypatch):
+        # a sweep row samples the profile arrays once, on its DiscreteBVP,
+        # whether it is plain or evaluates Gamma at about 70 wave speeds
+        from tswave import cli
+
+        profiles = profile_builds(monkeypatch)
+        bvps = []
+        build_bvp = osresolvent.build_bvp
+
+        def counted(*args, **kwargs):
+            bvps.append(build_bvp(*args, **kwargs))
+            return bvps[-1]
+
+        monkeypatch.setattr(osresolvent, "build_bvp", counted)
+        for cfg in (cli.RunConfig(eps_list=[1e-12]),
+                    cli.RunConfig(eps_list=[1e-12], full_os=True, grid_n=400)):
+            del profiles[:], bvps[:]
+            cli.sweep_row(cfg, 1e-12)
+            assert profiles == [bvp.n for bvp in bvps] == [cfg.grid_n]
+
+    def test_one_operator_build_per_bvp_params_and_splitting(self, monkeypatch):
+        # a full-OS row builds its one operator once for every wave speed it
+        # evaluates Gamma at; a second bvp on an equal grid builds its own
+        from tswave import cli
+
+        built = []
+        affine_operator = osresolvent._affine_operator
+
+        def counted(bvp, params, variant):
+            built.append((bvp, params, variant))
+            return affine_operator(bvp, params, variant)
+
+        monkeypatch.setattr(osresolvent, "_affine_operator", counted)
+        cfg = cli.RunConfig(eps_list=[1e-12], full_os=True, grid_n=400)
+        row = cli.sweep_row(cfg, 1e-12)
+        assert row["status"] == "exact-winding=3"
+        assert [variant for _, _, variant in built] == ["full"]
+        (bvp, params, _), = built
+        assert params.c is None and list(bvp.operators) == [(params, "full")]
+        p = basin_params()
+        twins = [osresolvent.build_bvp(p, n_nodes=200) for _ in range(2)]
+        del built[:]
+        for bvp in twins + twins:
+            osresolvent.remainder_and_gamma(p.c, p, bvp)
+        assert [b for b, _, _ in built] == twins
+        (op0,), (op1,) = (bvp.operators.values() for bvp in twins)
+        assert op0 is not op1 and np.array_equal(op0.band0, op1.band0)
 
     def test_caches_keep_no_grid_alive(self):
         p = basin_params()
@@ -1019,27 +1083,28 @@ class TestPerGridState:
     def test_slow_mode_evaluated_once_per_order(self, monkeypatch):
         # every order of the slow mode, of the corrector and of psi_{0,j}
         # comes from one slow-mode pass of the grid, which reads one
-        # evaluation of J, K and L and one set of profile arrays: per block
+        # evaluation of J, K and L and the bvp's profile arrays: per block
         # of wave speeds, whether it holds one point or three
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=300)
         calls = closed_form_calls(monkeypatch)
+        profiles = profile_builds(monkeypatch)
         passes = []
         slow_pass = slowmode._slow_pass
 
-        def counted(Y, params):
+        def counted(Y, prof, params):
+            assert prof is bvp.profile
             passes.append(len(params))
-            return slow_pass(Y, params)
+            return slow_pass(Y, prof, params)
 
         monkeypatch.setattr(slowmode, "_slow_pass", counted)
         for c in (p.c, p.c + np.array([0.0, 1e-4, 2e-4j])):
-            clear_grid_caches()
             calls.clear()
             passes.clear()
             osresolvent.assemble_error_terms(c, p, bvp)
             assert calls == [bvp.n]
             assert passes == [np.size(c)]
-            assert profile_arrays.cache_info().misses == 1
+        assert profiles == [bvp.n]
 
     def test_error_terms_evaluate_closed_forms_once_and_fit_no_spline(self, monkeypatch):
         # J, K and L are evaluated in one closed-form pass on the grid, and
@@ -1048,7 +1113,6 @@ class TestPerGridState:
 
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=1600)
-        clear_grid_caches()
         calls = []
         for name in ("inv_square_integral", "critical_layer_integrals"):
             method = getattr(HartmannProfile, name)

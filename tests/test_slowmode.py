@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (Segment, clear_grid_caches, closed_form_calls, quad_segment,
-                     quadrature_integrals, rayleigh_apply)
+from oracles import (Segment, closed_form_calls, quad_segment, quadrature_integrals,
+                     rayleigh_apply)
 from tswave import dispersion, osresolvent, slowmode
 from tswave.params import SpectralParams, mode_from_grid
 from tswave.profile import DEFAULT_PROFILE, profile_arrays
@@ -22,7 +22,8 @@ def params_at(chat=None, eps=1e-12, A=2.0):
 
 def residual_form(Y, p):
     """The closed-form Rayleigh residual at Y, from a slow-mode pass there."""
-    return slowmode.rayleigh_residual_form(slowmode._slow_pass(Y, (p,)), p.alpha)[0]
+    return slowmode.rayleigh_residual_form(
+        slowmode._slow_pass(Y, profile_arrays(Y), (p,)), p.alpha)[0]
 
 
 def beta_params():
@@ -253,7 +254,6 @@ class TestOnePass:
         make, args = point
         p, y_max = make(*args)
         grid = osresolvent.build_bvp(p, n_nodes=400, y_max=y_max).grid
-        clear_grid_caches()
         prof = profile_arrays(grid)
         fields = [("U", k) for k in range(3)] + [("H", k) for k in range(3)]
         for arr, (which, k) in zip(prof, fields):
@@ -265,7 +265,7 @@ class TestOnePass:
                             oracles.closed_forms(grid, p.c_hat)):
             assert _same_bits(arr[0], ref)
         mode = slowmode.phi_app_s_mode(p)
-        slow = slowmode._slow_pass(grid, (p,))
+        slow = slowmode._slow_pass(grid, prof, (p,))
         psi1 = oracles.psi0(1, 0, grid, p)
         assert _same_bits(slow.psi1[0], psi1)
         for k in range(4):
@@ -286,7 +286,7 @@ class TestSlowPass:
         p = params_at()
         Y = 40.0 * np.linspace(0.0, 1.0, 400) ** 3
         calls = closed_form_calls(monkeypatch)
-        slow = slowmode._slow_pass(Y, (p,))
+        slow = slowmode._slow_pass(Y, profile_arrays(Y), (p,))
         assert calls == [Y.size]
         mode = slowmode.phi_app_s_mode(p)
         for k in range(4):
@@ -319,7 +319,8 @@ def setup():
     slow = [slowmode.phi_app_s(k, grid, (p,)) for k in range(2)]
     phi0, _ = slowmode.boundary_values(p)
     _, psi_f = oracles.fast_mode_pair(p)
-    psi_s = magnetic.build_psi_app_s((p,), slow, [psi_f.eval(0, 0.0)], phi0, grid)
+    psi_s = magnetic.build_psi_app_s((p,), slow, [psi_f.eval(0, 0.0)], phi0, grid,
+                                     profile_arrays(grid))
     # the magnetic slow mode at any Y, from its grid arrays
     return p, grid, mode_from_grid(grid, [v[0] for v in psi_s])
 
@@ -328,7 +329,9 @@ def slow_errors(group, Y, p, psi_s):
     """The slow error group at Y, with the magnetic slow mode ``psi_s`` at
     Y by order and the slow-mode pass of Y."""
     psi = [psi_s.eval(k, Y) for k in range(2)]
-    return slowmode.slow_errors(group, Y, (p,), psi, slowmode._slow_pass(Y, (p,)))[0]
+    prof = profile_arrays(Y)
+    return slowmode.slow_errors(group, prof, (p,), psi,
+                                slowmode._slow_pass(Y, prof, (p,)))[0]
 
 
 class TestSlowErrors:
