@@ -178,9 +178,11 @@ def _asymptotic(k, z):
     z = np.asarray(z, dtype=complex)
     lz = np.log(z)
     zeta = (2.0 / 3.0) * np.exp(1.5 * lz)
-    out = np.stack([(-1.0) ** kk / (2.0 * math.sqrt(math.pi))
-                    * np.exp(-(1.0 + 2.0 * kk) / 4.0 * lz - zeta)
-                    for kk in (k if isinstance(k, tuple) else (k,))])
+    # each exponential bound to a name: numpy forms ``scalar * temporary`` of
+    # 256 KiB or more in place, swapped, which can flip an underflow's sign
+    out = np.stack([(-1.0) ** kk / (2.0 * math.sqrt(math.pi)) * decay
+                    for kk in (k if isinstance(k, tuple) else (k,))
+                    for decay in [np.exp(-(1.0 + 2.0 * kk) / 4.0 * lz - zeta)]])
     return out if isinstance(k, tuple) else out[0]
 
 

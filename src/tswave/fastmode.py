@@ -83,79 +83,83 @@ def default_hierarchy_terms(params):
 
 
 class ExpFastHierarchy:
-    """Exponential fast-mode hierarchy of the beta regime on a grid.
+    """Exponential fast-mode hierarchy of the beta regime for a block of wave
+    speeds ``params``, SpectralParams that differ only in c, on a (k, N)
+    array of one grid per point or one shared (N,) grid; by default each
+    point gets 2000 nodes clustered at 1/Re varpi.  ``varpi`` holds the
+    points' rates as a (k, 1) column.
 
     Level 0 is e^{-varpi Y}; level k solves the next second-order problem with
     the previous level's transport terms as source, via the same
-    double-integral kernels as the magnetic solver.  Psi levels are tail
-    integrals of the Phi levels, formed on first use.
+    double-integral kernels as the magnetic solver.  The levels are (k, N)
+    arrays, formed on first use from the Phi and inner integral that the
+    recurrence keeps; while every row is finite, each row has the bits of its
+    point's hierarchy alone (the stacked exp-integral solves pass a NaN on).
     """
 
     def __init__(self, params, grid=None, n_terms=None):
-        if params.is_eighth:
+        p = params[0]
+        if p.is_eighth:
             raise RegimeMismatch("exponential hierarchy applies to beta < 1/8")
         self.params = params
-        self.n_terms = default_hierarchy_terms(params) if n_terms is None else n_terms
-        varpi = params.varpi
+        self.n_terms = default_hierarchy_terms(p) if n_terms is None else n_terms
+        self.n, self.varpi = p.n, pointwise(lambda q: q.varpi, params)
         if grid is None:
-            grid = graded_grid(2000, params.far_field, cluster_scale=1.0 / varpi.real)
+            grid = [graded_grid(2000, q.far_field, cluster_scale=1.0 / q.varpi.real)
+                    for q in params]
         self.grid = np.asarray(grid, dtype=float)
-        self.varpi = varpi
+        # e^{-varpi Y} underflows to 0 once Re(varpi) Y > 745.2, long before
+        # the far field; each level spreads a few nodes past the one below, so
+        # run the recurrence on the prefix that holds every row's level-0
+        # support plus a margin, and on the whole grid if some row of some
+        # level is still nonzero at the cut
+        n, margin = self.grid.shape[-1], _MARGIN_PER_LEVEL * self.n_terms
+        reach = np.count_nonzero(self.varpi.real * self.grid <= 750.0, axis=-1)
+        head = np.exp(-self.varpi * self.grid[..., :min(n, reach.max() + margin)])
+        cut = min(n, head.shape[-1] + margin - np.argmax(head[:, ::-1] != 0, axis=1).min())
+        self._cut_levels = self._levels(head[:, :cut])
+        if cut < n and self._cut_levels[:, 0, :, -1].any():
+            self._cut_levels = self._levels(np.exp(-self.varpi * self.grid))
 
-        phi = np.exp(-varpi * self.grid)
-        self.phi_levels = [phi]
-        self.dphi_levels = [-varpi * phi]
-        self.d2phi_levels = [varpi**2 * phi]
-        self.rhs_levels = [np.zeros_like(phi)]
-        # e^{-varpi Y} underflows to 0 long before the far field; each level
-        # spreads a few nodes past the one below, so run the recurrence on the
-        # prefix that holds level 0's support plus a margin (level 0 is 0 at
-        # the cut), and on the whole grid if some level is still nonzero there
-        cut = min(self.grid.size, np.flatnonzero(phi)[-1] + 1
-                  + _MARGIN_PER_LEVEL * self.n_terms)
-        levels = self._levels(cut)
-        if cut < self.grid.size and any(level[0, cut - 1] for level in levels):
-            levels = self._levels(self.grid.size)
-        for store, arrays in zip((self.phi_levels, self.dphi_levels,
-                                  self.d2phi_levels, self.rhs_levels), zip(*levels)):
-            store.extend(arrays)
-
-    def _levels(self, cut):
-        """Levels 1..n_terms as a zero-filled (n_terms, 4, N) block, each
-        level's Phi, dPhi, d2Phi and rhs computed on the first ``cut`` nodes.
+    def _levels(self, phi):
+        """(Phi, inner integral) of levels 1..n_terms as an (n_terms, 2, k,
+        cut) block on the first cut nodes, from level 0 ``phi`` there.
 
         Where level k - 1 is exactly 0 from node cut - 1 on, the whole-grid
         recurrence has zero sources there: its tail integral is constant and
         both exp-integral recurrences carry 0, so the prefix is the whole-grid
         result bit for bit, and level k is 0 past the cut unless it is
-        nonzero at node cut - 1.  Past the cut the blocks hold +0; the
-        whole-grid level-1 source holds -U_s times the underflowed zeros of
-        e^{-varpi Y} there, some of them -0.
+        nonzero at node cut - 1.  One block: freeing the first one, mapped on
+        its own, raises glibc malloc's trim threshold past it, while separate
+        level arrays freed together made every build regrow the heap.
         """
-        params, varpi, n = self.params, self.varpi, self.params.n
-        grid = self.grid[:cut]
-        kernel = exp_kernel(grid, (varpi,))
-        us = DEFAULT_PROFILE.eval("U", 0, grid)
-        dus = DEFAULT_PROFILE.eval("U", 1, grid)
-        # one block for all levels: per-level 128 KB blocks on a 2000-node
-        # grid, freed together, left more free memory at glibc's heap top
-        # than its trim threshold, so Gamma0's builds grew and trimmed the
-        # heap each time (29 000 page faults per pass of perfbench's
-        # beta_hierarchy, none with one block).  The first block is mapped
-        # on its own, and freeing it raises malloc's mmap and trim
-        # thresholds past its size
-        levels = np.zeros((self.n_terms, 4, self.grid.size), dtype=complex)
-        prev = self.phi_levels[0][:cut]
-        for phi_k, dphi_k, d2phi_k, rhs in (level[:, :cut] for level in levels):
-            anti = -tail_trapezoid(dus * prev, grid)
-            rhs[:] = -us * prev + 2.0 * anti
-            # the exp integrals take the level as the one row of a block
-            inner = backward_exp_integral(rhs[None], grid, kernel)
-            phi_k[:] = 1j * n * forward_exp_integral(inner, grid, kernel)[0]
-            dphi_k[:] = -varpi * phi_k + 1j * n * inner[0]
-            d2phi_k[:] = -1j * n * (params.c * phi_k + rhs)
-            prev = phi_k
+        grid = self.grid[..., :phi.shape[-1]]
+        kernel = exp_kernel(grid, self.varpi[:, 0])
+        us, dus = DEFAULT_PROFILE.eval("U", 0, grid), DEFAULT_PROFILE.eval("U", 1, grid)
+        levels = np.empty((self.n_terms, 2) + phi.shape, dtype=complex)
+        for phi_k, inner in levels:
+            anti = -tail_trapezoid(dus * phi, grid)
+            inner[:] = backward_exp_integral(-us * phi + 2.0 * anti, grid, kernel)
+            np.multiply(1j * self.n, forward_exp_integral(inner, grid, kernel),
+                        out=phi_k)
+            phi = phi_k
         return levels
+
+    def _whole(self, level0, levels):
+        """``level0``, then the (n_terms, k, cut) ``levels`` with +0 past the cut."""
+        out = np.zeros(levels.shape[:-1] + self.grid.shape[-1:], dtype=complex)
+        out[..., :levels.shape[-1]] = levels
+        return [level0] + list(out)
+
+    @cached_property
+    def phi_levels(self):
+        return self._whole(np.exp(-self.varpi * self.grid), self._cut_levels[:, 0])
+
+    @cached_property
+    def dphi_levels(self):
+        phi, inner = self._cut_levels[:, 0], self._cut_levels[:, 1]
+        return self._whole(-self.varpi * self.phi_levels[0],
+                           -self.varpi * phi + 1j * self.n * inner)
 
     @cached_property
     def psi_levels(self):
@@ -165,8 +169,7 @@ class ExpFastHierarchy:
 
     def sum_arrays(self, which, order):
         if which == "Phi":
-            store = (self.phi_levels, self.dphi_levels, self.d2phi_levels)[order]
-            return np.sum(store, axis=0)
+            return np.sum((self.phi_levels, self.dphi_levels)[order], axis=0)
         if order == 0:
             return np.sum(self.psi_levels, axis=0)
         # dY Psi_k = -Phi_k, dYY Psi_k = -dY Phi_k
@@ -174,8 +177,10 @@ class ExpFastHierarchy:
         return -np.sum(base, axis=0)
 
     def boundary_slope_sum(self):
-        """sum_{k>=1} dY Phi_k^f(0), the hierarchy part of the dispersion slope."""
-        return sum(d[0] for d in self.dphi_levels[1:])
+        """sum_{k>=1} dY Phi_k^f(0), the hierarchy part of the dispersion
+        slope, a (k,) array from the wall node of each level alone."""
+        return sum(-self.varpi[:, 0] * phi[:, 0] + 1j * self.n * inner[:, 0]
+                   for phi, inner in self._cut_levels)
 
 
 def fast_errors(group, Y, prof, params, slow_boundary_value, phi, psi, phi_last=None):

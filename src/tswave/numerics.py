@@ -339,27 +339,28 @@ def l2_norm(vals, weights, point_weight=None, noise_floor=0.0):
 
 
 def cumulative_trapezoid(vals, grid):
-    """Trapezoid cumulative integral from the first node."""
-    out = np.zeros(len(grid), dtype=complex)
-    incr = 0.5 * (np.asarray(vals)[1:] + np.asarray(vals)[:-1]) * np.diff(grid)
-    out[1:] = np.cumsum(incr)
+    """Trapezoid cumulative integral from the first node, along the last axis."""
+    vals = np.asarray(vals)
+    incr = 0.5 * (vals[..., 1:] + vals[..., :-1]) * np.diff(grid, axis=-1)
+    out = np.zeros(incr.shape[:-1] + (incr.shape[-1] + 1,), dtype=complex)
+    out[..., 1:] = np.cumsum(incr, axis=-1)
     return out
 
 
 def tail_trapezoid(vals, grid, tail_rate=0.0):
-    """Trapezoid integral from each node to infinity.
+    """Trapezoid integral from each node to infinity, along the last axis.
 
     Beyond the last node the integrand is modeled as
     ``vals[-1] * exp(-tail_rate (Y - Y_max))``; with ``tail_rate == 0`` the
     tail is dropped.
     """
     cum = cumulative_trapezoid(vals, grid)
-    tail = vals[-1] / tail_rate if tail_rate > 0.0 else 0.0
-    return (cum[-1] - cum) + tail
+    tail = np.asarray(vals)[..., -1:] / tail_rate if tail_rate > 0.0 else 0.0
+    return (cum[..., -1:] - cum) + tail
 
 
-def _exp_kernel_coeffs(x):
-    """(A, B) with A = int_0^h e^{-xi s} ds / 1, B = int_0^h e^{-xi s} s ds, x = xi*h.
+def _exp_kernel_coeffs(x, decay):
+    """(A, B) with A = int_0^h e^{-xi s} ds, B = int_0^h e^{-xi s} s ds, x = xi*h.
 
     Returned scaled: A_hat = A/h, B_hat = B/h^2 so that callers multiply back.
     Series branch keeps relative accuracy for small |x|.
@@ -370,16 +371,19 @@ def _exp_kernel_coeffs(x):
     xs, xd = x[small], x[~small]
     a[small] = 1.0 - xs / 2.0 + xs**2 / 6.0 - xs**3 / 24.0 + xs**4 / 120.0
     b[small] = 0.5 - xs / 3.0 + xs**2 / 8.0 - xs**3 / 30.0 + xs**4 / 144.0
-    # A/h = (1 - e^{-x})/x ; B/h^2 = (1 - e^{-x}(1+x))/x^2
-    ex = np.exp(-xd)
+    # A/h = (1 - e^{-x})/x ; B/h^2 = (1 - e^{-x}(1+x))/x^2, e^{-x} = decay
+    ex = decay[~small]
     a[~small] = (1.0 - ex) / xd
-    b[~small] = (1.0 - ex * (1.0 + xd)) / xd**2
+    # numpy forms ``ex * temporary`` of 256 KiB or more in place with the
+    # operands swapped, a complex product that rounds differently
+    xd1 = 1.0 + xd
+    b[~small] = (1.0 - ex * xd1) / xd**2
     return a, b
 
 
 class ExpKernel(NamedTuple):
-    """Data of the exp-kernel recurrences on one grid for a block of k rates
-    xi, one per row of (k, N) values: the spacings h, the scaled kernel
+    """Data of the exp-kernel recurrences for a block of k rates xi, one per
+    row of (k, N) values, on their grid: the spacings h, the scaled kernel
     coefficients and the LAPACK band storage (kd = 1, unit diagonal) of the
     bidiagonal system with -e^{-xi h} beside the diagonal, above it for the
     backward recurrence and below it for the forward one.  The k systems
@@ -394,14 +398,15 @@ class ExpKernel(NamedTuple):
 
 
 def exp_kernel(grid, xi):
-    """The ``ExpKernel`` on ``grid`` of the tuple of rates ``xi``; each row
-    has the bits of the kernel of its rate alone."""
+    """The ``ExpKernel`` of the tuple of rates ``xi`` on ``grid``, shared or
+    a (k, N) grid per rate; each row has the bits of its rate's alone."""
     xi = np.array(xi, dtype=complex)
-    h = np.diff(grid)
+    h = np.diff(grid, axis=-1)
     x = xi[:, None] * h
-    ah, bh = _exp_kernel_coeffs(x)
-    off = -np.exp(-x)
-    k, n = off.shape[0], grid.size
+    decay = np.exp(-x)
+    ah, bh = _exp_kernel_coeffs(x, decay)
+    off = -decay
+    k, n = off.shape[0], grid.shape[-1]
     upper = np.ones((2, k * n), dtype=complex, order="F")
     lower = np.ones((2, k * n), dtype=complex, order="F")
     # the off-diagonal rows, viewed as one row of n per system

@@ -480,13 +480,11 @@ def assemble_error_terms(c, params, bvp):
         phi_last = None
         groups = ("E1f", "E2f", "E3f", "Ff")
     else:
-        hiers = [fastmode.ExpFastHierarchy(q, grid=grid) for q in points]
-        phi_f = tuple(np.stack([h.sum_arrays("Phi", o) for h in hiers]) for o in range(2))
-        psi_f = tuple(np.stack([h.sum_arrays("Psi", o) for h in hiers]) for o in range(2))
-        phi_last = (np.stack([h.phi_levels[-1] for h in hiers]),
-                    np.stack([h.dphi_levels[-1] for h in hiers]))
-        gamma0_val = np.array([dispersion.gamma0_of_hierarchy(b, complex(d), h)
-                               for b, d, h in zip(wall, dphi0, hiers)])
+        hier = fastmode.ExpFastHierarchy(points, grid=grid)
+        phi_f = tuple(hier.sum_arrays("Phi", o) for o in range(2))
+        psi_f = tuple(hier.sum_arrays("Psi", o) for o in range(2))
+        phi_last = (hier.phi_levels[-1], hier.dphi_levels[-1])
+        gamma0_val = dispersion.gamma0_of_hierarchy(phi0, dphi0, hier)
         groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
     prof = bvp.profile

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import newton_loop
-from tswave import airy, cli, dispersion, numerics
+from tswave import airy, cli, dispersion, fastmode, numerics, slowmode
 from tswave.errors import WindingNotOne
 from tswave.numerics import Circle, newton_root, winding_samples
 from tswave.params import SpectralParams
@@ -322,14 +322,26 @@ class TestGamma0OnArrays:
 
 class TestBetaRegime:
     def test_array_equals_scalar_calls_bit_for_bit(self):
-        p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
-        disk = dispersion.disk_beta(p0)
-        c = disk.point(np.linspace(0.1, 2.0 * math.pi, 5))
-        single = [dispersion.gamma0_beta(x, p0) for x in c]
-        assert all(type(v) is complex for v in single)
-        vals = dispersion.gamma0_beta(c, p0)
-        assert vals.shape == c.shape and vals.tolist() == single
-        assert dispersion.gamma0_beta(c.reshape(1, 5), p0).tolist() == [single]
+        # a winding count's first round goes in blocks of the hierarchy;
+        # each value has the bits of Gamma0 of its point's hierarchy alone,
+        # and of a scalar call
+        for beta in (0.1075, 0.11):
+            p0 = SpectralParams.beta_regime(1.0, beta, 1e-24)
+            disk = dispersion.disk_beta(p0)
+            c = disk.point(math.pi / 64 + np.linspace(0.0, 2.0 * math.pi, 65))
+            alone = []
+            for x in c:
+                p = p0.with_c(x)
+                phi0, dphi0 = slowmode.boundary_values(p)
+                alone.append(dispersion.gamma0_of_hierarchy(
+                    phi0, dphi0, fastmode.ExpFastHierarchy((p,)))[0])
+            single = [dispersion.gamma0_beta(x, p0) for x in c]
+            assert all(type(v) is complex for v in single)
+            vals = dispersion.gamma0_beta(c, p0)
+            assert vals.shape == c.shape
+            assert (vals.tobytes() == np.array(alone).tobytes()
+                    == np.array(single).tobytes())
+            assert dispersion.gamma0_beta(c.reshape(5, 13), p0).tobytes() == vals.tobytes()
 
     def test_newton_sends_three_points_and_matches_the_reference(self):
         # each Newton point goes with its two difference points as one

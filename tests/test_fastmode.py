@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -114,67 +115,63 @@ class TestAiryFast:
 class TestExpHierarchy:
     def test_zeroth_level_is_exponential(self, beta_params):
         p = beta_params
-        hier = fastmode.ExpFastHierarchy(p, n_terms=1)
-        Y = hier.grid[:200]
+        hier = fastmode.ExpFastHierarchy((p,), n_terms=1)
+        Y = hier.grid[0, :200]
         assert np.allclose(hier.phi_levels[0], np.exp(-p.varpi * hier.grid),
                            atol=1e-14)
-        assert np.max(np.abs(hier.psi_levels[0][:200]
+        assert np.max(np.abs(hier.psi_levels[0][0, :200]
                              - np.exp(-p.varpi * Y) / p.varpi)) < 1e-12
 
     def test_psi_levels_formed_on_first_use(self, beta_params):
-        hier = fastmode.ExpFastHierarchy(beta_params, n_terms=2)
+        hier = fastmode.ExpFastHierarchy((beta_params,), n_terms=2)
         assert "psi_levels" not in vars(hier)
         psi = hier.psi_levels
         assert len(psi) == 3 and hier.psi_levels is psi
 
     def test_higher_levels_vanish_at_wall(self, beta_params):
-        hier = fastmode.ExpFastHierarchy(beta_params, n_terms=3)
+        hier = fastmode.ExpFastHierarchy((beta_params,), n_terms=3)
         for k in (1, 2, 3):
-            assert abs(hier.phi_levels[k][0]) < 1e-13
+            assert abs(hier.phi_levels[k][0, 0]) < 1e-13
 
     def test_level_envelope_ratio(self, beta_params):
         p = beta_params
-        hier = fastmode.ExpFastHierarchy(p, n_terms=3)
+        hier = fastmode.ExpFastHierarchy((p,), n_terms=3)
         m1 = np.max(np.abs(hier.phi_levels[1]))
         m2 = np.max(np.abs(hier.phi_levels[2]))
         assert m2 / m1 <= 4.0 * p.alpha ** p.nu0
 
     def test_level_equation_residual(self, beta_params):
-        # (i/n) Phi_k'' - c Phi_k = rhs_k, second derivative from the stored
-        # channel (built from the equation) cross-checked by differencing Phi_k'
+        # (i/n) Phi_k'' - c Phi_k = rhs_k, the second derivative by
+        # differencing Phi_k', the source from the whole-grid recurrence
         p = beta_params
-        hier = fastmode.ExpFastHierarchy(p, n_terms=2)
-        g = hier.grid
+        hier = fastmode.ExpFastHierarchy((p,), n_terms=2)
+        g = hier.grid[0]
         k = 1
         i = slice(10, 400, 13)
-        d1 = hier.dphi_levels[k]
-        dd = np.gradient(d1, g)
-        resid = (1j / p.n) * dd - p.c * hier.phi_levels[k] - hier.rhs_levels[k]
-        scale = np.max(np.abs(hier.rhs_levels[k]))
-        assert np.max(np.abs(resid[i])) <= 2e-2 * scale
-        exact = hier.d2phi_levels[k]
-        assert np.max(np.abs((1j / p.n) * exact - p.c * hier.phi_levels[k]
-                             - hier.rhs_levels[k])) <= 1e-12 * scale
+        rhs = hierarchy_full_grid(p, g, hier.n_terms)["rhs"][k]
+        dd = np.gradient(hier.dphi_levels[k][0], g)
+        resid = (1j / p.n) * dd - p.c * hier.phi_levels[k][0] - rhs
+        assert np.max(np.abs(resid[i])) <= 2e-2 * np.max(np.abs(rhs))
 
     def test_exp_fast_wrapper(self, beta_params):
         p = beta_params
-        hier = fastmode.ExpFastHierarchy(p)
-        assert hier.grid[0] == 0.0
-        val = hier.sum_arrays("Phi", 0)[0]
+        hier = fastmode.ExpFastHierarchy((p,))
+        assert hier.grid[0, 0] == 0.0
+        val = hier.sum_arrays("Phi", 0)[0, 0]
         # sum over levels: level 0 contributes 1, the rest vanish at the wall
         assert val == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(RegimeMismatch):
-            fastmode.ExpFastHierarchy(SpectralParams.eighth(2.0, 1e-10, c=0.1 + 0.01j))
+            fastmode.ExpFastHierarchy((SpectralParams.eighth(2.0, 1e-10, c=0.1 + 0.01j),))
 
     def test_exp_fast_bare_exponential(self, beta_params):
         p = beta_params
         Y = np.linspace(0.0, 0.2, 9)
-        hier = fastmode.ExpFastHierarchy(p, n_terms=0)
-        vals = mode_from_grid(hier.grid, [hier.sum_arrays("Phi", 0)]).eval(0, Y)
+        hier = fastmode.ExpFastHierarchy((p,), n_terms=0)
+        vals = mode_from_grid(hier.grid[0], [hier.sum_arrays("Phi", 0)[0]]).eval(0, Y)
         assert np.max(np.abs(vals - np.exp(-p.varpi * Y))) < 1e-10
 
     def test_linkage(self, beta_params):
-        hier = fastmode.ExpFastHierarchy(beta_params, n_terms=2)
+        hier = fastmode.ExpFastHierarchy((beta_params,), n_terms=2)
         d2psi = hier.sum_arrays("Psi", 2)
         d1phi = hier.sum_arrays("Phi", 1)
         assert np.max(np.abs(d2psi + d1phi)) == 0.0
@@ -189,18 +186,16 @@ def disk_params(beta, eps):
 
 
 def assert_matches_full_grid(hier):
-    want = hierarchy_full_grid(hier.params, hier.grid, hier.n_terms)
-    for name, levels in want.items():
-        got = getattr(hier, f"{name}_levels")
-        assert len(got) == len(levels)
-        for k, (a, b) in enumerate(zip(got, levels)):
-            assert np.array_equal(a.view(float), b.view(float)), (name, k)
-            # past the cut, the whole-grid level-1 source is -U_s times the
-            # underflowed zeros of e^{-varpi Y}, some of them -0, where the
-            # cut build holds +0.  No other array differs even in the sign of
-            # a zero.
-            if (name, k) != ("rhs", 1):
-                assert a.tobytes() == b.tobytes(), (name, k)
+    """Each row of the hierarchy's levels against the whole-grid recurrence
+    of its point alone, bit for bit."""
+    grids = np.broadcast_to(hier.grid, (len(hier.params), hier.grid.shape[-1]))
+    for j, (p, grid) in enumerate(zip(hier.params, grids)):
+        want = hierarchy_full_grid(p, grid, hier.n_terms)
+        for name in ("phi", "dphi", "psi"):
+            got, levels = getattr(hier, f"{name}_levels"), want[name]
+            assert len(got) == len(levels)
+            for k, (a, b) in enumerate(zip(got, levels)):
+                assert a[j].tobytes() == b.tobytes(), (j, name, k)
 
 
 def exp_integral_lengths(monkeypatch):
@@ -208,7 +203,7 @@ def exp_integral_lengths(monkeypatch):
     lengths = []
     for name in ("backward_exp_integral", "forward_exp_integral"):
         def counted(vals, grid, kern, _fn=getattr(fastmode, name)):
-            lengths.append(len(grid))
+            lengths.append(grid.shape[-1])
             return _fn(vals, grid, kern)
 
         monkeypatch.setattr(fastmode, name, counted)
@@ -221,18 +216,22 @@ class TestCutHierarchy:
                                            (0.115, 1.17e-42)])
     @pytest.mark.parametrize("on_bvp_grid", [False, True], ids=["default", "bvp"])
     def test_levels_match_full_grid(self, beta, eps, on_bvp_grid):
-        for p in disk_params(beta, eps):
-            grid = osresolvent.build_bvp(p).grid if on_bvp_grid else None
+        # each point alone, then the disk's nine points as one block: on
+        # their own default grids the rows reach different cuts, and the
+        # block runs on the largest
+        points = disk_params(beta, eps)
+        grid = osresolvent.build_bvp(points[0]).grid if on_bvp_grid else None
+        for block in [(p,) for p in points] + [tuple(points)]:
             for n_terms in (0, 1, None):
                 assert_matches_full_grid(
-                    fastmode.ExpFastHierarchy(p, grid=grid, n_terms=n_terms))
+                    fastmode.ExpFastHierarchy(block, grid=grid, n_terms=n_terms))
 
     def test_support_reaching_the_end_runs_on_the_whole_grid(self, monkeypatch):
         # level 0 is nonzero up to node 1985 and the later levels up to 1999
         p = disk_params(0.1075, 1e-8)[0]
         lengths = exp_integral_lengths(monkeypatch)
-        hier = fastmode.ExpFastHierarchy(p)
-        supports = [np.flatnonzero(phi)[-1] for phi in hier.phi_levels]
+        hier = fastmode.ExpFastHierarchy((p,))
+        supports = [np.flatnonzero(phi[0])[-1] for phi in hier.phi_levels]
         assert supports[0] < 1999 and supports[-1] == 1999
         assert lengths == [2000] * (2 * hier.n_terms)
         assert_matches_full_grid(hier)
@@ -242,12 +241,28 @@ class TestCutHierarchy:
         # kept past level 0 is crossed, and the levels are rebuilt
         p = disk_params(0.12, 1e-8)[0]
         lengths = exp_integral_lengths(monkeypatch)
-        hier = fastmode.ExpFastHierarchy(p)
-        supports = [np.flatnonzero(phi)[-1] for phi in hier.phi_levels]
+        hier = fastmode.ExpFastHierarchy((p,))
+        supports = [np.flatnonzero(phi[0])[-1] for phi in hier.phi_levels]
         cut = lengths[0]
         assert hier.n_terms == 14 and supports[0] < cut <= supports[-1] < 1999
         assert lengths == [cut] * 28 + [2000] * 28
         assert_matches_full_grid(hier)
+
+    def test_block_reruns_on_the_whole_grid_when_one_row_does(self, monkeypatch):
+        # at beta = 0.12, eps = 1e-8 the disk center crosses its cut, and the
+        # point at twice its c turned by half a radian holds its own cut
+        # (1686 nodes): in one block both rows run again on the whole grid,
+        # and each equals the whole-grid recurrence of its point alone
+        rerun = disk_params(0.12, 1e-8)[0]
+        holds = rerun.with_c(2.0 * rerun.c * cmath.exp(0.5j))
+        lengths = exp_integral_lengths(monkeypatch)
+        fastmode.ExpFastHierarchy((holds,))
+        assert lengths == [1686] * 28
+        for block in ((rerun, holds), (holds, rerun)):
+            lengths.clear()
+            hier = fastmode.ExpFastHierarchy(block)
+            assert lengths == [lengths[0]] * 28 + [2000] * 28 and lengths[0] < 2000
+            assert_matches_full_grid(hier)
 
     def test_one_exp_kernel_per_levels_pass(self, monkeypatch):
         # each pass of the level recurrence builds one exp kernel of varpi on
@@ -268,7 +283,7 @@ class TestCutHierarchy:
                 return _fn(vals, grid, kern, **kwargs)
 
             monkeypatch.setattr(fastmode, name, read)
-        fastmode.ExpFastHierarchy(p)
+        fastmode.ExpFastHierarchy((p,))
         assert [k.xi.tolist() for k in kernels] == [[p.varpi]] * 2
         assert kernels[0].h.size < kernels[1].h.size == 1999
         assert len(reads) == 56
@@ -295,7 +310,7 @@ class TestFastErrors:
             p0 = SpectralParams.beta_regime(1.0, 0.1075, eps)
             p = p0.with_c(dispersion.center_beta(p0))
             bvp = osresolvent.build_bvp(p, n_nodes=1600)
-            hier = fastmode.ExpFastHierarchy(p, grid=bvp.grid)
+            hier = fastmode.ExpFastHierarchy((p,), grid=bvp.grid)
             phi0, _ = slowmode.boundary_values(p)
             ff = fastmode.fast_errors(
                 "Ff_beta", bvp.grid, bvp.profile, (p,), phi0, *hierarchy_arrays(hier),
@@ -315,9 +330,9 @@ class TestFastErrors:
 
     def test_beta_group_needs_top_level(self, beta_params):
         p = beta_params
-        hier = fastmode.ExpFastHierarchy(p, n_terms=2)
+        hier = fastmode.ExpFastHierarchy((p,), n_terms=2)
         with pytest.raises(ValueError):
-            fastmode.fast_errors("E1f_beta", hier.grid, profile_arrays(hier.grid), (p,),
+            fastmode.fast_errors("E1f_beta", hier.grid[0], profile_arrays(hier.grid[0]), (p,),
                                  (1.0,), *hierarchy_arrays(hier))
 
     def test_unknown_group(self, eighth_params):

@@ -403,9 +403,9 @@ def _reference_backward(vals, grid, xi, tail_rate=0.0):
     """The backward exp-kernel recurrence as a sequential loop."""
     vals = np.asarray(vals, dtype=complex)
     h = np.diff(grid)
-    ah, bh = numerics._exp_kernel_coeffs(xi * h)
-    local = h * (vals[:-1] * ah + (vals[1:] - vals[:-1]) * bh)
     decay = np.exp(-xi * h)
+    ah, bh = numerics._exp_kernel_coeffs(xi * h, decay)
+    local = h * (vals[:-1] * ah + (vals[1:] - vals[:-1]) * bh)
     out = np.zeros_like(vals)
     out[-1] = vals[-1] / (xi + tail_rate)
     for i in range(len(grid) - 2, -1, -1):
@@ -417,9 +417,9 @@ def _reference_forward(vals, grid, xi):
     """The forward exp-kernel recurrence as a sequential loop."""
     vals = np.asarray(vals, dtype=complex)
     h = np.diff(grid)
-    ah, bh = numerics._exp_kernel_coeffs(xi * h)
-    local = h * (vals[1:] * ah - (vals[1:] - vals[:-1]) * bh)
     decay = np.exp(-xi * h)
+    ah, bh = numerics._exp_kernel_coeffs(xi * h, decay)
+    local = h * (vals[1:] * ah - (vals[1:] - vals[:-1]) * bh)
     out = np.zeros_like(vals)
     for i in range(1, len(grid)):
         out[i] = decay[i - 1] * out[i - 1] + local[i - 1]
@@ -511,18 +511,22 @@ class TestStackedKernels:
         return grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def test_rows_have_the_bits_of_their_own_integrals(self):
-        grid, vals = self._block()
-        kernel = numerics.exp_kernel(grid, self.RATES)
-        for j, xi in enumerate(self.RATES):
-            own = numerics.exp_kernel(grid, (xi,))
-            for name in ("ah", "bh"):
-                assert getattr(kernel, name)[j].tobytes() == getattr(own, name)[0].tobytes()
-        back = backward_exp_integral(vals, grid, kernel, tail_rate=0.8)
-        fwd = forward_exp_integral(vals, grid, kernel)
-        for j, xi in enumerate(self.RATES):
-            assert back[j].tobytes() == _backward(vals[j:j + 1], grid, xi,
-                                                  tail_rate=0.8).tobytes()
-            assert fwd[j].tobytes() == _forward(vals[j:j + 1], grid, xi).tobytes()
+        # on one grid that the rates share, then on a (k, N) grid per rate
+        shared, vals = self._block()
+        own_grids = np.array([graded_grid(300, 3e4, cluster_scale=1e-3 * (j + 1))
+                              for j in range(len(self.RATES))])
+        for grid in (shared, own_grids):
+            kernel = numerics.exp_kernel(grid, self.RATES)
+            back = backward_exp_integral(vals, grid, kernel, tail_rate=0.8)
+            fwd = forward_exp_integral(vals, grid, kernel)
+            for j, xi in enumerate(self.RATES):
+                row = grid if grid.ndim == 1 else grid[j]
+                own = numerics.exp_kernel(row, (xi,))
+                for name in ("ah", "bh"):
+                    assert getattr(kernel, name)[j].tobytes() == getattr(own, name)[0].tobytes()
+                assert back[j].tobytes() == _backward(vals[j:j + 1], row, xi,
+                                                      tail_rate=0.8).tobytes()
+                assert fwd[j].tobytes() == _forward(vals[j:j + 1], row, xi).tobytes()
 
 
 # factor, solve (plain and conjugate-transposed) and bidiagonal-solve random

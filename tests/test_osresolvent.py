@@ -597,6 +597,29 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _leaves(result):
+    """The arrays and numbers of an assembly's result, nested in dicts and
+    tuples, in a fixed order."""
+    if isinstance(result, dict):
+        return [v for key in sorted(result) for v in _leaves(result[key])]
+    if isinstance(result, tuple):
+        return [v for item in result for v in _leaves(item)]
+    return [result]
+
+
+def assert_block_assembly_equals_points(cs, p0, bvp):
+    """Each row of one assembly of the block ``cs`` has the bits of the
+    assembly of its point alone: every error array, Gamma0, the wall values
+    and every order of every mode."""
+    block = _leaves(osresolvent.assemble_error_terms(cs, p0, bvp))
+    for j, c in enumerate(cs):
+        want = _leaves(osresolvent.assemble_error_terms(c, p0, bvp))
+        got = [np.asarray(v)[j] for v in block]
+        assert len(got) == len(want)
+        differ = [i for i, (a, b) in enumerate(zip(got, want)) if not _same_bits(a, b)]
+        assert differ == [], (j, differ)
+
+
 def _raised(fn):
     """(type, message) of the exception ``fn`` raises."""
     with pytest.raises(Exception) as info:
@@ -644,17 +667,29 @@ class TestGammaBlocks:
                 assert _same_bits(values, [d[key] for _, d in points]), key
 
     def test_beta_block_assembly_equals_points(self):
-        # the beta regime builds each point's hierarchy and stacks its sums
+        # the beta regime builds one hierarchy for the block
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
         bvp = osresolvent.build_bvp(p0, n_nodes=400)
         cs = dispersion.disk_beta(p0).point(np.array([0.4, 1.9, 3.3]))
-        block = osresolvent.assemble_error_terms(cs, p0, bvp)
-        for j, c in enumerate(cs):
-            arrays, gamma0_val, modes = osresolvent._point(block, j)
-            ref_arrays, ref_gamma0, ref_modes = osresolvent.assemble_error_terms(c, p0, bvp)
-            assert gamma0_val == ref_gamma0
-            assert all(_same_bits(arrays[key], ref) for key, ref in ref_arrays.items())
-            assert all(_same_bits(a, b) for a, b in zip(modes["psi_s"], ref_modes["psi_s"]))
+        assert_block_assembly_equals_points(cs, p0, bvp)
+
+    @pytest.mark.parametrize("regime", ["eighth", "beta"])
+    def test_winding_round_assembly_equals_points_on_the_default_grid(self, regime):
+        # a winding count's first round of 65 points as one block on the
+        # 1600-node grid: its arrays hold 104 000 values, past the 16 384 at
+        # which numpy computes ``a * temporary`` in place with the operands
+        # swapped, a complex product that rounds differently.  No row may
+        # differ from its point's own assembly even in the last bit
+        if regime == "eighth":
+            p0 = SpectralParams.eighth(2.0, 1e-12)
+            to_c, disk = p0.chat_to_c, dispersion.disk_eighth(p0)
+        else:
+            p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
+            to_c, disk = (lambda w: w), dispersion.disk_beta(p0)
+        bvp = osresolvent.build_bvp(p0)
+        assert bvp.n == 1600
+        thetas = math.pi / 64 + np.linspace(0.0, 2 * math.pi, 65)
+        assert_block_assembly_equals_points(to_c(disk.point(thetas)), p0, bvp)
 
     def test_first_failing_point_raises_its_own_error(self, monkeypatch):
         # point 1 fails only in its factorization; point 4 has Im c_hat < 0,
@@ -1145,11 +1180,11 @@ class TestPerGridState:
         with counted_views() as views:
             arrays, _, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
         assert views == {"eval": 0, "fit": 0}
-        hier = fastmode.ExpFastHierarchy(p, grid=bvp.grid)
-        fast = ([hier.sum_arrays("Phi", o) for o in range(2)],
-                [hier.sum_arrays("Psi", o) for o in range(2)])
+        hier = fastmode.ExpFastHierarchy((p,), grid=bvp.grid)
+        fast = ([hier.sum_arrays("Phi", o)[0] for o in range(2)],
+                [hier.sum_arrays("Psi", o)[0] for o in range(2)])
         assert_handoff(p, bvp, arrays, modes, fast,
-                       (hier.phi_levels[-1], hier.dphi_levels[-1]),
+                       (hier.phi_levels[-1][0], hier.dphi_levels[-1][0]),
                        ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta"))
 
     @pytest.mark.parametrize("A, eps, t", [(2.0, 1e-12, 2.0), (3.0, 1e-15, 0.5),

@@ -68,7 +68,7 @@ class TestSpectralParams:
         # np.sinh and math.sinh of the grid map's end may differ by an ulp
         ends = [(osresolvent.build_bvp(p, n_nodes=200).grid[-1], p.far_field),
                 (default_magnetic_grid(p)[-1], p.far_field),
-                (fastmode.ExpFastHierarchy(pb, n_terms=1).grid[-1], pb.far_field)]
+                (fastmode.ExpFastHierarchy((pb,), n_terms=1).grid[0, -1], pb.far_field)]
         for end, far in ends:
             assert end == pytest.approx(far, rel=1e-15)
 
