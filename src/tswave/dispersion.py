@@ -192,10 +192,11 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
                         max_iter=60, variable="c"):
     """Winding count on the disk boundary; on winding one, Newton refinement
     from the center.  ``g`` takes an ndarray of points and returns one value
-    per point; ``g_ref`` is called at one point at a time.  The report carries
-    the number of boundary samples (the first ``samples`` points evaluated by
-    ``g``), the boundary modulus floor and, when a reference map is supplied,
-    the maximal boundary gap |g - g_ref|.
+    per point, and so does ``g_ref``, called once at the boundary points of
+    ``g``'s samples.  The report carries the number of boundary samples (the
+    first ``samples`` points evaluated by ``g``), the boundary modulus floor
+    and, when a reference map is supplied, the maximal boundary gap
+    |g - g_ref| at those points.
     The root counts as certified only when Newton converges inside the disk.
     Newton's path may leave the disk and come back, but it stops, and its
     last iterate is reported uncertified, once an iterate lies more than
@@ -208,7 +209,7 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
     boundary_min = float(np.min(np.abs(vals)))
     gap_max = math.nan
     if g_ref is not None:
-        ref_vals = np.array([g_ref(disk.point(t)) for t in thetas])
+        ref_vals = g_ref(disk.point(thetas))
         gap_max = float(np.max(np.abs(vals - ref_vals)))
     if winding != 1:
         # raised unbound: a local name for the exception would tie it to this

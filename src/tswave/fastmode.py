@@ -183,61 +183,57 @@ class ExpFastHierarchy:
                    for phi, inner in self._cut_levels)
 
 
-def fast_errors(group, Y, prof, params, slow_boundary_value, phi, psi, phi_last=None):
-    """Fast-mode error terms, verbatim per regime.
+def fast_errors(Y, prof, params, slow_boundary_value, phi, psi, phi_last=None):
+    """Fast-mode error terms (e1f, e2f, e3f, ff) of the regime of ``params``,
+    verbatim.
 
     ``prof`` holds the profile arrays at Y.  ``phi`` and ``psi`` hold
-    Phi_app^f and Psi_app^f at Y by derivative order: Phi to order 2 ('E3f'
-    reads it) and Psi to order 1.  ``phi_last``,
-    the highest hierarchy level and its first derivative at Y, enters only
-    the beta-regime divergence term group 'E1f_beta'.  ``params`` is a
-    block, a tuple of SpectralParams that differ only in c: the arrays have
-    a row per point and ``slow_boundary_value`` holds one value per point.
+    Phi_app^f and Psi_app^f at Y by derivative order: Phi to order 2 (the
+    eps^{1/8} regime's e3f reads it) and Psi to order 1.  ``phi_last``, the
+    highest hierarchy level and its first derivative at Y, enters only the
+    beta-regime divergence term e1f.  ``params`` is a block, a tuple of
+    SpectralParams that differ only in c: the arrays have a row per point
+    and ``slow_boundary_value`` holds one value per point.
     """
     Yarr = np.asarray(Y, dtype=float)
     p = params[0]
+    if phi_last is None and not p.is_eighth:
+        raise ValueError("the beta-regime e1f needs the top hierarchy level phi_last")
     a, n, se = p.alpha, p.n, p.sqrt_eps
     c = pointwise(lambda q: q.c, params)
     chat = pointwise(lambda q: q.c_hat, params)
     B = pointwise(complex, slow_boundary_value)
     us, dus, d2us, hs, dhs, d2hs = prof
 
-    if group == "E1f":
-        return -B * ((-2j * a**2 / n) * phi[1]
-                     - se * hs * psi[1]
-                     - (a / n) * (us - c) * psi[0]
-                     + (a / n) * hs * phi[0])
-    if group == "E2f":
-        return -B * ((a**3 / n) * phi[0]
-                     + 1j * a * (us - chat) * phi[0]
-                     - (a / n) * phi[0]
-                     - 1j * a * se * hs * psi[0])
-    if group == "E3f":
+    ff = -B * (a**2 * psi[0]
+               + 1j * a * (us - c) * psi[0]
+               - 1j * a * hs * phi[0])
+    if p.is_eighth:
         slope0 = DEFAULT_PROFILE.eval("U", 1, 0.0)
-        return -B * ((us - slope0 * Yarr) * phi[2]
-                     - d2us * phi[0]
-                     + se * dhs * psi[1]
-                     + se * d2hs * psi[0])
-    if group == "Ff" or group == "Ff_beta":
-        return -B * (a**2 * psi[0]
-                     + 1j * a * (us - c) * psi[0]
-                     - 1j * a * hs * phi[0])
-    if group == "E1f_beta":
-        if phi_last is None:
-            raise ValueError("E1f_beta needs the top hierarchy level phi_last")
-        return -B * ((-1j / n) * (2.0 * a**2 + 1.0) * phi[1]
-                     + us * phi_last[1]
-                     - dus * phi_last[0]
-                     - se * hs * psi[1]
-                     - (a / n) * (us - c) * psi[0]
-                     + (a / n) * hs * phi[0])
-    if group == "E2f_beta":
-        return -B * ((a / n) * (a**2 - 1.0) * phi[0]
-                     + 1j * a * (us - chat) * phi[0]
-                     - 1j * a * se * hs * psi[0])
-    if group == "E3f_beta":
-        return -B * (se * dhs * psi[1] + se * d2hs * psi[0])
-    raise ValueError(f"unknown error group {group!r}")
+        return (-B * ((-2j * a**2 / n) * phi[1]
+                      - se * hs * psi[1]
+                      - (a / n) * (us - c) * psi[0]
+                      + (a / n) * hs * phi[0]),
+                -B * ((a**3 / n) * phi[0]
+                      + 1j * a * (us - chat) * phi[0]
+                      - (a / n) * phi[0]
+                      - 1j * a * se * hs * psi[0]),
+                -B * ((us - slope0 * Yarr) * phi[2]
+                      - d2us * phi[0]
+                      + se * dhs * psi[1]
+                      + se * d2hs * psi[0]),
+                ff)
+    return (-B * ((-1j / n) * (2.0 * a**2 + 1.0) * phi[1]
+                  + us * phi_last[1]
+                  - dus * phi_last[0]
+                  - se * hs * psi[1]
+                  - (a / n) * (us - c) * psi[0]
+                  + (a / n) * hs * phi[0]),
+            -B * ((a / n) * (a**2 - 1.0) * phi[0]
+                  + 1j * a * (us - chat) * phi[0]
+                  - 1j * a * se * hs * psi[0]),
+            -B * (se * dhs * psi[1] + se * d2hs * psi[0]),
+            ff)
 
 
 # sample points of the least-squares fit in ``measure_tau1``

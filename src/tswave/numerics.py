@@ -268,25 +268,22 @@ def _row_sum(w, a, b, c):
 class Stencil:
     """3-point difference operator on a grid of n nodes.
 
-    Row i = 1..n-2 weighs nodes i-1, i, i+1 by ``lo[i-1]``, ``mid[i-1]`` and
-    ``hi[i-1]``; the one-sided end rows weigh nodes 0, 1, 2 (``first``) and
-    n-3, n-2, n-1 (``last``).  ``stencil @ v`` gives the same bits as the
-    equal CSR matrix applied to the 1-D array v; a (k, n) array is
-    differenced row by row.
+    Row i = 1..n-2 weighs node i + s by ``w[s + 1, i - 1]``, s = -1, 0, 1,
+    from the (3, n-2) array ``w`` of interior weights by shift; the
+    one-sided end rows weigh nodes 0, 1, 2 (``first``) and n-3, n-2, n-1
+    (``last``).  ``stencil @ v`` gives the same bits as the equal CSR matrix
+    applied to the 1-D array v; a (k, n) array is differenced row by row.
     """
 
-    lo: np.ndarray
-    mid: np.ndarray
-    hi: np.ndarray
+    w: np.ndarray
     first: np.ndarray
     last: np.ndarray
 
     def __matmul__(self, v):
         v = np.asarray(v)
-        out = np.empty(v.shape, dtype=np.result_type(self.mid, v))
+        out = np.empty(v.shape, dtype=np.result_type(self.w, v))
         out[..., 0] = self.wall(v)
-        out[..., 1:-1] = _row_sum((self.lo, self.mid, self.hi),
-                                  v[..., :-2], v[..., 1:-1], v[..., 2:])
+        out[..., 1:-1] = _row_sum(self.w, v[..., :-2], v[..., 1:-1], v[..., 2:])
         nodes = np.asarray(v).T     # node first: v[-1] of a 1-D v is a scalar
         out[..., -1] = _row_sum(self.last, nodes[-3], nodes[-2], nodes[-1])
         return out
@@ -317,7 +314,7 @@ def diff_matrix(grid, order):
     else:
         first = [2.0 / (a0 * (a0 + b0)), -2.0 / (a0 * b0), 2.0 / (b0 * (a0 + b0))]
         last = [2.0 / (b1 * (a1 + b1)), -2.0 / (a1 * b1), 2.0 / (a1 * (a1 + b1))]
-    return Stencil(*interior, np.array(first), np.array(last))
+    return Stencil(np.array(interior), np.array(first), np.array(last))
 
 
 def l2_norm(vals, weights, point_weight=None, noise_floor=0.0):

@@ -60,7 +60,6 @@ class DiscreteBVP:
     grid: np.ndarray
     weights: np.ndarray
     boundary: str = "navier"
-    cluster_scale: float = 1.0
     operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -107,8 +106,7 @@ def build_bvp(params, n_nodes=1600, y_max=None, boundary="navier"):
     else:
         scale = min(params.n ** (-1.0 / 3.0), params.alpha ** (1.0 + params.nu0))
     grid = graded_grid(n_nodes, y_max, cluster_scale=scale)
-    return DiscreteBVP(grid=grid, weights=trap_weights(grid), boundary=boundary,
-                       cluster_scale=scale)
+    return DiscreteBVP(grid=grid, weights=trap_weights(grid), boundary=boundary)
 
 
 class _Banded(NamedTuple):
@@ -154,58 +152,54 @@ def _affine_operator(bvp, params, variant):
     band0 = np.zeros((2 * kl + ku + 1, 3 * N), dtype=complex, order="F")
     band1 = np.zeros_like(band0)
 
-    def put(band, eq, var, shift, re, im=0.0):
+    def put(band, eq, var, re, im=(0.0, 0.0, 0.0)):
         """Entries of equation ``eq`` at the interior nodes i on the unknown
-        ``var`` of node i + shift."""
-        row = band[kl + ku + eq - var - 3 * shift, var::3]
-        row.real[1 + shift:N - 1 + shift] = re
-        row.imag[1 + shift:N - 1 + shift] = im
+        ``var`` of node i + s: one coupling's real and imaginary parts by
+        shift s = -1, 0, 1, with ``None`` in ``re`` for no entry."""
+        for s, r, i in zip((-1, 0, 1), re, im):
+            if r is not None:
+                row = band[kl + ku + eq - var - 3 * s, var::3]
+                row.real[1 + s:N - 1 + s] = r
+                row.imag[1 + s:N - 1 + s] = i
 
     d1, d2 = bvp.d1, bvp.d2
     # profile arrays at the interior nodes, which the stencils' rows cover
     us, dus, d2us, hs, dhs, d2hs = (x[1:-1] for x in bvp.profile)
-    lap = (d2.lo, d2.mid - a**2, d2.hi)          # d_YY - alpha^2, by shift
+    lap = d2.w - [[0.0], [a**2], [0.0]]          # d_YY - alpha^2, by shift
     inv_n = 1.0 / n
     # omega definition: (d_YY - alpha^2) Phi - omega
-    for s, w in zip((-1, 0, 1), lap):
-        put(band0, _PHI, _PHI, s, w)
-    put(band0, _PHI, _OMEGA, 0, -1.0)
+    put(band0, _PHI, _PHI, lap)
+    put(band0, _PHI, _OMEGA, (None, -1.0, None))
     # governing equation: (i/n)(d_YY - alpha^2) omega + (U_s - i/n - c) omega
     # - U_s'' Phi, plus the couplings of the variant
-    put(band0, _OMEGA, _OMEGA, -1, 0.0, lap[0] * inv_n)
-    put(band0, _OMEGA, _OMEGA, 0, us, lap[1] * inv_n - inv_n)
-    put(band0, _OMEGA, _OMEGA, 1, 0.0, lap[2] * inv_n)
-    put(band1, _OMEGA, _OMEGA, 0, -1.0)
+    put(band0, _OMEGA, _OMEGA, (0.0, us, 0.0),
+        (lap[0] * inv_n, lap[1] * inv_n - inv_n, lap[2] * inv_n))
+    put(band1, _OMEGA, _OMEGA, (None, -1.0, None))
     if variant == "os_d":
-        put(band0, _OMEGA, _PHI, 0, -d2us)
+        put(band0, _OMEGA, _PHI, (None, -d2us, None))
     else:
         # (a/n)(H_s' + H_s d_Y) - i a^2/n on Phi
-        ah = (a / n) * hs
-        phi = [ah * d1.lo, -d2us + ((a / n) * dhs + ah * d1.mid), ah * d1.hi]
+        phi = ((a / n) * hs) * d1.w
+        phi[1] = -d2us + ((a / n) * dhs + phi[1])
         if variant == "os_s":
-            phi = [phi[0] + dus * d1.lo, phi[1] + (dus * d1.mid + d2us),
-                   phi[2] + dus * d1.hi]
-        put(band0, _OMEGA, _PHI, -1, phi[0])
-        put(band0, _OMEGA, _PHI, 0, phi[1], -(a**2 / n))
-        put(band0, _OMEGA, _PHI, 1, phi[2])
+            shear = dus * d1.w
+            shear[1] += d2us
+            phi += shear
+        put(band0, _OMEGA, _PHI, phi, (0.0, -(a**2 / n), 0.0))
         # -sqrt(eps) H_s d_YY + sqrt(eps) H_s'' - (a/n)(U_s' + (U_s - c) d_Y)
         # + a^2 sqrt(eps) H_s on Psi
         sh, au = -se * hs, (a / n) * us
-        put(band0, _OMEGA, _PSI, -1, sh * d2.lo - au * d1.lo)
-        put(band0, _OMEGA, _PSI, 0, (sh * d2.mid + se * d2hs - (a / n) * dus
-                                     - au * d1.mid) + (a**2 * se) * hs)
-        put(band0, _OMEGA, _PSI, 1, sh * d2.hi - au * d1.hi)
-        for s, w in zip((-1, 0, 1), (d1.lo, d1.mid, d1.hi)):
-            put(band1, _OMEGA, _PSI, s, (a / n) * w)
+        psi = sh * d2.w - au * d1.w
+        # the diagonal adds H_s'' and U_s' between its two stencil terms
+        psi[1] = (sh * d2.w[1] + se * d2hs - (a / n) * dus
+                  - au * d1.w[1]) + (a**2 * se) * hs
+        put(band0, _OMEGA, _PSI, psi)
+        put(band1, _OMEGA, _PSI, (a / n) * d1.w)
     # magnetic equation: -(i a H_s + d_Y) Phi - (d_YY - alpha^2) Psi
     # + i a (U_s - c) Psi
-    put(band0, _PSI, _PHI, -1, -d1.lo)
-    put(band0, _PSI, _PHI, 0, -d1.mid, -(a * hs))
-    put(band0, _PSI, _PHI, 1, -d1.hi)
-    put(band0, _PSI, _PSI, -1, -lap[0])
-    put(band0, _PSI, _PSI, 0, -lap[1], us * a)
-    put(band0, _PSI, _PSI, 1, -lap[2])
-    put(band1, _PSI, _PSI, 0, 0.0, -a)
+    put(band0, _PSI, _PHI, -d1.w, (0.0, -(a * hs), 0.0))
+    put(band0, _PSI, _PSI, -lap, (0.0, us * a, 0.0))
+    put(band1, _PSI, _PSI, (None, 0.0, None), (0.0, -a, 0.0))
     # boundary rows: Phi, omega and Psi vanish at both ends, except that the
     # one-sided d_Y Phi(0) = 0 replaces omega(0) = 0 at a no-slip wall
     ends = [0, 1, 2, 3 * N - 3, 3 * N - 2, 3 * N - 1]
@@ -478,14 +472,12 @@ def assemble_error_terms(c, params, bvp):
     if p.is_eighth:
         gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(points, grid)
         phi_last = None
-        groups = ("E1f", "E2f", "E3f", "Ff")
     else:
         hier = fastmode.ExpFastHierarchy(points, grid=grid)
         phi_f = tuple(hier.sum_arrays("Phi", o) for o in range(2))
         psi_f = tuple(hier.sum_arrays("Psi", o) for o in range(2))
         phi_last = (hier.phi_levels[-1], hier.dphi_levels[-1])
         gamma0_val = dispersion.gamma0_of_hierarchy(phi0, dphi0, hier)
-        groups = ("E1f_beta", "E2f_beta", "E3f_beta", "Ff_beta")
 
     prof = bvp.profile
     slow_pass = slowmode._slow_pass(grid, prof, points)
@@ -495,9 +487,8 @@ def assemble_error_terms(c, params, bvp):
 
     arrays = {f"e{k}s": slowmode.slow_errors(k, prof, points, psi_s, slow_pass)
               for k in (1, 2, 3)}
-    for key, g in zip(("e1f", "e2f", "e3f", "ff"), groups):
-        arrays[key] = fastmode.fast_errors(g, grid, prof, points, wall, phi_f, psi_f,
-                                           phi_last=phi_last)
+    arrays.update(zip(("e1f", "e2f", "e3f", "ff"), fastmode.fast_errors(
+        grid, prof, points, wall, phi_f, psi_f, phi_last=phi_last)))
     modes = {"slow": slow, "phi_f": phi_f, "psi_f": psi_f, "psi_s": psi_s,
              "phi0": phi0, "dphi0": dphi0}
     out = arrays, gamma0_val, modes

@@ -442,13 +442,13 @@ def stencil_matrix(stencil):
     assembly the operator oracles are written in."""
     from scipy import sparse
 
-    n = stencil.mid.size + 2
+    n = stencil.w.shape[1] + 2
     inner = np.arange(1, n - 1)
     rows = np.concatenate([[0] * 3, np.repeat(inner, 3), [n - 1] * 3])
     cols = np.concatenate([[0, 1, 2], (inner[:, None] + np.arange(-1, 2)).ravel(),
                            [n - 3, n - 2, n - 1]])
     data = np.concatenate([stencil.first,
-                           np.column_stack([stencil.lo, stencil.mid, stencil.hi]).ravel(),
+                           stencil.w.T.ravel(),
                            stencil.last])
     return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 

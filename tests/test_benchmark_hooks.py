@@ -148,3 +148,28 @@ def test_tiny_pass_of_each_workload_is_clean():
                                        "export_mode"]
     for name, attempted, failed, problems in results:
         assert attempted > 0 and failed == 0 and problems == [], (name, problems)
+
+
+def test_one_fast_error_span_per_assembly_in_each_regime():
+    # the error-term assembly takes a regime's four fast error terms from one
+    # call of the module attribute the layer wrapper replaces
+    code = ("import layers, spans, workloads\n"
+            "lib = workloads.load_library()\n"
+            "from tswave.params import SpectralParams\n"
+            "rec = spans.Recorder()\n"
+            "layers.install(rec, lib)\n"
+            "rec.enabled = True\n"
+            "counts = []\n"
+            "for p0, center in ((SpectralParams.eighth(2.0, 1e-12), lib.dispersion.center_c),\n"
+            "                   (SpectralParams.beta_regime(1.0, 0.11, 1e-24),\n"
+            "                    lib.dispersion.center_beta)):\n"
+            "    p = p0.with_c(center(p0))\n"
+            "    bvp = lib.osresolvent.build_bvp(p, n_nodes=200)\n"
+            "    del rec.spans[:]\n"
+            "    lib.osresolvent.assemble_error_terms(p.c, p, bvp)\n"
+            "    counts.append(sum(s[0] == 'fastmode.fast_errors' for s in rec.spans))\n"
+            "print(*counts)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]

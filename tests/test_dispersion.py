@@ -124,6 +124,31 @@ class TestCertifiedRootFinding:
             # refinement adds points out of angular order
             assert set(calls[:rep.samples]) == set(disk.point(thetas))
 
+    def test_reference_map_is_called_once_at_the_winding_points(self):
+        # the gap |g - g_ref| is taken at the boundary points g saw, handed
+        # to g_ref as one array
+        p = SpectralParams.eighth(2.0, 1e-12)
+        seen, ref_calls = {}, []
+
+        def g(w):
+            vals = dispersion.gamma0(p.chat_to_c(w), p)
+            for point, val in zip(np.atleast_1d(w).tolist(), np.atleast_1d(vals).tolist()):
+                seen.setdefault(point, val)
+            return vals
+
+        def g_ref(w):
+            ref_calls.append(w)
+            return dispersion.gamma_ref_hat(w / p.eps ** 0.125, p)
+
+        rep = dispersion.find_root_certified(g, dispersion.disk_eighth(p), g_ref=g_ref)
+        assert rep.certified
+        assert len(ref_calls) == 1
+        points = ref_calls[0]
+        assert isinstance(points, np.ndarray) and points.shape == (rep.samples,)
+        assert set(points.tolist()) <= set(seen)
+        gaps = [abs(seen[w] - r) for w, r in zip(points.tolist(), g_ref(points).tolist())]
+        assert rep.reference_gap_max == max(gaps)
+
 
 class TestEighthRegime:
     def test_certifies_in_asymptotic_basin(self):

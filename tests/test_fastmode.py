@@ -313,8 +313,8 @@ class TestFastErrors:
             hier = fastmode.ExpFastHierarchy((p,), grid=bvp.grid)
             phi0, _ = slowmode.boundary_values(p)
             ff = fastmode.fast_errors(
-                "Ff_beta", bvp.grid, bvp.profile, (p,), phi0, *hierarchy_arrays(hier),
-                phi_last=(hier.phi_levels[-1], hier.dphi_levels[-1]))
+                bvp.grid, bvp.profile, (p,), phi0, *hierarchy_arrays(hier),
+                phi_last=(hier.phi_levels[-1], hier.dphi_levels[-1]))[3]
             vals[eps] = (p.alpha, l2_norm(ff[0], trap_weights(bvp.grid)))
         (a1, n1), (a2, n2) = vals.values()
         slope = (np.log(n2) - np.log(n1)) / (np.log(a2) - np.log(a1))
@@ -324,23 +324,15 @@ class TestFastErrors:
     def test_zero_prefactor(self, eighth_params):
         p = eighth_params
         Y = np.linspace(0.0, 1.0, 9)
-        vals = fastmode.fast_errors("Ff", Y, profile_arrays(Y), (p,), (0.0,),
-                                    *airy_arrays(Y, p))
+        vals = fastmode.fast_errors(Y, profile_arrays(Y), (p,), (0.0,), *airy_arrays(Y, p))
         assert np.max(np.abs(vals)) == 0.0
 
     def test_beta_group_needs_top_level(self, beta_params):
         p = beta_params
         hier = fastmode.ExpFastHierarchy((p,), n_terms=2)
         with pytest.raises(ValueError):
-            fastmode.fast_errors("E1f_beta", hier.grid[0], profile_arrays(hier.grid[0]), (p,),
+            fastmode.fast_errors(hier.grid[0], profile_arrays(hier.grid[0]), (p,),
                                  (1.0,), *hierarchy_arrays(hier))
-
-    def test_unknown_group(self, eighth_params):
-        p = eighth_params
-        Y = np.array([0.1])
-        with pytest.raises(ValueError):
-            fastmode.fast_errors("bogus", Y, profile_arrays(Y), (p,), (1.0,),
-                                 *airy_arrays(Y, p))
 
 
 class TestFastModePair:
@@ -372,8 +364,7 @@ class TestFastModePair:
                 assert calls == []
         del calls[:]
         phi, psi = airy_arrays(Y, p, ratios)
-        for group in ("E1f", "E2f", "E3f", "Ff"):
-            fastmode.fast_errors(group, Y, profile_arrays(Y), (p,), (0.7 - 0.1j,), phi, psi)
+        fastmode.fast_errors(Y, profile_arrays(Y), (p,), (0.7 - 0.1j,), phi, psi)
         assert calls == []
 
     def test_regime_check(self, beta_params):
