@@ -457,6 +457,7 @@ def cmd_root(args):
                          reference_gap_max=report.reference_gap_max,
                          residual=report.newton.final_residual,
                          newton_steps=len(report.newton.iterates) - 1,
+                         series_tail=report.series_tail,
                          certified=report.certified)
             ok = ok and report.certified
         except (WindingNotOne, ZeroOnContour) as exc:

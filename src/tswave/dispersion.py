@@ -31,6 +31,7 @@ __all__ = [
     "gamma_ref_beta",
     "center_beta",
     "disk_beta",
+    "taylor_series",
     "find_root_certified",
     "certify",
     "center_c",
@@ -49,6 +50,8 @@ class DispersionReport:
     disk: Circle
     variable: str = "c"         # the disk's variable: 'c' or 'c_hat'
     c: complex | None = None    # the root as a wave speed (set by ``certify``)
+    series_tail: float = math.nan   # ``taylor_series``'s tail of the first
+                                    # winding round (NaN: winding not one)
 
     @property
     def certified(self):
@@ -183,20 +186,88 @@ def gamma_ref_beta(c, params):
 # -- certification --
 
 # radii from the disk center past which Newton's walk is stopped: certified
-# Gamma0 paths reach at most 1.13 radii over A = 1.5 to 5 with eps = 1e-8 to
-# 1e-40 and over M = 1 with beta = 0.1075 to 0.12
+# Gamma0 paths from the center reach at most 1.13 radii over A = 1.5 to 5
+# with eps = 1e-8 to 1e-40 and over M = 1 with beta = 0.1075 to 0.12.  Over
+# the eighth_sweep and beta_hierarchy benchmark inputs of seeds 0-7, the 152
+# certified eps^{1/8} walks start at the series root (at most 0.991 radii
+# out) and take no step; 2 of the 39 beta walks, from the center, step
+# outside the disk, at most 1.12 radii
 _NEWTON_REACH = 1.5
+
+# largest ``taylor_series`` tail at which Newton starts from the series root.
+# Measured at M = 64: Gamma0 of the eps^{1/8} regime 2.2e-16 to 4.2e-15 at
+# A = 2, 2.5, 3, 4, 5 and eps = 1e-12 to 1e-40 and 1.6e-16 to 4.3e-15 on the
+# eighth_sweep benchmark rows (Newton then takes 0 steps at every certified
+# point); Gamma0_beta 4.7e-6 to 5.2e-4 at M = 1, beta = 0.1075 to 0.115, as
+# it is not analytic in c; the exact Gamma at A = 2, eps = 1e-12 and 1e-14,
+# N = 400 and 1600, 0.70 to 0.97.  Those two start from the center.
+_SERIES_TAIL_MAX = 1e-8
+# coefficients next to k = M/2 that measure whether M samples resolve g
+_TAIL_BAND = 4
+
+
+def taylor_series(thetas, vals):
+    """Coefficients of g about the center of a circle from M samples
+    ``vals`` at the equispaced phases ``thetas`` = theta_0 + 2 pi j / M: the
+    trapezoidal rule gives b_k = (1/M) sum_j g_j e^{-i k theta_j} for
+    k = -M/2 .. M/2 - 1, with g(center + r w) = sum_k b_k w^k for an analytic g.
+
+    Returns ``(b, tail)``: b_0 .. b_{M/2-1}, and the largest |b_k| at k < 0
+    or within ``_TAIL_BAND`` places of M/2 relative to the largest |b_k|.
+    The tail is at rounding level when g is analytic in the disk and the
+    samples resolve it on the circle.
+    """
+    m = thetas.size
+    k = np.arange(m) - m // 2
+    # e^{-i k theta_j} = e^{-i k theta_0} e^{-2 pi i (kj mod M) / M}: M
+    # exponentials, not M^2.  Summed rather than multiplied, and read by
+    # slices rather than boolean masks: in a sweep process the first matrix
+    # product or boolean mask maps 0.13-0.19 MB more numpy code (peak RSS)
+    roots = np.exp(-2j * math.pi / m * np.arange(m))
+    b = ((roots[np.outer(k, np.arange(m)) % m] * vals).sum(axis=1)
+         * np.exp(-1j * thetas[0] * k) / m)
+    mags = np.abs(b)
+    tail = max(mags[:m // 2].max(), mags[m - _TAIL_BAND:].max()) / mags.max()
+    return b[m // 2:], float(tail)
+
+
+def _series_root(b, max_iter=50):
+    """Root of sum_k b_k w^k in the unit disk by Newton from w = 0 on the
+    polynomial, which evaluates no g.  None when the walk passes
+    ``_NEWTON_REACH``, stalls, or ends outside the unit disk."""
+    coeffs = [complex(v) for v in b[::-1]]
+    w = 0j
+    for _ in range(max_iter):
+        p = dp = 0j
+        for v in coeffs:
+            dp = dp * w + p
+            p = p * w + v
+        if dp == 0.0:
+            return None
+        step = p / dp
+        w -= step
+        if not abs(w) <= _NEWTON_REACH:
+            return None
+        if abs(step) <= 1e-14:
+            return w if abs(w) < 1.0 else None
+    return None
 
 
 def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
                         max_iter=60, variable="c"):
-    """Winding count on the disk boundary; on winding one, Newton refinement
-    from the center.  ``g`` takes an ndarray of points and returns one value
-    per point, and so does ``g_ref``, called once at the boundary points of
-    ``g``'s samples.  The report carries the number of boundary samples (the
-    first ``samples`` points evaluated by ``g``), the boundary modulus floor
-    and, when a reference map is supplied, the maximal boundary gap
-    |g - g_ref| at those points.
+    """Winding count on the disk boundary; on winding one, Newton refinement.
+    ``g`` takes an ndarray of points and returns one value per point, and so
+    does ``g_ref``, called once at the boundary points of ``g``'s samples.
+    The report carries the number of boundary samples (the first ``samples``
+    points evaluated by ``g``), the boundary modulus floor and, when a
+    reference map is supplied, the maximal boundary gap |g - g_ref| at those
+    points.
+
+    Newton starts from the root of g's Taylor series in the disk, read off
+    the winding count's first round of ``init_samples`` points by
+    ``taylor_series``, when its tail is at most ``_SERIES_TAIL_MAX``;
+    otherwise, or when the series has no root inside, from the center.  The
+    report's ``series_tail`` is that tail.
     The root counts as certified only when Newton converges inside the disk.
     Newton's path may leave the disk and come back, but it stops, and its
     last iterate is reported uncertified, once an iterate lies more than
@@ -218,14 +289,22 @@ def find_root_certified(g, disk, tol=1e-12, init_samples=64, g_ref=None,
             c_root=None, winding=winding, samples=thetas.size,
             boundary_min_abs=boundary_min, reference_gap_max=gap_max,
             newton=None, disk=disk, variable=variable))
-    root, trace = newton_root(g, disk.center, tol=tol, max_iter=max_iter,
+    # the first round without its closing sample: refinement only inserts
+    # midpoints after thetas[0], so its phases are found by value
+    phases = thetas[0] + np.linspace(0.0, 2.0 * math.pi, init_samples + 1)[:-1]
+    index = dict(zip(thetas.tolist(), range(thetas.size)))
+    first = [index[t] for t in phases.tolist()]
+    b, tail = taylor_series(thetas[first], vals[first])
+    w = _series_root(b) if tail <= _SERIES_TAIL_MAX else None
+    start = disk.center if w is None else disk.center + disk.radius * w
+    root, trace = newton_root(g, start, tol=tol, max_iter=max_iter,
                               region=Circle(disk.center, _NEWTON_REACH * disk.radius))
     if not disk.contains(root, slack=1e-9):
         trace.converged = False
     return DispersionReport(c_root=root, winding=winding, samples=thetas.size,
                             boundary_min_abs=boundary_min,
                             reference_gap_max=gap_max, newton=trace, disk=disk,
-                            variable=variable)
+                            variable=variable, series_tail=tail)
 
 
 def certify(params, r3=0.5, tol=1e-12, init_samples=64, g=None, max_iter=60):

@@ -36,6 +36,29 @@ def test_winding_counter_counts_points_of_a_vectorised_map():
     assert evals == samples
 
 
+def test_seeded_newton_evaluates_no_g_and_fires_the_wrapped_names():
+    # Newton starts at the root of the winding round's Taylor series, found
+    # without evaluating g, so its one span makes no iteration; both
+    # wrapped names still fire from find_root_certified
+    code = ("import layers, spans, workloads\n"
+            "lib = workloads.load_library()\n"
+            "from tswave.params import SpectralParams\n"
+            "rec = spans.Recorder()\n"
+            "layers.install(rec, lib)\n"
+            "rec.enabled = True\n"
+            "report = lib.dispersion.certify_eighth(SpectralParams.eighth(2.0, 1e-12))\n"
+            "names = [s[0] for s in rec.spans]\n"
+            "print(names.count('dispersion.newton'), rec.counts['dispersion.newton_iters'],\n"
+            "      names.count('dispersion.winding'), rec.counts['dispersion.winding_evals'],\n"
+            "      report.samples, report.certified)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    newton_spans, iters, winding_spans, evals, samples, certified = proc.stdout.split()
+    assert (newton_spans, iters, winding_spans, certified) == ("1", "0", "1", "True")
+    assert evals == samples
+
+
 def test_full_os_row_reaches_wrapped_resolvent():
     # cli must call osresolvent's module attributes, which the layer
     # wrappers replace, so that the per-layer Gamma and factorization counts

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import newton_loop
-from tswave import airy, cli, dispersion, fastmode, numerics, slowmode
+from tswave import airy, cli, dispersion, fastmode, numerics, osresolvent, slowmode
 from tswave.errors import WindingNotOne
 from tswave.numerics import Circle, newton_root, winding_samples
 from tswave.params import SpectralParams
@@ -212,25 +212,30 @@ class TestEighthRegime:
         assert not math.isnan(default.reference_gap_max)
 
     def test_certified_newton_path_may_leave_the_disk(self):
-        # the first step lands 1.07 radii out and the next ones come back to
-        # a root at 0.96 radii: stopping Newton at the first iterate outside
-        # the disk would refuse this certified root
-        rep = dispersion.certify_eighth(SpectralParams.eighth(2.0, 1e-24))
-        assert rep.certified
-        excursion = max(abs(z - rep.disk.center) for z in rep.newton.iterates)
-        assert 1.0 < excursion / rep.disk.radius < dispersion._NEWTON_REACH
-        assert rep.disk.contains(rep.c_root)
+        # from the disk center the first step lands 1.07 radii out and the
+        # next ones come back to a root at 0.96 radii: stopping Newton at the
+        # first iterate outside the disk would refuse this root, the reach of
+        # the certification keeps it
+        p0 = SpectralParams.eighth(2.0, 1e-24)
+        disk = dispersion.disk_eighth(p0)
+        root, trace = newton_root(
+            lambda w: dispersion.gamma0(p0.chat_to_c(w), p0), disk.center, max_iter=60,
+            region=Circle(disk.center, dispersion._NEWTON_REACH * disk.radius))
+        assert trace.converged
+        excursion = max(abs(z - disk.center) for z in trace.iterates)
+        assert 1.0 < excursion / disk.radius < dispersion._NEWTON_REACH
+        assert disk.contains(root)
 
     @pytest.mark.parametrize("A, eps", [(2.0, 1e-12), (2.0, 1e-24), (3.0, 1e-24),
                                         (4.0, 1e-26)])
     def test_newton_matches_reference_bit_for_bit(self, A, eps):
         # one 3-point call per point gives the iterates and residuals of the
-        # reference iteration with one call per point
+        # reference iteration with one call per point, from the same start
         p0 = SpectralParams.eighth(A, eps)
         rep = dispersion.certify_eighth(p0)
         assert rep.certified
         root, iterates, residuals, converged = newton_loop(
-            lambda w: dispersion.gamma0(p0.chat_to_c(w), p0), rep.disk.center,
+            lambda w: dispersion.gamma0(p0.chat_to_c(w), p0), rep.newton.iterates[0],
             max_iter=60)
         assert converged
         assert np.array_equal(np.array(rep.newton.iterates).view(float),
@@ -245,6 +250,70 @@ class TestEighthRegime:
             c = dispersion.center_c(p0)
             vals.append(abs(dispersion.gamma0(c, p0)))
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestTaylorSeed:
+    @pytest.mark.parametrize("A, eps", [(2.0, 1e-12), (2.0, 1e-16), (2.0, 1e-24),
+                                        (2.5, 1e-20), (3.0, 1e-24), (4.0, 1e-26),
+                                        (4.0, 1e-32), (5.0, 1e-28)])
+    def test_series_root_is_the_root_newton_finds(self, A, eps):
+        # Newton from the root of the first round's Taylor series takes no
+        # step and ends within 1e-12 radii of Newton's root from the center
+        p0 = SpectralParams.eighth(A, eps)
+        rep = dispersion.certify_eighth(p0)
+        assert rep.certified
+        assert len(rep.newton.iterates) == 1 and rep.series_tail < 1e-13
+        disk = rep.disk
+        root, trace = newton_root(
+            lambda w: dispersion.gamma0(p0.chat_to_c(w), p0), disk.center, max_iter=60,
+            region=Circle(disk.center, dispersion._NEWTON_REACH * disk.radius))
+        assert trace.converged and len(trace.iterates) > 3
+        assert abs(rep.c_root - root) <= 1e-12 * disk.radius
+
+    def test_tail_resolves_gamma0_but_not_the_exact_gamma(self):
+        # Gamma0 is analytic on the A = 2 disk and 64 samples resolve it; the
+        # exact Gamma there winds 3, so no report carries its tail: its
+        # first round is evaluated at the same points
+        p0 = SpectralParams.eighth(2.0, 1e-12)
+        rep = dispersion.certify(p0)
+        assert rep.series_tail < 1e-13
+        thetas = math.pi / 64 + np.linspace(0.0, 2.0 * math.pi, 65)[:-1]
+        c = p0.chat_to_c(rep.disk.point(thetas))
+        gamma, _ = osresolvent.remainder_and_gamma(c, p0, osresolvent.build_bvp(p0, n_nodes=400))
+        assert dispersion.taylor_series(thetas, gamma)[1] > 0.1
+
+    def test_series_of_a_polynomial(self):
+        # the trapezoidal rule is exact for a polynomial of degree below M/2
+        circle = Circle(0.3 + 0.1j, 0.5)
+        thetas = math.pi / 16 + np.linspace(0.0, 2.0 * math.pi, 17)[:-1]
+        w = (circle.point(thetas) - circle.center) / circle.radius
+        b, tail = dispersion.taylor_series(thetas, 0.4 - 2j * w + w ** 3)
+        assert np.allclose(b, [0.4, -2j, 0.0, 1.0, 0, 0, 0, 0], atol=1e-15)
+        assert tail < 1e-14
+        assert dispersion._series_root(np.array([-0.5, 1.0])) == 0.5
+        assert dispersion._series_root(np.array([2.0, 1.0])) is None   # root at -2
+
+    def test_non_analytic_g_starts_from_the_center(self):
+        # w + 0.3 conj(w) winds once on the unit circle, but its k = -1
+        # coefficient is 0.3: no seed
+        disk = Circle(0.2 + 0.0j, 1.0)
+        rep = dispersion.find_root_certified(lambda z: z - 0.2 + 0.3 * np.conj(z - 0.2) - 0.06,
+                                             disk)
+        assert rep.certified and rep.samples == 65
+        assert abs(rep.series_tail - 0.3) < 1e-12
+        assert rep.newton.iterates[0] == disk.center
+
+    def test_refined_winding_count_reads_its_first_round(self):
+        # the root lies 0.96 radii out, so the first round's phase steps
+        # need the pi/2 refinement; the series comes from the first round's
+        # 64 points among the refined samples
+        p0 = SpectralParams.eighth(2.0, 1e-24)
+        rep = dispersion.certify_eighth(p0)
+        assert rep.certified and rep.samples > 65
+        thetas = math.pi / 64 + np.linspace(0.0, 2.0 * math.pi, 65)[:-1]
+        vals = dispersion.gamma0(p0.chat_to_c(rep.disk.point(thetas)), p0)
+        assert rep.series_tail == dispersion.taylor_series(thetas, vals)[1]
+        assert len(rep.newton.iterates) == 1
 
 
 def gamma0_scalar_oracle(c, params):
@@ -386,6 +455,14 @@ class TestBetaRegime:
         assert trace.converged and len(trace.iterates) > 2
         assert set(shapes) == {(3,)} and len(shapes) >= len(trace.iterates)
         assert (root, trace.iterates, trace.residuals) == ref[:3]
+
+    def test_newton_starts_from_the_center(self):
+        # Gamma0_beta is not analytic in c (one grid per point): its series
+        # tail is far above the seed's bound
+        p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
+        rep = dispersion.certify(p0, r3=0.5, tol=1e-10)
+        assert rep.series_tail > 1e-6
+        assert rep.newton.iterates[0] == rep.disk.center
 
     def test_certifies_in_contraction_regime(self):
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
