@@ -19,8 +19,9 @@ import numpy as np
 
 from . import airy, dispersion, fastmode, osresolvent
 from .errors import GrowthOverflow, TswaveError, WindingNotOne, ZeroOnContour
+from .numerics import hermite
 from .numerics import winding_samples  # noqa: F401  (perfbench/layers.py wraps it)
-from .params import SpectralParams
+from .params import BETA_EIGHTH, SpectralParams
 from .profile import DEFAULT_PROFILE, StructureConstants, check_structure
 
 __all__ = ["RunConfig", "run_sweep", "export_mode", "main"]
@@ -54,7 +55,7 @@ def _fmt(x):
 class RunConfig:
     regime: str = "eighth"              # 'eighth' or 'beta'
     amplitude: float = 2.0              # A (eighth) or M (beta)
-    beta: float = 0.125
+    beta: float | None = None           # None: 0.115 (beta) or 1/8 (eighth)
     eps_list: list = field(default_factory=lambda: [1e-8, 1e-10, 1e-12])
     theta: float = 0.5
     r3: float = 0.5
@@ -70,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.regime not in ("eighth", "beta"):
             raise ValueError("regime must be 'eighth' or 'beta'")
+        if self.beta is None:
+            self.beta = 0.115 if self.regime == "beta" else BETA_EIGHTH
         if not self.eps_list:
             raise ValueError("eps_list must be nonempty")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -284,8 +287,12 @@ def export_mode(c, params, t_list, nx, ny, out=None, full_os=False,
     y_span = y_span if y_span is not None else 40.0 * se
     ys = np.linspace(0.0, y_span, ny)
     Y = ys / se
-    prof = np.stack([phi.eval(1, Y), -1j * alpha * phi.eval(0, Y),
-                     psi.eval(1, Y), -1j * alpha * psi.eval(0, Y)])
+    # each order from its own node values: order 0 with order 1 as slopes,
+    # order 1 with its difference slopes (the slope of the order-0
+    # interpolant is up to 4e-5 of the largest value off)
+    prof = np.stack([col for f in (phi, psi)
+                     for col in (hermite(bvp.grid, f[1], bvp.d1 @ f[1], Y),
+                                 -1j * alpha * hermite(bvp.grid, f[0], f[1], Y))])
     block = np.empty((len(t_list), nx, ny, 8))      # t, x, y, u, v, hx, hy, energy_t
     block[..., 1], block[..., 2] = xs[:, None], ys
     energies = []
@@ -426,8 +433,6 @@ def _config_kwargs(args):
         if key in kwargs and only not in (None, regime):
             flag = next(f for f, r in _AMPLITUDE_FLAGS.items() if r == only)
             raise ValueError(f"{key} applies to the {only} regime only ({flag})")
-    if regime == "beta":
-        kwargs.setdefault("beta", 0.115)
     if kwargs.get("jobs", 1) < 1:
         raise ValueError(f"jobs must be at least 1, got {kwargs['jobs']}")
     return kwargs

@@ -1,8 +1,9 @@
 """Shared complex-analysis and grid utilities.
 
 Adaptive winding-number counting on circles, damped complex Newton iteration,
-graded grids with sub-layer clustering, 3-point difference stencils, trapezoid
-norms and integrals, the exponential-kernel cumulative integrals used by the
+graded grids with sub-layer clustering, 3-point difference stencils, the
+cubic Hermite interpolant of grid values and slopes, trapezoid norms and
+integrals, the exponential-kernel cumulative integrals used by the
 mild formulations of the second-order solvers (on an ``ExpKernel`` that the
 caller builds once and hands to each integral), and the binding of the
 LAPACK band routines.
@@ -38,6 +39,7 @@ __all__ = [
     "trap_weights",
     "Stencil",
     "diff_matrix",
+    "hermite",
     "l2_norm",
     "cumulative_trapezoid",
     "tail_trapezoid",
@@ -315,6 +317,20 @@ def diff_matrix(grid, order):
         first = [2.0 / (a0 * (a0 + b0)), -2.0 / (a0 * b0), 2.0 / (b0 * (a0 + b0))]
         last = [2.0 / (b1 * (a1 + b1)), -2.0 / (a1 * b1), 2.0 / (a1 * (a1 + b1))]
     return Stencil(np.array(interior), np.array(first), np.array(last))
+
+
+def hermite(grid, vals, slopes, Y):
+    """Cubic Hermite interpolant of the node values ``vals`` with derivatives
+    ``slopes`` on ``grid``, at the points ``Y``; 0 past the last node, where
+    the grid functions have decayed."""
+    Y = np.asarray(Y, dtype=float)
+    i = np.clip(np.searchsorted(grid, Y, side="right") - 1, 0, grid.size - 2)
+    h = grid[i + 1] - grid[i]
+    s = (Y - grid[i]) / h
+    r = 1.0 - s
+    out = (r * r * ((1.0 + 2.0 * s) * vals[i] + s * h * slopes[i])
+           + s * s * ((3.0 - 2.0 * s) * vals[i + 1] - r * h * slopes[i + 1]))
+    return np.where(Y <= grid[-1], out, 0.0)
 
 
 def l2_norm(vals, weights, point_weight=None, noise_floor=0.0):

@@ -33,7 +33,6 @@ import numpy as np
 from . import dispersion, fastmode, magnetic, slowmode
 from .errors import NonContraction, NonConvergence, SingularSystem, TswaveError
 from .numerics import diff_matrix, flapack, graded_grid, l2_norm, trap_weights
-from .params import mode_from_grid
 from .profile import profile_arrays
 
 __all__ = [
@@ -605,14 +604,13 @@ def _gamma_row(gamma0_val, p, bvp, sources):
 
 
 def build_mode(c, params, bvp, full_os=False):
-    """Combined mode (Phi, Psi) at wave speed c as grid-backed ModeFunctions,
-    each from its grid arrays of orders 0 and 1.
+    """Combined mode (Phi, Psi) at wave speed c on the grid of ``bvp``, each
+    as its arrays [order 0, order 1].
 
     Without ``full_os`` this is the approximate growing mode (zero stream
     functions at the wall by construction); with it the two remainder solves
     are subtracted, so the no-slip defect at the wall is Gamma(c) itself.
     """
-    grid = bvp.grid
     arrays, _, modes = assemble_error_terms(c, params, bvp)
     if full_os:
         r_phi, _, r_psi = _Factorized(params.with_c(c), bvp, "full",
@@ -625,4 +623,4 @@ def build_mode(c, params, bvp, full_os=False):
         phi_arrays[1] = phi_arrays[1] - bvp.d1 @ (r_phi[0] + r_phi[1])
         psi_arrays[0] = psi_arrays[0] - r_psi[0] - r_psi[1]
         psi_arrays[1] = psi_arrays[1] - bvp.d1 @ (r_psi[0] + r_psi[1])
-    return mode_from_grid(grid, phi_arrays), mode_from_grid(grid, psi_arrays)
+    return phi_arrays, psi_arrays

@@ -164,28 +164,3 @@ class ModeFunction:
 
     def __call__(self, Y):
         return self.eval(0, Y)
-
-
-def mode_from_grid(grid, vals_by_order):
-    """ModeFunction backed by cubic interpolation of per-order grid samples,
-    held as read-only copies.  Each order is fitted on first use, which is
-    also where scipy.interpolate is first imported; past the last node every
-    order is 0."""
-    grid, samples = np.array(grid), [np.array(v) for v in vals_by_order]
-    for a in (grid, *samples):
-        a.flags.writeable = False
-    splines = {}
-    ymax = grid[-1]
-
-    def evaluator(order, Y):
-        if order not in splines:
-            from scipy.interpolate import CubicSpline
-
-            v = samples[order]
-            splines[order] = (CubicSpline(grid, v.real), CubicSpline(grid, v.imag))
-        re, im = splines[order]
-        out = re(Y) + 1j * im(Y)
-        # grid functions decay; suppress cubic extrapolation past the far field
-        return np.where(np.asarray(Y) <= ymax, out, 0.0)
-
-    return ModeFunction(max_order=len(samples) - 1, evaluator=evaluator)

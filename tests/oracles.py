@@ -11,8 +11,10 @@ computed on every node of its grid.  None of this is on a path of the
 program: the tests compare the program's closed forms, its one-pass slow
 mode and per-grid profile arrays, its one-LU remainder
 solves, its blocked series recurrence, its Newton iteration and its
-hierarchy cut to the support of e^{-varpi Y} against it.  The Airy fast mode's ModeFunction view ``fast_mode_pair`` and the magnetic
-solve's default grid live here too: only the tests read them.
+hierarchy cut to the support of e^{-varpi Y} against it.  The Airy fast mode's ModeFunction view ``fast_mode_pair``, the spline
+``mode_from_grid`` that the exported mode's Hermite interpolant is checked
+against, and the magnetic solve's default grid live here too: only the
+tests read them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from tswave import airy, fastmode, osresolvent, slowmode
 from tswave.errors import (DerivativeBreakdown, NonConvergence, RegimeMismatch,
@@ -543,6 +546,22 @@ def fast_mode_pair(params):
 def default_magnetic_grid(params, n_nodes=1200):
     """Graded grid of a stand-alone magnetic solve, out to the far field."""
     return graded_grid(n_nodes, params.far_field, cluster_scale=1.0)
+
+
+# -- a mode interpolated from its grid samples by cubic splines ---------------
+
+def mode_from_grid(grid, vals_by_order):
+    """ModeFunction of a not-a-knot cubic spline through each order's grid
+    samples, 0 past the last node: the reference for ``numerics.hermite``."""
+    splines = [(CubicSpline(grid, v.real), CubicSpline(grid, v.imag))
+               for v in vals_by_order]
+    ymax = grid[-1]
+
+    def evaluator(order, Y):
+        re, im = splines[order]
+        return np.where(Y <= ymax, re(Y) + 1j * im(Y), 0.0)
+
+    return ModeFunction(max_order=len(splines) - 1, evaluator=evaluator)
 
 
 # -- Airy Maclaurin series, one stopping check per term ------------------------

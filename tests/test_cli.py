@@ -60,6 +60,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"needs beta in \(3/28, 1/8\)"):
             cli.build_config(type("Args", (), {"command": "root", "config": str(path)})())
 
+    def test_default_beta_follows_the_regime(self):
+        # the default used to be 1/8 in both regimes, which the beta regime
+        # refuses: only the command line filled in 0.115
+        assert cli.RunConfig(regime="beta", amplitude=1.0).beta == 0.115
+        cfg = cli.RunConfig()
+        assert cfg.beta == 0.125 and cfg.params(1e-12).is_eighth
 
     def test_amplitude_flags_exclude_each_other(self, capsys):
         # with both flags the beta regime's M used to stand in for the
@@ -416,10 +422,15 @@ class TestColdImports:
         ["sweep", "--A", "2", "--eps", "1e-12", "--full-os", "--grid-n", "400"],
         ["audit", "--A", "3", "--eps", "1e-15"],
         ["root", "--M", "1", "--beta", "0.115", "--eps", "1.17e-42"],
+        ["export-mode", "--A", "2", "--eps", "1e-12", "--t-list", "0,5e-4",
+         "--nx", "8", "--ny", "32"],
+        ["export-mode", "--A", "2", "--eps", "1e-12", "--full-os", "--t-list",
+         "0,5e-4", "--nx", "8", "--ny", "32"],
     ])
     def test_command_loads_only_the_lapack_extension(self, argv, tmp_path):
         # the band solves bind LAPACK from scipy's compiled extension alone:
-        # neither scipy.linalg's package init nor scipy.sparse runs
+        # neither scipy.linalg's package init nor scipy.sparse runs, and the
+        # exported mode is interpolated without scipy.interpolate
         argv = [*argv, "--out", str(tmp_path / "out")]
         loaded = _run_fresh(
             "import sys\n"
@@ -428,21 +439,6 @@ class TestColdImports:
             "print(*[m for m in sys.modules if m == 'scipy'\n"
             "        or m.startswith('scipy.') or m == 'concurrent.futures.process'])\n")
         assert loaded == ["scipy.linalg._flapack"]
-
-    def test_splines_load_interpolate_only_off_grid(self):
-        # a plain sweep row evaluates no grid mode; the off-grid evaluation
-        # shows that the check can see the import
-        loaded = _run_fresh(
-            "import sys\n"
-            "import numpy as np\n"
-            "from tswave import cli\n"
-            "from tswave.params import mode_from_grid\n"
-            "cli.run_sweep(cli.RunConfig(eps_list=[1e-8]))\n"
-            "print('scipy.interpolate' in sys.modules)\n"
-            "grid = np.linspace(0.0, 1.0, 5)\n"
-            "mode_from_grid(grid, [grid ** 2]).eval(0, 0.3)\n"
-            "print('scipy.interpolate' in sys.modules)\n")
-        assert loaded == ["False", "True"]
 
 
 @pytest.fixture(scope="module")

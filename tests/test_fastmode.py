@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oracles import airy_ratios, fast_mode_pair, hierarchy_full_grid
+from oracles import airy_ratios, fast_mode_pair, hierarchy_full_grid, mode_from_grid
 from tswave import airy, dispersion, fastmode, osresolvent
 from tswave.errors import RegimeMismatch, UnsupportedOrder
-from tswave.params import SpectralParams, mode_from_grid
+from tswave.params import SpectralParams
 from tswave.profile import profile_arrays
 
 

@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import default_magnetic_grid, equation_residual, fast_mode_pair, sup_exp_norm
+from oracles import (default_magnetic_grid, equation_residual, fast_mode_pair,
+                     mode_from_grid, sup_exp_norm)
 from tswave import magnetic, slowmode
 from tswave.errors import NonContraction, NonConvergence
 from tswave.magnetic import MagneticProblem, solve_magnetic, build_psi_app_s
 from tswave.numerics import graded_grid
-from tswave.params import SpectralParams, mode_from_grid
+from tswave.params import SpectralParams
 from tswave.profile import profile_arrays
 
 

@@ -12,15 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tswave
-from tswave import numerics
+from tswave import dispersion, numerics, osresolvent
 from tswave.errors import (DerivativeBreakdown, NonConvergence, NonResolvable,
                            ZeroOnContour)
-from oracles import Ray, Segment, newton_loop, quad_segment, stencil_matrix
+from oracles import (Ray, Segment, mode_from_grid, newton_loop, quad_segment,
+                     stencil_matrix)
 from tswave.numerics import (
     Circle, RootTrace, backward_exp_integral, cumulative_trapezoid,
-    diff_matrix, forward_exp_integral, graded_grid, l2_norm,
+    diff_matrix, forward_exp_integral, graded_grid, hermite, l2_norm,
     newton_root, tail_trapezoid, trap_weights, winding_samples,
 )
+from tswave.params import SpectralParams
 
 
 def _diff_matrix_loop(grid, order):
@@ -397,6 +399,51 @@ class TestGridsAndCalculus:
         back2 = _backward(np.exp(-2.0 * g2)[None], g2, xi, tail_rate=2.0)[0]
         err2 = np.max(np.abs(back2 - np.exp(-2.0 * g2) / (xi + 2.0)))
         assert np.max(np.abs(back - np.exp(-2.0 * g) / (xi + 2.0))) / err2 > 3.0
+
+
+class TestHermite:
+    grid = graded_grid(200, 40.0, cluster_scale=0.05)
+
+    def test_reproduces_a_cubic_from_exact_slopes(self):
+        coef = np.array([1.0 + 2.0j, -0.3, 0.05 + 0.01j, -1e-3j])
+        cubic = np.polynomial.Polynomial(coef)
+        Y = np.random.default_rng(0).uniform(0.0, 40.0, 500)
+        got = hermite(self.grid, cubic(self.grid), cubic.deriv()(self.grid), Y)
+        want = cubic(Y)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_equals_the_node_values_at_the_nodes(self):
+        rng = np.random.default_rng(1)
+        shape = (2, self.grid.size)
+        vals, slopes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(hermite(self.grid, vals, slopes, self.grid), vals)
+
+    def test_is_zero_past_the_last_node(self):
+        vals = np.exp(-self.grid)
+        got = hermite(self.grid, vals, -vals, [3.0, 40.0, 40.0 + 1e-9, 12e3])
+        assert got[0] == pytest.approx(math.exp(-3.0), rel=1e-6)
+        assert got[1] == vals[-1] and np.all(got[2:] == 0.0)
+
+    @pytest.mark.parametrize("p0, full_os", [
+        (SpectralParams.eighth(2.0, 1e-12), False),
+        (SpectralParams.eighth(2.0, 1e-12), True),
+        (SpectralParams.eighth(2.0, 1e-16), False),
+        (SpectralParams.eighth(2.0, 1e-16), True),
+        (SpectralParams.beta_regime(1.0, 0.11, 1e-24), False),
+    ])
+    def test_matches_the_spline_on_the_export_lattice(self, p0, full_os):
+        # the certified mode on the default grid at export's Y: order 0 with
+        # order 1 as slopes, order 1 with its difference slopes, against a
+        # cubic spline through each order (measured 1.1e-8 and 8.3e-7)
+        c = dispersion.certify(p0).c
+        bvp = osresolvent.build_bvp(p0)
+        Y = np.linspace(0.0, 40.0, 256)
+        for f in osresolvent.build_mode(c, p0, bvp, full_os=full_os):
+            spline = mode_from_grid(bvp.grid, f)
+            for order, slopes, bound in ((0, f[1], 5e-8), (1, bvp.d1 @ f[1], 2e-6)):
+                want = spline.eval(order, Y)
+                got = hermite(bvp.grid, f[order], slopes, Y)
+                assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 def _reference_backward(vals, grid, xi, tail_rate=0.0):

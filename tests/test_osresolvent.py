@@ -561,13 +561,13 @@ class TestRemainderAndGamma:
         phi, psi = osresolvent.build_mode(p0.chat_to_c(root), p0, bvp,
                                           full_os=True)
         g = bvp.grid
-        psi_vals = psi.eval(0, g[:5])
+        psi_vals = psi[0][:5]
         a, b = g[1] - g[0], g[2] - g[1]
         d2 = 2.0 * (a * psi_vals[2] - (a + b) * psi_vals[1] + b * psi_vals[0]) / (
             a * b * (a + b))
         # scale: the wall curvature of the approximate magnetic fast mode,
         # over the eps^{1/8} sub-layer scale n^{-1/3}
-        scale = np.max(np.abs(psi.eval(1, g[:50]))) / p0.n ** (-1.0 / 3.0)
+        scale = np.max(np.abs(psi[1][:50])) / p0.n ** (-1.0 / 3.0)
         assert abs(psi_vals[0]) <= 1e-10 * max(1.0, np.max(np.abs(psi_vals)))
         assert abs(d2) <= 2e-2 * scale
 

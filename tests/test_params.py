@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tswave.errors import RegimeMismatch, UnsupportedOrder
-from tswave.params import ModeFunction, SpectralParams, mode_from_grid
+from tswave.params import ModeFunction, SpectralParams
 
 
 class TestSpectralParams:
@@ -87,37 +87,3 @@ class TestModeFunction:
         assert f.eval(1, np.array([0.0, 1.0]))[1] == pytest.approx(1j * math.exp(-1.0))
         with pytest.raises(UnsupportedOrder):
             f.eval(2, 0.0)
-
-    def test_mode_from_grid_clamps_tail(self):
-        grid = np.linspace(0.0, 10.0, 300)
-        f = mode_from_grid(grid, [np.exp(-grid)])
-        assert f(12.0) == 0.0
-        assert f(3.0) == pytest.approx(math.exp(-3.0), rel=1e-8)
-
-    def test_mode_from_grid_fits_each_order_on_first_eval(self, monkeypatch):
-        from scipy import interpolate
-
-        grid = np.linspace(0.0, 10.0, 300)
-        vals = [np.exp(-(1.0 + 0.5j) * k * grid) for k in range(1, 4)]
-        eager = [(interpolate.CubicSpline(grid, v.real),
-                  interpolate.CubicSpline(grid, v.imag)) for v in vals]
-        fits = []
-        spline = interpolate.CubicSpline
-
-        def counted(x, y):
-            fits.append(1)
-            return spline(x, y)
-
-        monkeypatch.setattr(interpolate, "CubicSpline", counted)
-        grid_buf, val_bufs = grid.copy(), [v.copy() for v in vals]
-        f = mode_from_grid(grid_buf, val_bufs)
-        grid_buf[:] = 0.0       # later changes to the caller's buffers
-        for buf in val_bufs:
-            buf[:] = 0.0
-        assert fits == []
-        Y = np.linspace(0.0, 12.0, 97)
-        for order in (2, 0, 2, 1):
-            re, im = eager[order]
-            expected = np.where(Y <= grid[-1], re(Y) + 1j * im(Y), 0.0)
-            assert np.array_equal(f.eval(order, Y), expected)
-        assert len(fits) == 6

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (Segment, closed_form_calls, quad_segment, quadrature_integrals,
-                     rayleigh_apply)
+from oracles import (Segment, closed_form_calls, mode_from_grid, quad_segment,
+                     quadrature_integrals, rayleigh_apply)
 from tswave import dispersion, osresolvent, slowmode
-from tswave.params import SpectralParams, mode_from_grid
+from tswave.params import SpectralParams
 from tswave.profile import DEFAULT_PROFILE, profile_arrays
 
 P12 = SpectralParams.eighth(2.0, 1e-12)
