@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError(f"r3 must lie in (0, sqrt(2)/2), got {self.r3}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def params(self, eps):
         if self.regime == "eighth":
@@ -433,8 +435,6 @@ def _config_kwargs(args):
         if key in kwargs and only not in (None, regime):
             flag = next(f for f, r in _AMPLITUDE_FLAGS.items() if r == only)
             raise ValueError(f"{key} applies to the {only} regime only ({flag})")
-    if kwargs.get("jobs", 1) < 1:
-        raise ValueError(f"jobs must be at least 1, got {kwargs['jobs']}")
     return kwargs
 
 

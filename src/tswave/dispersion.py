@@ -17,7 +17,7 @@ import numpy as np
 
 from . import airy, fastmode, slowmode
 from .errors import WindingNotOne
-from .numerics import Circle, RootTrace, newton_root, pointwise, winding_samples
+from .numerics import Circle, RootTrace, newton_root, winding_samples
 
 __all__ = [
     "DispersionReport",
@@ -86,47 +86,47 @@ def gamma0(c, params):
     c = np.atleast_1d(np.asarray(c, dtype=complex))
     params.with_c(c[np.argmin(c.imag)])     # the Im c_hat > 0 check, on the lowest point
     chat = c + 1j / params.n
-    out = _gamma0(chat, *airy.ai_k((1, 2), params.z0_at(chat)), params)
+    out = _gamma0(slowmode.boundary_values(params, c_hat=chat),
+                  *airy.ai_k((1, 2), params.z0_at(chat)), params.delta)
     return complex(out[0]) if scalar else out
 
 
-def _gamma0(chat, ai1, ai2, params):
-    """Gamma0 at the points ``chat`` from Ai(1, z0) and Ai(2, z0) there."""
-    phi0, dphi0 = slowmode.boundary_values(params, c_hat=chat)
-    return dphi0 - phi0 * (ai1 / ai2) / params.delta
+def _gamma0(wall, ai1, ai2, delta):
+    """Gamma0 from the slow mode's wall values (Phi_app^s(0), dY Phi_app^s(0))
+    and Ai(1, z0), Ai(2, z0) at the same points."""
+    phi0, dphi0 = wall
+    return dphi0 - phi0 * (ai1 / ai2) / delta
 
 
-def gamma0_and_fast_pair(points, grid):
+def gamma0_and_fast_pair(points, chat, wall, grid):
     """``gamma0`` at the wave speed of each of ``points`` together with the
     Airy fast mode on ``grid`` from the same Airy evaluation: Phi_app^f of
     orders 0..2 and Psi_app^f of orders 0..1, each ``fastmode.airy_fast`` on
     the grid.
 
-    The one evaluation holds orders 0..3 at two wall offsets and on the grid.
-    The wall offsets are Gamma0's, formed in array arithmetic as in
-    ``gamma0``, and the fast mode's ``z0``, formed in scalar
-    arithmetic, which can round one ulp away from it; the grid block is
-    Y / delta + z0.  Each element of one evaluation takes the terms it would
-    take alone, so every value is that of its separate evaluation.
-
     ``points`` is a tuple of SpectralParams that differ only in c, one per
-    point of a block: the evaluation holds every point's wall offsets and
-    grid block, Gamma0 comes back as a (k,) array and each array of the
-    fast mode with a row per point.
+    point of a block, ``chat`` their shifted wave speeds as an array and
+    ``wall`` the slow mode's wall values there, as ``slowmode.boundary_values``
+    returns them.  The one evaluation holds orders 0..3 at each point's wall
+    offset z0 = ``z0_at(chat)``, which is also its ``params.z0``, and on its
+    grid block Y / delta + z0: Gamma0 and the fast mode's denominator read
+    the same Ai(k, z0).  Each element of one evaluation takes the terms it
+    would take alone, so every value is that of its separate evaluation.
+    Gamma0 comes back as a (k,) array and each array of the fast mode with
+    a row per point.
     """
     p = points[0]
-    chat = np.array([q.c for q in points]) + 1j / p.n
-    wall = np.column_stack([p.z0_at(chat), [q.z0 for q in points]])
-    airy._check_sector(wall)
+    z0 = p.z0_at(chat)[:, None]
+    airy._check_sector(z0)
     for q in points:
         fastmode.check_sublayer_scales(q)   # before the grid block is evaluated
     grid = np.asarray(grid, dtype=float)
-    z = np.concatenate([wall, grid / p.delta + pointwise(lambda q: q.z0, points)], axis=1)
+    z = np.concatenate([z0, grid / p.delta + z0], axis=1)
     ai = airy._ai_any((0, 1, 2, 3), z.ravel()).reshape((4,) + z.shape)
-    ratios = ai[:, :, 2:] / ai[2, :, 1:2]
+    ratios = ai[:, :, 1:] / ai[2, :, :1]
     phi = tuple(fastmode.airy_fast("Phi", o, grid, p, ratios) for o in range(3))
     psi = tuple(fastmode.airy_fast("Psi", o, grid, p, ratios) for o in range(2))
-    gamma = _gamma0(chat, ai[1, :, 0], ai[2, :, 0], p)
+    gamma = _gamma0(wall, ai[1, :, 0], ai[2, :, 0], p.delta)
     return gamma, (phi, psi)
 
 

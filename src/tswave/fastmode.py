@@ -5,7 +5,7 @@ primitives evaluated at z + z0 with z = Y / delta; in the smaller-beta regime
 it is an exponential hierarchy Phi_0 = e^{-varpi Y} plus iterated
 double-integral corrections.  The error terms of the full system take the
 fast mode as arrays on their grid by derivative order: ``airy_fast`` on a
-given block of Airy ratios, or the hierarchy's level sums.
+given block of Airy ratios, or the hierarchy's ``mode_arrays``.
 """
 
 from __future__ import annotations
@@ -167,14 +167,13 @@ class ExpFastHierarchy:
         return ([self.phi_levels[0] / self.varpi]
                 + [tail_trapezoid(p, self.grid) for p in self.phi_levels[1:]])
 
-    def sum_arrays(self, which, order):
-        if which == "Phi":
-            return np.sum((self.phi_levels, self.dphi_levels)[order], axis=0)
-        if order == 0:
-            return np.sum(self.psi_levels, axis=0)
-        # dY Psi_k = -Phi_k, dYY Psi_k = -dY Phi_k
-        base = (self.phi_levels, self.dphi_levels)[order - 1]
-        return -np.sum(base, axis=0)
+    def mode_arrays(self):
+        """The fast mode on the grid by derivative order: the level sums
+        (Phi, dY Phi) and (Psi, dY Psi = -Phi), and the top level
+        (Phi_N, dY Phi_N) that the beta-regime e1f reads."""
+        phi = (np.sum(self.phi_levels, axis=0), np.sum(self.dphi_levels, axis=0))
+        psi = (np.sum(self.psi_levels, axis=0), -phi[0])
+        return phi, psi, (self.phi_levels[-1], self.dphi_levels[-1])
 
     def boundary_slope_sum(self):
         """sum_{k>=1} dY Phi_k^f(0), the hierarchy part of the dispersion

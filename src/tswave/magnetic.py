@@ -4,7 +4,7 @@ Solves -(dYY - alpha^2) phi + i alpha (U_s - c) phi = f with phi(0) = phi_b
 and decay at infinity by splitting off the lift e^{-xi Y} phi_b,
 xi = sqrt(i alpha + alpha^2 - i alpha c) with Re xi > 0, and iterating the
 mild (double-integral) formulation of the remainder.  The per-step gap in the
-e^{eta Y}-weighted sup norm contracts like O(alpha).  A problem is a block of
+e^{eta Y}-weighted sup norm contracts like O(alpha).  A solve takes a block of
 wave speeds whose points run one Picard iteration together, with a row per
 point: the source is sampled on the solve grid, and the solution comes back
 there with its first two derivatives.
@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import NonContraction, NonConvergence
 from .numerics import backward_exp_integral, exp_kernel, forward_exp_integral, pointwise
-from .params import SpectralParams
 
-__all__ = ["MagneticProblem", "MagneticTrace", "MagneticTraces", "solve_magnetic",
-           "build_psi_app_s"]
+__all__ = ["MagneticTrace", "MagneticTraces", "lift_rate", "weight_exponent",
+           "solve_magnetic", "build_psi_app_s"]
 
 
 @dataclass
@@ -50,48 +49,36 @@ class MagneticTraces(tuple):
         return [r for trace in self for r in trace.ratios]
 
 
-@dataclass
-class MagneticProblem:
-    """Data for one magnetic solve of a block of wave speeds, one problem
-    per point: ``params``, a tuple of SpectralParams that differ only in c,
-    ``phi_b``, a tuple of boundary values, the source f sampled on the solve
-    grid with a row per point, its known envelope exponent ``decay_rate``
-    with |f(Y)| <~ e^{-decay_rate Y} (0 when unknown), and the weight
-    exponent eta < sqrt(2 alpha)/4 for the contraction norm, capped by the
-    source's rate when not given."""
-
-    params: tuple[SpectralParams, ...]
-    phi_b: tuple[complex, ...]
-    f: np.ndarray
-    decay_rate: float = 0.0
-    eta: float | None = None
-
-    def __post_init__(self):
-        ceiling = math.sqrt(2.0 * self.params[0].alpha) / 4.0
-        if self.eta is None:
-            self.eta = ceiling / 2.0
-            if self.decay_rate > 0.0:
-                self.eta = min(self.eta, 0.98 * self.decay_rate)
-        if not 0.0 < self.eta < ceiling:
-            raise ValueError(f"eta = {self.eta} outside (0, {ceiling})")
-
-    @property
-    def xi(self):
-        """The decay rate of the lift at each point, a tuple."""
-        def rate(p):
-            root = cmath.sqrt(1j * p.alpha + p.alpha**2 - 1j * p.alpha * p.c)
-            return -root if root.real < 0.0 else root
-
-        return tuple(rate(p) for p in self.params)
+def lift_rate(p):
+    """The decay rate xi of the lift at the wave speed of ``p``, the root of
+    i alpha + alpha^2 - i alpha c with Re xi > 0."""
+    root = cmath.sqrt(1j * p.alpha + p.alpha**2 - 1j * p.alpha * p.c)
+    return -root if root.real < 0.0 else root
 
 
-def solve_magnetic(prob, grid, prof, tol=1e-10, max_picard=80):
-    """Picard limit of the mild formulation on ``grid``, where ``prob.f`` is
-    sampled and ``prof`` holds the profile arrays (U_s and its wake are
-    read); returns ((phi, dY phi, dYY phi) on the grid, traces), each
-    array (k, N) with a row per point and the traces a ``MagneticTraces``.
+def weight_exponent(alpha, decay_rate):
+    """The exponent eta of the contraction norm's weight e^{eta Y}: half of
+    the ceiling sqrt(2 alpha)/4, capped at 0.98 of a source envelope rate
+    ``decay_rate`` > 0 (0 when unknown)."""
+    eta = math.sqrt(2.0 * alpha) / 4.0 / 2.0
+    if decay_rate > 0.0:
+        eta = min(eta, 0.98 * decay_rate)
+    return eta
 
-    Stops when the weighted sup-norm gap between successive iterates drops
+
+def solve_magnetic(params, phi_b, f, grid, prof, decay_rate=0.0, tol=1e-10,
+                   max_picard=80):
+    """Picard limit of the mild formulation on ``grid`` for a block of wave
+    speeds ``params``, a tuple of SpectralParams that differ only in c:
+    ``phi_b`` holds each point's boundary value, ``f`` the source sampled on
+    the grid with a row per point, ``decay_rate`` its known envelope
+    exponent with |f(Y)| <~ e^{-decay_rate Y} (0 when unknown), and ``prof``
+    the profile arrays (U_s and its wake are read).  Returns ((phi, dY phi,
+    dYY phi) on the grid, traces), each array (k, N) with a row per point
+    and the traces a ``MagneticTraces``.
+
+    Stops when the sup-norm gap between successive iterates, weighted by
+    e^{eta Y} with eta = ``weight_exponent(alpha, decay_rate)``, drops
     below ``tol``; raises NonContraction if the gap ratio reaches 1 twice in
     a row, NonConvergence at the iteration budget, and ValueError when the
     source is not (k, N) on the grid of N nodes.
@@ -106,24 +93,24 @@ def solve_magnetic(prob, grid, prof, tol=1e-10, max_picard=80):
     through the stacked exp-kernel solve (0 * NaN), but such a row never
     meets ``tol``, so the block fails and no row it touched is returned.
     """
-    points = prob.params
     grid = np.asarray(grid, dtype=float)
-    f_vals = np.asarray(prob.f)
-    k = len(points)
+    f_vals = np.asarray(f)
+    k = len(params)
     if f_vals.shape != (k,) + grid.shape:
         raise ValueError(f"magnetic source has shape {f_vals.shape}, not one row "
                          f"per point ({k}) on the grid {grid.shape}")
-    xis = prob.xi
+    xis = tuple(lift_rate(p) for p in params)
     # the point scalars as (k, 1) columns
     xi = pointwise(complex, xis)
-    c = pointwise(lambda p: p.c, points)
-    phi_b = pointwise(complex, prob.phi_b)
-    alpha = points[0].alpha
+    c = pointwise(lambda p: p.c, params)
+    phi_b = pointwise(complex, phi_b)
+    alpha = params[0].alpha
+    eta = weight_exponent(alpha, decay_rate)
     # i alpha (1 - U_s), the same at every Picard step
     coupling = 1j * alpha * prof.wake
     lift = np.exp(-xi * grid) * phi_b
     f_tilde = f_vals + coupling * lift
-    weight = np.exp(prob.eta * grid)
+    weight = np.exp(eta * grid)
     kernel = exp_kernel(grid, xis)
 
     traces = [MagneticTrace() for _ in range(k)]
@@ -133,7 +120,7 @@ def solve_magnetic(prob, grid, prof, tol=1e-10, max_picard=80):
     for _ in range(max_picard):
         # every row is iterated, and only the live ones take the new iterate
         inner = backward_exp_integral(f_tilde + coupling * phi_t, grid, kernel,
-                                      tail_rate=prob.eta)
+                                      tail_rate=eta)
         new = forward_exp_integral(inner, grid, kernel)
         gaps = np.max(weight * np.abs(new - phi_t), axis=1)
         if len(live) == k:
@@ -166,7 +153,7 @@ def solve_magnetic(prob, grid, prof, tol=1e-10, max_picard=80):
     # one more application of the Picard map: a-posteriori equation defect of
     # the returned iterate in the weighted sup norm (mild formulation)
     inner_final = backward_exp_integral(
-        f_tilde + coupling * phi_t, grid, kernel, tail_rate=prob.eta)
+        f_tilde + coupling * phi_t, grid, kernel, tail_rate=eta)
     remapped = forward_exp_integral(inner_final, grid, kernel)
     residuals = np.max(weight * np.abs(remapped - phi_t), axis=1)
     for trace, res in zip(traces, residuals):
@@ -191,5 +178,4 @@ def build_psi_app_s(params, slow, fast_psi_at_0, slow_at_0, grid, prof):
     alpha = params[0].alpha
     f = 1j * alpha * prof.hs * slow[0] + slow[1]
     phi_b = tuple(complex(s * p) for s, p in zip(slow_at_0, fast_psi_at_0))
-    prob = MagneticProblem(params=params, phi_b=phi_b, f=f, decay_rate=min(alpha, 1.0))
-    return solve_magnetic(prob, grid, prof)[0]
+    return solve_magnetic(params, phi_b, f, grid, prof, decay_rate=min(alpha, 1.0))[0]

@@ -360,16 +360,11 @@ def cumulative_trapezoid(vals, grid):
     return out
 
 
-def tail_trapezoid(vals, grid, tail_rate=0.0):
-    """Trapezoid integral from each node to infinity, along the last axis.
-
-    Beyond the last node the integrand is modeled as
-    ``vals[-1] * exp(-tail_rate (Y - Y_max))``; with ``tail_rate == 0`` the
-    tail is dropped.
-    """
+def tail_trapezoid(vals, grid):
+    """Trapezoid integral from each node to the last node, along the last
+    axis: the integrand is taken to vanish past the grid."""
     cum = cumulative_trapezoid(vals, grid)
-    tail = np.asarray(vals)[..., -1:] / tail_rate if tail_rate > 0.0 else 0.0
-    return (cum[..., -1:] - cum) + tail
+    return cum[..., -1:] - cum
 
 
 def _exp_kernel_coeffs(x, decay):

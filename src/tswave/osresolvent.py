@@ -465,17 +465,17 @@ def assemble_error_terms(c, params, bvp):
     points = tuple(params.with_c(v) for v in np.atleast_1d(c))
     p = points[0]
     grid = bvp.grid
-    phi0, dphi0 = slowmode.boundary_values(p, c_hat=np.array([q.c_hat for q in points]))
+    chat = np.array([q.c_hat for q in points])
+    phi0, dphi0 = slowmode.boundary_values(p, c_hat=chat)
     wall = [complex(v) for v in phi0]       # Phi_app^s(0) of each point
 
     if p.is_eighth:
-        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(points, grid)
+        gamma0_val, (phi_f, psi_f) = dispersion.gamma0_and_fast_pair(
+            points, chat, (phi0, dphi0), grid)
         phi_last = None
     else:
         hier = fastmode.ExpFastHierarchy(points, grid=grid)
-        phi_f = tuple(hier.sum_arrays("Phi", o) for o in range(2))
-        psi_f = tuple(hier.sum_arrays("Psi", o) for o in range(2))
-        phi_last = (hier.phi_levels[-1], hier.dphi_levels[-1])
+        phi_f, psi_f, phi_last = hier.mode_arrays()
         gamma0_val = dispersion.gamma0_of_hierarchy(phi0, dphi0, hier)
 
     prof = bvp.profile
@@ -484,8 +484,8 @@ def assemble_error_terms(c, params, bvp):
     # grid[0] = 0: the wall value of the fast mode's magnetic part
     psi_s = magnetic.build_psi_app_s(points, slow, psi_f[0][:, 0], wall, grid, prof)
 
-    arrays = {f"e{k}s": slowmode.slow_errors(k, prof, points, psi_s, slow_pass)
-              for k in (1, 2, 3)}
+    arrays = dict(zip(("e1s", "e2s", "e3s"),
+                      slowmode.slow_errors(prof, points, psi_s, slow_pass)))
     arrays.update(zip(("e1f", "e2f", "e3f", "ff"), fastmode.fast_errors(
         grid, prof, points, wall, phi_f, psi_f, phi_last=phi_last)))
     modes = {"slow": slow, "phi_f": phi_f, "psi_f": psi_f, "psi_s": psi_s,

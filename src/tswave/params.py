@@ -109,8 +109,10 @@ class SpectralParams:
 
     @property
     def z0(self):
-        """Scaled critical-layer offset e^{-5i pi/6} n^{1/3} c_hat."""
-        return self.z0_at(self.c_hat)
+        """Scaled critical-layer offset e^{-5i pi/6} n^{1/3} c_hat, formed as
+        ``z0_at`` forms it for an array: the scalar product can round one ulp
+        away from it."""
+        return complex(self.z0_at(np.array([self.c_hat]))[0])
 
     def z0_at(self, c_hat):
         """The offset z0 of a given c_hat, a scalar or an array."""

@@ -142,32 +142,26 @@ def rayleigh_residual_form(slow, alpha):
     return -2.0 * alpha**2 * slow.psi1 * slow.combo
 
 
-def slow_errors(group, prof, params, psi, slow):
-    """Slow-mode error terms: group 1 and 2 are the divergence/tangential
-    parts, group 3 carries the strongly decaying remainder.
+def slow_errors(prof, params, psi, slow):
+    """Slow-mode error terms (e1s, e2s, e3s): the divergence and tangential
+    parts, then the strongly decaying remainder.
 
     ``prof`` holds the profile arrays on a grid and ``psi`` the magnetic
     slow mode Psi_app^s there by derivative order (to order 1), with a row
     per point of the block ``params``; the velocity slow mode is read from
     ``slow``, the slow-mode pass of the grid.
     """
-    if group not in (1, 2, 3):
-        raise ValueError("group must be 1, 2 or 3")
     p = params[0]
     a, n, se = p.alpha, p.n, p.sqrt_eps
     c = pointwise(lambda q: q.c, params)
     hs = prof.hs
     phi = slow.phi_app
-
-    if group == 1:
-        us = prof.us
-        return ((1j / n) * (phi[3] - 2.0 * a**2 * phi[1])
-                - se * hs * psi[1]
-                - (a / n) * ((us - c) * psi[0] - hs * phi[0]))
-    if group == 2:
-        return ((a**3 / n) * phi[0]
-                - 1j * a * se * hs * psi[0]
-                - (a / n) * phi[0])
-    return (rayleigh_residual_form(slow, a)
-            + se * prof.dhs * psi[1]
-            + se * prof.d2hs * psi[0])
+    return (((1j / n) * (phi[3] - 2.0 * a**2 * phi[1])
+             - se * hs * psi[1]
+             - (a / n) * ((prof.us - c) * psi[0] - hs * phi[0])),
+            ((a**3 / n) * phi[0]
+             - 1j * a * se * hs * psi[0]
+             - (a / n) * phi[0]),
+            (rayleigh_residual_form(slow, a)
+             + se * prof.dhs * psi[1]
+             + se * prof.d2hs * psi[0]))

@@ -29,7 +29,7 @@ from oracles import (alternated_gamma, default_magnetic_grid, quadrature_integra
 from tswave import airy, dispersion, osresolvent, slowmode
 from tswave.errors import (NonContraction, NonConvergence, SingularSystem,
                            TswaveError, WindingNotOne)
-from tswave.magnetic import MagneticProblem, solve_magnetic
+from tswave.magnetic import solve_magnetic
 from tswave.params import SpectralParams
 from tswave.profile import profile_arrays
 
@@ -151,9 +151,8 @@ def test_criterion_3_magnetic_contraction():
         p = SpectralParams(eps=alpha**8, amplitude=1.0).with_c(0.1 + 0.05j)
         grid = default_magnetic_grid(p)
         f = np.exp(-0.5 * grid) * (1.0 + 0.0j)
-        mode, (trace,) = solve_magnetic(
-            MagneticProblem(params=(p,), phi_b=(1.0,), f=f[None], decay_rate=0.5), grid,
-            profile_arrays(grid), tol=tol)
+        mode, (trace,) = solve_magnetic((p,), (1.0,), f[None], grid, profile_arrays(grid),
+                                        decay_rate=0.5, tol=tol)
         band.append(trace.ratios[1] / alpha)
         worst_defect = max(worst_defect, trace.residual_weighted)
     spread = max(band) / min(band)

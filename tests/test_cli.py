@@ -40,6 +40,13 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
                 cli.RunConfig(eps_list=[1e-10], newton_tol=tol)
 
+    def test_jobs_at_least_one(self):
+        # refused by the config itself, not only on the way from the command
+        # line: a library caller's jobs = 0 used to run serially
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+                cli.RunConfig(eps_list=[1e-8], jobs=jobs)
+
     def test_params_builder(self):
         cfg = cli.RunConfig(regime="beta", amplitude=1.0, beta=0.115,
                             eps_list=[1e-10])

@@ -38,12 +38,6 @@ def airy_arrays(Y, p, ratios=None):
             [fastmode.airy_fast("Psi", o, Y, p, ratios) for o in range(2)])
 
 
-def hierarchy_arrays(hier):
-    """The hierarchy's level sums by order: Phi and Psi to order 1."""
-    return ([hier.sum_arrays("Phi", o) for o in range(2)],
-            [hier.sum_arrays("Psi", o) for o in range(2)])
-
-
 class TestAiryFast:
     def test_wall_normalization(self, eighth_params):
         assert airy_fast("Phi", 0, 0.0, eighth_params) == pytest.approx(1.0)
@@ -157,7 +151,7 @@ class TestExpHierarchy:
         p = beta_params
         hier = fastmode.ExpFastHierarchy((p,))
         assert hier.grid[0, 0] == 0.0
-        val = hier.sum_arrays("Phi", 0)[0, 0]
+        val = hier.mode_arrays()[0][0][0, 0]
         # sum over levels: level 0 contributes 1, the rest vanish at the wall
         assert val == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(RegimeMismatch):
@@ -167,14 +161,17 @@ class TestExpHierarchy:
         p = beta_params
         Y = np.linspace(0.0, 0.2, 9)
         hier = fastmode.ExpFastHierarchy((p,), n_terms=0)
-        vals = mode_from_grid(hier.grid[0], [hier.sum_arrays("Phi", 0)[0]]).eval(0, Y)
+        vals = mode_from_grid(hier.grid[0], [hier.mode_arrays()[0][0][0]]).eval(0, Y)
         assert np.max(np.abs(vals - np.exp(-p.varpi * Y))) < 1e-10
 
     def test_linkage(self, beta_params):
+        # dY Psi = -Phi: exactly for the order-1 array, and to the grid's
+        # resolution for the tail integrals of the order-0 one
         hier = fastmode.ExpFastHierarchy((beta_params,), n_terms=2)
-        d2psi = hier.sum_arrays("Psi", 2)
-        d1phi = hier.sum_arrays("Phi", 1)
-        assert np.max(np.abs(d2psi + d1phi)) == 0.0
+        phi, psi, _ = hier.mode_arrays()
+        assert np.array_equal(psi[1], -phi[0])
+        d1psi = np.gradient(psi[0][0], hier.grid[0])     # one-sided at the wall
+        assert np.max(np.abs(d1psi - psi[1][0])[1:]) <= 1e-2 * np.max(np.abs(phi[0]))
 
 
 def disk_params(beta, eps):
@@ -310,11 +307,10 @@ class TestFastErrors:
             p0 = SpectralParams.beta_regime(1.0, 0.1075, eps)
             p = p0.with_c(dispersion.center_beta(p0))
             bvp = osresolvent.build_bvp(p, n_nodes=1600)
-            hier = fastmode.ExpFastHierarchy((p,), grid=bvp.grid)
+            phi, psi, top = fastmode.ExpFastHierarchy((p,), grid=bvp.grid).mode_arrays()
             phi0, _ = slowmode.boundary_values(p)
-            ff = fastmode.fast_errors(
-                bvp.grid, bvp.profile, (p,), phi0, *hierarchy_arrays(hier),
-                phi_last=(hier.phi_levels[-1], hier.dphi_levels[-1]))[3]
+            ff = fastmode.fast_errors(bvp.grid, bvp.profile, (p,), phi0, phi, psi,
+                                      phi_last=top)[3]
             vals[eps] = (p.alpha, l2_norm(ff[0], trap_weights(bvp.grid)))
         (a1, n1), (a2, n2) = vals.values()
         slope = (np.log(n2) - np.log(n1)) / (np.log(a2) - np.log(a1))
@@ -332,7 +328,7 @@ class TestFastErrors:
         hier = fastmode.ExpFastHierarchy((p,), n_terms=2)
         with pytest.raises(ValueError):
             fastmode.fast_errors(hier.grid[0], profile_arrays(hier.grid[0]), (p,),
-                                 (1.0,), *hierarchy_arrays(hier))
+                                 (1.0,), *hier.mode_arrays()[:2])
 
 
 class TestFastModePair:

@@ -1,5 +1,4 @@
 import math
-import typing
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +8,7 @@ from oracles import (default_magnetic_grid, equation_residual, fast_mode_pair,
                      mode_from_grid, sup_exp_norm)
 from tswave import magnetic, slowmode
 from tswave.errors import NonContraction, NonConvergence
-from tswave.magnetic import MagneticProblem, solve_magnetic, build_psi_app_s
+from tswave.magnetic import solve_magnetic, build_psi_app_s
 from tswave.numerics import graded_grid
 from tswave.params import SpectralParams
 from tswave.profile import profile_arrays
@@ -24,32 +23,26 @@ def exp_source(Y, rate=0.5):
     return np.exp(-rate * Y) * (1.0 + 0.0j)
 
 
-def exp_problem(p, phi_b, grid, rate=0.5, **kwargs):
-    """The problem of the one point ``p`` with the source e^{-rate Y} sampled
+def exp_problem(p, phi_b, grid, rate=0.5):
+    """``solve_magnetic``'s problem arguments, before the grid, and its
+    decay rate, for the one point ``p`` with the source e^{-rate Y} sampled
     on ``grid``."""
-    return MagneticProblem(params=(p,), phi_b=(phi_b,), f=exp_source(grid, rate)[None],
-                           decay_rate=rate, **kwargs)
+    return ((p,), (phi_b,), exp_source(grid, rate)[None]), {"decay_rate": rate}
 
 
 def solve_point(prob, grid, **kwargs):
     """``solve_magnetic`` of a problem of one point: row 0 of each array and
     the point's trace."""
-    mode, (trace,) = solve_magnetic(prob, grid, profile_arrays(grid), **kwargs)
+    args, rate = prob
+    mode, (trace,) = solve_magnetic(*args, grid, profile_arrays(grid), **rate, **kwargs)
     return tuple(v[0] for v in mode), trace
-
-
-def test_problem_type_hints_resolve():
-    hints = typing.get_type_hints(MagneticProblem)
-    assert hints["params"] == tuple[SpectralParams, ...]
-    assert hints["f"] is np.ndarray
 
 
 class TestSolve:
     def test_zero_data_gives_zero(self):
         p = params_with_alpha(0.1)
         grid = default_magnetic_grid(p)
-        prob = MagneticProblem(params=(p,), phi_b=(0.0,),
-                               f=np.zeros((1, grid.size), dtype=complex), decay_rate=1.0)
+        prob = ((p,), (0.0,), np.zeros((1, grid.size), dtype=complex)), {"decay_rate": 1.0}
         mode, trace = solve_point(prob, grid, tol=1e-12)
         assert max(np.max(np.abs(v)) for v in mode) == 0.0
         assert trace.converged
@@ -86,15 +79,15 @@ class TestSolve:
 
     def test_xi_branch_window(self):
         for alpha in (0.05, 0.2):
-            p = params_with_alpha(alpha)
-            prob = exp_problem(p, 0.0, default_magnetic_grid(p))
             lo = math.sqrt(2.0 * alpha) / 3.0
-            assert lo < prob.xi[0].real < 2.0 * lo
+            assert lo < magnetic.lift_rate(params_with_alpha(alpha)).real < 2.0 * lo
 
-    def test_eta_validation(self):
-        p = params_with_alpha(0.1)
-        with pytest.raises(ValueError):
-            exp_problem(p, 0.0, default_magnetic_grid(p), eta=math.sqrt(0.2) / 2.0)
+    def test_weight_exponent_below_its_ceiling(self):
+        # half the ceiling sqrt(2 alpha)/4, capped by a known source rate
+        ceiling = math.sqrt(0.2) / 4.0
+        assert magnetic.weight_exponent(0.1, 0.0) == ceiling / 2.0
+        assert magnetic.weight_exponent(0.1, 1.0) == ceiling / 2.0
+        assert magnetic.weight_exponent(0.1, 0.05) == 0.98 * 0.05
 
     def test_source_must_be_sampled_on_the_grid(self):
         # an array source is not broadcast: a scalar or a sample on another
@@ -103,26 +96,25 @@ class TestSolve:
         grid = default_magnetic_grid(p)
         sources = ((np.complex128(1.0), r"\(\)"), (exp_source(grid[:-1])[None], r"\(1, 1199\)"))
         for f, shape in sources:
-            prob = MagneticProblem(params=(p,), phi_b=(1.0,), f=f, decay_rate=0.5)
             with pytest.raises(ValueError, match=shape + r".*\(1200,\)"):
-                solve_magnetic(prob, grid, profile_arrays(grid))
+                solve_magnetic((p,), (1.0,), f, grid, profile_arrays(grid), decay_rate=0.5)
 
     def test_nonconvergence_budget(self):
         p = params_with_alpha(0.2)
         grid = default_magnetic_grid(p)
         with pytest.raises(NonConvergence):
-            solve_magnetic(exp_problem(p, 1.0 + 0.0j, grid), grid, profile_arrays(grid),
-                           tol=1e-14, max_picard=2)
+            solve_point(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-14, max_picard=2)
 
     def test_noncontraction_detector(self):
         # a wake decaying too slowly (and too large) breaks the contraction;
         # the runtime detector is the admissibility check
         p = SpectralParams(eps=0.5, amplitude=0.95 / 0.5 ** 0.125).with_c(0.05 + 0.01j)
         grid = default_magnetic_grid(p)
-        prob = exp_problem(p, 1.0 + 0.0j, grid)
+        args, rate = exp_problem(p, 1.0 + 0.0j, grid)
         wake = 6.0 / (1.0 + grid)
         with pytest.raises(NonContraction):
-            solve_magnetic(prob, grid, SimpleNamespace(us=1.0 - wake, wake=wake), tol=1e-11)
+            solve_magnetic(*args, grid, SimpleNamespace(us=1.0 - wake, wake=wake), **rate,
+                           tol=1e-11)
 
 
 class TestBlockSolve:
@@ -137,16 +129,15 @@ class TestBlockSolve:
         base = params_with_alpha(0.1)
         grid = default_magnetic_grid(base)
         points = [(base.with_c(c), exp_source(grid, r), pb) for c, r, pb in self.POINTS]
-        block = MagneticProblem(params=tuple(p for p, _, _ in points),
-                                phi_b=tuple(pb for _, _, pb in points),
-                                f=np.stack([f for _, f, _ in points]), decay_rate=0.3)
-        singles = [MagneticProblem(params=(p,), phi_b=(pb,), f=f[None], decay_rate=0.3)
-                   for p, f, pb in points]
+        block = [tuple(p for p, _, _ in points), tuple(pb for _, _, pb in points),
+                 np.stack([f for _, f, _ in points])]
+        singles = [(((p,), (pb,), f[None]), {"decay_rate": 0.3}) for p, f, pb in points]
         return grid, block, singles
 
     def test_rows_and_traces_are_the_single_solves(self):
         grid, block, singles = self.problems()
-        mode, traces = solve_magnetic(block, grid, profile_arrays(grid), tol=1e-11)
+        mode, traces = solve_magnetic(*block, grid, profile_arrays(grid), decay_rate=0.3,
+                                      tol=1e-11)
         assert isinstance(traces, magnetic.MagneticTraces)
         for j, prob in enumerate(singles):
             ref, trace = solve_point(prob, grid, tol=1e-11)
@@ -162,17 +153,18 @@ class TestBlockSolve:
         # that row never meets tol and the block raises, while the other
         # points solve on their own (Gamma then takes the block point by point)
         grid, block, singles = self.problems()
-        block.f[1, grid.size // 2] = math.nan
+        block[2][1, grid.size // 2] = math.nan
         with pytest.raises(NonConvergence, match="gap nan"):
-            solve_magnetic(block, grid, profile_arrays(grid), tol=1e-11, max_picard=12)
+            solve_magnetic(*block, grid, profile_arrays(grid), decay_rate=0.3, tol=1e-11,
+                           max_picard=12)
         for j in (0, 2, 3):
-            solve_magnetic(singles[j], grid, profile_arrays(grid), tol=1e-11, max_picard=12)
+            solve_point(singles[j], grid, tol=1e-11, max_picard=12)
 
     def test_source_must_have_a_row_per_point(self):
         grid, block, _ = self.problems()
-        block.f = block.f[:3]
+        block[2] = block[2][:3]
         with pytest.raises(ValueError, match="shape"):
-            solve_magnetic(block, grid, profile_arrays(grid))
+            solve_magnetic(*block, grid, profile_arrays(grid))
 
 
 class TestMeasuredScalings:
@@ -183,9 +175,8 @@ class TestMeasuredScalings:
         for alpha in (0.05, 0.1, 0.2):
             p = params_with_alpha(alpha)
             grid = default_magnetic_grid(p)
-            prob = exp_problem(p, 1.0 + 0.0j, grid)
-            mode, _ = solve_point(prob, grid, tol=1e-11)
-            w = np.exp(prob.eta * grid)
+            mode, _ = solve_point(exp_problem(p, 1.0 + 0.0j, grid), grid, tol=1e-11)
+            w = np.exp(magnetic.weight_exponent(p.alpha, 0.5) * grid)
             sup0 = np.max(w * np.abs(mode[0]))
             sup1 = np.max(w * np.abs(mode[1]))
             denom0 = 1.0 + 1.0 / alpha

@@ -1,3 +1,4 @@
+import ast
 import gc
 import math
 import random
@@ -5,6 +6,7 @@ import warnings
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -724,12 +726,12 @@ class TestGammaBlocks:
         assert _raised(points)[0] is ValueError
         assert _raised(block) == _raised(points)
 
-        def nan_source(prob, grid, prof, **kwargs):
+        def nan_source(params, phi_b, f, grid, prof, **kwargs):
             # Gamma solves each block, of one point or more, as a tuple
-            for row, q in zip(prob.f, prob.params):
+            for row, q in zip(f, params):
                 if q.c == cs[2]:
                     row[len(grid) // 2] = math.nan
-            return solve_magnetic(prob, grid, prof, **kwargs)
+            return solve_magnetic(params, phi_b, f, grid, prof, **kwargs)
 
         cs[:] = healthy
         monkeypatch.setattr(magnetic, "solve_magnetic", nan_source)
@@ -881,23 +883,16 @@ def _to_band(matrix):
 
 @contextmanager
 def counted_views():
-    """Count ModeFunction evaluations and spline fits within the block."""
-    from scipy import interpolate
-
-    counts = {"eval": 0, "fit": 0}
-    evaluate, fit = ModeFunction.eval, interpolate.CubicSpline
+    """Count ModeFunction evaluations within the block."""
+    counts = {"eval": 0}
+    evaluate = ModeFunction.eval
 
     def counted_eval(self, order, Y):
         counts["eval"] += 1
         return evaluate(self, order, Y)
 
-    def counted_fit(x, y):
-        counts["fit"] += 1
-        return fit(x, y)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ModeFunction, "eval", counted_eval)
-        mp.setattr(interpolate, "CubicSpline", counted_fit)
         yield counts
 
 
@@ -920,13 +915,12 @@ def assert_handoff(p, bvp, arrays, modes, fast, phi_last):
     phi0 = modes["phi0"]
     prof = profile_arrays(grid)
     source = 1j * p.alpha * prof.hs * slow[0] + slow[1]
-    prob = magnetic.MagneticProblem(params=(p,), phi_b=(complex(phi0 * psi_f[0][0]),),
-                                    f=source[None], decay_rate=min(p.alpha, 1.0))
-    psi_s, _ = magnetic.solve_magnetic(prob, grid, prof)
+    psi_s, _ = magnetic.solve_magnetic((p,), (complex(phi0 * psi_f[0][0]),), source[None],
+                                       grid, prof, decay_rate=min(p.alpha, 1.0))
     assert all(same(a, b[0]) for a, b in zip(modes["psi_s"], psi_s))
-    for k in (1, 2, 3):
-        assert same(arrays[f"e{k}s"], slowmode.slow_errors(
-            k, prof, (p,), psi_s, slowmode._slow_pass(grid, prof, (p,)))[0])
+    slow_errors = slowmode.slow_errors(prof, (p,), psi_s, slowmode._slow_pass(grid, prof, (p,)))
+    for key, want in zip(("e1s", "e2s", "e3s"), slow_errors):
+        assert same(arrays[key], want[0])
     fast_errors = fastmode.fast_errors(grid, prof, (p,), (phi0,), phi_f, psi_f,
                                        phi_last=phi_last)
     for key, want in zip(("e1f", "e2f", "e3f", "ff"), fast_errors):
@@ -1143,11 +1137,8 @@ class TestPerGridState:
             assert passes == [np.size(c)]
         assert profiles == [bvp.n]
 
-    def test_error_terms_evaluate_closed_forms_once_and_fit_no_spline(self, monkeypatch):
-        # J, K and L are evaluated in one closed-form pass on the grid, and
-        # the modes are handed on as grid arrays, with no spline fitted
-        from scipy import interpolate
-
+    def test_error_terms_evaluate_closed_forms_once(self, monkeypatch):
+        # J, K and L are evaluated in one closed-form pass on the grid
         p = basin_params()
         bvp = osresolvent.build_bvp(p, n_nodes=1600)
         calls = []
@@ -1160,43 +1151,43 @@ class TestPerGridState:
                 return method(self, Y, chat)
 
             monkeypatch.setattr(HartmannProfile, name, counted)
-        fits = []
-        spline = interpolate.CubicSpline
-
-        def counted_fit(x, y):
-            fits.append(1)
-            return spline(x, y)
-
-        monkeypatch.setattr(interpolate, "CubicSpline", counted_fit)
         osresolvent.assemble_error_terms(p.c, p, bvp)
         assert calls == ["critical_layer_integrals"]
-        assert fits == []
 
-    def test_beta_error_terms_fit_no_spline(self):
+    def test_beta_error_terms_hand_on_grid_arrays(self):
         # the assembly hands the hierarchy's level sums and top level on as
-        # grid arrays, evaluates no ModeFunction and fits no spline; every
-        # array is the one of the hierarchy and of the separate solves
+        # grid arrays and evaluates no ModeFunction; every array is the one
+        # of the hierarchy and of the separate solves
         p0 = SpectralParams.beta_regime(1.0, 0.1075, 1e-24)
         p = p0.with_c(dispersion.center_beta(p0))
         bvp = osresolvent.build_bvp(p, n_nodes=400)
         with counted_views() as views:
             arrays, _, modes = osresolvent.assemble_error_terms(p.c, p, bvp)
-        assert views == {"eval": 0, "fit": 0}
-        hier = fastmode.ExpFastHierarchy((p,), grid=bvp.grid)
-        fast = ([hier.sum_arrays("Phi", o)[0] for o in range(2)],
-                [hier.sum_arrays("Psi", o)[0] for o in range(2)])
-        assert_handoff(p, bvp, arrays, modes, fast,
-                       (hier.phi_levels[-1][0], hier.dphi_levels[-1][0]))
+        assert views == {"eval": 0}
+        phi, psi, top = fastmode.ExpFastHierarchy((p,), grid=bvp.grid).mode_arrays()
+        assert_handoff(p, bvp, arrays, modes, ([v[0] for v in phi], [v[0] for v in psi]),
+                       tuple(v[0] for v in top))
+
+    def test_program_imports_no_scipy_interpolate(self):
+        # the modes are handed on, and exported, as grid arrays: no module
+        # fits a spline
+        for path in Path(osresolvent.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                assert not any(n.startswith("scipy.interpolate") for n in names), path.name
 
     @pytest.mark.parametrize("A, eps, t", [(2.0, 1e-12, 2.0), (3.0, 1e-15, 0.5),
                                            (4.0, 1e-24, 1.0)])
     def test_error_terms_evaluate_airy_once_at_the_wall(self, A, eps, t, monkeypatch):
-        # Gamma0's Ai(1, z0) and Ai(2, z0), the fast pair's denominator,
+        # Gamma0's Ai(1, z0) and Ai(2, z0), also the fast pair's denominator,
         # Psi_f(0) and the error terms' block on the grid come from one Airy
-        # evaluation per block of wave speeds, here three; every value is the
-        # one of the separate evaluations, bit for bit.  At the first two
-        # wave speeds Gamma0's array-formed z0 can differ from params.z0 in
-        # its last bit.
+        # evaluation of N + 1 points per wave speed, here three; every value
+        # is the one of the separate evaluations, bit for bit
         p0 = SpectralParams.eighth(A, eps)
         disk = dispersion.disk_eighth(p0)
         cs = p0.chat_to_c(disk.center + 0.5 * disk.radius * np.exp(1j * (t + np.arange(3.0))))
@@ -1211,8 +1202,8 @@ class TestPerGridState:
         monkeypatch.setattr(airy, "_ai_any", counted)
         with counted_views() as views:
             block = osresolvent.assemble_error_terms(cs, p0, bvp)
-        assert calls == [((0, 1, 2, 3), cs.size * (bvp.n + 2))]
-        assert views == {"eval": 0, "fit": 0}
+        assert calls == [((0, 1, 2, 3), cs.size * (bvp.n + 1))]
+        assert views == {"eval": 0}
 
         monkeypatch.setattr(airy, "_ai_any", ai_any)
         for j, c in enumerate(cs):

@@ -57,6 +57,19 @@ class TestSpectralParams:
         assert p.delta ** 3 == pytest.approx(-1j / p.n)
         assert p.z0 == pytest.approx(-p.c_hat / p.delta)
 
+    @pytest.mark.parametrize("A, eps", [(2.0, 1e-12), (4.0, 1e-24)])
+    def test_z0_is_the_array_rule(self, A, eps):
+        # params.z0 rounds as z0_at does on a block: on a 65-point winding
+        # round the scalar product differed from it in the last bit at 22
+        # and 18 points, and then Gamma0 and the fast mode read two offsets
+        from tswave import dispersion
+        p = SpectralParams.eighth(A, eps)
+        disk = dispersion.disk_eighth(p)
+        cs = p.chat_to_c(disk.point(math.pi / 64 + np.linspace(0.0, 2.0 * math.pi, 65)))
+        z0 = p.z0_at(cs + 1j / p.n)
+        for j, c in enumerate(cs):
+            assert p.with_c(c).z0 == z0[j]
+
     def test_far_field_ends_every_default_grid(self):
         from oracles import default_magnetic_grid
         from tswave import dispersion, fastmode, osresolvent

@@ -330,8 +330,8 @@ def slow_errors(group, Y, p, psi_s):
     Y by order and the slow-mode pass of Y."""
     psi = [psi_s.eval(k, Y) for k in range(2)]
     prof = profile_arrays(Y)
-    return slowmode.slow_errors(group, prof, (p,), psi,
-                                slowmode._slow_pass(Y, prof, (p,)))[0]
+    return slowmode.slow_errors(prof, (p,), psi,
+                                slowmode._slow_pass(Y, prof, (p,)))[group - 1][0]
 
 
 class TestSlowErrors:
