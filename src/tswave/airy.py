@@ -8,8 +8,6 @@ series are closed forms (DLMF 9.10).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -21,8 +19,6 @@ __all__ = [
     "SECTOR",
     "AI_ZERO",
     "AIP_ZERO",
-    "AiryBranch",
-    "AiryValue",
     "ai_k",
     "primitive_constants",
 ]
@@ -32,19 +28,6 @@ SECTOR = 5.0 * math.pi / 6.0
 
 AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)     # Ai(0)
 AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)  # Ai'(0)
-
-
-class AiryBranch(Enum):
-    SERIES = "series"
-    ASYMPTOTIC = "asymptotic"
-
-
-@dataclass(frozen=True)
-class AiryValue:
-    k: int
-    z: complex
-    value: complex
-    branch: AiryBranch
 
 
 def _check_sector(z):
@@ -62,7 +45,7 @@ def primitive_constants():
     return {0: AI_ZERO, 1: -1.0 / 3.0, 2: -AIP_ZERO, 3: -AI_ZERO / 2.0}
 
 
-def _series(k, z, tol=1e-18, max_terms=420):
+def _series(k, z):
     """Maclaurin evaluation of Ai(k, z) for k in {0, 1, 2, 3} (entire).
 
     ``k`` may be a tuple of orders: all of them run in one recurrence and
@@ -86,19 +69,23 @@ def _series(k, z, tol=1e-18, max_terms=420):
         starts.append((acc + tf + tg, tf, tg))
     acc, tf, tg = (np.stack(a) for a in zip(*starts))
     terms = np.concatenate([tf, tg])
-    out = _sum_terms(acc, terms, z**3, *_step_columns(orders, max_terms), tol, max_terms)
+    out = _sum_terms(acc, terms, z**3, *_step_columns(orders))
     out = out.reshape((len(orders),) + shape)
     return out if isinstance(k, tuple) else out[0]
 
 
+# the series stops at its first term past m = 8 of relative size at most
+# _TOL, or after step m = _MAX_TERMS - 1
+_TOL = 1e-18
+_MAX_TERMS = 420
 # steps of the recurrence between two checks of the stopping rule
 _CHECK_EVERY = 8
 
 
 @lru_cache(maxsize=16)
-def _step_columns(orders, max_terms):
+def _step_columns(orders):
     """The factors of every series step m as complex columns, shaped
-    (max_terms, 2 len(orders), 1): f-part rows above g-part rows, one per
+    (_MAX_TERMS, 2 len(orders), 1): f-part rows above g-part rows, one per
     order, so that each row rounds exactly as a single order's step with
     integer factors does.
 
@@ -110,38 +97,35 @@ def _step_columns(orders, max_terms):
         out.flags.writeable = False
         return out
 
-    m = np.arange(max_terms).reshape(-1, 1, 1)
+    m = np.arange(_MAX_TERMS).reshape(-1, 1, 1)
     j = 3 * m + np.reshape(orders, (-1, 1))
     ones = np.ones_like(j)
     return (column((3 * m - 2) * ones, (3 * m - 1) * ones),
             column(j * (j - 1) * (j - 2), (j + 1) * j * (j - 1)))
 
 
-def _sum_terms(acc, terms, z3, mult, den, tol, max_terms):
+def _sum_terms(acc, terms, z3, mult, den):
     """``acc`` (one row per order) plus the series terms m = 1, 2, ... of
     its f- and g-parts, ``terms`` holding the f-part rows above the g-part
     rows.  Step m multiplies the terms by ``mult[m]`` and by z^3, and
     divides them by ``den[m]``.
 
     An element is done at the first term past m = 8 whose f- and g-part
-    moduli sum to at most ``tol`` relative to its sum, and keeps that sum:
+    moduli sum to at most ``_TOL`` relative to its sum, and keeps that sum:
     it takes the terms it would take alone, so its value depends on no other
     element.  The steps of a block are recorded and the rule is checked once
-    per block; a point leaves the working set once all its orders are done.
+    per block, from the second block on; a point leaves the working set once
+    all its orders are done.
     """
     rows = acc.shape[0]
     # z3 repeated per row: numpy's complex multiply can round differently
     # when an operand is broadcast, and each row must round as one order does
     z3 = np.tile(z3, (2 * rows, 1))
-    for m in range(1, min(9, max_terms)):  # no element stops here
-        terms = terms * mult[m]
-        terms = terms * z3 / den[m]
-        acc = acc + terms[:rows] + terms[rows:]
     out = np.empty_like(acc)
     open_ = np.ones(acc.shape, dtype=bool)
     live = np.arange(acc.shape[1])
-    for m0 in range(9, max_terms, _CHECK_EVERY):
-        steps = min(_CHECK_EVERY, max_terms - m0)
+    for m0 in range(1, _MAX_TERMS, _CHECK_EVERY):
+        steps = min(_CHECK_EVERY, _MAX_TERMS - m0)
         tbuf = np.empty((steps,) + terms.shape, dtype=complex)
         abuf = np.empty((steps,) + acc.shape, dtype=complex)
         for i in range(steps):
@@ -152,8 +136,10 @@ def _sum_terms(acc, terms, z3, mult, den, tol, max_terms):
             np.add(acc, t[:rows], out=a)
             np.add(a, t[rows:], out=a)
             terms, acc = t, a
+        if m0 == 1:  # no element stops in the first block
+            continue
         size = np.abs(tbuf)
-        done = size[:, :rows] + size[:, rows:] <= tol * np.abs(abuf)
+        done = size[:, :rows] + size[:, rows:] <= _TOL * np.abs(abuf)
         hit = done.any(axis=0)
         if not hit.any():
             continue
@@ -218,9 +204,3 @@ def ai_k(k, z):
         return out
     return out[:, 0] if isinstance(k, tuple) else complex(out[0])
 
-
-def ai_value(k, z):
-    """Ai(k, z) together with the branch used (for tabulation)."""
-    val = ai_k(k, z)
-    branch = AiryBranch.ASYMPTOTIC if abs(z) >= M_THRESHOLD else AiryBranch.SERIES
-    return AiryValue(k=k, z=complex(z), value=complex(val), branch=branch)

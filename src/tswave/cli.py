@@ -22,7 +22,7 @@ from .errors import GrowthOverflow, TswaveError, WindingNotOne, ZeroOnContour
 from .numerics import hermite
 from .numerics import winding_samples  # noqa: F401  (perfbench/layers.py wraps it)
 from .params import BETA_EIGHTH, SpectralParams
-from .profile import DEFAULT_PROFILE, StructureConstants, check_structure
+from .profile import check_structure
 
 __all__ = ["RunConfig", "run_sweep", "export_mode", "main"]
 
@@ -98,6 +98,8 @@ class RunConfig:
             raise ValueError("format must be csv or json")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        for eps in self.eps_list:
+            self.params(eps)   # SpectralParams refuses a bad eps before any row runs
 
     def params(self, eps):
         if self.regime == "eighth":
@@ -504,17 +506,16 @@ def cmd_airy_table(args):
     ks = [int(s) for s in args.k.split(",")]
     re0, re1, nre = (float(s) for s in args.re.split(":"))
     im0, im1, nim = (float(s) for s in args.im.split(":"))
+    zs = np.array([complex(re, im) for re in np.linspace(re0, re1, int(nre))
+                   for im in np.linspace(im0, im1, int(nim))], dtype=complex)
+    # drop only the points past the sector: a NaN point stays
+    zs = zs[~(np.abs(np.angle(zs)) > airy.SECTOR)]
+    branch = np.where(np.abs(zs) >= airy.M_THRESHOLD, "asymptotic", "series")
     lines = ["k,re_z,im_z,re_ai,im_ai,branch"]
     for k in ks:
-        for re in np.linspace(re0, re1, int(nre)):
-            for im in np.linspace(im0, im1, int(nim)):
-                z = complex(re, im)
-                if abs(np.angle(z)) > airy.SECTOR:
-                    continue
-                val = airy.ai_value(k, z)
-                lines.append(",".join([str(k), _fmt(re), _fmt(im),
-                                       _fmt(val.value.real), _fmt(val.value.imag),
-                                       val.branch.value]))
+        lines.extend(",".join([str(k), _fmt(z.real), _fmt(z.imag), _fmt(v.real),
+                               _fmt(v.imag), b])
+                     for z, v, b in zip(zs, airy.ai_k(k, zs), branch))
     text = "\n".join(lines) + "\n"
     _write(text, args.out)
     return 0
@@ -549,7 +550,7 @@ def cmd_export_mode(args):
 
 def cmd_validate(args):
     cfg = build_config(args)
-    report = check_structure(DEFAULT_PROFILE, StructureConstants())
+    report = check_structure()
     info = {"structure_margins": report.margins, "structure_ok": report.ok,
             "rows": []}
     for eps in cfg.eps_list:

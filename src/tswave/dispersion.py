@@ -118,8 +118,7 @@ def gamma0_and_fast_pair(points, chat, wall, grid):
     p = points[0]
     z0 = p.z0_at(chat)[:, None]
     airy._check_sector(z0)
-    for q in points:
-        fastmode.check_sublayer_scales(q)   # before the grid block is evaluated
+    fastmode.check_sublayer_scales(z0)   # before the grid block is evaluated
     grid = np.asarray(grid, dtype=float)
     z = np.concatenate([z0, grid / p.delta + z0], axis=1)
     ai = airy._ai_any((0, 1, 2, 3), z.ravel()).reshape((4,) + z.shape)

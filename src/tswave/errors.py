@@ -60,7 +60,7 @@ class GrowthOverflow(TswaveError):
 class WindingNotOne(TswaveError):
     """Boundary winding count differs from one; certification of a unique simple zero fails."""
 
-    def __init__(self, winding, message=None, report=None):
+    def __init__(self, winding, report=None):
         self.winding = winding
         self.report = report
-        super().__init__(message or f"winding number {winding} != 1")
+        super().__init__(f"winding number {winding} != 1")

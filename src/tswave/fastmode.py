@@ -37,16 +37,17 @@ __all__ = [
 ]
 
 
-def check_sublayer_scales(params):
-    """Raise ValueError unless arg z0 lies in its angular window (eps^{1/8}
-    regime)."""
-    z0 = params.z0
-    arg_off = np.angle(z0) + 5.0 * math.pi / 6.0
+def check_sublayer_scales(z0):
+    """Raise ValueError for the first of the offsets ``z0`` whose arg lies
+    outside its angular window (eps^{1/8} regime)."""
+    args = np.angle(z0).ravel()
+    arg_off = args + 5.0 * math.pi / 6.0
     # the offset shrinks like 1/A^2 at the disk center, but boundary
     # samples of the A = 2 certification disk reach offsets near 0.30
-    if not 0.0 < arg_off < 0.35:
-        raise ValueError(
-            f"arg z0 = {np.angle(z0):.6f} outside (-5pi/6, -5pi/6 + 0.35)")
+    outside = ~((0.0 < arg_off) & (arg_off < 0.35))
+    if outside.any():
+        raise ValueError(f"arg z0 = {args[outside.argmax()]:.6f} outside "
+                         f"(-5pi/6, -5pi/6 + 0.35)")
 
 
 def airy_fast(which, order, Y, params, ratios):

@@ -9,7 +9,7 @@ mode's running integrals J, K and L from one e^{-Y} and one logarithm.
 grid from one e^{-Y}; a ``DiscreteBVP`` keeps those of its grid and hands
 them to the modules that read them there.
 ``check_structure`` verifies the monotonicity and strong-concavity
-conditions of any profile it is given.
+conditions of ``DEFAULT_PROFILE``.
 """
 
 from __future__ import annotations
@@ -172,20 +172,19 @@ class HartmannProfile:
         return J, K, L
 
 
-def check_structure(profile, consts=StructureConstants(), y_max=40.0, n=2001):
-    """Verify the monotonicity envelope and strong-concavity inequalities on a grid.
+def check_structure(consts=StructureConstants()):
+    """Verify the monotonicity envelope and strong-concavity inequalities of
+    ``DEFAULT_PROFILE`` on 2001 points of [0, 40].
 
     Returns the worst margins (nonnegative = satisfied); raises
     StructureViolation naming the failing inequality and its location.
     """
-    if n < 100:
-        raise ValueError("need at least 100 grid points")
-    Y = np.linspace(0.0, y_max, n)
-    du = profile.eval("U", 1, Y)
-    d2u = profile.eval("U", 2, Y)
-    d3u = profile.eval("U", 3, Y)
-    dh = profile.eval("H", 1, Y)
-    d2h = profile.eval("H", 2, Y)
+    Y = np.linspace(0.0, 40.0, 2001)
+    du = DEFAULT_PROFILE.eval("U", 1, Y)
+    d2u = DEFAULT_PROFILE.eval("U", 2, Y)
+    d3u = DEFAULT_PROFILE.eval("U", 3, Y)
+    dh = DEFAULT_PROFILE.eval("H", 1, Y)
+    d2h = DEFAULT_PROFILE.eval("H", 2, Y)
     env = np.exp(-consts.s0 * Y)
     margins = {
         "monotone_lower": du - consts.s1 * env,
@@ -195,7 +194,7 @@ def check_structure(profile, consts=StructureConstants(), y_max=40.0, n=2001):
         "ratio_d2u_du": consts.sigma0 - np.abs(d2u / du),
         "ratio_d2h_du": consts.sigma0 - np.abs(d2h / du),
         "ratio_dh_du": consts.sigma0 - np.abs(dh / du),
-        "ratio_wake_du": consts.sigma0 - np.abs(profile.wake(Y) / du),
+        "ratio_wake_du": consts.sigma0 - np.abs(DEFAULT_PROFILE.wake(Y) / du),
     }
     summary = {}
     worst = (None, np.inf, None)

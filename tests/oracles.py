@@ -534,7 +534,7 @@ def fast_mode_pair(params):
     ``fastmode.airy_fast`` on the Airy ratios of any Y."""
     if not params.is_eighth:
         raise RegimeMismatch("fast_mode_pair is the eps^{1/8}-regime fast mode")
-    fastmode.check_sublayer_scales(params)
+    fastmode.check_sublayer_scales(np.array([params.z0]))
 
     def mode(which):
         return ModeFunction(max_order=2, evaluator=lambda o, Y: fastmode.airy_fast(

@@ -350,8 +350,3 @@ class TestBlockedRecurrence:
         z = self.points()
         assert np.array_equal(airy._series(k, z).view(float),
                               series_loop(k, z).view(float))
-
-
-def test_ai_value_branch_labels():
-    assert airy.ai_value(0, 1.0).branch is airy.AiryBranch.SERIES
-    assert airy.ai_value(0, 9.0).branch is airy.AiryBranch.ASYMPTOTIC

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tswave import cli, dispersion, osresolvent
+from tswave import airy, cli, dispersion, osresolvent
 from tswave.errors import GrowthOverflow, NonConvergence, WindingNotOne, ZeroOnContour
 from tswave.params import SpectralParams
 
@@ -389,6 +389,41 @@ class TestOtherCommands:
         assert rc == 0
         assert out[0] == "k,re_z,im_z,re_ai,im_ai,branch"
         assert any(line.endswith("series") for line in out[1:])
+
+    def test_airy_table_labels_rows_by_modulus(self, capsys):
+        rc = cli.main(["airy-table", "--k", "0", "--re", "1:9:2", "--im", "0:0:1"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split(",")[-1] for line in out[1:]] == ["series", "asymptotic"]
+
+    def test_airy_table_evaluates_each_order_once(self, capsys, monkeypatch):
+        calls = []
+        ai_any = airy._ai_any
+
+        def counted(k, z):
+            calls.append(k)
+            return ai_any(k, z)
+
+        monkeypatch.setattr(airy, "_ai_any", counted)
+        assert cli.main(["airy-table", "--k", "0,1,2,3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert calls == [0, 1, 2, 3]
+        assert len(lines) == 1 + 4 * 145   # 145 of the 169 points lie in the sector
+
+    @pytest.mark.parametrize("command", ["root", "sweep"])
+    def test_bad_eps_is_refused_before_any_row(self, capsys, monkeypatch, command):
+        # the last eps used to be refused only after the rows before it had
+        # been certified, and their output was lost
+        def never(*args, **kwargs):
+            raise AssertionError("dispersion.certify ran")
+
+        monkeypatch.setattr(dispersion, "certify", never)
+        rc = cli.main([command, "--A", "2", "--eps-list", "1e-8,0"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: eps must lie in (0, 1)\n"
+        with pytest.raises(ValueError, match=r"^beta regime needs beta in \(3/28, 1/8\)$"):
+            cli.RunConfig(regime="beta", beta=0.125, eps_list=[1e-8, 0.0])
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -48,8 +48,14 @@ class TestAiryFast:
         assert airy_fast("Phi", 1, 0.0, p) == pytest.approx(expect, rel=1e-12)
 
     def test_scales_validation(self, eighth_params):
-        fastmode.check_sublayer_scales(eighth_params)
+        fastmode.check_sublayer_scales(np.array([eighth_params.z0]))
         assert -5 * math.pi / 6 < np.angle(eighth_params.z0) < -5 * math.pi / 6 + 0.2
+
+    def test_scales_validation_names_the_offset_outside(self, eighth_params):
+        z0 = eighth_params.z0
+        outside = z0 * np.exp(0.4j)
+        with pytest.raises(ValueError, match=f"^arg z0 = {np.angle(outside):.6f} outside"):
+            fastmode.check_sublayer_scales(np.array([z0, outside, z0]))
 
     def test_decay_envelope_with_measured_tau(self, eighth_params):
         p = eighth_params

@@ -50,7 +50,7 @@ class TestEval:
 
 class TestStructure:
     def test_hartmann_unit_constants(self):
-        report = check_structure(DEFAULT_PROFILE, StructureConstants(1, 1, 1, 1))
+        report = check_structure(StructureConstants(1, 1, 1, 1))
         assert report.ok
         # the monotonicity envelope is an exact equality for this profile
         assert report.margins["monotone_lower"][0] == pytest.approx(0.0, abs=1e-14)
@@ -58,16 +58,12 @@ class TestStructure:
         assert report.margins["concavity"][0] >= -1e-14
 
     def test_third_derivative_ratio(self):
-        report = check_structure(DEFAULT_PROFILE, StructureConstants())
+        report = check_structure(StructureConstants())
         assert report.margins["ratio_d3u_d2u"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_violation_raises(self):
         with pytest.raises(StructureViolation):
-            check_structure(DEFAULT_PROFILE, StructureConstants(1, 1, 1, sigma0=0.9))
-
-    def test_grid_minimum(self):
-        with pytest.raises(ValueError):
-            check_structure(DEFAULT_PROFILE, n=50)
+            check_structure(StructureConstants(1, 1, 1, sigma0=0.9))
 
     def test_constant_validation(self):
         with pytest.raises(ValueError):
